@@ -9,12 +9,12 @@ Lie algebras, including rank-one Einstein extensions and the three-term
 standardness audit.
 """
 
-from .bracket import (BracketTensor, act, bracket_eval, derivations,
-                      direct_sum, inner, is_nilpotent, jacobi_residual,
+from .bracket import (BracketTensor, act, derivations, direct_sum, inner,
+                      is_nilpotent, is_solvable, jacobi_residual,
                       lower_central_series, norm_sq, permutation_act, rep)
 from .flow import (FlowResult, MomentValue, ProbeResult, StratumDetection,
-                   flow_to_critical, ricci_moment, ricci_moment_via_duality,
-                   semistability_probe, stratum_detect)
+                   flow_to_critical, ricci_moment, semistability_probe,
+                   stratum_detect)
 from .minnorm import (MinNormResult, PointSet, brute_force_min_norm,
                       min_norm_point)
 from .solvable import (AuditReport, CurvatureReport, EinsteinCheck,

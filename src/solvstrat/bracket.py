@@ -3,8 +3,10 @@
 A bracket mu assigns to each ordered basis pair (e_i, e_j) a vector
 mu(e_i, e_j) = sum_k mu_ij^k e_k with mu(e_j, e_i) = -mu(e_i, e_j).  Only the
 coefficients with i < j are stored (1-based indices, zero coefficients
-dropped).  Two arithmetic modes coexist: "exact" (all coefficients are
-Fractions) and "float".
+dropped).  Two arithmetic modes coexist, each with one representation:
+"exact" work runs on the sparse dict of Fraction coefficients, with loops
+driven by its nonzeros (and by the nonzeros of the matrix acting on it);
+"float" work runs on dense (n, n, n) ndarray kernels (act_array, rep_array).
 
 Group and Lie algebra actions:
 
@@ -136,10 +138,6 @@ class BracketTensor:
         return BracketTensor.make(self.dim, {k: v * c for k, v in self.coeffs.items()})
 
 
-def bracket_eval(mu: BracketTensor, x: Sequence[Scalar], y: Sequence[Scalar]) -> list[Scalar]:
-    return mu.eval(x, y)
-
-
 def inner(mu: BracketTensor, lam: BracketTensor) -> Scalar:
     """<mu, lam> summed over all ordered pairs (each i<j key counts twice)."""
     if mu.dim != lam.dim:
@@ -167,16 +165,19 @@ def act(g, mu: BracketTensor) -> "BracketTensor":
     """
     if mu.is_exact_mode and _is_exact_matrix(g):
         gg = [[frac(x) for x in row] for row in g]
-        ginv = linalg.invert(gg)
-        cols = linalg.transpose(ginv)
+        h_rows = _row_entries(linalg.invert(gg))
+        g_cols = _row_entries(linalg.transpose(gg))
+        # mu(g^-1 e_i, g^-1 e_j) = sum over (p, q, k) of h_pi h_qj mu_pq^k e_k
+        inputs: dict[Key, Scalar] = {}
+        for (p, q, k), c in mu.coeffs.items():
+            for i, x in h_rows[p - 1]:
+                for j, y in h_rows[q - 1]:
+                    _add_skew(inputs, i, j, k, x * y * c)
         coeffs: dict[Key, Scalar] = {}
-        for i in range(1, mu.dim + 1):
-            for j in range(i + 1, mu.dim + 1):
-                v = linalg.matvec(gg, mu.eval(cols[i - 1], cols[j - 1]))
-                for k, c in enumerate(v, start=1):
-                    if c != 0:
-                        coeffs[(i, j, k)] = c
-        return BracketTensor(mu.dim, coeffs, "exact")
+        for (i, j, k), c in inputs.items():
+            for r, z in g_cols[k - 1]:
+                _add_skew(coeffs, i, j, r, z * c)
+        return _exact_bracket(mu.dim, coeffs)
     garr = np.asarray(g, dtype=float)
     ginv = np.linalg.inv(garr)
     out = act_array(garr, ginv, mu.to_array())
@@ -193,21 +194,52 @@ def rep(alpha, mu: BracketTensor) -> "BracketTensor":
     if not exact:
         a = np.asarray(alpha, dtype=float)
         return BracketTensor.from_array(rep_array(a, mu.to_array()))
-    a = [[frac(x) for x in row] for row in alpha]
-    cols = linalg.transpose(a)
-    n = mu.dim
-    unit = linalg.identity(n)
+    entries = [(r, c, frac(x)) for r, row in enumerate(alpha, start=1)
+               for c, x in enumerate(row, start=1) if x != 0]
+    return _exact_bracket(mu.dim, _rep_coeffs(entries, mu))
+
+
+def _rep_coeffs(entries, mu: BracketTensor) -> dict[Key, Scalar]:
+    """Coefficients of rep(a, mu) for exact a given by its nonzero (row, col, value).
+
+    Driven by mu.coeffs and the nonzeros of a, with 1-based indices:
+    a mu(e_p, e_q) adds a_rk mu_pq^k at (p, q, r); -mu(a e_i, e_q) adds
+    -a_pi mu_pq^k at (i, q, k) and -mu(a e_i, e_p) adds a_qi mu_pq^k at
+    (i, p, k); the third term -mu(., a .) is the skew image of the second.
+    """
+    rows: dict[int, list] = {}
+    cols: dict[int, list] = {}
+    for r, c, v in entries:
+        rows.setdefault(r, []).append((c, v))
+        cols.setdefault(c, []).append((r, v))
     coeffs: dict[Key, Scalar] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            v = linalg.matvec(a, mu.pair(i, j))
-            t2 = mu.eval(cols[i - 1], unit[j - 1])
-            t3 = mu.eval(unit[i - 1], cols[j - 1])
-            for k in range(n):
-                c = v[k] - t2[k] - t3[k]
-                if c != 0:
-                    coeffs[(i, j, k + 1)] = c
-    return BracketTensor(n, coeffs, "exact")
+    for (p, q, k), c in mu.coeffs.items():
+        for r, v in cols.get(k, ()):
+            _add_skew(coeffs, p, q, r, v * c)
+        for i, v in rows.get(p, ()):
+            _add_skew(coeffs, i, q, k, -v * c)
+        for i, v in rows.get(q, ()):
+            _add_skew(coeffs, i, p, k, v * c)
+    return coeffs
+
+
+def _row_entries(m) -> list[list[tuple[int, Scalar]]]:
+    """Per row of m, its nonzero entries as (1-based column, value)."""
+    return [[(c, x) for c, x in enumerate(row, start=1) if x != 0] for row in m]
+
+
+def _add_skew(coeffs: dict[Key, Scalar], i: int, j: int, k: int, v: Scalar) -> None:
+    """Add v to the skew coefficient (i, j, k), stored at i < j; i == j adds nothing."""
+    if i < j:
+        coeffs[(i, j, k)] = coeffs.get((i, j, k), 0) + v
+    elif i > j:
+        coeffs[(j, i, k)] = coeffs.get((j, i, k), 0) - v
+
+
+def _exact_bracket(dim: int, coeffs: dict[Key, Scalar]) -> BracketTensor:
+    """Exact bracket from accumulated coefficients, zeros dropped, keys sorted."""
+    return BracketTensor(dim, {key: coeffs[key] for key in sorted(coeffs) if coeffs[key] != 0},
+                         "exact")
 
 
 def rep_array(alpha: np.ndarray, arr: np.ndarray) -> np.ndarray:
@@ -240,8 +272,7 @@ def jacobi_residual(mu: BracketTensor) -> Scalar:
     Zero iff mu is a Lie bracket (exact mode gives an exact zero).
     """
     n = mu.dim
-    unit = ([[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-            if mu.is_exact_mode else [[float(i == j) for j in range(n)] for i in range(n)])
+    unit = _unit(n, mu.is_exact_mode)
     worst: Scalar = Fraction(0) if mu.is_exact_mode else 0.0
     for i, j, k in itertools.combinations(range(n), 3):
         a = mu.eval(mu.eval(unit[i], unit[j]), unit[k])
@@ -256,21 +287,15 @@ def jacobi_residual(mu: BracketTensor) -> Scalar:
     return worst
 
 
-def _span_rank(vectors, exact: bool, tol: float) -> int:
-    if not vectors:
-        return 0
-    if exact:
-        return linalg.rank(vectors)
-    m = np.asarray(vectors, dtype=float)
-    return int(np.linalg.matrix_rank(m, tol=tol * max(1.0, float(np.abs(m).max()))))
+def _unit(n: int, exact: bool) -> list[list[Scalar]]:
+    """Standard basis vectors e_1..e_n as Fraction or float rows."""
+    return linalg.identity(n) if exact else [[float(i == j) for j in range(n)] for i in range(n)]
 
 
 def _next_term(mu: BracketTensor, basis):
     """Spanning vectors of [g, span(basis)]."""
-    n = mu.dim
-    unit = ([[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-            if mu.is_exact_mode else [[float(i == j) for j in range(n)] for i in range(n)])
-    return [mu.eval(unit[i], b) for i in range(n) for b in basis]
+    unit = _unit(mu.dim, mu.is_exact_mode)
+    return [mu.eval(e, b) for e in unit for b in basis]
 
 
 def _reduce_basis(vectors, exact: bool, tol: float):
@@ -298,9 +323,7 @@ def lower_central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> list[in
     exact = mu.is_exact_mode
     n = mu.dim
     dims = [n]
-    unit = ([[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-            if exact else [[float(i == j) for j in range(n)] for i in range(n)])
-    basis = unit
+    basis = _unit(n, exact)
     while True:
         gens = _next_term(mu, basis)
         basis = _reduce_basis(gens, exact, tol)
@@ -312,6 +335,22 @@ def lower_central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> list[in
 
 def is_nilpotent(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
     return lower_central_series(mu, tol)[-1] == 0
+
+
+def is_solvable(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
+    """Whether the derived series [g, g], [[g, g], [g, g]], ... reaches 0."""
+    exact = mu.is_exact_mode
+    basis = _unit(mu.dim, exact)
+    prev = mu.dim
+    while True:
+        gens = [mu.eval(x, y) for i, x in enumerate(basis) for y in basis[i + 1:]]
+        basis = _reduce_basis(gens, exact, tol)
+        cur = len(basis)
+        if cur == 0:
+            return True
+        if cur == prev:
+            return False
+        prev = cur
 
 
 def derivations(mu: BracketTensor, tol: float = DEFAULT_TOL):
@@ -329,9 +368,7 @@ def derivations(mu: BracketTensor, tol: float = DEFAULT_TOL):
         rows = [[Fraction(0)] * (n * n) for _ in slots]
         for r in range(n):
             for c in range(n):
-                e = [[Fraction(int(a == r and b == c)) for b in range(n)] for a in range(n)]
-                image = rep(e, mu)
-                for key, val in image.coeffs.items():
+                for key, val in _rep_coeffs([(r + 1, c + 1, linalg.ONE)], mu).items():
                     rows[slot_index[key]][r * n + c] = val
         return [[vec[r * n: (r + 1) * n] for r in range(n)] for vec in linalg.nullspace(rows)]
     arr = mu.to_array()

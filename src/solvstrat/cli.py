@@ -29,7 +29,6 @@ from .linalg import format_scalar, parse_scalar
 from .minnorm import brute_force_min_norm, min_norm_point
 from .solvable import (EINSTEIN_TOL, MetricSolvableAlgebra, curvature_report,
                        rank_one_extension, standardness_audit)
-from .strata import DiagonalWeight
 
 PASS, CHECKS_FAILED, INPUT_ERROR = 0, 2, 3
 
@@ -211,7 +210,8 @@ def cmd_minnorm(args) -> int:
     res.verify(ps)
     oracle_checked = False
     if len(ps) <= 12:
-        assert brute_force_min_norm(ps) == res
+        if brute_force_min_norm(ps) != res:
+            raise RuntimeError("min-norm solver disagrees with the enumeration oracle")
         oracle_checked = True
     report = {"input": {"dim": ps.dim, "count": len(ps)},
               "result": jsonio.min_norm_to_dict(res),
@@ -282,10 +282,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

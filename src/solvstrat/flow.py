@@ -28,13 +28,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .bracket import (BracketTensor, act_array, inner, is_nilpotent,
-                      jacobi_residual, rep, rep_array)
-from .linalg import Scalar, is_exact
+                      jacobi_residual, rep_array)
+from .linalg import Scalar
 from .strata import (DiagonalWeight, StratumCertificate, certify_candidate,
                      in_W, project_Z)
 
@@ -94,26 +93,6 @@ def ricci_moment(mu: BracketTensor) -> MomentValue:
     arr = mu.to_array()
     ric = ric_array(arr)
     return MomentValue(ric, 4.0 * ric / nsq, nsq)
-
-
-def ricci_moment_via_duality(mu: BracketTensor):
-    """Independent route: Ric_ab = (1/4) <pi(E_ab) mu, mu>."""
-    n = mu.dim
-    if mu.is_exact_mode:
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                e = [[Fraction(int(r == a and c == b)) for c in range(n)] for r in range(n)]
-                out[a][b] = Fraction(1, 4) * inner(rep(e, mu), mu)
-        return out
-    arr = mu.to_array()
-    out = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            e = np.zeros((n, n))
-            e[a, b] = 1.0
-            out[a, b] = 0.25 * float(np.sum(rep_array(e, arr) * arr))
-    return out
 
 
 def expm_sym(s: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -219,7 +198,8 @@ def flow_to_critical(
             message = "step size underflow before tangency"
             break
 
-    assert best is not None
+    if best is None:
+        raise RuntimeError("flow recorded no iterate")
     res, arr, m = best
     spec, q = np.linalg.eigh(m)
     aligned_arr = act_array(q.T, q, arr)

@@ -125,12 +125,6 @@ def rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[in
     return a, pivots
 
 
-def rank(m) -> int:
-    if not m:
-        return 0
-    return len(rref(m)[1])
-
-
 def nullspace(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Canonical basis of the right null space (free variables set to 1)."""
     if not m:

@@ -66,15 +66,22 @@ class MinNormResult:
         return dot(self.point, self.point)
 
     def verify(self, ps: PointSet) -> None:
-        """Assert exact feasibility and the variational optimality condition."""
-        assert sum(self.weights) == 1
-        assert all(w >= 0 for w in self.weights)
-        n = ps.dim
-        recon = [sum(w * p[c] for w, p in zip(self.weights, ps.points)) for c in range(n)]
-        assert tuple(recon) == self.point
+        """Check exact feasibility and the variational optimality condition.
+
+        Raises RuntimeError naming the first condition that fails.
+        """
+        recon = tuple(sum(w * p[c] for w, p in zip(self.weights, ps.points))
+                      for c in range(ps.dim))
         nsq = self.norm_sq()
-        assert all(dot(self.point, p) >= nsq for p in ps.points)
-        assert self.support == tuple(i for i, w in enumerate(self.weights) if w != 0)
+        for ok, condition in (
+                (sum(self.weights) == 1, "weights sum to 1"),
+                (all(w >= 0 for w in self.weights), "weights are nonnegative"),
+                (recon == self.point, "weights reproduce the point"),
+                (all(dot(self.point, p) >= nsq for p in ps.points), "<x, p> >= |x|^2"),
+                (self.support == tuple(i for i, w in enumerate(self.weights) if w != 0),
+                 "support is the set of nonzero weights")):
+            if not ok:
+                raise RuntimeError(f"min-norm result fails: {condition}")
 
 
 @dataclass(frozen=True)
@@ -173,7 +180,8 @@ def min_norm_point(ps: PointSet) -> MinNormResult:
         w[best] = Fraction(0)
         while True:
             res = _affine_minimizer(sc, pts, corral)
-            assert res is not None  # the corral stays affinely independent
+            if res is None:
+                raise RuntimeError("Wolfe corral became affinely dependent")
             v, y = res
             if all(vi > 0 for vi in v):
                 x = y
@@ -221,7 +229,8 @@ def brute_force_min_norm(ps: PointSet, max_points: int = 12) -> MinNormResult:
                 best_nsq, best = nsq, None
             if nsq == best_nsq and best is None and all(wi > 0 for wi in w):
                 best = (tuple(y), subset, w)
-    assert best is not None
+    if best is None:
+        raise RuntimeError("no strictly positive optimal representation found")
     point, subset, w = best
     weights = [Fraction(0)] * len(pts)
     for i, wi in zip(subset, w):

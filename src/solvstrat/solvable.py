@@ -20,12 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .bracket import BracketTensor, inner, jacobi_residual, rep
+from .bracket import (BracketTensor, act, inner, is_solvable, jacobi_residual,
+                      permutation_act, rep)
 from .flow import MomentValue, ricci_moment, _ric_exact, ric_array
 from .linalg import Scalar, frac, is_exact
 from .strata import DiagonalWeight, beta_of, in_W
@@ -56,7 +57,7 @@ class MetricSolvableAlgebra:
         res = jacobi_residual(bracket)
         if (res != 0) if bracket.is_exact_mode else (float(res) > tol):
             raise ValueError(f"Jacobi identity fails (residual {float(res):g})")
-        if not _is_solvable(bracket, tol):
+        if not is_solvable(bracket, tol):
             raise ValueError("bracket is not solvable")
         return MetricSolvableAlgebra(dim_a, dim_n, bracket)
 
@@ -98,26 +99,6 @@ class MetricSolvableAlgebra:
         return out
 
 
-def _is_solvable(bracket: BracketTensor, tol: float) -> bool:
-    from .bracket import _reduce_basis  # shared span reduction
-
-    exact = bracket.is_exact_mode
-    d = bracket.dim
-    unit = ([[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-            if exact else [[float(i == j) for j in range(d)] for i in range(d)])
-    basis = unit
-    prev = d
-    while True:
-        gens = [bracket.eval(x, y) for i, x in enumerate(basis) for y in basis[i + 1:]]
-        basis = _reduce_basis(gens, exact, tol)
-        cur = len(basis)
-        if cur == 0:
-            return True
-        if cur == prev:
-            return False
-        prev = cur
-
-
 def orthonormalize_basis(dim_a: int, dim_n: int, bracket: BracketTensor, gram) -> BracketTensor:
     """Rewrite the structure constants in an orthonormal basis.
 
@@ -125,8 +106,6 @@ def orthonormalize_basis(dim_a: int, dim_n: int, bracket: BracketTensor, gram) -
     spans the old n and the new a is its orthogonal complement; the returned
     basis is again a-first.  Float arithmetic (Cholesky).
     """
-    from .bracket import act, permutation_act
-
     d = dim_a + dim_n
     g = np.asarray([[float(x) for x in row] for row in gram], dtype=float)
     if g.shape != (d, d):

@@ -64,11 +64,6 @@ class DiagonalWeight:
         nsq = self.norm_sq()
         return tuple(x + nsq for x in self.entries)
 
-    def as_matrix(self):
-        n = self.dim
-        zero = Fraction(0) if self.is_exact_mode else 0.0
-        return [[self.entries[i] if i == j else zero for j in range(n)] for i in range(n)]
-
     def is_sorted(self) -> bool:
         return all(a <= b for a, b in zip(self.entries, self.entries[1:]))
 
@@ -201,7 +196,7 @@ def parabolic_membership(d, beta: DiagonalWeight, tol: float = 0.0) -> bool:
     for i in range(n):
         for j in range(n):
             if b[i] < b[j]:
-                v = d[i][j] if not isinstance(d, np.ndarray) else d[i, j]
+                v = d[i][j]
                 if (v != 0) if is_exact(v) else (abs(v) > tol):
                     return False
     return True
@@ -219,17 +214,8 @@ class DerivationCertificates:
     trace_max_abs: float
 
 
-def _quadratic_value(d, beta_entries) -> Scalar:
-    """<[beta, D], D> = sum_ij (beta_i - beta_j) D_ij^2 for diagonal beta."""
-    n = len(beta_entries)
-    get = (lambda i, j: d[i, j]) if isinstance(d, np.ndarray) else (lambda i, j: d[i][j])
-    return sum((beta_entries[i] - beta_entries[j]) * get(i, j) ** 2
-               for i in range(n) for j in range(n))
-
-
 def _trace_value(d, beta_entries) -> Scalar:
-    get = (lambda i: d[i, i]) if isinstance(d, np.ndarray) else (lambda i: d[i][i])
-    return sum(b * get(i) for i, b in enumerate(beta_entries))
+    return sum(b * d[i][i] for i, b in enumerate(beta_entries))
 
 
 def derivation_certificates(
@@ -237,7 +223,6 @@ def derivation_certificates(
     beta: DiagonalWeight,
     tol: float = DEFAULT_TOL,
     rng: np.random.Generator | None = None,
-    basis=None,
 ) -> DerivationCertificates:
     """Evaluate the derivation-side stratum conditions for a sorted beta.
 
@@ -249,14 +234,12 @@ def derivation_certificates(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    if basis is None:
-        basis = derivations(mu, tol=min(tol, 1e-9))
-    b = beta.entries
-    exact = beta.is_exact_mode and mu.is_exact_mode and basis and not isinstance(basis[0], np.ndarray)
-    n = beta.dim
-
+    basis = derivations(mu, tol=min(tol, 1e-9))
     if not basis:
         return DerivationCertificates(0, True, True, True, 0.0, 0.0)
+    b = beta.entries
+    exact = beta.is_exact_mode and mu.is_exact_mode
+    n = beta.dim
 
     traces = [_trace_value(d, b) for d in basis]
     if exact:
@@ -269,9 +252,7 @@ def derivation_certificates(
 
     # Gram matrix of the quadratic form restricted to span(basis)
     def form(d1, d2):
-        g1 = (lambda i, j: d1[i, j]) if isinstance(d1, np.ndarray) else (lambda i, j: d1[i][j])
-        g2 = (lambda i, j: d2[i, j]) if isinstance(d2, np.ndarray) else (lambda i, j: d2[i][j])
-        return sum((b[i] - b[j]) * g1(i, j) * g2(i, j) for i in range(n) for j in range(n))
+        return sum((b[i] - b[j]) * d1[i][j] * d2[i][j] for i in range(n) for j in range(n))
 
     k = len(basis)
     gram = [[form(basis[a], basis[c]) for c in range(k)] for a in range(k)]
@@ -280,8 +261,8 @@ def derivation_certificates(
     else:
         adbeta = float(np.linalg.eigvalsh(np.asarray(gram, dtype=float)).min()) >= -tol
 
-    float_basis = [np.array([[float(d[i, j] if isinstance(d, np.ndarray) else d[i][j])
-                              for j in range(n)] for i in range(n)]) for d in basis]
+    float_basis = [np.array([[float(d[i][j]) for j in range(n)] for i in range(n)])
+                   for d in basis]
     bf = np.array([float(x) for x in b])
     worst = math.inf
     samples = [np.eye(k)[i] for i in range(k)] + list(rng.standard_normal((2 * k, k)))
@@ -355,7 +336,6 @@ def certify_candidate(
     beta: DiagonalWeight,
     tol: float = DEFAULT_TOL,
     rng: np.random.Generator | None = None,
-    der_basis=None,
 ) -> StratumCertificate:
     """Evaluate every stratum condition of beta against mu.
 
@@ -390,7 +370,7 @@ def certify_candidate(
     checks["beta_positive_shift"] = positivity_check(beta)
     residuals["beta_positive_shift"] = min(beta.shifted())
 
-    der = derivation_certificates(mu, beta, tol=tol, rng=rng, basis=der_basis)
+    der = derivation_certificates(mu, beta, tol=tol, rng=rng)
     checks["derivations_in_parabolic"] = der.parabolic_all
     checks["adbeta_nonneg"] = der.adbeta_nonneg
     checks["betaort_zero"] = der.betaort_zero

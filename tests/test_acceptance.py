@@ -12,10 +12,10 @@ import numpy as np
 
 from generators import (rand_frac, random_nilpotent, random_point_set,
                         random_solvable)
+from oracles import ricci_moment_via_duality
 from solvstrat.bracket import BracketTensor, act_array, permutation_act
 from solvstrat.catalog import abelian, filiform4, heisenberg3, rh_space, so3
-from solvstrat.flow import (ricci_moment, ricci_moment_via_duality,
-                            stratum_detect)
+from solvstrat.flow import ricci_moment, stratum_detect
 from solvstrat.minnorm import brute_force_min_norm, min_norm_point
 from solvstrat.solvable import (einstein_check, is_standard,
                                 rank_one_extension, standardness_audit,

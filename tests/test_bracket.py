@@ -15,6 +15,8 @@ from solvstrat.catalog import abelian, filiform4, heisenberg3, so3
 
 H3 = heisenberg3()
 N4 = filiform4()
+NON_JACOBI = BracketTensor.make(4, {(1, 2, 3): 1, (1, 3, 1): 2, (2, 4, 4): Fraction(-1, 2),
+                                    (3, 4, 2): Fraction(3, 4)})
 
 
 def test_make_normalizes_key_order_and_sign():
@@ -103,14 +105,14 @@ def test_act_identity_and_group_law():
 def test_act_definition_on_vectors():
     # (g.mu)(x, y) = g mu(g^-1 x, g^-1 y)
     rng = np.random.default_rng(3)
-    mu = random_nilpotent(rng, 4)
-    g = random_exact_gl(rng, 4)
-    ginv = linalg.invert(g)
-    gm = act(g, mu)
-    x = [rand_frac(rng) for _ in range(4)]
-    y = [rand_frac(rng) for _ in range(4)]
-    want = linalg.matvec(g, mu.eval(linalg.matvec(ginv, x), linalg.matvec(ginv, y)))
-    assert gm.eval(x, y) == want
+    for mu in [random_nilpotent(rng, 4) for _ in range(5)] + [NON_JACOBI]:
+        g = random_exact_gl(rng, 4)
+        ginv = linalg.invert(g)
+        gm = act(g, mu)
+        x = [rand_frac(rng) for _ in range(4)]
+        y = [rand_frac(rng) for _ in range(4)]
+        want = linalg.matvec(g, mu.eval(linalg.matvec(ginv, x), linalg.matvec(ginv, y)))
+        assert gm.eval(x, y) == want
 
 
 def test_act_array_agrees_with_exact_act():
@@ -121,6 +123,50 @@ def test_act_array_agrees_with_exact_act():
     gf = np.array([[float(x) for x in row] for row in g])
     dense = act_array(gf, np.linalg.inv(gf), mu.to_array())
     assert np.max(np.abs(exact - dense)) < 1e-10
+
+
+def _sparse(rng, n):
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for _ in range(3):
+        a[int(rng.integers(0, n))][int(rng.integers(0, n))] = rand_frac(rng)
+    return a
+
+
+def _elementary(rng, n):
+    a = [[Fraction(0)] * n for _ in range(n)]
+    a[int(rng.integers(0, n))][int(rng.integers(0, n))] = Fraction(1)
+    return a
+
+
+@pytest.mark.parametrize("kind,seed", [("dense", 20), ("sparse", 21), ("elementary", 22),
+                                       ("non_jacobi", 23)])
+def test_rep_definition_on_vectors(kind, seed):
+    # rep(a, mu)(x, y) = a mu(x, y) - mu(a x, y) - mu(x, a y), and the float
+    # kernel rep_array agrees with the exact coefficients
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        if kind == "non_jacobi":
+            mu = NON_JACOBI
+            assert jacobi_residual(mu) != 0
+        else:
+            mu = random_nilpotent(rng, 5)
+        n = mu.dim
+        if kind == "sparse":
+            a = _sparse(rng, n)
+        elif kind == "elementary":
+            a = _elementary(rng, n)
+        else:
+            a = [[rand_frac(rng, 2, 2) for _ in range(n)] for _ in range(n)]
+        image = rep(a, mu)
+        assert image.is_exact_mode
+        x = [rand_frac(rng) for _ in range(n)]
+        y = [rand_frac(rng) for _ in range(n)]
+        want = [u - v - w for u, v, w in zip(linalg.matvec(a, mu.eval(x, y)),
+                                             mu.eval(linalg.matvec(a, x), y),
+                                             mu.eval(x, linalg.matvec(a, y)))]
+        assert image.eval(x, y) == want
+        af = np.array([[float(v) for v in row] for row in a])
+        assert np.max(np.abs(image.to_array() - rep_array(af, mu.to_array()))) < 1e-12
 
 
 def test_rep_identity_is_minus_mu():

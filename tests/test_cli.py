@@ -1,11 +1,15 @@
 """End-to-end checks of the command line driver (in-process)."""
 
+import ast
+import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import solvstrat
 from solvstrat.cli import main
 
 H3 = {"dim_a": 0, "dim_n": 3,
@@ -275,6 +279,32 @@ def test_minnorm_skips_oracle_above_cutoff(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["oracle_checked"] is False
     assert rep["result"]["point"] == ["1", "1"]
+
+
+def test_minnorm_raises_when_the_oracle_disagrees(tmp_path, capsys, monkeypatch):
+    import solvstrat.cli
+
+    real = solvstrat.cli.brute_force_min_norm
+
+    def wrong(ps):
+        res = real(ps)
+        return dataclasses.replace(res, point=tuple(x + 1 for x in res.point))
+
+    monkeypatch.setattr(solvstrat.cli, "brute_force_min_norm", wrong)
+    ps = {"dim": 2, "points": [["2", "0"], ["0", "2"]]}
+    with pytest.raises(RuntimeError, match="oracle"):
+        main(["minnorm", put(tmp_path, "ps.json", ps), "--format", "json"])
+    assert capsys.readouterr().out == ""
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert, so runtime checks must raise instead
+    found = []
+    for path in sorted(Path(solvstrat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_minnorm_rejects_bad_file(tmp_path, capsys):

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from generators import random_nilpotent
+from oracles import ricci_moment_via_duality
 from solvstrat.bracket import BracketTensor, act, act_array, jacobi_residual, permutation_act
 from solvstrat.catalog import filiform4, heisenberg3, so3
 from solvstrat.flow import (expm_sym, flow_to_critical, ric_array,
-                            ricci_moment, ricci_moment_via_duality,
-                            semistability_probe, stratum_detect)
+                            ricci_moment, semistability_probe, stratum_detect)
 from solvstrat.strata import DiagonalWeight, beta_of
 
 F = Fraction

@@ -1,5 +1,6 @@
 """Exact minimum-norm point: golden cases, invariants, oracle agreement."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +109,19 @@ def test_verify_passes_and_certifies():
         res.verify(ps)
         nsq = res.norm_sq()
         assert all(sum(a * b for a, b in zip(res.point, p)) >= nsq for p in ps.points)
+
+
+@pytest.mark.parametrize("field,tamper", [
+    ("point", lambda r: tuple(x + 1 for x in r.point)),
+    ("weights", lambda r: tuple(2 * w for w in r.weights)),
+    ("support", lambda r: r.support[1:]),
+])
+def test_verify_raises_on_a_tampered_result(field, tamper):
+    ps = PointSet.make([(F(2), F(0)), (F(0), F(2)), (F(3), F(3))])
+    res = min_norm_point(ps)
+    res.verify(ps)
+    with pytest.raises(RuntimeError):
+        dataclasses.replace(res, **{field: tamper(res)}).verify(ps)
 
 
 def test_permutation_equivariance():
