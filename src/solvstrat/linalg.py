@@ -1,10 +1,12 @@
 """Exact linear algebra over fractions.Fraction.
 
 Matrices are lists (or tuples) of rows of Fractions, vectors are sequences of
-Fractions.  All systems in this project are small (at most ~100 rows), so
-dense Gaussian elimination with exact pivots is both fast enough and free of
-conditioning questions.  Deterministic pivot choice (first nonzero) keeps
-every derived basis reproducible run to run.
+Fractions.  Exact pivots keep every result free of conditioning questions,
+and a deterministic pivot choice (first nonzero) keeps every derived basis
+reproducible run to run.  rref, solve and invert eliminate densely; they
+serve small systems.  nullspace eliminates over sparse rows, because its
+largest caller, the derivation system of an n-dimensional bracket, has
+n * C(n, 2) mostly-zero rows (450 rows by 100 columns at n = 10).
 """
 
 from __future__ import annotations
@@ -126,20 +128,49 @@ def rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[in
 
 
 def nullspace(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Canonical basis of the right null space (free variables set to 1)."""
+    """Canonical basis of the right null space (free variables set to 1).
+
+    Gauss-Jordan elimination over sparse rows {column: value}: each row is
+    reduced by the pivot rows found so far, and a new pivot row is cleared
+    out of the earlier ones, so the pivot rows stay in reduced echelon form.
+    That form is unique, so the basis is the one a dense rref gives.
+    """
     if not m:
         return []
     cols = len(m[0])
-    r, pivots = rref(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * cols
+    pivot_rows: dict[int, dict[int, Fraction]] = {}
+    for dense in m:
+        row = {c: x for c, x in enumerate(dense) if x}
+        # pivot rows vanish on each other's pivot columns, so one pass suffices
+        for c in [c for c in row if c in pivot_rows]:
+            _sub_scaled(row, row[c], pivot_rows[c])
+        if not row:
+            continue
+        p = min(row)
+        inv = ONE / row[p]
+        row = {c: x * inv for c, x in row.items()}
+        for other in pivot_rows.values():
+            if p in other:
+                _sub_scaled(other, other[p], row)
+        pivot_rows[p] = row
+    basis = {f: [ZERO] * cols for f in range(cols) if f not in pivot_rows}
+    for p, row in pivot_rows.items():
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = -x
+    for f, v in basis.items():
         v[f] = ONE
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][f]
-        basis.append(v)
-    return basis
+    return list(basis.values())
+
+
+def _sub_scaled(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
+    """row -= f * other for sparse rows, dropping the entries that cancel."""
+    for c, y in other.items():
+        v = row.get(c, ZERO) - f * y
+        if v:
+            row[c] = v
+        else:
+            del row[c]
 
 
 def solve(a, b) -> list[Fraction] | None:

@@ -148,7 +148,7 @@ def _canonical_support(ps: PointSet, sc: _ScaledPoints,
                 for i, wi in zip(subset, w):
                     weights[i] = wi
                 return tuple(weights), subset
-    raise AssertionError("no exact convex representation of the optimum found")
+    raise RuntimeError("no exact convex representation of the optimum found")
 
 
 def min_norm_point(ps: PointSet) -> MinNormResult:

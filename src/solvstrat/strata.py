@@ -218,6 +218,29 @@ def _trace_value(d, beta_entries) -> Scalar:
     return sum(b * d[i][i] for i, b in enumerate(beta_entries))
 
 
+def _adbeta_gram(basis, b: Sequence[Scalar]) -> list[list[Scalar]]:
+    """Gram matrix of <[beta, D], D> = sum_ij (b_i - b_j) D_ij^2 on span(basis).
+
+    The form is diagonal in matrix entries, so each element is kept once as
+    its nonzero entries off the b_i = b_j blocks, in row-major order, and a
+    pair sums only over the entries the two elements share.  Entry (c, a),
+    c >= a, is summed in the order of the full n^2 sum, so float lower
+    triangles (all that eigvalsh reads) are bitwise those of that sum; the
+    upper triangle mirrors it.
+    """
+    n = len(b)
+    sparse = [{(i, j): d[i][j] for i in range(n) for j in range(n)
+               if b[i] != b[j] and d[i][j]} for d in basis]
+    k = len(basis)
+    gram = [[0] * k for _ in range(k)]
+    for a, da in enumerate(sparse):
+        for c in range(a, k):
+            dc = sparse[c]
+            gram[c][a] = gram[a][c] = sum(
+                (b[i] - b[j]) * dc[i, j] * x for (i, j), x in da.items() if (i, j) in dc)
+    return gram
+
+
 def derivation_certificates(
     mu: BracketTensor,
     beta: DiagonalWeight,
@@ -250,12 +273,8 @@ def derivation_certificates(
 
     parabolic = all(parabolic_membership(d, beta, tol) for d in basis)
 
-    # Gram matrix of the quadratic form restricted to span(basis)
-    def form(d1, d2):
-        return sum((b[i] - b[j]) * d1[i][j] * d2[i][j] for i in range(n) for j in range(n))
-
     k = len(basis)
-    gram = [[form(basis[a], basis[c]) for c in range(k)] for a in range(k)]
+    gram = _adbeta_gram(basis, b)
     if exact:
         adbeta = linalg.is_psd(gram)
     else:

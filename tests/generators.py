@@ -33,6 +33,18 @@ def rand_nonzero_frac(rng: np.random.Generator, num: int = 6, den: int = 4) -> F
             return f
 
 
+def filiform(n: int) -> BracketTensor:
+    """L_n: mu(e_1, e_i) = e_{i+1} for 2 <= i < n."""
+    return BracketTensor.make(n, {(1, i, i + 1): 1 for i in range(2, n)})
+
+
+def free_two_step(gens: int) -> BracketTensor:
+    """Free 2-step nilpotent algebra: mu(e_i, e_j) = e_k, one new k per pair i < j."""
+    pairs = [(i, j) for i in range(1, gens + 1) for j in range(i + 1, gens + 1)]
+    return BracketTensor.make(gens + len(pairs),
+                              {(i, j, gens + k): 1 for k, (i, j) in enumerate(pairs, start=1)})
+
+
 def random_two_step(rng: np.random.Generator, dim: int) -> BracketTensor:
     """Bracket with values inside a central block: Jacobi holds trivially."""
     p = int(rng.integers(2, dim))

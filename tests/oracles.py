@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from solvstrat import linalg
 from solvstrat.bracket import BracketTensor, inner, rep, rep_array
+from solvstrat.linalg import ONE, ZERO
 
 
 def ricci_moment_via_duality(mu: BracketTensor):
@@ -27,3 +29,31 @@ def ricci_moment_via_duality(mu: BracketTensor):
             e[a, b] = 1.0
             out[a, b] = 0.25 * float(np.sum(rep_array(e, arr) * arr))
     return out
+
+
+def dense_nullspace(m):
+    """Canonical basis of the right null space (free variables set to 1)."""
+    if not m:
+        return []
+    cols = len(m[0])
+    r, pivots = linalg.rref(m)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [ZERO] * cols
+        v[f] = ONE
+        for i, p in enumerate(pivots):
+            v[p] = -r[i][f]
+        basis.append(v)
+    return basis
+
+
+def dense_adbeta_gram(basis, b):
+    """Gram matrix of <[beta, D], D> by a dense n^2 sum per pair of elements."""
+    n = len(b)
+
+    def form(d1, d2):
+        return sum((b[i] - b[j]) * d1[i][j] * d2[i][j] for i in range(n) for j in range(n))
+
+    k = len(basis)
+    return [[form(basis[a], basis[c]) for c in range(k)] for a in range(k)]

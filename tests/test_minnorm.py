@@ -124,6 +124,13 @@ def test_verify_raises_on_a_tampered_result(field, tamper):
         dataclasses.replace(res, **{field: tamper(res)}).verify(ps)
 
 
+def test_missing_canonical_support_raises(monkeypatch):
+    # a singleton hull needs no Wolfe step, so the support search is what fails
+    monkeypatch.setattr(linalg, "solve_integer", lambda a, b: None)
+    with pytest.raises(RuntimeError, match="no exact convex representation"):
+        min_norm_point(PointSet.make([(F(1), F(-2))]))
+
+
 def test_permutation_equivariance():
     rng = np.random.default_rng(1)
     for _ in range(20):

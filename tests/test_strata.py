@@ -5,8 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from generators import rand_frac, random_nilpotent
-from solvstrat.bracket import BracketTensor, act, inner, permutation_act, rep
+from generators import filiform, free_two_step, rand_frac, random_nilpotent
+from oracles import dense_adbeta_gram
+from solvstrat import strata
+from solvstrat.bracket import (BracketTensor, act, derivations, inner,
+                               permutation_act, rep)
 from solvstrat.catalog import filiform4, heisenberg3, so3
 from solvstrat.strata import (DiagonalWeight, beta_of, certify_candidate,
                               delta_check, derivation_certificates,
@@ -196,6 +199,73 @@ def test_derivation_certificates_goldens():
     der4 = derivation_certificates(N4, B4)
     assert der4.dim_der == 7
     assert der4.adbeta_nonneg and der4.betaort_zero and der4.parabolic_all
+
+
+def _chamber_pair(mu):
+    """mu moved so that its label is sorted, and that sorted label."""
+    chamber, order = sort_to_weyl_chamber(beta_of(mu))
+    sigma = [0] * mu.dim
+    for pos, i in enumerate(order):
+        sigma[i] = pos + 1
+    return permutation_act(sigma, mu), chamber
+
+
+def _gram_cases():
+    named = [("h3", H3), ("fil4", N4), ("L8", filiform(8)), ("L10", filiform(10)),
+             ("free3", free_two_step(3)), ("free4", free_two_step(4))]
+    rng = np.random.default_rng(23)
+    randoms = [(f"random{t}", random_nilpotent(rng, int(rng.integers(3, 8)),
+                                               transform=bool(t % 2)))
+               for t in range(50)]
+    return [pytest.param(mu, id=name) for name, mu in named + randoms]
+
+
+@pytest.mark.parametrize("mu", _gram_cases())
+def test_adbeta_gram_matches_the_dense_form(mu, monkeypatch):
+    moved, chamber = _chamber_pair(mu)
+    got = strata._adbeta_gram(derivations(moved), chamber.entries)
+    cert = derivation_certificates(moved, chamber)
+    dense = []
+
+    def dense_gram(basis, b):
+        dense.append(dense_adbeta_gram(basis, b))
+        return dense[-1]
+
+    monkeypatch.setattr(strata, "_adbeta_gram", dense_gram)
+    assert derivation_certificates(moved, chamber) == cert
+    assert dense == [got]
+
+
+def test_adbeta_gram_matches_the_dense_form_in_float_mode(monkeypatch):
+    rng = np.random.default_rng(29)
+    for mu in [N4, free_two_step(3)] + [random_nilpotent(rng, 5) for _ in range(5)]:
+        moved, chamber = _chamber_pair(mu)
+        beta = DiagonalWeight.make([float(x) for x in chamber.entries])
+        basis = derivations(moved.to_float())
+        got = strata._adbeta_gram(basis, beta.entries)
+        want = dense_adbeta_gram(basis, beta.entries)
+        # rounding makes the dense sum slightly asymmetric; the lower
+        # triangle, which eigvalsh reads, agrees bit for bit
+        for c in range(len(basis)):
+            for a in range(c + 1):
+                assert got[c][a] == want[c][a] and got[a][c] == got[c][a]
+        with monkeypatch.context() as m:
+            sparse_cert = derivation_certificates(moved.to_float(), beta)
+            m.setattr(strata, "_adbeta_gram", dense_adbeta_gram)
+            assert derivation_certificates(moved.to_float(), beta) == sparse_cert
+
+
+@pytest.mark.parametrize("mu,beta,dim_der", [
+    (filiform(8), [-1, F(-3, 28), F(-1, 14), F(-1, 28), 0, F(1, 28), F(1, 14), F(3, 28)], 15),
+    (filiform(10), [-1, F(-1, 15), F(-1, 20), F(-1, 30), F(-1, 60), 0, F(1, 60), F(1, 30),
+                    F(1, 20), F(1, 15)], 19),
+    (free_two_step(4), [F(-1, 2)] * 4 + [F(1, 6)] * 6, 40),
+], ids=["L8", "L10", "free4"])
+def test_large_certificates_goldens(mu, beta, dim_der):
+    b = beta_of(mu)
+    assert b.entries == tuple(F(x) for x in beta)
+    assert derivation_certificates(mu, b).dim_der == dim_der
+    assert certify_candidate(mu, b).all_passed
 
 
 def test_delta_check_worked_value():
