@@ -365,12 +365,13 @@ def derivations(mu: BracketTensor, tol: float = DEFAULT_TOL):
              for k in range(1, n + 1)]
     slot_index = {s: r for r, s in enumerate(slots)}
     if mu.is_exact_mode:
-        rows = [[Fraction(0)] * (n * n) for _ in slots]
+        rows: list[dict[int, Fraction]] = [{} for _ in slots]
         for r in range(n):
             for c in range(n):
                 for key, val in _rep_coeffs([(r + 1, c + 1, linalg.ONE)], mu).items():
                     rows[slot_index[key]][r * n + c] = val
-        return [[vec[r * n: (r + 1) * n] for r in range(n)] for vec in linalg.nullspace(rows)]
+        return [[vec[r * n: (r + 1) * n] for r in range(n)]
+                for vec in linalg.nullspace(rows, n * n)]
     arr = mu.to_array()
     m = np.zeros((len(slots), n * n))
     for r in range(n):

@@ -18,8 +18,6 @@ import sys
 import time
 import warnings
 
-import numpy as np
-
 from . import jsonio
 from .bracket import jacobi_residual, lower_central_series, norm_sq
 from .flow import (DENOM_BOUND, FLOW_MAX_ITER, FLOW_STEP, FLOW_TOL,
@@ -83,8 +81,7 @@ def cmd_stratum(args) -> int:
         warnings.simplefilter("always")
         det = stratum_detect(
             bf.bracket, step=args.step, tol=args.tol, max_iter=args.max_iter,
-            denom_bound=args.denom_bound, stepper=args.stepper,
-            rng=np.random.default_rng(args.seed), record_trace=args.trace is not None)
+            denom_bound=args.denom_bound, record_trace=args.trace is not None)
     cert, fr = det.certificate, det.flow
     if args.trace is not None and fr.trace is not None:
         with open(args.trace, "w") as fh:
@@ -93,8 +90,7 @@ def cmd_stratum(args) -> int:
                 fh.write(f"{it},{msq:.17g},{res:.17g}\n")
     report = {
         "params": {"step": args.step, "tol": args.tol, "max_iter": args.max_iter,
-                   "denom_bound": args.denom_bound, "seed": args.seed,
-                   "stepper": args.stepper},
+                   "denom_bound": args.denom_bound},
         "warnings": [str(w.message) for w in caught],
         "flow": {"iterations": fr.iterations, "converged": fr.converged,
                  "message": fr.message,
@@ -247,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=FLOW_TOL)
     sp.add_argument("--max-iter", type=int, default=FLOW_MAX_ITER)
     sp.add_argument("--denom-bound", type=int, default=DENOM_BOUND)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--stepper", choices=("exponential", "euler"), default="exponential")
     sp.add_argument("--trace", default=None, help="write per-iteration CSV here")
     sp.set_defaults(func=cmd_stratum)
 

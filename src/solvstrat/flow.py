@@ -20,7 +20,6 @@ every iterate exactly inside the closure of the starting orbit.  That matters
 when the starting bracket satisfies the Jacobi identity: Euler steps drift
 off the variety of Lie brackets at O(h^2) per step, and near a saddle of
 |M|^2 the drift escapes toward strata that the orbit closure never meets.
-The literal Euler update remains available via stepper="euler".
 """
 
 from __future__ import annotations
@@ -41,6 +40,8 @@ FLOW_STEP = 0.1
 FLOW_TOL = 1e-10
 FLOW_MAX_ITER = 200_000
 DENOM_BOUND = 64
+CHOP = 1e-6            # relative size below which aligned-limit coefficients drop
+RATIONAL_TOL = 1e-6    # largest rounding a rationalized spectrum may carry
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,6 @@ def flow_to_critical(
     step: float = FLOW_STEP,
     tol: float = FLOW_TOL,
     max_iter: int = FLOW_MAX_ITER,
-    stepper: str = "exponential",
-    chop: float = 1e-6,
     record_trace: bool = False,
 ) -> FlowResult:
     """Descend |M_mu|^2 on the unit sphere until pi(M) mu is tangent to mu.
@@ -147,8 +146,6 @@ def flow_to_critical(
     """
     if mu0.is_zero():
         raise ValueError("cannot flow the zero bracket")
-    if stepper not in ("exponential", "euler"):
-        raise ValueError(f"unknown stepper {stepper!r}")
     arr = mu0.to_array()
     arr /= _norm(arr)
     trace: list[tuple[int, float, float]] | None = [] if record_trace else None
@@ -183,10 +180,7 @@ def flow_to_critical(
         h = step
         accepted = False
         while h >= 1e-15:
-            if stepper == "euler":
-                new = arr - h * grad
-            else:
-                new = act_array(expm_sym(m, -h), expm_sym(m, h), arr)
+            new = act_array(expm_sym(m, -h), expm_sym(m, h), arr)
             new /= _norm(new)
             m_new, msq_new = moment_of(new)
             if msq_new <= msq + 1e-14:
@@ -205,7 +199,7 @@ def flow_to_critical(
     aligned_arr = act_array(q.T, q, arr)
     limit = BracketTensor.from_array(arr)
     top = float(np.abs(aligned_arr).max())
-    aligned = BracketTensor.from_array(aligned_arr, chop=chop * max(top, 1e-300))
+    aligned = BracketTensor.from_array(aligned_arr, chop=CHOP * max(top, 1e-300))
     nsq_b = float(np.sum(spec * spec))
     gaps = [float(spec[k - 1] - spec[i - 1] - spec[j - 1]) - nsq_b
             for (i, j, k) in aligned.coeffs]
@@ -233,17 +227,12 @@ def stratum_detect(
     tol: float = FLOW_TOL,
     max_iter: int = FLOW_MAX_ITER,
     denom_bound: int = DENOM_BOUND,
-    chop: float = 1e-6,
-    cert_tol: float = 1e-8,
-    rational_tol: float = 1e-6,
-    stepper: str = "exponential",
-    rng: np.random.Generator | None = None,
     record_trace: bool = False,
 ) -> StratumDetection:
     """Flow to a critical point, rationalize the spectrum, certify the label.
 
     The spectrum of M at the limit is rounded to fractions with denominator
-    at most denom_bound; if the rounding stays within rational_tol and sums
+    at most denom_bound; if the rounding stays within RATIONAL_TOL and sums
     to -1 the exact candidate is certified, otherwise the float spectrum is
     used and only tolerance-graded checks are possible.
     """
@@ -256,15 +245,15 @@ def stratum_detect(
         warnings.warn("bracket is not nilpotent; the positivity check is "
                       "expected to fail", stacklevel=2)
     fr = flow_to_critical(mu, step=step, tol=tol, max_iter=max_iter,
-                          stepper=stepper, chop=chop, record_trace=record_trace)
+                          record_trace=record_trace)
     cand = [Fraction(x).limit_denominator(denom_bound) for x in fr.spectrum]
     exact_ok = (sum(cand) == -1
-                and max(abs(float(c) - x) for c, x in zip(cand, fr.spectrum)) <= rational_tol)
+                and max(abs(float(c) - x) for c, x in zip(cand, fr.spectrum)) <= RATIONAL_TOL)
     if exact_ok:
         beta = DiagonalWeight(tuple(cand))
     else:
         beta = DiagonalWeight(tuple(float(x) for x in fr.spectrum))
-    cert = certify_candidate(fr.aligned, beta, tol=cert_tol, rng=rng)
+    cert = certify_candidate(fr.aligned, beta)
     return StratumDetection(cert, fr, exact_ok)
 
 

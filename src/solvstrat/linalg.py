@@ -3,8 +3,8 @@
 Matrices are lists (or tuples) of rows of Fractions, vectors are sequences of
 Fractions.  Exact pivots keep every result free of conditioning questions,
 and a deterministic pivot choice (first nonzero) keeps every derived basis
-reproducible run to run.  rref, solve and invert eliminate densely; they
-serve small systems.  nullspace eliminates over sparse rows, because its
+reproducible run to run.  rref and invert eliminate densely; they serve
+small systems.  nullspace takes and eliminates sparse rows, because its
 largest caller, the derivation system of an n-dimensional bracket, has
 n * C(n, 2) mostly-zero rows (450 rows by 100 columns at n = 10).
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Rational
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 Scalar = Union[Fraction, float]
 
@@ -74,10 +74,6 @@ def matmul(a, b) -> list[list]:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def matvec(a, v) -> list:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def mat_add(a, b) -> list[list]:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -127,20 +123,18 @@ def rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[in
     return a, pivots
 
 
-def nullspace(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+def nullspace(rows: Sequence[Mapping[int, Fraction]], cols: int) -> list[list[Fraction]]:
     """Canonical basis of the right null space (free variables set to 1).
 
-    Gauss-Jordan elimination over sparse rows {column: value}: each row is
-    reduced by the pivot rows found so far, and a new pivot row is cleared
-    out of the earlier ones, so the pivot rows stay in reduced echelon form.
-    That form is unique, so the basis is the one a dense rref gives.
+    rows are sparse, {column: value} with columns in range(cols); zero
+    values are ignored.  Gauss-Jordan elimination: each row is reduced by
+    the pivot rows found so far, and a new pivot row is cleared out of the
+    earlier ones, so the pivot rows stay in reduced echelon form.  That form
+    is unique, so the basis is the one a dense rref gives.
     """
-    if not m:
-        return []
-    cols = len(m[0])
     pivot_rows: dict[int, dict[int, Fraction]] = {}
-    for dense in m:
-        row = {c: x for c, x in enumerate(dense) if x}
+    for sparse in rows:
+        row = {c: x for c, x in sparse.items() if x}
         # pivot rows vanish on each other's pivot columns, so one pass suffices
         for c in [c for c in row if c in pivot_rows]:
             _sub_scaled(row, row[c], pivot_rows[c])
@@ -171,20 +165,6 @@ def _sub_scaled(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction
             row[c] = v
         else:
             del row[c]
-
-
-def solve(a, b) -> list[Fraction] | None:
-    """One exact solution of a x = b (free variables 0), or None if inconsistent."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [list(a[i]) + [b[i]] for i in range(rows)]
-    r, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [ZERO] * cols
-    for i, p in enumerate(pivots):
-        x[p] = r[i][cols]
-    return x
 
 
 def invert(m) -> list[list[Fraction]]:

@@ -210,7 +210,7 @@ class DerivationCertificates:
     adbeta_nonneg: bool
     betaort_zero: bool
     parabolic_all: bool
-    quadratic_min_sampled: float
+    quadratic_min: float
     trace_max_abs: float
 
 
@@ -245,24 +245,22 @@ def derivation_certificates(
     mu: BracketTensor,
     beta: DiagonalWeight,
     tol: float = DEFAULT_TOL,
-    rng: np.random.Generator | None = None,
 ) -> DerivationCertificates:
     """Evaluate the derivation-side stratum conditions for a sorted beta.
 
     The quadratic condition is decided exactly (positive semidefiniteness of
-    the restricted Gram form) when everything is rational, and by the minimal
-    eigenvalue of the Gram matrix in float mode.  Random unit combinations
-    are sampled either way and the worst value reported, normalized by the
-    Frobenius norm of the combination.
+    the Gram form on the derivation basis) when everything is rational, and
+    by the smallest eigenvalue of that Gram matrix in float mode.  Either
+    way the reported residual is that smallest eigenvalue, computed in
+    floats, on the derivation basis: orthonormal in float mode, so it is the
+    minimum of <[beta, D], D> over unit D; the canonical rational basis in
+    exact mode, so only its sign is basis-free there.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     basis = derivations(mu, tol=min(tol, 1e-9))
     if not basis:
         return DerivationCertificates(0, True, True, True, 0.0, 0.0)
     b = beta.entries
     exact = beta.is_exact_mode and mu.is_exact_mode
-    n = beta.dim
 
     traces = [_trace_value(d, b) for d in basis]
     if exact:
@@ -273,30 +271,12 @@ def derivation_certificates(
 
     parabolic = all(parabolic_membership(d, beta, tol) for d in basis)
 
-    k = len(basis)
     gram = _adbeta_gram(basis, b)
-    if exact:
-        adbeta = linalg.is_psd(gram)
-    else:
-        adbeta = float(np.linalg.eigvalsh(np.asarray(gram, dtype=float)).min()) >= -tol
+    qmin = float(np.linalg.eigvalsh(np.asarray(gram, dtype=float)).min())
+    adbeta = linalg.is_psd(gram) if exact else qmin >= -tol
 
-    float_basis = [np.array([[float(d[i][j]) for j in range(n)] for i in range(n)])
-                   for d in basis]
-    bf = np.array([float(x) for x in b])
-    worst = math.inf
-    samples = [np.eye(k)[i] for i in range(k)] + list(rng.standard_normal((2 * k, k)))
-    for coeffs in samples:
-        d = sum(c * m for c, m in zip(coeffs, float_basis))
-        nsq = float(np.sum(d * d))
-        if nsq < 1e-30:
-            continue
-        q = float(np.sum((bf[:, None] - bf[None, :]) * d * d)) / nsq
-        worst = min(worst, q)
-    if worst is math.inf:
-        worst = 0.0
-
-    return DerivationCertificates(k, bool(adbeta), bool(betaort), bool(parabolic),
-                                  float(worst), float(trace_max))
+    return DerivationCertificates(len(basis), bool(adbeta), bool(betaort), bool(parabolic),
+                                  qmin, float(trace_max))
 
 
 def delta_check(mu: BracketTensor, beta: DiagonalWeight, tol: float = DEFAULT_TOL) -> Scalar:
@@ -354,7 +334,6 @@ def certify_candidate(
     mu: BracketTensor,
     beta: DiagonalWeight,
     tol: float = DEFAULT_TOL,
-    rng: np.random.Generator | None = None,
 ) -> StratumCertificate:
     """Evaluate every stratum condition of beta against mu.
 
@@ -389,11 +368,11 @@ def certify_candidate(
     checks["beta_positive_shift"] = positivity_check(beta)
     residuals["beta_positive_shift"] = min(beta.shifted())
 
-    der = derivation_certificates(mu, beta, tol=tol, rng=rng)
+    der = derivation_certificates(mu, beta, tol=tol)
     checks["derivations_in_parabolic"] = der.parabolic_all
     checks["adbeta_nonneg"] = der.adbeta_nonneg
     checks["betaort_zero"] = der.betaort_zero
-    residuals["adbeta_quadratic_min"] = der.quadratic_min_sampled
+    residuals["adbeta_quadratic_min"] = der.quadratic_min
     residuals["betaort_trace_max"] = der.trace_max_abs
 
     etype = scale = None

@@ -119,10 +119,8 @@ def diagonal_derivation_basis(mu: BracketTensor) -> list[list[Fraction]]:
 
     diag(d) is a derivation iff <d, alpha> = 0 for every supported weight.
     """
-    rows = [list(weight_vector(i, j, k, mu.dim)) for (i, j, k) in mu.support()]
-    if not rows:
-        rows = [[Fraction(0)] * mu.dim]
-    return linalg.nullspace(rows)
+    rows = [dict(enumerate(weight_vector(i, j, k, mu.dim))) for (i, j, k) in mu.support()]
+    return linalg.nullspace(rows, mu.dim)
 
 
 def random_solvable(rng: np.random.Generator, max_dim: int = 7) -> MetricSolvableAlgebra:

@@ -31,6 +31,24 @@ def ricci_moment_via_duality(mu: BracketTensor):
     return out
 
 
+def matvec(a, v) -> list:
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def solve(a, b) -> list[Fraction] | None:
+    """One exact solution of a x = b (free variables 0), or None if inconsistent."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    aug = [list(a[i]) + [b[i]] for i in range(rows)]
+    r, pivots = linalg.rref(aug)
+    if cols in pivots:
+        return None
+    x = [ZERO] * cols
+    for i, p in enumerate(pivots):
+        x[p] = r[i][cols]
+    return x
+
+
 def dense_nullspace(m):
     """Canonical basis of the right null space (free variables set to 1)."""
     if not m:

@@ -109,6 +109,14 @@ def test_stratum_json_is_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--stepper"])
+def test_stratum_rejects_removed_options(tmp_path, capsys, flag):
+    f = put(tmp_path, "h3.json", H3)
+    with pytest.raises(SystemExit):
+        main(["stratum", f, flag, "1"])
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_stratum_warns_on_non_nilpotent(tmp_path, capsys):
     so3 = {"dim_a": 0, "dim_n": 3,
            "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1"},

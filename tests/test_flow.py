@@ -1,5 +1,6 @@
 """Moment map values, the descent flow, detection, and the slice probe."""
 
+import inspect
 import warnings
 from fractions import Fraction
 
@@ -112,14 +113,6 @@ def test_flow_from_scaled_orbit_point():
     assert fr.residuals["tangency"] <= 1e-10
 
 
-def test_flow_euler_stepper_also_converges():
-    g = np.diag([1.0, 2.0, 1.0, 1.0])
-    mu = BracketTensor.from_array(act_array(g, np.linalg.inv(g), N4.to_array()))
-    fr = flow_to_critical(mu, stepper="euler")
-    assert fr.converged
-    assert np.max(np.abs(np.array(fr.spectrum) - np.array([-1, -0.5, 0, 0.5]))) < 1e-6
-
-
 def test_flow_halving_keeps_descent_with_large_steps():
     # an oversized step is halved until |M|^2 does not increase
     g = np.diag([1.0, 3.0, 1.0, 0.5])
@@ -143,8 +136,6 @@ def test_flow_msq_monotone_along_trace():
 def test_flow_input_validation():
     with pytest.raises(ValueError):
         flow_to_critical(BracketTensor.make(3, {}))
-    with pytest.raises(ValueError):
-        flow_to_critical(H3, stepper="rk4")
 
 
 def test_flow_keeps_best_iterate_on_noisy_start():
@@ -172,6 +163,23 @@ def test_stratum_detect_goldens():
     assert det4.certificate.eigenvalue_type == (1, 2, 3, 4)
     assert det4.flow.residuals["z_membership"] <= 1e-10
     assert det4.flow.residuals["m_equals_one"] <= 1e-10
+
+
+def test_stratum_detect_draws_no_random_numbers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("stratum detection drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    g = np.diag([1.0, 2.0, 1.0, 1.0])
+    mu = BracketTensor.from_array(act_array(g, np.linalg.inv(g), N4.to_array()))
+    for bracket in (N4, mu):
+        det = stratum_detect(bracket)
+        assert det.certificate.all_passed and det.certificate.beta.entries == B4.entries
+
+
+def test_stratum_detect_keyword_arguments():
+    params = inspect.signature(stratum_detect).parameters
+    assert list(params) == ["mu", "step", "tol", "max_iter", "denom_bound", "record_trace"]
 
 
 def test_stratum_detect_direct_sum_under_rotation():

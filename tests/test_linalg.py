@@ -14,6 +14,14 @@ from solvstrat.catalog import filiform4, heisenberg3
 F = Fraction
 
 
+def _sparse(m):
+    return [{c: x for c, x in enumerate(row) if x} for row in m]
+
+
+def _dense(rows, cols):
+    return [[row.get(c, F(0)) for c in range(cols)] for row in rows]
+
+
 def _sparse_random(rng, rows, cols, density=0.4):
     return [[rand_frac(rng) if rng.random() < density else F(0) for _ in range(cols)]
             for _ in range(rows)]
@@ -51,10 +59,16 @@ def _battery():
 
 @pytest.mark.parametrize("m", [pytest.param(m, id=name) for name, m in _battery()])
 def test_nullspace_matches_dense_rref_on_a_battery(m):
-    got = linalg.nullspace(m)
+    got = linalg.nullspace(_sparse(m), len(m[0]))
     assert got == dense_nullspace(m)
     for v in got:
         assert all(linalg.dot(row, v) == 0 for row in m)
+
+
+def test_nullspace_of_no_rows_and_zero_values():
+    assert linalg.nullspace([], 3) == linalg.identity(3)
+    assert linalg.nullspace([{0: F(0), 2: F(2)}, {}], 3) == [[F(1), F(0), F(0)],
+                                                             [F(0), F(1), F(0)]]
 
 
 @pytest.mark.parametrize("mu", [heisenberg3(), filiform4(), filiform(8), filiform(10),
@@ -63,12 +77,14 @@ def test_nullspace_matches_dense_rref_on_a_battery(m):
 def test_nullspace_matches_dense_rref_on_derivation_systems(mu, monkeypatch):
     systems = []
 
-    def spy(m):
-        systems.append(m)
-        return nullspace(m)
+    def spy(rows, cols):
+        systems.append((rows, cols))
+        return nullspace(rows, cols)
 
     nullspace = linalg.nullspace
     monkeypatch.setattr(linalg, "nullspace", spy)
     derivations(mu)
     assert len(systems) == 1
-    assert nullspace(systems[0]) == dense_nullspace(systems[0])
+    rows, cols = systems[0]
+    assert cols == mu.dim ** 2
+    assert nullspace(rows, cols) == dense_nullspace(_dense(rows, cols))

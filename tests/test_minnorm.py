@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from generators import random_point_set
+from oracles import solve
 from solvstrat import linalg
 from solvstrat.minnorm import PointSet, brute_force_min_norm, min_norm_point
 
@@ -25,7 +26,7 @@ def test_integer_solve_kernel_matches_fraction_elimination():
         b = [int(rng.integers(-4, 5)) for _ in range(rows)]
         af = [[F(x) for x in row] for row in a]
         got = linalg.solve_integer(a, b)
-        ref = linalg.solve(af, [F(x) for x in b])
+        ref = solve(af, [F(x) for x in b])
         if ref is None or len(linalg.rref(af)[1]) < cols:
             # inconsistent, or solvable but not uniquely: both refused
             assert got is None

@@ -195,10 +195,54 @@ def test_derivation_certificates_goldens():
     assert der3.dim_der == 6
     assert der3.adbeta_nonneg and der3.betaort_zero and der3.parabolic_all
     assert der3.trace_max_abs == 0.0
-    assert der3.quadratic_min_sampled >= -1e-12
+    assert der3.quadratic_min == 0.0
     der4 = derivation_certificates(N4, B4)
     assert der4.dim_der == 7
     assert der4.adbeta_nonneg and der4.betaort_zero and der4.parabolic_all
+
+
+@pytest.mark.parametrize("mu", [N4, free_two_step(3)], ids=["fil4", "free3"])
+def test_adbeta_quadratic_min_is_zero_with_diagonal_derivations(mu):
+    # diagonal derivations D have <[beta, D], D> = 0, so the minimum is 0
+    moved, chamber = _chamber_pair(mu)
+    cert = certify_candidate(moved, chamber)
+    assert cert.all_passed
+    assert abs(cert.residuals["adbeta_quadratic_min"]) <= 1e-12
+    beta = DiagonalWeight.make([float(x) for x in chamber.entries])
+    assert abs(derivation_certificates(moved.to_float(), beta).quadratic_min) <= 1e-12
+
+
+def test_float_quadratic_min_bounds_every_unit_derivation():
+    # the float basis is orthonormal, so the smallest eigenvalue is the
+    # minimum of <[beta, D], D> over unit D: no combination goes below it,
+    # and its eigenvector attains it
+    rng = np.random.default_rng(37)
+    for mu in [N4, free_two_step(3)] + [random_nilpotent(rng, 5) for _ in range(4)]:
+        moved, chamber = _chamber_pair(mu)
+        b = np.array([float(x) for x in chamber.entries])
+        basis = derivations(moved.to_float())
+        qmin = derivation_certificates(moved.to_float(), DiagonalWeight.make(b)).quadratic_min
+        gram = np.asarray(strata._adbeta_gram(basis, b), dtype=float)
+        coeffs = list(rng.standard_normal((20, len(basis))))
+        coeffs.append(np.linalg.eigh(gram)[1][:, 0])
+        values = []
+        for c in coeffs:
+            d = sum(x * m for x, m in zip(c, basis))
+            values.append(float(np.sum((b[:, None] - b[None, :]) * d * d)) / float(np.sum(d * d)))
+        assert min(values) >= qmin - 1e-12
+        assert abs(values[-1] - qmin) <= 1e-12
+
+
+def test_certify_candidate_draws_no_random_numbers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for mu in (H3, N4, free_two_step(3)):
+        moved, chamber = _chamber_pair(mu)
+        assert certify_candidate(moved, chamber).all_passed
+        beta = DiagonalWeight.make([float(x) for x in chamber.entries])
+        assert certify_candidate(moved.to_float(), beta).all_passed
 
 
 def _chamber_pair(mu):
