@@ -22,7 +22,7 @@ counts twice:
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -184,8 +184,19 @@ def act(g, mu: BracketTensor) -> "BracketTensor":
     return BracketTensor.from_array(out)
 
 
+_ACT_SUBSCRIPTS = "pi,qj,pqr,kr->ijk"
+
+
 def act_array(g: np.ndarray, ginv: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    return np.einsum("pi,qj,pqr,kr->ijk", ginv, ginv, arr, g, optimize=True)
+    path = _act_path(ginv.shape, arr.shape, g.shape)
+    return np.einsum(_ACT_SUBSCRIPTS, ginv, ginv, arr, g, optimize=path)
+
+
+@functools.cache
+def _act_path(ginv_shape, arr_shape, g_shape) -> list:
+    """The contraction order einsum(optimize=True) picks; it depends on shapes only."""
+    ginv, arr, g = np.zeros(ginv_shape), np.zeros(arr_shape), np.zeros(g_shape)
+    return np.einsum_path(_ACT_SUBSCRIPTS, ginv, ginv, arr, g, optimize=True)[0]
 
 
 def rep(alpha, mu: BracketTensor) -> "BracketTensor":
@@ -269,21 +280,44 @@ def permutation_act(sigma: Sequence[int], mu: BracketTensor) -> BracketTensor:
 def jacobi_residual(mu: BracketTensor) -> Scalar:
     """Max absolute component of the Jacobiator over basis triples.
 
-    Zero iff mu is a Lie bracket (exact mode gives an exact zero).
+    Zero iff mu is a Lie bracket (exact mode gives an exact zero).  Built
+    from pairs of nonzero coefficients: [[e_a, e_b], e_d]^l collects
+    mu_ab^c mu_cd^l over the stored (a, b, c) and (c, d, l), with sign -1
+    when the outer key is stored as (d, c, l).  Each double bracket sums in
+    the order of the outer coefficients, and the three cyclic terms are
+    added as a + b + c, so float results repeat the basis-vector evaluation
+    bit for bit.
     """
-    n = mu.dim
-    unit = _unit(n, mu.is_exact_mode)
-    worst: Scalar = Fraction(0) if mu.is_exact_mode else 0.0
-    for i, j, k in itertools.combinations(range(n), 3):
-        a = mu.eval(mu.eval(unit[i], unit[j]), unit[k])
-        b = mu.eval(mu.eval(unit[j], unit[k]), unit[i])
-        c = mu.eval(mu.eval(unit[k], unit[i]), unit[j])
-        for x, y, z in zip(a, b, c):
-            s = x + y + z
-            if s < 0:
-                s = -s
-            if s > worst:
-                worst = s
+    exact = mu.is_exact_mode
+    zero: Scalar = Fraction(0) if exact else 0.0
+    inner_by_c: dict[int, list[tuple[int, int, Scalar]]] = {}
+    for (a, b, c), u in mu.coeffs.items():
+        inner_by_c.setdefault(c, []).append((a, b, u))
+    # double[(a, b, d, l)] = [[e_a, e_b], e_d]^l for a < b and d outside {a, b}
+    double: dict[tuple[int, int, int, int], Scalar] = {}
+    for (p, q, l), v in mu.coeffs.items():
+        for a, b, u in inner_by_c.get(p, ()):
+            if q != a and q != b:
+                key = (a, b, q, l)
+                double[key] = double.get(key, zero) + v * u
+        for a, b, u in inner_by_c.get(q, ()):
+            if p != a and p != b:
+                key = (a, b, p, l)
+                double[key] = double.get(key, zero) + v * -u
+    # For i < j < k the cyclic terms are [[e_i, e_j], e_k], [[e_j, e_k], e_i]
+    # and [[e_k, e_i], e_j] = -[[e_i, e_k], e_j].
+    triples = set()
+    for a, b, d, l in double:
+        i, j, k = sorted((a, b, d))
+        triples.add((i, j, k, l))
+    worst = zero
+    for i, j, k, l in triples:
+        s = (double.get((i, j, k, l), zero) + double.get((j, k, i, l), zero)
+             - double.get((i, k, j, l), zero))
+        if s < 0:
+            s = -s
+        if s > worst:
+            worst = s
     return worst
 
 
@@ -292,15 +326,35 @@ def _unit(n: int, exact: bool) -> list[list[Scalar]]:
     return linalg.identity(n) if exact else [[float(i == j) for j in range(n)] for i in range(n)]
 
 
-def _next_term(mu: BracketTensor, basis):
-    """Spanning vectors of [g, span(basis)]."""
-    unit = _unit(mu.dim, mu.is_exact_mode)
-    return [mu.eval(e, b) for e in unit for b in basis]
+def _ad_lists(mu: BracketTensor) -> list[list[tuple[int, int, Scalar, bool]]]:
+    """Per basis index i, the coefficients mu_pq^k with i in {p, q}.
+
+    Entries are (other index, k, mu_pq^k, whether i == p), in the dict order
+    of mu.coeffs: [e_i, x]^k sums mu_pq^k x_q (i == p) or -mu_pq^k x_p
+    (i == q) in that order.
+    """
+    out: list[list[tuple[int, int, Scalar, bool]]] = [[] for _ in range(mu.dim + 1)]
+    for (p, q, k), c in mu.coeffs.items():
+        out[p].append((q, k, c, True))
+        out[q].append((p, k, c, False))
+    return out
+
+
+def _bracket_unit(mu: BracketTensor, row, x) -> list[Scalar]:
+    """[e_i, x] from the coefficients listed in row = _ad_lists(mu)[i]."""
+    zero = Fraction(0) if mu.is_exact_mode else 0.0
+    out = [zero] * mu.dim
+    for other, k, c, first in row:
+        y = x[other - 1]
+        if y:
+            out[k - 1] = out[k - 1] + c * (y if first else -y)
+    return out
 
 
 def _reduce_basis(vectors, exact: bool, tol: float):
     """Linearly independent subset spanning the same space."""
     if exact:
+        vectors = [v for v in vectors if any(v)]  # the rref is unique, zeros add nothing
         r, pivots = linalg.rref(vectors) if vectors else ([], [])
         return [row for row in r[: len(pivots)]]
     if not vectors:
@@ -320,12 +374,22 @@ def lower_central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> list[in
     res = jacobi_residual(mu)
     if (res != 0) if mu.is_exact_mode else (float(res) > tol):
         raise ValueError(f"Jacobi identity fails (residual {float(res):g})")
+    return _central_series(mu, tol)
+
+
+def _central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> list[int]:
+    """lower_central_series for a bracket already known to satisfy Jacobi.
+
+    Each term is spanned by [e_i, b] for the basis b of the previous one,
+    built from the coefficients that involve e_i.
+    """
     exact = mu.is_exact_mode
     n = mu.dim
+    rows = _ad_lists(mu)
     dims = [n]
     basis = _unit(n, exact)
     while True:
-        gens = _next_term(mu, basis)
+        gens = [_bracket_unit(mu, rows[i], b) for i in range(1, n + 1) for b in basis]
         basis = _reduce_basis(gens, exact, tol)
         d = len(basis)
         dims.append(d)
@@ -338,12 +402,16 @@ def is_nilpotent(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_solvable(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the derived series [g, g], [[g, g], [g, g]], ... reaches 0."""
+    """Whether the derived series [g, g], [[g, g], [g, g]], ... reaches 0.
+
+    [g, g] is spanned by the vectors mu(e_i, e_j), read off the
+    coefficients; later terms bracket pairs of basis vectors.
+    """
     exact = mu.is_exact_mode
-    basis = _unit(mu.dim, exact)
-    prev = mu.dim
+    n = mu.dim
+    gens = [mu.pair(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    prev = n
     while True:
-        gens = [mu.eval(x, y) for i, x in enumerate(basis) for y in basis[i + 1:]]
         basis = _reduce_basis(gens, exact, tol)
         cur = len(basis)
         if cur == 0:
@@ -351,6 +419,7 @@ def is_solvable(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
         if cur == prev:
             return False
         prev = cur
+        gens = [mu.eval(x, y) for i, x in enumerate(basis) for y in basis[i + 1:]]
 
 
 def derivations(mu: BracketTensor, tol: float = DEFAULT_TOL):

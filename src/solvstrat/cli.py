@@ -14,12 +14,13 @@ input and flags; wall-clock timings therefore appear only in text output.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 import warnings
 
 from . import jsonio
-from .bracket import jacobi_residual, lower_central_series, norm_sq
+from .bracket import _central_series, jacobi_residual, norm_sq
 from .flow import (DENOM_BOUND, FLOW_MAX_ITER, FLOW_STEP, FLOW_TOL,
                    stratum_detect)
 from .jsonio import FormatError
@@ -59,7 +60,7 @@ def cmd_validate(args) -> int:
     lines = [f"dim_a={bf.dim_a} dim_n={bf.dim_n} nnz={mu.nnz} mode={mu.scalar_mode}",
              f"jacobi: {_flag(jac_ok)} (residual {float(res):g})"]
     if jac_ok:
-        series = lower_central_series(mu, tol=args.tol)
+        series = _central_series(mu, tol=args.tol)
         nilpotent = series[-1] == 0
         report["lower_central_series"] = series
         report["nilpotent"] = nilpotent
@@ -223,6 +224,7 @@ def cmd_minnorm(args) -> int:
     return PASS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="solvstrat", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bracket import (BracketTensor, act_array, inner, is_nilpotent,
+from .bracket import (BracketTensor, _central_series, act_array, inner,
                       jacobi_residual, rep_array)
 from .linalg import Scalar
 from .strata import (DiagonalWeight, StratumCertificate, certify_candidate,
@@ -241,7 +241,7 @@ def stratum_detect(
     if not jac_ok:
         warnings.warn("bracket does not satisfy the Jacobi identity; "
                       "stratum detection is formal only", stacklevel=2)
-    elif not is_nilpotent(mu):
+    elif _central_series(mu)[-1] != 0:
         warnings.warn("bracket is not nilpotent; the positivity check is "
                       "expected to fail", stacklevel=2)
     fr = flow_to_critical(mu, step=step, tol=tol, max_iter=max_iter,

@@ -90,6 +90,11 @@ def trace(a):
     return sum(a[i][i] for i in range(len(a)))
 
 
+def trace_product(a, b):
+    """tr(a b) from the diagonal of the product only, summed as trace(matmul(a, b))."""
+    return sum(sum(x * row[i] for x, row in zip(a[i], b)) for i in range(len(a)))
+
+
 def commutator(a, b) -> list[list]:
     return mat_sub(matmul(a, b), matmul(b, a))
 

@@ -10,8 +10,13 @@ constants:
     H       = sum_r tr(ad A_r) A_r        (mean curvature, in a)
     B(x, y) = tr(ad x ad y)               (Killing form)
 
-with S(m) = (m + m^T)/2.  Everything is exact on rational input and float
-otherwise.  The universal trace identity tr(R E) = 1/4 <pi(E) mu, mu> (true
+with S(m) = (m + m^T)/2.  In coefficients, with C_pk^r the r-th component of
+[b_p, b_k] (so (ad b_p)_rk = C_pk^r),
+
+    B_pq = sum_r sum_k C_pk^r C_qr^k,     tr ad A_r = sum_j C_rj^j,
+
+both summed over the nonzero coefficients only.  Everything is exact on
+rational input and float otherwise.  The universal trace identity tr(R E) = 1/4 <pi(E) mu, mu> (true
 for any tensor mu, Jacobi or not) gives every report two independent routes.
 """
 
@@ -139,13 +144,40 @@ def _sym(m):
 
 def mean_curvature(s: MetricSolvableAlgebra) -> list[Scalar]:
     """Coordinates of H = sum_r tr(ad A_r) A_r in the a-basis."""
-    return [linalg.trace(s.ad(r)) for r in range(1, s.dim_a + 1)]
+    zero = Fraction(0) if s.bracket.is_exact_mode else 0.0
+    coeff = s.bracket.coeff
+    return [sum((coeff(r, j, j) for j in range(1, s.dim + 1)), zero)
+            for r in range(1, s.dim_a + 1)]
 
 
 def killing_form(s: MetricSolvableAlgebra):
-    ads = [s.ad(i) for i in range(1, s.dim + 1)]
+    """B_pq = sum_r (sum_k C_pk^r C_qr^k), over pairs of nonzero coefficients.
+
+    The inner sums run over k ascending and the outer one over r ascending,
+    the order of tr(ad b_p ad b_q) as a matrix product, so float entries
+    equal that dense route bit for bit.
+    """
     d = s.dim
-    return [[linalg.trace(linalg.matmul(ads[i], ads[j])) for j in range(d)] for i in range(d)]
+    zero = Fraction(0) if s.bracket.is_exact_mode else 0.0
+    # by_slot[(y, z)]: the (x, C_xy^z) over all ordered pairs, that is the
+    # entries (ad b_x)_zy in column y and row z
+    by_slot: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+    for (i, j, k), c in s.bracket.coeffs.items():
+        by_slot.setdefault((j, k), []).append((i, c))
+        by_slot.setdefault((i, k), []).append((j, -c))
+    b = [[zero] * d for _ in range(d)]
+    for r in range(1, d + 1):
+        inner: dict[tuple[int, int], Scalar] = {}
+        for k in range(1, d + 1):
+            left, right = by_slot.get((k, r)), by_slot.get((r, k))
+            if not (left and right):
+                continue
+            for p, x in left:
+                for q, y in right:
+                    inner[(p, q)] = inner.get((p, q), zero) + x * y
+        for (p, q), v in inner.items():
+            b[p - 1][q - 1] = b[p - 1][q - 1] + v
+    return b
 
 
 def r_operator(s: MetricSolvableAlgebra):
@@ -156,7 +188,11 @@ def r_operator(s: MetricSolvableAlgebra):
 
 
 def s_ad_h(s: MetricSolvableAlgebra):
-    h = mean_curvature(s)
+    return _s_ad_h(s, mean_curvature(s))
+
+
+def _s_ad_h(s: MetricSolvableAlgebra, h):
+    """S(ad H) for the mean curvature coordinates h."""
     d = s.dim
     exact = s.bracket.is_exact_mode
     zero = Fraction(0) if exact else 0.0
@@ -168,11 +204,17 @@ def s_ad_h(s: MetricSolvableAlgebra):
 
 
 def ricci_operator(s: MetricSolvableAlgebra):
-    r = r_operator(s)
+    return _curvature(s)[4]
+
+
+def _curvature(s: MetricSolvableAlgebra):
+    """(H, B, R, S(ad H), Ricci = R - B/2 - S(ad H)), each computed once."""
+    h = mean_curvature(s)
     b = killing_form(s)
-    sh = s_ad_h(s)
-    return linalg.mat_sub(linalg.mat_sub(r, linalg.mat_scale(
-        Fraction(1, 2) if s.bracket.is_exact_mode else 0.5, b)), sh)
+    r = r_operator(s)
+    sh = _s_ad_h(s, h)
+    half = Fraction(1, 2) if s.bracket.is_exact_mode else 0.5
+    return h, b, r, sh, linalg.mat_sub(linalg.mat_sub(r, linalg.mat_scale(half, b)), sh)
 
 
 class EinsteinCheck(NamedTuple):
@@ -190,18 +232,22 @@ def einstein_check(s: MetricSolvableAlgebra, tol: float = EINSTEIN_TOL) -> Einst
     For non-unimodular algebras the independent formula
     c = -tr S(ad H)^2 / tr S(ad H) is evaluated and its deviation reported.
     """
-    ric = ricci_operator(s)
-    d = s.dim
+    *_, sh, ric = _curvature(s)
+    return _einstein(ric, sh, tol)
+
+
+def _einstein(ric, sh, tol: float) -> EinsteinCheck:
+    """einstein_check on a computed Ricci operator and S(ad H)."""
+    d = len(ric)
     c = linalg.trace(ric) / d
     resid = max(abs(float(ric[i][j] - (c if i == j else 0))) for i in range(d)
                 for j in range(d))
     scale = max(1.0, max(abs(float(x)) for row in ric for x in row))
     ok = resid <= tol * scale
-    sh = s_ad_h(s)
     tr_sh = linalg.trace(sh)
     cf = None
     if abs(float(tr_sh)) > 1e-12:
-        c_alt = -linalg.trace(linalg.matmul(sh, sh)) / tr_sh
+        c_alt = -linalg.trace_product(sh, sh) / tr_sh
         cf = abs(float(c - c_alt))
     return EinsteinCheck(bool(ok), c, float(resid), cf, tol)
 
@@ -254,12 +300,11 @@ class CurvatureReport:
 
 
 def curvature_report(s: MetricSolvableAlgebra, tol: float = EINSTEIN_TOL) -> CurvatureReport:
-    b = killing_form(s)
+    h, b, r, sh, ric = _curvature(s)
     m = s.dim_a
     kn = max((abs(float(b[i][j])) for i in range(m, s.dim) for j in range(m, s.dim)),
              default=0.0)
-    return CurvatureReport(mean_curvature(s), b, r_operator(s), ricci_operator(s),
-                           einstein_check(s, tol), is_standard(s, tol), kn)
+    return CurvatureReport(h, b, r, ric, _einstein(ric, sh, tol), is_standard(s, tol), kn)
 
 
 class TraceIdentity(NamedTuple):
@@ -307,7 +352,7 @@ def rank_one_extension(lam: BracketTensor, moment: MomentValue | None = None,
         ric = mv.ric
         ric_rows = ric.tolist() if isinstance(ric, np.ndarray) else ric
         tr_r = linalg.trace(ric_rows)
-        tr_r2 = linalg.trace(linalg.matmul(ric_rows, ric_rows))
+        tr_r2 = linalg.trace_product(ric_rows, ric_rows)
         cc = tr_r2 / tr_r
         ident = linalg.identity(n) if exact else np.eye(n).tolist()
         d_mat = linalg.mat_sub(ric_rows, linalg.mat_scale(cc, ident))
@@ -410,10 +455,9 @@ def standardness_audit(s: MetricSolvableAlgebra, beta: DiagonalWeight | None = N
         kappa = beta.norm_sq()
         w_ok = in_W(mu, beta, tol).ok
 
-    ec = einstein_check(s, tol)
+    _, b, _, sh, ric = _curvature(s)
+    ec = _einstein(ric, sh, tol)
     c = ec.c
-    b = killing_form(s)
-    sh = s_ad_h(s)
 
     half = Fraction(1, 2) if exact else 0.5
     quarter = Fraction(1, 4) if exact else 0.25

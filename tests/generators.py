@@ -107,6 +107,27 @@ def random_nilpotent(rng: np.random.Generator, dim: int,
     return mu
 
 
+def random_tensor(rng: np.random.Generator, dim: int, exact: bool,
+                  max_nnz: int = 14) -> BracketTensor:
+    """Skew tensor on a random support, Jacobi not imposed.
+
+    Exact coefficients are small fractions, float ones are N(0, 1) draws.
+    """
+    keys = [(i, j, k) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)
+            for k in range(1, dim + 1)]
+    count = int(rng.integers(1, min(len(keys), max_nnz) + 1))
+    chosen = rng.choice(len(keys), size=count, replace=False)
+    return BracketTensor.make(dim, {keys[c]: rand_nonzero_frac(rng) if exact
+                                    else float(rng.normal()) for c in chosen})
+
+
+def shuffled(rng: np.random.Generator, mu: BracketTensor) -> BracketTensor:
+    """The same tensor with its coefficients inserted in a random order."""
+    items = list(mu.coeffs.items())
+    order = rng.permutation(len(items))
+    return BracketTensor(mu.dim, {items[o][0]: items[o][1] for o in order}, mu.scalar_mode)
+
+
 def random_point_set(rng: np.random.Generator, dim: int, count: int) -> PointSet:
     pts: set[tuple[Fraction, ...]] = set()
     while len(pts) < count:

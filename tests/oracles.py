@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
 from solvstrat import linalg
-from solvstrat.bracket import BracketTensor, inner, rep, rep_array
+from solvstrat.bracket import (DEFAULT_TOL, BracketTensor, _reduce_basis, inner,
+                               rep, rep_array)
 from solvstrat.linalg import ONE, ZERO
 
 
@@ -75,3 +77,64 @@ def dense_adbeta_gram(basis, b):
 
     k = len(basis)
     return [[form(basis[a], basis[c]) for c in range(k)] for a in range(k)]
+
+
+def dense_killing_form(s):
+    """B_ij = tr(ad b_i ad b_j) from the dense ad matrices."""
+    ads = [s.ad(i) for i in range(1, s.dim + 1)]
+    d = s.dim
+    return [[linalg.trace(linalg.matmul(ads[i], ads[j])) for j in range(d)] for i in range(d)]
+
+
+def _unit(n: int, exact: bool):
+    return linalg.identity(n) if exact else [[float(i == j) for j in range(n)] for i in range(n)]
+
+
+def eval_jacobi_residual(mu: BracketTensor):
+    """Max |Jacobiator| component, evaluating basis vectors through mu.eval."""
+    n = mu.dim
+    unit = _unit(n, mu.is_exact_mode)
+    worst = Fraction(0) if mu.is_exact_mode else 0.0
+    for i, j, k in itertools.combinations(range(n), 3):
+        a = mu.eval(mu.eval(unit[i], unit[j]), unit[k])
+        b = mu.eval(mu.eval(unit[j], unit[k]), unit[i])
+        c = mu.eval(mu.eval(unit[k], unit[i]), unit[j])
+        for x, y, z in zip(a, b, c):
+            s = x + y + z
+            if s < 0:
+                s = -s
+            if s > worst:
+                worst = s
+    return worst
+
+
+def eval_lower_central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> list[int]:
+    """Lower central series dimensions, spanning [g, b] by mu.eval on unit vectors."""
+    exact = mu.is_exact_mode
+    n = mu.dim
+    dims = [n]
+    basis = _unit(n, exact)
+    while True:
+        unit = _unit(n, exact)
+        gens = [mu.eval(e, b) for e in unit for b in basis]
+        basis = _reduce_basis(gens, exact, tol)
+        d = len(basis)
+        dims.append(d)
+        if d == 0 or d == dims[-2]:
+            return dims
+
+
+def eval_is_solvable(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
+    """Derived series through mu.eval on every pair of basis vectors."""
+    exact = mu.is_exact_mode
+    basis = _unit(mu.dim, exact)
+    prev = mu.dim
+    while True:
+        gens = [mu.eval(x, y) for i, x in enumerate(basis) for y in basis[i + 1:]]
+        basis = _reduce_basis(gens, exact, tol)
+        cur = len(basis)
+        if cur == 0:
+            return True
+        if cur == prev:
+            return False
+        prev = cur

@@ -5,11 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from generators import rand_frac, random_exact_gl, random_nilpotent
-from oracles import matvec
+from generators import (rand_frac, random_exact_gl, random_nilpotent,
+                        random_tensor, shuffled)
+from oracles import (eval_is_solvable, eval_jacobi_residual,
+                     eval_lower_central_series, matvec)
 from solvstrat import linalg
 from solvstrat.bracket import (BracketTensor, act, act_array, derivations,
-                               direct_sum, inner, is_nilpotent,
+                               direct_sum, inner, is_nilpotent, is_solvable,
                                jacobi_residual, lower_central_series, norm_sq,
                                permutation_act, rep, rep_array)
 from solvstrat.catalog import abelian, filiform4, heisenberg3, so3
@@ -321,3 +323,53 @@ def test_scaled_and_float_agree_with_exact():
     exact = rep(a, mu).to_array()
     af = np.array([[float(x) for x in row] for row in a])
     assert np.max(np.abs(exact - rep_array(af, mu.to_array()))) < 1e-12
+
+
+def _lie_battery(rng):
+    """Seeded Lie brackets in dims 2-8: exact, float and float GL-moved."""
+    out = [abelian(2), BracketTensor.make(2, {(1, 2, 2): 1}), so3()]
+    for dim in range(3, 9):
+        for _ in range(3):
+            mu = random_nilpotent(rng, dim)
+            g = np.eye(dim) + 0.3 * rng.normal(size=(dim, dim))
+            out += [mu, mu.to_float(), act(g, mu)]
+    return out
+
+
+def _tensor_battery(rng):
+    """Seeded skew tensors in dims 2-8 without the Jacobi identity."""
+    return [random_tensor(rng, dim, exact) for dim in range(2, 9)
+            for exact in (True, False) for _ in range(4)]
+
+
+def test_jacobi_residual_matches_eval_oracle():
+    rng = np.random.default_rng(40)
+    for mu in _lie_battery(rng) + _tensor_battery(rng):
+        for nu in (BracketTensor(mu.dim, dict(sorted(mu.coeffs.items())), mu.scalar_mode),
+                   shuffled(rng, mu)):
+            got, want = jacobi_residual(nu), eval_jacobi_residual(nu)
+            if nu.is_exact_mode:
+                assert got == want
+            else:
+                assert repr(got) == repr(want)
+
+
+def test_series_match_eval_oracles():
+    rng = np.random.default_rng(41)
+    for mu in _lie_battery(rng):
+        for nu in (mu, shuffled(rng, mu)):
+            assert lower_central_series(nu) == eval_lower_central_series(nu)
+            assert is_solvable(nu) == eval_is_solvable(nu)
+    for mu in _tensor_battery(rng):
+        assert is_solvable(mu) == eval_is_solvable(mu)
+
+
+def test_act_array_cached_path_matches_optimize_true():
+    rng = np.random.default_rng(42)
+    for n in range(2, 9):
+        g = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+        ginv = np.linalg.inv(g)
+        arr = rng.normal(size=(n, n, n))
+        want = np.einsum("pi,qj,pqr,kr->ijk", ginv, ginv, arr, g, optimize=True)
+        for _ in range(2):  # planned, then from the cache
+            assert np.array_equal(act_array(g, ginv, arr), want)

@@ -44,6 +44,44 @@ def test_validate_nilpotent(tmp_path, capsys):
     assert "lower central series: [3, 1, 0] (nilpotent)" in out
 
 
+def test_validate_evaluates_jacobi_once(tmp_path, capsys, monkeypatch):
+    from solvstrat import bracket, cli
+
+    calls = []
+    real = bracket.jacobi_residual
+
+    def spy(mu):
+        calls.append(1)
+        return real(mu)
+
+    monkeypatch.setattr(bracket, "jacobi_residual", spy)
+    monkeypatch.setattr(cli, "jacobi_residual", spy)
+    code, out, _ = run(capsys, "validate", put(tmp_path, "n4.json", N4), "--format", "json")
+    assert code == 0 and json.loads(out)["lower_central_series"] == [4, 2, 1, 0]
+    assert len(calls) == 1
+
+
+def test_cached_parser_carries_no_values_between_calls(tmp_path, capsys):
+    from solvstrat import cli
+    from solvstrat.flow import FLOW_MAX_ITER
+
+    h3 = put(tmp_path, "h3.json", H3)
+    ps = put(tmp_path, "ps.json", {"dim": 2, "points": [["2", "0"], ["0", "2"]]})
+    calls = [("stratum", h3, "--max-iter", "5", "--format", "json"),
+             ("minnorm", ps, "--format", "json"),
+             ("stratum", h3, "--format", "json")]
+    cli.build_parser.cache_clear()
+    cached = [run(capsys, *argv) for argv in calls]
+    assert cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert cached == fresh
+    assert json.loads(cached[0][1])["params"]["max_iter"] == 5
+    assert json.loads(cached[2][1])["params"]["max_iter"] == FLOW_MAX_ITER
+
+
 def test_validate_json_format(tmp_path, capsys):
     f = put(tmp_path, "h3.json", H3)
     code, out, _ = run(capsys, "validate", f, "--format", "json")

@@ -177,6 +177,25 @@ def test_stratum_detect_draws_no_random_numbers(monkeypatch):
         assert det.certificate.all_passed and det.certificate.beta.entries == B4.entries
 
 
+def test_stratum_detect_evaluates_jacobi_once(monkeypatch):
+    from solvstrat import bracket, flow
+
+    calls = []
+    real = bracket.jacobi_residual
+
+    def spy(mu):
+        calls.append(1)
+        return real(mu)
+
+    monkeypatch.setattr(bracket, "jacobi_residual", spy)
+    monkeypatch.setattr(flow, "jacobi_residual", spy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stratum_detect(so3(), max_iter=5)
+    assert any("not nilpotent" in str(w.message) for w in caught)
+    assert len(calls) == 1
+
+
 def test_stratum_detect_keyword_arguments():
     params = inspect.signature(stratum_detect).parameters
     assert list(params) == ["mu", "step", "tol", "max_iter", "denom_bound", "record_trace"]

@@ -88,3 +88,14 @@ def test_nullspace_matches_dense_rref_on_derivation_systems(mu, monkeypatch):
     rows, cols = systems[0]
     assert cols == mu.dim ** 2
     assert nullspace(rows, cols) == dense_nullspace(_dense(rows, cols))
+
+
+def test_trace_product_equals_trace_of_matmul():
+    rng = np.random.default_rng(60)
+    for n in range(1, 8):
+        a = [[rand_frac(rng) for _ in range(n)] for _ in range(n)]
+        b = [[rand_frac(rng) for _ in range(n)] for _ in range(n)]
+        assert linalg.trace_product(a, b) == linalg.trace(linalg.matmul(a, b))
+        fa, fb = rng.normal(size=(n, n)).tolist(), rng.normal(size=(n, n)).tolist()
+        assert (repr(linalg.trace_product(fa, fb))
+                == repr(linalg.trace(linalg.matmul(fa, fb))))

@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from generators import rand_frac, random_solvable
+from generators import rand_frac, random_solvable, random_tensor, shuffled
+from oracles import dense_killing_form
+from solvstrat import linalg, solvable
 from solvstrat.bracket import BracketTensor, act, jacobi_residual
 from solvstrat.catalog import (abelian, ch2, filiform4, heisenberg3,
                                nonstandard_heisenberg, rh_space, so3)
@@ -251,3 +253,56 @@ def test_audit_detects_broken_einstein_metric():
 def test_audit_rejects_wrong_label_via_membership():
     aud = standardness_audit(ch2(), beta=DiagonalWeight.make([0, 0, -1]))
     assert not aud.in_w_ok
+
+
+def _algebra_battery(rng):
+    """Seeded algebras with dim 2-8 and dim_a 0-2, exact and float.
+
+    Solvable Lie algebras (float ones through a random metric) and tensors
+    without the Jacobi identity, built directly to bypass create().
+    """
+    out = []
+    for _ in range(12):
+        s = random_solvable(rng, 8)
+        g = np.eye(s.dim) + 0.2 * rng.normal(size=(s.dim, s.dim))
+        out += [s, MetricSolvableAlgebra.create(s.dim_a, s.dim_n, s.bracket, gram=g @ g.T)]
+    for dim in range(2, 9):
+        for dim_a in range(0, 3):
+            for exact in (True, False):
+                out.append(MetricSolvableAlgebra(dim_a, dim - dim_a,
+                                                 random_tensor(rng, dim, exact)))
+    return out
+
+
+def test_killing_form_and_mean_curvature_match_dense_routes():
+    rng = np.random.default_rng(50)
+    for s in _algebra_battery(rng):
+        mu = s.bracket
+        for nu in (BracketTensor(mu.dim, dict(sorted(mu.coeffs.items())), mu.scalar_mode),
+                   shuffled(rng, mu)):
+            t = MetricSolvableAlgebra(s.dim_a, s.dim_n, nu)
+            got, want = killing_form(t), dense_killing_form(t)
+            h_want = [linalg.trace(t.ad(r)) for r in range(1, t.dim_a + 1)]
+            if nu.is_exact_mode:
+                assert got == want and mean_curvature(t) == h_want
+            else:
+                assert repr(got) == repr(want) and repr(mean_curvature(t)) == repr(h_want)
+
+
+def test_curvature_report_and_audit_compute_each_quantity_once(monkeypatch):
+    calls = {}
+    names = ("killing_form", "r_operator", "mean_curvature", "s_ad_h", "_s_ad_h")
+    for name in names:
+        real = getattr(solvable, name)
+
+        def spy(*args, real=real, name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(solvable, name, spy)
+    once = {"killing_form": 1, "r_operator": 1, "mean_curvature": 1, "_s_ad_h": 1}
+    curvature_report(ch2())
+    assert calls == once
+    calls.clear()
+    standardness_audit(ch2())
+    assert calls == once
