@@ -15,8 +15,7 @@ from .bracket import (BracketTensor, act, derivations, direct_sum, inner,
 from .flow import (FlowResult, MomentValue, ProbeResult, StratumDetection,
                    flow_to_critical, ricci_moment, semistability_probe,
                    stratum_detect)
-from .minnorm import (MinNormResult, PointSet, brute_force_min_norm,
-                      min_norm_point)
+from .minnorm import MinNormResult, PointSet, canonical_form, min_norm_point
 from .solvable import (AuditReport, CurvatureReport, EinsteinCheck,
                        MetricSolvableAlgebra, StandardCheck, curvature_report,
                        einstein_check, is_standard, killing_form,

@@ -25,9 +25,10 @@ from .flow import (DENOM_BOUND, FLOW_MAX_ITER, FLOW_STEP, FLOW_TOL,
                    stratum_detect)
 from .jsonio import FormatError
 from .linalg import format_scalar, parse_scalar
-from .minnorm import brute_force_min_norm, min_norm_point
-from .solvable import (EINSTEIN_TOL, MetricSolvableAlgebra, curvature_report,
-                       rank_one_extension, standardness_audit)
+from .minnorm import canonical_form, min_norm_point
+from .solvable import (EINSTEIN_TOL, MetricSolvableAlgebra, _curvature,
+                       _curvature_report, _standardness_audit, curvature_report,
+                       rank_one_extension)
 
 PASS, CHECKS_FAILED, INPUT_ERROR = 0, 2, 3
 
@@ -130,7 +131,8 @@ def _algebra_from_file(path) -> MetricSolvableAlgebra:
 def cmd_einstein(args) -> int:
     started = time.perf_counter()
     alg = _algebra_from_file(args.file)
-    rep = curvature_report(alg, tol=args.tol)
+    cur = _curvature(alg)
+    rep = _curvature_report(alg, cur, args.tol)
     report = {"input": {"dim_a": alg.dim_a, "dim_n": alg.dim_n},
               "params": {"tol": args.tol, "audit": args.audit,
                          "beta_from_flow": args.beta_from_flow},
@@ -149,7 +151,7 @@ def cmd_einstein(args) -> int:
         if args.beta_from_flow and not alg.mu_n().is_zero():
             det = stratum_detect(alg.mu_n())
             beta = det.certificate.beta
-        audit = standardness_audit(alg, beta=beta, tol=args.tol)
+        audit = _standardness_audit(alg, cur, beta, args.tol)
         report["audit"] = audit.to_json_dict()
         lines.append(f"audit lhs: {float(audit.lhs):.6g}  terms: "
                      f"{float(audit.term1):.6g} {float(audit.term2):.6g} "
@@ -203,23 +205,16 @@ def cmd_extend(args) -> int:
 def cmd_minnorm(args) -> int:
     started = time.perf_counter()
     ps = jsonio.read_point_set(args.file)
-    res = min_norm_point(ps)
+    res = canonical_form(ps, min_norm_point(ps))
     res.verify(ps)
-    oracle_checked = False
-    if len(ps) <= 12:
-        if brute_force_min_norm(ps) != res:
-            raise RuntimeError("min-norm solver disagrees with the enumeration oracle")
-        oracle_checked = True
     report = {"input": {"dim": ps.dim, "count": len(ps)},
-              "result": jsonio.min_norm_to_dict(res),
-              "oracle_checked": oracle_checked}
+              "result": jsonio.min_norm_to_dict(res)}
     lines = [f"{len(ps)} points in dimension {ps.dim}",
              "point: (" + ", ".join(format_scalar(x) for x in res.point) + ")",
              f"norm_sq: {format_scalar(res.norm_sq())}",
              f"support: {list(res.support)}",
              "weights: [" + ", ".join(format_scalar(res.weights[i])
-                                      for i in res.support) + "]",
-             f"oracle checked: {oracle_checked}"]
+                                      for i in res.support) + "]"]
     _emit(report, lines, args.format, started)
     return PASS
 

@@ -1,16 +1,18 @@
 """Exact minimum-norm point of a convex hull of rational points.
 
-Two independent solvers over Fraction arithmetic:
+One solver and one canonicalisation, both over Fraction arithmetic:
 
-  * min_norm_point       Wolfe-style active-set method (the production path)
-  * brute_force_min_norm face enumeration over affinely independent subsets
-                         (the oracle; exponential, for small inputs only)
+  * min_norm_point  Wolfe's active-set method.  It returns the optimum with
+                    the final corral's weights: exact, strictly positive and
+                    on affinely independent points.
+  * canonical_form  re-expresses that optimum by its canonical support:
+                    among all exact convex representations, the one of
+                    minimal cardinality, ties broken lexicographically on
+                    index tuples, with strictly positive weights.
 
-Both return the same canonical representation: among all exact convex
-representations of the optimum, the support of minimal cardinality, ties
-broken lexicographically on index tuples, with strictly positive weights.
-The optimum itself is unique by strict convexity; the canonical support makes
-the full results comparable as data.
+The optimum itself is unique by strict convexity, so callers that need only
+the point (the stratum label) skip the canonical search; the canonical
+support makes full results comparable as data.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ class MinNormResult:
 
 @dataclass(frozen=True)
 class _ScaledPoints:
-    """Denominator-cleared coordinates and Gram matrix, shared by both solvers."""
+    """Denominator-cleared coordinates and Gram matrix of a point set."""
 
     den: int
     coords: tuple[tuple[int, ...], ...]
@@ -119,36 +121,6 @@ def _affine_minimizer(sc: _ScaledPoints, pts: Sequence[Vec],
     w = sol[:k]
     y = [sum(w[t] * pts[i][c] for t, i in enumerate(subset)) for c in range(len(pts[0]))]
     return w, y
-
-
-def _canonical_support(ps: PointSet, sc: _ScaledPoints,
-                       x: Vec) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
-    """First (by cardinality, then lex) strictly positive exact representation.
-
-    Candidate points are those active at the optimum, i.e. <x, p> = |x|^2;
-    complementary slackness puts every support point in that set.  Active-set
-    membership also makes x the minimum-norm point of any active affine hull
-    containing it, so one representation solve per subset decides: unique
-    nonnegative barycentric weights for x, or skip.
-    """
-    nsq = dot(x, x)
-    active = [i for i, p in enumerate(ps.points) if dot(x, p) == nsq]
-    rhs = [xr * sc.den for xr in x]
-    row_scale = [r.denominator for r in rhs]
-    srows = [[row_scale[r] * c for c in col]
-             for r, col in enumerate(zip(*sc.coords))]
-    b = [int(rhs[r] * row_scale[r]) for r in range(ps.dim)] + [1]
-    for size in range(1, len(active) + 1):
-        for subset in itertools.combinations(active, size):
-            a = [[srows[r][i] for i in subset] for r in range(ps.dim)]
-            a.append([1] * size)
-            w = linalg.solve_integer(a, b)
-            if w is not None and all(wi > 0 for wi in w):
-                weights = [Fraction(0)] * len(ps.points)
-                for i, wi in zip(subset, w):
-                    weights[i] = wi
-                return tuple(weights), subset
-    raise RuntimeError("no exact convex representation of the optimum found")
 
 
 def min_norm_point(ps: PointSet) -> MinNormResult:
@@ -196,43 +168,41 @@ def min_norm_point(ps: PointSet) -> MinNormResult:
             corral = [c for c in corral if w[c] > 0]
             w = {c: w[c] for c in corral}
 
-    weights, support = _canonical_support(ps, sc, tuple(x))
-    return MinNormResult(tuple(x), weights, support)
+    weights = tuple(w.get(i, Fraction(0)) for i in range(len(pts)))
+    return MinNormResult(tuple(x), weights, tuple(sorted(w)))
 
 
-def brute_force_min_norm(ps: PointSet, max_points: int = 12) -> MinNormResult:
-    """Independent oracle: enumerate all affinely independent subsets.
+def canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult:
+    """The optimum res.point of min_norm_point(ps) on its canonical support.
 
-    For each subset, the affine minimizer with nonnegative weights is a
-    feasible candidate; the optimum is the best of these.  Subsets are
-    visited in (cardinality, lex) order and the canonical representative is
-    the first candidate attaining the optimal norm with strictly positive
-    weights.
+    Returns the first strictly positive exact representation by cardinality,
+    then lex order on index tuples.  Candidate points are those active at the
+    optimum, i.e. <x, p> = |x|^2; complementary slackness puts every support
+    point in that set.  Active-set membership also makes x the minimum-norm
+    point of any active affine hull containing it, so one representation
+    solve per subset decides: unique nonnegative barycentric weights for x,
+    or skip.  A minimal representation is affinely independent, so by
+    Caratheodory it has at most dim + 1 points; with a active points the
+    search makes at most sum_{k <= min(a, dim + 1)} C(a, k) integer solves
+    and raises RuntimeError past that bound.
     """
-    if len(ps) > max_points:
-        raise ValueError(f"brute force capped at {max_points} points, got {len(ps)}")
-    pts = ps.points
+    x = res.point
     sc = _scaled(ps)
-    best_nsq: Fraction | None = None
-    best: tuple[Vec, tuple[int, ...], list[Fraction]] | None = None
-    max_size = min(len(pts), ps.dim + 1)
-    for size in range(1, max_size + 1):
-        for subset in itertools.combinations(range(len(pts)), size):
-            res = _affine_minimizer(sc, pts, subset)
-            if res is None:  # affinely dependent subset
-                continue
-            w, y = res
-            if any(wi < 0 for wi in w):
-                continue
-            nsq = dot(y, y)
-            if best_nsq is None or nsq < best_nsq:
-                best_nsq, best = nsq, None
-            if nsq == best_nsq and best is None and all(wi > 0 for wi in w):
-                best = (tuple(y), subset, w)
-    if best is None:
-        raise RuntimeError("no strictly positive optimal representation found")
-    point, subset, w = best
-    weights = [Fraction(0)] * len(pts)
-    for i, wi in zip(subset, w):
-        weights[i] = wi
-    return MinNormResult(point, tuple(weights), subset)
+    nsq = dot(x, x)
+    active = [i for i, p in enumerate(ps.points) if dot(x, p) == nsq]
+    rhs = [xr * sc.den for xr in x]
+    row_scale = [r.denominator for r in rhs]
+    srows = [[row_scale[r] * c for c in col]
+             for r, col in enumerate(zip(*sc.coords))]
+    b = [int(rhs[r] * row_scale[r]) for r in range(ps.dim)] + [1]
+    for size in range(1, min(len(active), ps.dim + 1) + 1):
+        for subset in itertools.combinations(active, size):
+            a = [[srows[r][i] for i in subset] for r in range(ps.dim)]
+            a.append([1] * size)
+            w = linalg.solve_integer(a, b)
+            if w is not None and all(wi > 0 for wi in w):
+                weights = [Fraction(0)] * len(ps.points)
+                for i, wi in zip(subset, w):
+                    weights[i] = wi
+                return MinNormResult(x, tuple(weights), subset)
+    raise RuntimeError("no exact convex representation of the optimum found")

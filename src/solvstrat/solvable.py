@@ -300,7 +300,12 @@ class CurvatureReport:
 
 
 def curvature_report(s: MetricSolvableAlgebra, tol: float = EINSTEIN_TOL) -> CurvatureReport:
-    h, b, r, sh, ric = _curvature(s)
+    return _curvature_report(s, _curvature(s), tol)
+
+
+def _curvature_report(s: MetricSolvableAlgebra, cur, tol: float) -> CurvatureReport:
+    """curvature_report on the precomputed _curvature(s)."""
+    h, b, r, sh, ric = cur
     m = s.dim_a
     kn = max((abs(float(b[i][j])) for i in range(m, s.dim) for j in range(m, s.dim)),
              default=0.0)
@@ -439,6 +444,12 @@ def standardness_audit(s: MetricSolvableAlgebra, beta: DiagonalWeight | None = N
     point of its weights), which always contains mu in its W-set.  A zero
     nilpotent part switches to E|_n = I with shift factor 1.
     """
+    return _standardness_audit(s, _curvature(s), beta, tol)
+
+
+def _standardness_audit(s: MetricSolvableAlgebra, cur, beta: DiagonalWeight | None,
+                        tol: float) -> AuditReport:
+    """standardness_audit on the precomputed _curvature(s)."""
     mu = s.mu_n()
     m, n, d = s.dim_a, s.dim_n, s.dim
     exact = s.bracket.is_exact_mode
@@ -455,7 +466,7 @@ def standardness_audit(s: MetricSolvableAlgebra, beta: DiagonalWeight | None = N
         kappa = beta.norm_sq()
         w_ok = in_W(mu, beta, tol).ok
 
-    _, b, _, sh, ric = _curvature(s)
+    _, b, _, sh, ric = cur
     ec = _einstein(ric, sh, tol)
     c = ec.c
 

@@ -10,7 +10,9 @@ import numpy as np
 from solvstrat import linalg
 from solvstrat.bracket import (DEFAULT_TOL, BracketTensor, _reduce_basis, inner,
                                rep, rep_array)
-from solvstrat.linalg import ONE, ZERO
+from solvstrat.linalg import ONE, ZERO, dot
+from solvstrat.minnorm import (MinNormResult, PointSet, Vec, _affine_minimizer,
+                               _scaled)
 
 
 def ricci_moment_via_duality(mu: BracketTensor):
@@ -138,3 +140,41 @@ def eval_is_solvable(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
         if cur == prev:
             return False
         prev = cur
+
+
+def brute_force_min_norm(ps: PointSet, max_points: int = 12) -> MinNormResult:
+    """Independent oracle: enumerate all affinely independent subsets.
+
+    For each subset, the affine minimizer with nonnegative weights is a
+    feasible candidate; the optimum is the best of these.  Subsets are
+    visited in (cardinality, lex) order and the canonical representative is
+    the first candidate attaining the optimal norm with strictly positive
+    weights.
+    """
+    if len(ps) > max_points:
+        raise ValueError(f"brute force capped at {max_points} points, got {len(ps)}")
+    pts = ps.points
+    sc = _scaled(ps)
+    best_nsq: Fraction | None = None
+    best: tuple[Vec, tuple[int, ...], list[Fraction]] | None = None
+    max_size = min(len(pts), ps.dim + 1)
+    for size in range(1, max_size + 1):
+        for subset in itertools.combinations(range(len(pts)), size):
+            res = _affine_minimizer(sc, pts, subset)
+            if res is None:  # affinely dependent subset
+                continue
+            w, y = res
+            if any(wi < 0 for wi in w):
+                continue
+            nsq = dot(y, y)
+            if best_nsq is None or nsq < best_nsq:
+                best_nsq, best = nsq, None
+            if nsq == best_nsq and best is None and all(wi > 0 for wi in w):
+                best = (tuple(y), subset, w)
+    if best is None:
+        raise RuntimeError("no strictly positive optimal representation found")
+    point, subset, w = best
+    weights = [Fraction(0)] * len(pts)
+    for i, wi in zip(subset, w):
+        weights[i] = wi
+    return MinNormResult(point, tuple(weights), subset)

@@ -12,11 +12,11 @@ import numpy as np
 
 from generators import (rand_frac, random_nilpotent, random_point_set,
                         random_solvable)
-from oracles import ricci_moment_via_duality
+from oracles import brute_force_min_norm, ricci_moment_via_duality
 from solvstrat.bracket import BracketTensor, act_array, permutation_act
 from solvstrat.catalog import abelian, filiform4, heisenberg3, rh_space, so3
 from solvstrat.flow import ricci_moment, stratum_detect
-from solvstrat.minnorm import brute_force_min_norm, min_norm_point
+from solvstrat.minnorm import canonical_form, min_norm_point
 from solvstrat.solvable import (einstein_check, is_standard,
                                 rank_one_extension, standardness_audit,
                                 trace_identity_check)
@@ -27,15 +27,15 @@ F = Fraction
 
 def test_min_norm_solver_agrees_with_enumeration_oracle():
     # 500 random rational point sets, dim <= 6, <= 10 points: the active-set
-    # solver and the face-enumeration oracle must return identical exact
-    # results (point, weights, and canonical support)
+    # solver, put in canonical form, and the face-enumeration oracle must
+    # return identical exact results (point, weights, and canonical support)
     started = time.perf_counter()
     rng = np.random.default_rng(0)
     for _ in range(500):
         dim = int(rng.integers(1, 7))
         count = int(rng.integers(1, 11))
         ps = random_point_set(rng, dim, count)
-        res = min_norm_point(ps)
+        res = canonical_form(ps, min_norm_point(ps))
         assert res == brute_force_min_norm(ps)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"oracle battery took {elapsed:.1f}s"

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from generators import random_point_set
-from oracles import solve
+from oracles import brute_force_min_norm, solve
 from solvstrat import linalg
-from solvstrat.minnorm import PointSet, brute_force_min_norm, min_norm_point
+from solvstrat.minnorm import PointSet, canonical_form, min_norm_point
 
 F = Fraction
 
@@ -77,7 +77,7 @@ def test_triangle_face():
 
 def test_origin_interior_minimal_support():
     ps = PointSet.make([(1, 0), (-1, 0), (0, 1), (0, -1), (3, 3)])
-    res = min_norm_point(ps)
+    res = canonical_form(ps, min_norm_point(ps))
     assert res.point == (F(0), F(0))
     # smallest support first: the opposite pair with lowest indices
     assert res.support == (0, 1)
@@ -97,12 +97,14 @@ def test_midpoint_with_redundant_point_present():
     # optimum (1, 0) is both the midpoint of points 0, 1 and the point 2 itself;
     # the singleton representation wins by cardinality
     ps = PointSet.make([(1, -1), (1, 1), (1, 0)])
-    res = min_norm_point(ps)
+    res = canonical_form(ps, min_norm_point(ps))
     assert res.point == (F(1), F(0))
     assert res.support == (2,)
 
 
 def test_verify_passes_and_certifies():
+    # Wolfe's corral weights certify the optimum on their own; the canonical
+    # form changes the support, never the point
     rng = np.random.default_rng(0)
     for _ in range(25):
         ps = random_point_set(rng, int(rng.integers(1, 5)), int(rng.integers(1, 9)))
@@ -110,6 +112,10 @@ def test_verify_passes_and_certifies():
         res.verify(ps)
         nsq = res.norm_sq()
         assert all(sum(a * b for a, b in zip(res.point, p)) >= nsq for p in ps.points)
+        canon = canonical_form(ps, res)
+        canon.verify(ps)
+        assert canon.point == res.point
+        assert len(canon.support) <= len(res.support)
 
 
 @pytest.mark.parametrize("field,tamper", [
@@ -126,10 +132,32 @@ def test_verify_raises_on_a_tampered_result(field, tamper):
 
 
 def test_missing_canonical_support_raises(monkeypatch):
-    # a singleton hull needs no Wolfe step, so the support search is what fails
+    ps = PointSet.make([(F(1), F(-2))])
+    res = min_norm_point(ps)
     monkeypatch.setattr(linalg, "solve_integer", lambda a, b: None)
     with pytest.raises(RuntimeError, match="no exact convex representation"):
-        min_norm_point(PointSet.make([(F(1), F(-2))]))
+        canonical_form(ps, res)
+
+
+def test_canonical_search_is_bounded_by_caratheodory(monkeypatch):
+    # 12 points on the circle of radius 5 in dim 2, symmetric about the
+    # origin: the optimum is 0 and all 12 points are active.  With every
+    # solve refused, the search stops after the subsets of size <= dim + 1
+    # instead of trying all 2^12 - 1
+    circle = [(3, 4), (4, 3), (5, 0), (0, 5), (4, -3), (3, -4)]
+    ps = PointSet.make(circle + [(-a, -b) for a, b in circle])
+    res = min_norm_point(ps)
+    assert res.point == (F(0), F(0)) and len(ps) == 12
+    calls = []
+
+    def refuse(a, b):
+        calls.append(1)
+        return None
+
+    monkeypatch.setattr(linalg, "solve_integer", refuse)
+    with pytest.raises(RuntimeError, match="no exact convex representation"):
+        canonical_form(ps, res)
+    assert len(calls) <= 12 + 66 + 220
 
 
 def test_permutation_equivariance():
@@ -161,7 +189,7 @@ def test_oracle_agreement_random():
         dim = int(rng.integers(1, 6))
         count = int(rng.integers(1, 10))
         ps = random_point_set(rng, dim, count)
-        assert min_norm_point(ps) == brute_force_min_norm(ps)
+        assert canonical_form(ps, min_norm_point(ps)) == brute_force_min_norm(ps)
 
 
 def test_oracle_cap():
