@@ -8,7 +8,13 @@ One solver and one canonicalisation, both over Fraction arithmetic:
   * canonical_form  re-expresses that optimum by its canonical support:
                     among all exact convex representations, the one of
                     minimal cardinality, ties broken lexicographically on
-                    index tuples, with strictly positive weights.
+                    index tuples, with strictly positive weights.  It
+                    solves only on subsets S whose vectors p_s - x are
+                    linearly dependent (necessary for x in aff(p_S)),
+                    listed in lex order by one shared-prefix fraction-free
+                    elimination, and only up to the size m of Wolfe's
+                    corral; if no (m-1)-subset is dependent, no smaller
+                    one is, and the sizes below m are skipped.
 
 The optimum itself is unique by strict convexity, so callers that need only
 the point (the stratum label) skip the canonical search; the canonical
@@ -21,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import linalg
 from .linalg import dot, frac
@@ -172,6 +178,52 @@ def min_norm_point(ps: PointSet) -> MinNormResult:
     return MinNormResult(tuple(x), weights, tuple(sorted(w)))
 
 
+def _eliminate(pivot: list[int], cols: list[list[int]], prev: int) -> tuple[list[list[int]], int]:
+    """One fraction-free (Bareiss) step: clear pivot out of cols.
+
+    The pivot entry is pivot's first nonzero coordinate r.  Every column
+    loses coordinate r; its other entries become bordered minors of the
+    original columns divided by prev, the previous pivot, so each division
+    is exact.  Returns the reduced columns and the new pivot.
+    """
+    r = next(i for i, v in enumerate(pivot) if v)
+    piv = pivot[r]
+    rest = pivot[:r] + pivot[r + 1:]
+    reduced = []
+    for col in cols:
+        f = col[r]
+        reduced.append([(piv * v - f * w) // prev
+                        for v, w in zip(col[:r] + col[r + 1:], rest)])
+    return reduced, piv
+
+
+def _dependent_subsets(cols: Sequence[Sequence[int]], k: int) -> Iterator[tuple[int, ...]]:
+    """Index tuples of the linearly dependent k-subsets of cols, in lex order.
+
+    One depth-first pass over prefixes: a linearly independent prefix holds
+    every later column reduced against it (_eliminate), so each extension
+    reuses its prefix's elimination and a leaf costs one zero test.  A column
+    that reduces to zero makes its prefix dependent, and so every completion
+    of it; those are yielded lazily, in order, without further elimination.
+    """
+    n = len(cols)
+
+    def walk(prefix, reduced, start, prev):
+        # reduced[t - start] is column t reduced against the prefix
+        need = k - len(prefix) - 1
+        for t in range(start, n - need):
+            col = reduced[t - start]
+            if not any(col):
+                for rest in itertools.combinations(range(t + 1, n), need):
+                    yield prefix + (t,) + rest
+            elif need:
+                later, piv = _eliminate(col, reduced[t - start + 1:], prev)
+                yield from walk(prefix + (t,), later, t + 1, piv)
+
+    if k > 0:
+        yield from walk((), [list(c) for c in cols], 0, 1)
+
+
 def canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult:
     """The optimum res.point of min_norm_point(ps) on its canonical support.
 
@@ -181,10 +233,26 @@ def canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult:
     point in that set.  Active-set membership also makes x the minimum-norm
     point of any active affine hull containing it, so one representation
     solve per subset decides: unique nonnegative barycentric weights for x,
-    or skip.  A minimal representation is affinely independent, so by
-    Caratheodory it has at most dim + 1 points; with a active points the
-    search makes at most sum_{k <= min(a, dim + 1)} C(a, k) integer solves
-    and raises RuntimeError past that bound.
+    or skip.
+
+    Three exact facts keep the solves to the subsets that can hold x:
+
+      * size bound    Wolfe's corral res.support is already a strictly
+                      positive representation, so the canonical support has
+                      at most m = |res.support| <= dim + 1 points.
+      * dependence    x in aff(p_S) makes the vectors p_s - x (s in S)
+                      linearly dependent: their rank is rank[v_S | b] - 1
+                      <= |S| - 1 with v = (p, 1), b = (x, 1).  Only the
+                      dependent subsets, found by _dependent_subsets, get a
+                      solve.
+      * monotonicity  dependence passes to supersets, so if no (m-1)-subset
+                      is dependent, no smaller one is and the search starts
+                      at size m.
+
+    With a active points the search visits at most sum_{k <= m} C(a, k)
+    nodes (prefixes), solves only on dependent subsets, and raises
+    RuntimeError if none of size <= m carries a strictly positive
+    representation.
     """
     x = res.point
     sc = _scaled(ps)
@@ -195,8 +263,13 @@ def canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult:
     srows = [[row_scale[r] * c for c in col]
              for r, col in enumerate(zip(*sc.coords))]
     b = [int(rhs[r] * row_scale[r]) for r in range(ps.dim)] + [1]
-    for size in range(1, min(len(active), ps.dim + 1) + 1):
-        for subset in itertools.combinations(active, size):
+    # the columns p_i - x, scaled to integers like the solve's rows
+    diffs = [[srows[r][i] - b[r] for r in range(ps.dim)] for i in active]
+    m = len(res.support)
+    low = 1 if next(_dependent_subsets(diffs, m - 1), None) is not None else m
+    for size in range(low, m + 1):
+        for picked in _dependent_subsets(diffs, size):
+            subset = tuple(active[t] for t in picked)
             a = [[srows[r][i] for i in subset] for r in range(ps.dim)]
             a.append([1] * size)
             w = linalg.solve_integer(a, b)

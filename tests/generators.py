@@ -135,6 +135,13 @@ def random_point_set(rng: np.random.Generator, dim: int, count: int) -> PointSet
     return PointSet.make(sorted(pts))
 
 
+def centred_point_set(rng: np.random.Generator, dim: int, count: int) -> PointSet:
+    """A random point set moved so that its centroid, inside the hull, is 0."""
+    pts = random_point_set(rng, dim, count).points
+    centroid = [sum(p[c] for p in pts) / count for c in range(dim)]
+    return PointSet.make([[x - y for x, y in zip(p, centroid)] for p in pts])
+
+
 def diagonal_derivation_basis(mu: BracketTensor) -> list[list[Fraction]]:
     """Rational basis of {d : diag(d) is a derivation of mu}.
 

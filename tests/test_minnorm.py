@@ -1,14 +1,16 @@
 """Exact minimum-norm point: golden cases, invariants, oracle agreement."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from generators import random_point_set
-from oracles import brute_force_min_norm, solve
-from solvstrat import linalg
+from generators import centred_point_set, random_nilpotent, random_point_set
+from oracles import (brute_force_min_norm, dense_nullspace,
+                     exhaustive_canonical_form, solve)
+from solvstrat import linalg, minnorm, strata
 from solvstrat.minnorm import PointSet, canonical_form, min_norm_point
 
 F = Fraction
@@ -198,3 +200,133 @@ def test_oracle_cap():
     with pytest.raises(ValueError):
         brute_force_min_norm(ps)
     assert brute_force_min_norm(ps, max_points=13).point == min_norm_point(ps).point
+
+
+def _count_solves(monkeypatch) -> list[int]:
+    """Spy on linalg.solve_integer; records the column count of each call."""
+    calls: list[int] = []
+    real = linalg.solve_integer
+
+    def spy(a, b):
+        calls.append(len(a[0]))
+        return real(a, b)
+
+    monkeypatch.setattr(linalg, "solve_integer", spy)
+    return calls
+
+
+def _int_columns(rng, dim: int, count: int, kind: str) -> list[list[int]]:
+    if kind == "low-rank":
+        rank = int(rng.integers(1, max(2, min(dim, count))))
+        left = rng.integers(-2, 3, (dim, rank))
+        right = rng.integers(-2, 3, (rank, count))
+        cols = (left @ right).T.tolist()
+    else:
+        cols = rng.integers(-3, 4, (count, dim)).tolist()
+    if kind == "zero":
+        for t in rng.choice(count, size=min(2, count), replace=False):
+            cols[int(t)] = [0] * dim
+    if kind == "repeat" and count > 1:
+        src, dst = (int(t) for t in rng.choice(count, size=2, replace=False))
+        cols[dst] = list(cols[src])
+    return [[int(v) for v in c] for c in cols]
+
+
+def test_dependent_subsets_match_brute_force_rank():
+    # every k-subset whose columns have a nonzero null vector, by a dense
+    # rref of each subset, in the same lex order
+    rng = np.random.default_rng(11)
+    for trial in range(48):
+        kind = ("generic", "zero", "repeat", "low-rank")[trial % 4]
+        dim = int(rng.integers(1, 6))
+        # alternate tall (more coordinates than columns) and wide shapes
+        count = int(rng.integers(1, dim + 1)) if trial % 8 < 4 else int(rng.integers(dim + 1, 9))
+        cols = _int_columns(rng, dim, count, kind)
+        for k in range(count + 1):
+            want = [s for s in itertools.combinations(range(count), k)
+                    if dense_nullspace([[F(cols[t][r]) for t in s] for r in range(dim)])]
+            assert list(minnorm._dependent_subsets(cols, k)) == want, (cols, k)
+
+
+def test_dependent_subsets_are_lazy(monkeypatch):
+    # a zero first column makes every subset through it dependent: the first
+    # one comes out before any prefix is eliminated
+    rng = np.random.default_rng(12)
+    cols = [[0, 0, 0]] + rng.integers(-5, 6, (39, 3)).tolist()
+    steps = []
+    real = minnorm._eliminate
+
+    def counting(pivot, later, prev):
+        steps.append(len(later))
+        return real(pivot, later, prev)
+
+    monkeypatch.setattr(minnorm, "_eliminate", counting)
+    assert next(minnorm._dependent_subsets(cols, 3)) == (0, 1, 2)
+    assert steps == []
+    # the full listing does eliminate, so the counter is live
+    assert sum(1 for _ in minnorm._dependent_subsets(cols, 3)) > 0
+    assert steps
+
+
+def _degenerate_point_set(rng) -> PointSet:
+    # coordinates n/d with n in -2..2 and d in {1, 2}: 7 distinct values
+    dim = int(rng.integers(1, 8))
+    count = int(rng.integers(1, min(12, 7 ** dim) + 1))
+    pts: set[tuple[Fraction, ...]] = set()
+    while len(pts) < count:
+        pts.add(tuple(F(int(rng.integers(-2, 3)), int(rng.integers(1, 3)))
+                      for _ in range(dim)))
+    return PointSet.make(sorted(pts))
+
+
+def test_canonical_form_matches_the_exhaustive_search():
+    # small-integer sets put many points on common flats and faces, which
+    # exercises the dependence filter and the monotone skip
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        ps = _degenerate_point_set(rng)
+        res = min_norm_point(ps)
+        assert canonical_form(ps, res) == exhaustive_canonical_form(ps, res)
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6])
+def test_canonical_form_matches_the_exhaustive_search_on_weight_sets(dim):
+    rng = np.random.default_rng(20 + dim)
+    for _ in range(4):
+        ps = strata.weights(random_nilpotent(rng, dim, transform=True))
+        res = min_norm_point(ps)
+        assert canonical_form(ps, res) == exhaustive_canonical_form(ps, res)
+
+
+def test_canonical_form_matches_the_exhaustive_search_about_the_origin():
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        ps = centred_point_set(rng, 6, 13)
+        res = min_norm_point(ps)
+        assert res.point == (F(0),) * 6
+        assert canonical_form(ps, res) == exhaustive_canonical_form(ps, res)
+
+
+def test_origin_inside_hull_solves_only_full_size_subsets(monkeypatch):
+    # 16 generic points about the origin in dim 7: no subset of <= 7 points
+    # has 0 in its affine hull, and none of them is dependent, so every
+    # solve is on 8 points.  The exhaustive search makes 26451 solves here
+    ps = centred_point_set(np.random.default_rng(1), 7, 16)
+    res = min_norm_point(ps)
+    calls = _count_solves(monkeypatch)
+    canon = canonical_form(ps, res)
+    assert len(canon.support) == 8
+    assert set(calls) == {8}
+    assert len(calls) < 300
+
+
+def test_weight_set_solve_count(monkeypatch):
+    # a GL-moved dim-7 bracket: 51 active weights, Wolfe corral of 6,
+    # canonical support of 4.  The exhaustive search makes 39349 solves
+    mu = random_nilpotent(np.random.default_rng(7), 7)
+    ps = strata.weights(mu)
+    res = min_norm_point(ps)
+    calls = _count_solves(monkeypatch)
+    canon = canonical_form(ps, res)
+    assert (len(ps), len(res.support), len(canon.support)) == (51, 6, 4)
+    assert len(calls) < 400
