@@ -321,6 +321,13 @@ def jacobi_residual(mu: BracketTensor) -> Scalar:
     return worst
 
 
+def jacobi_check(mu: BracketTensor, tol: float = DEFAULT_TOL) -> tuple[bool, Scalar]:
+    """(ok, residual) for the Jacobi identity: ok means an exact zero
+    residual in exact mode, and a residual at most tol in float mode."""
+    res = jacobi_residual(mu)
+    return ((res == 0) if mu.is_exact_mode else float(res) <= tol), res
+
+
 def _unit(n: int, exact: bool) -> list[list[Scalar]]:
     """Standard basis vectors e_1..e_n as Fraction or float rows."""
     return linalg.identity(n) if exact else [[float(i == j) for j in range(n)] for i in range(n)]
@@ -371,8 +378,8 @@ def lower_central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> list[in
     Stops at 0 (nilpotent) or repeats the first stabilized dimension once.
     Requires a Lie bracket; raises ValueError otherwise.
     """
-    res = jacobi_residual(mu)
-    if (res != 0) if mu.is_exact_mode else (float(res) > tol):
+    ok, res = jacobi_check(mu, tol)
+    if not ok:
         raise ValueError(f"Jacobi identity fails (residual {float(res):g})")
     return _central_series(mu, tol)
 

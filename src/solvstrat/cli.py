@@ -20,15 +20,14 @@ import time
 import warnings
 
 from . import jsonio
-from .bracket import _central_series, jacobi_residual, norm_sq
+from .bracket import _central_series, jacobi_check, norm_sq
 from .flow import (DENOM_BOUND, FLOW_MAX_ITER, FLOW_STEP, FLOW_TOL,
                    stratum_detect)
 from .jsonio import FormatError
 from .linalg import format_scalar, parse_scalar
 from .minnorm import canonical_form, min_norm_point
-from .solvable import (EINSTEIN_TOL, MetricSolvableAlgebra, _curvature,
-                       _curvature_report, _standardness_audit, curvature_report,
-                       rank_one_extension)
+from .solvable import (EINSTEIN_TOL, MetricSolvableAlgebra, curvature_report,
+                       rank_one_extension, standardness_audit)
 
 PASS, CHECKS_FAILED, INPUT_ERROR = 0, 2, 3
 
@@ -50,8 +49,7 @@ def cmd_validate(args) -> int:
     started = time.perf_counter()
     bf = jsonio.read_bracket_file(args.file)
     mu = bf.bracket
-    res = jacobi_residual(mu)
-    jac_ok = (res == 0) if mu.is_exact_mode else float(res) <= args.tol
+    jac_ok, res = jacobi_check(mu, args.tol)
     report = {
         "input": {"dim_a": bf.dim_a, "dim_n": bf.dim_n, "nnz": mu.nnz,
                   "scalar_mode": mu.scalar_mode},
@@ -131,8 +129,7 @@ def _algebra_from_file(path) -> MetricSolvableAlgebra:
 def cmd_einstein(args) -> int:
     started = time.perf_counter()
     alg = _algebra_from_file(args.file)
-    cur = _curvature(alg)
-    rep = _curvature_report(alg, cur, args.tol)
+    rep = curvature_report(alg, args.tol)
     report = {"input": {"dim_a": alg.dim_a, "dim_n": alg.dim_n},
               "params": {"tol": args.tol, "audit": args.audit,
                          "beta_from_flow": args.beta_from_flow},
@@ -151,7 +148,7 @@ def cmd_einstein(args) -> int:
         if args.beta_from_flow and not alg.mu_n().is_zero():
             det = stratum_detect(alg.mu_n())
             beta = det.certificate.beta
-        audit = _standardness_audit(alg, cur, beta, args.tol)
+        audit = standardness_audit(alg, beta, args.tol)
         report["audit"] = audit.to_json_dict()
         lines.append(f"audit lhs: {float(audit.lhs):.6g}  terms: "
                      f"{float(audit.term1):.6g} {float(audit.term2):.6g} "

@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bracket import (BracketTensor, _central_series, act_array, inner,
-                      jacobi_residual, rep_array)
+                      jacobi_check, rep_array)
 from .linalg import Scalar
 from .strata import (DiagonalWeight, StratumCertificate, certify_candidate,
                      in_W, project_Z)
@@ -106,9 +106,7 @@ def expm_sym(s: np.ndarray, t: float = 1.0) -> np.ndarray:
 class FlowResult:
     limit: BracketTensor
     aligned: BracketTensor
-    moment: MomentValue
     spectrum: tuple[float, ...]
-    transform: np.ndarray
     residuals: dict[str, float]
     iterations: int
     converged: bool
@@ -208,10 +206,8 @@ def flow_to_critical(
         "z_membership": max((abs(g) for g in gaps), default=0.0),
         "m_equals_one": abs(min(gaps, default=0.0)) / nsq_b if nsq_b else float("inf"),
     }
-    ric = ric_array(arr)
-    moment = MomentValue(ric, m, 1.0)
-    return FlowResult(limit, aligned, moment, tuple(float(x) for x in spec), q,
-                      residuals, it, converged, message, trace)
+    return FlowResult(limit, aligned, tuple(float(x) for x in spec), residuals, it,
+                      converged, message, trace)
 
 
 @dataclass(frozen=True)
@@ -236,9 +232,7 @@ def stratum_detect(
     to -1 the exact candidate is certified, otherwise the float spectrum is
     used and only tolerance-graded checks are possible.
     """
-    res = jacobi_residual(mu)
-    jac_ok = (res == 0) if mu.is_exact_mode else float(res) <= 1e-9
-    if not jac_ok:
+    if not jacobi_check(mu)[0]:
         warnings.warn("bracket does not satisfy the Jacobi identity; "
                       "stratum detection is formal only", stacklevel=2)
     elif _central_series(mu)[-1] != 0:

@@ -74,10 +74,6 @@ def matmul(a, b) -> list[list]:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def mat_add(a, b) -> list[list]:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b) -> list[list]:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -93,10 +89,6 @@ def trace(a):
 def trace_product(a, b):
     """tr(a b) from the diagonal of the product only, summed as trace(matmul(a, b))."""
     return sum(sum(x * row[i] for x, row in zip(a[i], b)) for i in range(len(a)))
-
-
-def commutator(a, b) -> list[list]:
-    return mat_sub(matmul(a, b), matmul(b, a))
 
 
 def dot(u, v):
@@ -227,12 +219,14 @@ def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> list[Fraction
     tri, pivots = bareiss_triangularize(aug)
     if len(pivots) < cols or (pivots and pivots[-1] == cols):
         return None
-    x: list[Fraction] = [ZERO] * cols
+    # By Cramer's rule d * x is integral for the last pivot d, the leading
+    # minor, so y = d * x back-substitutes in integers with exact divisions.
+    d = tri[cols - 1][cols - 1] if cols else 1
+    y = [0] * cols
     for i in reversed(range(cols)):
         row = tri[i]
-        s = row[cols] - sum(row[j] * x[j] for j in range(i + 1, cols))
-        x[i] = Fraction(s) / row[i]
-    return x
+        y[i] = (d * row[cols] - sum(row[j] * y[j] for j in range(i + 1, cols))) // row[i]
+    return [Fraction(v, d) for v in y]
 
 
 def is_psd(m) -> bool:

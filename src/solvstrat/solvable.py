@@ -14,14 +14,19 @@ with S(m) = (m + m^T)/2.  In coefficients, with C_pk^r the r-th component of
 [b_p, b_k] (so (ad b_p)_rk = C_pk^r),
 
     B_pq = sum_r sum_k C_pk^r C_qr^k,     tr ad A_r = sum_j C_rj^j,
+    (ad H)_kj = sum_r h_r C_rj^k,
 
-both summed over the nonzero coefficients only.  Everything is exact on
-rational input and float otherwise.  The universal trace identity tr(R E) = 1/4 <pi(E) mu, mu> (true
-for any tensor mu, Jacobi or not) gives every report two independent routes.
+all summed over the nonzero coefficients only, and so are the three terms
+of the standardness audit (see AuditReport).  An algebra computes these
+once, as its cached `curvature`.  Everything is exact on rational input and
+float otherwise.  The universal trace identity tr(R E) = 1/4 <pi(E) mu, mu>
+(true for any tensor mu, Jacobi or not) gives every report two independent
+routes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,9 +35,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .bracket import (BracketTensor, act, inner, is_solvable, jacobi_residual,
+from .bracket import (BracketTensor, act, inner, is_solvable, jacobi_check,
                       permutation_act, rep)
-from .flow import MomentValue, ricci_moment, _ric_exact, ric_array
+from .flow import _ric_exact, ric_array
 from .linalg import Scalar, frac, is_exact
 from .strata import DiagonalWeight, beta_of, in_W
 
@@ -59,8 +64,8 @@ class MetricSolvableAlgebra:
             if k <= dim_a:
                 raise ValueError(f"bracket value escapes n: coefficient ({i},{j},{k}) "
                                  "hits the a-block, so [s,s] is not inside n")
-        res = jacobi_residual(bracket)
-        if (res != 0) if bracket.is_exact_mode else (float(res) > tol):
+        ok, res = jacobi_check(bracket, tol)
+        if not ok:
             raise ValueError(f"Jacobi identity fails (residual {float(res):g})")
         if not is_solvable(bracket, tol):
             raise ValueError("bracket is not solvable")
@@ -77,31 +82,27 @@ class MetricSolvableAlgebra:
                   if i > m}
         return BracketTensor(self.dim_n, coeffs, self.bracket.scalar_mode)
 
-    def ad(self, idx: int):
-        """Matrix of ad b_idx on the full algebra (1-based index)."""
-        d = self.dim
-        exact = self.bracket.is_exact_mode
-        zero = Fraction(0) if exact else 0.0
-        out = [[zero] * d for _ in range(d)]
-        for j in range(1, d + 1):
-            for k in range(1, d + 1):
-                c = self.bracket.coeff(idx, j, k)
-                if c:
-                    out[k - 1][j - 1] = c
-        return out
+    @functools.cached_property
+    def curvature(self) -> "Curvature":
+        """H, B, R, S(ad H) and Ricci = R - B/2 - S(ad H), computed once."""
+        h = mean_curvature(self)
+        b = killing_form(self)
+        r = r_operator(self)
+        sh = _s_ad_h(self, h)
+        half = Fraction(1, 2) if self.bracket.is_exact_mode else 0.5
+        ric = linalg.mat_sub(linalg.mat_sub(r, linalg.mat_scale(half, b)), sh)
+        return Curvature(h, b, r, sh, ric)
 
-    def ad_on_n(self, r: int):
-        """Matrix of ad A_r restricted to n (1 <= r <= dim_a)."""
-        m, n = self.dim_a, self.dim_n
-        exact = self.bracket.is_exact_mode
-        zero = Fraction(0) if exact else 0.0
-        out = [[zero] * n for _ in range(n)]
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                c = self.bracket.coeff(r, m + j, m + k)
-                if c:
-                    out[k - 1][j - 1] = c
-        return out
+
+@dataclass(frozen=True)
+class Curvature:
+    """Curvature of a metric solvable algebra; matrices on the full algebra."""
+
+    mean: list
+    killing: list
+    r: list
+    s_ad_h: list
+    ricci: list
 
 
 def orthonormalize_basis(dim_a: int, dim_n: int, bracket: BracketTensor, gram) -> BracketTensor:
@@ -192,29 +193,30 @@ def s_ad_h(s: MetricSolvableAlgebra):
 
 
 def _s_ad_h(s: MetricSolvableAlgebra, h):
-    """S(ad H) for the mean curvature coordinates h."""
-    d = s.dim
-    exact = s.bracket.is_exact_mode
-    zero = Fraction(0) if exact else 0.0
+    """S(ad H) for the mean curvature coordinates h.
+
+    (ad H)_kj accumulates h_r C_rj^k over r ascending, read off the
+    coefficients with r in a; C_rj^k = -C_jr^k covers the keys stored as
+    (j, r, k).
+    """
+    d, m = s.dim, s.dim_a
+    zero = Fraction(0) if s.bracket.is_exact_mode else 0.0
+    by_r: list[list[tuple[int, int, Scalar]]] = [[] for _ in range(m + 1)]
+    for (i, j, k), c in s.bracket.coeffs.items():
+        if i <= m:
+            by_r[i].append((j, k, c))
+        if j <= m:
+            by_r[j].append((i, k, -c))
     adh = [[zero] * d for _ in range(d)]
     for r, hr in enumerate(h, start=1):
         if hr:
-            adh = linalg.mat_add(adh, linalg.mat_scale(hr, s.ad(r)))
+            for j, k, c in by_r[r]:
+                adh[k - 1][j - 1] = adh[k - 1][j - 1] + hr * c
     return _sym(adh)
 
 
 def ricci_operator(s: MetricSolvableAlgebra):
-    return _curvature(s)[4]
-
-
-def _curvature(s: MetricSolvableAlgebra):
-    """(H, B, R, S(ad H), Ricci = R - B/2 - S(ad H)), each computed once."""
-    h = mean_curvature(s)
-    b = killing_form(s)
-    r = r_operator(s)
-    sh = _s_ad_h(s, h)
-    half = Fraction(1, 2) if s.bracket.is_exact_mode else 0.5
-    return h, b, r, sh, linalg.mat_sub(linalg.mat_sub(r, linalg.mat_scale(half, b)), sh)
+    return s.curvature.ricci
 
 
 class EinsteinCheck(NamedTuple):
@@ -232,12 +234,8 @@ def einstein_check(s: MetricSolvableAlgebra, tol: float = EINSTEIN_TOL) -> Einst
     For non-unimodular algebras the independent formula
     c = -tr S(ad H)^2 / tr S(ad H) is evaluated and its deviation reported.
     """
-    *_, sh, ric = _curvature(s)
-    return _einstein(ric, sh, tol)
-
-
-def _einstein(ric, sh, tol: float) -> EinsteinCheck:
-    """einstein_check on a computed Ricci operator and S(ad H)."""
+    cur = s.curvature
+    ric, sh = cur.ricci, cur.s_ad_h
     d = len(ric)
     c = linalg.trace(ric) / d
     resid = max(abs(float(ric[i][j] - (c if i == j else 0))) for i in range(d)
@@ -300,16 +298,12 @@ class CurvatureReport:
 
 
 def curvature_report(s: MetricSolvableAlgebra, tol: float = EINSTEIN_TOL) -> CurvatureReport:
-    return _curvature_report(s, _curvature(s), tol)
-
-
-def _curvature_report(s: MetricSolvableAlgebra, cur, tol: float) -> CurvatureReport:
-    """curvature_report on the precomputed _curvature(s)."""
-    h, b, r, sh, ric = cur
-    m = s.dim_a
+    cur = s.curvature
+    b, m = cur.killing, s.dim_a
     kn = max((abs(float(b[i][j])) for i in range(m, s.dim) for j in range(m, s.dim)),
              default=0.0)
-    return CurvatureReport(h, b, r, ric, _einstein(ric, sh, tol), is_standard(s, tol), kn)
+    return CurvatureReport(cur.mean, b, cur.r, cur.ricci, einstein_check(s, tol),
+                           is_standard(s, tol), kn)
 
 
 class TraceIdentity(NamedTuple):
@@ -323,7 +317,7 @@ def trace_identity_check(s: MetricSolvableAlgebra, e) -> TraceIdentity:
     needed.  E is an arbitrary square matrix on the full algebra."""
     r = r_operator(s)
     d = s.dim
-    rows = e.tolist() if isinstance(e, np.ndarray) else [list(row) for row in e]
+    rows = np.asarray(e).tolist()
     tr_re = sum(r[p][q] * rows[q][p] for p in range(d) for q in range(d))
     quarter = Fraction(1, 4) if (s.bracket.is_exact_mode
                                  and all(is_exact(x) for row in rows for x in row)) else 0.25
@@ -331,8 +325,8 @@ def trace_identity_check(s: MetricSolvableAlgebra, e) -> TraceIdentity:
     return TraceIdentity(tr_re, pairing, abs(float(tr_re - pairing)))
 
 
-def rank_one_extension(lam: BracketTensor, moment: MomentValue | None = None,
-                       c: Scalar | None = None, tol: float = 1e-8) -> MetricSolvableAlgebra:
+def rank_one_extension(lam: BracketTensor, c: Scalar | None = None,
+                       tol: float = 1e-8) -> MetricSolvableAlgebra:
     """Extend a nilsoliton bracket by one derivation to an Einstein candidate.
 
     Requires Ric_lam = c I + D with D a derivation of lam; then a = R A with
@@ -353,14 +347,10 @@ def rank_one_extension(lam: BracketTensor, moment: MomentValue | None = None,
         ada = [[(-cc / scale if i == j else (Fraction(0) if root is not None else 0.0))
                 for j in range(n)] for i in range(n)]
     else:
-        mv = moment if moment is not None else ricci_moment(lam)
-        ric = mv.ric
-        ric_rows = ric.tolist() if isinstance(ric, np.ndarray) else ric
-        tr_r = linalg.trace(ric_rows)
-        tr_r2 = linalg.trace_product(ric_rows, ric_rows)
-        cc = tr_r2 / tr_r
-        ident = linalg.identity(n) if exact else np.eye(n).tolist()
-        d_mat = linalg.mat_sub(ric_rows, linalg.mat_scale(cc, ident))
+        ric = _ric_exact(lam) if exact else ric_array(lam.to_array()).tolist()
+        cc = linalg.trace_product(ric, ric) / linalg.trace(ric)
+        d_mat = [[x - cc if i == j else x for j, x in enumerate(row)]
+                 for i, row in enumerate(ric)]
         resid = rep(d_mat, lam)
         rnorm = math.sqrt(abs(float(inner(resid, resid))))
         scale_ref = max(1.0, math.sqrt(abs(float(inner(lam, lam)))))
@@ -391,8 +381,15 @@ class AuditReport:
     E = diag(0_a, beta + |beta|^2 I_n)  (E|_n = I_n when mu = 0).
 
         t1 = 1/4 <pi(E|_n) mu, mu>
+           = 1/2 sum_{m < i} (E_k - E_i - E_j) (C_ij^k)^2
         t2 = 1/4 sum_rs <E|_n [A_r, A_s], [A_r, A_s]>
+           = 1/2 sum_{j <= m} E_k (C_ij^k)^2
         t3 = 1/2 sum_r <[E|_n, ad A_r|_n], ad A_r|_n>
+           = 1/2 sum_{i <= m < j} (E_k - E_j) (C_ij^k)^2
+
+    with m = dim_a and E_k the k-th diagonal entry of E.  The sums run over
+    the stored coefficients C_ij^k (i < j): t1 over those of mu = [n, n], t2
+    over [a, a] and t3 over [a, n].
 
     For an Einstein metric the left side vanishes and each term is
     nonnegative, so all three vanish; t2 = 0 with a positive E|_n forces
@@ -444,14 +441,8 @@ def standardness_audit(s: MetricSolvableAlgebra, beta: DiagonalWeight | None = N
     point of its weights), which always contains mu in its W-set.  A zero
     nilpotent part switches to E|_n = I with shift factor 1.
     """
-    return _standardness_audit(s, _curvature(s), beta, tol)
-
-
-def _standardness_audit(s: MetricSolvableAlgebra, cur, beta: DiagonalWeight | None,
-                        tol: float) -> AuditReport:
-    """standardness_audit on the precomputed _curvature(s)."""
     mu = s.mu_n()
-    m, n, d = s.dim_a, s.dim_n, s.dim
+    m, n = s.dim_a, s.dim_n
     exact = s.bracket.is_exact_mode
     zero_branch = mu.is_zero()
     if zero_branch:
@@ -466,30 +457,27 @@ def _standardness_audit(s: MetricSolvableAlgebra, cur, beta: DiagonalWeight | No
         kappa = beta.norm_sq()
         w_ok = in_W(mu, beta, tol).ok
 
-    _, b, _, sh, ric = cur
-    ec = _einstein(ric, sh, tol)
+    cur = s.curvature
+    b, sh = cur.killing, cur.s_ad_h
+    ec = einstein_check(s, tol)
     c = ec.c
 
+    zero = Fraction(0) if exact else 0.0
     half = Fraction(1, 2) if exact else 0.5
-    quarter = Fraction(1, 4) if exact else 0.25
     # E vanishes outside the n-block, so the trace collapses to it
     lhs = sum((c + half * b[m + i][m + i] + sh[m + i][m + i]) * shift[i] for i in range(n))
 
-    shift_mat = [[shift[i] if i == j else (Fraction(0) if exact else 0.0)
-                  for j in range(n)] for i in range(n)]
-    term1 = quarter * inner(rep(shift_mat, mu), mu)
-
-    term2: Scalar = Fraction(0) if exact else 0.0
-    for r in range(1, m + 1):
-        for t in range(1, m + 1):
-            v = s.bracket.pair(r, t)[m:]
-            term2 = term2 + quarter * sum(shift[i] * v[i] * v[i] for i in range(n))
-
-    term3: Scalar = Fraction(0) if exact else 0.0
-    for r in range(1, m + 1):
-        ad_r = s.ad_on_n(r)
-        comm = linalg.commutator(shift_mat, ad_r)
-        term3 = term3 + half * sum(comm[i][j] * ad_r[i][j] for i in range(n) for j in range(n))
+    e = (zero,) * m + tuple(shift)
+    term1 = term2 = term3 = zero
+    for (i, j, k), x in s.bracket.coeffs.items():
+        sq = x * x
+        if i > m:
+            term1 = term1 + (e[k - 1] - e[i - 1] - e[j - 1]) * sq
+        elif j <= m:
+            term2 = term2 + e[k - 1] * sq
+        else:
+            term3 = term3 + (e[k - 1] - e[j - 1]) * sq
+    term1, term2, term3 = half * term1, half * term2, half * term3
 
     identity_residual = abs(float(lhs - (term1 + term2 + term3)))
     tr_e = sum(shift)

@@ -81,9 +81,88 @@ def dense_adbeta_gram(basis, b):
     return [[form(basis[a], basis[c]) for c in range(k)] for a in range(k)]
 
 
+def dense_ad(s, idx: int):
+    """Matrix of ad b_idx on the full algebra (1-based index)."""
+    d = s.dim
+    zero = Fraction(0) if s.bracket.is_exact_mode else 0.0
+    out = [[zero] * d for _ in range(d)]
+    for j in range(1, d + 1):
+        for k in range(1, d + 1):
+            c = s.bracket.coeff(idx, j, k)
+            if c:
+                out[k - 1][j - 1] = c
+    return out
+
+
+def dense_ad_on_n(s, r: int):
+    """Matrix of ad A_r restricted to n (1 <= r <= dim_a)."""
+    m, n = s.dim_a, s.dim_n
+    zero = Fraction(0) if s.bracket.is_exact_mode else 0.0
+    out = [[zero] * n for _ in range(n)]
+    for j in range(1, n + 1):
+        for k in range(1, n + 1):
+            c = s.bracket.coeff(r, m + j, m + k)
+            if c:
+                out[k - 1][j - 1] = c
+    return out
+
+
+def _mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _commutator(a, b):
+    return linalg.mat_sub(linalg.matmul(a, b), linalg.matmul(b, a))
+
+
+def dense_s_ad_h(s, h):
+    """S(ad H) as the symmetric part of sum_r h_r ad A_r, by dense matrices."""
+    d = s.dim
+    exact = s.bracket.is_exact_mode
+    zero = Fraction(0) if exact else 0.0
+    adh = [[zero] * d for _ in range(d)]
+    for r, hr in enumerate(h, start=1):
+        if hr:
+            adh = _mat_add(adh, linalg.mat_scale(hr, dense_ad(s, r)))
+    half = Fraction(1, 2) if exact else 0.5
+    return [[(adh[i][j] + adh[j][i]) * half for j in range(d)] for i in range(d)]
+
+
+def dense_audit_terms(s, shift):
+    """The standardness audit's three terms for E|_n = diag(shift):
+
+        t1 = 1/4 <pi(E|_n) mu, mu>
+        t2 = 1/4 sum_rs <E|_n [A_r, A_s], [A_r, A_s]>
+        t3 = 1/2 sum_r <[E|_n, ad A_r|_n], ad A_r|_n>
+
+    through rep, the bracket pairs and dense commutators.
+    """
+    mu = s.mu_n()
+    m, n = s.dim_a, s.dim_n
+    exact = s.bracket.is_exact_mode
+    half = Fraction(1, 2) if exact else 0.5
+    quarter = Fraction(1, 4) if exact else 0.25
+    shift_mat = [[shift[i] if i == j else (Fraction(0) if exact else 0.0)
+                  for j in range(n)] for i in range(n)]
+    term1 = quarter * inner(rep(shift_mat, mu), mu)
+
+    term2 = Fraction(0) if exact else 0.0
+    for r in range(1, m + 1):
+        for t in range(1, m + 1):
+            v = s.bracket.pair(r, t)[m:]
+            term2 = term2 + quarter * sum(shift[i] * v[i] * v[i] for i in range(n))
+
+    term3 = Fraction(0) if exact else 0.0
+    for r in range(1, m + 1):
+        ad_r = dense_ad_on_n(s, r)
+        comm = _commutator(shift_mat, ad_r)
+        term3 = term3 + half * sum(comm[i][j] * ad_r[i][j] for i in range(n) for j in range(n))
+    return term1, term2, term3
+
+
 def dense_killing_form(s):
     """B_ij = tr(ad b_i ad b_j) from the dense ad matrices."""
-    ads = [s.ad(i) for i in range(1, s.dim + 1)]
+    ads = [dense_ad(s, i) for i in range(1, s.dim + 1)]
     d = s.dim
     return [[linalg.trace(linalg.matmul(ads[i], ads[j])) for j in range(d)] for i in range(d)]
 

@@ -48,7 +48,7 @@ def test_validate_nilpotent(tmp_path, capsys):
 
 
 def test_validate_evaluates_jacobi_once(tmp_path, capsys, monkeypatch):
-    from solvstrat import bracket, cli
+    from solvstrat import bracket
 
     calls = []
     real = bracket.jacobi_residual
@@ -58,7 +58,6 @@ def test_validate_evaluates_jacobi_once(tmp_path, capsys, monkeypatch):
         return real(mu)
 
     monkeypatch.setattr(bracket, "jacobi_residual", spy)
-    monkeypatch.setattr(cli, "jacobi_residual", spy)
     code, out, _ = run(capsys, "validate", put(tmp_path, "n4.json", N4), "--format", "json")
     assert code == 0 and json.loads(out)["lower_central_series"] == [4, 2, 1, 0]
     assert len(calls) == 1
@@ -367,6 +366,17 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_cli_imports_no_private_name_from_solvable():
+    # the CLI goes through the public curvature functions, which the
+    # per-layer tracer times
+    path = Path(solvstrat.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "solvable"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_minnorm_rejects_bad_file(tmp_path, capsys):

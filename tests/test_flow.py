@@ -178,7 +178,7 @@ def test_stratum_detect_draws_no_random_numbers(monkeypatch):
 
 
 def test_stratum_detect_evaluates_jacobi_once(monkeypatch):
-    from solvstrat import bracket, flow
+    from solvstrat import bracket
 
     calls = []
     real = bracket.jacobi_residual
@@ -188,7 +188,6 @@ def test_stratum_detect_evaluates_jacobi_once(monkeypatch):
         return real(mu)
 
     monkeypatch.setattr(bracket, "jacobi_residual", spy)
-    monkeypatch.setattr(flow, "jacobi_residual", spy)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         stratum_detect(so3(), max_iter=5)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from generators import filiform, free_two_step, rand_frac
-from oracles import dense_nullspace
+from oracles import dense_nullspace, solve
 from solvstrat import linalg
 from solvstrat.bracket import derivations
 from solvstrat.catalog import filiform4, heisenberg3
@@ -99,3 +99,29 @@ def test_trace_product_equals_trace_of_matmul():
         fa, fb = rng.normal(size=(n, n)).tolist(), rng.normal(size=(n, n)).tolist()
         assert (repr(linalg.trace_product(fa, fb))
                 == repr(linalg.trace(linalg.matmul(fa, fb))))
+
+
+def test_solve_integer_matches_rref_solve_on_a_battery():
+    # square and overdetermined, consistent and inconsistent, full and
+    # deficient column rank; None exactly when no unique solution exists
+    rng = np.random.default_rng(8)
+    seen = set()
+    for _ in range(400):
+        cols = int(rng.integers(1, 6))
+        rows = cols + int(rng.integers(0, 3))
+        rank = cols - int(rng.integers(0, 2))
+        a = [[int(x) for x in row] for row in
+             rng.integers(-4, 5, size=(rows, rank)) @ rng.integers(-4, 5, size=(rank, cols))]
+        if rng.integers(0, 2):
+            b = [int(x) for x in rng.integers(-9, 10, size=rows)]
+        else:
+            x0 = [int(x) for x in rng.integers(-9, 10, size=cols)]
+            b = [sum(r * x for r, x in zip(row, x0)) for row in a]
+        fa = [[Fraction(x) for x in row] for row in a]
+        full = len(linalg.rref(fa)[1]) == cols
+        want = solve(fa, [Fraction(x) for x in b]) if full else None
+        assert linalg.solve_integer(a, b) == want
+        seen.add((rows > cols, full, want is not None))
+    # a square system of full rank is always consistent
+    assert seen == {(False, False, False), (False, True, True), (True, False, False),
+                    (True, True, False), (True, True, True)}

@@ -5,10 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from generators import rand_frac, random_solvable, random_tensor, shuffled
-from oracles import dense_killing_form
+from generators import (rand_frac, random_exact_gl, random_solvable,
+                        random_tensor, shuffled)
+from oracles import (dense_ad, dense_ad_on_n, dense_audit_terms,
+                     dense_killing_form, dense_s_ad_h)
 from solvstrat import linalg, solvable
-from solvstrat.bracket import BracketTensor, act, jacobi_residual
+from solvstrat.bracket import BracketTensor, act, jacobi_check, jacobi_residual
 from solvstrat.catalog import (abelian, ch2, filiform4, heisenberg3,
                                nonstandard_heisenberg, rh_space, so3)
 from solvstrat.flow import ricci_moment
@@ -51,8 +53,8 @@ def test_create_rejects_non_solvable():
 def test_restriction_and_ad_blocks():
     s = ch2()
     assert s.mu_n().coeffs == {(1, 2, 3): F(1)}
-    assert s.ad(1) == _diag(0, F(1, 2), F(1, 2), 1)
-    assert s.ad_on_n(1) == _diag(F(1, 2), F(1, 2), 1)
+    assert dense_ad(s, 1) == _diag(0, F(1, 2), F(1, 2), 1)
+    assert dense_ad_on_n(s, 1) == _diag(F(1, 2), F(1, 2), 1)
 
 
 def test_orthonormalize_identity_gram_is_noop():
@@ -282,7 +284,7 @@ def test_killing_form_and_mean_curvature_match_dense_routes():
                    shuffled(rng, mu)):
             t = MetricSolvableAlgebra(s.dim_a, s.dim_n, nu)
             got, want = killing_form(t), dense_killing_form(t)
-            h_want = [linalg.trace(t.ad(r)) for r in range(1, t.dim_a + 1)]
+            h_want = [linalg.trace(dense_ad(t, r)) for r in range(1, t.dim_a + 1)]
             if nu.is_exact_mode:
                 assert got == want and mean_curvature(t) == h_want
             else:
@@ -306,3 +308,72 @@ def test_curvature_report_and_audit_compute_each_quantity_once(monkeypatch):
     calls.clear()
     standardness_audit(ch2())
     assert calls == once
+
+
+def test_einstein_report_and_audit_share_one_curvature(monkeypatch):
+    calls = []
+    real = solvable.killing_form
+
+    def spy(s):
+        calls.append(1)
+        return real(s)
+
+    monkeypatch.setattr(solvable, "killing_form", spy)
+    s = ch2()
+    einstein_check(s)
+    curvature_report(s)
+    standardness_audit(s)
+    assert len(calls) == 1
+
+
+def _moved_in_n(rng, s):
+    """g.mu for a random g that maps n into n (zero a-rows, n-columns block)."""
+    m, d = s.dim_a, s.dim
+    a, n = random_exact_gl(rng, m), random_exact_gl(rng, d - m)
+    g = [[a[i][j] if i < m and j < m else
+          n[i - m][j - m] if i >= m and j >= m else
+          rand_frac(rng) if i >= m else F(0) for j in range(d)] for i in range(d)]
+    if not s.bracket.is_exact_mode:
+        g = np.array(g, dtype=float) + np.diag(0.1 * rng.normal(size=d))
+    return MetricSolvableAlgebra(m, d - m, act(g, s.bracket))
+
+
+def test_audit_terms_and_s_ad_h_match_dense_routes():
+    # exact terms are equal.  Float terms are bitwise equal on the Lie
+    # algebras audited at their own label, the case `einstein --audit` runs;
+    # for an arbitrary beta the summation order differs from the dense route,
+    # so they agree to the a-priori bound of an nnz-term float sum.
+    rng = np.random.default_rng(51)
+    nonzero = 0
+    for s in _algebra_battery(rng):
+        mu, m = s.bracket, s.dim_a
+        if s.dim_n == 0:
+            continue
+        # the audit lives on algebras whose bracket takes values in n
+        s = MetricSolvableAlgebra(m, s.dim_n, BracketTensor(
+            mu.dim, {key: c for key, c in mu.coeffs.items() if key[2] > m}, mu.scalar_mode))
+        lie = jacobi_check(s.bracket)[0]
+        for t in (s, _moved_in_n(rng, s)):
+            exact = t.bracket.is_exact_mode
+            h = mean_curvature(t)
+            sh_got, sh_want = solvable._s_ad_h(t, h), dense_s_ad_h(t, h)
+            assert sh_got == sh_want if exact else repr(sh_got) == repr(sh_want)
+            betas = [DiagonalWeight.make([rand_frac(rng) for _ in range(t.dim_n)])]
+            betas += [None] if lie else []
+            for beta in betas:
+                aud = standardness_audit(t, beta=beta)
+                shift = aud.beta.shifted() if aud.beta else (F(1) if exact else 1.0,) * t.dim_n
+                got = (aud.term1, aud.term2, aud.term3)
+                want = dense_audit_terms(t, shift)
+                if exact:
+                    assert got == want
+                elif beta is None:
+                    assert repr(got) == repr(want)
+                else:
+                    e = [0.0] * m + [abs(float(x)) for x in shift]
+                    scale = sum((e[i - 1] + e[j - 1] + e[k - 1]) * float(c) ** 2
+                                for (i, j, k), c in t.bracket.coeffs.items())
+                    bound = 2 * t.bracket.nnz * np.finfo(float).eps * scale
+                    assert all(abs(x - y) <= bound for x, y in zip(got, want))
+                nonzero += all(x != 0 for x in got)
+    assert nonzero >= 10
