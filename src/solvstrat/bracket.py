@@ -22,7 +22,6 @@ counts twice:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -184,19 +183,17 @@ def act(g, mu: BracketTensor) -> "BracketTensor":
     return BracketTensor.from_array(out)
 
 
-_ACT_SUBSCRIPTS = "pi,qj,pqr,kr->ijk"
-
-
 def act_array(g: np.ndarray, ginv: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    path = _act_path(ginv.shape, arr.shape, g.shape)
-    return np.einsum(_ACT_SUBSCRIPTS, ginv, ginv, arr, g, optimize=path)
+    """out_ijk = sum_pqr ginv_pi ginv_qj arr_pqr g_kr as three (n^2, n) matmuls.
 
-
-@functools.cache
-def _act_path(ginv_shape, arr_shape, g_shape) -> list:
-    """The contraction order einsum(optimize=True) picks; it depends on shapes only."""
-    ginv, arr, g = np.zeros(ginv_shape), np.zeros(arr_shape), np.zeros(g_shape)
-    return np.einsum_path(_ACT_SUBSCRIPTS, ginv, ginv, arr, g, optimize=True)[0]
+    The stages contract p, then q, then r, with the operand layouts of the
+    contraction order einsum(optimize=True) picks, so the result is bitwise
+    that einsum's.
+    """
+    n = arr.shape[0]
+    t = arr.transpose(1, 2, 0).reshape(n * n, n) @ ginv
+    t = t.reshape(n, n, n).transpose(2, 1, 0).reshape(n * n, n) @ ginv
+    return (t.reshape(n, n, n).transpose(0, 2, 1).reshape(n * n, n) @ g.T).reshape(n, n, n)
 
 
 def rep(alpha, mu: BracketTensor) -> "BracketTensor":

@@ -20,6 +20,8 @@ every iterate exactly inside the closure of the starting orbit.  That matters
 when the starting bracket satisfies the Jacobi identity: Euler steps drift
 off the variety of Lie brackets at O(h^2) per step, and near a saddle of
 |M|^2 the drift escapes toward strata that the orbit closure never meets.
+M is fixed during a step, so one eigendecomposition M = q diag(w) q^T per
+iteration gives exp(-h M) and exp(h M) for every halved h.
 """
 
 from __future__ import annotations
@@ -96,9 +98,11 @@ def ricci_moment(mu: BracketTensor) -> MomentValue:
     return MomentValue(ric, 4.0 * ric / nsq, nsq)
 
 
-def expm_sym(s: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(t s) for symmetric s via its eigendecomposition."""
-    w, q = np.linalg.eigh(s)
+def expm_sym(w: np.ndarray, q: np.ndarray, t: float) -> np.ndarray:
+    """exp(t s) for the symmetric s with eigendecomposition (w, q) = eigh(s).
+
+    Callers decompose s once and take every exponential of it from that.
+    """
     return (q * np.exp(t * w)) @ q.T
 
 
@@ -177,8 +181,9 @@ def flow_to_critical(
             break
         h = step
         accepted = False
+        w, q = np.linalg.eigh(m)
         while h >= 1e-15:
-            new = act_array(expm_sym(m, -h), expm_sym(m, h), arr)
+            new = act_array(expm_sym(w, q, -h), expm_sym(w, q, h), arr)
             new /= _norm(new)
             m_new, msq_new = moment_of(new)
             if msq_new <= msq + 1e-14:
@@ -330,9 +335,9 @@ def semistability_probe(
     slice direction and then descends |g.mu|^2 by gradient steps along the
     slice; the gradient coefficient along a is 4 <Ric, a>.
     """
-    w = in_W(mu, beta, tol=1e-8)
-    if not w.ok:
-        raise ValueError(f"mu is not in W_beta (minimal slack {float(w.residual):g})")
+    member = in_W(mu, beta, tol=1e-8)
+    if not member.ok:
+        raise ValueError(f"mu is not in W_beta (minimal slack {float(member.residual):g})")
     basis = _slice_basis(beta)
     rng = np.random.default_rng(seed)
     arr0 = mu.to_array()
@@ -341,8 +346,8 @@ def semistability_probe(
     for r in range(restarts):
         if basis:
             coeffs = rng.standard_normal(len(basis)) * (perturb if r else 0.0)
-            d = sum(c * b for c, b in zip(coeffs, basis))
-            nu = act_array(expm_sym(d), expm_sym(d, -1.0), arr0)
+            w, q = np.linalg.eigh(sum(c * b for c, b in zip(coeffs, basis)))
+            nu = act_array(expm_sym(w, q, 1.0), expm_sym(w, q, -1.0), arr0)
         else:
             nu = arr0.copy()
         nsq = float(np.sum(nu * nu))
@@ -364,11 +369,11 @@ def semistability_probe(
                 break
             # unit-length direction keeps the decay rate multiplicative even
             # as the norm collapses; the stall window below handles the basin
-            d = sum(-(gi / gn) * bi for gi, bi in zip(g, basis))
+            w, q = np.linalg.eigh(sum(-(gi / gn) * bi for gi, bi in zip(g, basis)))
             h = step
             accepted = False
             while h > 1e-14:
-                new = act_array(expm_sym(d, h), expm_sym(d, -h), nu)
+                new = act_array(expm_sym(w, q, h), expm_sym(w, q, -h), nu)
                 new_nsq = float(np.sum(new * new))
                 if new_nsq <= nsq:
                     nu, nsq = new, new_nsq

@@ -69,11 +69,6 @@ def transpose(m: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*m)]
 
 
-def matmul(a, b) -> list[list]:
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def mat_sub(a, b) -> list[list]:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -87,7 +82,11 @@ def trace(a):
 
 
 def trace_product(a, b):
-    """tr(a b) from the diagonal of the product only, summed as trace(matmul(a, b))."""
+    """tr(a b) from the diagonal of the product only.
+
+    Each diagonal entry sums sum_k a_ik b_ki over k ascending, and the trace
+    sums those entries over i ascending, the order of a full product's trace.
+    """
     return sum(sum(x * row[i] for x, row in zip(a[i], b)) for i in range(len(a)))
 
 

@@ -492,7 +492,7 @@ def standardness_audit(s: MetricSolvableAlgebra, beta: DiagonalWeight | None = N
 
     nonneg_ok = nonneg(term1) and nonneg(term2) and nonneg(term3)
     std = is_standard(s, tol)
-    shift_positive = min(float(x) for x in shift) > 0
+    shift_positive = all(float(x) > 0 for x in shift)
     forces = ec.ok and shift_positive and abs(float(term2)) <= tol
     return AuditReport(zero_branch, beta, kappa, c, lhs, term1, term2, term3,
                        identity_residual, tr_e_sq_residual, tr_adh_residual,

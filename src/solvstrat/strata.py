@@ -218,7 +218,7 @@ def _trace_value(d, beta_entries) -> Scalar:
     return sum(b * d[i][i] for i, b in enumerate(beta_entries))
 
 
-def _adbeta_gram(basis, b: Sequence[Scalar]) -> list[list[Scalar]]:
+def _adbeta_gram(basis, b: Sequence[Scalar], exact: bool) -> list[list[Scalar]]:
     """Gram matrix of <[beta, D], D> = sum_ij (b_i - b_j) D_ij^2 on span(basis).
 
     The form is diagonal in matrix entries, so each element is kept once as
@@ -226,18 +226,21 @@ def _adbeta_gram(basis, b: Sequence[Scalar]) -> list[list[Scalar]]:
     pair sums only over the entries the two elements share.  Entry (c, a),
     c >= a, is summed in the order of the full n^2 sum, so float lower
     triangles (all that eigvalsh reads) are bitwise those of that sum; the
-    upper triangle mirrors it.
+    upper triangle mirrors it.  The differences b_i - b_j are tabulated once,
+    as floats unless exact: a Fraction times a float is computed as
+    float(Fraction) times that float, so the float sums do not change.
     """
     n = len(b)
+    diff = [[b[i] - b[j] if exact else float(b[i] - b[j]) for j in range(n)] for i in range(n)]
     sparse = [{(i, j): d[i][j] for i in range(n) for j in range(n)
-               if b[i] != b[j] and d[i][j]} for d in basis]
+               if diff[i][j] and d[i][j]} for d in basis]
     k = len(basis)
     gram = [[0] * k for _ in range(k)]
     for a, da in enumerate(sparse):
         for c in range(a, k):
             dc = sparse[c]
             gram[c][a] = gram[a][c] = sum(
-                (b[i] - b[j]) * dc[i, j] * x for (i, j), x in da.items() if (i, j) in dc)
+                diff[i][j] * dc[i, j] * x for (i, j), x in da.items() if (i, j) in dc)
     return gram
 
 
@@ -271,7 +274,7 @@ def derivation_certificates(
 
     parabolic = all(parabolic_membership(d, beta, tol) for d in basis)
 
-    gram = _adbeta_gram(basis, b)
+    gram = _adbeta_gram(basis, b, exact)
     qmin = float(np.linalg.eigvalsh(np.asarray(gram, dtype=float)).min())
     adbeta = linalg.is_psd(gram) if exact else qmin >= -tol
 

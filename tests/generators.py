@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from oracles import matmul
 from solvstrat import linalg
 from solvstrat.bracket import BracketTensor, act, direct_sum
 from solvstrat.catalog import abelian, filiform4, heisenberg3
@@ -86,7 +87,7 @@ def random_exact_gl(rng: np.random.Generator, n: int):
     diag_pool = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(3, 2)]
     d = [[diag_pool[int(rng.integers(0, len(diag_pool)))] if r == c else Fraction(0)
           for c in range(n)] for r in range(n)]
-    return linalg.matmul(linalg.matmul(p, u), d)
+    return matmul(matmul(p, u), d)
 
 
 def random_nilpotent(rng: np.random.Generator, dim: int,

@@ -10,6 +10,7 @@ import numpy as np
 from solvstrat import linalg
 from solvstrat.bracket import (DEFAULT_TOL, BracketTensor, _reduce_basis, inner,
                                rep, rep_array)
+from solvstrat.flow import CHOP, FlowResult, ric_array
 from solvstrat.linalg import ONE, ZERO, dot
 from solvstrat.minnorm import (MinNormResult, PointSet, Vec, _affine_minimizer,
                                _scaled)
@@ -33,6 +34,12 @@ def ricci_moment_via_duality(mu: BracketTensor):
             e[a, b] = 1.0
             out[a, b] = 0.25 * float(np.sum(rep_array(e, arr) * arr))
     return out
+
+
+def matmul(a, b) -> list[list]:
+    """Dense product of two matrices given as lists of rows."""
+    bt = linalg.transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def matvec(a, v) -> list:
@@ -112,7 +119,7 @@ def _mat_add(a, b):
 
 
 def _commutator(a, b):
-    return linalg.mat_sub(linalg.matmul(a, b), linalg.matmul(b, a))
+    return linalg.mat_sub(matmul(a, b), matmul(b, a))
 
 
 def dense_s_ad_h(s, h):
@@ -164,7 +171,85 @@ def dense_killing_form(s):
     """B_ij = tr(ad b_i ad b_j) from the dense ad matrices."""
     ads = [dense_ad(s, i) for i in range(1, s.dim + 1)]
     d = s.dim
-    return [[linalg.trace(linalg.matmul(ads[i], ads[j])) for j in range(d)] for i in range(d)]
+    return [[linalg.trace(matmul(ads[i], ads[j])) for j in range(d)] for i in range(d)]
+
+
+def einsum_act_array(g: np.ndarray, ginv: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """g.arr as one einsum, in the contraction order optimize=True picks."""
+    return np.einsum("pi,qj,pqr,kr->ijk", ginv, ginv, arr, g, optimize=True)
+
+
+def _eigh_expm_sym(s: np.ndarray, t: float) -> np.ndarray:
+    w, q = np.linalg.eigh(s)
+    return (q * np.exp(t * w)) @ q.T
+
+
+def eigh_per_exponential_flow(mu0: BracketTensor, step: float, tol: float, max_iter: int,
+                              record_trace: bool) -> FlowResult:
+    """The descent flow with einsum act and its own eigh inside each exponential."""
+    def norm(a):
+        return float(np.sqrt(np.sum(a * a)))
+
+    def moment_of(a):
+        m = 4.0 * ric_array(a)
+        return m, float(np.sum(m * m))
+
+    arr = mu0.to_array()
+    arr /= norm(arr)
+    trace = [] if record_trace else None
+    m, msq = moment_of(arr)
+    converged = False
+    message = "max_iter reached without tangency"
+    best = None
+    it = 0
+    for it in range(max_iter + 1):
+        grad = rep_array(m, arr)
+        tang = grad - float(np.sum(grad * arr)) * arr
+        res = norm(tang)
+        if trace is not None:
+            trace.append((it, msq, res))
+        if best is None or res < best[0]:
+            best = (res, arr, m)
+        if res <= tol:
+            converged = True
+            message = "tangency residual below tol"
+            break
+        if best[0] < 1e-6 and res > 1e3 * max(best[0], tol):
+            message = ("tangency rebounded after nearing a critical point; "
+                       "keeping the best iterate")
+            break
+        if it == max_iter:
+            break
+        h = step
+        accepted = False
+        while h >= 1e-15:
+            new = einsum_act_array(_eigh_expm_sym(m, -h), _eigh_expm_sym(m, h), arr)
+            new /= norm(new)
+            m_new, msq_new = moment_of(new)
+            if msq_new <= msq + 1e-14:
+                arr, m, msq = new, m_new, msq_new
+                accepted = True
+                break
+            h *= 0.5
+        if not accepted:
+            message = "step size underflow before tangency"
+            break
+    res, arr, m = best
+    spec, q = np.linalg.eigh(m)
+    aligned_arr = einsum_act_array(q.T, q, arr)
+    limit = BracketTensor.from_array(arr)
+    top = float(np.abs(aligned_arr).max())
+    aligned = BracketTensor.from_array(aligned_arr, chop=CHOP * max(top, 1e-300))
+    nsq_b = float(np.sum(spec * spec))
+    gaps = [float(spec[k - 1] - spec[i - 1] - spec[j - 1]) - nsq_b
+            for (i, j, k) in aligned.coeffs]
+    residuals = {
+        "tangency": res,
+        "z_membership": max((abs(g) for g in gaps), default=0.0),
+        "m_equals_one": abs(min(gaps, default=0.0)) / nsq_b if nsq_b else float("inf"),
+    }
+    return FlowResult(limit, aligned, tuple(float(x) for x in spec), residuals, it,
+                      converged, message, trace)
 
 
 def _unit(n: int, exact: bool):

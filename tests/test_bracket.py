@@ -7,8 +7,8 @@ import pytest
 
 from generators import (rand_frac, random_exact_gl, random_nilpotent,
                         random_tensor, shuffled)
-from oracles import (eval_is_solvable, eval_jacobi_residual,
-                     eval_lower_central_series, matvec)
+from oracles import (einsum_act_array, eval_is_solvable, eval_jacobi_residual,
+                     eval_lower_central_series, matmul, matvec)
 from solvstrat import linalg
 from solvstrat.bracket import (BracketTensor, act, act_array, derivations,
                                direct_sum, inner, is_nilpotent, is_solvable,
@@ -102,7 +102,7 @@ def test_act_identity_and_group_law():
     assert act(linalg.identity(4), mu).coeffs == mu.coeffs
     g = random_exact_gl(rng, 4)
     h = random_exact_gl(rng, 4)
-    assert act(g, act(h, mu)).coeffs == act(linalg.matmul(g, h), mu).coeffs
+    assert act(g, act(h, mu)).coeffs == act(matmul(g, h), mu).coeffs
 
 
 def test_act_definition_on_vectors():
@@ -227,7 +227,7 @@ def test_equivariance_of_rep_under_act():
     g = random_exact_gl(rng, 4)
     a = [[rand_frac(rng, 2, 2) for _ in range(4)] for _ in range(4)]
     lhs = act(g, rep(a, mu))
-    conj = linalg.matmul(linalg.matmul(g, a), linalg.invert(g))
+    conj = matmul(matmul(g, a), linalg.invert(g))
     rhs = rep(conj, act(g, mu))
     assert lhs.coeffs == rhs.coeffs
 
@@ -364,12 +364,35 @@ def test_series_match_eval_oracles():
         assert is_solvable(mu) == eval_is_solvable(mu)
 
 
-def test_act_array_cached_path_matches_optimize_true():
+def test_act_array_matches_the_einsum_route():
     rng = np.random.default_rng(42)
     for n in range(2, 9):
         g = np.eye(n) + 0.3 * rng.normal(size=(n, n))
         ginv = np.linalg.inv(g)
         arr = rng.normal(size=(n, n, n))
         want = np.einsum("pi,qj,pqr,kr->ijk", ginv, ginv, arr, g, optimize=True)
-        for _ in range(2):  # planned, then from the cache
-            assert np.array_equal(act_array(g, ginv, arr), want)
+        assert np.array_equal(act_array(g, ginv, arr), want)
+
+
+def _act_battery():
+    """(g, ginv, arr): n = 1..8, dense and 70%-zero arrays, GL and orthogonal factors."""
+    rng = np.random.default_rng(43)
+    for n in range(1, 9):
+        for _ in range(6):
+            arr = rng.normal(size=(n, n, n))
+            sparse = arr * (rng.random((n, n, n)) >= 0.7)
+            g = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            for a in (arr, sparse):
+                yield g, np.linalg.inv(g), a
+                yield q, q.T, a
+                yield q.T, q, a
+
+
+def test_act_array_is_bitwise_the_einsum_route():
+    # tobytes() tells -0.0 from 0.0, which array_equal does not
+    cases = 0
+    for g, ginv, arr in _act_battery():
+        assert act_array(g, ginv, arr).tobytes() == einsum_act_array(g, ginv, arr).tobytes()
+        cases += 1
+    assert cases == 8 * 6 * 6

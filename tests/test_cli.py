@@ -218,6 +218,16 @@ def test_einstein_audit_block(tmp_path, capsys):
     assert json.loads(out2)["audit"]["beta"] == ["-1", "-1", "1"]
 
 
+def test_einstein_audit_on_a_flat_algebra_with_no_nilpotent_part(tmp_path, capsys):
+    # dim_n = 0: the flat R^2, with an empty shift
+    f = put(tmp_path, "flat.json", {"dim_a": 2, "dim_n": 0, "brackets": []})
+    code, out, _ = run(capsys, "einstein", f, "--audit", "--format", "json")
+    assert code == 0
+    aud = json.loads(out)["audit"]
+    assert aud["standard_ok"] is True
+    assert aud["forces_standard"] is True
+
+
 def test_einstein_audit_computes_the_curvature_once(tmp_path, capsys, monkeypatch):
     from solvstrat import solvable
 

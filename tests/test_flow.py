@@ -7,9 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from generators import random_nilpotent
-from oracles import ricci_moment_via_duality
-from solvstrat.bracket import BracketTensor, act, act_array, jacobi_residual, permutation_act
+from generators import free_two_step, random_nilpotent
+from oracles import eigh_per_exponential_flow, ricci_moment_via_duality
+from solvstrat import flow
+from solvstrat.bracket import BracketTensor, act_array, direct_sum, permutation_act
 from solvstrat.catalog import filiform4, heisenberg3, so3
 from solvstrat.flow import (expm_sym, flow_to_critical, ric_array,
                             ricci_moment, semistability_probe, stratum_detect)
@@ -86,11 +87,12 @@ def test_ricci_permutation_equivariance_exact():
 
 def test_expm_sym():
     d = np.diag([1.0, -2.0, 0.5])
-    assert np.max(np.abs(expm_sym(d) - np.diag(np.exp([1.0, -2.0, 0.5])))) < 1e-12
+    assert np.max(np.abs(expm_sym(*np.linalg.eigh(d), 1.0)
+                         - np.diag(np.exp([1.0, -2.0, 0.5])))) < 1e-12
     rng = np.random.default_rng(4)
     a = rng.standard_normal((4, 4))
-    s = (a + a.T) / 2
-    assert np.max(np.abs(expm_sym(s, 0.3) @ expm_sym(s, -0.3) - np.eye(4))) < 1e-12
+    w, q = np.linalg.eigh((a + a.T) / 2)
+    assert np.max(np.abs(expm_sym(w, q, 0.3) @ expm_sym(w, q, -0.3) - np.eye(4))) < 1e-12
 
 
 def test_flow_fixed_points():
@@ -131,6 +133,62 @@ def test_flow_msq_monotone_along_trace():
     msq = [row[1] for row in fr.trace]
     assert all(a >= b - 1e-12 for a, b in zip(msq, msq[1:]))
     assert fr.trace[0][0] == 0
+
+
+def _gl_moved_brackets():
+    """Float GL-moved h3, fil4, free3 and h3+h3, g = I + 0.1 N(0, 1), two draws each."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for name, mu in (("h3", H3), ("fil4", N4), ("free3", free_two_step(3)),
+                     ("h3+h3", direct_sum(H3, H3))):
+        for draw in range(2):
+            g = np.eye(mu.dim) + 0.1 * rng.standard_normal((mu.dim, mu.dim))
+            moved = BracketTensor.from_array(act_array(g, np.linalg.inv(g), mu.to_array()))
+            cases.append((f"{name}-{draw}", moved))
+    return cases
+
+
+@pytest.mark.parametrize("step", [0.1, 2.0])
+@pytest.mark.parametrize("mu", [pytest.param(mu, id=name) for name, mu in _gl_moved_brackets()])
+def test_flow_matches_the_eigh_per_exponential_route(mu, step):
+    # one eigh per iteration and the staged act give the same floats as an
+    # eigh inside every exponential and the einsum act; repr tells -0.0 apart
+    got = flow_to_critical(mu, step=step, max_iter=200, record_trace=True)
+    want = eigh_per_exponential_flow(mu, step=step, tol=flow.FLOW_TOL, max_iter=200,
+                                     record_trace=True)
+    for field in ("limit", "aligned"):
+        assert repr(getattr(got, field).coeffs) == repr(getattr(want, field).coeffs)
+    for field in ("spectrum", "residuals", "iterations", "converged", "message", "trace"):
+        assert repr(getattr(got, field)) == repr(getattr(want, field))
+
+
+def test_flow_decomposes_the_moment_once_per_iteration(monkeypatch):
+    # expm_sym runs twice per attempted step (perfbench derives the attempt
+    # count from those calls); eigh runs once per iteration that steps and
+    # once for the final alignment
+    counts = {"expm_sym": 0, "act_array": 0, "eigh": 0}
+
+    def counting(name, fn):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(flow, "expm_sym", counting("expm_sym", flow.expm_sym))
+    monkeypatch.setattr(flow, "act_array", counting("act_array", flow.act_array))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    halvings = 0
+    for _, mu in _gl_moved_brackets():
+        for step in (0.1, 2.0):
+            for key in counts:
+                counts[key] = 0
+            fr = flow_to_critical(mu, step=step, max_iter=200)
+            assert fr.message != "step size underflow before tangency"
+            attempts = counts["act_array"] - 1   # one act per attempt, one to align
+            assert counts["expm_sym"] == 2 * attempts
+            assert counts["eigh"] == fr.iterations + 1
+            halvings += attempts - fr.iterations
+    assert halvings > 0
 
 
 def test_flow_input_validation():
@@ -202,7 +260,6 @@ def test_stratum_detect_keyword_arguments():
 
 def test_stratum_detect_direct_sum_under_rotation():
     rng = np.random.default_rng(8)
-    from solvstrat.bracket import direct_sum
     hh = direct_sum(H3, H3)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     mu = BracketTensor.from_array(act_array(q, q.T, hh.to_array()))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from generators import filiform, free_two_step, rand_frac
-from oracles import dense_nullspace, solve
+from oracles import dense_nullspace, matmul, solve
 from solvstrat import linalg
 from solvstrat.bracket import derivations
 from solvstrat.catalog import filiform4, heisenberg3
@@ -30,7 +30,7 @@ def _sparse_random(rng, rows, cols, density=0.4):
 def _low_rank(rng, rows, cols, rank):
     left = _sparse_random(rng, rows, rank, 0.6)
     right = _sparse_random(rng, rank, cols, 0.6)
-    return linalg.matmul(left, right)
+    return matmul(left, right)
 
 
 def _battery():
@@ -95,10 +95,10 @@ def test_trace_product_equals_trace_of_matmul():
     for n in range(1, 8):
         a = [[rand_frac(rng) for _ in range(n)] for _ in range(n)]
         b = [[rand_frac(rng) for _ in range(n)] for _ in range(n)]
-        assert linalg.trace_product(a, b) == linalg.trace(linalg.matmul(a, b))
+        assert linalg.trace_product(a, b) == linalg.trace(matmul(a, b))
         fa, fb = rng.normal(size=(n, n)).tolist(), rng.normal(size=(n, n)).tolist()
         assert (repr(linalg.trace_product(fa, fb))
-                == repr(linalg.trace(linalg.matmul(fa, fb))))
+                == repr(linalg.trace(matmul(fa, fb))))
 
 
 def test_solve_integer_matches_rref_solve_on_a_battery():

@@ -241,7 +241,7 @@ def test_float_quadratic_min_bounds_every_unit_derivation():
         b = np.array([float(x) for x in chamber.entries])
         basis = derivations(moved.to_float())
         qmin = derivation_certificates(moved.to_float(), DiagonalWeight.make(b)).quadratic_min
-        gram = np.asarray(strata._adbeta_gram(basis, b), dtype=float)
+        gram = np.asarray(strata._adbeta_gram(basis, b, False), dtype=float)
         coeffs = list(rng.standard_normal((20, len(basis))))
         coeffs.append(np.linalg.eigh(gram)[1][:, 0])
         values = []
@@ -286,11 +286,11 @@ def _gram_cases():
 @pytest.mark.parametrize("mu", _gram_cases())
 def test_adbeta_gram_matches_the_dense_form(mu, monkeypatch):
     moved, chamber = _chamber_pair(mu)
-    got = strata._adbeta_gram(derivations(moved), chamber.entries)
+    got = strata._adbeta_gram(derivations(moved), chamber.entries, True)
     cert = derivation_certificates(moved, chamber)
     dense = []
 
-    def dense_gram(basis, b):
+    def dense_gram(basis, b, exact):
         dense.append(dense_adbeta_gram(basis, b))
         return dense[-1]
 
@@ -305,7 +305,7 @@ def test_adbeta_gram_matches_the_dense_form_in_float_mode(monkeypatch):
         moved, chamber = _chamber_pair(mu)
         beta = DiagonalWeight.make([float(x) for x in chamber.entries])
         basis = derivations(moved.to_float())
-        got = strata._adbeta_gram(basis, beta.entries)
+        got = strata._adbeta_gram(basis, beta.entries, False)
         want = dense_adbeta_gram(basis, beta.entries)
         # rounding makes the dense sum slightly asymmetric; the lower
         # triangle, which eigvalsh reads, agrees bit for bit
@@ -314,8 +314,24 @@ def test_adbeta_gram_matches_the_dense_form_in_float_mode(monkeypatch):
                 assert got[c][a] == want[c][a] and got[a][c] == got[c][a]
         with monkeypatch.context() as m:
             sparse_cert = derivation_certificates(moved.to_float(), beta)
-            m.setattr(strata, "_adbeta_gram", dense_adbeta_gram)
+            m.setattr(strata, "_adbeta_gram", lambda basis, b, exact: dense_adbeta_gram(basis, b))
             assert derivation_certificates(moved.to_float(), beta) == sparse_cert
+
+
+def test_adbeta_gram_with_an_exact_label_on_a_float_basis():
+    # stratum certifies a float limit against a rationalized label: the
+    # tabulated float(b_i - b_j) must give the dense Fraction-times-float sum
+    # bit for bit (repr tells -0.0 apart) on the lower triangle
+    rng = np.random.default_rng(31)
+    for mu in [N4, free_two_step(3)] + [random_nilpotent(rng, 5) for _ in range(5)]:
+        moved, chamber = _chamber_pair(mu)
+        basis = derivations(moved.to_float())
+        got = strata._adbeta_gram(basis, chamber.entries, False)
+        want = dense_adbeta_gram(basis, chamber.entries)
+        for c in range(len(basis)):
+            for a in range(c + 1):
+                assert repr(float(got[c][a])) == repr(float(want[c][a]))
+                assert got[a][c] is got[c][a]
 
 
 @pytest.mark.parametrize("mu,beta,dim_der", [
