@@ -8,7 +8,8 @@ Bracket files (1-based indices, a-block first, [x_i, x_j] = sum_k c e_k):
      "gram": [[...], ...]}          # optional inner product matrix
 
 Scalars are ints, floats, or "p/q" strings; ints and strings stay exact.
-Point set files:
+Point set files (exact entries only: ints or "p/q" strings; "labels", if
+present, is a list of strings, one per point):
 
     {"dim": 3, "points": [["-1", "-1", "1"], ["-1", "0", "0"]]}
 
@@ -21,7 +22,7 @@ import json
 from dataclasses import dataclass
 
 from .bracket import BracketTensor
-from .linalg import format_scalar, parse_scalar
+from .linalg import format_scalar, is_exact, parse_scalar
 from .minnorm import MinNormResult, PointSet
 
 
@@ -134,10 +135,18 @@ def read_point_set(path) -> PointSet:
         if not isinstance(p, list) or len(p) != dim:
             raise FormatError(f"{where}.points[{pos}]: expected a list of length {dim}")
         try:
-            pts.append([parse_scalar(x) for x in p])
+            row = [parse_scalar(x) for x in p]
         except ValueError as exc:
             raise FormatError(f"{where}.points[{pos}]: {exc}") from exc
+        inexact = next((x for x in row if not is_exact(x)), None)
+        if inexact is not None:
+            raise FormatError(f"{where}.points[{pos}]: entries must be integers or "
+                              f"'p/q' strings, got {inexact!r}")
+        pts.append(row)
     labels = obj.get("labels")
+    if labels is not None and (not isinstance(labels, list)
+                               or not all(isinstance(s, str) for s in labels)):
+        raise FormatError(f"{where}.labels: expected a list of strings")
     try:
         return PointSet.make(pts, labels)
     except ValueError as exc:

@@ -1,6 +1,6 @@
 """Exact minimum-norm point of a convex hull of rational points.
 
-One solver and one canonicalisation, both over Fraction arithmetic:
+One solver and one canonicalisation, both on integers:
 
   * min_norm_point  Wolfe's active-set method.  It returns the optimum with
                     the final corral's weights: exact, strictly positive and
@@ -16,6 +16,21 @@ One solver and one canonicalisation, both over Fraction arithmetic:
                     corral; if no (m-1)-subset is dependent, no smaller
                     one is, and the sizes below m are skipped.
 
+Integer representation.  A point set is scaled once (PointSet.scaled): with
+den the lcm of all coordinate denominators, P_i = den p_i are integer
+vectors and G_ij = <P_i, P_j> = den^2 <p_i, p_j> is their integer Gram
+matrix.  A convex combination x = sum_c w_c p_c is held as integer
+numerators y_c = d w_c over a common denominator d, so that
+
+    den^2 d <x, p_i> = (G y)_i,    den^2 d^2 |x|^2 = y . G y,
+
+and every comparison the solvers make (Wolfe's pricing, the active set) is
+one between integers.  Fractions appear only at the boundary: the KKT
+solves return them, and the point is formed once, x_r = sum_c y_c P_cr /
+(den d).  MinNormResult.verify re-derives its five conditions from the
+scaled coordinates and the point's own integer numerator, independently of
+the solvers' state.
+
 The optimum itself is unique by strict convexity, so callers that need only
 the point (the stratum label) skip the canonical search; the canonical
 support makes full results comparable as data.
@@ -23,8 +38,10 @@ support makes full results comparable as data.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -61,6 +78,11 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.points)
 
+    @functools.cached_property
+    def scaled(self) -> _ScaledPoints:
+        """Denominator-cleared coordinates and integer Gram matrix, computed once."""
+        return _scaled(self)
+
 
 @dataclass(frozen=True)
 class MinNormResult:
@@ -76,16 +98,25 @@ class MinNormResult:
     def verify(self, ps: PointSet) -> None:
         """Check exact feasibility and the variational optimality condition.
 
+        Works on integers: the scaled coordinates P = den p, the point's
+        numerator X = q x and the weights' numerators W = l w, with q and l
+        the lcm of the point's and the weights' denominators; <x, p_i> >=
+        |x|^2 becomes q <X, P_i> >= den <X, X>.  It reads neither the Gram
+        matrix nor any solver state, so it checks the solvers independently.
         Raises RuntimeError naming the first condition that fails.
         """
-        recon = tuple(sum(w * p[c] for w, p in zip(self.weights, ps.points))
-                      for c in range(ps.dim))
-        nsq = self.norm_sq()
+        sc = ps.scaled
+        q, xs = _numerators(self.point)
+        lw, ws = _numerators(self.weights)
+        used = [(wi, p) for wi, p in zip(ws, sc.coords) if wi]
+        # recon_r = l den (sum_i w_i p_i)_r, to compare with X_r / q
+        recon = tuple(q * sum(wi * p[r] for wi, p in used) for r in range(ps.dim))
+        nsq = sc.den * _dot(xs, xs)
         for ok, condition in (
-                (sum(self.weights) == 1, "weights sum to 1"),
-                (all(w >= 0 for w in self.weights), "weights are nonnegative"),
-                (recon == self.point, "weights reproduce the point"),
-                (all(dot(self.point, p) >= nsq for p in ps.points), "<x, p> >= |x|^2"),
+                (sum(ws) == lw, "weights sum to 1"),
+                (all(wi >= 0 for wi in ws), "weights are nonnegative"),
+                (recon == tuple(lw * sc.den * xr for xr in xs), "weights reproduce the point"),
+                (all(q * _dot(xs, p) >= nsq for p in sc.coords), "<x, p> >= |x|^2"),
                 (self.support == tuple(i for i, w in enumerate(self.weights) if w != 0),
                  "support is the set of nonzero weights")):
             if not ok:
@@ -103,15 +134,34 @@ class _ScaledPoints:
 
 def _scaled(ps: PointSet) -> _ScaledPoints:
     den = math.lcm(*(x.denominator for p in ps.points for x in p))
-    coords = tuple(tuple(int(x * den) for x in p) for p in ps.points)
-    gram = tuple(tuple(sum(a * b for a, b in zip(p, q)) for q in coords)
-                 for p in coords)
+    coords = tuple(tuple(x.numerator * (den // x.denominator) for x in p) for p in ps.points)
+    gram = tuple(tuple(_dot(p, q) for q in coords) for p in coords)
     return _ScaledPoints(den, coords, gram)
 
 
-def _affine_minimizer(sc: _ScaledPoints, pts: Sequence[Vec],
-                      subset: Sequence[int]) -> tuple[list[Fraction], list[Fraction]] | None:
-    """Min-norm point of the affine hull of pts[subset], with weights.
+def _numerators(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(l, [l x for x in xs]) with l the lcm of the denominators."""
+    lcm = math.lcm(*(x.denominator for x in xs))
+    return lcm, [x.numerator * (lcm // x.denominator) for x in xs]
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(operator.mul, u, v))
+
+
+def _gram_products(gram: Sequence[Sequence[int]], idx: Sequence[int],
+                   ys: Sequence[int]) -> tuple[list[int], int]:
+    """(G y, y . G y) for the integer combination y supported on idx.
+
+    With x = sum_t ys[t] p_idx[t] / d and G the Gram matrix of the scaled
+    points, (G y)_i = den^2 d <x, p_i> and y . G y = den^2 d^2 |x|^2.
+    """
+    gy = [_dot(ys, col) for col in zip(*(gram[i] for i in idx))]
+    return gy, _dot(ys, [gy[i] for i in idx])
+
+
+def _affine_minimizer(sc: _ScaledPoints, subset: Sequence[int]) -> list[Fraction] | None:
+    """Barycentric weights of the min-norm point of the affine hull of subset.
 
     Solves the KKT system [G 1; 1^T 0] [w; t] = [0; 1] with G the Gram
     matrix (scaling G by den^2 only rescales the multiplier t, not w).  The
@@ -122,11 +172,7 @@ def _affine_minimizer(sc: _ScaledPoints, pts: Sequence[Vec],
     a = [[sc.gram[i][j] for j in subset] + [1] for i in subset]
     a.append([1] * k + [0])
     sol = linalg.solve_integer(a, [0] * k + [1])
-    if sol is None:
-        return None
-    w = sol[:k]
-    y = [sum(w[t] * pts[i][c] for t, i in enumerate(subset)) for c in range(len(pts[0]))]
-    return w, y
+    return None if sol is None else sol[:k]
 
 
 def min_norm_point(ps: PointSet) -> MinNormResult:
@@ -135,35 +181,35 @@ def min_norm_point(ps: PointSet) -> MinNormResult:
     The corral stays affinely independent throughout: points enter only when
     they strictly violate the optimality condition at the current relative
     interior minimizer, and such points never lie in the corral's affine
-    hull.  All arithmetic is rational, so termination is exact, with no
-    tolerance anywhere.
+    hull.  Pricing is on integers: the corral's weights are held as
+    numerators y over a common denominator d, and the entering point is the
+    first i with the smallest d (G y)_i < y . G y, i.e. the first minimizer
+    of <x, p_i> below |x|^2.  The rare drop step stays in Fractions.  All
+    arithmetic is exact, so termination is exact, with no tolerance
+    anywhere.
     """
-    pts = ps.points
-    sc = _scaled(ps)
-    start = min(range(len(pts)), key=lambda i: (dot(pts[i], pts[i]), pts[i]))
+    sc = ps.scaled
+    gram = sc.gram
+    start = min(range(len(gram)), key=lambda i: (gram[i][i], sc.coords[i]))
     corral = [start]
     w = {start: Fraction(1)}
-    x = list(pts[start])
+    d, ys = 1, [1]
 
     while True:
-        nsq = dot(x, x)
-        best, best_val = None, nsq
-        for i, p in enumerate(pts):
-            v = dot(x, p)
-            if v < best_val:
-                best, best_val = i, v
-        if best is None:
+        gy, ygy = _gram_products(gram, corral, ys)
+        low = min(gy)
+        if d * low >= ygy:
             break
+        best = gy.index(low)
         corral.append(best)
         w[best] = Fraction(0)
         while True:
-            res = _affine_minimizer(sc, pts, corral)
-            if res is None:
+            v = _affine_minimizer(sc, corral)
+            if v is None:
                 raise RuntimeError("Wolfe corral became affinely dependent")
-            v, y = res
             if all(vi > 0 for vi in v):
-                x = y
                 w = dict(zip(corral, v))
+                d, ys = _numerators(v)
                 break
             # step from w toward v until the first weight hits zero
             theta = min(
@@ -174,8 +220,10 @@ def min_norm_point(ps: PointSet) -> MinNormResult:
             corral = [c for c in corral if w[c] > 0]
             w = {c: w[c] for c in corral}
 
-    weights = tuple(w.get(i, Fraction(0)) for i in range(len(pts)))
-    return MinNormResult(tuple(x), weights, tuple(sorted(w)))
+    point = tuple(Fraction(_dot(ys, [sc.coords[c][r] for c in corral]), sc.den * d)
+                  for r in range(ps.dim))
+    weights = tuple(w.get(i, Fraction(0)) for i in range(len(ps.points)))
+    return MinNormResult(point, weights, tuple(sorted(w)))
 
 
 def _eliminate(pivot: list[int], cols: list[list[int]], prev: int) -> tuple[list[list[int]], int]:
@@ -255,9 +303,12 @@ def canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult:
     representation.
     """
     x = res.point
-    sc = _scaled(ps)
-    nsq = dot(x, x)
-    active = [i for i, p in enumerate(ps.points) if dot(x, p) == nsq]
+    sc = ps.scaled
+    # with W = l * weights integral, <x, p_i> = |x|^2 iff l (G W)_i = W . G W
+    used = [i for i, wi in enumerate(res.weights) if wi]
+    lw, ws = _numerators([res.weights[i] for i in used])
+    gw, wgw = _gram_products(sc.gram, used, ws)
+    active = [i for i, v in enumerate(gw) if lw * v == wgw]
     rhs = [xr * sc.den for xr in x]
     row_scale = [r.denominator for r in rhs]
     srows = [[row_scale[r] * c for c in col]

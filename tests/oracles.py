@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -12,8 +15,7 @@ from solvstrat.bracket import (DEFAULT_TOL, BracketTensor, _reduce_basis, inner,
                                rep, rep_array)
 from solvstrat.flow import CHOP, FlowResult, ric_array
 from solvstrat.linalg import ONE, ZERO, dot
-from solvstrat.minnorm import (MinNormResult, PointSet, Vec, _affine_minimizer,
-                               _scaled)
+from solvstrat.minnorm import MinNormResult, PointSet, Vec
 
 
 def ricci_moment_via_duality(mu: BracketTensor):
@@ -304,6 +306,90 @@ def eval_is_solvable(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
         if cur == prev:
             return False
         prev = cur
+
+
+@dataclass(frozen=True)
+class _ScaledPoints:
+    """Denominator-cleared coordinates and Gram matrix of a point set."""
+
+    den: int
+    coords: tuple[tuple[int, ...], ...]
+    gram: tuple[tuple[int, ...], ...]
+
+
+def _scaled(ps: PointSet) -> _ScaledPoints:
+    den = math.lcm(*(x.denominator for p in ps.points for x in p))
+    coords = tuple(tuple(int(x * den) for x in p) for p in ps.points)
+    gram = tuple(tuple(sum(a * b for a, b in zip(p, q)) for q in coords)
+                 for p in coords)
+    return _ScaledPoints(den, coords, gram)
+
+
+def _affine_minimizer(sc: _ScaledPoints, pts: Sequence[Vec],
+                      subset: Sequence[int]) -> tuple[list[Fraction], list[Fraction]] | None:
+    """Min-norm point of the affine hull of pts[subset], with weights.
+
+    Solves the KKT system [G 1; 1^T 0] [w; t] = [0; 1] with G the Gram
+    matrix (scaling G by den^2 only rescales the multiplier t, not w).  The
+    bordered matrix is singular exactly when the subset is affinely
+    dependent, so None doubles as the independence test.
+    """
+    k = len(subset)
+    a = [[sc.gram[i][j] for j in subset] + [1] for i in subset]
+    a.append([1] * k + [0])
+    sol = linalg.solve_integer(a, [0] * k + [1])
+    if sol is None:
+        return None
+    w = sol[:k]
+    y = [sum(w[t] * pts[i][c] for t, i in enumerate(subset)) for c in range(len(pts[0]))]
+    return w, y
+
+
+def fraction_min_norm_point(ps: PointSet) -> MinNormResult:
+    """Wolfe's active-set method with Fraction pricing.
+
+    The reference for the package's integer-priced min_norm_point: the same
+    start, entering and drop rules and the same KKT solves, with the point
+    and every inner product <x, p_i> kept as Fractions.
+    """
+    pts = ps.points
+    sc = _scaled(ps)
+    start = min(range(len(pts)), key=lambda i: (dot(pts[i], pts[i]), pts[i]))
+    corral = [start]
+    w = {start: Fraction(1)}
+    x = list(pts[start])
+
+    while True:
+        nsq = dot(x, x)
+        best, best_val = None, nsq
+        for i, p in enumerate(pts):
+            v = dot(x, p)
+            if v < best_val:
+                best, best_val = i, v
+        if best is None:
+            break
+        corral.append(best)
+        w[best] = Fraction(0)
+        while True:
+            res = _affine_minimizer(sc, pts, corral)
+            if res is None:
+                raise RuntimeError("Wolfe corral became affinely dependent")
+            v, y = res
+            if all(vi > 0 for vi in v):
+                x = y
+                w = dict(zip(corral, v))
+                break
+            # step from w toward v until the first weight hits zero
+            theta = min(
+                (Fraction(w[c]) / (w[c] - vi) for c, vi in zip(corral, v) if vi <= 0),
+                default=Fraction(1),
+            )
+            w = {c: (1 - theta) * w[c] + theta * vi for c, vi in zip(corral, v)}
+            corral = [c for c in corral if w[c] > 0]
+            w = {c: w[c] for c in corral}
+
+    weights = tuple(w.get(i, Fraction(0)) for i in range(len(pts)))
+    return MinNormResult(tuple(x), weights, tuple(sorted(w)))
 
 
 def brute_force_min_norm(ps: PointSet, max_points: int = 12) -> MinNormResult:

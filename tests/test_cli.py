@@ -396,6 +396,44 @@ def test_minnorm_rejects_bad_file(tmp_path, capsys):
     assert "nonempty" in err
 
 
+def test_minnorm_rejects_a_float_coordinate(tmp_path, capsys):
+    # a float is not an exact rational: one error line, no traceback
+    code, out, err = run(capsys, "minnorm",
+                         put(tmp_path, "ps.json", {"dim": 2, "points": [[0.5, 1], [1, 0]]}))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "points[0]" in err
+    assert "entries must be integers or 'p/q' strings" in err
+
+
+@pytest.mark.parametrize("labels", ["ab", ["a", 2], {"a": 1}])
+def test_minnorm_rejects_labels_that_are_not_a_list_of_strings(tmp_path, capsys, labels):
+    obj = {"dim": 1, "points": [[1], [2]], "labels": labels}
+    code, _, err = run(capsys, "minnorm", put(tmp_path, "ps.json", obj))
+    assert code == 3
+    assert "labels: expected a list of strings" in err
+
+
+def test_minnorm_scales_its_point_set_once(tmp_path, capsys, monkeypatch):
+    # min_norm_point, canonical_form and verify all read the one cached
+    # scaling of the point set
+    from solvstrat import minnorm
+
+    calls = []
+    real = minnorm._scaled
+
+    def spy(ps):
+        calls.append(1)
+        return real(ps)
+
+    monkeypatch.setattr(minnorm, "_scaled", spy)
+    ps = {"dim": 2, "points": [["1", "0"], ["-1", "0"], ["0", "1/2"], ["3", "3"]]}
+    code, _, _ = run(capsys, "minnorm", put(tmp_path, "ps.json", ps), "--format", "json")
+    assert code == 0
+    assert calls == [1]
+
+
 def test_console_entry_point_smoke(tmp_path):
     f = tmp_path / "h3.json"
     f.write_text(json.dumps(H3))

@@ -1,15 +1,18 @@
 """Exact minimum-norm point: golden cases, invariants, oracle agreement."""
 
+import ast
 import dataclasses
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from generators import centred_point_set, random_nilpotent, random_point_set
+import oracles
 from oracles import (brute_force_min_norm, dense_nullspace,
-                     exhaustive_canonical_form, solve)
+                     exhaustive_canonical_form, fraction_min_norm_point, solve)
 from solvstrat import linalg, minnorm, strata
 from solvstrat.minnorm import PointSet, canonical_form, min_norm_point
 
@@ -131,6 +134,122 @@ def test_verify_raises_on_a_tampered_result(field, tamper):
     res.verify(ps)
     with pytest.raises(RuntimeError):
         dataclasses.replace(res, **{field: tamper(res)}).verify(ps)
+
+
+def test_verify_reads_a_point_whose_denominator_does_not_divide_the_scale():
+    # den = 3 clears the points, the optimum (1/6, 1/6) needs q = 6
+    ps = PointSet.make([(F(1, 3), F(0)), (F(0), F(1, 3)), (F(1), F(2, 3))])
+    res = min_norm_point(ps)
+    assert res.point == (F(1, 6), F(1, 6))
+    res.verify(ps)
+    canonical_form(ps, res).verify(ps)
+    for point, condition in (((F(1, 6), F(1, 7)), "weights reproduce the point"),
+                             ((F(1, 12), F(1, 12)), "weights reproduce the point")):
+        with pytest.raises(RuntimeError, match=condition):
+            dataclasses.replace(res, point=point).verify(ps)
+    # a feasible but non-optimal representation fails the optimality test
+    vertex = dataclasses.replace(res, point=(F(1, 3), F(0)), weights=(F(1), F(0), F(0)),
+                                 support=(0,))
+    with pytest.raises(RuntimeError, match=r"<x, p> >= \|x\|\^2"):
+        vertex.verify(ps)
+
+
+def _spy_solves(monkeypatch) -> list[tuple]:
+    """Spy on linalg.solve_integer; records each call's system and result."""
+    calls: list[tuple] = []
+    real = linalg.solve_integer
+
+    def spy(a, b):
+        res = real(a, b)
+        calls.append(([list(row) for row in a], list(b), res))
+        return res
+
+    monkeypatch.setattr(linalg, "solve_integer", spy)
+    return calls
+
+
+def _shifted_point_set(rng, dim: int, count: int) -> PointSet:
+    # the origin outside the hull: the first coordinate is moved above 0
+    pts = random_point_set(rng, dim, count).points
+    lift = 1 - min(p[0] for p in pts)
+    return PointSet.make([(p[0] + lift,) + p[1:] for p in pts])
+
+
+def _coprime_point_set(rng, dim: int, count: int) -> PointSet:
+    primes = (101, 103, 107, 109, 113, 127, 131, 137)
+    pts: set[tuple[Fraction, ...]] = set()
+    while len(pts) < count:
+        pts.add(tuple(F(int(rng.integers(-400, 401)), primes[int(rng.integers(0, 8))])
+                      for _ in range(dim)))
+    return PointSet.make(sorted(pts))
+
+
+def _battery_sets():
+    rng = np.random.default_rng(31)
+    yield PointSet.make([()])
+    for dim in range(1, 8):
+        for _ in range(12):
+            yield random_point_set(rng, dim, int(rng.integers(1, 14)))
+    for dim in (2, 4, 6):
+        for _ in range(3):
+            yield centred_point_set(rng, dim, int(rng.integers(dim + 1, 14)))
+    for dim in (2, 5, 7):
+        for _ in range(6):
+            yield _shifted_point_set(rng, dim, int(rng.integers(2, 14)))
+    for dim in (2, 3, 5):
+        for _ in range(4):
+            yield _coprime_point_set(rng, dim, int(rng.integers(2, 10)))
+    for dim in range(3, 8):
+        for _ in range(3):
+            yield strata.weights(random_nilpotent(rng, dim))
+
+
+def test_integer_wolfe_equals_the_fraction_loop(monkeypatch):
+    # same point, weights and support, and the same KKT systems in the same
+    # order: integer pricing changes the arithmetic, never a choice
+    calls = _spy_solves(monkeypatch)
+    drops = 0
+    for ps in _battery_sets():
+        calls.clear()
+        ref = fraction_min_norm_point(ps)
+        ref_calls = list(calls)
+        calls.clear()
+        res = min_norm_point(ps)
+        assert res == ref, ps
+        assert calls == ref_calls
+        res.verify(ps)
+        # a solve with a nonpositive weight (the multiplier is last) drops a point
+        drops += any(sol is not None and min(sol[:-1]) <= 0 for _, _, sol in calls)
+    assert drops > 0
+
+
+def test_min_norm_point_makes_no_fraction_dot(monkeypatch):
+    calls = []
+    real = linalg.dot
+
+    def spy(u, v):
+        calls.append(1)
+        return real(u, v)
+
+    monkeypatch.setattr(linalg, "dot", spy)
+    monkeypatch.setattr(minnorm, "dot", spy)
+    rng = np.random.default_rng(32)
+    sets = [random_point_set(rng, 4, 9) for _ in range(10)]
+    sets.append(strata.weights(random_nilpotent(rng, 6, transform=True)))
+    results = [min_norm_point(ps) for ps in sets]
+    assert calls == []
+    # the spy is live: norm_sq still takes a Fraction dot
+    results[-1].norm_sq()
+    assert calls == [1]
+
+
+def test_oracles_share_no_private_min_norm_helper():
+    # the reference routes must not run the solver code they check
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "solvstrat.minnorm"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 def test_missing_canonical_support_raises(monkeypatch):
