@@ -8,13 +8,19 @@ One solver and one canonicalisation, both on integers:
   * canonical_form  re-expresses that optimum by its canonical support:
                     among all exact convex representations, the one of
                     minimal cardinality, ties broken lexicographically on
-                    index tuples, with strictly positive weights.  It
-                    solves only on subsets S whose vectors p_s - x are
-                    linearly dependent (necessary for x in aff(p_S)),
-                    listed in lex order by one shared-prefix fraction-free
-                    elimination, and only up to the size m of Wolfe's
-                    corral; if no (m-1)-subset is dependent, no smaller
-                    one is, and the sizes below m are skipped.
+                    index tuples, with strictly positive weights.  When
+                    the active points are exactly Wolfe's corral, the
+                    corral is that support and nothing is searched.
+                    Otherwise it solves only on subsets S whose vectors
+                    p_s - x are linearly dependent (necessary for x in
+                    aff(p_S)), and only up to the size m of the corral; if
+                    no (m-1)-subset is dependent, no smaller one is, and
+                    the sizes below m are skipped.  Subsets of more than
+                    dim points are all dependent.  Smaller ones are listed
+                    in lex order by a numpy screen modulo one fixed prime,
+                    over blocks of shared prefixes; a subset the screen
+                    cannot clear is checked by exact elimination before it
+                    is used.
 
 Integer representation.  A point set is scaled once (PointSet.scaled): with
 den the lcm of all coordinate denominators, P_i = den p_i are integer
@@ -45,6 +51,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from . import linalg
 from .linalg import dot, frac
@@ -226,50 +234,96 @@ def min_norm_point(ps: PointSet) -> MinNormResult:
     return MinNormResult(point, weights, tuple(sorted(w)))
 
 
-def _eliminate(pivot: list[int], cols: list[list[int]], prev: int) -> tuple[list[list[int]], int]:
-    """One fraction-free (Bareiss) step: clear pivot out of cols.
+# The dependence screen works on residues modulo one fixed prime below 2^31,
+# so the product of two residues stays below 2^62, inside int64.
+_PRIME = 2**31 - 1
+# Residues one block of prefixes holds: a prefix carries every column reduced
+# against it, at most count * dim residues, and a block takes as many
+# prefixes as fit.  Kept small: the screen holds one block per prefix length,
+# so its memory is bounded by k blocks, whatever the number of subsets.
+_BLOCK = 1 << 12
 
-    The pivot entry is pivot's first nonzero coordinate r.  Every column
-    loses coordinate r; its other entries become bordered minors of the
-    original columns divided by prev, the previous pivot, so each division
-    is exact.  Returns the reduced columns and the new pivot.
+
+def _extend(prefixes: np.ndarray, red: np.ndarray, bs: np.ndarray,
+            ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The prefixes prefixes[b] + (t,) for the pairs (b, t) in (bs, ts).
+
+    red[b] holds every column reduced against prefixes[b] modulo _PRIME.  One
+    fraction-free step clears the new column t out of them: with r a nonzero
+    coordinate of t, each column c becomes t_r c - c_r t and loses its
+    coordinate r, which is now zero.  t_r is a unit mod p, so the step keeps
+    exactly the dependences of the prefix.  Every product is reduced mod p
+    before the difference, so nothing overflows.
     """
-    r = next(i for i, v in enumerate(pivot) if v)
-    piv = pivot[r]
-    rest = pivot[:r] + pivot[r + 1:]
-    reduced = []
-    for col in cols:
-        f = col[r]
-        reduced.append([(piv * v - f * w) // prev
-                        for v, w in zip(col[:r] + col[r + 1:], rest)])
-    return reduced, piv
+    count, width = red.shape[1], red.shape[2] - 1
+    child = np.arange(len(bs))
+    pivots = red[bs, ts]
+    rows = (pivots != 0).argmax(axis=1)
+    piv = pivots[child, rows]
+    lead = red[bs, :, rows]
+    # the coordinates other than r, per child
+    keep = np.arange(width) + (np.arange(width) >= rows[:, None])
+    cols = red[bs[:, None, None], np.arange(count)[:, None], keep[:, None, :]]
+    pivots = pivots[child[:, None], keep]
+    reduced = (piv[:, None, None] * cols % _PRIME
+               - lead[:, :, None] * pivots[:, None, :] % _PRIME) % _PRIME
+    return np.column_stack((prefixes[bs], ts)), reduced
 
 
 def _dependent_subsets(cols: Sequence[Sequence[int]], k: int) -> Iterator[tuple[int, ...]]:
     """Index tuples of the linearly dependent k-subsets of cols, in lex order.
 
-    One depth-first pass over prefixes: a linearly independent prefix holds
-    every later column reduced against it (_eliminate), so each extension
-    reuses its prefix's elimination and a leaf costs one zero test.  A column
-    that reduces to zero makes its prefix dependent, and so every completion
-    of it; those are yielded lazily, in order, without further elimination.
+    More than dim columns are always dependent, so for k > dim every k-subset
+    is listed with no elimination.  Otherwise a depth-first pass over
+    prefixes screens dependence modulo _PRIME.  Each prefix in the pass is
+    independent mod p and holds every column reduced against it, so a child
+    prefix + (t,) is dependent mod p exactly when column t has reduced to
+    zero.  A child the screen clears is independent mod p, hence over Q, and
+    is extended in blocks of lex-consecutive prefixes by _extend.  A child it
+    cannot clear is checked exactly (linalg.bareiss_triangularize): if it is
+    dependent, so is every completion, and those are yielded lazily, in
+    order, without screening; if it is dependent mod p only, each completion
+    is checked exactly.  The pass yields the subsets an exact elimination
+    would, in the same order.
     """
     n = len(cols)
+    dim = len(cols[0]) if n else 0
+    if k > dim:
+        yield from itertools.combinations(range(n), k)
+        return
+    if k == 0:
+        return
 
-    def walk(prefix, reduced, start, prev):
-        # reduced[t - start] is column t reduced against the prefix
-        need = k - len(prefix) - 1
-        for t in range(start, n - need):
-            col = reduced[t - start]
-            if not any(col):
-                for rest in itertools.combinations(range(t + 1, n), need):
-                    yield prefix + (t,) + rest
-            elif need:
-                later, piv = _eliminate(col, reduced[t - start + 1:], prev)
-                yield from walk(prefix + (t,), later, t + 1, piv)
+    def dependent(subset: tuple[int, ...]) -> bool:
+        _, pivots = linalg.bareiss_triangularize([cols[t] for t in subset])
+        return len(pivots) < len(subset)
 
-    if k > 0:
-        yield from walk((), [list(c) for c in cols], 0, 1)
+    def walk(prefixes, red):
+        # prefixes: a block of independent j-prefixes in lex order (rows);
+        # red[b]: every column reduced against prefixes[b], mod p
+        need = k - prefixes.shape[1] - 1
+        last = prefixes[:, -1] if prefixes.shape[1] else np.full(len(prefixes), -1)
+        # the children (b, t) in lex order; those zero mod p split the rest
+        bs, ts = np.nonzero(np.arange(n - need) > last[:, None])
+        zero = np.flatnonzero(~red[bs, ts].any(axis=1)).tolist()
+        start = 0
+        for stop in zero + [len(bs)]:
+            if need:
+                # a child keeps one coordinate fewer than its parent
+                step = max(1, _BLOCK // (n * (red.shape[2] - 1)))
+                for lo in range(start, stop, step):
+                    sel = slice(lo, min(stop, lo + step))
+                    yield from walk(*_extend(prefixes, red, bs[sel], ts[sel]))
+            if stop < len(bs):
+                subset = (*prefixes[bs[stop]].tolist(), int(ts[stop]))
+                exact = dependent(subset)
+                for rest in itertools.combinations(range(subset[-1] + 1, n), need):
+                    if exact or (need and dependent(subset + rest)):
+                        yield subset + rest
+            start = stop + 1
+
+    residues = np.array([[v % _PRIME for v in c] for c in cols], dtype=np.int64)
+    yield from walk(np.zeros((1, 0), dtype=np.int64), residues[None])
 
 
 def canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult:
@@ -283,16 +337,23 @@ def canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult:
     solve per subset decides: unique nonnegative barycentric weights for x,
     or skip.
 
-    Three exact facts keep the solves to the subsets that can hold x:
+    Exact facts keep the solves to the subsets that can hold x:
 
-      * size bound    Wolfe's corral res.support is already a strictly
-                      positive representation, so the canonical support has
-                      at most m = |res.support| <= dim + 1 points.
+      * corral        when the active set is Wolfe's corral res.support,
+                      res is returned with no solve: the corral is affinely
+                      independent, so its barycentric weights for x are the
+                      only ones, and they are all positive.
+      * size bound    the corral is a strictly positive representation, so
+                      the canonical support has at most m = |res.support|
+                      <= dim + 1 points.
       * dependence    x in aff(p_S) makes the vectors p_s - x (s in S)
                       linearly dependent: their rank is rank[v_S | b] - 1
                       <= |S| - 1 with v = (p, 1), b = (x, 1).  Only the
-                      dependent subsets, found by _dependent_subsets, get a
-                      solve.
+                      dependent subsets, listed by _dependent_subsets, get a
+                      solve.  Any k > dim of them are dependent and are
+                      listed with no elimination; for k <= dim a screen
+                      modulo _PRIME clears the independent ones, and every
+                      subset it cannot clear is checked exactly.
       * monotonicity  dependence passes to supersets, so if no (m-1)-subset
                       is dependent, no smaller one is and the search starts
                       at size m.
@@ -309,6 +370,10 @@ def canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult:
     lw, ws = _numerators([res.weights[i] for i in used])
     gw, wgw = _gram_products(sc.gram, used, ws)
     active = [i for i, v in enumerate(gw) if lw * v == wgw]
+    m = len(res.support)
+    if len(active) == m:
+        # the corral is affinely independent and holds every active point
+        return res
     rhs = [xr * sc.den for xr in x]
     row_scale = [r.denominator for r in rhs]
     srows = [[row_scale[r] * c for c in col]
@@ -316,7 +381,6 @@ def canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult:
     b = [int(rhs[r] * row_scale[r]) for r in range(ps.dim)] + [1]
     # the columns p_i - x, scaled to integers like the solve's rows
     diffs = [[srows[r][i] - b[r] for r in range(ps.dim)] for i in active]
-    m = len(res.support)
     low = 1 if next(_dependent_subsets(diffs, m - 1), None) is not None else m
     for size in range(low, m + 1):
         for picked in _dependent_subsets(diffs, size):

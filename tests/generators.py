@@ -130,6 +130,10 @@ def shuffled(rng: np.random.Generator, mu: BracketTensor) -> BracketTensor:
 
 
 def random_point_set(rng: np.random.Generator, dim: int, count: int) -> PointSet:
+    """count distinct points with coordinates rand_frac(rng, 4, 3)."""
+    values = len({Fraction(a, b) for a in range(-4, 5) for b in range(1, 4)})
+    if count > values ** dim:
+        raise ValueError(f"only {values ** dim} distinct points in dimension {dim}")
     pts: set[tuple[Fraction, ...]] = set()
     while len(pts) < count:
         pts.add(tuple(rand_frac(rng, 4, 3) for _ in range(dim)))

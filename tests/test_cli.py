@@ -2,6 +2,7 @@
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -437,7 +438,11 @@ def test_minnorm_scales_its_point_set_once(tmp_path, capsys, monkeypatch):
 def test_console_entry_point_smoke(tmp_path):
     f = tmp_path / "h3.json"
     f.write_text(json.dumps(H3))
+    # the subprocess does not see pytest's pythonpath setting: put src on its path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "solvstrat.cli", "validate",
-                           str(f)], capture_output=True, text=True)
+                           str(f)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "jacobi: ok" in proc.stdout

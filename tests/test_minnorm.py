@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import itertools
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -204,6 +205,16 @@ def _battery_sets():
             yield strata.weights(random_nilpotent(rng, dim))
 
 
+def test_random_point_set_refuses_more_points_than_exist():
+    rng = np.random.default_rng(34)
+    assert random_point_set(rng, 0, 1).points == ((),)
+    with pytest.raises(ValueError):
+        random_point_set(rng, 0, 2)
+    assert len(random_point_set(rng, 1, 19)) == 19
+    with pytest.raises(ValueError):
+        random_point_set(rng, 1, 20)
+
+
 def test_integer_wolfe_equals_the_fraction_loop(monkeypatch):
     # same point, weights and support, and the same KKT systems in the same
     # order: integer pricing changes the arithmetic, never a choice
@@ -252,21 +263,49 @@ def test_oracles_share_no_private_min_norm_helper():
     assert private == []
 
 
+def _circle_point_set() -> PointSet:
+    # 12 points on the circle of radius 5 in dim 2, symmetric about the
+    # origin: the optimum is 0 and all 12 points are active
+    circle = [(3, 4), (4, 3), (5, 0), (0, 5), (4, -3), (3, -4)]
+    return PointSet.make(circle + [(-a, -b) for a, b in circle])
+
+
 def test_missing_canonical_support_raises(monkeypatch):
-    ps = PointSet.make([(F(1), F(-2))])
+    # more active points than the corral, so the search runs and its solves
+    # are reached
+    ps = _circle_point_set()
     res = min_norm_point(ps)
+    assert len(res.support) < len(ps)
     monkeypatch.setattr(linalg, "solve_integer", lambda a, b: None)
     with pytest.raises(RuntimeError, match="no exact convex representation"):
         canonical_form(ps, res)
 
 
+def test_corral_that_is_the_whole_active_set_is_returned_unsolved(monkeypatch):
+    # the active points are the corral's, affinely independent, so the
+    # corral's positive weights are the only representation: no search
+    sets = [PointSet.make([(1, -2)]), PointSet.make([(2, 0), (0, 2), (3, 3)])]
+    rng = np.random.default_rng(33)
+    sets += [_shifted_point_set(rng, 5, 9) for _ in range(6)]
+    calls = _count_solves(monkeypatch)
+    shortcuts = 0
+    for ps in sets:
+        res = min_norm_point(ps)
+        x = res.point
+        active = [p for p in ps.points if sum(a * b for a, b in zip(x, p)) == res.norm_sq()]
+        calls.clear()
+        canon = canonical_form(ps, res)
+        assert canon == res
+        if len(active) == len(res.support):
+            assert calls == []
+            shortcuts += 1
+    assert shortcuts >= 3
+
+
 def test_canonical_search_is_bounded_by_caratheodory(monkeypatch):
-    # 12 points on the circle of radius 5 in dim 2, symmetric about the
-    # origin: the optimum is 0 and all 12 points are active.  With every
-    # solve refused, the search stops after the subsets of size <= dim + 1
-    # instead of trying all 2^12 - 1
-    circle = [(3, 4), (4, 3), (5, 0), (0, 5), (4, -3), (3, -4)]
-    ps = PointSet.make(circle + [(-a, -b) for a, b in circle])
+    # with every solve refused, the search stops after the subsets of size
+    # <= dim + 1 instead of trying all 2^12 - 1
+    ps = _circle_point_set()
     res = min_norm_point(ps)
     assert res.point == (F(0), F(0)) and len(ps) == 12
     calls = []
@@ -335,7 +374,7 @@ def _count_solves(monkeypatch) -> list[int]:
 
 
 def _int_columns(rng, dim: int, count: int, kind: str) -> list[list[int]]:
-    if kind == "low-rank":
+    if kind in ("low-rank", "huge"):
         rank = int(rng.integers(1, max(2, min(dim, count))))
         left = rng.integers(-2, 3, (dim, rank))
         right = rng.integers(-2, 3, (rank, count))
@@ -348,15 +387,21 @@ def _int_columns(rng, dim: int, count: int, kind: str) -> list[list[int]]:
     if kind == "repeat" and count > 1:
         src, dst = (int(t) for t in rng.choice(count, size=2, replace=False))
         cols[dst] = list(cols[src])
-    return [[int(v) for v in c] for c in cols]
+    cols = [[int(v) for v in c] for c in cols]
+    if kind == "huge":
+        # scaling a column keeps every dependence: entries of both signs
+        # above 2^63 in absolute value, which no machine word holds
+        cols = [[v * (-1) ** (t // 2) * (2**64 + t) for v in c] if t % 2 else c
+                for t, c in enumerate(cols)]
+    return cols
 
 
 def test_dependent_subsets_match_brute_force_rank():
     # every k-subset whose columns have a nonzero null vector, by a dense
     # rref of each subset, in the same lex order
     rng = np.random.default_rng(11)
-    for trial in range(48):
-        kind = ("generic", "zero", "repeat", "low-rank")[trial % 4]
+    for trial in range(60):
+        kind = ("generic", "zero", "repeat", "low-rank", "huge")[trial % 5]
         dim = int(rng.integers(1, 6))
         # alternate tall (more coordinates than columns) and wide shapes
         count = int(rng.integers(1, dim + 1)) if trial % 8 < 4 else int(rng.integers(dim + 1, 9))
@@ -367,24 +412,56 @@ def test_dependent_subsets_match_brute_force_rank():
             assert list(minnorm._dependent_subsets(cols, k)) == want, (cols, k)
 
 
+def _spy(monkeypatch, owner, name) -> list[int]:
+    """Count the calls of owner.name."""
+    calls: list[int] = []
+    real = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
 def test_dependent_subsets_are_lazy(monkeypatch):
     # a zero first column makes every subset through it dependent: the first
-    # one comes out before any prefix is eliminated
+    # one comes out after at most one screened block and one exact check
     rng = np.random.default_rng(12)
     cols = [[0, 0, 0]] + rng.integers(-5, 6, (39, 3)).tolist()
-    steps = []
-    real = minnorm._eliminate
-
-    def counting(pivot, later, prev):
-        steps.append(len(later))
-        return real(pivot, later, prev)
-
-    monkeypatch.setattr(minnorm, "_eliminate", counting)
+    blocks = _spy(monkeypatch, minnorm, "_extend")
+    exact = _spy(monkeypatch, linalg, "bareiss_triangularize")
     assert next(minnorm._dependent_subsets(cols, 3)) == (0, 1, 2)
-    assert steps == []
-    # the full listing does eliminate, so the counter is live
+    assert len(blocks) <= 1 and len(exact) == 1
+    # the full listing does extend prefixes, so the counter is live
     assert sum(1 for _ in minnorm._dependent_subsets(cols, 3)) > 0
-    assert steps
+    assert len(blocks) > 1
+    # more columns than coordinates: listed with no elimination at all
+    blocks.clear()
+    exact.clear()
+    assert (list(minnorm._dependent_subsets(cols[:6], 4))
+            == list(itertools.combinations(range(6), 4)))
+    assert blocks == [] and exact == []
+
+
+def test_dependence_screen_false_positives_are_not_yielded():
+    # u and v are independent over Q, but every 2x2 minor of [u v] is a
+    # nonzero multiple of the screen's prime, so they are dependent mod p
+    p = minnorm._PRIME
+    u, v = [1, 1, 1], [1, 1 + p, 1 + 2 * p]
+    assert all(m and m % p == 0 for m in (u[0] * v[1] - u[1] * v[0],
+                                          u[0] * v[2] - u[2] * v[0],
+                                          u[1] * v[2] - u[2] * v[1]))
+    rng = np.random.default_rng(15)
+    for cols in ([u, v, [2, 2, 2], [1, 0, 0]],
+                 [[p, 0, 0], u, v] + rng.integers(-3, 4, (4, 3)).tolist(),
+                 rng.integers(-3, 4, (3, 3)).tolist() + [u, [0, 1, -1], v]):
+        for k in (1, 2, 3):
+            want = [s for s in itertools.combinations(range(len(cols)), k)
+                    if dense_nullspace([[F(cols[t][r]) for t in s] for r in range(3)])]
+            assert list(minnorm._dependent_subsets(cols, k)) == want, (cols, k)
+    assert (0, 1) not in set(minnorm._dependent_subsets([u, v, [2, 2, 2]], 2))
 
 
 def _degenerate_point_set(rng) -> PointSet:
@@ -449,3 +526,12 @@ def test_weight_set_solve_count(monkeypatch):
     canon = canonical_form(ps, res)
     assert (len(ps), len(res.support), len(canon.support)) == (51, 6, 4)
     assert len(calls) < 400
+    # the screen holds a fixed budget of residues per block, not a level of
+    # the subset tree (C(51, 5) = 2349060 subsets of the corral's size less one)
+    tracemalloc.start()
+    try:
+        assert canonical_form(ps, res) == canon
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
