@@ -22,6 +22,7 @@ counts twice:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -204,13 +205,13 @@ def rep(alpha, mu: BracketTensor) -> "BracketTensor":
         return BracketTensor.from_array(rep_array(a, mu.to_array()))
     entries = [(r, c, frac(x)) for r, row in enumerate(alpha, start=1)
                for c, x in enumerate(row, start=1) if x != 0]
-    return _exact_bracket(mu.dim, _rep_coeffs(entries, mu))
+    return _exact_bracket(mu.dim, _rep_coeffs(entries, mu.coeffs))
 
 
-def _rep_coeffs(entries, mu: BracketTensor) -> dict[Key, Scalar]:
+def _rep_coeffs(entries, mu_coeffs: Mapping[Key, Scalar]) -> dict[Key, Scalar]:
     """Coefficients of rep(a, mu) for exact a given by its nonzero (row, col, value).
 
-    Driven by mu.coeffs and the nonzeros of a, with 1-based indices:
+    Driven by the coefficients of mu and the nonzeros of a, with 1-based indices:
     a mu(e_p, e_q) adds a_rk mu_pq^k at (p, q, r); -mu(a e_i, e_q) adds
     -a_pi mu_pq^k at (i, q, k) and -mu(a e_i, e_p) adds a_qi mu_pq^k at
     (i, p, k); the third term -mu(., a .) is the skew image of the second.
@@ -221,7 +222,7 @@ def _rep_coeffs(entries, mu: BracketTensor) -> dict[Key, Scalar]:
         rows.setdefault(r, []).append((c, v))
         cols.setdefault(c, []).append((r, v))
     coeffs: dict[Key, Scalar] = {}
-    for (p, q, k), c in mu.coeffs.items():
+    for (p, q, k), c in mu_coeffs.items():
         for r, v in cols.get(k, ()):
             _add_skew(coeffs, p, q, r, v * c)
         for i, v in rows.get(p, ()):
@@ -430,30 +431,33 @@ def derivations(mu: BracketTensor, tol: float = DEFAULT_TOL):
     """Basis of {a : rep(a, mu) = 0}, the derivation algebra of mu.
 
     Exact mode: canonical rational basis from the reduced echelon null space.
-    Float mode: orthonormal basis from an SVD.  Returns a list of n x n
-    matrices (rows of Fractions, or numpy arrays).
+    The system is built in integers: Der(c mu) = Der(mu), so mu is scaled by
+    the lcm of its coefficient denominators first.  Float mode: orthonormal
+    basis from an SVD.  Returns a list of n x n matrices (rows of Fractions,
+    or numpy arrays).
     """
     n = mu.dim
     slots = [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1)
              for k in range(1, n + 1)]
-    slot_index = {s: r for r, s in enumerate(slots)}
     if mu.is_exact_mode:
-        rows: list[dict[int, Fraction]] = [{} for _ in slots]
+        slot_index = {s: r for r, s in enumerate(slots)}
+        den = math.lcm(*(c.denominator for c in mu.coeffs.values()))
+        scaled = {key: c.numerator * (den // c.denominator) for key, c in mu.coeffs.items()}
+        rows: list[dict[int, int]] = [{} for _ in slots]
         for r in range(n):
             for c in range(n):
-                for key, val in _rep_coeffs([(r + 1, c + 1, linalg.ONE)], mu).items():
+                for key, val in _rep_coeffs([(r + 1, c + 1, 1)], scaled).items():
                     rows[slot_index[key]][r * n + c] = val
         return [[vec[r * n: (r + 1) * n] for r in range(n)]
                 for vec in linalg.nullspace(rows, n * n)]
     arr = mu.to_array()
+    ijk = tuple(np.array(slots, dtype=int).reshape(-1, 3).T - 1)
     m = np.zeros((len(slots), n * n))
     for r in range(n):
         for c in range(n):
             e = np.zeros((n, n))
             e[r, c] = 1.0
-            image = rep_array(e, arr)
-            for (i, j, k) in slots:
-                m[slot_index[(i, j, k)], r * n + c] = image[i - 1, j - 1, k - 1]
+            m[:, r * n + c] = rep_array(e, arr)[ijk]
     _, s, vh = np.linalg.svd(m)
     cutoff = tol * max(1.0, s[0] if len(s) else 1.0)
     null_dim = int(np.sum(s <= cutoff)) + (n * n - len(s) if len(s) < n * n else 0)

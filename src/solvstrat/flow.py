@@ -26,6 +26,7 @@ iteration gives exp(-h M) and exp(h M) for every halved h.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,7 +120,7 @@ class FlowResult:
 
 
 def _norm(arr: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(arr * arr)))
+    return math.sqrt(float((arr * arr).sum()))
 
 
 def flow_to_critical(
@@ -154,7 +155,7 @@ def flow_to_critical(
 
     def moment_of(a: np.ndarray) -> tuple[np.ndarray, float]:
         m = 4.0 * ric_array(a)  # |a| = 1 so no normalization needed
-        return m, float(np.sum(m * m))
+        return m, float((m * m).sum())
 
     m, msq = moment_of(arr)
     converged = False
@@ -163,7 +164,7 @@ def flow_to_critical(
     it = 0
     for it in range(max_iter + 1):
         grad = rep_array(m, arr)
-        tang = grad - float(np.sum(grad * arr)) * arr
+        tang = grad - float((grad * arr).sum()) * arr
         res = _norm(tang)
         if trace is not None:
             trace.append((it, msq, res))

@@ -1,12 +1,16 @@
-"""Exact linear algebra over fractions.Fraction.
+"""Exact linear algebra over the rationals.
 
 Matrices are lists (or tuples) of rows of Fractions, vectors are sequences of
 Fractions.  Exact pivots keep every result free of conditioning questions,
 and a deterministic pivot choice (first nonzero) keeps every derived basis
-reproducible run to run.  rref and invert eliminate densely; they serve
-small systems.  nullspace takes and eliminates sparse rows, because its
+reproducible run to run.  rref and invert eliminate densely in Fractions;
+they serve small systems.  The hot kernels eliminate in integers, which
+pays no gcd per arithmetic step: nullspace clears each sparse row of its
+denominators and runs a content-normalized Gauss-Jordan, because its
 largest caller, the derivation system of an n-dimensional bracket, has
-n * C(n, 2) mostly-zero rows (450 rows by 100 columns at n = 10).
+n * C(n, 2) mostly-zero rows (450 rows by 100 columns at n = 10);
+bareiss_triangularize and solve_integer serve the min-norm layer; is_psd
+decides an integer symmetric matrix by fraction-free Schur complements.
 """
 
 from __future__ import annotations
@@ -119,48 +123,67 @@ def rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[in
     return a, pivots
 
 
-def nullspace(rows: Sequence[Mapping[int, Fraction]], cols: int) -> list[list[Fraction]]:
+def nullspace(rows: Sequence[Mapping[int, Rational]], cols: int) -> list[list[Fraction]]:
     """Canonical basis of the right null space (free variables set to 1).
 
-    rows are sparse, {column: value} with columns in range(cols); zero
-    values are ignored.  Gauss-Jordan elimination: each row is reduced by
-    the pivot rows found so far, and a new pivot row is cleared out of the
-    earlier ones, so the pivot rows stay in reduced echelon form.  That form
-    is unique, so the basis is the one a dense rref gives.
+    rows are sparse, {column: value} with columns in range(cols) and int or
+    Fraction values; zero values are ignored.  Each row is scaled by the lcm
+    of its denominators and eliminated in integers by Gauss-Jordan: it is
+    reduced by the pivot rows found so far (row = p * row - f * P with p, f
+    the coprime parts of the two entries), divided by the gcd of its
+    entries and signed so that its pivot is positive, and a new pivot row
+    is cleared out of the earlier ones the same way.  Each pivot row is then
+    the primitive integer multiple of its row of the reduced echelon form.
+    That form is unique, so the basis -x / pivot is the one a dense rref
+    gives.
     """
-    pivot_rows: dict[int, dict[int, Fraction]] = {}
+    pivot_rows: dict[int, dict[int, int]] = {}
     for sparse in rows:
-        row = {c: x for c, x in sparse.items() if x}
+        den = math.lcm(*(x.denominator for x in sparse.values() if x))
+        row = {c: x.numerator * (den // x.denominator) for c, x in sparse.items() if x}
         # pivot rows vanish on each other's pivot columns, so one pass suffices
         for c in [c for c in row if c in pivot_rows]:
-            _sub_scaled(row, row[c], pivot_rows[c])
+            row = _clear(row, pivot_rows[c], c)
         if not row:
             continue
         p = min(row)
-        inv = ONE / row[p]
-        row = {c: x * inv for c, x in row.items()}
-        for other in pivot_rows.values():
+        row = _primitive(row, row[p] < 0)
+        for q, other in pivot_rows.items():
             if p in other:
-                _sub_scaled(other, other[p], row)
+                pivot_rows[q] = _primitive(_clear(other, row, p), False)
         pivot_rows[p] = row
     basis = {f: [ZERO] * cols for f in range(cols) if f not in pivot_rows}
     for p, row in pivot_rows.items():
+        piv = row[p]
         for c, x in row.items():
             if c != p:
-                basis[c][p] = -x
+                basis[c][p] = Fraction(-x, piv)
     for f, v in basis.items():
         v[f] = ONE
     return list(basis.values())
 
 
-def _sub_scaled(row: dict[int, Fraction], f: Fraction, other: dict[int, Fraction]) -> None:
-    """row -= f * other for sparse rows, dropping the entries that cancel."""
-    for c, y in other.items():
-        v = row.get(c, ZERO) - f * y
+def _clear(row: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[int, int]:
+    """a * row - b * pivot_row with a / b = pivot_row[c] / row[c] in lowest
+    terms (a > 0 when pivot_row[c] > 0), so column c cancels; zeros dropped."""
+    g = math.gcd(pivot_row[c], row[c])
+    a, b = pivot_row[c] // g, row[c] // g
+    out = {k: a * v for k, v in row.items()} if a != 1 else dict(row)
+    for k, y in pivot_row.items():
+        v = out.get(k, 0) - b * y
         if v:
-            row[c] = v
+            out[k] = v
         else:
-            del row[c]
+            del out[k]
+    return out
+
+
+def _primitive(row: dict[int, int], negate: bool) -> dict[int, int]:
+    """row divided by the gcd of its entries, negated if asked."""
+    g = math.gcd(*row.values())
+    if negate:
+        g = -g
+    return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
 def invert(m) -> list[list[Fraction]]:
@@ -228,26 +251,38 @@ def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> list[Fraction
     return [Fraction(v, d) for v in y]
 
 
-def is_psd(m) -> bool:
-    """Exact positive-semidefiniteness via pivoted Schur complements."""
+def is_psd(m: Sequence[Sequence[int]]) -> bool:
+    """Exact positive-semidefiniteness of a symmetric integer matrix.
+
+    Fraction-free Schur complements with the largest remaining diagonal
+    entry as pivot: each step replaces the remaining block by
+    (piv * a_ij - a_ip * a_pj) / prev, where prev is the previous pivot, as
+    in Bareiss elimination, so every division is exact.  That block is
+    piv / prev > 0 times the rational Schur complement, so signs, the pivot
+    order and the verdict are those of rational elimination.  A caller with
+    a rational matrix passes D m D for a positive diagonal D that clears its
+    denominators; the congruence keeps semidefiniteness.
+    """
     a = [list(row) for row in m]
-    n = len(a)
-    idx = list(range(n))
+    idx = list(range(len(a)))
+    prev = 1
     while idx:
         p = max(idx, key=lambda i: a[i][i])
-        if a[p][p] < 0:
+        piv = a[p][p]
+        if piv < 0:
             return False
-        if a[p][p] == 0:
+        if piv == 0:
             # all remaining diagonal entries are <= 0, hence all are 0;
             # PSD now requires the remaining block to vanish entirely
             return all(a[i][j] == 0 for i in idx for j in idx)
-        piv = a[p][p]
         idx.remove(p)
+        lead = a[p]
         for i in idx:
-            f = a[i][p] / piv
-            if f:
-                for j in idx:
-                    a[i][j] -= f * a[p][j]
+            row = a[i]
+            f = row[p]
+            for j in idx:
+                row[j] = (piv * row[j] - f * lead[j]) // prev
+        prev = piv
     return True
 
 

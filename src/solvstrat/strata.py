@@ -218,20 +218,20 @@ def _trace_value(d, beta_entries) -> Scalar:
     return sum(b * d[i][i] for i, b in enumerate(beta_entries))
 
 
-def _adbeta_gram(basis, b: Sequence[Scalar], exact: bool) -> list[list[Scalar]]:
-    """Gram matrix of <[beta, D], D> = sum_ij (b_i - b_j) D_ij^2 on span(basis).
+def _adbeta_gram(basis, b: Sequence[Scalar]) -> list[list[float]]:
+    """Float Gram matrix of <[beta, D], D> = sum_ij (b_i - b_j) D_ij^2 on span(basis).
 
     The form is diagonal in matrix entries, so each element is kept once as
     its nonzero entries off the b_i = b_j blocks, in row-major order, and a
     pair sums only over the entries the two elements share.  Entry (c, a),
     c >= a, is summed in the order of the full n^2 sum, so float lower
     triangles (all that eigvalsh reads) are bitwise those of that sum; the
-    upper triangle mirrors it.  The differences b_i - b_j are tabulated once,
-    as floats unless exact: a Fraction times a float is computed as
-    float(Fraction) times that float, so the float sums do not change.
+    upper triangle mirrors it.  The differences b_i - b_j are tabulated once
+    as floats: a Fraction times a float is computed as float(Fraction) times
+    that float, so the sums are those of an exact label too.
     """
     n = len(b)
-    diff = [[b[i] - b[j] if exact else float(b[i] - b[j]) for j in range(n)] for i in range(n)]
+    diff = [[float(b[i] - b[j]) for j in range(n)] for i in range(n)]
     sparse = [{(i, j): d[i][j] for i in range(n) for j in range(n)
                if diff[i][j] and d[i][j]} for d in basis]
     k = len(basis)
@@ -244,6 +244,60 @@ def _adbeta_gram(basis, b: Sequence[Scalar], exact: bool) -> list[list[Scalar]]:
     return gram
 
 
+def _integer_entries(d) -> tuple[int, dict[tuple[int, int], int]]:
+    """(den, {(i, j): num}) with d_ij = num / den on the nonzero entries of a
+    rational matrix d, den the lcm of their denominators."""
+    nonzero = {(i, j): x for i, row in enumerate(d) for j, x in enumerate(row) if x}
+    den = math.lcm(*(x.denominator for x in nonzero.values()))
+    return den, {key: x.numerator * (den // x.denominator) for key, x in nonzero.items()}
+
+
+def _integer_gram(nums, bint: Sequence[int]) -> list[list[int]]:
+    """G'_ac = sum_ij (B_i - B_j) N^a_ij N^c_ij for the integer entries N^a
+    of den_a D_a and an integer label B = L beta; the Gram entry
+    <[beta, D_a], D_c> is G'_ac / (L den_a den_c)."""
+    weighted = [{(i, j): (bint[i] - bint[j]) * x for (i, j), x in e.items()
+                 if bint[i] != bint[j]} for e in nums]
+    k = len(nums)
+    gram = [[0] * k for _ in range(k)]
+    for a, wa in enumerate(weighted):
+        for c in range(a, k):
+            ec = nums[c]
+            gram[c][a] = gram[a][c] = sum(x * ec[key] for key, x in wa.items() if key in ec)
+    return gram
+
+
+def _exact_certificates(basis, beta: DiagonalWeight) -> DerivationCertificates:
+    """The certificate of a rational basis against a rational sorted beta,
+    from one integer pass per basis element.
+
+    Each D_a becomes N^a / den_a and beta becomes B / L with integer N^a and
+    B.  Then tr(beta D_a) = sum_i B_i N^a_ii / (L den_a), D_a lies in the
+    parabolic subalgebra iff N^a vanishes where B_i < B_j, and the Gram
+    matrix is D G' D / L for the integer G' of _integer_gram and
+    D = diag(1 / den_a): positive semidefinite iff G' is.  The reported
+    floats are those of the rationals: int / int is correctly rounded in
+    Python, as float(Fraction(num, den)) is.
+    """
+    if not beta.is_sorted():
+        raise ValueError("parabolic membership requires sorted beta")
+    big = math.lcm(*(x.denominator for x in beta.entries))
+    bint = [x.numerator * (big // x.denominator) for x in beta.entries]
+    n = len(bint)
+    upper = {(i, j) for i in range(n) for j in range(n) if bint[i] < bint[j]}
+    dens, nums = zip(*(_integer_entries(d) for d in basis))
+    traces = [sum(bint[i] * x for (i, j), x in e.items() if i == j) for e in nums]
+    gram = _integer_gram(nums, bint)
+    qgram = [[g / (big * da * dc) for g, dc in zip(row, dens)] for row, da in zip(gram, dens)]
+    return DerivationCertificates(
+        len(basis),
+        linalg.is_psd(gram),
+        all(t == 0 for t in traces),
+        all(upper.isdisjoint(e) for e in nums),
+        float(np.linalg.eigvalsh(np.asarray(qgram, dtype=float)).min()),
+        max(abs(t) / (big * den) for t, den in zip(traces, dens)))
+
+
 def derivation_certificates(
     mu: BracketTensor,
     beta: DiagonalWeight,
@@ -252,34 +306,26 @@ def derivation_certificates(
     """Evaluate the derivation-side stratum conditions for a sorted beta.
 
     The quadratic condition is decided exactly (positive semidefiniteness of
-    the Gram form on the derivation basis) when everything is rational, and
-    by the smallest eigenvalue of that Gram matrix in float mode.  Either
+    the Gram form on the derivation basis) when mu and beta are rational,
+    and by the smallest eigenvalue of that Gram matrix otherwise.  Either
     way the reported residual is that smallest eigenvalue, computed in
     floats, on the derivation basis: orthonormal in float mode, so it is the
     minimum of <[beta, D], D> over unit D; the canonical rational basis in
-    exact mode, so only its sign is basis-free there.
+    exact mode, so only its sign is basis-free there.  The rational case
+    runs in integers (_exact_certificates), the float and mixed cases on
+    the basis as given.
     """
     basis = derivations(mu, tol=min(tol, 1e-9))
     if not basis:
         return DerivationCertificates(0, True, True, True, 0.0, 0.0)
+    if beta.is_exact_mode and mu.is_exact_mode:
+        return _exact_certificates(basis, beta)
     b = beta.entries
-    exact = beta.is_exact_mode and mu.is_exact_mode
-
-    traces = [_trace_value(d, b) for d in basis]
-    if exact:
-        betaort = all(t == 0 for t in traces)
-    else:
-        betaort = all(abs(float(t)) <= tol for t in traces)
-    trace_max = max(abs(float(t)) for t in traces)
-
+    traces = [abs(float(_trace_value(d, b))) for d in basis]
     parabolic = all(parabolic_membership(d, beta, tol) for d in basis)
-
-    gram = _adbeta_gram(basis, b, exact)
-    qmin = float(np.linalg.eigvalsh(np.asarray(gram, dtype=float)).min())
-    adbeta = linalg.is_psd(gram) if exact else qmin >= -tol
-
-    return DerivationCertificates(len(basis), bool(adbeta), bool(betaort), bool(parabolic),
-                                  qmin, float(trace_max))
+    qmin = float(np.linalg.eigvalsh(np.asarray(_adbeta_gram(basis, b), dtype=float)).min())
+    return DerivationCertificates(len(basis), qmin >= -tol, all(t <= tol for t in traces),
+                                  parabolic, qmin, max(traces))
 
 
 def delta_check(mu: BracketTensor, beta: DiagonalWeight, tol: float = DEFAULT_TOL) -> Scalar:

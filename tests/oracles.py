@@ -16,6 +16,7 @@ from solvstrat.bracket import (DEFAULT_TOL, BracketTensor, _reduce_basis, inner,
 from solvstrat.flow import CHOP, FlowResult, ric_array
 from solvstrat.linalg import ONE, ZERO, dot
 from solvstrat.minnorm import MinNormResult, PointSet, Vec
+from solvstrat.strata import DerivationCertificates, parabolic_membership
 
 
 def ricci_moment_via_duality(mu: BracketTensor):
@@ -77,6 +78,137 @@ def dense_nullspace(m):
             v[p] = -r[i][f]
         basis.append(v)
     return basis
+
+
+def fraction_nullspace(rows, cols: int) -> list[list[Fraction]]:
+    """Canonical null space basis by sparse Gauss-Jordan in Fractions.
+
+    Each row is reduced by the pivot rows found so far, normalized to pivot
+    1, and cleared out of the earlier pivot rows, so the pivot rows stay in
+    reduced echelon form.
+    """
+    pivot_rows: dict[int, dict[int, Fraction]] = {}
+    for sparse in rows:
+        row = {c: Fraction(x) for c, x in sparse.items() if x}
+        for c in [c for c in row if c in pivot_rows]:
+            _sub_scaled(row, row[c], pivot_rows[c])
+        if not row:
+            continue
+        p = min(row)
+        inv = ONE / row[p]
+        row = {c: x * inv for c, x in row.items()}
+        for other in pivot_rows.values():
+            if p in other:
+                _sub_scaled(other, other[p], row)
+        pivot_rows[p] = row
+    basis = {f: [ZERO] * cols for f in range(cols) if f not in pivot_rows}
+    for p, row in pivot_rows.items():
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = -x
+    for f, v in basis.items():
+        v[f] = ONE
+    return list(basis.values())
+
+
+def _sub_scaled(row, f, other) -> None:
+    """row -= f * other for sparse rows, dropping the entries that cancel."""
+    for c, y in other.items():
+        v = row.get(c, ZERO) - f * y
+        if v:
+            row[c] = v
+        else:
+            del row[c]
+
+
+def slotwise_float_derivations(mu: BracketTensor, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """Float derivation basis with the system matrix filled one slot at a time."""
+    n = mu.dim
+    slots = [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+             for k in range(1, n + 1)]
+    arr = mu.to_array()
+    m = np.zeros((len(slots), n * n))
+    for r in range(n):
+        for c in range(n):
+            e = np.zeros((n, n))
+            e[r, c] = 1.0
+            image = rep_array(e, arr)
+            for row, (i, j, k) in enumerate(slots):
+                m[row, r * n + c] = image[i - 1, j - 1, k - 1]
+    _, s, vh = np.linalg.svd(m)
+    cutoff = tol * max(1.0, s[0] if len(s) else 1.0)
+    null_dim = int(np.sum(s <= cutoff)) + (n * n - len(s) if len(s) < n * n else 0)
+    basis = vh[len(vh) - null_dim:] if null_dim else vh[:0]
+    return [v.reshape(n, n) for v in basis]
+
+
+def fraction_is_psd(m) -> bool:
+    """Positive-semidefiniteness by pivoted Schur complements in Fractions."""
+    a = [[Fraction(x) for x in row] for row in m]
+    idx = list(range(len(a)))
+    while idx:
+        p = max(idx, key=lambda i: a[i][i])
+        if a[p][p] < 0:
+            return False
+        if a[p][p] == 0:
+            return all(a[i][j] == 0 for i in idx for j in idx)
+        piv = a[p][p]
+        idx.remove(p)
+        for i in idx:
+            f = a[i][p] / piv
+            if f:
+                for j in idx:
+                    a[i][j] -= f * a[p][j]
+    return True
+
+
+def fraction_derivations(mu: BracketTensor) -> list[list[list[Fraction]]]:
+    """Derivation basis of an exact bracket: the Fraction system rep(E_rc, mu)
+    = 0 on the unscaled coefficients, solved by fraction_nullspace."""
+    n = mu.dim
+    slots = [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+             for k in range(1, n + 1)]
+    slot_index = {s: r for r, s in enumerate(slots)}
+    rows: list[dict[int, Fraction]] = [{} for _ in slots]
+    for r in range(n):
+        for c in range(n):
+            e = [[ONE if (i, j) == (r, c) else ZERO for j in range(n)] for i in range(n)]
+            for key, val in rep(e, mu).coeffs.items():
+                rows[slot_index[key]][r * n + c] = val
+    return [[vec[r * n: (r + 1) * n] for r in range(n)]
+            for vec in fraction_nullspace(rows, n * n)]
+
+
+def fraction_adbeta_gram(basis, b) -> list[list[Fraction]]:
+    """Gram matrix of <[beta, D], D> in Fractions, each pair summed over the
+    entries off the b_i = b_j blocks that both elements have nonzero."""
+    n = len(b)
+    entries = [{(i, j): d[i][j] for i in range(n) for j in range(n) if b[i] != b[j] and d[i][j]}
+               for d in basis]
+    return [[sum((b[i] - b[j]) * x * ec[i, j] for (i, j), x in ea.items() if (i, j) in ec)
+             for ec in entries] for ea in entries]
+
+
+def fraction_derivation_certificates(mu: BracketTensor, beta,
+                                     tol: float = DEFAULT_TOL) -> DerivationCertificates:
+    """The derivation certificate of an exact mu against a sorted beta, on the
+    fraction_derivations basis: traces and parabolic entries by Fraction
+    sums, and fraction_is_psd of fraction_adbeta_gram when beta is exact;
+    the smallest eigenvalue of the dense Gram form against tol when it is
+    float."""
+    basis = fraction_derivations(mu)
+    if not basis:
+        return DerivationCertificates(0, True, True, True, 0.0, 0.0)
+    b = beta.entries
+    exact = beta.is_exact_mode
+    traces = [sum(x * d[i][i] for i, x in enumerate(b)) for d in basis]
+    parabolic = all(parabolic_membership(d, beta, tol) for d in basis)
+    gram = fraction_adbeta_gram(basis, b) if exact else dense_adbeta_gram(basis, b)
+    qmin = float(np.linalg.eigvalsh(np.asarray(gram, dtype=float)).min())
+    return DerivationCertificates(
+        len(basis), fraction_is_psd(gram) if exact else qmin >= -tol,
+        all(t == 0 if exact else abs(float(t)) <= tol for t in traces), parabolic, qmin,
+        max(abs(float(t)) for t in traces))
 
 
 def dense_adbeta_gram(basis, b):

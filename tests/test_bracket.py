@@ -8,7 +8,7 @@ import pytest
 from generators import (rand_frac, random_exact_gl, random_nilpotent,
                         random_tensor, shuffled)
 from oracles import (einsum_act_array, eval_is_solvable, eval_jacobi_residual,
-                     eval_lower_central_series, matmul, matvec)
+                     eval_lower_central_series, matmul, matvec, slotwise_float_derivations)
 from solvstrat import linalg
 from solvstrat.bracket import (BracketTensor, act, act_array, derivations,
                                direct_sum, inner, is_nilpotent, is_solvable,
@@ -298,6 +298,19 @@ def test_derivation_dimensions_and_membership():
         for d in float_basis:
             img = rep_array(d, mu.to_array())
             assert np.max(np.abs(img)) < 1e-8
+
+
+def test_float_derivations_match_the_slotwise_system():
+    # the system matrix is a copy of the rep_array images, so the SVD and
+    # the basis are the same floats
+    rng = np.random.default_rng(13)
+    cases = [H3, N4] + [random_nilpotent(rng, int(rng.integers(3, 8))) for _ in range(6)]
+    cases += [random_tensor(rng, 4, exact=False) for _ in range(3)]
+    for mu in cases:
+        got = derivations(mu.to_float())
+        want = slotwise_float_derivations(mu.to_float())
+        assert len(got) == len(want)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 def test_derivation_count_invariant_under_gl():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from generators import filiform, free_two_step, rand_frac
-from oracles import dense_nullspace, matmul, solve
+from oracles import dense_nullspace, fraction_is_psd, fraction_nullspace, matmul, solve
 from solvstrat import linalg
-from solvstrat.bracket import derivations
+from solvstrat.bracket import BracketTensor, act, derivations
 from solvstrat.catalog import filiform4, heisenberg3
 
 F = Fraction
@@ -19,7 +19,8 @@ def _sparse(m):
 
 
 def _dense(rows, cols):
-    return [[row.get(c, F(0)) for c in range(cols)] for row in rows]
+    # Fraction entries: rref would divide int rows into floats
+    return [[F(row.get(c, 0)) for c in range(cols)] for row in rows]
 
 
 def _sparse_random(rng, rows, cols, density=0.4):
@@ -57,10 +58,38 @@ def _battery():
         yield f"random{t}", m
 
 
-@pytest.mark.parametrize("m", [pytest.param(m, id=name) for name, m in _battery()])
+def _integer_battery():
+    rng = np.random.default_rng(47)
+    for t in range(30):
+        rows = int(rng.integers(1, 9))
+        cols = int(rng.integers(1, 9))
+        rank = int(rng.integers(1, min(rows, cols) + 1))
+        m = (rng.integers(-3, 4, size=(rows, rank)) @ rng.integers(-3, 4, size=(rank, cols)))
+        yield f"int{t}", [[int(x) for x in row] for row in m]
+    # coprime denominators above 2^64, so lcms and pivots exceed 64 bits
+    big = [2 ** 64 + 13, 2 ** 64 + 15, 2 ** 65 + 1, 5 ** 29]
+    for t in range(10):
+        rows = int(rng.integers(2, 7))
+        cols = int(rng.integers(2, 7))
+        rank = int(rng.integers(1, min(rows, cols) + 1))
+        left = [[F(int(rng.integers(-3, 4)), big[int(rng.integers(0, 4))]) for _ in range(rank)]
+                for _ in range(rows)]
+        right = [[F(int(rng.integers(-5, 6)), big[int(rng.integers(0, 4))]) for _ in range(cols)]
+                 for _ in range(rank)]
+        yield f"huge{t}", matmul(left, right)
+    # rows that cancel to nothing against the rows before them
+    yield "cancelling", [[1, 2, 0, 3], [2, 4, 0, 6], [0, 1, 1, 0], [1, 3, 1, 3], [-1, -1, 1, -3]]
+    yield "cancelling_fractions", [[F(1, 3), F(2, 5), 0], [F(-1, 7), 1, F(1, 2)],
+                                   [F(2, 3), F(4, 5), 0], [F(1, 3) - F(1, 7), F(7, 5), F(1, 2)]]
+
+
+@pytest.mark.parametrize("m", [pytest.param(m, id=name)
+                               for name, m in [*_battery(), *_integer_battery()]])
 def test_nullspace_matches_dense_rref_on_a_battery(m):
     got = linalg.nullspace(_sparse(m), len(m[0]))
-    assert got == dense_nullspace(m)
+    assert got == dense_nullspace([[F(x) for x in row] for row in m])
+    assert got == fraction_nullspace(_sparse(m), len(m[0]))
+    assert all(type(x) is F for v in got for x in v)
     for v in got:
         assert all(linalg.dot(row, v) == 0 for row in m)
 
@@ -88,6 +117,29 @@ def test_nullspace_matches_dense_rref_on_derivation_systems(mu, monkeypatch):
     rows, cols = systems[0]
     assert cols == mu.dim ** 2
     assert nullspace(rows, cols) == dense_nullspace(_dense(rows, cols))
+
+
+def test_rational_derivation_system_reaches_nullspace_in_integers(monkeypatch):
+    # Der(c mu) = Der(mu): the system of a bracket with rational coefficients
+    # is built on mu scaled to integers, and solves to the same basis
+    systems = []
+
+    def spy(rows, cols):
+        systems.append(rows)
+        return nullspace(rows, cols)
+
+    nullspace = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    g = [[F(1), F(1, 3), F(0), F(0)], [F(0), F(2, 5), F(0), F(1)],
+         [F(1, 7), F(0), F(1), F(0)], [F(0), F(0), F(-1, 2), F(1)]]
+    mu = act(g, filiform4())
+    assert any(c.denominator > 1 for c in mu.coeffs.values())
+    for bracket in (mu, BracketTensor.make(3, {(1, 2, 3): F(2, 3)})):
+        systems.clear()
+        basis = derivations(bracket)
+        assert len(systems) == 1
+        assert all(type(x) is int for row in systems[0] for x in row.values())
+        assert basis == derivations(bracket.scaled(F(5, 7)))
 
 
 def test_trace_product_equals_trace_of_matmul():
@@ -125,3 +177,34 @@ def test_solve_integer_matches_rref_solve_on_a_battery():
     # a square system of full rank is always consistent
     assert seen == {(False, False, False), (False, True, True), (True, False, False),
                     (True, True, False), (True, True, True)}
+
+
+def _psd_battery():
+    rng = np.random.default_rng(53)
+    yield "empty", []
+    yield "zero", [[0, 0], [0, 0]]
+    yield "zero_diagonal_off_block", [[1, 0, 0], [0, 0, 2], [0, 2, 0]]
+    yield "negative_diagonal", [[2, 1], [1, -1]]
+    for t in range(60):
+        n = int(rng.integers(1, 7))
+        kind = t % 3
+        if kind == 0:  # B^T B: semidefinite, singular when B has fewer than n rows
+            b = rng.integers(-3, 4, size=(int(rng.integers(0, n + 1)), n))
+            m = b.T @ b
+        elif kind == 1:  # B^T B minus a small diagonal: often indefinite
+            b = rng.integers(-3, 4, size=(n, n))
+            m = b.T @ b - np.diag(rng.integers(0, 3, size=n))
+        else:  # symmetric, unstructured
+            a = rng.integers(-4, 5, size=(n, n))
+            m = a + a.T
+        m = [[int(x) * 2 ** 70 if t % 7 == 0 else int(x) for x in row] for row in m]
+        yield f"random{t}", m
+
+
+def test_integer_is_psd_matches_the_fraction_schur_complements():
+    seen = set()
+    for name, m in _psd_battery():
+        got = linalg.is_psd(m)
+        assert got == fraction_is_psd(m), name
+        seen.add(got)
+    assert seen == {True, False}

@@ -1,13 +1,15 @@
 """Weight systems, stratum labels, memberships, certificates."""
 
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from generators import filiform, free_two_step, rand_frac, random_nilpotent
-from oracles import dense_adbeta_gram
+from generators import filiform, free_two_step, rand_frac, random_nilpotent, random_tensor
+from oracles import (dense_adbeta_gram, fraction_derivation_certificates,
+                     fraction_derivations)
 from solvstrat import minnorm, strata
 from solvstrat.bracket import (BracketTensor, act, derivations, inner,
                                permutation_act, rep)
@@ -241,7 +243,7 @@ def test_float_quadratic_min_bounds_every_unit_derivation():
         b = np.array([float(x) for x in chamber.entries])
         basis = derivations(moved.to_float())
         qmin = derivation_certificates(moved.to_float(), DiagonalWeight.make(b)).quadratic_min
-        gram = np.asarray(strata._adbeta_gram(basis, b, False), dtype=float)
+        gram = np.asarray(strata._adbeta_gram(basis, b), dtype=float)
         coeffs = list(rng.standard_normal((20, len(basis))))
         coeffs.append(np.linalg.eigh(gram)[1][:, 0])
         values = []
@@ -284,19 +286,19 @@ def _gram_cases():
 
 
 @pytest.mark.parametrize("mu", _gram_cases())
-def test_adbeta_gram_matches_the_dense_form(mu, monkeypatch):
+def test_adbeta_gram_matches_the_dense_form(mu):
+    # the integer Gram matrix, scaled back by L den_a den_c, is the dense
+    # rational form, and the certificate is the Fraction route's
     moved, chamber = _chamber_pair(mu)
-    got = strata._adbeta_gram(derivations(moved), chamber.entries, True)
-    cert = derivation_certificates(moved, chamber)
-    dense = []
-
-    def dense_gram(basis, b, exact):
-        dense.append(dense_adbeta_gram(basis, b))
-        return dense[-1]
-
-    monkeypatch.setattr(strata, "_adbeta_gram", dense_gram)
-    assert derivation_certificates(moved, chamber) == cert
-    assert dense == [got]
+    basis = derivations(moved)
+    dens, nums = zip(*(strata._integer_entries(d) for d in basis))
+    big = math.lcm(*(x.denominator for x in chamber.entries))
+    bint = [int(x * big) for x in chamber.entries]
+    got = strata._integer_gram(nums, bint)
+    scaled = [[F(g, big * da * dc) for g, dc in zip(row, dens)] for row, da in zip(got, dens)]
+    assert scaled == dense_adbeta_gram(basis, chamber.entries)
+    assert derivation_certificates(moved, chamber) == fraction_derivation_certificates(
+        moved, chamber)
 
 
 def test_adbeta_gram_matches_the_dense_form_in_float_mode(monkeypatch):
@@ -305,7 +307,7 @@ def test_adbeta_gram_matches_the_dense_form_in_float_mode(monkeypatch):
         moved, chamber = _chamber_pair(mu)
         beta = DiagonalWeight.make([float(x) for x in chamber.entries])
         basis = derivations(moved.to_float())
-        got = strata._adbeta_gram(basis, beta.entries, False)
+        got = strata._adbeta_gram(basis, beta.entries)
         want = dense_adbeta_gram(basis, beta.entries)
         # rounding makes the dense sum slightly asymmetric; the lower
         # triangle, which eigvalsh reads, agrees bit for bit
@@ -314,7 +316,7 @@ def test_adbeta_gram_matches_the_dense_form_in_float_mode(monkeypatch):
                 assert got[c][a] == want[c][a] and got[a][c] == got[c][a]
         with monkeypatch.context() as m:
             sparse_cert = derivation_certificates(moved.to_float(), beta)
-            m.setattr(strata, "_adbeta_gram", lambda basis, b, exact: dense_adbeta_gram(basis, b))
+            m.setattr(strata, "_adbeta_gram", dense_adbeta_gram)
             assert derivation_certificates(moved.to_float(), beta) == sparse_cert
 
 
@@ -326,7 +328,7 @@ def test_adbeta_gram_with_an_exact_label_on_a_float_basis():
     for mu in [N4, free_two_step(3)] + [random_nilpotent(rng, 5) for _ in range(5)]:
         moved, chamber = _chamber_pair(mu)
         basis = derivations(moved.to_float())
-        got = strata._adbeta_gram(basis, chamber.entries, False)
+        got = strata._adbeta_gram(basis, chamber.entries)
         want = dense_adbeta_gram(basis, chamber.entries)
         for c in range(len(basis)):
             for a in range(c + 1):
@@ -407,3 +409,65 @@ def test_certificate_json_round_trip_shape():
     assert d["eigenvalue_type"] == [1, 2, 3, 4]
     assert d["type_scale"] == "1/2"
     assert d["all_passed"] is True
+
+
+def _certificate_battery():
+    """(name, mu, sorted beta): labels of exact-label-style brackets, GL-moved
+    random nilpotent brackets of dims 3-10, and random sorted rational betas
+    on them (nonzero traces, derivations outside the parabolic, indefinite
+    Gram matrices, ties and a constant beta whose Gram matrix vanishes)."""
+    rng = np.random.default_rng(61)
+    named = [("h3", H3), ("fil4", N4), ("L8", filiform(8)), ("free3", free_two_step(3))]
+    randoms = [(f"label{t}", random_nilpotent(rng, int(rng.integers(3, 8)),
+                                              transform=bool(t % 2)))
+               for t in range(8)]
+    moved = [(f"gl{d}", random_nilpotent(rng, d, transform=True)) for d in range(3, 11)]
+    for name, mu in named + randoms + moved:
+        mu, chamber = _chamber_pair(mu)
+        yield name, mu, chamber
+        if mu.dim <= 7:
+            for t in range(2):
+                b = sorted(rand_frac(rng, 3, 4) for _ in range(mu.dim))
+                yield f"{name}_beta{t}", mu, DiagonalWeight.make(b)
+            yield f"{name}_flat", mu, DiagonalWeight.make([F(-1, mu.dim)] * mu.dim)
+
+
+@pytest.mark.parametrize("mu,beta", [pytest.param(mu, beta, id=name)
+                                     for name, mu, beta in _certificate_battery()])
+def test_exact_certificates_match_the_fraction_route(mu, beta):
+    assert derivations(mu) == fraction_derivations(mu)
+    assert derivation_certificates(mu, beta) == fraction_derivation_certificates(mu, beta)
+    if mu.dim <= 7:  # the oracle's dense Gram form takes seconds beyond
+        # exact mu against a float label keeps the float route
+        fbeta = DiagonalWeight.make([float(x) for x in beta.entries])
+        assert derivation_certificates(mu, fbeta) == fraction_derivation_certificates(mu, fbeta)
+
+
+def test_certificate_battery_reaches_every_verdict():
+    verdicts = set()
+    for _, mu, beta in _certificate_battery():
+        if mu.dim <= 7:
+            cert = derivation_certificates(mu, beta)
+            verdicts.add(("adbeta", cert.adbeta_nonneg))
+            verdicts.add(("betaort", cert.betaort_zero))
+            verdicts.add(("parabolic", cert.parabolic_all))
+    assert len(verdicts) == 6
+
+
+def test_unsorted_exact_beta_raises_exactly_when_derivations_exist():
+    # an empty basis returns before the chamber convention is consulted
+    rng = np.random.default_rng(67)
+    seen = set()
+    for _ in range(30):
+        mu = random_tensor(rng, int(rng.integers(3, 5)), exact=True)
+        # rand_frac draws at least -6, so the last entry breaks the order
+        beta = DiagonalWeight.make(sorted(rand_frac(rng) for _ in range(mu.dim - 1)) + [F(-7)])
+        has_basis = bool(fraction_derivations(mu))
+        seen.add(has_basis)
+        if has_basis:
+            with pytest.raises(ValueError, match="sorted"):
+                derivation_certificates(mu, beta)
+        else:
+            assert derivation_certificates(mu, beta) == strata.DerivationCertificates(
+                0, True, True, True, 0.0, 0.0)
+    assert seen == {True, False}
