@@ -7,6 +7,9 @@ dropped).  Two arithmetic modes coexist, each with one representation:
 "exact" work runs on the sparse dict of Fraction coefficients, with loops
 driven by its nonzeros (and by the nonzeros of the matrix acting on it);
 "float" work runs on dense (n, n, n) ndarray kernels (act_array, rep_array).
+Questions that only see spans (the central and derived series, the
+derivation algebra) are answered for the integer multiple L mu, L the lcm
+of the coefficient denominators, by fraction-free elimination.
 
 Group and Lie algebra actions:
 
@@ -22,6 +25,7 @@ counts twice:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,7 +64,7 @@ class BracketTensor:
                 c = Fraction(c)
             if i > j:
                 i, j, c = j, i, -c
-            norm[(i, j, k)] = norm.get((i, j, k), Fraction(0)) + c
+            norm[(i, j, k)] = norm.get((i, j, k), 0) + c
         norm = {key: c for key, c in norm.items() if c != 0}
         mode = "exact" if all(is_exact(c) for c in norm.values()) else "float"
         if mode == "float":
@@ -326,42 +330,77 @@ def jacobi_check(mu: BracketTensor, tol: float = DEFAULT_TOL) -> tuple[bool, Sca
     return ((res == 0) if mu.is_exact_mode else float(res) <= tol), res
 
 
-def _unit(n: int, exact: bool) -> list[list[Scalar]]:
-    """Standard basis vectors e_1..e_n as Fraction or float rows."""
-    return linalg.identity(n) if exact else [[float(i == j) for j in range(n)] for i in range(n)]
+def _integer_coeffs(mu: BracketTensor) -> tuple[int, dict[Key, int]]:
+    """(L, N) for an exact mu: L is the lcm of its coefficient denominators
+    and N = L mu, a positive multiple with the same spans, derivations and
+    central and derived series."""
+    den = math.lcm(*(c.denominator for c in mu.coeffs.values()))
+    return den, {key: c.numerator * (den // c.denominator) for key, c in mu.coeffs.items()}
 
 
-def _ad_lists(mu: BracketTensor) -> list[list[tuple[int, int, Scalar, bool]]]:
-    """Per basis index i, the coefficients mu_pq^k with i in {p, q}.
+def _ad_lists(coeffs: Mapping[Key, Scalar], dim: int) -> list[list[tuple[int, int, Scalar]]]:
+    """Per basis index i, the (j, k, c) with c = mu_ij^k over ordered pairs.
 
-    Entries are (other index, k, mu_pq^k, whether i == p), in the dict order
-    of mu.coeffs: [e_i, x]^k sums mu_pq^k x_q (i == p) or -mu_pq^k x_p
-    (i == q) in that order.
+    Entries follow the dict order of coeffs, each stored (p, q, k) listed as
+    (q, k, c) for p and (p, k, -c) for q: [e_i, x]^k sums c x_j in that order.
     """
-    out: list[list[tuple[int, int, Scalar, bool]]] = [[] for _ in range(mu.dim + 1)]
-    for (p, q, k), c in mu.coeffs.items():
-        out[p].append((q, k, c, True))
-        out[q].append((p, k, c, False))
+    out: list[list[tuple[int, int, Scalar]]] = [[] for _ in range(dim + 1)]
+    for (p, q, k), c in coeffs.items():
+        out[p].append((q, k, c))
+        out[q].append((p, k, -c))
     return out
 
 
-def _bracket_unit(mu: BracketTensor, row, x) -> list[Scalar]:
-    """[e_i, x] from the coefficients listed in row = _ad_lists(mu)[i]."""
-    zero = Fraction(0) if mu.is_exact_mode else 0.0
-    out = [zero] * mu.dim
-    for other, k, c, first in row:
-        y = x[other - 1]
+def _bracket_unit(row, x) -> list[float]:
+    """[e_i, x] for a float vector x, from row = _ad_lists(mu)[i]."""
+    out = [0.0] * len(x)
+    for j, k, c in row:
+        y = x[j - 1]
         if y:
-            out[k - 1] = out[k - 1] + c * (y if first else -y)
+            out[k - 1] = out[k - 1] + c * y
     return out
 
 
-def _reduce_basis(vectors, exact: bool, tol: float):
-    """Linearly independent subset spanning the same space."""
-    if exact:
-        vectors = [v for v in vectors if any(v)]  # the rref is unique, zeros add nothing
-        r, pivots = linalg.rref(vectors) if vectors else ([], [])
-        return [row for row in r[: len(pivots)]]
+def _bracket_unit_int(row, x: dict[int, int]) -> dict[int, int]:
+    """[e_i, x] for a sparse integer vector x ({0-based index: value})."""
+    out: dict[int, int] = {}
+    for j, k, c in row:
+        y = x.get(j - 1)
+        if y:
+            out[k - 1] = out.get(k - 1, 0) + c * y
+    return {k: v for k, v in out.items() if v}
+
+
+def _eval_int(coeffs: Mapping[Key, int], x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+    """mu(x, y) for sparse integer vectors, as _bracket_unit_int indexes them."""
+    out: dict[int, int] = {}
+    for (i, j, k), c in coeffs.items():
+        w = x.get(i - 1, 0) * y.get(j - 1, 0) - x.get(j - 1, 0) * y.get(i - 1, 0)
+        if w:
+            out[k - 1] = out.get(k - 1, 0) + c * w
+    return {k: v for k, v in out.items() if v}
+
+
+def _integer_basis(vectors) -> list[dict[int, int]]:
+    """Echelon basis of the span of sparse integer vectors, by fraction-free
+    elimination: each vector is cleared against the pivot row of its
+    leading index until it vanishes or leads at a new pivot, stored
+    primitive.  The span and so its dimension are those of rational
+    elimination."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in vectors:
+        while row:
+            p = min(row)
+            other = pivots.get(p)
+            if other is None:
+                pivots[p] = linalg._primitive(row, False)
+                break
+            row = linalg._clear(row, other, p)
+    return list(pivots.values())
+
+
+def _reduce_basis(vectors, tol: float):
+    """Float vectors spanning the same space, from an SVD."""
     if not vectors:
         return []
     m = np.asarray(vectors, dtype=float)
@@ -386,16 +425,22 @@ def _central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> list[int]:
     """lower_central_series for a bracket already known to satisfy Jacobi.
 
     Each term is spanned by [e_i, b] for the basis b of the previous one,
-    built from the coefficients that involve e_i.
+    built from the coefficients that involve e_i.  Exact mode brackets with
+    the integer multiple L mu and reduces by _integer_basis; float mode
+    reduces by an SVD.
     """
-    exact = mu.is_exact_mode
     n = mu.dim
-    rows = _ad_lists(mu)
+    if mu.is_exact_mode:
+        rows = _ad_lists(_integer_coeffs(mu)[1], n)
+        basis = [{c: 1} for c in range(n)]
+        bracket_unit, reduce = _bracket_unit_int, _integer_basis
+    else:
+        rows = _ad_lists(mu.coeffs, n)
+        basis = [[float(i == j) for j in range(n)] for i in range(n)]
+        bracket_unit, reduce = _bracket_unit, lambda vectors: _reduce_basis(vectors, tol)
     dims = [n]
-    basis = _unit(n, exact)
     while True:
-        gens = [_bracket_unit(mu, rows[i], b) for i in range(1, n + 1) for b in basis]
-        basis = _reduce_basis(gens, exact, tol)
+        basis = reduce([bracket_unit(rows[i], b) for i in range(1, n + 1) for b in basis])
         d = len(basis)
         dims.append(d)
         if d == 0 or d == dims[-2]:
@@ -410,44 +455,63 @@ def is_solvable(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
     """Whether the derived series [g, g], [[g, g], [g, g]], ... reaches 0.
 
     [g, g] is spanned by the vectors mu(e_i, e_j), read off the
-    coefficients; later terms bracket pairs of basis vectors.
+    coefficients; later terms bracket pairs of basis vectors.  Exact mode
+    works on the integer multiple L mu and reduces by _integer_basis, float
+    mode by an SVD.
     """
-    exact = mu.is_exact_mode
     n = mu.dim
-    gens = [mu.pair(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    if mu.is_exact_mode:
+        coeffs = _integer_coeffs(mu)[1]
+        pairs: dict[tuple[int, int], dict[int, int]] = {}
+        for (i, j, k), c in coeffs.items():
+            pairs.setdefault((i, j), {})[k - 1] = c
+        gens = list(pairs.values())
+        evaluate, reduce = functools.partial(_eval_int, coeffs), _integer_basis
+    else:
+        gens = [mu.pair(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        evaluate, reduce = mu.eval, lambda vectors: _reduce_basis(vectors, tol)
     prev = n
     while True:
-        basis = _reduce_basis(gens, exact, tol)
+        basis = reduce(gens)
         cur = len(basis)
         if cur == 0:
             return True
         if cur == prev:
             return False
         prev = cur
-        gens = [mu.eval(x, y) for i, x in enumerate(basis) for y in basis[i + 1:]]
+        gens = [evaluate(x, y) for i, x in enumerate(basis) for y in basis[i + 1:]]
 
 
 def derivations(mu: BracketTensor, tol: float = DEFAULT_TOL):
     """Basis of {a : rep(a, mu) = 0}, the derivation algebra of mu.
 
     Exact mode: canonical rational basis from the reduced echelon null space.
-    The system is built in integers: Der(c mu) = Der(mu), so mu is scaled by
-    the lcm of its coefficient denominators first.  Float mode: orthonormal
-    basis from an SVD.  Returns a list of n x n matrices (rows of Fractions,
-    or numpy arrays).
+    The system is built in integers, in one pass over the coefficients:
+    Der(c mu) = Der(mu), so mu is scaled by the lcm of its coefficient
+    denominators first.  Float mode: orthonormal basis from an SVD.  Returns
+    a list of n x n matrices (rows of Fractions, or numpy arrays).
     """
     n = mu.dim
     slots = [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1)
              for k in range(1, n + 1)]
     if mu.is_exact_mode:
-        slot_index = {s: r for r, s in enumerate(slots)}
-        den = math.lcm(*(c.denominator for c in mu.coeffs.values()))
-        scaled = {key: c.numerator * (den // c.denominator) for key, c in mu.coeffs.items()}
         rows: list[dict[int, int]] = [{} for _ in slots]
-        for r in range(n):
-            for c in range(n):
-                for key, val in _rep_coeffs([(r + 1, c + 1, 1)], scaled).items():
-                    rows[slot_index[key]][r * n + c] = val
+        slot_index = {s: r for r, s in enumerate(slots)}
+
+        def add(i, j, k, col, v):
+            # v at the skew slot (i, j, k) in column col; i == j adds nothing
+            if i != j:
+                row = rows[slot_index[(i, j, k) if i < j else (j, i, k)]]
+                row[col] = row.get(col, 0) + (v if i < j else -v)
+
+        # with the unit E_rc in column (r - 1) n + c - 1, the coefficient v
+        # at (p, q, k) adds, for each t, v at (p, q, t) in rep(E_tk, mu),
+        # -v at (t, q, k) in rep(E_pt, mu) and v at (t, p, k) in rep(E_qt, mu)
+        for (p, q, k), v in _integer_coeffs(mu)[1].items():
+            for t in range(1, n + 1):
+                add(p, q, t, (t - 1) * n + k - 1, v)
+                add(t, q, k, (p - 1) * n + t - 1, -v)
+                add(t, p, k, (q - 1) * n + t - 1, v)
         return [[vec[r * n: (r + 1) * n] for r in range(n)]
                 for vec in linalg.nullspace(rows, n * n)]
     arr = mu.to_array()

@@ -33,9 +33,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bracket import (BracketTensor, _central_series, act_array, inner,
-                      jacobi_check, rep_array)
-from .linalg import Scalar
+from .bracket import (BracketTensor, _central_series, _integer_coeffs, act_array,
+                      inner, jacobi_check, rep_array)
+from .linalg import Scalar, fraction_rows
 from .strata import (DiagonalWeight, StratumCertificate, certify_candidate,
                      in_W, project_Z)
 
@@ -56,27 +56,42 @@ class MomentValue:
     norm_mu_sq: Scalar
 
 
+def _integer_slots(mu: BracketTensor):
+    """(L, by_slot, by_pair) for L the lcm of the denominators of an exact mu.
+
+    With N = L mu, by_slot[(y, z)] lists the (x, N_xy^z) over ordered pairs
+    (x, y), that is the entries in column y and row z of the matrices
+    L ad b_x; by_pair[(i, j)] lists the (k, N_ij^k) of the stored i < j.
+    """
+    den, coeffs = _integer_coeffs(mu)
+    by_slot: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (i, j, k), n in coeffs.items():
+        by_slot.setdefault((j, k), []).append((i, n))
+        by_slot.setdefault((i, k), []).append((j, -n))
+        by_pair.setdefault((i, j), []).append((k, n))
+    return den, by_slot, by_pair
+
+
+def _moment_numerator(dim: int, by_slot, by_pair) -> list[list[int]]:
+    """4 L^2 Ric_mu in integers, from the tables of _integer_slots:
+
+        -2 sum_{x, y} N_px^y N_qx^y + 2 sum_{i < j} N_ij^p N_ij^q.
+    """
+    r4 = [[0] * dim for _ in range(dim)]
+    for group, weight in ((by_slot, -2), (by_pair, 2)):
+        for entries in group.values():
+            for p, x in entries:
+                row, wx = r4[p - 1], weight * x
+                for q, y in entries:
+                    row[q - 1] += wx * y
+    return r4
+
+
 def _ric_exact(mu: BracketTensor):
-    n = mu.dim
-    full: dict[tuple[int, int, int], Scalar] = {}
-    for (i, j, k), c in mu.coeffs.items():
-        full[(i, j, k)] = c
-        full[(j, i, k)] = -c
-    ric = [[Fraction(0)] * n for _ in range(n)]
-    by_tail: dict[tuple[int, int], dict[int, Scalar]] = {}
-    by_head: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for (x, y, k), c in full.items():
-        by_tail.setdefault((y, k), {})[x] = c
-        by_head.setdefault((x, y), {})[k] = c
-    for group in by_tail.values():
-        for p, c1 in group.items():
-            for q, c2 in group.items():
-                ric[p - 1][q - 1] -= Fraction(1, 2) * c1 * c2
-    for group in by_head.values():
-        for p, c1 in group.items():
-            for q, c2 in group.items():
-                ric[p - 1][q - 1] += Fraction(1, 4) * c1 * c2
-    return ric
+    """Ric_mu in Fractions, from its integer numerator 4 L^2 Ric_mu."""
+    den, by_slot, by_pair = _integer_slots(mu)
+    return fraction_rows(_moment_numerator(mu.dim, by_slot, by_pair), 4 * den * den)
 
 
 def ric_array(arr: np.ndarray) -> np.ndarray:

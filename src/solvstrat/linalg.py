@@ -3,8 +3,8 @@
 Matrices are lists (or tuples) of rows of Fractions, vectors are sequences of
 Fractions.  Exact pivots keep every result free of conditioning questions,
 and a deterministic pivot choice (first nonzero) keeps every derived basis
-reproducible run to run.  rref and invert eliminate densely in Fractions;
-they serve small systems.  The hot kernels eliminate in integers, which
+reproducible run to run.  rref eliminates densely in Fractions and serves
+invert alone, on small systems.  The hot kernels eliminate in integers, which
 pays no gcd per arithmetic step: nullspace clears each sparse row of its
 denominators and runs a content-normalized Gauss-Jordan, because its
 largest caller, the derivation system of an n-dimensional bracket, has
@@ -38,7 +38,7 @@ def frac(x) -> Fraction:
 
 
 def is_exact(x) -> bool:
-    return isinstance(x, Rational) and not isinstance(x, bool)
+    return type(x) is Fraction or (isinstance(x, Rational) and not isinstance(x, bool))
 
 
 def parse_scalar(v) -> Scalar:
@@ -60,8 +60,7 @@ def parse_scalar(v) -> Scalar:
 def format_scalar(x: Scalar):
     """Scalar -> JSON value, inverse of parse_scalar."""
     if is_exact(x):
-        f = Fraction(x)
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     return float(x)
 
 
@@ -73,12 +72,19 @@ def transpose(m: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*m)]
 
 
-def mat_sub(a, b) -> list[list]:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a) -> list[list]:
-    return [[c * x for x in row] for row in a]
+def fraction_rows(rows: Sequence[Sequence[int]], den: int) -> list[list[Fraction]]:
+    """The matrix rows / den in Fractions; equal numerators share one Fraction."""
+    made: dict[int, Fraction] = {}
+    out = []
+    for row in rows:
+        new = []
+        for x in row:
+            f = made.get(x)
+            if f is None:
+                f = made[x] = Fraction(x, den)
+            new.append(f)
+        out.append(new)
+    return out
 
 
 def trace(a):

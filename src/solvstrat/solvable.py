@@ -19,9 +19,14 @@ with S(m) = (m + m^T)/2.  In coefficients, with C_pk^r the r-th component of
 all summed over the nonzero coefficients only, and so are the three terms
 of the standardness audit (see AuditReport).  An algebra computes these
 once, as its cached `curvature`.  Everything is exact on rational input and
-float otherwise.  The universal trace identity tr(R E) = 1/4 <pi(E) mu, mu>
-(true for any tensor mu, Jacobi or not) gives every report two independent
-routes.
+float otherwise.  Exact algebras take an integer route: with L the lcm of
+the denominators of C, N = L C is integral, and one pass over pairs of its
+nonzero entries gives the numerators L h, L^2 B, 4 L^2 R, L^2 ad H and
+4 L^2 Ricci (_curvature_numerators), each turned into Fractions once.  The
+Einstein check reads those numerators, so every float it reports is one
+correctly rounded int / int division.  The universal trace identity
+tr(R E) = 1/4 <pi(E) mu, mu> (true for any tensor mu, Jacobi or not) gives
+every report two independent routes.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 from . import linalg
 from .bracket import (BracketTensor, act, inner, is_solvable, jacobi_check,
                       permutation_act, rep)
-from .flow import _ric_exact, ric_array
+from .flow import _integer_slots, _moment_numerator, _ric_exact, ric_array
 from .linalg import Scalar, frac, is_exact
 from .strata import DiagonalWeight, beta_of, in_W
 
@@ -85,13 +90,28 @@ class MetricSolvableAlgebra:
     @functools.cached_property
     def curvature(self) -> "Curvature":
         """H, B, R, S(ad H) and Ricci = R - B/2 - S(ad H), computed once."""
+        if self.bracket.is_exact_mode:
+            num = self._numerators
+            sq = num.den * num.den
+            return Curvature(linalg.fraction_rows([num.mean], num.den)[0],
+                             linalg.fraction_rows(num.killing, sq),
+                             linalg.fraction_rows(num.r, 4 * sq),
+                             linalg.fraction_rows(num.s_ad_h, 2 * sq),
+                             linalg.fraction_rows(num.ricci, 4 * sq))
         h = mean_curvature(self)
         b = killing_form(self)
         r = r_operator(self)
         sh = _s_ad_h(self, h)
-        half = Fraction(1, 2) if self.bracket.is_exact_mode else 0.5
-        ric = linalg.mat_sub(linalg.mat_sub(r, linalg.mat_scale(half, b)), sh)
+        ric = [[x - 0.5 * y - z for x, y, z in zip(rr, rb, rs)] for rr, rb, rs in zip(r, b, sh)]
         return Curvature(h, b, r, sh, ric)
+
+    @functools.cached_property
+    def _numerators(self) -> "_Numerators":
+        return _curvature_numerators(self)
+
+    @functools.cached_property
+    def _einstein(self) -> tuple[Scalar, float, float, float | None]:
+        return _einstein_values(self)
 
 
 @dataclass(frozen=True)
@@ -103,6 +123,57 @@ class Curvature:
     r: list
     s_ad_h: list
     ricci: list
+
+
+class _Numerators(NamedTuple):
+    """Integer numerators of the curvature of an exact algebra.
+
+    With L the lcm of the denominators of the structure constants:
+    H = mean / L, B = killing / L^2, R = r / (4 L^2),
+    S(ad H) = s_ad_h / (2 L^2) and Ricci = ricci / (4 L^2).
+    """
+
+    den: int
+    mean: list[int]
+    killing: list[list[int]]
+    r: list[list[int]]
+    s_ad_h: list[list[int]]
+    ricci: list[list[int]]
+
+
+def _curvature_numerators(s: MetricSolvableAlgebra) -> _Numerators:
+    """The integer curvature kernel of an exact algebra.
+
+    N = L C is an integer tensor, tabulated once by _integer_slots; then
+    L h_r = sum_j N_rj^j, L^2 B_pq = sum_{r, k} N_pk^r N_qr^k,
+    (L^2 ad H)_kj = sum_r (L h_r) N_rj^k and 4 L^2 R come out of pairs of
+    its nonzero entries; 2 L^2 S(ad H) = L^2 (ad H + ad H^T) and the Ricci
+    numerator is 4 L^2 R - 2 L^2 B - 2 L^2 (ad H + ad H^T).
+    """
+    d, m = s.dim, s.dim_a
+    den, by_slot, by_pair = _integer_slots(s.bracket)
+    mean = [0] * m
+    for (y, z), entries in by_slot.items():
+        if y == z:
+            for x, n in entries:
+                if x <= m:
+                    mean[x - 1] += n
+    killing = [[0] * d for _ in range(d)]
+    adh = [[0] * d for _ in range(d)]
+    for (y, z), left in by_slot.items():
+        # left lists (p, N_py^z); by_slot[(z, y)] lists (q, N_qz^y)
+        for q, w in by_slot.get((z, y), ()):
+            for p, x in left:
+                killing[p - 1][q - 1] += x * w
+        row = adh[z - 1]
+        for x, n in left:
+            if x <= m and mean[x - 1]:
+                row[y - 1] += mean[x - 1] * n
+    sym = [[x + y for x, y in zip(row, col)] for row, col in zip(adh, zip(*adh))]
+    r = _moment_numerator(d, by_slot, by_pair)
+    ricci = [[x - 2 * (y + z) for x, y, z in zip(rr, rb, rs)]
+             for rr, rb, rs in zip(r, killing, sym)]
+    return _Numerators(den, mean, killing, r, sym, ricci)
 
 
 def orthonormalize_basis(dim_a: int, dim_n: int, bracket: BracketTensor, gram) -> BracketTensor:
@@ -137,45 +208,42 @@ def orthonormalize_basis(dim_a: int, dim_n: int, bracket: BracketTensor, gram) -
     return permutation_act(sigma_inv, mu_f)
 
 
-def _sym(m):
-    n = len(m)
-    half = Fraction(1, 2) if is_exact(m[0][0]) else 0.5
-    return [[(m[i][j] + m[j][i]) * half for j in range(n)] for i in range(n)]
-
-
 def mean_curvature(s: MetricSolvableAlgebra) -> list[Scalar]:
     """Coordinates of H = sum_r tr(ad A_r) A_r in the a-basis."""
-    zero = Fraction(0) if s.bracket.is_exact_mode else 0.0
+    if s.bracket.is_exact_mode:
+        return s.curvature.mean
     coeff = s.bracket.coeff
-    return [sum((coeff(r, j, j) for j in range(1, s.dim + 1)), zero)
+    return [sum((coeff(r, j, j) for j in range(1, s.dim + 1)), 0.0)
             for r in range(1, s.dim_a + 1)]
 
 
 def killing_form(s: MetricSolvableAlgebra):
     """B_pq = sum_r (sum_k C_pk^r C_qr^k), over pairs of nonzero coefficients.
 
-    The inner sums run over k ascending and the outer one over r ascending,
-    the order of tr(ad b_p ad b_q) as a matrix product, so float entries
-    equal that dense route bit for bit.
+    Exact algebras read it off the integer kernel.  For floats the inner
+    sums run over k ascending and the outer one over r ascending, the order
+    of tr(ad b_p ad b_q) as a matrix product, so the entries equal that
+    dense route bit for bit.
     """
+    if s.bracket.is_exact_mode:
+        return s.curvature.killing
     d = s.dim
-    zero = Fraction(0) if s.bracket.is_exact_mode else 0.0
     # by_slot[(y, z)]: the (x, C_xy^z) over all ordered pairs, that is the
     # entries (ad b_x)_zy in column y and row z
-    by_slot: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+    by_slot: dict[tuple[int, int], list[tuple[int, float]]] = {}
     for (i, j, k), c in s.bracket.coeffs.items():
         by_slot.setdefault((j, k), []).append((i, c))
         by_slot.setdefault((i, k), []).append((j, -c))
-    b = [[zero] * d for _ in range(d)]
+    b = [[0.0] * d for _ in range(d)]
     for r in range(1, d + 1):
-        inner: dict[tuple[int, int], Scalar] = {}
+        inner: dict[tuple[int, int], float] = {}
         for k in range(1, d + 1):
             left, right = by_slot.get((k, r)), by_slot.get((r, k))
             if not (left and right):
                 continue
             for p, x in left:
                 for q, y in right:
-                    inner[(p, q)] = inner.get((p, q), zero) + x * y
+                    inner[(p, q)] = inner.get((p, q), 0.0) + x * y
         for (p, q), v in inner.items():
             b[p - 1][q - 1] = b[p - 1][q - 1] + v
     return b
@@ -184,35 +252,36 @@ def killing_form(s: MetricSolvableAlgebra):
 def r_operator(s: MetricSolvableAlgebra):
     """The moment-map part of the Ricci operator (entrywise formula)."""
     if s.bracket.is_exact_mode:
-        return _ric_exact(s.bracket)
+        return s.curvature.r
     return ric_array(s.bracket.to_array()).tolist()
 
 
 def s_ad_h(s: MetricSolvableAlgebra):
+    if s.bracket.is_exact_mode:
+        return s.curvature.s_ad_h
     return _s_ad_h(s, mean_curvature(s))
 
 
 def _s_ad_h(s: MetricSolvableAlgebra, h):
-    """S(ad H) for the mean curvature coordinates h.
+    """S(ad H) of a float algebra for the mean curvature coordinates h.
 
     (ad H)_kj accumulates h_r C_rj^k over r ascending, read off the
     coefficients with r in a; C_rj^k = -C_jr^k covers the keys stored as
     (j, r, k).
     """
     d, m = s.dim, s.dim_a
-    zero = Fraction(0) if s.bracket.is_exact_mode else 0.0
-    by_r: list[list[tuple[int, int, Scalar]]] = [[] for _ in range(m + 1)]
+    by_r: list[list[tuple[int, int, float]]] = [[] for _ in range(m + 1)]
     for (i, j, k), c in s.bracket.coeffs.items():
         if i <= m:
             by_r[i].append((j, k, c))
         if j <= m:
             by_r[j].append((i, k, -c))
-    adh = [[zero] * d for _ in range(d)]
+    adh = [[0.0] * d for _ in range(d)]
     for r, hr in enumerate(h, start=1):
         if hr:
             for j, k, c in by_r[r]:
                 adh[k - 1][j - 1] = adh[k - 1][j - 1] + hr * c
-    return _sym(adh)
+    return [[(adh[i][j] + adh[j][i]) * 0.5 for j in range(d)] for i in range(d)]
 
 
 def ricci_operator(s: MetricSolvableAlgebra):
@@ -233,21 +302,49 @@ def einstein_check(s: MetricSolvableAlgebra, tol: float = EINSTEIN_TOL) -> Einst
 
     For non-unimodular algebras the independent formula
     c = -tr S(ad H)^2 / tr S(ad H) is evaluated and its deviation reported.
+    Everything but the verdict is computed once per algebra.
     """
-    cur = s.curvature
-    ric, sh = cur.ricci, cur.s_ad_h
-    d = len(ric)
-    c = linalg.trace(ric) / d
-    resid = max(abs(float(ric[i][j] - (c if i == j else 0))) for i in range(d)
-                for j in range(d))
-    scale = max(1.0, max(abs(float(x)) for row in ric for x in row))
-    ok = resid <= tol * scale
-    tr_sh = linalg.trace(sh)
+    c, resid, scale, cf = s._einstein
+    return EinsteinCheck(bool(resid <= tol * scale), c, resid, cf, tol)
+
+
+def _einstein_values(s: MetricSolvableAlgebra) -> tuple[Scalar, float, float, float | None]:
+    """(c, residual, scale, c_formula_residual) of einstein_check.
+
+    An exact algebra works on its integer numerators: with q = 4 L^2,
+    Ricci = ricci / q and S(ad H) = 2 P / q, so c = tr(ricci) / (q d), each
+    deviation is (d ricci_ij - tr(ricci) delta_ij) / (q d), and c - c_alt
+    is (tr(ricci) tr P + 2 d tr P^2) / (q d tr P).  Every float is then one
+    int / int division, correctly rounded as float(Fraction) is, so it is
+    the float of the rational.
+    """
+    d = s.dim
+    if not s.bracket.is_exact_mode:
+        cur = s.curvature
+        ric, sh = cur.ricci, cur.s_ad_h
+        c = linalg.trace(ric) / d
+        resid = max(abs(float(ric[i][j] - (c if i == j else 0))) for i in range(d)
+                    for j in range(d))
+        scale = max(1.0, max(abs(float(x)) for row in ric for x in row))
+        tr_sh = linalg.trace(sh)
+        cf = None
+        if abs(float(tr_sh)) > 1e-12:
+            c_alt = -linalg.trace_product(sh, sh) / tr_sh
+            cf = abs(float(c - c_alt))
+        return c, float(resid), scale, cf
+    num = s._numerators
+    q = 4 * num.den * num.den
+    ric, p = num.ricci, num.s_ad_h
+    tr = sum(ric[i][i] for i in range(d))
+    dev = max(abs(d * x - (tr if i == j else 0)) for i, row in enumerate(ric)
+              for j, x in enumerate(row))
+    scale = max(1.0, max(abs(x) for row in ric for x in row) / q)
+    tr_p = sum(p[i][i] for i in range(d))
     cf = None
-    if abs(float(tr_sh)) > 1e-12:
-        c_alt = -linalg.trace_product(sh, sh) / tr_sh
-        cf = abs(float(c - c_alt))
-    return EinsteinCheck(bool(ok), c, float(resid), cf, tol)
+    if abs(2 * tr_p / q) > 1e-12:
+        sq_p = sum(x * x for row in p for x in row)
+        cf = abs(tr * tr_p + 2 * d * sq_p) / (q * d * abs(tr_p))
+    return Fraction(tr, q * d), dev / (q * d), scale, cf
 
 
 class StandardCheck(NamedTuple):

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .bracket import BracketTensor, derivations
+from .bracket import BracketTensor, Key, derivations
 from .linalg import Scalar, frac, is_exact
 from .minnorm import PointSet, min_norm_point
 
@@ -115,27 +115,35 @@ def sort_to_weyl_chamber(beta: DiagonalWeight) -> tuple[DiagonalWeight, tuple[in
     return DiagonalWeight(tuple(beta.entries[i] for i in order)), tuple(order)
 
 
-def _gaps(mu: BracketTensor, beta: DiagonalWeight) -> list[Scalar]:
-    b = beta.entries
-    nsq = beta.norm_sq()
-    return [b[k - 1] - b[i - 1] - b[j - 1] - nsq for (i, j, k) in mu.support()]
+def _gaps(mu: BracketTensor, b: Sequence[Scalar], nsq: Scalar) -> dict[Key, Scalar]:
+    """<beta, a> - |beta|^2 per supported key, keys sorted, for beta with
+    entries b and |beta|^2 = nsq."""
+    return {(i, j, k): b[k - 1] - b[i - 1] - b[j - 1] - nsq for (i, j, k) in mu.support()}
+
+
+def _w_membership(gaps: dict[Key, Scalar], tol: float) -> Membership:
+    g = min(gaps.values())
+    return Membership(g >= -tol if not is_exact(g) else g >= 0, g)
+
+
+def _z_membership(gaps: dict[Key, Scalar], tol: float) -> Membership:
+    g = max(abs(x) for x in gaps.values())
+    return Membership(g <= tol if not is_exact(g) else g == 0, g)
 
 
 def in_W(mu: BracketTensor, beta: DiagonalWeight, tol: float = 0.0) -> Membership:
     """Minimal slack of <beta, a> - |beta|^2 over the support; ok iff >= -tol."""
-    g = min(_gaps(mu, beta))
-    return Membership(g >= -tol if not is_exact(g) else g >= 0, g)
+    return _w_membership(_gaps(mu, beta.entries, beta.norm_sq()), tol)
 
 
 def in_Z(mu: BracketTensor, beta: DiagonalWeight, tol: float = 0.0) -> Membership:
     """Largest absolute slack; ok iff every supported weight sits at equality."""
-    g = max(abs(x) for x in _gaps(mu, beta))
-    return Membership(g <= tol if not is_exact(g) else g == 0, g)
+    return _z_membership(_gaps(mu, beta.entries, beta.norm_sq()), tol)
 
 
 def in_Y(mu: BracketTensor, beta: DiagonalWeight, tol: float = 0.0) -> Membership:
     """In W with at least one weight at equality; residual is the minimal slack."""
-    g = min(_gaps(mu, beta))
+    g = min(_gaps(mu, beta.entries, beta.norm_sq()).values())
     if is_exact(g):
         return Membership(g == 0, g)
     return Membership(abs(g) <= tol, g)
@@ -169,7 +177,11 @@ def eigenvalue_type(beta: DiagonalWeight) -> EigenvalueType:
     """
     if not beta.is_exact_mode:
         raise TypeError("eigenvalue type requires exact rational entries")
-    shifted = sorted(beta.shifted())
+    return _eigenvalue_type(beta.shifted())
+
+
+def _eigenvalue_type(shifted: Sequence[Fraction]) -> EigenvalueType:
+    shifted = sorted(shifted)
     if shifted[0] <= 0:
         raise ValueError("beta + |beta|^2 I has non-positive entries; no eigenvalue type")
     den = math.lcm(*(x.denominator for x in shifted))
@@ -337,14 +349,12 @@ def delta_check(mu: BracketTensor, beta: DiagonalWeight, tol: float = DEFAULT_TO
     w = in_W(mu, beta, tol)
     if not w.ok:
         raise ValueError(f"mu is not in W_beta (minimal slack {float(w.residual):g})")
-    return _delta_value(mu, beta)
+    return _delta_value(mu, _gaps(mu, beta.entries, beta.norm_sq()))
 
 
-def _delta_value(mu: BracketTensor, beta: DiagonalWeight) -> Scalar:
-    b = beta.entries
-    nsq = beta.norm_sq()
-    return 2 * sum(c * c * (b[k - 1] - b[i - 1] - b[j - 1] - nsq)
-                   for (i, j, k), c in mu.coeffs.items())
+def _delta_value(mu: BracketTensor, gaps: dict[Key, Scalar]) -> Scalar:
+    """2 sum (mu_ij^k)^2 gap over the coefficients in their dict order."""
+    return 2 * sum(c * c * gaps[key] for key, c in mu.coeffs.items())
 
 
 @dataclass(frozen=True)
@@ -400,8 +410,9 @@ def certify_candidate(
     checks["trace_minus_one"] = (tr_res == 0) if is_exact(tr_res) else abs(tr_res) <= tol
     residuals["trace_minus_one"] = tr_res
 
-    w = in_W(mu, beta, tol)
-    z = in_Z(mu, beta, tol)
+    gaps = _gaps(mu, beta.entries, nsq)
+    w = _w_membership(gaps, tol)
+    z = _z_membership(gaps, tol)
     checks["in_W"], residuals["in_W"] = w.ok, w.residual
     checks["in_Z"], residuals["in_Z"] = z.ok, z.residual
 
@@ -410,12 +421,13 @@ def certify_candidate(
     checks["m_equals_one"] = (m_res == 0) if is_exact(m_res) else abs(m_res) <= tol
     residuals["m_equals_one"] = m_res
 
-    delta = _delta_value(mu, beta)
+    delta = _delta_value(mu, gaps)
     checks["delta_nonneg"] = (delta >= 0) if is_exact(delta) else delta >= -tol
     residuals["delta_nonneg"] = delta
 
-    checks["beta_positive_shift"] = positivity_check(beta)
-    residuals["beta_positive_shift"] = min(beta.shifted())
+    shifted = tuple(x + nsq for x in beta.entries)
+    checks["beta_positive_shift"] = min(shifted) > 0
+    residuals["beta_positive_shift"] = min(shifted)
 
     der = derivation_certificates(mu, beta, tol=tol)
     checks["derivations_in_parabolic"] = der.parabolic_all
@@ -426,7 +438,7 @@ def certify_candidate(
 
     etype = scale = None
     if checks["beta_positive_shift"] and beta.is_exact_mode:
-        etype, scale = eigenvalue_type(beta)
+        etype, scale = _eigenvalue_type(shifted)
 
     q = 1 / nsq if is_exact(nsq) else 1.0 / float(nsq)
     return StratumCertificate(beta, q, etype, scale, checks, residuals)

@@ -156,8 +156,9 @@ def diagonal_derivation_basis(mu: BracketTensor) -> list[list[Fraction]]:
     return linalg.nullspace(rows, mu.dim)
 
 
-def random_solvable(rng: np.random.Generator, max_dim: int = 7) -> MetricSolvableAlgebra:
-    """Solvable metric algebra with dim_a in {0, 1, 2} and exact coefficients."""
+def random_solvable(rng: np.random.Generator, max_dim: int = 7,
+                    max_dim_a: int = 2) -> MetricSolvableAlgebra:
+    """Solvable metric algebra with dim_a in 0..max_dim_a and exact coefficients."""
     n = int(rng.integers(2, min(max_dim - 1, 5) + 1))
     if rng.integers(0, 4) == 0:
         mu = abelian(n)
@@ -170,7 +171,7 @@ def random_solvable(rng: np.random.Generator, max_dim: int = 7) -> MetricSolvabl
         diag_basis = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
     else:
         diag_basis = diagonal_derivation_basis(mu)
-    m = int(rng.integers(0, 3))
+    m = int(rng.integers(0, max_dim_a + 1))
     m = min(m, len(diag_basis), max_dim - n)
 
     ads = []

@@ -16,7 +16,9 @@ from solvstrat.bracket import (DEFAULT_TOL, BracketTensor, _reduce_basis, inner,
 from solvstrat.flow import CHOP, FlowResult, ric_array
 from solvstrat.linalg import ONE, ZERO, dot
 from solvstrat.minnorm import MinNormResult, PointSet, Vec
-from solvstrat.strata import DerivationCertificates, parabolic_membership
+from solvstrat.solvable import (EINSTEIN_TOL, AuditReport, Curvature, EinsteinCheck,
+                                is_standard)
+from solvstrat.strata import DerivationCertificates, beta_of, in_W, parabolic_membership
 
 
 def ricci_moment_via_duality(mu: BracketTensor):
@@ -43,6 +45,14 @@ def matmul(a, b) -> list[list]:
     """Dense product of two matrices given as lists of rows."""
     bt = linalg.transpose(b)
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def mat_sub(a, b) -> list[list]:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(c, a) -> list[list]:
+    return [[c * x for x in row] for row in a]
 
 
 def matvec(a, v) -> list:
@@ -253,7 +263,7 @@ def _mat_add(a, b):
 
 
 def _commutator(a, b):
-    return linalg.mat_sub(matmul(a, b), matmul(b, a))
+    return mat_sub(matmul(a, b), matmul(b, a))
 
 
 def dense_s_ad_h(s, h):
@@ -264,7 +274,7 @@ def dense_s_ad_h(s, h):
     adh = [[zero] * d for _ in range(d)]
     for r, hr in enumerate(h, start=1):
         if hr:
-            adh = _mat_add(adh, linalg.mat_scale(hr, dense_ad(s, r)))
+            adh = _mat_add(adh, mat_scale(hr, dense_ad(s, r)))
     half = Fraction(1, 2) if exact else 0.5
     return [[(adh[i][j] + adh[j][i]) * half for j in range(d)] for i in range(d)]
 
@@ -390,6 +400,16 @@ def _unit(n: int, exact: bool):
     return linalg.identity(n) if exact else [[float(i == j) for j in range(n)] for i in range(n)]
 
 
+def _span_basis(vectors, exact: bool, tol: float):
+    """A basis of the span: the nonzero rows of the rref in Fractions, or
+    the package's SVD route for floats."""
+    if not exact:
+        return _reduce_basis(vectors, tol)
+    vectors = [v for v in vectors if any(v)]
+    r, pivots = linalg.rref(vectors) if vectors else ([], [])
+    return r[: len(pivots)]
+
+
 def eval_jacobi_residual(mu: BracketTensor):
     """Max |Jacobiator| component, evaluating basis vectors through mu.eval."""
     n = mu.dim
@@ -417,7 +437,7 @@ def eval_lower_central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> li
     while True:
         unit = _unit(n, exact)
         gens = [mu.eval(e, b) for e in unit for b in basis]
-        basis = _reduce_basis(gens, exact, tol)
+        basis = _span_basis(gens, exact, tol)
         d = len(basis)
         dims.append(d)
         if d == 0 or d == dims[-2]:
@@ -431,7 +451,7 @@ def eval_is_solvable(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
     prev = mu.dim
     while True:
         gens = [mu.eval(x, y) for i, x in enumerate(basis) for y in basis[i + 1:]]
-        basis = _reduce_basis(gens, exact, tol)
+        basis = _span_basis(gens, exact, tol)
         cur = len(basis)
         if cur == 0:
             return True
@@ -590,3 +610,106 @@ def exhaustive_canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult
                     weights[i] = wi
                 return MinNormResult(x, tuple(weights), subset)
     raise RuntimeError("no exact convex representation of the optimum found")
+
+
+def fraction_ric(mu: BracketTensor):
+    """Ric_mu of an exact bracket by Fraction sums over pairs of nonzero
+    coefficients: -1/2 over equal tails (y, k), 1/4 over equal heads (x, y)."""
+    n = mu.dim
+    full = {}
+    for (i, j, k), c in mu.coeffs.items():
+        full[(i, j, k)] = c
+        full[(j, i, k)] = -c
+    ric = [[Fraction(0)] * n for _ in range(n)]
+    by_tail, by_head = {}, {}
+    for (x, y, k), c in full.items():
+        by_tail.setdefault((y, k), {})[x] = c
+        by_head.setdefault((x, y), {})[k] = c
+    for group in by_tail.values():
+        for p, c1 in group.items():
+            for q, c2 in group.items():
+                ric[p - 1][q - 1] -= Fraction(1, 2) * c1 * c2
+    for group in by_head.values():
+        for p, c1 in group.items():
+            for q, c2 in group.items():
+                ric[p - 1][q - 1] += Fraction(1, 4) * c1 * c2
+    return ric
+
+
+def fraction_curvature(s) -> Curvature:
+    """H, B, R, S(ad H) and Ricci = R - B/2 - S(ad H) of an exact algebra by
+    Fraction sums over the nonzero coefficients."""
+    d, m = s.dim, s.dim_a
+    coeff = s.bracket.coeff
+    h = [sum((coeff(r, j, j) for j in range(1, d + 1)), Fraction(0)) for r in range(1, m + 1)]
+    by_slot = {}
+    for (i, j, k), c in s.bracket.coeffs.items():
+        by_slot.setdefault((j, k), []).append((i, c))
+        by_slot.setdefault((i, k), []).append((j, -c))
+    b = [[Fraction(0)] * d for _ in range(d)]
+    for (y, z), left in by_slot.items():
+        for p, x in left:
+            for q, w in by_slot.get((z, y), ()):
+                b[p - 1][q - 1] += x * w
+    adh = [[Fraction(0)] * d for _ in range(d)]
+    for (i, j, k), c in s.bracket.coeffs.items():
+        if i <= m:
+            adh[k - 1][j - 1] += h[i - 1] * c
+        if j <= m:
+            adh[k - 1][i - 1] -= h[j - 1] * c
+    half = Fraction(1, 2)
+    sh = [[(adh[i][j] + adh[j][i]) * half for j in range(d)] for i in range(d)]
+    r = fraction_ric(s.bracket)
+    return Curvature(h, b, r, sh, mat_sub(mat_sub(r, mat_scale(half, b)), sh))
+
+
+def fraction_einstein_check(s, tol: float = EINSTEIN_TOL) -> EinsteinCheck:
+    """einstein_check of an exact algebra on the Fraction curvature."""
+    cur = fraction_curvature(s)
+    ric, sh = cur.ricci, cur.s_ad_h
+    d = len(ric)
+    c = linalg.trace(ric) / d
+    resid = max(abs(float(ric[i][j] - (c if i == j else 0))) for i in range(d)
+                for j in range(d))
+    scale = max(1.0, max(abs(float(x)) for row in ric for x in row))
+    tr_sh = linalg.trace(sh)
+    cf = None
+    if abs(float(tr_sh)) > 1e-12:
+        cf = abs(float(c + linalg.trace_product(sh, sh) / tr_sh))
+    return EinsteinCheck(bool(resid <= tol * scale), c, float(resid), cf, tol)
+
+
+def fraction_standardness_audit(s, beta=None, tol: float = EINSTEIN_TOL) -> AuditReport:
+    """standardness_audit of an exact algebra on the Fraction curvature."""
+    mu = s.mu_n()
+    m, n = s.dim_a, s.dim_n
+    zero_branch = mu.is_zero()
+    if zero_branch:
+        shift, kappa, w_ok, beta = (Fraction(1),) * n, Fraction(1), True, None
+    else:
+        beta = beta_of(mu) if beta is None else beta
+        shift, kappa = beta.shifted(), beta.norm_sq()
+        w_ok = in_W(mu, beta, tol).ok
+    cur = fraction_curvature(s)
+    b, sh = cur.killing, cur.s_ad_h
+    ec = fraction_einstein_check(s, tol)
+    half = Fraction(1, 2)
+    lhs = sum((ec.c + half * b[m + i][m + i] + sh[m + i][m + i]) * shift[i] for i in range(n))
+    e = (Fraction(0),) * m + tuple(shift)
+    t1 = t2 = t3 = Fraction(0)
+    for (i, j, k), x in s.bracket.coeffs.items():
+        if i > m:
+            t1 += (e[k - 1] - e[i - 1] - e[j - 1]) * x * x
+        elif j <= m:
+            t2 += e[k - 1] * x * x
+        else:
+            t3 += (e[k - 1] - e[j - 1]) * x * x
+    t1, t2, t3 = half * t1, half * t2, half * t3
+    tr_sh_e = sum(sh[m + i][m + i] * shift[i] for i in range(n))
+    std = is_standard(s, tol)
+    forces = ec.ok and all(float(x) > 0 for x in shift) and abs(float(t2)) <= tol
+    return AuditReport(zero_branch, beta, kappa, ec.c, lhs, t1, t2, t3,
+                       abs(float(lhs - (t1 + t2 + t3))),
+                       abs(float(sum(x * x for x in shift) - kappa * sum(shift))),
+                       abs(float(tr_sh_e - kappa * linalg.trace(sh))),
+                       w_ok, t1 >= 0 and t2 >= 0 and t3 >= 0, ec, std, forces)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from generators import (rand_frac, random_exact_gl, random_nilpotent,
-                        random_tensor, shuffled)
+                        random_solvable, random_tensor, shuffled)
 from oracles import (einsum_act_array, eval_is_solvable, eval_jacobi_residual,
-                     eval_lower_central_series, matmul, matvec, slotwise_float_derivations)
+                     eval_lower_central_series, mat_scale, mat_sub, matmul, matvec,
+                     slotwise_float_derivations)
 from solvstrat import linalg
 from solvstrat.bracket import (BracketTensor, act, act_array, derivations,
                                direct_sum, inner, is_nilpotent, is_solvable,
@@ -216,7 +217,7 @@ def test_skew_alpha_pairs_to_zero():
     for _ in range(10):
         mu = random_nilpotent(rng, 5)
         a = [[rand_frac(rng, 3, 2) for _ in range(5)] for _ in range(5)]
-        skew = linalg.mat_scale(Fraction(1, 2), linalg.mat_sub(a, linalg.transpose(a)))
+        skew = mat_scale(Fraction(1, 2), mat_sub(a, linalg.transpose(a)))
         assert inner(rep(skew, mu), mu) == 0
 
 
@@ -375,6 +376,34 @@ def test_series_match_eval_oracles():
             assert is_solvable(nu) == eval_is_solvable(nu)
     for mu in _tensor_battery(rng):
         assert is_solvable(mu) == eval_is_solvable(mu)
+
+
+def test_integer_series_match_eval_oracles_on_rational_brackets():
+    # the exact series run on the integer multiple L mu: rational brackets
+    # with large coprime denominators, exact GL moves and solvable
+    # non-nilpotent algebras keep the dimensions of the Fraction rref route
+    rng = np.random.default_rng(44)
+    primes = (10007, 65537, 999983)
+    battery = [so3(), direct_sum(so3(), H3), direct_sum(H3, abelian(1))]
+    for dim in range(3, 8):
+        for _ in range(3):
+            mu = random_nilpotent(rng, dim)
+            scale = Fraction(primes[int(rng.integers(0, 3))], primes[int(rng.integers(0, 3))])
+            battery += [mu.scaled(scale), act(random_exact_gl(rng, dim), mu)]
+            s = random_solvable(rng, 8, max_dim_a=3).bracket
+            battery += [s, act(random_exact_gl(rng, s.dim), s)]
+    seen = set()
+    for mu in battery:
+        series = lower_central_series(mu)
+        assert series == eval_lower_central_series(mu)
+        assert is_solvable(mu) == eval_is_solvable(mu)
+        seen.add((series[-1] == 0, is_solvable(mu)))
+    for mu in _tensor_battery(rng):
+        if mu.is_exact_mode:
+            nu = BracketTensor.make(mu.dim, {key: c / primes[int(rng.integers(0, 3))]
+                                             for key, c in mu.coeffs.items()})
+            assert is_solvable(nu) == eval_is_solvable(nu)
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_act_array_matches_the_einsum_route():

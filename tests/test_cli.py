@@ -233,13 +233,13 @@ def test_einstein_audit_computes_the_curvature_once(tmp_path, capsys, monkeypatc
     from solvstrat import solvable
 
     calls = []
-    real = solvable.killing_form
+    real = solvable._curvature_numerators
 
     def spy(s):
         calls.append(1)
         return real(s)
 
-    monkeypatch.setattr(solvable, "killing_form", spy)
+    monkeypatch.setattr(solvable, "_curvature_numerators", spy)
     code, out, _ = run(capsys, "einstein", put(tmp_path, "ch2.json", CH2), "--audit",
                        "--format", "json")
     assert code == 0 and json.loads(out)["audit"]["forces_standard"] is True

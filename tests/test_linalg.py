@@ -208,3 +208,30 @@ def test_integer_is_psd_matches_the_fraction_schur_complements():
         assert got == fraction_is_psd(m), name
         seen.add(got)
     assert seen == {True, False}
+
+
+def _rref_callers() -> set[str]:
+    """Functions of src/solvstrat that call rref, as module.function."""
+    import ast
+    from pathlib import Path
+
+    import solvstrat
+
+    callers = set()
+    for path in sorted(Path(solvstrat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                    if name == "rref":
+                        callers.add(f"{path.stem}.{fn.name}")
+    return callers
+
+
+def test_only_invert_eliminates_in_dense_fractions():
+    # the hot exact kernels eliminate in integers; rref stays behind invert
+    assert _rref_callers() == {"linalg.invert"}

@@ -8,8 +8,10 @@ import pytest
 from generators import (rand_frac, random_exact_gl, random_solvable,
                         random_tensor, shuffled)
 from oracles import (dense_ad, dense_ad_on_n, dense_audit_terms,
-                     dense_killing_form, dense_s_ad_h)
-from solvstrat import linalg, solvable
+                     dense_killing_form, dense_s_ad_h, fraction_curvature,
+                     fraction_einstein_check, fraction_ric,
+                     fraction_standardness_audit)
+from solvstrat import flow, linalg, solvable
 from solvstrat.bracket import BracketTensor, act, jacobi_check, jacobi_residual
 from solvstrat.catalog import (abelian, ch2, filiform4, heisenberg3,
                                nonstandard_heisenberg, rh_space, so3)
@@ -292,8 +294,11 @@ def test_killing_form_and_mean_curvature_match_dense_routes():
 
 
 def test_curvature_report_and_audit_compute_each_quantity_once(monkeypatch):
+    # exact algebras compute everything in one integer kernel, float ones
+    # compute each quantity once
     calls = {}
-    names = ("killing_form", "r_operator", "mean_curvature", "s_ad_h", "_s_ad_h")
+    names = ("_curvature_numerators", "killing_form", "r_operator", "mean_curvature",
+             "s_ad_h", "_s_ad_h")
     for name in names:
         real = getattr(solvable, name)
 
@@ -302,23 +307,27 @@ def test_curvature_report_and_audit_compute_each_quantity_once(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(solvable, name, spy)
-    once = {"killing_form": 1, "r_operator": 1, "mean_curvature": 1, "_s_ad_h": 1}
-    curvature_report(ch2())
-    assert calls == once
-    calls.clear()
-    standardness_audit(ch2())
-    assert calls == once
+    float_once = {"killing_form": 1, "r_operator": 1, "mean_curvature": 1, "_s_ad_h": 1}
+    for make, once in ((ch2, {"_curvature_numerators": 1}),
+                       (lambda: MetricSolvableAlgebra.create(1, 3, ch2().bracket.to_float()),
+                        float_once)):
+        curvature_report(make())
+        assert calls == once
+        calls.clear()
+        standardness_audit(make())
+        assert calls == once
+        calls.clear()
 
 
 def test_einstein_report_and_audit_share_one_curvature(monkeypatch):
     calls = []
-    real = solvable.killing_form
+    real = solvable._curvature_numerators
 
     def spy(s):
         calls.append(1)
         return real(s)
 
-    monkeypatch.setattr(solvable, "killing_form", spy)
+    monkeypatch.setattr(solvable, "_curvature_numerators", spy)
     s = ch2()
     einstein_check(s)
     curvature_report(s)
@@ -356,7 +365,7 @@ def test_audit_terms_and_s_ad_h_match_dense_routes():
         for t in (s, _moved_in_n(rng, s)):
             exact = t.bracket.is_exact_mode
             h = mean_curvature(t)
-            sh_got, sh_want = solvable._s_ad_h(t, h), dense_s_ad_h(t, h)
+            sh_got, sh_want = s_ad_h(t), dense_s_ad_h(t, h)
             assert sh_got == sh_want if exact else repr(sh_got) == repr(sh_want)
             betas = [DiagonalWeight.make([rand_frac(rng) for _ in range(t.dim_n)])]
             betas += [None] if lie else []
@@ -377,3 +386,61 @@ def test_audit_terms_and_s_ad_h_match_dense_routes():
                     assert all(abs(x - y) <= bound for x, y in zip(got, want))
                 nonzero += all(x != 0 for x in got)
     assert nonzero >= 10
+
+
+LARGE_PRIMES = (10007, 65537, 999983, 2147483647)
+
+
+def _kernel_battery(rng):
+    """Exact algebras for the integer curvature kernel.
+
+    The named algebras; random solvable algebras with dim_a 0-3, each with
+    a copy moved by a rational g that keeps n and a copy scaled by a ratio
+    of large primes; and tensors without the Jacobi identity whose
+    coefficients have large coprime denominators.
+    """
+    out = [rh_space(2), rh_space(5), ch2(), nonstandard_heisenberg(),
+           rank_one_extension(heisenberg3()), rank_one_extension(abelian(2), c=F(-1, 2)),
+           MetricSolvableAlgebra.create(0, 3, heisenberg3()),
+           MetricSolvableAlgebra.create(0, 4, filiform4()),
+           MetricSolvableAlgebra.create(0, 2, abelian(2))]
+    for _ in range(40):
+        s = random_solvable(rng, 8, max_dim_a=3)
+        ratio = F(LARGE_PRIMES[int(rng.integers(0, 4))], LARGE_PRIMES[int(rng.integers(0, 4))])
+        out += [s, _moved_in_n(rng, s),
+                MetricSolvableAlgebra(s.dim_a, s.dim_n, s.bracket.scaled(ratio))]
+    for dim in range(2, 8):
+        for dim_a in range(0, min(dim, 4)):
+            mu = random_tensor(rng, dim, True)
+            coeffs = {key: c / LARGE_PRIMES[int(rng.integers(0, 4))]
+                      for key, c in mu.coeffs.items()}
+            out.append(MetricSolvableAlgebra(dim_a, dim - dim_a, BracketTensor.make(dim, coeffs)))
+    return out
+
+
+def test_integer_curvature_kernel_matches_the_fraction_route():
+    rng = np.random.default_rng(52)
+    seen_dim_a, seen = set(), set()
+    for s in _kernel_battery(rng):
+        want = fraction_curvature(s)
+        cur = s.curvature
+        assert cur == want
+        matrices = (cur.killing, cur.r, cur.s_ad_h, cur.ricci)
+        assert all(type(x) is F for x in cur.mean + [x for m in matrices for row in m for x in row])
+        assert (mean_curvature(s), killing_form(s), r_operator(s), s_ad_h(s),
+                ricci_operator(s)) == (want.mean, want.killing, want.r, want.s_ad_h, want.ricci)
+        assert flow._ric_exact(s.bracket) == fraction_ric(s.bracket) == want.r
+        for tol in (1e-2, solvable.EINSTEIN_TOL):
+            ec, ref = einstein_check(s, tol), fraction_einstein_check(s, tol)
+            assert ec == ref and repr(ec) == repr(ref)
+        if all(k > s.dim_a for (_, _, k) in s.bracket.coeffs):  # the audit needs [s, s] in n
+            aud, ref = standardness_audit(s), fraction_standardness_audit(s)
+            assert aud == ref and repr(aud) == repr(ref)
+            seen.add(("mu_zero_branch", aud.mu_zero_branch))
+        seen_dim_a.add(s.dim_a)
+        large = any(c.denominator > 10**4 for c in s.bracket.coeffs.values())
+        seen.update({("einstein", ec.ok), ("unimodular", ec.c_formula_residual is None),
+                     ("large", large)})
+    assert seen_dim_a == {0, 1, 2, 3}
+    assert seen == {(name, v) for name in ("einstein", "unimodular", "large", "mu_zero_branch")
+                    for v in (True, False)}
