@@ -7,9 +7,11 @@ dropped).  Two arithmetic modes coexist, each with one representation:
 "exact" work runs on the sparse dict of Fraction coefficients, with loops
 driven by its nonzeros (and by the nonzeros of the matrix acting on it);
 "float" work runs on dense (n, n, n) ndarray kernels (act_array, rep_array).
-Questions that only see spans (the central and derived series, the
-derivation algebra) are answered for the integer multiple L mu, L the lcm
-of the coefficient denominators, by fraction-free elimination.
+Exact integer work reads one cached view, `_integer`: N = L mu with L the
+lcm of the coefficient denominators.  Spans (the central and derived series,
+the derivation algebra) are those of N; the Jacobi residual and the Ricci
+form, quadratic in mu, are those of N over L^2.  Verdicts compare by the
+rules of linalg.is_zero / nonneg / positive.
 
 Group and Lie algebra actions:
 
@@ -75,6 +77,19 @@ class BracketTensor:
     def is_exact_mode(self) -> bool:
         return self.scalar_mode == "exact"
 
+    @property
+    def zero(self) -> Scalar:
+        """The zero of the arithmetic mode."""
+        return Fraction(0) if self.is_exact_mode else 0.0
+
+    @functools.cached_property
+    def _integer(self) -> tuple[int, dict[Key, int]]:
+        """(L, N) for an exact bracket, computed once: L is the lcm of the
+        coefficient denominators and N = L mu, a positive integer multiple
+        with the same spans, derivations and central and derived series."""
+        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        return den, {key: c.numerator * (den // c.denominator) for key, c in self.coeffs.items()}
+
     def coeff(self, i: int, j: int, k: int) -> Scalar:
         if i < j:
             return self.coeffs.get((i, j, k), 0)
@@ -94,8 +109,7 @@ class BracketTensor:
 
     def eval(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> list[Scalar]:
         """mu(x, y) for coordinate vectors x, y."""
-        zero = Fraction(0) if self.is_exact_mode else 0.0
-        out = [zero] * self.dim
+        out = [self.zero] * self.dim
         for (i, j, k), c in self.coeffs.items():
             w = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
             if w:
@@ -104,8 +118,7 @@ class BracketTensor:
 
     def pair(self, i: int, j: int) -> list[Scalar]:
         """mu(e_i, e_j) as a coordinate vector."""
-        zero = Fraction(0) if self.is_exact_mode else 0.0
-        out = [zero] * self.dim
+        out = [self.zero] * self.dim
         for k in range(1, self.dim + 1):
             c = self.coeff(i, j, k)
             if c:
@@ -133,8 +146,6 @@ class BracketTensor:
         return BracketTensor(n, coeffs, "float")
 
     def to_float(self) -> "BracketTensor":
-        if not self.is_exact_mode:
-            return self
         return BracketTensor(self.dim, {k: float(c) for k, c in self.coeffs.items()},
                              "float")
 
@@ -147,8 +158,7 @@ def inner(mu: BracketTensor, lam: BracketTensor) -> Scalar:
     if mu.dim != lam.dim:
         raise ValueError("dimension mismatch")
     small, big = (mu.coeffs, lam.coeffs) if mu.nnz <= lam.nnz else (lam.coeffs, mu.coeffs)
-    s = sum(c * big[k] for k, c in small.items() if k in big)
-    return 2 * s
+    return 2 * sum((c * big[k] for k, c in small.items() if k in big), mu.zero + lam.zero)
 
 
 def norm_sq(mu: BracketTensor) -> Scalar:
@@ -282,22 +292,28 @@ def permutation_act(sigma: Sequence[int], mu: BracketTensor) -> BracketTensor:
 def jacobi_residual(mu: BracketTensor) -> Scalar:
     """Max absolute component of the Jacobiator over basis triples.
 
-    Zero iff mu is a Lie bracket (exact mode gives an exact zero).  Built
-    from pairs of nonzero coefficients: [[e_a, e_b], e_d]^l collects
-    mu_ab^c mu_cd^l over the stored (a, b, c) and (c, d, l), with sign -1
-    when the outer key is stored as (d, c, l).  Each double bracket sums in
-    the order of the outer coefficients, and the three cyclic terms are
-    added as a + b + c, so float results repeat the basis-vector evaluation
-    bit for bit.
+    Zero iff mu is a Lie bracket (exact mode gives an exact zero: the
+    residual of the integer view N = L mu over L^2).  Built from pairs of
+    nonzero coefficients: [[e_a, e_b], e_d]^l collects mu_ab^c mu_cd^l over
+    the stored (a, b, c) and (c, d, l), with sign -1 when the outer key is
+    stored as (d, c, l).  Each double bracket sums in the order of the outer
+    coefficients, and the three cyclic terms are added as a + b + c, so
+    float results repeat the basis-vector evaluation bit for bit.
     """
-    exact = mu.is_exact_mode
-    zero: Scalar = Fraction(0) if exact else 0.0
+    if mu.is_exact_mode:
+        den, coeffs = mu._integer
+        return Fraction(_jacobi_max(coeffs, 0), den * den)
+    return _jacobi_max(mu.coeffs, 0.0)
+
+
+def _jacobi_max(coeffs: Mapping[Key, Scalar], zero: Scalar) -> Scalar:
+    """jacobi_residual of the coefficients coeffs, summed from zero."""
     inner_by_c: dict[int, list[tuple[int, int, Scalar]]] = {}
-    for (a, b, c), u in mu.coeffs.items():
+    for (a, b, c), u in coeffs.items():
         inner_by_c.setdefault(c, []).append((a, b, u))
     # double[(a, b, d, l)] = [[e_a, e_b], e_d]^l for a < b and d outside {a, b}
     double: dict[tuple[int, int, int, int], Scalar] = {}
-    for (p, q, l), v in mu.coeffs.items():
+    for (p, q, l), v in coeffs.items():
         for a, b, u in inner_by_c.get(p, ()):
             if q != a and q != b:
                 key = (a, b, q, l)
@@ -327,15 +343,45 @@ def jacobi_check(mu: BracketTensor, tol: float = DEFAULT_TOL) -> tuple[bool, Sca
     """(ok, residual) for the Jacobi identity: ok means an exact zero
     residual in exact mode, and a residual at most tol in float mode."""
     res = jacobi_residual(mu)
-    return ((res == 0) if mu.is_exact_mode else float(res) <= tol), res
+    return linalg.is_zero(res, tol), res
 
 
-def _integer_coeffs(mu: BracketTensor) -> tuple[int, dict[Key, int]]:
-    """(L, N) for an exact mu: L is the lcm of its coefficient denominators
-    and N = L mu, a positive multiple with the same spans, derivations and
-    central and derived series."""
-    den = math.lcm(*(c.denominator for c in mu.coeffs.values()))
-    return den, {key: c.numerator * (den // c.denominator) for key, c in mu.coeffs.items()}
+def _slot_tables(coeffs: Mapping[Key, Scalar]):
+    """(by_slot, by_pair) of the coefficient map C, both in its dict order.
+
+    by_slot[(y, z)] lists the (x, C_xy^z) over ordered pairs (x, y), that is
+    the entries in column y and row z of the matrices ad b_x; by_pair[(i, j)]
+    lists the (k, C_ij^k) of the stored i < j.
+    """
+    by_slot: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+    by_pair: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+    for (i, j, k), c in coeffs.items():
+        by_slot.setdefault((j, k), []).append((i, c))
+        by_slot.setdefault((i, k), []).append((j, -c))
+        by_pair.setdefault((i, j), []).append((k, c))
+    return by_slot, by_pair
+
+
+def _moment_numerator(dim: int, by_slot, by_pair) -> list[list[int]]:
+    """4 L^2 Ric_mu in integers, from the _slot_tables of N = L mu:
+
+        -2 sum_{x, y} N_px^y N_qx^y + 2 sum_{i < j} N_ij^p N_ij^q.
+    """
+    r4 = [[0] * dim for _ in range(dim)]
+    for group, weight in ((by_slot, -2), (by_pair, 2)):
+        for entries in group.values():
+            for p, x in entries:
+                row, wx = r4[p - 1], weight * x
+                for q, y in entries:
+                    row[q - 1] += wx * y
+    return r4
+
+
+def _ric_exact(mu: BracketTensor) -> list[list[Fraction]]:
+    """Ric_mu of an exact bracket in Fractions, from 4 L^2 Ric_mu in integers."""
+    den, coeffs = mu._integer
+    return linalg.fraction_rows(_moment_numerator(mu.dim, *_slot_tables(coeffs)),
+                                4 * den * den)
 
 
 def _ad_lists(coeffs: Mapping[Key, Scalar], dim: int) -> list[list[tuple[int, int, Scalar]]]:
@@ -431,7 +477,7 @@ def _central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> list[int]:
     """
     n = mu.dim
     if mu.is_exact_mode:
-        rows = _ad_lists(_integer_coeffs(mu)[1], n)
+        rows = _ad_lists(mu._integer[1], n)
         basis = [{c: 1} for c in range(n)]
         bracket_unit, reduce = _bracket_unit_int, _integer_basis
     else:
@@ -461,11 +507,8 @@ def is_solvable(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
     """
     n = mu.dim
     if mu.is_exact_mode:
-        coeffs = _integer_coeffs(mu)[1]
-        pairs: dict[tuple[int, int], dict[int, int]] = {}
-        for (i, j, k), c in coeffs.items():
-            pairs.setdefault((i, j), {})[k - 1] = c
-        gens = list(pairs.values())
+        coeffs = mu._integer[1]
+        gens = [{k - 1: c for k, c in e} for e in _slot_tables(coeffs)[1].values()]
         evaluate, reduce = functools.partial(_eval_int, coeffs), _integer_basis
     else:
         gens = [mu.pair(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
@@ -507,7 +550,7 @@ def derivations(mu: BracketTensor, tol: float = DEFAULT_TOL):
         # with the unit E_rc in column (r - 1) n + c - 1, the coefficient v
         # at (p, q, k) adds, for each t, v at (p, q, t) in rep(E_tk, mu),
         # -v at (t, q, k) in rep(E_pt, mu) and v at (t, p, k) in rep(E_qt, mu)
-        for (p, q, k), v in _integer_coeffs(mu)[1].items():
+        for (p, q, k), v in mu._integer[1].items():
             for t in range(1, n + 1):
                 add(p, q, t, (t - 1) * n + k - 1, v)
                 add(t, q, k, (p - 1) * n + t - 1, -v)

@@ -9,6 +9,9 @@ computed entrywise as
     <Ric x, y> = -1/2 sum_ij <mu(x,e_i),e_j><mu(y,e_i),e_j>
                  + 1/4 sum_ij <mu(e_i,e_j),x><mu(e_i,e_j),y>.
 
+An exact bracket gets it from its cached integer view (bracket._ric_exact:
+4 L^2 Ric_mu in integers, divided once), a float one from ric_array.
+
 With M_mu = 4 Ric_mu / |mu|^2 (trace exactly -1), the flow descends |M_mu|^2
 on the unit sphere.  Critical points are exactly the brackets with
 pi(M_mu) mu parallel to mu; the sorted spectrum of M_mu at a limit is the
@@ -33,9 +36,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bracket import (BracketTensor, _central_series, _integer_coeffs, act_array,
-                      inner, jacobi_check, rep_array)
-from .linalg import Scalar, fraction_rows
+from .bracket import (BracketTensor, _central_series, _ric_exact, act_array, inner,
+                      jacobi_check, rep_array)
+from .linalg import Scalar
 from .strata import (DiagonalWeight, StratumCertificate, certify_candidate,
                      in_W, project_Z)
 
@@ -54,44 +57,6 @@ class MomentValue:
     ric: object
     m_normalized: object
     norm_mu_sq: Scalar
-
-
-def _integer_slots(mu: BracketTensor):
-    """(L, by_slot, by_pair) for L the lcm of the denominators of an exact mu.
-
-    With N = L mu, by_slot[(y, z)] lists the (x, N_xy^z) over ordered pairs
-    (x, y), that is the entries in column y and row z of the matrices
-    L ad b_x; by_pair[(i, j)] lists the (k, N_ij^k) of the stored i < j.
-    """
-    den, coeffs = _integer_coeffs(mu)
-    by_slot: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    by_pair: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for (i, j, k), n in coeffs.items():
-        by_slot.setdefault((j, k), []).append((i, n))
-        by_slot.setdefault((i, k), []).append((j, -n))
-        by_pair.setdefault((i, j), []).append((k, n))
-    return den, by_slot, by_pair
-
-
-def _moment_numerator(dim: int, by_slot, by_pair) -> list[list[int]]:
-    """4 L^2 Ric_mu in integers, from the tables of _integer_slots:
-
-        -2 sum_{x, y} N_px^y N_qx^y + 2 sum_{i < j} N_ij^p N_ij^q.
-    """
-    r4 = [[0] * dim for _ in range(dim)]
-    for group, weight in ((by_slot, -2), (by_pair, 2)):
-        for entries in group.values():
-            for p, x in entries:
-                row, wx = r4[p - 1], weight * x
-                for q, y in entries:
-                    row[q - 1] += wx * y
-    return r4
-
-
-def _ric_exact(mu: BracketTensor):
-    """Ric_mu in Fractions, from its integer numerator 4 L^2 Ric_mu."""
-    den, by_slot, by_pair = _integer_slots(mu)
-    return fraction_rows(_moment_numerator(mu.dim, by_slot, by_pair), 4 * den * den)
 
 
 def ric_array(arr: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ largest caller, the derivation system of an n-dimensional bracket, has
 n * C(n, 2) mostly-zero rows (450 rows by 100 columns at n = 10);
 bareiss_triangularize and solve_integer serve the min-norm layer; is_psd
 decides an integer symmetric matrix by fraction-free Schur complements.
+is_zero, nonneg and positive state the comparison rule of each mode.
 """
 
 from __future__ import annotations
@@ -39,6 +40,21 @@ def frac(x) -> Fraction:
 
 def is_exact(x) -> bool:
     return type(x) is Fraction or (isinstance(x, Rational) and not isinstance(x, bool))
+
+
+def is_zero(x, tol: float) -> bool:
+    """x == 0 for an exact x, |x| <= tol for a float."""
+    return x == 0 if is_exact(x) else abs(x) <= tol
+
+
+def nonneg(x, tol: float) -> bool:
+    """x >= 0 for an exact x, x >= -tol for a float."""
+    return x >= 0 if is_exact(x) else x >= -tol
+
+
+def positive(x, tol: float) -> bool:
+    """x > 0 for an exact x, x > tol for a float."""
+    return x > 0 if is_exact(x) else x > tol
 
 
 def parse_scalar(v) -> Scalar:

@@ -18,9 +18,10 @@ with S(m) = (m + m^T)/2.  In coefficients, with C_pk^r the r-th component of
 
 all summed over the nonzero coefficients only, and so are the three terms
 of the standardness audit (see AuditReport).  An algebra computes these
-once, as its cached `curvature`.  Everything is exact on rational input and
-float otherwise.  Exact algebras take an integer route: with L the lcm of
-the denominators of C, N = L C is integral, and one pass over pairs of its
+once, as its cached `curvature`, which every curvature function reads.
+Everything is exact on rational input and float otherwise; verdicts
+compare by linalg.is_zero / nonneg.  Exact algebras take an integer route:
+N = L C is the bracket's cached integer view, and one pass over pairs of its
 nonzero entries gives the numerators L h, L^2 B, 4 L^2 R, L^2 ad H and
 4 L^2 Ricci (_curvature_numerators), each turned into Fractions once.  The
 Einstein check reads those numerators, so every float it reports is one
@@ -40,9 +41,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .bracket import (BracketTensor, act, inner, is_solvable, jacobi_check,
+from .bracket import (BracketTensor, _ad_lists, _moment_numerator, _ric_exact,
+                      _slot_tables, act, inner, is_solvable, jacobi_check,
                       permutation_act, rep)
-from .flow import _integer_slots, _moment_numerator, _ric_exact, ric_array
+from .flow import ric_array
 from .linalg import Scalar, frac, is_exact
 from .strata import DiagonalWeight, beta_of, in_W
 
@@ -98,10 +100,10 @@ class MetricSolvableAlgebra:
                              linalg.fraction_rows(num.r, 4 * sq),
                              linalg.fraction_rows(num.s_ad_h, 2 * sq),
                              linalg.fraction_rows(num.ricci, 4 * sq))
-        h = mean_curvature(self)
-        b = killing_form(self)
-        r = r_operator(self)
-        sh = _s_ad_h(self, h)
+        h = _float_mean(self)
+        b = _float_killing(self)
+        r = ric_array(self.bracket.to_array()).tolist()
+        sh = _float_s_ad_h(self, h)
         ric = [[x - 0.5 * y - z for x, y, z in zip(rr, rb, rs)] for rr, rb, rs in zip(r, b, sh)]
         return Curvature(h, b, r, sh, ric)
 
@@ -144,14 +146,16 @@ class _Numerators(NamedTuple):
 def _curvature_numerators(s: MetricSolvableAlgebra) -> _Numerators:
     """The integer curvature kernel of an exact algebra.
 
-    N = L C is an integer tensor, tabulated once by _integer_slots; then
+    N = L C is the cached integer view of the bracket, laid out by
+    _slot_tables; then
     L h_r = sum_j N_rj^j, L^2 B_pq = sum_{r, k} N_pk^r N_qr^k,
     (L^2 ad H)_kj = sum_r (L h_r) N_rj^k and 4 L^2 R come out of pairs of
     its nonzero entries; 2 L^2 S(ad H) = L^2 (ad H + ad H^T) and the Ricci
     numerator is 4 L^2 R - 2 L^2 B - 2 L^2 (ad H + ad H^T).
     """
     d, m = s.dim, s.dim_a
-    den, by_slot, by_pair = _integer_slots(s.bracket)
+    den, coeffs = s.bracket._integer
+    by_slot, by_pair = _slot_tables(coeffs)
     mean = [0] * m
     for (y, z), entries in by_slot.items():
         if y == z:
@@ -210,30 +214,39 @@ def orthonormalize_basis(dim_a: int, dim_n: int, bracket: BracketTensor, gram) -
 
 def mean_curvature(s: MetricSolvableAlgebra) -> list[Scalar]:
     """Coordinates of H = sum_r tr(ad A_r) A_r in the a-basis."""
-    if s.bracket.is_exact_mode:
-        return s.curvature.mean
+    return s.curvature.mean
+
+
+def killing_form(s: MetricSolvableAlgebra):
+    """B_pq = sum_r (sum_k C_pk^r C_qr^k), over pairs of nonzero coefficients."""
+    return s.curvature.killing
+
+
+def r_operator(s: MetricSolvableAlgebra):
+    """The moment-map part of the Ricci operator (entrywise formula)."""
+    return s.curvature.r
+
+
+def s_ad_h(s: MetricSolvableAlgebra):
+    return s.curvature.s_ad_h
+
+
+def _float_mean(s: MetricSolvableAlgebra) -> list[float]:
+    """H of a float algebra: tr ad A_r = sum_j C_rj^j."""
     coeff = s.bracket.coeff
     return [sum((coeff(r, j, j) for j in range(1, s.dim + 1)), 0.0)
             for r in range(1, s.dim_a + 1)]
 
 
-def killing_form(s: MetricSolvableAlgebra):
-    """B_pq = sum_r (sum_k C_pk^r C_qr^k), over pairs of nonzero coefficients.
+def _float_killing(s: MetricSolvableAlgebra) -> list[list[float]]:
+    """The Killing form of a float algebra.
 
-    Exact algebras read it off the integer kernel.  For floats the inner
-    sums run over k ascending and the outer one over r ascending, the order
-    of tr(ad b_p ad b_q) as a matrix product, so the entries equal that
-    dense route bit for bit.
+    The inner sums run over k ascending and the outer one over r ascending,
+    the order of tr(ad b_p ad b_q) as a matrix product, so the entries equal
+    that dense route bit for bit.
     """
-    if s.bracket.is_exact_mode:
-        return s.curvature.killing
     d = s.dim
-    # by_slot[(y, z)]: the (x, C_xy^z) over all ordered pairs, that is the
-    # entries (ad b_x)_zy in column y and row z
-    by_slot: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    for (i, j, k), c in s.bracket.coeffs.items():
-        by_slot.setdefault((j, k), []).append((i, c))
-        by_slot.setdefault((i, k), []).append((j, -c))
+    by_slot = _slot_tables(s.bracket.coeffs)[0]
     b = [[0.0] * d for _ in range(d)]
     for r in range(1, d + 1):
         inner: dict[tuple[int, int], float] = {}
@@ -249,37 +262,18 @@ def killing_form(s: MetricSolvableAlgebra):
     return b
 
 
-def r_operator(s: MetricSolvableAlgebra):
-    """The moment-map part of the Ricci operator (entrywise formula)."""
-    if s.bracket.is_exact_mode:
-        return s.curvature.r
-    return ric_array(s.bracket.to_array()).tolist()
-
-
-def s_ad_h(s: MetricSolvableAlgebra):
-    if s.bracket.is_exact_mode:
-        return s.curvature.s_ad_h
-    return _s_ad_h(s, mean_curvature(s))
-
-
-def _s_ad_h(s: MetricSolvableAlgebra, h):
+def _float_s_ad_h(s: MetricSolvableAlgebra, h) -> list[list[float]]:
     """S(ad H) of a float algebra for the mean curvature coordinates h.
 
-    (ad H)_kj accumulates h_r C_rj^k over r ascending, read off the
-    coefficients with r in a; C_rj^k = -C_jr^k covers the keys stored as
-    (j, r, k).
+    (ad H)_kj accumulates h_r C_rj^k over r ascending; row r of _ad_lists
+    lists the (j, k, C_rj^k) of the coefficients that involve r.
     """
-    d, m = s.dim, s.dim_a
-    by_r: list[list[tuple[int, int, float]]] = [[] for _ in range(m + 1)]
-    for (i, j, k), c in s.bracket.coeffs.items():
-        if i <= m:
-            by_r[i].append((j, k, c))
-        if j <= m:
-            by_r[j].append((i, k, -c))
+    d = s.dim
+    rows = _ad_lists(s.bracket.coeffs, d)
     adh = [[0.0] * d for _ in range(d)]
     for r, hr in enumerate(h, start=1):
         if hr:
-            for j, k, c in by_r[r]:
+            for j, k, c in rows[r]:
                 adh[k - 1][j - 1] = adh[k - 1][j - 1] + hr * c
     return [[(adh[i][j] + adh[j][i]) * 0.5 for j in range(d)] for i in range(d)]
 
@@ -354,12 +348,11 @@ class StandardCheck(NamedTuple):
 
 def is_standard(s: MetricSolvableAlgebra, tol: float = EINSTEIN_TOL) -> StandardCheck:
     """Standard means the orthogonal complement a of n is abelian."""
-    worst = 0.0
-    for (i, j, _k), c in s.bracket.coeffs.items():
+    worst = s.bracket.zero
+    for (_i, j, _k), c in s.bracket.coeffs.items():
         if j <= s.dim_a:
-            worst = max(worst, abs(float(c)))
-    exact = s.bracket.is_exact_mode
-    return StandardCheck(worst == 0.0 if exact else worst <= tol, worst)
+            worst = max(worst, abs(c))
+    return StandardCheck(linalg.is_zero(worst, tol), float(worst))
 
 
 @dataclass(frozen=True)
@@ -416,9 +409,7 @@ def trace_identity_check(s: MetricSolvableAlgebra, e) -> TraceIdentity:
     d = s.dim
     rows = np.asarray(e).tolist()
     tr_re = sum(r[p][q] * rows[q][p] for p in range(d) for q in range(d))
-    quarter = Fraction(1, 4) if (s.bracket.is_exact_mode
-                                 and all(is_exact(x) for row in rows for x in row)) else 0.25
-    pairing = quarter * inner(rep(rows, s.bracket), s.bracket)
+    pairing = inner(rep(rows, s.bracket), s.bracket) / 4
     return TraceIdentity(tr_re, pairing, abs(float(tr_re - pairing)))
 
 
@@ -433,33 +424,30 @@ def rank_one_extension(lam: BracketTensor, c: Scalar | None = None,
     pass c to override.  Raises ValueError when D fails to be a derivation.
     """
     n = lam.dim
-    exact = lam.is_exact_mode
     if lam.is_zero():
         cc = frac(c) if c is not None and is_exact(c) else (Fraction(-n) if c is None else float(c))
         if not cc < 0:
             raise ValueError("the Einstein constant of an extension must be negative")
         tr_d = -cc * n
-        root = linalg.sqrt_fraction(frac(tr_d)) if is_exact(tr_d) else None
-        scale = root if root is not None else math.sqrt(float(tr_d))
-        ada = [[(-cc / scale if i == j else (Fraction(0) if root is not None else 0.0))
-                for j in range(n)] for i in range(n)]
+        d_mat = [[-cc if i == j else 0 for j in range(n)] for i in range(n)]
     else:
-        ric = _ric_exact(lam) if exact else ric_array(lam.to_array()).tolist()
+        ric = _ric_exact(lam) if lam.is_exact_mode else ric_array(lam.to_array()).tolist()
         cc = linalg.trace_product(ric, ric) / linalg.trace(ric)
         d_mat = [[x - cc if i == j else x for j, x in enumerate(row)]
                  for i, row in enumerate(ric)]
         resid = rep(d_mat, lam)
         rnorm = math.sqrt(abs(float(inner(resid, resid))))
         scale_ref = max(1.0, math.sqrt(abs(float(inner(lam, lam)))))
-        if (not resid.is_zero()) if exact else (rnorm > tol * scale_ref):
+        failed = (not resid.is_zero()) if lam.is_exact_mode else rnorm > tol * scale_ref
+        if failed:
             raise ValueError("not a nilsoliton: Ric - cI fails to be a derivation "
                              f"(residual {rnorm:g})")
         tr_d = linalg.trace(d_mat)
         if not float(tr_d) > 0:
             raise ValueError(f"tr(Ric - cI) = {float(tr_d):g} is not positive")
-        root = linalg.sqrt_fraction(frac(tr_d)) if is_exact(tr_d) else None
-        scale = root if root is not None else math.sqrt(float(tr_d))
-        ada = [[x / scale for x in row] for row in d_mat]
+    root = linalg.sqrt_fraction(frac(tr_d)) if is_exact(tr_d) else None
+    scale = root if root is not None else math.sqrt(float(tr_d))
+    ada = [[x / scale for x in row] for row in d_mat]
 
     coeffs: dict[tuple[int, int, int], Scalar] = {}
     for (i, j, k), v in lam.coeffs.items():
@@ -540,11 +528,11 @@ def standardness_audit(s: MetricSolvableAlgebra, beta: DiagonalWeight | None = N
     """
     mu = s.mu_n()
     m, n = s.dim_a, s.dim_n
-    exact = s.bracket.is_exact_mode
+    zero = s.bracket.zero
     zero_branch = mu.is_zero()
     if zero_branch:
-        shift = tuple(Fraction(1) if exact else 1.0 for _ in range(n))
-        kappa: Scalar = Fraction(1) if exact else 1.0
+        shift = (zero + 1,) * n
+        kappa: Scalar = zero + 1
         w_ok = True
         beta = None
     else:
@@ -559,10 +547,8 @@ def standardness_audit(s: MetricSolvableAlgebra, beta: DiagonalWeight | None = N
     ec = einstein_check(s, tol)
     c = ec.c
 
-    zero = Fraction(0) if exact else 0.0
-    half = Fraction(1, 2) if exact else 0.5
     # E vanishes outside the n-block, so the trace collapses to it
-    lhs = sum((c + half * b[m + i][m + i] + sh[m + i][m + i]) * shift[i] for i in range(n))
+    lhs = sum((c + b[m + i][m + i] / 2 + sh[m + i][m + i]) * shift[i] for i in range(n))
 
     e = (zero,) * m + tuple(shift)
     term1 = term2 = term3 = zero
@@ -574,7 +560,7 @@ def standardness_audit(s: MetricSolvableAlgebra, beta: DiagonalWeight | None = N
             term2 = term2 + e[k - 1] * sq
         else:
             term3 = term3 + (e[k - 1] - e[j - 1]) * sq
-    term1, term2, term3 = half * term1, half * term2, half * term3
+    term1, term2, term3 = term1 / 2, term2 / 2, term3 / 2
 
     identity_residual = abs(float(lhs - (term1 + term2 + term3)))
     tr_e = sum(shift)
@@ -584,10 +570,7 @@ def standardness_audit(s: MetricSolvableAlgebra, beta: DiagonalWeight | None = N
     tr_sh_e = sum(sh[m + i][m + i] * shift[i] for i in range(n))
     tr_adh_residual = abs(float(tr_sh_e - kappa * tr_sh))
 
-    def nonneg(x: Scalar) -> bool:
-        return (x >= 0) if is_exact(x) else float(x) >= -tol
-
-    nonneg_ok = nonneg(term1) and nonneg(term2) and nonneg(term3)
+    nonneg_ok = all(linalg.nonneg(t, tol) for t in (term1, term2, term3))
     std = is_standard(s, tol)
     shift_positive = all(float(x) > 0 for x in shift)
     forces = ec.ok and shift_positive and abs(float(term2)) <= tol

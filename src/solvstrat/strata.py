@@ -123,12 +123,12 @@ def _gaps(mu: BracketTensor, b: Sequence[Scalar], nsq: Scalar) -> dict[Key, Scal
 
 def _w_membership(gaps: dict[Key, Scalar], tol: float) -> Membership:
     g = min(gaps.values())
-    return Membership(g >= -tol if not is_exact(g) else g >= 0, g)
+    return Membership(linalg.nonneg(g, tol), g)
 
 
 def _z_membership(gaps: dict[Key, Scalar], tol: float) -> Membership:
     g = max(abs(x) for x in gaps.values())
-    return Membership(g <= tol if not is_exact(g) else g == 0, g)
+    return Membership(linalg.is_zero(g, tol), g)
 
 
 def in_W(mu: BracketTensor, beta: DiagonalWeight, tol: float = 0.0) -> Membership:
@@ -144,9 +144,7 @@ def in_Z(mu: BracketTensor, beta: DiagonalWeight, tol: float = 0.0) -> Membershi
 def in_Y(mu: BracketTensor, beta: DiagonalWeight, tol: float = 0.0) -> Membership:
     """In W with at least one weight at equality; residual is the minimal slack."""
     g = min(_gaps(mu, beta.entries, beta.norm_sq()).values())
-    if is_exact(g):
-        return Membership(g == 0, g)
-    return Membership(abs(g) <= tol, g)
+    return Membership(linalg.is_zero(g, tol), g)
 
 
 def project_Z(mu: BracketTensor, beta: DiagonalWeight, tol: float = 0.0) -> BracketTensor:
@@ -159,8 +157,7 @@ def project_Z(mu: BracketTensor, beta: DiagonalWeight, tol: float = 0.0) -> Brac
     nsq = beta.norm_sq()
     kept = {}
     for (i, j, k), c in mu.coeffs.items():
-        gap = b[k - 1] - b[i - 1] - b[j - 1] - nsq
-        if (gap == 0) if is_exact(gap) else (abs(gap) <= tol):
+        if linalg.is_zero(b[k - 1] - b[i - 1] - b[j - 1] - nsq, tol):
             kept[(i, j, k)] = c
     return BracketTensor(mu.dim, kept, mu.scalar_mode)
 
@@ -191,8 +188,7 @@ def _eigenvalue_type(shifted: Sequence[Fraction]) -> EigenvalueType:
 
 
 def positivity_check(beta: DiagonalWeight, tol: float = 0.0) -> bool:
-    lo = min(beta.shifted())
-    return lo > 0 if is_exact(lo) else lo > tol
+    return linalg.positive(min(beta.shifted()), tol)
 
 
 def parabolic_membership(d, beta: DiagonalWeight, tol: float = 0.0) -> bool:
@@ -207,10 +203,8 @@ def parabolic_membership(d, beta: DiagonalWeight, tol: float = 0.0) -> bool:
     n = beta.dim
     for i in range(n):
         for j in range(n):
-            if b[i] < b[j]:
-                v = d[i][j]
-                if (v != 0) if is_exact(v) else (abs(v) > tol):
-                    return False
+            if b[i] < b[j] and linalg.positive(abs(d[i][j]), tol):
+                return False
     return True
 
 
@@ -383,8 +377,7 @@ class StratumCertificate:
             "eigenvalue_type": list(self.eigenvalue_type) if self.eigenvalue_type else None,
             "type_scale": linalg.format_scalar(self.type_scale) if self.type_scale else None,
             "checks": dict(sorted(self.checks.items())),
-            "residuals": {k: (linalg.format_scalar(v) if is_exact(v) else float(v))
-                          for k, v in sorted(self.residuals.items())},
+            "residuals": {k: linalg.format_scalar(v) for k, v in sorted(self.residuals.items())},
             "all_passed": self.all_passed,
         }
 
@@ -407,7 +400,7 @@ def certify_candidate(
 
     tr = beta.trace()
     tr_res = tr + 1
-    checks["trace_minus_one"] = (tr_res == 0) if is_exact(tr_res) else abs(tr_res) <= tol
+    checks["trace_minus_one"] = linalg.is_zero(tr_res, tol)
     residuals["trace_minus_one"] = tr_res
 
     gaps = _gaps(mu, beta.entries, nsq)
@@ -418,11 +411,11 @@ def certify_candidate(
 
     m_val = m_degree(mu, [x / nsq for x in beta.entries])
     m_res = m_val - 1
-    checks["m_equals_one"] = (m_res == 0) if is_exact(m_res) else abs(m_res) <= tol
+    checks["m_equals_one"] = linalg.is_zero(m_res, tol)
     residuals["m_equals_one"] = m_res
 
     delta = _delta_value(mu, gaps)
-    checks["delta_nonneg"] = (delta >= 0) if is_exact(delta) else delta >= -tol
+    checks["delta_nonneg"] = linalg.nonneg(delta, tol)
     residuals["delta_nonneg"] = delta
 
     shifted = tuple(x + nsq for x in beta.entries)
@@ -440,5 +433,4 @@ def certify_candidate(
     if checks["beta_positive_shift"] and beta.is_exact_mode:
         etype, scale = _eigenvalue_type(shifted)
 
-    q = 1 / nsq if is_exact(nsq) else 1.0 / float(nsq)
-    return StratumCertificate(beta, q, etype, scale, checks, residuals)
+    return StratumCertificate(beta, 1 / nsq, etype, scale, checks, residuals)

@@ -356,9 +356,21 @@ def _tensor_battery(rng):
             for exact in (True, False) for _ in range(4)]
 
 
+LARGE_PRIMES = (10007, 65537, 999983, 2147483647)
+
+
+def _prime_denominators(rng, mu):
+    """mu with each coefficient divided by one of LARGE_PRIMES, so the
+    denominators are large and pairwise coprime, and the lcm is huge."""
+    return BracketTensor.make(mu.dim, {key: c / LARGE_PRIMES[int(rng.integers(0, 4))]
+                                       for key, c in mu.coeffs.items()})
+
+
 def test_jacobi_residual_matches_eval_oracle():
     rng = np.random.default_rng(40)
-    for mu in _lie_battery(rng) + _tensor_battery(rng):
+    battery = _lie_battery(rng) + _tensor_battery(rng)
+    battery += [_prime_denominators(rng, mu) for mu in battery if mu.is_exact_mode]
+    for mu in battery:
         for nu in (BracketTensor(mu.dim, dict(sorted(mu.coeffs.items())), mu.scalar_mode),
                    shuffled(rng, mu)):
             got, want = jacobi_residual(nu), eval_jacobi_residual(nu)

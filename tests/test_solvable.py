@@ -128,6 +128,9 @@ def test_is_standard():
     assert is_standard(ch2()).ok
     st = is_standard(nonstandard_heisenberg())
     assert not st.ok and st.max_violation == 1.0
+    # an exact [a, a] coefficient below the float range is still a violation
+    tiny = MetricSolvableAlgebra(2, 1, BracketTensor.make(3, {(1, 2, 3): F(1, 10**400)}))
+    assert is_standard(tiny) == (False, 0.0)
 
 
 def test_curvature_report_shape():
@@ -295,10 +298,10 @@ def test_killing_form_and_mean_curvature_match_dense_routes():
 
 def test_curvature_report_and_audit_compute_each_quantity_once(monkeypatch):
     # exact algebras compute everything in one integer kernel, float ones
-    # compute each quantity once
+    # compute each quantity once, in the float routes behind `curvature`
     calls = {}
-    names = ("_curvature_numerators", "killing_form", "r_operator", "mean_curvature",
-             "s_ad_h", "_s_ad_h")
+    names = ("_curvature_numerators", "_float_killing", "ric_array", "_float_mean",
+             "_float_s_ad_h")
     for name in names:
         real = getattr(solvable, name)
 
@@ -307,7 +310,7 @@ def test_curvature_report_and_audit_compute_each_quantity_once(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(solvable, name, spy)
-    float_once = {"killing_form": 1, "r_operator": 1, "mean_curvature": 1, "_s_ad_h": 1}
+    float_once = {"_float_killing": 1, "ric_array": 1, "_float_mean": 1, "_float_s_ad_h": 1}
     for make, once in ((ch2, {"_curvature_numerators": 1}),
                        (lambda: MetricSolvableAlgebra.create(1, 3, ch2().bracket.to_float()),
                         float_once)):
