@@ -9,8 +9,9 @@ computed entrywise as
     <Ric x, y> = -1/2 sum_ij <mu(x,e_i),e_j><mu(y,e_i),e_j>
                  + 1/4 sum_ij <mu(e_i,e_j),x><mu(e_i,e_j),y>.
 
-An exact bracket gets it from its cached integer view (bracket._ric_exact:
-4 L^2 Ric_mu in integers, divided once), a float one from ric_array.
+An exact bracket gets it from its cached integer view N = L mu
+(bracket._moment_numerator: 4 L^2 Ric_mu in integers, divided once), a
+float one from ric_array.
 
 With M_mu = 4 Ric_mu / |mu|^2 (trace exactly -1), the flow descends |M_mu|^2
 on the unit sphere.  Critical points are exactly the brackets with
@@ -36,9 +37,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bracket import (BracketTensor, _central_series, _ric_exact, act_array, inner,
-                      jacobi_check, rep_array)
-from .linalg import Scalar
+from .bracket import (BracketTensor, _central_series, _moment_numerator, _slot_tables,
+                      act_array, inner, jacobi_check, rep_array)
+from .linalg import Scalar, fraction_rows
 from .strata import (DiagonalWeight, StratumCertificate, certify_candidate,
                      in_W, project_Z)
 
@@ -71,9 +72,11 @@ def ricci_moment(mu: BracketTensor) -> MomentValue:
     if nsq == 0:
         raise ValueError("the zero bracket has no normalized moment")
     if mu.is_exact_mode:
-        ric = _ric_exact(mu)
-        m = [[4 * x / nsq for x in row] for row in ric]
-        return MomentValue(ric, m, nsq)
+        den, coeffs = mu._integer
+        r4 = _moment_numerator(mu.dim, *_slot_tables(coeffs))
+        # 4 Ric / |mu|^2 = r4 / (L^2 |mu|^2), and L^2 |mu|^2 = 2 sum N^2
+        return MomentValue(fraction_rows(r4, 4 * den * den),
+                           fraction_rows(r4, 2 * sum(v * v for v in coeffs.values())), nsq)
     arr = mu.to_array()
     ric = ric_array(arr)
     return MomentValue(ric, 4.0 * ric / nsq, nsq)

@@ -67,6 +67,15 @@ def parse_scalar(v) -> Scalar:
         return v
     if isinstance(v, str):
         try:
+            # ASCII [-]digits[/digits] with a nonzero denominator skips
+            # Fraction's literal regex; anything else is Fraction's to judge
+            num, slash, den = v.partition("/")
+            digits = num[1:] if num[:1] == "-" else num
+            if digits.isdigit() and digits.isascii():
+                if not slash:
+                    return Fraction(int(num))
+                if den.isdigit() and den.isascii() and int(den):
+                    return Fraction(int(num), int(den))
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed rational literal {v!r}") from exc

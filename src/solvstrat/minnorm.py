@@ -11,16 +11,17 @@ One solver and one canonicalisation, both on integers:
                     index tuples, with strictly positive weights.  When
                     the active points are exactly Wolfe's corral, the
                     corral is that support and nothing is searched.
-                    Otherwise it solves only on subsets S whose vectors
-                    p_s - x are linearly dependent (necessary for x in
-                    aff(p_S)), and only up to the size m of the corral; if
-                    no (m-1)-subset is dependent, no smaller one is, and
-                    the sizes below m are skipped.  Subsets of more than
-                    dim points are all dependent.  Smaller ones are listed
-                    in lex order by a numpy screen modulo one fixed prime,
-                    over blocks of shared prefixes; a subset the screen
+                    Otherwise it searches subsets in lex order up to the
+                    size m of the corral.  Subsets of at most dim points
+                    are solved only when their vectors p_s - x are linearly
+                    dependent (necessary for x in aff(p_S)); those are
+                    listed by a numpy screen modulo one fixed prime, over
+                    blocks of shared prefixes, and a subset the screen
                     cannot clear is checked by exact elimination before it
-                    is used.
+                    is used.  If no (m-1)-subset is dependent, no smaller
+                    one is, and the sizes below m are skipped.  The square
+                    systems of dim + 1 points share one fraction-free
+                    elimination per lex prefix, in a depth-first walk.
 
 Integer representation.  A point set is scaled once (PointSet.scaled): with
 den the lcm of all coordinate denominators, P_i = den p_i are integer
@@ -271,26 +272,21 @@ def _extend(prefixes: np.ndarray, red: np.ndarray, bs: np.ndarray,
 
 
 def _dependent_subsets(cols: Sequence[Sequence[int]], k: int) -> Iterator[tuple[int, ...]]:
-    """Index tuples of the linearly dependent k-subsets of cols, in lex order.
+    """Index tuples of the linearly dependent k-subsets of cols, in lex order,
+    for k at most the length of a column.
 
-    More than dim columns are always dependent, so for k > dim every k-subset
-    is listed with no elimination.  Otherwise a depth-first pass over
-    prefixes screens dependence modulo _PRIME.  Each prefix in the pass is
-    independent mod p and holds every column reduced against it, so a child
-    prefix + (t,) is dependent mod p exactly when column t has reduced to
-    zero.  A child the screen clears is independent mod p, hence over Q, and
-    is extended in blocks of lex-consecutive prefixes by _extend.  A child it
-    cannot clear is checked exactly (linalg.bareiss_triangularize): if it is
-    dependent, so is every completion, and those are yielded lazily, in
-    order, without screening; if it is dependent mod p only, each completion
-    is checked exactly.  The pass yields the subsets an exact elimination
-    would, in the same order.
+    A depth-first pass over prefixes screens dependence modulo _PRIME.  Each
+    prefix in the pass is independent mod p and holds every column reduced
+    against it, so a child prefix + (t,) is dependent mod p exactly when
+    column t has reduced to zero.  A child the screen clears is independent
+    mod p, hence over Q, and is extended in blocks of lex-consecutive
+    prefixes by _extend.  A child it cannot clear is checked exactly
+    (linalg.bareiss_triangularize): if it is dependent, so is every
+    completion, and those are yielded lazily, in order, without screening;
+    if it is dependent mod p only, each completion is checked exactly. The
+    pass yields the subsets an exact elimination would, in the same order.
     """
     n = len(cols)
-    dim = len(cols[0]) if n else 0
-    if k > dim:
-        yield from itertools.combinations(range(n), k)
-        return
     if k == 0:
         return
 
@@ -326,6 +322,83 @@ def _dependent_subsets(cols: Sequence[Sequence[int]], k: int) -> Iterator[tuple[
     yield from walk(np.zeros((1, 0), dtype=np.int64), residues[None])
 
 
+def _square_support(cols: Sequence[Sequence[int]],
+                    b: Sequence[int]) -> tuple[tuple[int, ...], list[Fraction]] | None:
+    """The first len(b)-subset S of cols in lex order whose square system
+    cols_S w = b has a strictly positive solution: (S, w), or None.
+
+    One depth-first walk over lex prefixes shares a fraction-free (Bareiss)
+    elimination between all the subsets that extend a prefix.  A prefix
+    holds every later column and b reduced against it, on the rows not yet
+    used as pivots.  The child prefix + (t,) pivots on the first nonzero
+    entry c_r of column t, and one step, (c_r u - u_r c) / prev with prev
+    the previous pivot, reduces each later u; every division is exact, as in
+    linalg.bareiss_triangularize.  A column reduced to zero makes prefix +
+    (t,) dependent and every subset through it singular, and a b reduced to
+    zero lies in the prefix's span, so every completion's unique solution
+    is zero past it: either way the subtree is skipped.  At a leaf one row
+    is left, holding the system's determinant and, by Cramer's rule, the
+    determinant times the last weight (_leaf).
+    """
+    size, n = len(b), len(cols)
+    levels: list[tuple[int, int, list[int]]] = []   # (column, pivot, pivot row)
+
+    def walk(red, start, prev):
+        # red: the columns start..n-1, then b, reduced against the prefix
+        depth = len(levels)
+        if depth == size - 1:
+            yb = red[-1][0]
+            for t in range(start, n):
+                w = _leaf(levels, t, red[t - start][0], yb)
+                if w is not None:
+                    return (*(c for c, _, _ in levels), t), w
+            return None
+        for t in range(start, n - size + depth + 1):
+            col = red[t - start]
+            r = next((i for i, v in enumerate(col) if v), None)
+            if r is None:
+                continue
+            piv = col[r]
+            rest = red[t - start + 1:]
+            lead = [u[r] for u in rest]
+            others = col[:r] + col[r + 1:]
+            child = [[(piv * x - f * y) // prev for x, y in zip(u[:r] + u[r + 1:], others)]
+                     for u, f in zip(rest, lead)]
+            if not any(child[-1]):
+                continue
+            levels.append((t, piv, lead))
+            found = walk(child, t + 1, piv)
+            levels.pop()
+            if found:
+                return found
+        return None
+
+    return walk([list(c) for c in cols] + [list(b)], 0, 1)
+
+
+def _leaf(levels: Sequence[tuple[int, int, list[int]]], t: int, d: int,
+          yb: int) -> list[Fraction] | None:
+    """The weights of the square system on the prefix of levels plus column
+    t if all are strictly positive, else None.
+
+    d is the last pivot, the determinant of the system up to a sign shared
+    with yb = d w_last; d = 0 marks a singular system.  y = d w is integral
+    by Cramer's rule, so it back-substitutes through the pivot rows of
+    levels with exact divisions, and stops at the first y whose sign
+    differs from d's.
+    """
+    if d == 0 or yb == 0 or (d > 0) != (yb > 0):
+        return None
+    ys, chosen = [yb], [t]
+    for c, piv, lead in reversed(levels):
+        y = (d * lead[-1] - sum(lead[j - c - 1] * v for j, v in zip(chosen, ys))) // piv
+        if y == 0 or (y > 0) != (d > 0):
+            return None
+        ys.append(y)
+        chosen.append(c)
+    return [Fraction(y, d) for y in reversed(ys)]
+
+
 def canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult:
     """The optimum res.point of min_norm_point(ps) on its canonical support.
 
@@ -337,7 +410,7 @@ def canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult:
     solve per subset decides: unique nonnegative barycentric weights for x,
     or skip.
 
-    Exact facts keep the solves to the subsets that can hold x:
+    Exact facts keep the work to the subsets that can hold x:
 
       * corral        when the active set is Wolfe's corral res.support,
                       res is returned with no solve: the corral is affinely
@@ -348,15 +421,22 @@ def canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult:
                       <= dim + 1 points.
       * dependence    x in aff(p_S) makes the vectors p_s - x (s in S)
                       linearly dependent: their rank is rank[v_S | b] - 1
-                      <= |S| - 1 with v = (p, 1), b = (x, 1).  Only the
-                      dependent subsets, listed by _dependent_subsets, get a
-                      solve.  Any k > dim of them are dependent and are
-                      listed with no elimination; for k <= dim a screen
-                      modulo _PRIME clears the independent ones, and every
-                      subset it cannot clear is checked exactly.
+                      <= |S| - 1 with v = (p, 1), b = (x, 1).  For
+                      |S| <= dim only the dependent subsets, listed by
+                      _dependent_subsets, get a solve: a screen modulo
+                      _PRIME clears the independent ones, and every subset
+                      it cannot clear is checked exactly.
       * monotonicity  dependence passes to supersets, so if no (m-1)-subset
                       is dependent, no smaller one is and the search starts
                       at size m.
+      * shared walk   every (dim + 1)-subset is dependent, and its system
+                      [v_S] w = b is square.  _square_support walks their
+                      lex prefixes depth first, holding every later column
+                      and b reduced against the prefix, so each subset costs
+                      one elimination step, and back-substitutes only at the
+                      leaves.  A nonsingular square system has one solution,
+                      so the first leaf with positive weights is the first
+                      subset a per-subset solve would accept.
 
     With a active points the search visits at most sum_{k <= m} C(a, k)
     nodes (prefixes), solves only on dependent subsets, and raises
@@ -381,16 +461,24 @@ def canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult:
     b = [int(rhs[r] * row_scale[r]) for r in range(ps.dim)] + [1]
     # the columns p_i - x, scaled to integers like the solve's rows
     diffs = [[srows[r][i] - b[r] for r in range(ps.dim)] for i in active]
+
+    def represent(picked, w):
+        subset = tuple(active[t] for t in picked)
+        weights = [Fraction(0)] * len(ps.points)
+        for i, wi in zip(subset, w):
+            weights[i] = wi
+        return MinNormResult(x, tuple(weights), subset)
+
     low = 1 if next(_dependent_subsets(diffs, m - 1), None) is not None else m
-    for size in range(low, m + 1):
+    for size in range(low, min(m, ps.dim) + 1):
         for picked in _dependent_subsets(diffs, size):
-            subset = tuple(active[t] for t in picked)
-            a = [[srows[r][i] for i in subset] for r in range(ps.dim)]
+            a = [[srows[r][active[t]] for t in picked] for r in range(ps.dim)]
             a.append([1] * size)
             w = linalg.solve_integer(a, b)
             if w is not None and all(wi > 0 for wi in w):
-                weights = [Fraction(0)] * len(ps.points)
-                for i, wi in zip(subset, w):
-                    weights[i] = wi
-                return MinNormResult(x, tuple(weights), subset)
+                return represent(picked, w)
+    if m > ps.dim:
+        found = _square_support([[srows[r][i] for r in range(ps.dim)] + [1] for i in active], b)
+        if found is not None:
+            return represent(*found)
     raise RuntimeError("no exact convex representation of the optimum found")

@@ -112,7 +112,7 @@ class MetricSolvableAlgebra:
         return _curvature_numerators(self)
 
     @functools.cached_property
-    def _einstein(self) -> tuple[Scalar, float, float, float | None]:
+    def _einstein(self) -> tuple[Scalar, Scalar, float, float | None]:
         return _einstein_values(self)
 
 
@@ -292,25 +292,27 @@ class EinsteinCheck(NamedTuple):
 
 def einstein_check(s: MetricSolvableAlgebra, tol: float = EINSTEIN_TOL) -> EinsteinCheck:
     """Is Ricci = c I?  c is tr(Ricci)/dim; the residual is the entrywise
-    deviation, compared against tol * max(1, |Ricci|_inf).
+    deviation.  On an exact algebra it is exact, and the verdict is that it
+    is 0; on a float one it is compared against tol * max(1, |Ricci|_inf).
 
     For non-unimodular algebras the independent formula
     c = -tr S(ad H)^2 / tr S(ad H) is evaluated and its deviation reported.
     Everything but the verdict is computed once per algebra.
     """
     c, resid, scale, cf = s._einstein
-    return EinsteinCheck(bool(resid <= tol * scale), c, resid, cf, tol)
+    return EinsteinCheck(linalg.is_zero(resid, tol * scale), c, float(resid), cf, tol)
 
 
-def _einstein_values(s: MetricSolvableAlgebra) -> tuple[Scalar, float, float, float | None]:
+def _einstein_values(s: MetricSolvableAlgebra) -> tuple[Scalar, Scalar, float, float | None]:
     """(c, residual, scale, c_formula_residual) of einstein_check.
 
     An exact algebra works on its integer numerators: with q = 4 L^2,
     Ricci = ricci / q and S(ad H) = 2 P / q, so c = tr(ricci) / (q d), each
     deviation is (d ricci_ij - tr(ricci) delta_ij) / (q d), and c - c_alt
-    is (tr(ricci) tr P + 2 d tr P^2) / (q d tr P).  Every float is then one
-    int / int division, correctly rounded as float(Fraction) is, so it is
-    the float of the rational.
+    is (tr(ricci) tr P + 2 d tr P^2) / (q d tr P).  The residual stays an
+    exact Fraction, 0 exactly when ricci is a multiple of I; every float is
+    one int / int division, correctly rounded as float(Fraction) is, so it
+    is the float of the rational.
     """
     d = s.dim
     if not s.bracket.is_exact_mode:
@@ -338,7 +340,7 @@ def _einstein_values(s: MetricSolvableAlgebra) -> tuple[Scalar, float, float, fl
     if abs(2 * tr_p / q) > 1e-12:
         sq_p = sum(x * x for row in p for x in row)
         cf = abs(tr * tr_p + 2 * d * sq_p) / (q * d * abs(tr_p))
-    return Fraction(tr, q * d), dev / (q * d), scale, cf
+    return Fraction(tr, q * d), Fraction(dev, q * d), scale, cf
 
 
 class StandardCheck(NamedTuple):
@@ -572,8 +574,8 @@ def standardness_audit(s: MetricSolvableAlgebra, beta: DiagonalWeight | None = N
 
     nonneg_ok = all(linalg.nonneg(t, tol) for t in (term1, term2, term3))
     std = is_standard(s, tol)
-    shift_positive = all(float(x) > 0 for x in shift)
-    forces = ec.ok and shift_positive and abs(float(term2)) <= tol
+    shift_positive = all(linalg.positive(x, 0.0) for x in shift)
+    forces = ec.ok and shift_positive and linalg.is_zero(term2, tol)
     return AuditReport(zero_branch, beta, kappa, c, lhs, term1, term2, term3,
                        identity_residual, tr_e_sq_residual, tr_adh_residual,
                        w_ok, nonneg_ok, ec, std, forces)

@@ -13,7 +13,7 @@ import numpy as np
 from solvstrat import linalg
 from solvstrat.bracket import (DEFAULT_TOL, BracketTensor, _reduce_basis, inner,
                                rep, rep_array)
-from solvstrat.flow import CHOP, FlowResult, ric_array
+from solvstrat.flow import CHOP, FlowResult, MomentValue, ric_array
 from solvstrat.linalg import ONE, ZERO, dot
 from solvstrat.minnorm import MinNormResult, PointSet, Vec
 from solvstrat.solvable import (EINSTEIN_TOL, AuditReport, Curvature, EinsteinCheck,
@@ -636,6 +636,14 @@ def fraction_ric(mu: BracketTensor):
     return ric
 
 
+def fraction_ricci_moment(mu: BracketTensor) -> MomentValue:
+    """ricci_moment of an exact bracket in Fractions: m = 4 Ric / |mu|^2
+    entry by entry, on the Fraction Ricci form."""
+    nsq = inner(mu, mu)
+    ric = fraction_ric(mu)
+    return MomentValue(ric, [[4 * x / nsq for x in row] for row in ric], nsq)
+
+
 def fraction_curvature(s) -> Curvature:
     """H, B, R, S(ad H) and Ricci = R - B/2 - S(ad H) of an exact algebra by
     Fraction sums over the nonzero coefficients."""
@@ -664,19 +672,18 @@ def fraction_curvature(s) -> Curvature:
 
 
 def fraction_einstein_check(s, tol: float = EINSTEIN_TOL) -> EinsteinCheck:
-    """einstein_check of an exact algebra on the Fraction curvature."""
+    """einstein_check of an exact algebra on the Fraction curvature: Einstein
+    exactly when Ricci - c I is 0."""
     cur = fraction_curvature(s)
     ric, sh = cur.ricci, cur.s_ad_h
     d = len(ric)
     c = linalg.trace(ric) / d
-    resid = max(abs(float(ric[i][j] - (c if i == j else 0))) for i in range(d)
-                for j in range(d))
-    scale = max(1.0, max(abs(float(x)) for row in ric for x in row))
+    resid = max(abs(ric[i][j] - (c if i == j else 0)) for i in range(d) for j in range(d))
     tr_sh = linalg.trace(sh)
     cf = None
     if abs(float(tr_sh)) > 1e-12:
         cf = abs(float(c + linalg.trace_product(sh, sh) / tr_sh))
-    return EinsteinCheck(bool(resid <= tol * scale), c, float(resid), cf, tol)
+    return EinsteinCheck(resid == 0, c, float(resid), cf, tol)
 
 
 def fraction_standardness_audit(s, beta=None, tol: float = EINSTEIN_TOL) -> AuditReport:
@@ -707,7 +714,7 @@ def fraction_standardness_audit(s, beta=None, tol: float = EINSTEIN_TOL) -> Audi
     t1, t2, t3 = half * t1, half * t2, half * t3
     tr_sh_e = sum(sh[m + i][m + i] * shift[i] for i in range(n))
     std = is_standard(s, tol)
-    forces = ec.ok and all(float(x) > 0 for x in shift) and abs(float(t2)) <= tol
+    forces = ec.ok and all(x > 0 for x in shift) and t2 == 0
     return AuditReport(zero_branch, beta, kappa, ec.c, lhs, t1, t2, t3,
                        abs(float(lhs - (t1 + t2 + t3))),
                        abs(float(sum(x * x for x in shift) - kappa * sum(shift))),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from generators import free_two_step, random_nilpotent
-from oracles import eigh_per_exponential_flow, ricci_moment_via_duality
+from oracles import eigh_per_exponential_flow, fraction_ricci_moment, ricci_moment_via_duality
 from solvstrat import flow
 from solvstrat.bracket import BracketTensor, act_array, direct_sum, permutation_act
 from solvstrat.catalog import filiform4, heisenberg3, so3
@@ -37,6 +37,17 @@ def test_ricci_goldens():
     mv_so3 = ricci_moment(so3())
     assert mv_so3.ric == [[F(-1, 2), 0, 0], [0, F(-1, 2), 0], [0, 0, F(-1, 2)]]
     assert mv_so3.m_normalized[0][0] == F(-1, 3)
+
+
+def test_exact_ricci_moment_equals_the_fraction_route():
+    rng = np.random.default_rng(61)
+    battery = [H3, N4, free_two_step(3)]
+    battery += [random_nilpotent(rng, int(rng.integers(3, 8)), transform=bool(t % 2))
+                for t in range(24)]
+    for mu in battery:
+        got, want = ricci_moment(mu), fraction_ricci_moment(mu)
+        assert got == want
+        assert all(type(x) is F for m in (got.ric, got.m_normalized) for row in m for x in row)
 
 
 def test_ricci_trace_law_exact():

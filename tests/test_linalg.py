@@ -235,3 +235,21 @@ def _rref_callers() -> set[str]:
 def test_only_invert_eliminates_in_dense_fractions():
     # the hot exact kernels eliminate in integers; rref stays behind invert
     assert _rref_callers() == {"linalg.invert"}
+
+
+@pytest.mark.parametrize("text", ["0", "-0", "7", "-12", "007/010", "-37/120", "3/0", "3/00",
+                                  "3/", "+3", " 3", "1_000", "1.5", "1e3", "٣", "-3/-4",
+                                  "3/4/5", "", "-", "/4", "-/4", "4/-", str(2**200) + "/3"])
+def test_parse_scalar_agrees_with_the_fraction_literal(text):
+    # the fast path for [-]digits[/digits] must accept, value and reject
+    # exactly as Fraction's own parser does
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(ValueError, match="malformed rational literal") as info:
+            linalg.parse_scalar(text)
+        cause = info.value.__cause__
+        assert (type(cause), str(cause)) == (type(exc), str(exc))
+    else:
+        got = linalg.parse_scalar(text)
+        assert type(got) is Fraction and got == want

@@ -406,7 +406,7 @@ def test_dependent_subsets_match_brute_force_rank():
         # alternate tall (more coordinates than columns) and wide shapes
         count = int(rng.integers(1, dim + 1)) if trial % 8 < 4 else int(rng.integers(dim + 1, 9))
         cols = _int_columns(rng, dim, count, kind)
-        for k in range(count + 1):
+        for k in range(min(count, dim) + 1):
             want = [s for s in itertools.combinations(range(count), k)
                     if dense_nullspace([[F(cols[t][r]) for t in s] for r in range(dim)])]
             assert list(minnorm._dependent_subsets(cols, k)) == want, (cols, k)
@@ -437,12 +437,6 @@ def test_dependent_subsets_are_lazy(monkeypatch):
     # the full listing does extend prefixes, so the counter is live
     assert sum(1 for _ in minnorm._dependent_subsets(cols, 3)) > 0
     assert len(blocks) > 1
-    # more columns than coordinates: listed with no elimination at all
-    blocks.clear()
-    exact.clear()
-    assert (list(minnorm._dependent_subsets(cols[:6], 4))
-            == list(itertools.combinations(range(6), 4)))
-    assert blocks == [] and exact == []
 
 
 def test_dependence_screen_false_positives_are_not_yielded():
@@ -503,17 +497,106 @@ def test_canonical_form_matches_the_exhaustive_search_about_the_origin():
         assert canonical_form(ps, res) == exhaustive_canonical_form(ps, res)
 
 
+def _spy_leaves(monkeypatch) -> list[int]:
+    """Spy on minnorm._leaf; records the column count of each leaf."""
+    sizes: list[int] = []
+    real = minnorm._leaf
+
+    def spy(levels, t, d, yb):
+        sizes.append(len(levels) + 1)
+        return real(levels, t, d, yb)
+
+    monkeypatch.setattr(minnorm, "_leaf", spy)
+    return sizes
+
+
 def test_origin_inside_hull_solves_only_full_size_subsets(monkeypatch):
     # 16 generic points about the origin in dim 7: no subset of <= 7 points
-    # has 0 in its affine hull, and none of them is dependent, so every
-    # solve is on 8 points.  The exhaustive search makes 26451 solves here
+    # has 0 in its affine hull, and none of them is dependent, so no subset
+    # of <= 7 points is solved and every leaf of the shared walk has 8
+    # points.  The exhaustive search makes 26451 solves here
     ps = centred_point_set(np.random.default_rng(1), 7, 16)
     res = min_norm_point(ps)
     calls = _count_solves(monkeypatch)
+    leaves = _spy_leaves(monkeypatch)
     canon = canonical_form(ps, res)
     assert len(canon.support) == 8
-    assert set(calls) == {8}
-    assert len(calls) < 300
+    assert calls == []
+    assert set(leaves) == {8}
+    assert len(leaves) < 300
+
+
+def test_missing_square_support_raises(monkeypatch):
+    # Wolfe's corral has dim + 1 of the 8 active points, so the search ends
+    # in the walk over 4-subsets; with every leaf refused it finds nothing
+    ps = centred_point_set(np.random.default_rng(1), 3, 8)
+    res = min_norm_point(ps)
+    assert len(res.support) == 4
+    leaves: list[tuple] = []
+    monkeypatch.setattr(minnorm, "_leaf", lambda *args: leaves.append(args))
+    with pytest.raises(RuntimeError, match="no exact convex representation"):
+        canonical_form(ps, res)
+    assert leaves
+
+
+def _small_integer_centred_set(rng, dim: int) -> PointSet:
+    # integer points in [-2, 2]^dim, scaled about their centroid: many
+    # (dim + 1)-subsets are singular, prefixes lose their pivots and b
+    # often lies in a prefix's span
+    count = min(5 ** dim, int(rng.integers(dim + 2, dim + 9)))
+    pts: set[tuple[int, ...]] = set()
+    while len(pts) < count:
+        pts.add(tuple(int(v) for v in rng.integers(-2, 3, dim)))
+    total = [sum(col) for col in zip(*pts)]
+    return PointSet.make([[count * v - t for v, t in zip(p, total)] for p in sorted(pts)])
+
+
+def _degenerate_simplex_set(rng, dim: int) -> PointSet:
+    # a simplex p_0..p_dim about the origin, p_0 on the plane x_1 = 0, led by
+    # 2 p_0 (0 in the affine hull of the prefix {p_0, 2 p_0}) and 2 p_0 - p_1
+    # (then p_1 lies in the span of the prefix {p_0, 2 p_0 - p_1}); p_0's zero
+    # first coordinate moves the walk's first pivot off the first row
+    while True:
+        tail = rng.integers(-3, 4, (dim, dim)).tolist()
+        tail[-1][0] -= sum(p[0] for p in tail)
+        p0 = [-sum(col) for col in zip(*tail)]
+        pts = [p0, [2 * v for v in p0], [2 * v - w for v, w in zip(p0, tail[0])]] + tail
+        pts += rng.integers(-3, 4, (int(rng.integers(0, 3)), dim)).tolist()
+        if any(p0) and len({tuple(p) for p in pts}) == len(pts):
+            return PointSet.make(pts)
+
+
+def _huge_centred_set(rng, dim: int, count: int) -> PointSet:
+    # coordinates above 2^64 in absolute value over coprime denominators
+    primes = (97, 101, 103, 107)
+    pts: set[tuple[Fraction, ...]] = set()
+    while len(pts) < count:
+        pts.add(tuple(F(int(rng.integers(1, 10)) * (-1) ** int(rng.integers(0, 2)) * (2**72 + 13),
+                        primes[int(rng.integers(0, 4))]) for _ in range(dim)))
+    centroid = [sum(col) / count for col in zip(*pts)]
+    return PointSet.make([[x - c for x, c in zip(p, centroid)] for p in sorted(pts)])
+
+
+def _square_walk_sets():
+    rng = np.random.default_rng(35)
+    for dim in range(2, 9):
+        for _ in range(3 if dim < 8 else 1):
+            yield centred_point_set(rng, dim, int(rng.integers(dim + 2, dim + 6)))
+    for _ in range(40):
+        yield _small_integer_centred_set(rng, int(rng.integers(1, 6)))
+    for _ in range(30):
+        yield _degenerate_simplex_set(rng, int(rng.integers(2, 7)))
+    for dim in (2, 3, 4, 5):
+        yield _huge_centred_set(rng, dim, dim + 3)
+
+
+def test_square_walk_matches_the_exhaustive_search():
+    walked = 0
+    for ps in _square_walk_sets():
+        res = min_norm_point(ps)
+        walked += len(res.support) == ps.dim + 1
+        assert canonical_form(ps, res) == exhaustive_canonical_form(ps, res)
+    assert walked >= 50
 
 
 def test_weight_set_solve_count(monkeypatch):

@@ -8,6 +8,7 @@ numpy.float64 inputs.  The expected verdicts are literals, so flipping a
 """
 
 import ast
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,9 +16,11 @@ import numpy as np
 
 import solvstrat
 from solvstrat.bracket import BracketTensor, jacobi_check
+from solvstrat.cli import main
 from solvstrat.catalog import filiform4, heisenberg3, nonstandard_heisenberg
 from solvstrat.linalg import is_exact
-from solvstrat.solvable import MetricSolvableAlgebra, is_standard, standardness_audit
+from solvstrat.solvable import (MetricSolvableAlgebra, einstein_check, is_standard,
+                                standardness_audit)
 from solvstrat.strata import (DiagonalWeight, certify_candidate, in_W, in_Y,
                               in_Z, parabolic_membership, positivity_check,
                               project_Z)
@@ -149,6 +152,23 @@ AUDIT_CASES = {
 }
 
 
+def _rh2_squared(eps) -> MetricSolvableAlgebra:
+    # RH^2 x RH^2 on a1, a2, e3, e4 with [a1, a2] = eps e3; Jacobi holds for
+    # every eps, and only eps = 0 is Einstein and standard
+    one = eps * 0 + 1
+    return MetricSolvableAlgebra.create(2, 2, BracketTensor.make(
+        4, {(1, 3, 3): one, (2, 4, 4): one, (1, 2, 3): eps}))
+
+
+EINSTEIN_CASES = {
+    "float-zero": _rh2_squared(0.0),
+    "float-small": _rh2_squared(1e-9),
+    "exact-zero": _rh2_squared(F(0)),
+    "exact-tiny": _rh2_squared(TINY),
+    "exact-milli": _rh2_squared(F(1, 1000)),
+}
+
+
 def verdicts() -> dict[str, str]:
     """Each case's verdicts, one character per tolerance of _tols."""
     out: dict[str, str] = {}
@@ -183,6 +203,12 @@ def verdicts() -> dict[str, str]:
         tols = _tols(aud.term1, aud.term2, aud.term3)
         out[f"audit nonneg_ok {name}"] = _bits(standardness_audit(s, beta, t).nonneg_ok
                                                for t in tols)
+    for name, s in EINSTEIN_CASES.items():
+        tols = _tols(einstein_check(s).residual) if not s.bracket.is_exact_mode else EXACT_TOLS
+        out[f"einstein_check {name}"] = _bits(einstein_check(s, t).ok for t in tols)
+        out[f"audit forces_standard {name}"] = _bits(standardness_audit(s, None, t)
+                                                     .forces_standard for t in tols)
+        out[f"is_standard {name}"] = _bits(is_standard(s, t).ok for t in tols)
     return out
 
 
@@ -343,11 +369,40 @@ EXPECTED: dict[str, str] = {
     'audit nonneg_ok exact-zero': '111',
     'audit nonneg_ok exact-minus-tiny': '000',
     'audit nonneg_ok exact-nonstandard': '111',
+    'einstein_check float-zero': '101101',
+    'audit forces_standard float-zero': '101101',
+    'is_standard float-zero': '101101',
+    'einstein_check float-small': '101000',
+    'audit forces_standard float-small': '101000',
+    'is_standard float-small': '101000',
+    'einstein_check exact-zero': '111',
+    'audit forces_standard exact-zero': '111',
+    'is_standard exact-zero': '111',
+    'einstein_check exact-tiny': '000',
+    'audit forces_standard exact-tiny': '000',
+    'is_standard exact-tiny': '000',
+    'einstein_check exact-milli': '000',
+    'audit forces_standard exact-milli': '000',
+    'is_standard exact-milli': '000',
 }
 
 
 def test_comparison_rules_keep_their_boundaries():
     assert verdicts() == EXPECTED
+
+
+def test_exact_near_einstein_audit_fails_through_the_cli(tmp_path, capsys):
+    # an exact [a, a] of 1/10^30 is neither Einstein nor forced standard,
+    # whatever the tolerance
+    for eps, code in (("0", 0), (f"1/{10**30}", 2), ("1/1000", 2)):
+        path = tmp_path / "rh2.json"
+        path.write_text(json.dumps({"dim_a": 2, "dim_n": 2, "brackets": [
+            {"i": 1, "j": 3, "k": 3, "c": "1"}, {"i": 2, "j": 4, "k": 4, "c": "1"},
+            {"i": 1, "j": 2, "k": 3, "c": eps}]}))
+        assert main(["einstein", str(path), "--audit", "--format", "json"]) == code
+        audit = json.loads(capsys.readouterr().out)["audit"]
+        ok = code == 0
+        assert (audit["einstein_ok"], audit["forces_standard"], audit["standard_ok"]) == (ok,) * 3
 
 
 PACKAGE = Path(solvstrat.__file__).parent

@@ -11,7 +11,7 @@ from oracles import (dense_ad, dense_ad_on_n, dense_audit_terms,
                      dense_killing_form, dense_s_ad_h, fraction_curvature,
                      fraction_einstein_check, fraction_ric,
                      fraction_standardness_audit)
-from solvstrat import flow, linalg, solvable
+from solvstrat import bracket, flow, linalg, solvable
 from solvstrat.bracket import BracketTensor, act, jacobi_check, jacobi_residual
 from solvstrat.catalog import (abelian, ch2, filiform4, heisenberg3,
                                nonstandard_heisenberg, rh_space, so3)
@@ -432,7 +432,7 @@ def test_integer_curvature_kernel_matches_the_fraction_route():
         assert all(type(x) is F for x in cur.mean + [x for m in matrices for row in m for x in row])
         assert (mean_curvature(s), killing_form(s), r_operator(s), s_ad_h(s),
                 ricci_operator(s)) == (want.mean, want.killing, want.r, want.s_ad_h, want.ricci)
-        assert flow._ric_exact(s.bracket) == fraction_ric(s.bracket) == want.r
+        assert bracket._ric_exact(s.bracket) == fraction_ric(s.bracket) == want.r
         for tol in (1e-2, solvable.EINSTEIN_TOL):
             ec, ref = einstein_check(s, tol), fraction_einstein_check(s, tol)
             assert ec == ref and repr(ec) == repr(ref)
