@@ -528,48 +528,73 @@ def is_solvable(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
 def derivations(mu: BracketTensor, tol: float = DEFAULT_TOL):
     """Basis of {a : rep(a, mu) = 0}, the derivation algebra of mu.
 
-    Exact mode: canonical rational basis from the reduced echelon null space.
-    The system is built in integers, in one pass over the coefficients:
-    Der(c mu) = Der(mu), so mu is scaled by the lcm of its coefficient
-    denominators first.  Float mode: orthonormal basis from an SVD.  Returns
-    a list of n x n matrices (rows of Fractions, or numpy arrays).
+    Exact mode: canonical rational basis from the reduced echelon null space
+    of the integer system (_derivation_system).  Float mode: orthonormal
+    basis from an SVD of the system rep(E_rc, mu) = 0, laid out by three
+    scatters: at the slot (i, j, k), column (r, c) of rep(E_rc, mu) holds
+    [k = r] mu_ij^c - [i = c] mu_rj^k - [j = c] mu_ir^k.  Returns a list of
+    n x n matrices (rows of Fractions, or numpy arrays).
     """
     n = mu.dim
-    slots = [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-             for k in range(1, n + 1)]
     if mu.is_exact_mode:
-        rows: list[dict[int, int]] = [{} for _ in slots]
-        slot_index = {s: r for r, s in enumerate(slots)}
-
-        def add(i, j, k, col, v):
-            # v at the skew slot (i, j, k) in column col; i == j adds nothing
-            if i != j:
-                row = rows[slot_index[(i, j, k) if i < j else (j, i, k)]]
-                row[col] = row.get(col, 0) + (v if i < j else -v)
-
-        # with the unit E_rc in column (r - 1) n + c - 1, the coefficient v
-        # at (p, q, k) adds, for each t, v at (p, q, t) in rep(E_tk, mu),
-        # -v at (t, q, k) in rep(E_pt, mu) and v at (t, p, k) in rep(E_qt, mu)
-        for (p, q, k), v in mu._integer[1].items():
-            for t in range(1, n + 1):
-                add(p, q, t, (t - 1) * n + k - 1, v)
-                add(t, q, k, (p - 1) * n + t - 1, -v)
-                add(t, p, k, (q - 1) * n + t - 1, v)
         return [[vec[r * n: (r + 1) * n] for r in range(n)]
-                for vec in linalg.nullspace(rows, n * n)]
+                for vec in linalg.nullspace(_derivation_system(mu), n * n)]
     arr = mu.to_array()
-    ijk = tuple(np.array(slots, dtype=int).reshape(-1, 3).T - 1)
-    m = np.zeros((len(slots), n * n))
-    for r in range(n):
-        for c in range(n):
-            e = np.zeros((n, n))
-            e[r, c] = 1.0
-            m[:, r * n + c] = rep_array(e, arr)[ijk]
+    si, sj, sk = np.array(_slots(n), dtype=int).reshape(-1, 3).T - 1
+    row = np.arange(len(si))
+    t1, t2, t3 = (np.zeros((len(si), n, n)) for _ in range(3))
+    t1[row, sk, :] = arr[si, sj, :]
+    t2[row, :, si] = arr[:, sj, sk].T
+    t3[row, :, sj] = arr[si, :, sk]
+    m = (t1 - t2 - t3).reshape(len(si), n * n)
     _, s, vh = np.linalg.svd(m)
     cutoff = tol * max(1.0, s[0] if len(s) else 1.0)
     null_dim = int(np.sum(s <= cutoff)) + (n * n - len(s) if len(s) < n * n else 0)
     basis = vh[len(vh) - null_dim:] if null_dim else vh[:0]
     return [v.reshape(n, n) for v in basis]
+
+
+def _slots(n: int) -> list[Key]:
+    """The keys (i, j, k), i < j, of an n-dimensional bracket in row order."""
+    return [(i, j, k) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            for k in range(1, n + 1)]
+
+
+def _exact_derivations(mu: BracketTensor) -> list[tuple[int, dict[int, int]]]:
+    """The canonical derivation basis of an exact bracket as integers: per
+    element D, (den, {r n + c: den D_rc}) over its nonzero entries, from
+    linalg._nullspace_numerators.  derivations writes the same basis out
+    in Fractions."""
+    return linalg._nullspace_numerators(_derivation_system(mu), mu.dim ** 2)
+
+
+def _derivation_system(mu: BracketTensor) -> list[dict[int, int]]:
+    """The rows of rep(a, mu) = 0 for an exact bracket, one per slot of
+    _slots, over the n^2 entries of a.
+
+    The system is built in integers, in one pass over the coefficients:
+    Der(c mu) = Der(mu), so mu is scaled by the lcm of its coefficient
+    denominators first (the cached integer view).
+    """
+    n = mu.dim
+    slot_index = {s: r for r, s in enumerate(_slots(n))}
+    rows: list[dict[int, int]] = [{} for _ in slot_index]
+
+    def add(i, j, k, col, v):
+        # v at the skew slot (i, j, k) in column col; i == j adds nothing
+        if i != j:
+            row = rows[slot_index[(i, j, k) if i < j else (j, i, k)]]
+            row[col] = row.get(col, 0) + (v if i < j else -v)
+
+    # with the unit E_rc in column (r - 1) n + c - 1, the coefficient v
+    # at (p, q, k) adds, for each t, v at (p, q, t) in rep(E_tk, mu),
+    # -v at (t, q, k) in rep(E_pt, mu) and v at (t, p, k) in rep(E_qt, mu)
+    for (p, q, k), v in mu._integer[1].items():
+        for t in range(1, n + 1):
+            add(p, q, t, (t - 1) * n + k - 1, v)
+            add(t, q, k, (p - 1) * n + t - 1, -v)
+            add(t, p, k, (q - 1) * n + t - 1, v)
+    return rows
 
 
 def direct_sum(*parts: BracketTensor) -> BracketTensor:

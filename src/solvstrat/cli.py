@@ -28,6 +28,7 @@ from .linalg import format_scalar, parse_scalar
 from .minnorm import canonical_form, min_norm_point
 from .solvable import (EINSTEIN_TOL, MetricSolvableAlgebra, curvature_report,
                        rank_one_extension, standardness_audit)
+from .strata import DiagonalWeight, beta_of, sort_to_weyl_chamber
 
 PASS, CHECKS_FAILED, INPUT_ERROR = 0, 2, 3
 
@@ -43,6 +44,11 @@ def _emit(report: dict, lines: list[str], fmt: str, started: float) -> None:
 
 def _flag(ok: bool) -> str:
     return "ok" if ok else "FAILED"
+
+
+def _label_text(beta: DiagonalWeight) -> str:
+    return "(" + ", ".join(format_scalar(x) if not isinstance(x, float) else f"{x:.12g}"
+                           for x in beta.entries) + ")"
 
 
 def cmd_validate(args) -> int:
@@ -102,8 +108,7 @@ def cmd_stratum(args) -> int:
     lines = [f"flow: {fr.iterations} iterations, "
              f"{'converged' if fr.converged else 'NOT converged'} ({fr.message})"]
     lines += [f"warning: {w.message}" for w in caught]
-    lines.append("beta: (" + ", ".join(format_scalar(x) if not isinstance(x, float)
-                                       else f"{x:.12g}" for x in cert.beta.entries) + ")")
+    lines.append(f"beta: {_label_text(cert.beta)}")
     if cert.eigenvalue_type:
         lines.append(f"eigenvalue type: {cert.eigenvalue_type} "
                      f"(scale {format_scalar(cert.type_scale)})")
@@ -145,9 +150,20 @@ def cmd_einstein(args) -> int:
     ok = e.ok
     if args.audit:
         beta = None
-        if args.beta_from_flow and not alg.mu_n().is_zero():
-            det = stratum_detect(alg.mu_n())
-            beta = det.certificate.beta
+        mu = alg.mu_n()
+        if args.beta_from_flow and not mu.is_zero():
+            # the flow certifies a chamber-sorted label of a moved bracket; it
+            # serves only as a check of the label of the input basis
+            flow_beta = stratum_detect(mu).certificate.beta
+            beta = beta_of(mu)
+            chamber = sort_to_weyl_chamber(beta)[0]
+            if flow_beta.entries != chamber.entries:
+                error = (f"the flow's label {_label_text(flow_beta)} is not the sorted "
+                         f"label {_label_text(chamber)} of the input")
+                report["audit"] = {"error": error}
+                lines.append(f"audit: {error}")
+                _emit(report, lines, args.format, started)
+                return CHECKS_FAILED
         audit = standardness_audit(alg, beta, args.tol)
         report["audit"] = audit.to_json_dict()
         lines.append(f"audit lhs: {float(audit.lhs):.6g}  terms: "
@@ -246,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--audit", action="store_true",
                     help="run the standardness audit decomposition")
     sp.add_argument("--beta-from-flow", action="store_true",
-                    help="take beta from flow detection instead of the weight hull")
+                    help="check the label of the weight hull against flow detection")
     sp.set_defaults(func=cmd_einstein)
 
     sp = sub.add_parser("extend", help="rank-one Einstein extension")

@@ -158,15 +158,37 @@ def nullspace(rows: Sequence[Mapping[int, Rational]], cols: int) -> list[list[Fr
     """Canonical basis of the right null space (free variables set to 1).
 
     rows are sparse, {column: value} with columns in range(cols) and int or
-    Fraction values; zero values are ignored.  Each row is scaled by the lcm
-    of its denominators and eliminated in integers by Gauss-Jordan: it is
-    reduced by the pivot rows found so far (row = p * row - f * P with p, f
-    the coprime parts of the two entries), divided by the gcd of its
-    entries and signed so that its pivot is positive, and a new pivot row
-    is cleared out of the earlier ones the same way.  Each pivot row is then
-    the primitive integer multiple of its row of the reduced echelon form.
-    That form is unique, so the basis -x / pivot is the one a dense rref
-    gives.
+    Fraction values; zero values are ignored.  The basis is that of
+    _nullspace_numerators, each vector num / den written out densely in
+    Fractions.
+    """
+    basis = []
+    for den, nums in _nullspace_numerators(rows, cols):
+        v = [ZERO] * cols
+        for c, x in nums.items():
+            v[c] = Fraction(x, den)
+        basis.append(v)
+    return basis
+
+
+def _nullspace_numerators(rows: Sequence[Mapping[int, Rational]],
+                          cols: int) -> list[tuple[int, dict[int, int]]]:
+    """The canonical null space basis of nullspace as integers: per free
+    column f, ascending, (den, {column: numerator}) with the basis vector
+    num / den, den the lcm of its entries' reduced denominators and only
+    the nonzero entries listed (den itself at f).
+
+    Each row is scaled by the lcm of its denominators and eliminated in
+    integers by Gauss-Jordan: it is reduced by the pivot rows found so far
+    (row = p * row - f * P with p, f the coprime parts of the two entries),
+    divided by the gcd of its entries and signed so that its pivot is
+    positive, and a new pivot row is cleared out of the earlier ones the
+    same way.  Each pivot row is then the primitive integer multiple of its
+    row of the reduced echelon form.  That form is unique, so the basis
+    -x / pivot is the one a dense rref gives.  With g = gcd(x, pivot) the
+    entry -x / pivot is -(x / g) / (pivot / g) in lowest terms, so its
+    numerator over den is -(x / g) * (den / (pivot / g)); the pivot itself
+    need not divide den.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
     for sparse in rows:
@@ -183,15 +205,22 @@ def nullspace(rows: Sequence[Mapping[int, Rational]], cols: int) -> list[list[Fr
             if p in other:
                 pivot_rows[q] = _primitive(_clear(other, row, p), False)
         pivot_rows[p] = row
-    basis = {f: [ZERO] * cols for f in range(cols) if f not in pivot_rows}
+    # per free column, the (pivot column, -x / g, pivot / g) of its entries
+    entries: dict[int, list[tuple[int, int, int]]] = {
+        f: [] for f in range(cols) if f not in pivot_rows}
     for p, row in pivot_rows.items():
         piv = row[p]
         for c, x in row.items():
             if c != p:
-                basis[c][p] = Fraction(-x, piv)
-    for f, v in basis.items():
-        v[f] = ONE
-    return list(basis.values())
+                g = math.gcd(x, piv)
+                entries[c].append((p, -x // g, piv // g))
+    basis = []
+    for f, column in entries.items():
+        den = math.lcm(*(q for _, _, q in column))
+        nums = {p: x * (den // q) for p, x, q in column}
+        nums[f] = den
+        basis.append((den, nums))
+    return basis
 
 
 def _clear(row: dict[int, int], pivot_row: dict[int, int], c: int) -> dict[int, int]:

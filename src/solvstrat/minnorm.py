@@ -143,9 +143,13 @@ class _ScaledPoints:
 
 def _scaled(ps: PointSet) -> _ScaledPoints:
     den = math.lcm(*(x.denominator for p in ps.points for x in p))
-    coords = tuple(tuple(x.numerator * (den // x.denominator) for x in p) for p in ps.points)
-    gram = tuple(tuple(_dot(p, q) for q in coords) for p in coords)
-    return _ScaledPoints(den, coords, gram)
+    return _scaled_integers(
+        den, tuple(tuple(x.numerator * (den // x.denominator) for x in p) for p in ps.points))
+
+
+def _scaled_integers(den: int, coords: tuple[tuple[int, ...], ...]) -> _ScaledPoints:
+    """The scaled view of the points coords / den, integer coords given."""
+    return _ScaledPoints(den, coords, tuple(tuple(_dot(p, q) for q in coords) for p in coords))
 
 
 def _numerators(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -195,9 +199,15 @@ def min_norm_point(ps: PointSet) -> MinNormResult:
     first i with the smallest d (G y)_i < y . G y, i.e. the first minimizer
     of <x, p_i> below |x|^2.  The rare drop step stays in Fractions.  All
     arithmetic is exact, so termination is exact, with no tolerance
-    anywhere.
+    anywhere.  The loop itself (_wolfe) reads only the scaled view, so a
+    caller that has the integer points already (the stratum label) hands
+    it that view directly.
     """
-    sc = ps.scaled
+    return _wolfe(ps.scaled)
+
+
+def _wolfe(sc: _ScaledPoints) -> MinNormResult:
+    """min_norm_point of the points sc.coords / sc.den."""
     gram = sc.gram
     start = min(range(len(gram)), key=lambda i: (gram[i][i], sc.coords[i]))
     corral = [start]
@@ -230,8 +240,8 @@ def min_norm_point(ps: PointSet) -> MinNormResult:
             w = {c: w[c] for c in corral}
 
     point = tuple(Fraction(_dot(ys, [sc.coords[c][r] for c in corral]), sc.den * d)
-                  for r in range(ps.dim))
-    weights = tuple(w.get(i, Fraction(0)) for i in range(len(ps.points)))
+                  for r in range(len(sc.coords[0])))
+    weights = tuple(w.get(i, Fraction(0)) for i in range(len(gram)))
     return MinNormResult(point, weights, tuple(sorted(w)))
 
 

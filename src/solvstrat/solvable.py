@@ -25,7 +25,8 @@ N = L C is the bracket's cached integer view, and one pass over pairs of its
 nonzero entries gives the numerators L h, L^2 B, 4 L^2 R, L^2 ad H and
 4 L^2 Ricci (_curvature_numerators), each turned into Fractions once.  The
 Einstein check reads those numerators, so every float it reports is one
-correctly rounded int / int division.  The universal trace identity
+correctly rounded int / int division, and so does the standardness audit
+when the label is exact too (_integer_audit_sums).  The universal trace identity
 tr(R E) = 1/4 <pi(E) mu, mu> (true for any tensor mu, Jacobi or not) gives
 every report two independent routes.
 """
@@ -520,34 +521,68 @@ class AuditReport:
         }
 
 
+class _AuditSums(NamedTuple):
+    """The audit's shift factor |beta|^2, left side, terms and residuals."""
+
+    kappa: Scalar
+    lhs: Scalar
+    term1: Scalar
+    term2: Scalar
+    term3: Scalar
+    identity_residual: float
+    tr_e_sq_residual: float
+    tr_adh_residual: float
+    in_w_ok: bool
+    shift_positive: bool
+
+
 def standardness_audit(s: MetricSolvableAlgebra, beta: DiagonalWeight | None = None,
                        tol: float = EINSTEIN_TOL) -> AuditReport:
     """Run the three-term audit of the standardness argument on s.
 
     beta defaults to the stratum label of the nilpotent part (minimum-norm
     point of its weights), which always contains mu in its W-set.  A zero
-    nilpotent part switches to E|_n = I with shift factor 1.
+    nilpotent part switches to E|_n = I with shift factor 1.  An exact
+    algebra with an exact label sums in integers (_integer_audit_sums),
+    anything else in the arithmetic of its inputs (_audit_sums).
     """
     mu = s.mu_n()
-    m, n = s.dim_a, s.dim_n
-    zero = s.bracket.zero
     zero_branch = mu.is_zero()
     if zero_branch:
+        beta = None
+    elif beta is None:
+        beta = beta_of(mu)
+    ec = einstein_check(s, tol)
+    if s.bracket.is_exact_mode and (zero_branch or beta.is_exact_mode):
+        sums = _integer_audit_sums(s, beta)
+    else:
+        sums = _audit_sums(s, mu, beta, ec.c, tol)
+    terms = (sums.term1, sums.term2, sums.term3)
+    nonneg_ok = all(linalg.nonneg(t, tol) for t in terms)
+    std = is_standard(s, tol)
+    forces = ec.ok and sums.shift_positive and linalg.is_zero(sums.term2, tol)
+    return AuditReport(zero_branch, beta, sums.kappa, ec.c, sums.lhs, *terms,
+                       sums.identity_residual, sums.tr_e_sq_residual, sums.tr_adh_residual,
+                       sums.in_w_ok, nonneg_ok, ec, std, forces)
+
+
+def _audit_sums(s: MetricSolvableAlgebra, mu: BracketTensor, beta: DiagonalWeight | None,
+                c: Scalar, tol: float) -> _AuditSums:
+    """The audit's sums on the curvature matrices, in the arithmetic of the
+    algebra and the label; beta is None on the zero branch."""
+    m, n = s.dim_a, s.dim_n
+    zero = s.bracket.zero
+    if beta is None:
         shift = (zero + 1,) * n
         kappa: Scalar = zero + 1
         w_ok = True
-        beta = None
     else:
-        if beta is None:
-            beta = beta_of(mu)
         shift = beta.shifted()
         kappa = beta.norm_sq()
         w_ok = in_W(mu, beta, tol).ok
 
     cur = s.curvature
     b, sh = cur.killing, cur.s_ad_h
-    ec = einstein_check(s, tol)
-    c = ec.c
 
     # E vanishes outside the n-block, so the trace collapses to it
     lhs = sum((c + b[m + i][m + i] / 2 + sh[m + i][m + i]) * shift[i] for i in range(n))
@@ -571,11 +606,58 @@ def standardness_audit(s: MetricSolvableAlgebra, beta: DiagonalWeight | None = N
     tr_sh = linalg.trace(sh)
     tr_sh_e = sum(sh[m + i][m + i] * shift[i] for i in range(n))
     tr_adh_residual = abs(float(tr_sh_e - kappa * tr_sh))
-
-    nonneg_ok = all(linalg.nonneg(t, tol) for t in (term1, term2, term3))
-    std = is_standard(s, tol)
     shift_positive = all(linalg.positive(x, 0.0) for x in shift)
-    forces = ec.ok and shift_positive and linalg.is_zero(term2, tol)
-    return AuditReport(zero_branch, beta, kappa, c, lhs, term1, term2, term3,
-                       identity_residual, tr_e_sq_residual, tr_adh_residual,
-                       w_ok, nonneg_ok, ec, std, forces)
+    return _AuditSums(kappa, lhs, term1, term2, term3, identity_residual, tr_e_sq_residual,
+                      tr_adh_residual, w_ok, shift_positive)
+
+
+def _integer_audit_sums(s: MetricSolvableAlgebra, beta: DiagonalWeight | None) -> _AuditSums:
+    """_audit_sums of an exact algebra and an exact label, in integers.
+
+    The shift is E = e / Q on the n-block: with (L, B) the label's integer
+    view and K = |B|^2, L^2 E_i = L B_i + K, so Q = L^2 and |beta|^2 = K / Q
+    (the zero branch has e = 1, Q = K = 1).  With N = M C the bracket's
+    integer view and the kernel's numerators (killing = M^2 B,
+    s_ad_h = 2 M^2 S(ad H), ricci = 4 M^2 Ricci, so c = tr ricci / (4 M^2 d)):
+
+        lhs = sum_i (tr ricci + 2 d (killing_ii + s_ad_h_ii)) e_i / (4 M^2 d Q)
+        t1  = sum_{m < i} (e_k - e_i - e_j) N^2 / (2 M^2 Q), and t2, t3 alike,
+
+    and e_k - e_i - e_j is L^2 times the gap <beta, a> - |beta|^2, so mu
+    lies in W_beta iff every such weight of t1 is >= 0.  Each residual is
+    one correctly rounded int / int, the float of the rational.
+    """
+    m, n, d = s.dim_a, s.dim_n, s.dim
+    if beta is None:
+        q, kappa, e = 1, 1, [1] * n
+    else:
+        big, bint, kappa = beta._integer
+        q = big * big
+        e = [big * x + kappa for x in bint]
+    num = s._numerators
+    sq = num.den * num.den
+    killing, sh = num.killing, num.s_ad_h
+    tr = sum(num.ricci[p][p] for p in range(d))
+    lhs = sum((tr + 2 * d * (killing[m + i][m + i] + sh[m + i][m + i])) * x
+              for i, x in enumerate(e))
+    full = [0] * m + e
+    t1 = t2 = t3 = 0
+    w_ok = True
+    for (i, j, k), x in s.bracket._integer[1].items():
+        if i > m:
+            w = full[k - 1] - full[i - 1] - full[j - 1]
+            w_ok = w_ok and w >= 0
+            t1 += w * x * x
+        elif j <= m:
+            t2 += full[k - 1] * x * x
+        else:
+            t3 += (full[k - 1] - full[j - 1]) * x * x
+    tr_sh = sum(sh[p][p] for p in range(d))
+    tr_sh_e = sum(sh[m + i][m + i] * x for i, x in enumerate(e))
+    return _AuditSums(
+        Fraction(kappa, q), Fraction(lhs, 4 * sq * d * q),
+        Fraction(t1, 2 * sq * q), Fraction(t2, 2 * sq * q), Fraction(t3, 2 * sq * q),
+        abs(lhs - 2 * d * (t1 + t2 + t3)) / (4 * sq * d * q),
+        abs(sum(x * x for x in e) - kappa * sum(e)) / (q * q),
+        abs(tr_sh_e - kappa * tr_sh) / (2 * sq * q),
+        w_ok, all(linalg.positive(x, 0.0) for x in e))

@@ -18,6 +18,7 @@ certificate records:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +27,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .bracket import BracketTensor, Key, derivations
+from .bracket import BracketTensor, Key, _exact_derivations, derivations
 from .linalg import Scalar, frac, is_exact
-from .minnorm import PointSet, min_norm_point
+from .minnorm import PointSet, _scaled_integers, _wolfe
 
 DEFAULT_TOL = 1e-8
 
@@ -67,6 +68,15 @@ class DiagonalWeight:
     def is_sorted(self) -> bool:
         return all(a <= b for a, b in zip(self.entries, self.entries[1:]))
 
+    @functools.cached_property
+    def _integer(self) -> tuple[int, tuple[int, ...], int]:
+        """(L, B, |B|^2) for an exact label, computed once: L is the lcm of
+        the entry denominators and B = L beta, so |beta|^2 = |B|^2 / L^2
+        and the shifted entries are beta_i + |beta|^2 = (L B_i + |B|^2) / L^2."""
+        den = math.lcm(*(x.denominator for x in self.entries))
+        b = tuple(x.numerator * (den // x.denominator) for x in self.entries)
+        return den, b, sum(x * x for x in b)
+
 
 class Membership(NamedTuple):
     ok: bool
@@ -74,19 +84,27 @@ class Membership(NamedTuple):
 
 
 def weight_vector(i: int, j: int, k: int, dim: int) -> tuple[Fraction, ...]:
-    v = [Fraction(0)] * dim
+    return tuple(Fraction(x) for x in _integer_weight(i, j, k, dim))
+
+
+def _integer_weight(i: int, j: int, k: int, dim: int) -> tuple[int, ...]:
+    v = [0] * dim
     v[i - 1] -= 1
     v[j - 1] -= 1
     v[k - 1] += 1
     return tuple(v)
 
 
-def weights(mu: BracketTensor) -> PointSet:
-    """Distinct weight vectors of the support, sorted lexicographically."""
+def _weight_vectors(mu: BracketTensor) -> list[tuple[int, ...]]:
+    """Distinct integer weight vectors of the support, sorted lexicographically."""
     if mu.is_zero():
         raise ValueError("the zero bracket has no weights")
-    vecs = sorted({weight_vector(i, j, k, mu.dim) for (i, j, k) in mu.coeffs})
-    return PointSet.make(vecs)
+    return sorted({_integer_weight(i, j, k, mu.dim) for (i, j, k) in mu.coeffs})
+
+
+def weights(mu: BracketTensor) -> PointSet:
+    """Distinct weight vectors of the support, sorted lexicographically."""
+    return PointSet.make(_weight_vectors(mu))
 
 
 def _entries(alpha) -> Sequence[Scalar]:
@@ -102,8 +120,13 @@ def m_degree(mu: BracketTensor, alpha) -> Scalar:
 
 
 def beta_of(mu: BracketTensor) -> DiagonalWeight:
-    """Minimum-norm point of the convex hull of the supported weights."""
-    return DiagonalWeight(min_norm_point(weights(mu)).point)
+    """Minimum-norm point of the convex hull of the supported weights.
+
+    The weights are integer vectors, so their scaled view (denominator 1,
+    integer Gram matrix) is built from them directly and handed to Wolfe's
+    loop; no PointSet of Fractions is formed.
+    """
+    return DiagonalWeight(_wolfe(_scaled_integers(1, tuple(_weight_vectors(mu)))).point)
 
 
 def sort_to_weyl_chamber(beta: DiagonalWeight) -> tuple[DiagonalWeight, tuple[int, ...]]:
@@ -121,24 +144,16 @@ def _gaps(mu: BracketTensor, b: Sequence[Scalar], nsq: Scalar) -> dict[Key, Scal
     return {(i, j, k): b[k - 1] - b[i - 1] - b[j - 1] - nsq for (i, j, k) in mu.support()}
 
 
-def _w_membership(gaps: dict[Key, Scalar], tol: float) -> Membership:
-    g = min(gaps.values())
-    return Membership(linalg.nonneg(g, tol), g)
-
-
-def _z_membership(gaps: dict[Key, Scalar], tol: float) -> Membership:
-    g = max(abs(x) for x in gaps.values())
-    return Membership(linalg.is_zero(g, tol), g)
-
-
 def in_W(mu: BracketTensor, beta: DiagonalWeight, tol: float = 0.0) -> Membership:
     """Minimal slack of <beta, a> - |beta|^2 over the support; ok iff >= -tol."""
-    return _w_membership(_gaps(mu, beta.entries, beta.norm_sq()), tol)
+    g = min(_gaps(mu, beta.entries, beta.norm_sq()).values())
+    return Membership(linalg.nonneg(g, tol), g)
 
 
 def in_Z(mu: BracketTensor, beta: DiagonalWeight, tol: float = 0.0) -> Membership:
     """Largest absolute slack; ok iff every supported weight sits at equality."""
-    return _z_membership(_gaps(mu, beta.entries, beta.norm_sq()), tol)
+    g = max(abs(x) for x in _gaps(mu, beta.entries, beta.norm_sq()).values())
+    return Membership(linalg.is_zero(g, tol), g)
 
 
 def in_Y(mu: BracketTensor, beta: DiagonalWeight, tol: float = 0.0) -> Membership:
@@ -178,13 +193,17 @@ def eigenvalue_type(beta: DiagonalWeight) -> EigenvalueType:
 
 
 def _eigenvalue_type(shifted: Sequence[Fraction]) -> EigenvalueType:
-    shifted = sorted(shifted)
-    if shifted[0] <= 0:
-        raise ValueError("beta + |beta|^2 I has non-positive entries; no eigenvalue type")
     den = math.lcm(*(x.denominator for x in shifted))
-    ints = [x.numerator * (den // x.denominator) for x in shifted]
-    g = math.gcd(*ints)
-    return EigenvalueType(tuple(v // g for v in ints), Fraction(g, den))
+    return _integer_type([x.numerator * (den // x.denominator) for x in shifted], den)
+
+
+def _integer_type(nums: Sequence[int], den: int) -> EigenvalueType:
+    """The eigenvalue type of the shifted entries nums / den."""
+    nums = sorted(nums)
+    if nums[0] <= 0:
+        raise ValueError("beta + |beta|^2 I has non-positive entries; no eigenvalue type")
+    g = math.gcd(*nums)
+    return EigenvalueType(tuple(v // g for v in nums), Fraction(g, den))
 
 
 def positivity_check(beta: DiagonalWeight, tol: float = 0.0) -> bool:
@@ -220,79 +239,72 @@ class DerivationCertificates:
     trace_max_abs: float
 
 
-def _trace_value(d, beta_entries) -> Scalar:
-    return sum(b * d[i][i] for i, b in enumerate(beta_entries))
-
-
 def _adbeta_gram(basis, b: Sequence[Scalar]) -> list[list[float]]:
     """Float Gram matrix of <[beta, D], D> = sum_ij (b_i - b_j) D_ij^2 on span(basis).
 
-    The form is diagonal in matrix entries, so each element is kept once as
-    its nonzero entries off the b_i = b_j blocks, in row-major order, and a
-    pair sums only over the entries the two elements share.  Entry (c, a),
-    c >= a, is summed in the order of the full n^2 sum, so float lower
-    triangles (all that eigvalsh reads) are bitwise those of that sum; the
-    upper triangle mirrors it.  The differences b_i - b_j are tabulated once
-    as floats: a Fraction times a float is computed as float(Fraction) times
-    that float, so the sums are those of an exact label too.
+    Entry (c, a), c >= a, adds (diff_ij D^c_ij) D^a_ij over the n^2
+    entries in row-major order, one at a time from +0.0 (np.add.accumulate
+    is sequential, like Python's sum), with diff_ij = b_i - b_j tabulated
+    once as floats (a Fraction times a float is computed as float(Fraction)
+    times that float, so the sums are those of an exact label too).  A term
+    with a zero factor is a signed zero, which leaves a sum started at +0.0
+    unchanged, so the lower triangle (all that eigvalsh reads) is bitwise
+    that of a sum over the shared nonzero entries alone; the upper triangle
+    mirrors it.
     """
     n = len(b)
-    diff = [[float(b[i] - b[j]) for j in range(n)] for i in range(n)]
-    sparse = [{(i, j): d[i][j] for i in range(n) for j in range(n)
-               if diff[i][j] and d[i][j]} for d in basis]
-    k = len(basis)
-    gram = [[0] * k for _ in range(k)]
-    for a, da in enumerate(sparse):
-        for c in range(a, k):
-            dc = sparse[c]
-            gram[c][a] = gram[a][c] = sum(
-                diff[i][j] * dc[i, j] * x for (i, j), x in da.items() if (i, j) in dc)
+    diff = np.array([float(b[i] - b[j]) for i in range(n) for j in range(n)])
+    d = np.asarray(basis, dtype=float).reshape(len(basis), n * n)
+    gram = []
+    for c, row in enumerate(diff * d):
+        terms = np.concatenate((np.zeros((c + 1, 1)), row * d[:c + 1]), axis=1)
+        gram.append(np.add.accumulate(terms, axis=1)[:, -1].tolist())
+    for c, row in enumerate(gram):
+        row.extend(gram[a][c] for a in range(c + 1, len(gram)))
     return gram
 
 
-def _integer_entries(d) -> tuple[int, dict[tuple[int, int], int]]:
-    """(den, {(i, j): num}) with d_ij = num / den on the nonzero entries of a
-    rational matrix d, den the lcm of their denominators."""
-    nonzero = {(i, j): x for i, row in enumerate(d) for j, x in enumerate(row) if x}
-    den = math.lcm(*(x.denominator for x in nonzero.values()))
-    return den, {key: x.numerator * (den // x.denominator) for key, x in nonzero.items()}
-
-
 def _integer_gram(nums, bint: Sequence[int]) -> list[list[int]]:
-    """G'_ac = sum_ij (B_i - B_j) N^a_ij N^c_ij for the integer entries N^a
-    of den_a D_a and an integer label B = L beta; the Gram entry
-    <[beta, D_a], D_c> is G'_ac / (L den_a den_c)."""
-    weighted = [{(i, j): (bint[i] - bint[j]) * x for (i, j), x in e.items()
-                 if bint[i] != bint[j]} for e in nums]
+    """G'_ac = sum_rc (B_r - B_c) N^a_rc N^c_rc for the integer entries N^a
+    of den_a D_a, keyed by column r n + c, and an integer label B = L beta;
+    the Gram entry <[beta, D_a], D_c> is G'_ac / (L den_a den_c)."""
+    n = len(bint)
+    diff = [bint[col // n] - bint[col % n] for col in range(n * n)]
+    weighted = [{col: diff[col] * x for col, x in e.items() if diff[col]} for e in nums]
     k = len(nums)
     gram = [[0] * k for _ in range(k)]
     for a, wa in enumerate(weighted):
         for c in range(a, k):
             ec = nums[c]
-            gram[c][a] = gram[a][c] = sum(x * ec[key] for key, x in wa.items() if key in ec)
+            gram[c][a] = gram[a][c] = sum(x * ec[col] for col, x in wa.items() if col in ec)
     return gram
 
 
-def _exact_certificates(basis, beta: DiagonalWeight) -> DerivationCertificates:
-    """The certificate of a rational basis against a rational sorted beta,
+def _exact_certificates(mu: BracketTensor, beta: DiagonalWeight,
+                        tol: float) -> DerivationCertificates:
+    """The certificate of a rational mu against a rational sorted beta,
     from one integer pass per basis element.
 
-    Each D_a becomes N^a / den_a and beta becomes B / L with integer N^a and
-    B.  Then tr(beta D_a) = sum_i B_i N^a_ii / (L den_a), D_a lies in the
-    parabolic subalgebra iff N^a vanishes where B_i < B_j, and the Gram
-    matrix is D G' D / L for the integer G' of _integer_gram and
-    D = diag(1 / den_a): positive semidefinite iff G' is.  The reported
-    floats are those of the rationals: int / int is correctly rounded in
-    Python, as float(Fraction(num, den)) is.
+    The basis is that of _exact_derivations, (den_a, {r n + c: N^a_rc}) for
+    the element D_a = N^a / den_a, and beta is B / L by its integer view.  Then
+    tr(beta D_a) = sum_r B_r N^a_rr / (L den_a), D_a lies in the parabolic
+    subalgebra iff N^a vanishes where B_r < B_c, and the Gram matrix is
+    D G' D / L for the integer G' of _integer_gram and D = diag(1 / den_a):
+    positive semidefinite iff G' is.  The reported floats are those of the
+    rationals: int / int is correctly rounded in Python, as
+    float(Fraction(num, den)) is.
     """
+    basis = _exact_derivations(mu)
+    if not basis:
+        return DerivationCertificates(0, True, True, True, 0.0, 0.0)
     if not beta.is_sorted():
         raise ValueError("parabolic membership requires sorted beta")
-    big = math.lcm(*(x.denominator for x in beta.entries))
-    bint = [x.numerator * (big // x.denominator) for x in beta.entries]
+    big, bint, _ = beta._integer
     n = len(bint)
-    upper = {(i, j) for i in range(n) for j in range(n) if bint[i] < bint[j]}
-    dens, nums = zip(*(_integer_entries(d) for d in basis))
-    traces = [sum(bint[i] * x for (i, j), x in e.items() if i == j) for e in nums]
+    upper = {r * n + c for r in range(n) for c in range(n) if bint[r] < bint[c]}
+    dens, nums = zip(*basis)
+    traces = [sum(bint[r] * e[r * (n + 1)] for r in range(n) if r * (n + 1) in e)
+              for e in nums]
     gram = _integer_gram(nums, bint)
     qgram = [[g / (big * da * dc) for g, dc in zip(row, dens)] for row, da in zip(gram, dens)]
     return DerivationCertificates(
@@ -302,6 +314,30 @@ def _exact_certificates(basis, beta: DiagonalWeight) -> DerivationCertificates:
         all(upper.isdisjoint(e) for e in nums),
         float(np.linalg.eigvalsh(np.asarray(qgram, dtype=float)).min()),
         max(abs(t) / (big * den) for t, den in zip(traces, dens)))
+
+
+def _float_certificates(mu: BracketTensor, beta: DiagonalWeight,
+                        tol: float) -> DerivationCertificates:
+    """The certificate against a sorted beta when mu or beta is float, on
+    the basis of derivations as given.
+
+    The parabolic mask b_i < b_j is taken once, and each masked entry is
+    judged by linalg.positive in its own mode; the quadratic condition is
+    the smallest eigenvalue of _adbeta_gram against tol.
+    """
+    basis = derivations(mu, tol=min(tol, 1e-9))
+    if not basis:
+        return DerivationCertificates(0, True, True, True, 0.0, 0.0)
+    if not beta.is_sorted():
+        raise ValueError("parabolic membership requires sorted beta")
+    b = beta.entries
+    n = len(b)
+    traces = [abs(float(sum(x * d[i][i] for i, x in enumerate(b)))) for d in basis]
+    upper = [(i, j) for i in range(n) for j in range(n) if b[i] < b[j]]
+    parabolic = not any(linalg.positive(abs(d[i][j]), tol) for d in basis for i, j in upper)
+    qmin = float(np.linalg.eigvalsh(np.asarray(_adbeta_gram(basis, b), dtype=float)).min())
+    return DerivationCertificates(len(basis), qmin >= -tol, all(t <= tol for t in traces),
+                                  parabolic, qmin, max(traces))
 
 
 def derivation_certificates(
@@ -318,20 +354,19 @@ def derivation_certificates(
     floats, on the derivation basis: orthonormal in float mode, so it is the
     minimum of <[beta, D], D> over unit D; the canonical rational basis in
     exact mode, so only its sign is basis-free there.  The rational case
-    runs in integers (_exact_certificates), the float and mixed cases on
-    the basis as given.
+    runs in integers, on the null space numerators of _exact_derivations
+    and the label's integer view (_exact_certificates), the float and mixed
+    cases on the basis of derivations as given (_float_certificates).
     """
-    basis = derivations(mu, tol=min(tol, 1e-9))
-    if not basis:
-        return DerivationCertificates(0, True, True, True, 0.0, 0.0)
-    if beta.is_exact_mode and mu.is_exact_mode:
-        return _exact_certificates(basis, beta)
-    b = beta.entries
-    traces = [abs(float(_trace_value(d, b))) for d in basis]
-    parabolic = all(parabolic_membership(d, beta, tol) for d in basis)
-    qmin = float(np.linalg.eigvalsh(np.asarray(_adbeta_gram(basis, b), dtype=float)).min())
-    return DerivationCertificates(len(basis), qmin >= -tol, all(t <= tol for t in traces),
-                                  parabolic, qmin, max(traces))
+    return _label_route(mu, beta)[1](mu, beta, tol)
+
+
+def _label_route(mu: BracketTensor, beta: DiagonalWeight):
+    """(label values, derivation certificate) of the route for mu and beta:
+    integers when both are rational, their own arithmetic otherwise."""
+    if mu.is_exact_mode and beta.is_exact_mode:
+        return _integer_label_values, _exact_certificates
+    return _label_values, _float_certificates
 
 
 def delta_check(mu: BracketTensor, beta: DiagonalWeight, tol: float = DEFAULT_TOL) -> Scalar:
@@ -390,47 +425,80 @@ def certify_candidate(
     """Evaluate every stratum condition of beta against mu.
 
     beta must be the sorted chamber representative.  Exact inputs give exact
-    verdicts; float inputs are judged against tol.
+    verdicts; float inputs are judged against tol.  For rational mu and beta
+    the label conditions run on integers (_integer_label_values); otherwise
+    on the gaps <beta, a> - |beta|^2 in the arithmetic of the inputs.
     """
-    nsq = beta.norm_sq()
-    if nsq == 0:
-        raise ValueError("beta = 0 labels no stratum")
-    checks: dict[str, bool] = {}
-    residuals: dict[str, Scalar] = {}
+    label_values, derivation_certificate = _label_route(mu, beta)
+    q_value, residuals, etype = label_values(mu, beta)
+    checks = {
+        "trace_minus_one": linalg.is_zero(residuals["trace_minus_one"], tol),
+        "in_W": linalg.nonneg(residuals["in_W"], tol),
+        "in_Z": linalg.is_zero(residuals["in_Z"], tol),
+        "m_equals_one": linalg.is_zero(residuals["m_equals_one"], tol),
+        "delta_nonneg": linalg.nonneg(residuals["delta_nonneg"], tol),
+        "beta_positive_shift": residuals["beta_positive_shift"] > 0,
+    }
 
-    tr = beta.trace()
-    tr_res = tr + 1
-    checks["trace_minus_one"] = linalg.is_zero(tr_res, tol)
-    residuals["trace_minus_one"] = tr_res
-
-    gaps = _gaps(mu, beta.entries, nsq)
-    w = _w_membership(gaps, tol)
-    z = _z_membership(gaps, tol)
-    checks["in_W"], residuals["in_W"] = w.ok, w.residual
-    checks["in_Z"], residuals["in_Z"] = z.ok, z.residual
-
-    m_val = m_degree(mu, [x / nsq for x in beta.entries])
-    m_res = m_val - 1
-    checks["m_equals_one"] = linalg.is_zero(m_res, tol)
-    residuals["m_equals_one"] = m_res
-
-    delta = _delta_value(mu, gaps)
-    checks["delta_nonneg"] = linalg.nonneg(delta, tol)
-    residuals["delta_nonneg"] = delta
-
-    shifted = tuple(x + nsq for x in beta.entries)
-    checks["beta_positive_shift"] = min(shifted) > 0
-    residuals["beta_positive_shift"] = min(shifted)
-
-    der = derivation_certificates(mu, beta, tol=tol)
+    der = derivation_certificate(mu, beta, tol)
     checks["derivations_in_parabolic"] = der.parabolic_all
     checks["adbeta_nonneg"] = der.adbeta_nonneg
     checks["betaort_zero"] = der.betaort_zero
     residuals["adbeta_quadratic_min"] = der.quadratic_min
     residuals["betaort_trace_max"] = der.trace_max_abs
 
-    etype = scale = None
-    if checks["beta_positive_shift"] and beta.is_exact_mode:
-        etype, scale = _eigenvalue_type(shifted)
+    values, scale = etype
+    return StratumCertificate(beta, q_value, values, scale, checks, residuals)
 
-    return StratumCertificate(beta, 1 / nsq, etype, scale, checks, residuals)
+
+def _label_values(mu: BracketTensor, beta: DiagonalWeight):
+    """(1 / |beta|^2, residuals, (eigenvalue type, scale)) of the label
+    conditions, in the arithmetic of mu and beta; the type is (None, None)
+    unless beta is exact with positive shifted entries."""
+    nsq = beta.norm_sq()
+    if nsq == 0:
+        raise ValueError("beta = 0 labels no stratum")
+    gaps = _gaps(mu, beta.entries, nsq)
+    shifted = tuple(x + nsq for x in beta.entries)
+    residuals = {
+        "trace_minus_one": beta.trace() + 1,
+        "in_W": min(gaps.values()),
+        "in_Z": max(abs(x) for x in gaps.values()),
+        "m_equals_one": m_degree(mu, [x / nsq for x in beta.entries]) - 1,
+        "delta_nonneg": _delta_value(mu, gaps),
+        "beta_positive_shift": min(shifted),
+    }
+    etype = None, None
+    if min(shifted) > 0 and beta.is_exact_mode:
+        etype = _eigenvalue_type(shifted)
+    return 1 / nsq, residuals, etype
+
+
+def _integer_label_values(mu: BracketTensor, beta: DiagonalWeight):
+    """_label_values of a rational mu and beta, in integers.
+
+    With (L, B) the label's integer view, S = |B|^2 and N = L_mu mu the
+    bracket's, a supported key has the gap <beta, a> - |beta|^2 =
+    G / L^2 with G = L (B_k - B_i - B_j) - S.  Then the in_W and in_Z
+    residuals are min G / L^2 and max |G| / L^2, m - 1 = min G / S,
+    delta = 2 sum N^2 G / (L_mu^2 L^2) and the shifted entries are
+    (L B_i + S) / L^2; each residual becomes one Fraction at the end.
+    """
+    big, b, nsq = beta._integer
+    if nsq == 0:
+        raise ValueError("beta = 0 labels no stratum")
+    den, coeffs = mu._integer
+    gaps = [big * (b[k - 1] - b[i - 1] - b[j - 1]) - nsq for (i, j, k) in coeffs]
+    square = big * big
+    shifted = [big * x + nsq for x in b]
+    residuals = {
+        "trace_minus_one": Fraction(sum(b) + big, big),
+        "in_W": Fraction(min(gaps), square),
+        "in_Z": Fraction(max(abs(g) for g in gaps), square),
+        "m_equals_one": Fraction(min(gaps), nsq),
+        "delta_nonneg": Fraction(2 * sum(c * c * g for c, g in zip(coeffs.values(), gaps)),
+                                 den * den * square),
+        "beta_positive_shift": Fraction(min(shifted), square),
+    }
+    etype = _integer_type(shifted, square) if min(shifted) > 0 else (None, None)
+    return Fraction(square, nsq), residuals, etype

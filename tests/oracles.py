@@ -18,7 +18,8 @@ from solvstrat.linalg import ONE, ZERO, dot
 from solvstrat.minnorm import MinNormResult, PointSet, Vec
 from solvstrat.solvable import (EINSTEIN_TOL, AuditReport, Curvature, EinsteinCheck,
                                 is_standard)
-from solvstrat.strata import DerivationCertificates, beta_of, in_W, parabolic_membership
+from solvstrat.strata import (DerivationCertificates, StratumCertificate, beta_of, in_W,
+                              parabolic_membership)
 
 
 def ricci_moment_via_duality(mu: BracketTensor):
@@ -219,6 +220,68 @@ def fraction_derivation_certificates(mu: BracketTensor, beta,
         len(basis), fraction_is_psd(gram) if exact else qmin >= -tol,
         all(t == 0 if exact else abs(float(t)) <= tol for t in traces), parabolic, qmin,
         max(abs(float(t)) for t in traces))
+
+
+def float_derivation_certificates(mu: BracketTensor, beta,
+                                  tol: float = DEFAULT_TOL) -> DerivationCertificates:
+    """The derivation certificate of a float mu on slotwise_float_derivations:
+    traces and parabolic entries by Python sums and parabolic_membership per
+    element, and the smallest eigenvalue of dense_adbeta_gram against tol."""
+    basis = slotwise_float_derivations(mu, tol=min(tol, 1e-9))
+    if not basis:
+        return DerivationCertificates(0, True, True, True, 0.0, 0.0)
+    b = beta.entries
+    traces = [abs(float(sum(x * d[i][i] for i, x in enumerate(b)))) for d in basis]
+    parabolic = all(parabolic_membership(d, beta, tol) for d in basis)
+    qmin = float(np.linalg.eigvalsh(np.asarray(dense_adbeta_gram(basis, b), dtype=float)).min())
+    return DerivationCertificates(len(basis), qmin >= -tol, all(t <= tol for t in traces),
+                                  parabolic, qmin, max(traces))
+
+
+def fraction_certify_candidate(mu: BracketTensor, beta,
+                               tol: float = DEFAULT_TOL) -> StratumCertificate:
+    """certify_candidate in the arithmetic of the inputs: the gaps
+    <beta, a> - |beta|^2, the degree of beta / |beta|^2 and delta summed
+    per key in Fractions (floats when mu or beta is float), the shifted
+    entries and eigenvalue type of an exact beta from its Fractions, and
+    the derivation certificate of fraction_derivation_certificates (exact
+    mu) or float_derivation_certificates (float mu)."""
+    b = beta.entries
+    nsq = sum(x * x for x in b)
+    if nsq == 0:
+        raise ValueError("beta = 0 labels no stratum")
+    gaps = {(i, j, k): b[k - 1] - b[i - 1] - b[j - 1] - nsq for (i, j, k) in mu.support()}
+    a = [x / nsq for x in b]
+    shifted = tuple(x + nsq for x in b)
+    residuals = {"trace_minus_one": sum(b) + 1,
+                 "in_W": min(gaps.values()),
+                 "in_Z": max(abs(x) for x in gaps.values()),
+                 "m_equals_one": min(a[k - 1] - a[i - 1] - a[j - 1]
+                                     for (i, j, k) in mu.coeffs) - 1,
+                 "delta_nonneg": 2 * sum(c * c * gaps[key] for key, c in mu.coeffs.items()),
+                 "beta_positive_shift": min(shifted)}
+    checks = {"trace_minus_one": linalg.is_zero(residuals["trace_minus_one"], tol),
+              "in_W": linalg.nonneg(residuals["in_W"], tol),
+              "in_Z": linalg.is_zero(residuals["in_Z"], tol),
+              "m_equals_one": linalg.is_zero(residuals["m_equals_one"], tol),
+              "delta_nonneg": linalg.nonneg(residuals["delta_nonneg"], tol),
+              "beta_positive_shift": min(shifted) > 0}
+    certify = (fraction_derivation_certificates if mu.is_exact_mode
+               else float_derivation_certificates)
+    der = certify(mu, beta, tol)
+    checks["derivations_in_parabolic"] = der.parabolic_all
+    checks["adbeta_nonneg"] = der.adbeta_nonneg
+    checks["betaort_zero"] = der.betaort_zero
+    residuals["adbeta_quadratic_min"] = der.quadratic_min
+    residuals["betaort_trace_max"] = der.trace_max_abs
+    etype = scale = None
+    if checks["beta_positive_shift"] and beta.is_exact_mode:
+        ordered = sorted(shifted)
+        den = math.lcm(*(x.denominator for x in ordered))
+        ints = [int(x * den) for x in ordered]
+        g = math.gcd(*ints)
+        etype, scale = tuple(v // g for v in ints), Fraction(g, den)
+    return StratumCertificate(beta, 1 / nsq, etype, scale, checks, residuals)
 
 
 def dense_adbeta_gram(basis, b):

@@ -219,6 +219,34 @@ def test_einstein_audit_block(tmp_path, capsys):
     assert json.loads(out2)["audit"]["beta"] == ["-1", "-1", "1"]
 
 
+def test_einstein_audit_beta_from_flow_keeps_the_input_basis(tmp_path, capsys, monkeypatch):
+    # h3 as [e2, e3] = e1: its label (1, -1, -1) is not chamber-sorted, and
+    # the flow reports the sorted (-1, -1, 1); the audit must use the label
+    # of the input basis, on which the extension is Einstein and standard
+    f = put(tmp_path, "h3.json", {"dim_a": 0, "dim_n": 3,
+                                  "brackets": [{"i": 2, "j": 3, "k": 1, "c": 1}]})
+    ext = str(tmp_path / "ext.json")
+    assert run(capsys, "extend", f, "--out", ext)[0] == 0
+    code, out, _ = run(capsys, "einstein", ext, "--audit", "--format", "json")
+    assert code == 0
+    plain = json.loads(out)["audit"]
+    assert plain["beta"] == ["1", "-1", "-1"] and plain["lhs"] == "0"
+    code, out, _ = run(capsys, "einstein", ext, "--audit", "--beta-from-flow",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["audit"] == plain
+    # a flow label that is not the sorted label of the input is refused
+    from solvstrat import cli
+    from solvstrat.strata import DiagonalWeight
+
+    wrong = DiagonalWeight.make([-1, 0, 0])
+    monkeypatch.setattr(cli, "stratum_detect", lambda mu: type(
+        "Detection", (), {"certificate": type("Cert", (), {"beta": wrong})})())
+    code, out, _ = run(capsys, "einstein", ext, "--audit", "--beta-from-flow")
+    assert code == 2
+    assert "(-1, 0, 0)" in out and "(-1, -1, 1)" in out
+
+
 def test_einstein_audit_on_a_flat_algebra_with_no_nilpotent_part(tmp_path, capsys):
     # dim_n = 0: the flat R^2, with an empty shift
     f = put(tmp_path, "flat.json", {"dim_a": 2, "dim_n": 0, "brackets": []})

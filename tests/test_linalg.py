@@ -1,5 +1,6 @@
 """Exact linear algebra: the sparse null space against the dense rref route."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -92,6 +93,43 @@ def test_nullspace_matches_dense_rref_on_a_battery(m):
     assert all(type(x) is F for v in got for x in v)
     for v in got:
         assert all(linalg.dot(row, v) == 0 for row in m)
+
+
+def _pivot_battery():
+    # pivot rows whose pivot does not divide the lcm of the reduced entries
+    # of a free column: 6 over entries -2/3, and 6 and 10 sharing column 2,
+    # with den 15 and numerators -10 and -6
+    yield "pivot6", [[6, 4, 3]]
+    yield "pivots6_10", [[6, 0, 4], [0, 10, 4]]
+    yield "pivots12_18", [[12, 0, 0, 8, 9], [0, 18, 0, 12, 4], [0, 0, 5, 2, 3]]
+    rng = np.random.default_rng(71)
+    for t in range(40):
+        rows = int(rng.integers(1, 6))
+        cols = int(rng.integers(rows + 1, 9))
+        m = [[rand_frac(rng, 12, 9) if rng.random() < 0.6 else F(0) for _ in range(cols)]
+             for _ in range(rows)]
+        yield f"random{t}", m
+
+
+@pytest.mark.parametrize("m", [pytest.param(m, id=name) for name, m in
+                               [*_pivot_battery(), *_battery(), *_integer_battery()]])
+def test_nullspace_numerators_match_the_fraction_route(m):
+    # each basis vector num / den: den is the lcm of its reduced
+    # denominators, and only the nonzero numerators are listed
+    cols = len(m[0])
+    want = fraction_nullspace(_sparse(m), cols)
+    got = linalg._nullspace_numerators(_sparse(m), cols)
+    assert len(got) == len(want)
+    for (den, nums), v in zip(got, want):
+        assert den == math.lcm(*(x.denominator for x in v))
+        assert nums == {c: int(x * den) for c, x in enumerate(v) if x}
+
+
+def test_nullspace_numerators_of_a_pivot_that_does_not_divide_den():
+    # the primitive pivot row (6, 4, 3): -4/6 = -2/3 and -3/6 = -1/2, so the
+    # numerators over den 3 and 2 are -2 and -1, where -x * (den // 6) is 0
+    assert linalg._nullspace_numerators([{0: 6, 1: 4, 2: 3}], 3) == [
+        (3, {0: -2, 1: 3}), (2, {0: -1, 2: 2})]
 
 
 def test_nullspace_of_no_rows_and_zero_values():

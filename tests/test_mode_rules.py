@@ -429,6 +429,7 @@ MODE_BRANCHES = {
     "solvable": {
         "MetricSolvableAlgebra.curvature": 1,   # integer kernel or float routes
         "_einstein_values": 1,          # integer numerators or float curvature
+        "standardness_audit": 1,        # integer sums or the curvature matrices
         # the constant c coerced to the mode; the Ricci form's route; the
         # derivation test, exact or on a float 2-norm that has no exact
         # counterpart; the exact square root of tr D
@@ -437,8 +438,10 @@ MODE_BRANCHES = {
     "strata": {
         "DiagonalWeight.make": 1,       # entries coerced to Fraction or float
         "eigenvalue_type": 1,           # defined for exact labels only
-        "derivation_certificates": 1,   # integer certificate or float Gram
-        "certify_candidate": 1,         # eigenvalue type of an exact label
+        # integer label values and certificate, or the inputs' arithmetic;
+        # derivation_certificates and certify_candidate both take it
+        "_label_route": 1,
+        "_label_values": 1,             # eigenvalue type of an exact label
     },
 }
 

@@ -447,3 +447,22 @@ def test_integer_curvature_kernel_matches_the_fraction_route():
     assert seen_dim_a == {0, 1, 2, 3}
     assert seen == {(name, v) for name in ("einstein", "unimodular", "large", "mu_zero_branch")
                     for v in (True, False)}
+
+
+def test_integer_audit_sums_match_the_fraction_route_on_any_label():
+    # the integer audit sums against the Fraction route for labels other
+    # than the default: random rational ones, off the chamber order, with
+    # shifted entries of either sign
+    rng = np.random.default_rng(53)
+    seen = set()
+    for s in _kernel_battery(rng)[:60]:
+        if s.dim_n == 0 or any(k <= s.dim_a for (_, _, k) in s.bracket.coeffs):
+            continue
+        for _ in range(2):
+            beta = DiagonalWeight.make([rand_frac(rng, 3, 5) for _ in range(s.dim_n)])
+            if beta.norm_sq() == 0:
+                continue
+            aud, ref = standardness_audit(s, beta), fraction_standardness_audit(s, beta)
+            assert aud == ref and repr(aud) == repr(ref)
+            seen.update({("in_w", aud.in_w_ok), ("nonneg", aud.nonneg_ok)})
+    assert len(seen) == 4

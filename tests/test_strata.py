@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from generators import filiform, free_two_step, rand_frac, random_nilpotent, random_tensor
-from oracles import (dense_adbeta_gram, fraction_derivation_certificates,
-                     fraction_derivations)
-from solvstrat import minnorm, strata
-from solvstrat.bracket import (BracketTensor, act, derivations, inner,
-                               permutation_act, rep)
+from oracles import (dense_adbeta_gram, fraction_certify_candidate,
+                     fraction_derivation_certificates, fraction_derivations)
+from solvstrat import linalg, minnorm, strata
+from solvstrat.bracket import (BracketTensor, _exact_derivations, act, derivations,
+                               inner, permutation_act, rep)
 from solvstrat.catalog import filiform4, heisenberg3, so3
 from solvstrat.strata import (DiagonalWeight, beta_of, certify_candidate,
                               delta_check, derivation_certificates,
@@ -291,7 +291,10 @@ def test_adbeta_gram_matches_the_dense_form(mu):
     # rational form, and the certificate is the Fraction route's
     moved, chamber = _chamber_pair(mu)
     basis = derivations(moved)
-    dens, nums = zip(*(strata._integer_entries(d) for d in basis))
+    dens, nums = zip(*_exact_derivations(moved))
+    n = moved.dim
+    assert [[[F(e.get(r * n + c, 0), den) for c in range(n)] for r in range(n)]
+            for den, e in zip(dens, nums)] == basis
     big = math.lcm(*(x.denominator for x in chamber.entries))
     bint = [int(x * big) for x in chamber.entries]
     got = strata._integer_gram(nums, bint)
@@ -441,6 +444,45 @@ def test_exact_certificates_match_the_fraction_route(mu, beta):
         # exact mu against a float label keeps the float route
         fbeta = DiagonalWeight.make([float(x) for x in beta.entries])
         assert derivation_certificates(mu, fbeta) == fraction_derivation_certificates(mu, fbeta)
+
+
+def _mode_battery():
+    """(name, mu, beta) of _certificate_battery up to dim 7 in four modes:
+    exact, float mu with the exact label, exact mu with a float label, and
+    both float."""
+    for name, mu, beta in _certificate_battery():
+        if mu.dim <= 7:
+            fbeta = DiagonalWeight.make([float(x) for x in beta.entries])
+            yield f"exact-{name}", mu, beta
+            yield f"float-mu-{name}", mu.to_float(), beta
+            yield f"float-beta-{name}", mu, fbeta
+            yield f"float-{name}", mu.to_float(), fbeta
+
+
+@pytest.mark.parametrize("mu,beta", [pytest.param(mu, beta, id=name)
+                                     for name, mu, beta in _mode_battery()])
+def test_certificates_match_the_fraction_route(mu, beta):
+    # the integer label values of exact inputs, and the inputs' arithmetic
+    # otherwise, give the Fraction route's certificate, type for type
+    assert repr(certify_candidate(mu, beta)) == repr(fraction_certify_candidate(mu, beta))
+
+
+def test_exact_label_path_stays_in_integers(monkeypatch):
+    # beta_of builds the integer scaled view of the weights itself, and an
+    # exact certificate takes the null space numerators as they are
+    rng = np.random.default_rng(73)
+    brackets = [H3, N4, filiform(8), free_two_step(3)] + [
+        random_nilpotent(rng, int(rng.integers(3, 8)), transform=bool(t % 2)) for t in range(6)]
+    want = [(beta_of(mu), certify_candidate(*_chamber_pair(mu))) for mu in brackets]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact label path left its integer kernels")
+
+    monkeypatch.setattr(minnorm.PointSet, "make", staticmethod(refuse))
+    monkeypatch.setattr(minnorm, "_scaled", refuse)
+    monkeypatch.setattr(linalg, "nullspace", refuse)
+    got = [(beta_of(mu), certify_candidate(*_chamber_pair(mu))) for mu in brackets]
+    assert repr(got) == repr(want)
 
 
 def test_certificate_battery_reaches_every_verdict():
