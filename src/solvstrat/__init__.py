@@ -12,9 +12,8 @@ standardness audit.
 from .bracket import (BracketTensor, act, derivations, direct_sum, inner,
                       is_nilpotent, is_solvable, jacobi_residual,
                       lower_central_series, norm_sq, permutation_act, rep)
-from .flow import (FlowResult, MomentValue, ProbeResult, StratumDetection,
-                   flow_to_critical, ricci_moment, semistability_probe,
-                   stratum_detect)
+from .flow import (FlowResult, MomentValue, StratumDetection, flow_to_critical,
+                   ricci_moment, stratum_detect)
 from .minnorm import MinNormResult, PointSet, canonical_form, min_norm_point
 from .solvable import (AuditReport, CurvatureReport, EinsteinCheck,
                        MetricSolvableAlgebra, StandardCheck, curvature_report,

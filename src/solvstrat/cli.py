@@ -22,7 +22,7 @@ import warnings
 from . import jsonio
 from .bracket import _central_series, jacobi_check, norm_sq
 from .flow import (DENOM_BOUND, FLOW_MAX_ITER, FLOW_STEP, FLOW_TOL,
-                   stratum_detect)
+                   flow_to_critical, stratum_detect)
 from .jsonio import FormatError
 from .linalg import format_scalar, parse_scalar
 from .minnorm import canonical_form, min_norm_point
@@ -187,8 +187,7 @@ def cmd_extend(args) -> int:
                           f"with dim_a = 0, found dim_a = {bf.dim_a}")
     lam = bf.bracket
     if args.flow_first and not lam.is_zero():
-        det = stratum_detect(lam)
-        lam = det.flow.aligned
+        lam = flow_to_critical(lam).aligned
     c = parse_scalar(args.constant) if args.constant is not None else None
     try:
         ext = rank_one_extension(lam, c=c, tol=args.tol)

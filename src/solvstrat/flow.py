@@ -40,8 +40,7 @@ import numpy as np
 from .bracket import (BracketTensor, _central_series, _moment_numerator, _slot_tables,
                       act_array, inner, jacobi_check, rep_array)
 from .linalg import Scalar, fraction_rows
-from .strata import (DiagonalWeight, StratumCertificate, certify_candidate,
-                     in_W, project_Z)
+from .strata import DiagonalWeight, StratumCertificate, certify_candidate
 
 FLOW_STEP = 0.1
 FLOW_TOL = 1e-10
@@ -238,156 +237,3 @@ def stratum_detect(
         beta = DiagonalWeight(tuple(float(x) for x in fr.spectrum))
     cert = certify_candidate(fr.aligned, beta)
     return StratumDetection(cert, fr, exact_ok)
-
-
-@dataclass(frozen=True)
-class ProbeRun:
-    seed_index: int
-    final_norm_sq: float
-    iterations: int
-    outcome: str  # "decayed" | "stabilized" | "undecided"
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Heuristic semistability verdict for the reductive slice action.
-
-    verdict is "unstable" when some descent run drives |g.mu|^2 below floor,
-    "semistable" when every run stabilizes above it, else "inconclusive".
-    This is numerical evidence, not a proof.
-    """
-
-    verdict: str
-    inf_norm_estimate: float
-    runs: tuple[ProbeRun, ...]
-    projection_zero: bool
-    z_flow_norm_sq: float | None
-    beta_norm_sq: float
-
-    @property
-    def consistent(self) -> bool | None:
-        if self.verdict == "inconclusive":
-            return None
-        if self.projection_zero:
-            return self.verdict == "unstable"
-        if self.z_flow_norm_sq is None:
-            return None
-        agrees = abs(self.z_flow_norm_sq - self.beta_norm_sq) <= 1e-6 * max(1.0, self.beta_norm_sq)
-        return (self.verdict == "semistable") == agrees
-
-
-def _slice_basis(beta: DiagonalWeight) -> list[np.ndarray]:
-    """Orthonormal basis of {symmetric a : [a, beta] = 0, <a, beta> = 0}."""
-    n = beta.dim
-    groups: dict[object, list[int]] = {}
-    for i, b in enumerate(beta.entries):
-        groups.setdefault(b, []).append(i)
-    basis: list[np.ndarray] = []
-    for members in groups.values():
-        for a_pos in range(len(members)):
-            for b_pos in range(a_pos + 1, len(members)):
-                i, j = members[a_pos], members[b_pos]
-                s = np.zeros((n, n))
-                s[i, j] = s[j, i] = 1.0 / np.sqrt(2.0)
-                basis.append(s)
-    diag_dirs = np.array([[1.0 if i in members else 0.0 for i in range(n)]
-                          for members in groups.values()])
-    bvec = np.array([float(x) for x in beta.entries])
-    bn = bvec / np.linalg.norm(bvec)
-    proj = diag_dirs - np.outer(diag_dirs @ bn, bn)
-    u, s, vh = np.linalg.svd(proj, full_matrices=False)
-    for i in range(len(s)):
-        if s[i] > 1e-12:
-            basis.append(np.diag(vh[i]))
-    return basis
-
-
-def semistability_probe(
-    mu: BracketTensor,
-    beta: DiagonalWeight,
-    restarts: int = 8,
-    seed: int = 0,
-    step: float = 0.1,
-    max_iter: int = 4000,
-    floor: float = 1e-10,
-    grad_tol: float = 1e-9,
-    perturb: float = 0.3,
-) -> ProbeResult:
-    """Seeded norm-minimization runs over the slice group attached to beta.
-
-    Requires mu in W_beta.  Each restart perturbs mu by exp of a random
-    slice direction and then descends |g.mu|^2 by gradient steps along the
-    slice; the gradient coefficient along a is 4 <Ric, a>.
-    """
-    member = in_W(mu, beta, tol=1e-8)
-    if not member.ok:
-        raise ValueError(f"mu is not in W_beta (minimal slack {float(member.residual):g})")
-    basis = _slice_basis(beta)
-    rng = np.random.default_rng(seed)
-    arr0 = mu.to_array()
-    arr0 /= _norm(arr0)
-    runs: list[ProbeRun] = []
-    for r in range(restarts):
-        if basis:
-            coeffs = rng.standard_normal(len(basis)) * (perturb if r else 0.0)
-            w, q = np.linalg.eigh(sum(c * b for c, b in zip(coeffs, basis)))
-            nu = act_array(expm_sym(w, q, 1.0), expm_sym(w, q, -1.0), arr0)
-        else:
-            nu = arr0.copy()
-        nsq = float(np.sum(nu * nu))
-        outcome = "undecided"
-        window_nsq = nsq
-        it = 0
-        for it in range(max_iter):
-            if nsq < floor:
-                outcome = "decayed"
-                break
-            if not basis:
-                outcome = "stabilized"
-                break
-            ric = ric_array(nu)
-            g = np.array([4.0 * float(np.sum(ric * b)) for b in basis])
-            gn = float(np.linalg.norm(g))
-            if gn <= grad_tol * max(nsq, floor):
-                outcome = "stabilized"
-                break
-            # unit-length direction keeps the decay rate multiplicative even
-            # as the norm collapses; the stall window below handles the basin
-            w, q = np.linalg.eigh(sum(-(gi / gn) * bi for gi, bi in zip(g, basis)))
-            h = step
-            accepted = False
-            while h > 1e-14:
-                new = act_array(expm_sym(w, q, h), expm_sym(w, q, -h), nu)
-                new_nsq = float(np.sum(new * new))
-                if new_nsq <= nsq:
-                    nu, nsq = new, new_nsq
-                    accepted = True
-                    break
-                h *= 0.5
-            if not accepted:
-                outcome = "stabilized"
-                break
-            # a flat norm over a window means the run settled above the floor
-            if it % 50 == 49:
-                if window_nsq - nsq <= 1e-13 * max(nsq, floor):
-                    outcome = "stabilized"
-                    break
-                window_nsq = nsq
-        runs.append(ProbeRun(r, nsq, it, outcome))
-
-    zproj = project_Z(mu, beta, tol=1e-9)
-    projection_zero = zproj.is_zero()
-    z_msq: float | None = None
-    if not projection_zero:
-        zf = flow_to_critical(zproj, max_iter=50_000)
-        z_msq = float(np.sum(np.square(zf.spectrum)))
-
-    if any(r.outcome == "decayed" for r in runs):
-        verdict = "unstable"
-    elif all(r.outcome == "stabilized" for r in runs):
-        verdict = "semistable"
-    else:
-        verdict = "inconclusive"
-    inf_est = min(r.final_norm_sq for r in runs)
-    return ProbeResult(verdict, inf_est, tuple(runs), projection_zero, z_msq,
-                       float(beta.norm_sq()))

@@ -3,12 +3,12 @@
 Matrices are lists (or tuples) of rows of Fractions, vectors are sequences of
 Fractions.  Exact pivots keep every result free of conditioning questions,
 and a deterministic pivot choice (first nonzero) keeps every derived basis
-reproducible run to run.  rref eliminates densely in Fractions and serves
-invert alone, on small systems.  The hot kernels eliminate in integers, which
-pays no gcd per arithmetic step: nullspace clears each sparse row of its
-denominators and runs a content-normalized Gauss-Jordan, because its
+reproducible run to run.  Every elimination is fraction-free, in integers,
+which pays no gcd per arithmetic step: nullspace clears each sparse row of
+its denominators and runs a content-normalized Gauss-Jordan, because its
 largest caller, the derivation system of an n-dimensional bracket, has
-n * C(n, 2) mostly-zero rows (450 rows by 100 columns at n = 10);
+n * C(n, 2) mostly-zero rows (450 rows by 100 columns at n = 10); invert
+reads the inverse off the same null space kernel;
 bareiss_triangularize and solve_integer serve the min-norm layer; is_psd
 decides an integer symmetric matrix by fraction-free Schur complements.
 is_zero, nonneg and positive state the comparison rule of each mode.
@@ -24,7 +24,6 @@ from typing import Mapping, Sequence, Union
 Scalar = Union[Fraction, float]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -89,10 +88,6 @@ def format_scalar(x: Scalar):
     return float(x)
 
 
-def identity(n: int) -> list[list[Fraction]]:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 def transpose(m: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*m)]
 
@@ -127,31 +122,6 @@ def trace_product(a, b):
 
 def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
-
-
-def rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    a = [list(row) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        p = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
 
 
 def nullspace(rows: Sequence[Mapping[int, Rational]], cols: int) -> list[list[Fraction]]:
@@ -247,12 +217,26 @@ def _primitive(row: dict[int, int], negate: bool) -> dict[int, int]:
 
 
 def invert(m) -> list[list[Fraction]]:
+    """Inverse of a square rational matrix; ValueError if it is singular.
+
+    The null space of [m | -I] is {(x, m x)}, of dimension n, and
+    _nullspace_numerators gives its canonical basis.  The basis vector of a
+    free column is nonzero only there and at pivot columns to its left, so
+    its largest key is that free column.  m is invertible iff the free
+    columns are n .. 2n - 1, and then the vector of free column n + j is
+    (m^-1 e_j, e_j) times its den.
+    """
     n = len(m)
-    aug = [list(m[i]) + identity(n)[i] for i in range(n)]
-    r, pivots = rref(aug)
-    if pivots != list(range(n)):
+    rows = [{**dict(enumerate(row)), n + i: -1} for i, row in enumerate(m)]
+    basis = _nullspace_numerators(rows, 2 * n)
+    if [max(nums) for _, nums in basis] != list(range(n, 2 * n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
+    inv = [[ZERO] * n for _ in range(n)]
+    for j, (den, nums) in enumerate(basis):
+        for c, x in nums.items():
+            if c < n:
+                inv[c][j] = Fraction(x, den)
+    return inv
 
 
 def bareiss_triangularize(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:

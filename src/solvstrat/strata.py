@@ -42,9 +42,9 @@ class DiagonalWeight:
 
     @staticmethod
     def make(entries: Sequence) -> "DiagonalWeight":
-        vals = tuple(frac(x) if is_exact(x) or isinstance(x, int) else float(x)
-                     for x in entries)
-        return DiagonalWeight(vals)
+        """All entries Fraction if each is exact or an int, else all float."""
+        exact = all(is_exact(x) or isinstance(x, int) for x in entries)
+        return DiagonalWeight(tuple(map(frac if exact else float, entries)))
 
     @property
     def dim(self) -> int:
@@ -83,10 +83,6 @@ class Membership(NamedTuple):
     residual: Scalar
 
 
-def weight_vector(i: int, j: int, k: int, dim: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in _integer_weight(i, j, k, dim))
-
-
 def _integer_weight(i: int, j: int, k: int, dim: int) -> tuple[int, ...]:
     v = [0] * dim
     v[i - 1] -= 1
@@ -95,7 +91,7 @@ def _integer_weight(i: int, j: int, k: int, dim: int) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _weight_vectors(mu: BracketTensor) -> list[tuple[int, ...]]:
+def _support_weights(mu: BracketTensor) -> list[tuple[int, ...]]:
     """Distinct integer weight vectors of the support, sorted lexicographically."""
     if mu.is_zero():
         raise ValueError("the zero bracket has no weights")
@@ -104,7 +100,7 @@ def _weight_vectors(mu: BracketTensor) -> list[tuple[int, ...]]:
 
 def weights(mu: BracketTensor) -> PointSet:
     """Distinct weight vectors of the support, sorted lexicographically."""
-    return PointSet.make(_weight_vectors(mu))
+    return PointSet.make(_support_weights(mu))
 
 
 def _entries(alpha) -> Sequence[Scalar]:
@@ -126,7 +122,7 @@ def beta_of(mu: BracketTensor) -> DiagonalWeight:
     integer Gram matrix) is built from them directly and handed to Wolfe's
     loop; no PointSet of Fractions is formed.
     """
-    return DiagonalWeight(_wolfe(_scaled_integers(1, tuple(_weight_vectors(mu)))).point)
+    return DiagonalWeight(_wolfe(_scaled_integers(1, tuple(_support_weights(mu)))).point)
 
 
 def sort_to_weyl_chamber(beta: DiagonalWeight) -> tuple[DiagonalWeight, tuple[int, ...]]:

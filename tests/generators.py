@@ -14,13 +14,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from oracles import matmul
+from oracles import identity, matmul
 from solvstrat import linalg
 from solvstrat.bracket import BracketTensor, act, direct_sum
 from solvstrat.catalog import abelian, filiform4, heisenberg3
 from solvstrat.minnorm import PointSet
 from solvstrat.solvable import MetricSolvableAlgebra
-from solvstrat.strata import weight_vector
+from solvstrat.strata import _integer_weight
 
 
 def rand_frac(rng: np.random.Generator, num: int = 6, den: int = 4) -> Fraction:
@@ -79,7 +79,7 @@ def random_exact_gl(rng: np.random.Generator, n: int):
     """Invertible rational matrix: permutation * unit triangular * diagonal."""
     perm = rng.permutation(n)
     p = [[Fraction(int(perm[r] == c)) for c in range(n)] for r in range(n)]
-    u = linalg.identity(n)
+    u = identity(n)
     for r in range(n):
         for c in range(r + 1, n):
             if rng.integers(0, 2):
@@ -152,7 +152,7 @@ def diagonal_derivation_basis(mu: BracketTensor) -> list[list[Fraction]]:
 
     diag(d) is a derivation iff <d, alpha> = 0 for every supported weight.
     """
-    rows = [dict(enumerate(weight_vector(i, j, k, mu.dim))) for (i, j, k) in mu.support()]
+    rows = [dict(enumerate(_integer_weight(i, j, k, mu.dim))) for (i, j, k) in mu.support()]
     return linalg.nullspace(rows, mu.dim)
 
 

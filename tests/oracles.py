@@ -14,12 +14,14 @@ from solvstrat import linalg
 from solvstrat.bracket import (DEFAULT_TOL, BracketTensor, _reduce_basis, inner,
                                rep, rep_array)
 from solvstrat.flow import CHOP, FlowResult, MomentValue, ric_array
-from solvstrat.linalg import ONE, ZERO, dot
+from solvstrat.linalg import ZERO, dot
 from solvstrat.minnorm import MinNormResult, PointSet, Vec
 from solvstrat.solvable import (EINSTEIN_TOL, AuditReport, Curvature, EinsteinCheck,
                                 is_standard)
 from solvstrat.strata import (DerivationCertificates, StratumCertificate, beta_of, in_W,
                               parabolic_membership)
+
+ONE = Fraction(1)
 
 
 def ricci_moment_via_duality(mu: BracketTensor):
@@ -60,12 +62,49 @@ def matvec(a, v) -> list:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
+def identity(n: int) -> list[list[Fraction]]:
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def rref(m: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by dense Gauss-Jordan in Fractions; returns
+    (R, pivot column indices)."""
+    a = [list(row) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        p = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def rref_inverse(m) -> list[list[Fraction]] | None:
+    """Inverse by the rref of [m | I], or None if m is singular."""
+    n = len(m)
+    r, pivots = rref([list(row) + unit for row, unit in zip(m, identity(n))])
+    return [row[n:] for row in r] if pivots == list(range(n)) else None
+
+
 def solve(a, b) -> list[Fraction] | None:
     """One exact solution of a x = b (free variables 0), or None if inconsistent."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     aug = [list(a[i]) + [b[i]] for i in range(rows)]
-    r, pivots = linalg.rref(aug)
+    r, pivots = rref(aug)
     if cols in pivots:
         return None
     x = [ZERO] * cols
@@ -79,7 +118,7 @@ def dense_nullspace(m):
     if not m:
         return []
     cols = len(m[0])
-    r, pivots = linalg.rref(m)
+    r, pivots = rref(m)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
@@ -460,7 +499,7 @@ def eigh_per_exponential_flow(mu0: BracketTensor, step: float, tol: float, max_i
 
 
 def _unit(n: int, exact: bool):
-    return linalg.identity(n) if exact else [[float(i == j) for j in range(n)] for i in range(n)]
+    return identity(n) if exact else [[float(i == j) for j in range(n)] for i in range(n)]
 
 
 def _span_basis(vectors, exact: bool, tol: float):
@@ -469,7 +508,7 @@ def _span_basis(vectors, exact: bool, tol: float):
     if not exact:
         return _reduce_basis(vectors, tol)
     vectors = [v for v in vectors if any(v)]
-    r, pivots = linalg.rref(vectors) if vectors else ([], [])
+    r, pivots = rref(vectors) if vectors else ([], [])
     return r[: len(pivots)]
 
 

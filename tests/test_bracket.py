@@ -8,7 +8,7 @@ import pytest
 from generators import (rand_frac, random_exact_gl, random_nilpotent,
                         random_solvable, random_tensor, shuffled)
 from oracles import (einsum_act_array, eval_is_solvable, eval_jacobi_residual,
-                     eval_lower_central_series, mat_scale, mat_sub, matmul, matvec,
+                     eval_lower_central_series, identity, mat_scale, mat_sub, matmul, matvec,
                      slotwise_float_derivations)
 from solvstrat import linalg
 from solvstrat.bracket import (BracketTensor, act, act_array, derivations,
@@ -67,7 +67,7 @@ def test_eval_is_bilinear_and_skew():
 
 
 def test_pair_matches_eval_on_basis_vectors():
-    unit = linalg.identity(4)
+    unit = identity(4)
     for i in range(1, 5):
         for j in range(1, 5):
             if i != j:
@@ -100,7 +100,7 @@ def test_array_round_trip():
 def test_act_identity_and_group_law():
     rng = np.random.default_rng(2)
     mu = random_nilpotent(rng, 4)
-    assert act(linalg.identity(4), mu).coeffs == mu.coeffs
+    assert act(identity(4), mu).coeffs == mu.coeffs
     g = random_exact_gl(rng, 4)
     h = random_exact_gl(rng, 4)
     assert act(g, act(h, mu)).coeffs == act(matmul(g, h), mu).coeffs
@@ -175,7 +175,7 @@ def test_rep_definition_on_vectors(kind, seed):
 
 def test_rep_identity_is_minus_mu():
     for mu in (H3, N4, so3()):
-        image = rep(linalg.identity(mu.dim), mu)
+        image = rep(identity(mu.dim), mu)
         assert image.coeffs == {k: -c for k, c in mu.coeffs.items()}
 
 

@@ -358,6 +358,26 @@ def test_extend_flow_first_repairs_scaling(tmp_path, capsys):
     assert json.loads(out)["curvature"]["einstein"]["ok"] is True
 
 
+def test_extend_flow_first_builds_no_certificate(tmp_path, capsys, monkeypatch):
+    # --flow-first uses only the aligned flow limit, so no label is certified
+    from solvstrat import flow, strata
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = strata.certify_candidate
+    monkeypatch.setattr(flow, "certify_candidate", spy)
+    monkeypatch.setattr(strata, "certify_candidate", spy)
+    code, out, _ = run(capsys, "extend", put(tmp_path, "n4.json", N4),
+                       "--flow-first", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["curvature"]["einstein"]["ok"] is True
+    assert calls == []
+
+
 def test_extend_rejects_nonzero_dim_a(tmp_path, capsys):
     code, _, err = run(capsys, "extend", put(tmp_path, "ch2.json", CH2))
     assert code == 3

@@ -1,4 +1,4 @@
-"""Moment map values, the descent flow, detection, and the slice probe."""
+"""Moment map values, the descent flow, and stratum detection."""
 
 import inspect
 import warnings
@@ -12,9 +12,9 @@ from oracles import eigh_per_exponential_flow, fraction_ricci_moment, ricci_mome
 from solvstrat import flow
 from solvstrat.bracket import BracketTensor, act_array, direct_sum, permutation_act
 from solvstrat.catalog import filiform4, heisenberg3, so3
-from solvstrat.flow import (expm_sym, flow_to_critical, ric_array,
-                            ricci_moment, semistability_probe, stratum_detect)
-from solvstrat.strata import DiagonalWeight, beta_of
+from solvstrat.flow import (expm_sym, flow_to_critical, ric_array, ricci_moment,
+                            stratum_detect)
+from solvstrat.strata import DiagonalWeight
 
 F = Fraction
 H3 = heisenberg3()
@@ -306,32 +306,3 @@ def test_certified_limit_shift_is_a_derivation():
     img = rep(d, lam.to_float())
     worst = max((abs(c) for c in img.coeffs.values()), default=0.0)
     assert worst <= 1e-9
-
-
-def test_probe_semistable_cases():
-    for mu in (H3, N4):
-        pr = semistability_probe(mu, beta_of(mu))
-        assert pr.verdict == "semistable"
-        assert pr.consistent is True
-        assert not pr.projection_zero
-        assert abs(pr.z_flow_norm_sq - float(beta_of(mu).norm_sq())) < 1e-6
-
-
-def test_probe_unstable_case():
-    v124 = BracketTensor.make(4, {(1, 2, 4): 1})
-    pr = semistability_probe(v124, B4)
-    assert pr.verdict == "unstable"
-    assert pr.projection_zero
-    assert pr.consistent is True
-    assert pr.inf_norm_estimate < 1e-9
-
-
-def test_probe_requires_w_membership():
-    with pytest.raises(ValueError):
-        semistability_probe(BracketTensor.make(4, {(2, 3, 4): 1}), B4)
-
-
-def test_probe_deterministic():
-    a = semistability_probe(N4, B4, restarts=4, seed=5)
-    b = semistability_probe(N4, B4, restarts=4, seed=5)
-    assert a == b

@@ -1,4 +1,4 @@
-"""Exact linear algebra: the sparse null space against the dense rref route."""
+"""Exact linear algebra: the sparse null space and the inverse against the dense rref route."""
 
 import math
 from fractions import Fraction
@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from generators import filiform, free_two_step, rand_frac
-from oracles import dense_nullspace, fraction_is_psd, fraction_nullspace, matmul, solve
+from oracles import (dense_nullspace, fraction_is_psd, fraction_nullspace, identity, matmul,
+                     rref, rref_inverse, solve)
 from solvstrat import linalg
 from solvstrat.bracket import BracketTensor, act, derivations
 from solvstrat.catalog import filiform4, heisenberg3
@@ -39,7 +40,7 @@ def _battery():
     rng = np.random.default_rng(31)
     yield "zero", [[F(0)] * 5 for _ in range(4)]
     yield "one_zero_row", [[F(0)] * 3]
-    yield "identity", linalg.identity(4)
+    yield "identity", identity(4)
     yield "zero_and_duplicate_rows", [[F(1), F(2), F(0), F(-1)], [F(0)] * 4,
                                       [F(1), F(2), F(0), F(-1)], [F(0), F(0), F(3), F(1)]]
     for t in range(40):
@@ -133,7 +134,7 @@ def test_nullspace_numerators_of_a_pivot_that_does_not_divide_den():
 
 
 def test_nullspace_of_no_rows_and_zero_values():
-    assert linalg.nullspace([], 3) == linalg.identity(3)
+    assert linalg.nullspace([], 3) == identity(3)
     assert linalg.nullspace([{0: F(0), 2: F(2)}, {}], 3) == [[F(1), F(0), F(0)],
                                                              [F(0), F(1), F(0)]]
 
@@ -208,7 +209,7 @@ def test_solve_integer_matches_rref_solve_on_a_battery():
             x0 = [int(x) for x in rng.integers(-9, 10, size=cols)]
             b = [sum(r * x for r, x in zip(row, x0)) for row in a]
         fa = [[Fraction(x) for x in row] for row in a]
-        full = len(linalg.rref(fa)[1]) == cols
+        full = len(rref(fa)[1]) == cols
         want = solve(fa, [Fraction(x) for x in b]) if full else None
         assert linalg.solve_integer(a, b) == want
         seen.add((rows > cols, full, want is not None))
@@ -270,9 +271,37 @@ def _rref_callers() -> set[str]:
     return callers
 
 
-def test_only_invert_eliminates_in_dense_fractions():
-    # the hot exact kernels eliminate in integers; rref stays behind invert
-    assert _rref_callers() == {"linalg.invert"}
+def test_no_src_function_eliminates_in_dense_fractions():
+    # every elimination of the package is fraction-free; the dense rref is a
+    # test oracle only
+    assert _rref_callers() == set()
+    assert not hasattr(linalg, "rref")
+
+
+def test_invert_matches_the_rref_inverse_on_a_battery():
+    # square rational matrices of size 1-8, dense and sparse; every fifth one
+    # singular by construction, and each singular one raises
+    rng = np.random.default_rng(83)
+    seen = set()
+    for t in range(300):
+        n = int(rng.integers(1, 9))
+        if t % 5 == 1:
+            m = _sparse_random(rng, n, n, 0.5)
+        else:
+            m = [[rand_frac(rng) for _ in range(n)] for _ in range(n)]
+        if t % 5 == 0:  # the last row a combination of the others
+            coeffs = [rand_frac(rng) for _ in m[:-1]]
+            m[-1] = [sum((a * row[c] for a, row in zip(coeffs, m)), F(0)) for c in range(n)]
+        want = rref_inverse(m)
+        if want is None:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                linalg.invert(m)
+        else:
+            got = linalg.invert(m)
+            assert got == want
+            assert all(type(x) is F for row in got for x in row)
+        seen.add((t % 5 == 0, want is None))
+    assert seen == {(True, True), (False, False), (False, True)}
 
 
 @pytest.mark.parametrize("text", ["0", "-0", "7", "-12", "007/010", "-37/120", "3/0", "3/00",

@@ -13,7 +13,7 @@ import pytest
 from generators import centred_point_set, random_nilpotent, random_point_set
 import oracles
 from oracles import (brute_force_min_norm, dense_nullspace,
-                     exhaustive_canonical_form, fraction_min_norm_point, solve)
+                     exhaustive_canonical_form, fraction_min_norm_point, rref, solve)
 from solvstrat import linalg, minnorm, strata
 from solvstrat.minnorm import PointSet, canonical_form, min_norm_point
 
@@ -33,7 +33,7 @@ def test_integer_solve_kernel_matches_fraction_elimination():
         af = [[F(x) for x in row] for row in a]
         got = linalg.solve_integer(a, b)
         ref = solve(af, [F(x) for x in b])
-        if ref is None or len(linalg.rref(af)[1]) < cols:
+        if ref is None or len(rref(af)[1]) < cols:
             # inconsistent, or solvable but not uniquely: both refused
             assert got is None
             seen_none = True

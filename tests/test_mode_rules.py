@@ -488,6 +488,36 @@ def _trees():
         yield path.name, ast.parse(path.read_text(), filename=str(path))
 
 
+def test_the_package_draws_no_random_numbers_and_asserts_nothing():
+    # results are deterministic functions of the input, and runtime checks
+    # raise, since python -O strips assert statements
+    found = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [(name, a.name) for a in node.names if "random" in a.name]
+            elif isinstance(node, ast.ImportFrom):
+                found += [(name, a.name) for a in node.names
+                          if "random" in f"{node.module}.{a.name}" or a.name == "default_rng"]
+            elif isinstance(node, ast.Attribute) and node.attr in ("random", "default_rng"):
+                found.append((name, node.attr))
+            elif isinstance(node, ast.Name) and node.id == "default_rng":
+                found.append((name, node.id))
+            elif isinstance(node, ast.Assert):
+                found.append((name, f"assert at line {node.lineno}"))
+    assert found == []
+
+
+def test_diagonal_weight_make_gives_one_mode_per_label():
+    # an int next to a float makes a float label, whose certificate is that
+    # of the all-float label
+    mixed, floats = DiagonalWeight.make([-1, 0.5]), DiagonalWeight.make([-1.0, 0.5])
+    assert [type(x) for x in mixed.entries] == [float, float]
+    assert [type(x) for x in DiagonalWeight.make([-1, F(1, 2)]).entries] == [F, F]
+    mu = BracketTensor.make(2, {(1, 2, 2): 1})
+    assert repr(certify_candidate(mu, mixed)) == repr(certify_candidate(mu, floats))
+
+
 def test_no_module_imports_a_private_name_from_flow():
     private = [(name, alias.name) for name, tree in _trees() for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module == "flow"

@@ -18,8 +18,7 @@ from solvstrat.strata import (DiagonalWeight, beta_of, certify_candidate,
                               delta_check, derivation_certificates,
                               eigenvalue_type, in_W, in_Y, in_Z, m_degree,
                               parabolic_membership, positivity_check,
-                              project_Z, sort_to_weyl_chamber, weight_vector,
-                              weights)
+                              project_Z, sort_to_weyl_chamber, weights)
 
 F = Fraction
 H3 = heisenberg3()
@@ -29,10 +28,10 @@ B4 = DiagonalWeight.make([-1, F(-1, 2), 0, F(1, 2)])
 
 
 def test_weight_vector_shape():
-    assert weight_vector(1, 2, 3, 3) == (F(-1), F(-1), F(1))
+    assert strata._integer_weight(1, 2, 3, 3) == (-1, -1, 1)
     # k coinciding with a slot index merges entries but keeps trace -1
-    assert weight_vector(1, 2, 2, 3) == (F(-1), F(0), F(0))
-    assert sum(weight_vector(2, 4, 1, 5)) == -1
+    assert strata._integer_weight(1, 2, 2, 3) == (-1, 0, 0)
+    assert sum(strata._integer_weight(2, 4, 1, 5)) == -1
 
 
 def test_weights_goldens():
