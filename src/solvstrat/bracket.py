@@ -28,7 +28,6 @@ counts twice:
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -87,8 +86,8 @@ class BracketTensor:
         """(L, N) for an exact bracket, computed once: L is the lcm of the
         coefficient denominators and N = L mu, a positive integer multiple
         with the same spans, derivations and central and derived series."""
-        den = math.lcm(*(c.denominator for c in self.coeffs.values()))
-        return den, {key: c.numerator * (den // c.denominator) for key, c in self.coeffs.items()}
+        den, nums = linalg.numerators(self.coeffs.values())
+        return den, dict(zip(self.coeffs, nums))
 
     def coeff(self, i: int, j: int, k: int) -> Scalar:
         if i < j:
@@ -574,7 +573,8 @@ def _derivation_system(mu: BracketTensor) -> list[dict[int, int]]:
 
     The system is built in integers, in one pass over the coefficients:
     Der(c mu) = Der(mu), so mu is scaled by the lcm of its coefficient
-    denominators first (the cached integer view).
+    denominators first (the cached integer view).  Entries that cancel are
+    dropped, so the rows go to linalg._nullspace_numerators as they are.
     """
     n = mu.dim
     slot_index = {s: r for r, s in enumerate(_slots(n))}
@@ -584,7 +584,11 @@ def _derivation_system(mu: BracketTensor) -> list[dict[int, int]]:
         # v at the skew slot (i, j, k) in column col; i == j adds nothing
         if i != j:
             row = rows[slot_index[(i, j, k) if i < j else (j, i, k)]]
-            row[col] = row.get(col, 0) + (v if i < j else -v)
+            total = row.get(col, 0) + (v if i < j else -v)
+            if total:
+                row[col] = total
+            else:
+                del row[col]
 
     # with the unit E_rc in column (r - 1) n + c - 1, the coefficient v
     # at (p, q, k) adds, for each t, v at (p, q, t) in rep(E_tk, mu),

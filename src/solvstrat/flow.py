@@ -91,7 +91,6 @@ def expm_sym(w: np.ndarray, q: np.ndarray, t: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FlowResult:
-    limit: BracketTensor
     aligned: BracketTensor
     spectrum: tuple[float, ...]
     residuals: dict[str, float]
@@ -128,9 +127,13 @@ def flow_to_critical(
     by three orders of magnitude after dipping below 1e-6 the flow therefore
     stops and reports the best iterate; downstream exact certification
     decides whether that point is a genuine critical limit.
+
+    Raises ValueError for the zero bracket and for a negative max_iter.
     """
     if mu0.is_zero():
         raise ValueError("cannot flow the zero bracket")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     arr = mu0.to_array()
     arr /= _norm(arr)
     trace: list[tuple[int, float, float]] | None = [] if record_trace else None
@@ -178,12 +181,9 @@ def flow_to_critical(
             message = "step size underflow before tangency"
             break
 
-    if best is None:
-        raise RuntimeError("flow recorded no iterate")
     res, arr, m = best
     spec, q = np.linalg.eigh(m)
     aligned_arr = act_array(q.T, q, arr)
-    limit = BracketTensor.from_array(arr)
     top = float(np.abs(aligned_arr).max())
     aligned = BracketTensor.from_array(aligned_arr, chop=CHOP * max(top, 1e-300))
     nsq_b = float(np.sum(spec * spec))
@@ -194,7 +194,7 @@ def flow_to_critical(
         "z_membership": max((abs(g) for g in gaps), default=0.0),
         "m_equals_one": abs(min(gaps, default=0.0)) / nsq_b if nsq_b else float("inf"),
     }
-    return FlowResult(limit, aligned, tuple(float(x) for x in spec), residuals, it,
+    return FlowResult(aligned, tuple(float(x) for x in spec), residuals, it,
                       converged, message, trace)
 
 

@@ -4,14 +4,15 @@ Matrices are lists (or tuples) of rows of Fractions, vectors are sequences of
 Fractions.  Exact pivots keep every result free of conditioning questions,
 and a deterministic pivot choice (first nonzero) keeps every derived basis
 reproducible run to run.  Every elimination is fraction-free, in integers,
-which pays no gcd per arithmetic step: nullspace clears each sparse row of
-its denominators and runs a content-normalized Gauss-Jordan, because its
-largest caller, the derivation system of an n-dimensional bracket, has
-n * C(n, 2) mostly-zero rows (450 rows by 100 columns at n = 10); invert
-reads the inverse off the same null space kernel;
-bareiss_triangularize and solve_integer serve the min-norm layer; is_psd
-decides an integer symmetric matrix by fraction-free Schur complements.
-is_zero, nonneg and positive state the comparison rule of each mode.
+which pays no gcd per arithmetic step: _nullspace_numerators runs a
+content-normalized Gauss-Jordan on sparse integer rows, because its largest
+caller, the derivation system of an n-dimensional bracket, has n * C(n, 2)
+mostly-zero integer rows (450 rows by 100 columns at n = 10); nullspace and
+invert clear rational rows of their denominators (numerators) and call it;
+bareiss_triangularize and solve_integer serve the min-norm layer and return
+integers; is_psd decides an integer symmetric matrix by fraction-free Schur
+complements.  is_zero, nonneg and positive state the comparison rule of
+each mode.
 """
 
 from __future__ import annotations
@@ -124,16 +125,23 @@ def dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
+def numerators(values: Sequence[Rational]) -> tuple[int, list[int]]:
+    """(L, [L x for x in values]) with L the lcm of the denominators, the
+    smallest positive integer that clears them (1 for no values)."""
+    den = math.lcm(*(x.denominator for x in values))
+    return den, [x.numerator * (den // x.denominator) for x in values]
+
+
 def nullspace(rows: Sequence[Mapping[int, Rational]], cols: int) -> list[list[Fraction]]:
     """Canonical basis of the right null space (free variables set to 1).
 
     rows are sparse, {column: value} with columns in range(cols) and int or
     Fraction values; zero values are ignored.  The basis is that of
-    _nullspace_numerators, each vector num / den written out densely in
-    Fractions.
+    _nullspace_numerators on the cleared rows, each vector num / den written
+    out densely in Fractions.
     """
     basis = []
-    for den, nums in _nullspace_numerators(rows, cols):
+    for den, nums in _nullspace_numerators([_integer_row(r) for r in rows], cols):
         v = [ZERO] * cols
         for c, x in nums.items():
             v[c] = Fraction(x, den)
@@ -141,19 +149,24 @@ def nullspace(rows: Sequence[Mapping[int, Rational]], cols: int) -> list[list[Fr
     return basis
 
 
-def _nullspace_numerators(rows: Sequence[Mapping[int, Rational]],
-                          cols: int) -> list[tuple[int, dict[int, int]]]:
-    """The canonical null space basis of nullspace as integers: per free
-    column f, ascending, (den, {column: numerator}) with the basis vector
-    num / den, den the lcm of its entries' reduced denominators and only
-    the nonzero entries listed (den itself at f).
+def _integer_row(sparse: Mapping[int, Rational]) -> dict[int, int]:
+    """The sparse row times the lcm of its denominators, zeros dropped."""
+    _, nums = numerators(list(sparse.values()))
+    return {c: x for c, x in zip(sparse, nums) if x}
 
-    Each row is scaled by the lcm of its denominators and eliminated in
-    integers by Gauss-Jordan: it is reduced by the pivot rows found so far
-    (row = p * row - f * P with p, f the coprime parts of the two entries),
-    divided by the gcd of its entries and signed so that its pivot is
-    positive, and a new pivot row is cleared out of the earlier ones the
-    same way.  Each pivot row is then the primitive integer multiple of its
+
+def _nullspace_numerators(rows: Sequence[Mapping[int, int]],
+                          cols: int) -> list[tuple[int, dict[int, int]]]:
+    """The canonical null space basis of integer rows {column: nonzero int}:
+    per free column f, ascending, (den, {column: numerator}) with the basis
+    vector num / den, den the lcm of its entries' reduced denominators and
+    only the nonzero entries listed (den itself at f).
+
+    The rows are eliminated by Gauss-Jordan: each is reduced by the pivot
+    rows found so far (row = p * row - f * P with p, f the coprime parts of
+    the two entries), divided by the gcd of its entries and signed so that
+    its pivot is positive, and a new pivot row is cleared out of the earlier
+    ones the same way.  Each pivot row is then the primitive integer multiple of its
     row of the reduced echelon form.  That form is unique, so the basis
     -x / pivot is the one a dense rref gives.  With g = gcd(x, pivot) the
     entry -x / pivot is -(x / g) / (pivot / g) in lowest terms, so its
@@ -161,9 +174,7 @@ def _nullspace_numerators(rows: Sequence[Mapping[int, Rational]],
     need not divide den.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
-    for sparse in rows:
-        den = math.lcm(*(x.denominator for x in sparse.values() if x))
-        row = {c: x.numerator * (den // x.denominator) for c, x in sparse.items() if x}
+    for row in rows:
         # pivot rows vanish on each other's pivot columns, so one pass suffices
         for c in [c for c in row if c in pivot_rows]:
             row = _clear(row, pivot_rows[c], c)
@@ -227,7 +238,7 @@ def invert(m) -> list[list[Fraction]]:
     (m^-1 e_j, e_j) times its den.
     """
     n = len(m)
-    rows = [{**dict(enumerate(row)), n + i: -1} for i, row in enumerate(m)]
+    rows = [_integer_row({**dict(enumerate(row)), n + i: -1}) for i, row in enumerate(m)]
     basis = _nullspace_numerators(rows, 2 * n)
     if [max(nums) for _, nums in basis] != list(range(n, 2 * n)):
         raise ValueError("matrix is singular")
@@ -274,11 +285,14 @@ def bareiss_triangularize(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], 
     return a, pivots
 
 
-def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> list[Fraction] | None:
-    """Unique exact solution of an integer linear system, or None.
+def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[int, list[int]] | None:
+    """Unique exact solution of an integer linear system as integers (d, y),
+    the solution being x = y / d with d > 0, or None.
 
-    None covers inconsistent and underdetermined systems alike; every call
-    site wants a full-column-rank solve and treats the rest as "skip".
+    d is the leading minor of the elimination up to sign, so y / d need not
+    be in lowest terms.  None covers inconsistent and underdetermined
+    systems alike; every call site wants a full-column-rank solve and
+    treats the rest as "skip".
     """
     cols = len(a[0]) if a else 0
     aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
@@ -292,7 +306,7 @@ def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> list[Fraction
     for i in reversed(range(cols)):
         row = tri[i]
         y[i] = (d * row[cols] - sum(row[j] * y[j] for j in range(i + 1, cols))) // row[i]
-    return [Fraction(v, d) for v in y]
+    return (d, y) if d > 0 else (-d, [-v for v in y])
 
 
 def is_psd(m: Sequence[Sequence[int]]) -> bool:

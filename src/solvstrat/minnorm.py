@@ -23,20 +23,23 @@ One solver and one canonicalisation, both on integers:
                     systems of dim + 1 points share one fraction-free
                     elimination per lex prefix, in a depth-first walk.
 
-Integer representation.  A point set is scaled once (PointSet.scaled): with
-den the lcm of all coordinate denominators, P_i = den p_i are integer
-vectors and G_ij = <P_i, P_j> = den^2 <p_i, p_j> is their integer Gram
-matrix.  A convex combination x = sum_c w_c p_c is held as integer
-numerators y_c = d w_c over a common denominator d, so that
+Integer representation.  A PointSet is its integer coordinates: with den
+the lcm of all coordinate denominators, point i is p_i = P_i / den for the
+integer vector P_i = coords[i], and G_ij = <P_i, P_j> = den^2 <p_i, p_j> is
+the integer Gram matrix, computed once per point set.  A convex combination
+x = sum_c w_c p_c is held as integer numerators y_c = d w_c over one
+positive denominator d, so that
 
     den^2 d <x, p_i> = (G y)_i,    den^2 d^2 |x|^2 = y . G y,
 
-and every comparison the solvers make (Wolfe's pricing, the active set) is
-one between integers.  Fractions appear only at the boundary: the KKT
-solves return them, and the point is formed once, x_r = sum_c y_c P_cr /
-(den d).  MinNormResult.verify re-derives its five conditions from the
-scaled coordinates and the point's own integer numerator, independently of
-the solvers' state.
+and every comparison the solvers make (Wolfe's pricing and drop step, the
+active set) is one between integers.  The exact solves return integers too
+(linalg.solve_integer gives (d, y)), and canonical_form writes its systems
+over the point's own integer numerator.  Fractions are built once, for the
+returned MinNormResult: the point x_r = sum_c y_c P_cr / (den d) and the
+weights y_c / d.  MinNormResult.verify re-derives its five conditions from
+the integer coordinates and the point's own integer numerator,
+independently of the solvers' state.
 
 The optimum itself is unique by strict convexity, so callers that need only
 the point (the stratum label) skip the canonical search; the canonical
@@ -56,41 +59,50 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import linalg
-from .linalg import dot, frac
+from .linalg import ZERO, dot, frac, numerators
 
 Vec = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
 class PointSet:
-    """Finite set of distinct rational points sharing one dimension."""
+    """Finite set of distinct rational points sharing one dimension: point
+    i is coords[i] / den, with integer coords and a positive integer den."""
 
     dim: int
-    points: tuple[Vec, ...]
+    den: int
+    coords: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = None
 
     @staticmethod
     def make(points: Sequence[Sequence], labels: Sequence[str] | None = None) -> "PointSet":
-        pts = tuple(tuple(frac(x) for x in p) for p in points)
+        pts = [[frac(x) for x in p] for p in points]
         if not pts:
             raise ValueError("point set must be nonempty")
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise ValueError("points have mixed dimensions")
-        if len(set(pts)) != len(pts):
+        den, flat = numerators([x for p in pts for x in p])
+        coords = tuple(tuple(flat[i * dim:(i + 1) * dim]) for i in range(len(pts)))
+        if len(set(coords)) != len(coords):
             raise ValueError("points must be distinct")
         lab = tuple(labels) if labels is not None else None
-        if lab is not None and len(lab) != len(pts):
+        if lab is not None and len(lab) != len(coords):
             raise ValueError("labels length mismatch")
-        return PointSet(dim, pts, lab)
+        return PointSet(dim, den, coords, lab)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
     @functools.cached_property
-    def scaled(self) -> _ScaledPoints:
-        """Denominator-cleared coordinates and integer Gram matrix, computed once."""
-        return _scaled(self)
+    def points(self) -> tuple[Vec, ...]:
+        """The points as tuples of Fractions."""
+        return tuple(map(tuple, linalg.fraction_rows(self.coords, self.den)))
+
+    @functools.cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """The integer Gram matrix <coords[i], coords[j]>, computed once."""
+        return tuple(tuple(_dot(p, q) for q in self.coords) for p in self.coords)
 
 
 @dataclass(frozen=True)
@@ -107,55 +119,28 @@ class MinNormResult:
     def verify(self, ps: PointSet) -> None:
         """Check exact feasibility and the variational optimality condition.
 
-        Works on integers: the scaled coordinates P = den p, the point's
-        numerator X = q x and the weights' numerators W = l w, with q and l
-        the lcm of the point's and the weights' denominators; <x, p_i> >=
-        |x|^2 becomes q <X, P_i> >= den <X, X>.  It reads neither the Gram
-        matrix nor any solver state, so it checks the solvers independently.
-        Raises RuntimeError naming the first condition that fails.
+        Works on integers: the coordinates P = den p, the point's numerator
+        X = q x and the weights' numerators W = l w, with q and l the lcm of
+        the point's and the weights' denominators; <x, p_i> >= |x|^2 becomes
+        q <X, P_i> >= den <X, X>.  It reads neither the Gram matrix nor any
+        solver state, so it checks the solvers independently.  Raises
+        RuntimeError naming the first condition that fails.
         """
-        sc = ps.scaled
-        q, xs = _numerators(self.point)
-        lw, ws = _numerators(self.weights)
-        used = [(wi, p) for wi, p in zip(ws, sc.coords) if wi]
+        q, xs = numerators(self.point)
+        lw, ws = numerators(self.weights)
+        used = [(wi, p) for wi, p in zip(ws, ps.coords) if wi]
         # recon_r = l den (sum_i w_i p_i)_r, to compare with X_r / q
         recon = tuple(q * sum(wi * p[r] for wi, p in used) for r in range(ps.dim))
-        nsq = sc.den * _dot(xs, xs)
+        nsq = ps.den * _dot(xs, xs)
         for ok, condition in (
                 (sum(ws) == lw, "weights sum to 1"),
                 (all(wi >= 0 for wi in ws), "weights are nonnegative"),
-                (recon == tuple(lw * sc.den * xr for xr in xs), "weights reproduce the point"),
-                (all(q * _dot(xs, p) >= nsq for p in sc.coords), "<x, p> >= |x|^2"),
+                (recon == tuple(lw * ps.den * xr for xr in xs), "weights reproduce the point"),
+                (all(q * _dot(xs, p) >= nsq for p in ps.coords), "<x, p> >= |x|^2"),
                 (self.support == tuple(i for i, w in enumerate(self.weights) if w != 0),
                  "support is the set of nonzero weights")):
             if not ok:
                 raise RuntimeError(f"min-norm result fails: {condition}")
-
-
-@dataclass(frozen=True)
-class _ScaledPoints:
-    """Denominator-cleared coordinates and Gram matrix of a point set."""
-
-    den: int
-    coords: tuple[tuple[int, ...], ...]
-    gram: tuple[tuple[int, ...], ...]
-
-
-def _scaled(ps: PointSet) -> _ScaledPoints:
-    den = math.lcm(*(x.denominator for p in ps.points for x in p))
-    return _scaled_integers(
-        den, tuple(tuple(x.numerator * (den // x.denominator) for x in p) for p in ps.points))
-
-
-def _scaled_integers(den: int, coords: tuple[tuple[int, ...], ...]) -> _ScaledPoints:
-    """The scaled view of the points coords / den, integer coords given."""
-    return _ScaledPoints(den, coords, tuple(tuple(_dot(p, q) for q in coords) for p in coords))
-
-
-def _numerators(xs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(l, [l x for x in xs]) with l the lcm of the denominators."""
-    lcm = math.lcm(*(x.denominator for x in xs))
-    return lcm, [x.numerator * (lcm // x.denominator) for x in xs]
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -166,15 +151,17 @@ def _gram_products(gram: Sequence[Sequence[int]], idx: Sequence[int],
                    ys: Sequence[int]) -> tuple[list[int], int]:
     """(G y, y . G y) for the integer combination y supported on idx.
 
-    With x = sum_t ys[t] p_idx[t] / d and G the Gram matrix of the scaled
-    points, (G y)_i = den^2 d <x, p_i> and y . G y = den^2 d^2 |x|^2.
+    With x = sum_t ys[t] p_idx[t] / d and G the Gram matrix of the integer
+    coordinates, (G y)_i = den^2 d <x, p_i> and y . G y = den^2 d^2 |x|^2.
     """
     gy = [_dot(ys, col) for col in zip(*(gram[i] for i in idx))]
     return gy, _dot(ys, [gy[i] for i in idx])
 
 
-def _affine_minimizer(sc: _ScaledPoints, subset: Sequence[int]) -> list[Fraction] | None:
-    """Barycentric weights of the min-norm point of the affine hull of subset.
+def _affine_minimizer(gram: Sequence[Sequence[int]],
+                      subset: Sequence[int]) -> tuple[int, list[int]] | None:
+    """Barycentric weights y / d of the min-norm point of the affine hull of
+    subset, as (d, y) with d > 0.
 
     Solves the KKT system [G 1; 1^T 0] [w; t] = [0; 1] with G the Gram
     matrix (scaling G by den^2 only rescales the multiplier t, not w).  The
@@ -182,10 +169,16 @@ def _affine_minimizer(sc: _ScaledPoints, subset: Sequence[int]) -> list[Fraction
     dependent, so None doubles as the independence test.
     """
     k = len(subset)
-    a = [[sc.gram[i][j] for j in subset] + [1] for i in subset]
+    a = [[gram[i][j] for j in subset] + [1] for i in subset]
     a.append([1] * k + [0])
     sol = linalg.solve_integer(a, [0] * k + [1])
-    return None if sol is None else sol[:k]
+    return None if sol is None else (sol[0], sol[1][:k])
+
+
+def _reduced(d: int, ys: list[int]) -> tuple[int, list[int]]:
+    """(d, ys) divided by their gcd: the same weights ys / d in least terms."""
+    g = math.gcd(d, *ys)
+    return (d, ys) if g == 1 else (d // g, [y // g for y in ys])
 
 
 def min_norm_point(ps: PointSet) -> MinNormResult:
@@ -194,55 +187,50 @@ def min_norm_point(ps: PointSet) -> MinNormResult:
     The corral stays affinely independent throughout: points enter only when
     they strictly violate the optimality condition at the current relative
     interior minimizer, and such points never lie in the corral's affine
-    hull.  Pricing is on integers: the corral's weights are held as
-    numerators y over a common denominator d, and the entering point is the
-    first i with the smallest d (G y)_i < y . G y, i.e. the first minimizer
-    of <x, p_i> below |x|^2.  The rare drop step stays in Fractions.  All
-    arithmetic is exact, so termination is exact, with no tolerance
-    anywhere.  The loop itself (_wolfe) reads only the scaled view, so a
-    caller that has the integer points already (the stratum label) hands
-    it that view directly.
+    hull.  The corral's weights are held only as numerators y over one
+    positive denominator d.  Pricing picks the first i with the smallest
+    (G y)_i, entering when d (G y)_i < y . G y, i.e. the first minimizer of
+    <x, p_i> below |x|^2.  The rare drop step compares the ratios
+    w_c / (w_c - v_c) by cross-multiplication.  All arithmetic is exact, so
+    termination is exact, with no tolerance anywhere, and Fractions are
+    built only for the result.
     """
-    return _wolfe(ps.scaled)
-
-
-def _wolfe(sc: _ScaledPoints) -> MinNormResult:
-    """min_norm_point of the points sc.coords / sc.den."""
-    gram = sc.gram
-    start = min(range(len(gram)), key=lambda i: (gram[i][i], sc.coords[i]))
-    corral = [start]
-    w = {start: Fraction(1)}
-    d, ys = 1, [1]
+    gram, coords = ps.gram, ps.coords
+    start = min(range(len(gram)), key=lambda i: (gram[i][i], coords[i]))
+    corral, d, ys = [start], 1, [1]
 
     while True:
         gy, ygy = _gram_products(gram, corral, ys)
         low = min(gy)
         if d * low >= ygy:
             break
-        best = gy.index(low)
-        corral.append(best)
-        w[best] = Fraction(0)
+        corral.append(gy.index(low))
+        ys.append(0)
         while True:
-            v = _affine_minimizer(sc, corral)
-            if v is None:
+            sol = _affine_minimizer(gram, corral)
+            if sol is None:
                 raise RuntimeError("Wolfe corral became affinely dependent")
-            if all(vi > 0 for vi in v):
-                w = dict(zip(corral, v))
-                d, ys = _numerators(v)
+            e, vs = sol
+            if all(v > 0 for v in vs):
+                d, ys = _reduced(e, vs)
                 break
-            # step from w toward v until the first weight hits zero
-            theta = min(
-                (Fraction(w[c]) / (w[c] - vi) for c, vi in zip(corral, v) if vi <= 0),
-                default=Fraction(1),
-            )
-            w = {c: (1 - theta) * w[c] + theta * vi for c, vi in zip(corral, v)}
-            corral = [c for c in corral if w[c] > 0]
-            w = {c: w[c] for c in corral}
+            # step from w = ys / d toward v = vs / e until the first weight hits
+            # zero: theta = tn / td, the least y_c e / (y_c e - v_c d) over v_c <= 0
+            tn, td = 1, 0
+            for y, v in zip(ys, vs):
+                if v <= 0 and y * e * td < tn * (y * e - v * d):
+                    tn, td = y * e, y * e - v * d
+            # (1 - theta) w + theta v, over the denominator td d e
+            zs = [(td - tn) * y * e + tn * v * d for y, v in zip(ys, vs)]
+            corral = [c for c, z in zip(corral, zs) if z > 0]
+            d, ys = _reduced(td * d * e, [z for z in zs if z > 0])
 
-    point = tuple(Fraction(_dot(ys, [sc.coords[c][r] for c in corral]), sc.den * d)
-                  for r in range(len(sc.coords[0])))
-    weights = tuple(w.get(i, Fraction(0)) for i in range(len(gram)))
-    return MinNormResult(point, weights, tuple(sorted(w)))
+    point = tuple(Fraction(_dot(ys, [coords[c][r] for c in corral]), ps.den * d)
+                  for r in range(ps.dim))
+    weights = [ZERO] * len(coords)
+    for c, y in zip(corral, ys):
+        weights[c] = Fraction(y, d)
+    return MinNormResult(point, tuple(weights), tuple(sorted(corral)))
 
 
 # The dependence screen works on residues modulo one fixed prime below 2^31,
@@ -333,9 +321,10 @@ def _dependent_subsets(cols: Sequence[Sequence[int]], k: int) -> Iterator[tuple[
 
 
 def _square_support(cols: Sequence[Sequence[int]],
-                    b: Sequence[int]) -> tuple[tuple[int, ...], list[Fraction]] | None:
+                    b: Sequence[int]) -> tuple[tuple[int, ...], int, list[int]] | None:
     """The first len(b)-subset S of cols in lex order whose square system
-    cols_S w = b has a strictly positive solution: (S, w), or None.
+    cols_S w = b has a strictly positive solution w = y / d: (S, d, y), or
+    None.
 
     One depth-first walk over lex prefixes shares a fraction-free (Bareiss)
     elimination between all the subsets that extend a prefix.  A prefix
@@ -361,7 +350,7 @@ def _square_support(cols: Sequence[Sequence[int]],
             for t in range(start, n):
                 w = _leaf(levels, t, red[t - start][0], yb)
                 if w is not None:
-                    return (*(c for c, _, _ in levels), t), w
+                    return ((*(c for c, _, _ in levels), t), *w)
             return None
         for t in range(start, n - size + depth + 1):
             col = red[t - start]
@@ -387,9 +376,9 @@ def _square_support(cols: Sequence[Sequence[int]],
 
 
 def _leaf(levels: Sequence[tuple[int, int, list[int]]], t: int, d: int,
-          yb: int) -> list[Fraction] | None:
-    """The weights of the square system on the prefix of levels plus column
-    t if all are strictly positive, else None.
+          yb: int) -> tuple[int, list[int]] | None:
+    """The weights y / d of the square system on the prefix of levels plus
+    column t as (d, y) if all are strictly positive, else None.
 
     d is the last pivot, the determinant of the system up to a sign shared
     with yb = d w_last; d = 0 marks a singular system.  y = d w is integral
@@ -406,7 +395,7 @@ def _leaf(levels: Sequence[tuple[int, int, list[int]]], t: int, d: int,
             return None
         ys.append(y)
         chosen.append(c)
-    return [Fraction(y, d) for y in reversed(ys)]
+    return d, ys[::-1]
 
 
 def canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult:
@@ -454,41 +443,39 @@ def canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult:
     representation.
     """
     x = res.point
-    sc = ps.scaled
     # with W = l * weights integral, <x, p_i> = |x|^2 iff l (G W)_i = W . G W
     used = [i for i, wi in enumerate(res.weights) if wi]
-    lw, ws = _numerators([res.weights[i] for i in used])
-    gw, wgw = _gram_products(sc.gram, used, ws)
+    lw, ws = numerators([res.weights[i] for i in used])
+    gw, wgw = _gram_products(ps.gram, used, ws)
     active = [i for i, v in enumerate(gw) if lw * v == wgw]
     m = len(res.support)
     if len(active) == m:
         # the corral is affinely independent and holds every active point
         return res
-    rhs = [xr * sc.den for xr in x]
-    row_scale = [r.denominator for r in rhs]
-    srows = [[row_scale[r] * c for c in col]
-             for r, col in enumerate(zip(*sc.coords))]
-    b = [int(rhs[r] * row_scale[r]) for r in range(ps.dim)] + [1]
-    # the columns p_i - x, scaled to integers like the solve's rows
-    diffs = [[srows[r][i] - b[r] for r in range(ps.dim)] for i in active]
+    # with x = xs / q and p_i = P_i / den, sum_s w_s p_s = x becomes
+    # sum_s w_s (q / g) P_s = (den / g) xs for g = gcd(q, den)
+    q, xs = numerators(x)
+    g = math.gcd(q, ps.den)
+    cols = [[q // g * c for c in ps.coords[i]] + [1] for i in active]
+    b = [ps.den // g * xr for xr in xs] + [1]
+    # the vectors p_i - x, scaled to integers like the system's rows
+    diffs = [[c - br for c, br in zip(col[:ps.dim], b)] for col in cols]
 
-    def represent(picked, w):
+    def represent(picked, d, ys):
         subset = tuple(active[t] for t in picked)
-        weights = [Fraction(0)] * len(ps.points)
-        for i, wi in zip(subset, w):
-            weights[i] = wi
+        weights = [ZERO] * len(ps)
+        for i, y in zip(subset, ys):
+            weights[i] = Fraction(y, d)
         return MinNormResult(x, tuple(weights), subset)
 
     low = 1 if next(_dependent_subsets(diffs, m - 1), None) is not None else m
     for size in range(low, min(m, ps.dim) + 1):
         for picked in _dependent_subsets(diffs, size):
-            a = [[srows[r][active[t]] for t in picked] for r in range(ps.dim)]
-            a.append([1] * size)
-            w = linalg.solve_integer(a, b)
-            if w is not None and all(wi > 0 for wi in w):
-                return represent(picked, w)
+            sol = linalg.solve_integer(list(zip(*(cols[t] for t in picked))), b)
+            if sol is not None and all(y > 0 for y in sol[1]):
+                return represent(picked, *sol)
     if m > ps.dim:
-        found = _square_support([[srows[r][i] for r in range(ps.dim)] + [1] for i in active], b)
+        found = _square_support(cols, b)
         if found is not None:
             return represent(*found)
     raise RuntimeError("no exact convex representation of the optimum found")

@@ -29,7 +29,7 @@ import numpy as np
 from . import linalg
 from .bracket import BracketTensor, Key, _exact_derivations, derivations
 from .linalg import Scalar, frac, is_exact
-from .minnorm import PointSet, _scaled_integers, _wolfe
+from .minnorm import PointSet, min_norm_point
 
 DEFAULT_TOL = 1e-8
 
@@ -73,9 +73,8 @@ class DiagonalWeight:
         """(L, B, |B|^2) for an exact label, computed once: L is the lcm of
         the entry denominators and B = L beta, so |beta|^2 = |B|^2 / L^2
         and the shifted entries are beta_i + |beta|^2 = (L B_i + |B|^2) / L^2."""
-        den = math.lcm(*(x.denominator for x in self.entries))
-        b = tuple(x.numerator * (den // x.denominator) for x in self.entries)
-        return den, b, sum(x * x for x in b)
+        den, b = linalg.numerators(self.entries)
+        return den, tuple(b), sum(x * x for x in b)
 
 
 class Membership(NamedTuple):
@@ -91,16 +90,12 @@ def _integer_weight(i: int, j: int, k: int, dim: int) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _support_weights(mu: BracketTensor) -> list[tuple[int, ...]]:
-    """Distinct integer weight vectors of the support, sorted lexicographically."""
-    if mu.is_zero():
-        raise ValueError("the zero bracket has no weights")
-    return sorted({_integer_weight(i, j, k, mu.dim) for (i, j, k) in mu.coeffs})
-
-
 def weights(mu: BracketTensor) -> PointSet:
     """Distinct weight vectors of the support, sorted lexicographically."""
-    return PointSet.make(_support_weights(mu))
+    if mu.is_zero():
+        raise ValueError("the zero bracket has no weights")
+    coords = sorted({_integer_weight(i, j, k, mu.dim) for (i, j, k) in mu.coeffs})
+    return PointSet(mu.dim, 1, tuple(coords))
 
 
 def _entries(alpha) -> Sequence[Scalar]:
@@ -116,13 +111,8 @@ def m_degree(mu: BracketTensor, alpha) -> Scalar:
 
 
 def beta_of(mu: BracketTensor) -> DiagonalWeight:
-    """Minimum-norm point of the convex hull of the supported weights.
-
-    The weights are integer vectors, so their scaled view (denominator 1,
-    integer Gram matrix) is built from them directly and handed to Wolfe's
-    loop; no PointSet of Fractions is formed.
-    """
-    return DiagonalWeight(_wolfe(_scaled_integers(1, tuple(_support_weights(mu)))).point)
+    """Minimum-norm point of the convex hull of the supported weights."""
+    return DiagonalWeight(min_norm_point(weights(mu)).point)
 
 
 def sort_to_weyl_chamber(beta: DiagonalWeight) -> tuple[DiagonalWeight, tuple[int, ...]]:
@@ -185,15 +175,10 @@ def eigenvalue_type(beta: DiagonalWeight) -> EigenvalueType:
     """
     if not beta.is_exact_mode:
         raise TypeError("eigenvalue type requires exact rational entries")
-    return _eigenvalue_type(beta.shifted())
+    return _integer_type(*linalg.numerators(beta.shifted()))
 
 
-def _eigenvalue_type(shifted: Sequence[Fraction]) -> EigenvalueType:
-    den = math.lcm(*(x.denominator for x in shifted))
-    return _integer_type([x.numerator * (den // x.denominator) for x in shifted], den)
-
-
-def _integer_type(nums: Sequence[int], den: int) -> EigenvalueType:
+def _integer_type(den: int, nums: Sequence[int]) -> EigenvalueType:
     """The eigenvalue type of the shifted entries nums / den."""
     nums = sorted(nums)
     if nums[0] <= 0:
@@ -466,7 +451,7 @@ def _label_values(mu: BracketTensor, beta: DiagonalWeight):
     }
     etype = None, None
     if min(shifted) > 0 and beta.is_exact_mode:
-        etype = _eigenvalue_type(shifted)
+        etype = _integer_type(*linalg.numerators(shifted))
     return 1 / nsq, residuals, etype
 
 
@@ -496,5 +481,5 @@ def _integer_label_values(mu: BracketTensor, beta: DiagonalWeight):
                                  den * den * square),
         "beta_positive_shift": Fraction(min(shifted), square),
     }
-    etype = _integer_type(shifted, square) if min(shifted) > 0 else (None, None)
+    etype = _integer_type(square, shifted) if min(shifted) > 0 else (None, None)
     return Fraction(square, nsq), residuals, etype

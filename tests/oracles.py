@@ -483,7 +483,6 @@ def eigh_per_exponential_flow(mu0: BracketTensor, step: float, tol: float, max_i
     res, arr, m = best
     spec, q = np.linalg.eigh(m)
     aligned_arr = einsum_act_array(q.T, q, arr)
-    limit = BracketTensor.from_array(arr)
     top = float(np.abs(aligned_arr).max())
     aligned = BracketTensor.from_array(aligned_arr, chop=CHOP * max(top, 1e-300))
     nsq_b = float(np.sum(spec * spec))
@@ -494,7 +493,7 @@ def eigh_per_exponential_flow(mu0: BracketTensor, step: float, tol: float, max_i
         "z_membership": max((abs(g) for g in gaps), default=0.0),
         "m_equals_one": abs(min(gaps, default=0.0)) / nsq_b if nsq_b else float("inf"),
     }
-    return FlowResult(limit, aligned, tuple(float(x) for x in spec), residuals, it,
+    return FlowResult(aligned, tuple(float(x) for x in spec), residuals, it,
                       converged, message, trace)
 
 
@@ -594,7 +593,8 @@ def _affine_minimizer(sc: _ScaledPoints, pts: Sequence[Vec],
     sol = linalg.solve_integer(a, [0] * k + [1])
     if sol is None:
         return None
-    w = sol[:k]
+    d, num = sol
+    w = [Fraction(v, d) for v in num[:k]]
     y = [sum(w[t] * pts[i][c] for t, i in enumerate(subset)) for c in range(len(pts[0]))]
     return w, y
 
@@ -705,7 +705,8 @@ def exhaustive_canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult
         for subset in itertools.combinations(active, size):
             a = [[srows[r][i] for i in subset] for r in range(ps.dim)]
             a.append([1] * size)
-            w = linalg.solve_integer(a, b)
+            sol = linalg.solve_integer(a, b)
+            w = None if sol is None else [Fraction(v, sol[0]) for v in sol[1]]
             if w is not None and all(wi > 0 for wi in w):
                 weights = [Fraction(0)] * len(ps.points)
                 for i, wi in zip(subset, w):

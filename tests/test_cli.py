@@ -182,6 +182,17 @@ def test_stratum_rejects_zero_bracket(tmp_path, capsys):
     assert "no stratum" in err
 
 
+def test_stratum_rejects_a_negative_max_iter(tmp_path, capsys):
+    # the flow runs no iteration for max_iter < 0: an input error, not a traceback
+    f = put(tmp_path, "n4.json", N4)
+    code, out, err = run(capsys, "stratum", f, "--max-iter", "-1")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "max_iter" in err
+    # max_iter 0 still examines the starting point
+    code, out, _ = run(capsys, "stratum", f, "--max-iter", "0", "--format", "json")
+    assert code == 0 and json.loads(out)["flow"]["iterations"] == 0
+
+
 def test_stratum_trace_csv(tmp_path, capsys):
     f = put(tmp_path, "n4.json", N4)
     trace = tmp_path / "trace.csv"
@@ -464,19 +475,25 @@ def test_minnorm_rejects_labels_that_are_not_a_list_of_strings(tmp_path, capsys,
     assert "labels: expected a list of strings" in err
 
 
-def test_minnorm_scales_its_point_set_once(tmp_path, capsys, monkeypatch):
-    # min_norm_point, canonical_form and verify all read the one cached
-    # scaling of the point set
+def test_minnorm_computes_the_gram_matrix_once(tmp_path, capsys, monkeypatch):
+    # min_norm_point and canonical_form both read the one cached Gram matrix
+    # of the point set (verify reads the coordinates only)
+    import functools
+
     from solvstrat import minnorm
 
     calls = []
-    real = minnorm._scaled
+    real = minnorm.PointSet.__dict__["gram"].func
 
     def spy(ps):
         calls.append(1)
         return real(ps)
 
-    monkeypatch.setattr(minnorm, "_scaled", spy)
+    gram = functools.cached_property(spy)
+    gram.__set_name__(minnorm.PointSet, "gram")
+    monkeypatch.setattr(minnorm.PointSet, "gram", gram)
+    # the optimum is the origin, on the segment of the first two points, and
+    # every point is active there, so canonical_form searches
     ps = {"dim": 2, "points": [["1", "0"], ["-1", "0"], ["0", "1/2"], ["3", "3"]]}
     code, _, _ = run(capsys, "minnorm", put(tmp_path, "ps.json", ps), "--format", "json")
     assert code == 0

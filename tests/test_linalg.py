@@ -20,6 +20,15 @@ def _sparse(m):
     return [{c: x for c, x in enumerate(row) if x} for row in m]
 
 
+def _integer_rows(m):
+    # each row times the lcm of its denominators, as the null space kernel takes it
+    rows = []
+    for row in m:
+        den = math.lcm(*(F(x).denominator for x in row))
+        rows.append({c: int(F(x) * den) for c, x in enumerate(row) if x})
+    return rows
+
+
 def _dense(rows, cols):
     # Fraction entries: rref would divide int rows into floats
     return [[F(row.get(c, 0)) for c in range(cols)] for row in rows]
@@ -119,11 +128,17 @@ def test_nullspace_numerators_match_the_fraction_route(m):
     # denominators, and only the nonzero numerators are listed
     cols = len(m[0])
     want = fraction_nullspace(_sparse(m), cols)
-    got = linalg._nullspace_numerators(_sparse(m), cols)
+    got = linalg._nullspace_numerators(_integer_rows(m), cols)
     assert len(got) == len(want)
     for (den, nums), v in zip(got, want):
         assert den == math.lcm(*(x.denominator for x in v))
         assert nums == {c: int(x * den) for c, x in enumerate(v) if x}
+
+
+def test_numerators_clear_denominators_by_their_lcm():
+    assert linalg.numerators([F(1, 6), F(-3, 4), 2, F(0)]) == (12, [2, -9, 24, 0])
+    assert linalg.numerators([3, -1]) == (1, [3, -1])
+    assert linalg.numerators([]) == (1, [])
 
 
 def test_nullspace_numerators_of_a_pivot_that_does_not_divide_den():
@@ -211,7 +226,12 @@ def test_solve_integer_matches_rref_solve_on_a_battery():
         fa = [[Fraction(x) for x in row] for row in a]
         full = len(rref(fa)[1]) == cols
         want = solve(fa, [Fraction(x) for x in b]) if full else None
-        assert linalg.solve_integer(a, b) == want
+        got = linalg.solve_integer(a, b)
+        if want is None:
+            assert got is None
+        else:
+            d, y = got
+            assert d > 0 and [Fraction(v, d) for v in y] == want
         seen.add((rows > cols, full, want is not None))
     # a square system of full rank is always consistent
     assert seen == {(False, False, False), (False, True, True), (True, False, False),

@@ -38,7 +38,8 @@ def test_integer_solve_kernel_matches_fraction_elimination():
             assert got is None
             seen_none = True
         else:
-            assert got == ref
+            d, y = got
+            assert d > 0 and [F(v, d) for v in y] == ref
             seen_sol = True
     assert seen_none and seen_sol
 
@@ -230,7 +231,7 @@ def test_integer_wolfe_equals_the_fraction_loop(monkeypatch):
         assert calls == ref_calls
         res.verify(ps)
         # a solve with a nonpositive weight (the multiplier is last) drops a point
-        drops += any(sol is not None and min(sol[:-1]) <= 0 for _, _, sol in calls)
+        drops += any(sol is not None and min(sol[1][:-1]) <= 0 for _, _, sol in calls)
     assert drops > 0
 
 
@@ -252,6 +253,27 @@ def test_min_norm_point_makes_no_fraction_dot(monkeypatch):
     # the spy is live: norm_sq still takes a Fraction dot
     results[-1].norm_sq()
     assert calls == [1]
+
+
+def test_min_norm_point_builds_fractions_only_for_its_result(monkeypatch):
+    # Wolfe's loop and its solves run on integers; the only Fractions made
+    # are the point's coordinates and the corral's weights, once, at the end
+    sets = list(_battery_sets())
+    made = []
+
+    def spy(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(minnorm, "Fraction", spy)
+    monkeypatch.setattr(linalg, "Fraction", spy)
+    partial = 0
+    for ps in sets:
+        made.clear()
+        res = min_norm_point(ps)
+        assert len(made) == ps.dim + len(res.support), ps
+        partial += len(res.support) < len(ps)
+    assert partial > 0
 
 
 def test_oracles_share_no_private_min_norm_helper():

@@ -518,18 +518,38 @@ def test_diagonal_weight_make_gives_one_mode_per_label():
     assert repr(certify_candidate(mu, mixed)) == repr(certify_candidate(mu, floats))
 
 
+def _private_imports(module):
+    return [(name, alias.name) for name, tree in _trees() for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == module
+            for alias in node.names if alias.name.startswith("_")]
+
+
 def test_no_module_imports_a_private_name_from_flow():
-    private = [(name, alias.name) for name, tree in _trees() for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.module == "flow"
-               for alias in node.names if alias.name.startswith("_")]
-    assert private == []
+    assert _private_imports("flow") == []
+
+
+def test_no_module_imports_a_private_name_from_minnorm():
+    # strata reaches the min-norm layer through PointSet and min_norm_point
+    assert _private_imports("minnorm") == []
+
+
+def _modules_calling(name, reading):
+    """The modules with a call to name (a function or method) one of whose
+    arguments reads the attribute reading."""
+    return [module for module, tree in _trees() for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and any(isinstance(sub, ast.Attribute) and sub.attr == reading
+                    for arg in node.args for sub in ast.walk(arg))]
 
 
 def test_only_the_bracket_layer_scales_coefficients_to_integers():
-    # the integer view N = L mu is built in one place, BracketTensor._integer
-    scaling = [name for name, tree in _trees() for node in ast.walk(tree)
-               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-               and node.func.attr == "lcm"
-               and any(isinstance(sub, ast.Attribute) and sub.attr == "coeffs"
-                       for arg in node.args for sub in ast.walk(arg))]
-    assert scaling == ["bracket.py"]
+    # the integer view N = L mu is built in one place, BracketTensor._integer:
+    # only bracket.py passes .coeffs to linalg.numerators
+    assert _modules_calling("numerators", "coeffs") == ["bracket.py"]
+
+
+def test_denominators_are_cleared_only_by_linalg_numerators():
+    # one helper writes out the common-denominator idiom: no other module
+    # takes the lcm of denominators itself
+    assert _modules_calling("lcm", "denominator") == ["linalg.py"]

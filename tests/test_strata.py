@@ -467,7 +467,8 @@ def test_certificates_match_the_fraction_route(mu, beta):
 
 
 def test_exact_label_path_stays_in_integers(monkeypatch):
-    # beta_of builds the integer scaled view of the weights itself, and an
+    # beta_of hands the integer weights to the min-norm layer as a PointSet
+    # of integer coordinates, whose Fraction view it never reads, and an
     # exact certificate takes the null space numerators as they are
     rng = np.random.default_rng(73)
     brackets = [H3, N4, filiform(8), free_two_step(3)] + [
@@ -478,7 +479,7 @@ def test_exact_label_path_stays_in_integers(monkeypatch):
         raise AssertionError("the exact label path left its integer kernels")
 
     monkeypatch.setattr(minnorm.PointSet, "make", staticmethod(refuse))
-    monkeypatch.setattr(minnorm, "_scaled", refuse)
+    monkeypatch.setattr(minnorm.PointSet, "points", property(refuse))
     monkeypatch.setattr(linalg, "nullspace", refuse)
     got = [(beta_of(mu), certify_candidate(*_chamber_pair(mu))) for mu in brackets]
     assert repr(got) == repr(want)
