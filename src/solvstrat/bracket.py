@@ -9,9 +9,9 @@ driven by its nonzeros (and by the nonzeros of the matrix acting on it);
 "float" work runs on dense (n, n, n) ndarray kernels (act_array, rep_array).
 Exact integer work reads one cached view, `_integer`: N = L mu with L the
 lcm of the coefficient denominators.  Spans (the central and derived series,
-the derivation algebra) are those of N; the Jacobi residual and the Ricci
-form, quadratic in mu, are those of N over L^2.  Verdicts compare by the
-rules of linalg.is_zero / nonneg / positive.
+the derivation algebra) are those of N, reduced by linalg.echelon; the
+Jacobi residual and the Ricci form, quadratic in mu, are those of N over
+L^2.  Verdicts compare by the rules of linalg.is_zero / nonneg / positive.
 
 Group and Lie algebra actions:
 
@@ -426,24 +426,6 @@ def _eval_int(coeffs: Mapping[Key, int], x: dict[int, int], y: dict[int, int]) -
     return {k: v for k, v in out.items() if v}
 
 
-def _integer_basis(vectors) -> list[dict[int, int]]:
-    """Echelon basis of the span of sparse integer vectors, by fraction-free
-    elimination: each vector is cleared against the pivot row of its
-    leading index until it vanishes or leads at a new pivot, stored
-    primitive.  The span and so its dimension are those of rational
-    elimination."""
-    pivots: dict[int, dict[int, int]] = {}
-    for row in vectors:
-        while row:
-            p = min(row)
-            other = pivots.get(p)
-            if other is None:
-                pivots[p] = linalg._primitive(row, False)
-                break
-            row = linalg._clear(row, other, p)
-    return list(pivots.values())
-
-
 def _reduce_basis(vectors, tol: float):
     """Float vectors spanning the same space, from an SVD."""
     if not vectors:
@@ -471,14 +453,15 @@ def _central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> list[int]:
 
     Each term is spanned by [e_i, b] for the basis b of the previous one,
     built from the coefficients that involve e_i.  Exact mode brackets with
-    the integer multiple L mu and reduces by _integer_basis; float mode
-    reduces by an SVD.
+    the integer multiple L mu and takes the pivot rows of linalg.echelon as
+    the basis; float mode reduces by an SVD.
     """
     n = mu.dim
     if mu.is_exact_mode:
         rows = _ad_lists(mu._integer[1], n)
         basis = [{c: 1} for c in range(n)]
-        bracket_unit, reduce = _bracket_unit_int, _integer_basis
+        bracket_unit = _bracket_unit_int
+        reduce = lambda vectors: list(linalg.echelon(vectors).values())
     else:
         rows = _ad_lists(mu.coeffs, n)
         basis = [[float(i == j) for j in range(n)] for i in range(n)]
@@ -501,14 +484,15 @@ def is_solvable(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
 
     [g, g] is spanned by the vectors mu(e_i, e_j), read off the
     coefficients; later terms bracket pairs of basis vectors.  Exact mode
-    works on the integer multiple L mu and reduces by _integer_basis, float
-    mode by an SVD.
+    works on the integer multiple L mu and takes the pivot rows of
+    linalg.echelon as the basis, float mode reduces by an SVD.
     """
     n = mu.dim
     if mu.is_exact_mode:
         coeffs = mu._integer[1]
         gens = [{k - 1: c for k, c in e} for e in _slot_tables(coeffs)[1].values()]
-        evaluate, reduce = functools.partial(_eval_int, coeffs), _integer_basis
+        evaluate = functools.partial(_eval_int, coeffs)
+        reduce = lambda vectors: list(linalg.echelon(vectors).values())
     else:
         gens = [mu.pair(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         evaluate, reduce = mu.eval, lambda vectors: _reduce_basis(vectors, tol)
@@ -527,8 +511,8 @@ def is_solvable(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
 def derivations(mu: BracketTensor, tol: float = DEFAULT_TOL):
     """Basis of {a : rep(a, mu) = 0}, the derivation algebra of mu.
 
-    Exact mode: canonical rational basis from the reduced echelon null space
-    of the integer system (_derivation_system).  Float mode: orthonormal
+    Exact mode: the canonical rational basis of _exact_derivations, its
+    integer numerators written out in Fractions.  Float mode: orthonormal
     basis from an SVD of the system rep(E_rc, mu) = 0, laid out by three
     scatters: at the slot (i, j, k), column (r, c) of rep(E_rc, mu) holds
     [k = r] mu_ij^c - [i = c] mu_rj^k - [j = c] mu_ir^k.  Returns a list of
@@ -536,8 +520,9 @@ def derivations(mu: BracketTensor, tol: float = DEFAULT_TOL):
     """
     n = mu.dim
     if mu.is_exact_mode:
-        return [[vec[r * n: (r + 1) * n] for r in range(n)]
-                for vec in linalg.nullspace(_derivation_system(mu), n * n)]
+        return [linalg.fraction_rows([[nums.get(r * n + c, 0) for c in range(n)]
+                                      for r in range(n)], den)
+                for den, nums in _exact_derivations(mu)]
     arr = mu.to_array()
     si, sj, sk = np.array(_slots(n), dtype=int).reshape(-1, 3).T - 1
     row = np.arange(len(si))
@@ -562,8 +547,8 @@ def _slots(n: int) -> list[Key]:
 def _exact_derivations(mu: BracketTensor) -> list[tuple[int, dict[int, int]]]:
     """The canonical derivation basis of an exact bracket as integers: per
     element D, (den, {r n + c: den D_rc}) over its nonzero entries, from
-    linalg._nullspace_numerators.  derivations writes the same basis out
-    in Fractions."""
+    linalg._nullspace_numerators of the integer system (_derivation_system).
+    derivations writes this basis out in Fractions."""
     return linalg._nullspace_numerators(_derivation_system(mu), mu.dim ** 2)
 
 

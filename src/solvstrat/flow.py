@@ -128,14 +128,18 @@ def flow_to_critical(
     stops and reports the best iterate; downstream exact certification
     decides whether that point is a genuine critical limit.
 
-    Raises ValueError for the zero bracket and for a negative max_iter.
+    Raises ValueError for the zero bracket, for a nonzero bracket whose
+    float norm underflows to 0, and for a negative max_iter.
     """
     if mu0.is_zero():
         raise ValueError("cannot flow the zero bracket")
     if max_iter < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter}")
     arr = mu0.to_array()
-    arr /= _norm(arr)
+    norm = _norm(arr)
+    if norm == 0.0:
+        raise ValueError("the bracket's norm underflows to 0 in floating point")
+    arr /= norm
     trace: list[tuple[int, float, float]] | None = [] if record_trace else None
 
     def moment_of(a: np.ndarray) -> tuple[np.ndarray, float]:

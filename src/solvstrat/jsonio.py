@@ -7,9 +7,11 @@ Bracket files (1-based indices, a-block first, [x_i, x_j] = sum_k c e_k):
                   {"i": 1, "j": 2, "k": 2, "c": "1/2"}],
      "gram": [[...], ...]}          # optional inner product matrix
 
-Scalars are ints, floats, or "p/q" strings; ints and strings stay exact.
+Scalars are ints, finite floats, or "p/q" strings; ints and strings stay
+exact.
 Point set files (exact entries only: ints or "p/q" strings; "labels", if
-present, is a list of strings, one per point):
+present, is a list of strings, one per point, checked and then dropped: no
+output reads it):
 
     {"dim": 3, "points": [["-1", "-1", "1"], ["-1", "0", "0"]]}
 
@@ -91,7 +93,13 @@ def parse_bracket_dict(obj, where: str = "input") -> BracketFile:
         if (not isinstance(gram, list) or len(gram) != d
                 or any(not isinstance(r, list) or len(r) != d for r in gram)):
             raise FormatError(f"{where}.gram: expected a {d} x {d} matrix")
-        gram = [[parse_scalar(x) for x in row] for row in gram]
+        rows = []
+        for pos, row in enumerate(gram):
+            try:
+                rows.append([parse_scalar(x) for x in row])
+            except ValueError as exc:
+                raise FormatError(f"{where}.gram[{pos}]: {exc}") from exc
+        gram = rows
     try:
         bracket = BracketTensor.make(d, coeffs)
     except ValueError as exc:
@@ -147,8 +155,11 @@ def read_point_set(path) -> PointSet:
     if labels is not None and (not isinstance(labels, list)
                                or not all(isinstance(s, str) for s in labels)):
         raise FormatError(f"{where}.labels: expected a list of strings")
+    if labels is not None and len(labels) != len(pts):
+        raise FormatError(f"{where}.labels: expected {len(pts)} labels, one per point, "
+                          f"got {len(labels)}")
     try:
-        return PointSet.make(pts, labels)
+        return PointSet.make(pts)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from exc
 

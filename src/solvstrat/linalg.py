@@ -4,15 +4,17 @@ Matrices are lists (or tuples) of rows of Fractions, vectors are sequences of
 Fractions.  Exact pivots keep every result free of conditioning questions,
 and a deterministic pivot choice (first nonzero) keeps every derived basis
 reproducible run to run.  Every elimination is fraction-free, in integers,
-which pays no gcd per arithmetic step: _nullspace_numerators runs a
-content-normalized Gauss-Jordan on sparse integer rows, because its largest
-caller, the derivation system of an n-dimensional bracket, has n * C(n, 2)
-mostly-zero integer rows (450 rows by 100 columns at n = 10); nullspace and
-invert clear rational rows of their denominators (numerators) and call it;
-bareiss_triangularize and solve_integer serve the min-norm layer and return
-integers; is_psd decides an integer symmetric matrix by fraction-free Schur
-complements.  is_zero, nonneg and positive state the comparison rule of
-each mode.
+which pays no gcd per arithmetic step.  One sparse eliminator, echelon, runs
+a content-normalized Gauss-Jordan on sparse integer rows and serves every
+exact span, rank and null space: its largest caller, the derivation system
+of an n-dimensional bracket, has n * C(n, 2) mostly-zero integer rows (450
+rows by 100 columns at n = 10).  _nullspace_numerators reads the canonical
+null space basis off it, and invert clears rational rows of their
+denominators (numerators) and calls that.  solve_integer keeps its own
+dense Bareiss elimination for the small square systems of the min-norm
+layer, where it is faster, and returns integers; is_psd decides an integer
+symmetric matrix by fraction-free Schur complements.  is_zero, nonneg and
+positive state the comparison rule of each mode.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Rational
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[Fraction, float]
 
@@ -58,12 +60,16 @@ def positive(x, tol: float) -> bool:
 
 
 def parse_scalar(v) -> Scalar:
-    """JSON value -> scalar: ints and 'p/q' strings stay exact, floats stay float."""
+    """JSON value -> scalar: ints and 'p/q' strings stay exact, finite floats
+    stay float.  Python's json reads NaN, Infinity and overflowing literals
+    such as 1e309 as non-finite floats; those raise ValueError."""
     if isinstance(v, bool):
         raise ValueError(f"expected a number, got {v!r}")
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"expected a finite number, got {v!r}")
         return v
     if isinstance(v, str):
         try:
@@ -132,49 +138,29 @@ def numerators(values: Sequence[Rational]) -> tuple[int, list[int]]:
     return den, [x.numerator * (den // x.denominator) for x in values]
 
 
-def nullspace(rows: Sequence[Mapping[int, Rational]], cols: int) -> list[list[Fraction]]:
-    """Canonical basis of the right null space (free variables set to 1).
-
-    rows are sparse, {column: value} with columns in range(cols) and int or
-    Fraction values; zero values are ignored.  The basis is that of
-    _nullspace_numerators on the cleared rows, each vector num / den written
-    out densely in Fractions.
-    """
-    basis = []
-    for den, nums in _nullspace_numerators([_integer_row(r) for r in rows], cols):
-        v = [ZERO] * cols
-        for c, x in nums.items():
-            v[c] = Fraction(x, den)
-        basis.append(v)
-    return basis
-
-
 def _integer_row(sparse: Mapping[int, Rational]) -> dict[int, int]:
     """The sparse row times the lcm of its denominators, zeros dropped."""
     _, nums = numerators(list(sparse.values()))
     return {c: x for c, x in zip(sparse, nums) if x}
 
 
-def _nullspace_numerators(rows: Sequence[Mapping[int, int]],
-                          cols: int) -> list[tuple[int, dict[int, int]]]:
-    """The canonical null space basis of integer rows {column: nonzero int}:
-    per free column f, ascending, (den, {column: numerator}) with the basis
-    vector num / den, den the lcm of its entries' reduced denominators and
-    only the nonzero entries listed (den itself at f).
+def echelon(rows: Iterable[Mapping[int, int]]) -> dict[int, dict[int, int]]:
+    """The reduced echelon form of sparse integer rows {column: nonzero int}
+    as {pivot column: pivot row}, pivot columns in the order found.
 
     The rows are eliminated by Gauss-Jordan: each is reduced by the pivot
     rows found so far (row = p * row - f * P with p, f the coprime parts of
     the two entries), divided by the gcd of its entries and signed so that
-    its pivot is positive, and a new pivot row is cleared out of the earlier
-    ones the same way.  Each pivot row is then the primitive integer multiple of its
-    row of the reduced echelon form.  That form is unique, so the basis
-    -x / pivot is the one a dense rref gives.  With g = gcd(x, pivot) the
-    entry -x / pivot is -(x / g) / (pivot / g) in lowest terms, so its
-    numerator over den is -(x / g) * (den / (pivot / g)); the pivot itself
-    need not divide den.
+    its pivot, its smallest column, is positive, and a new pivot row is
+    cleared out of the earlier ones the same way.  Each pivot row is then
+    the primitive integer multiple of its row of the reduced row echelon
+    form, which is unique; the pivot rows span the rows, and their number is
+    the rank.  Rows that reduce to zero are dropped.
     """
     pivot_rows: dict[int, dict[int, int]] = {}
     for row in rows:
+        if not row:
+            continue   # zero rows are common (most brackets in a series vanish)
         # pivot rows vanish on each other's pivot columns, so one pass suffices
         for c in [c for c in row if c in pivot_rows]:
             row = _clear(row, pivot_rows[c], c)
@@ -186,6 +172,23 @@ def _nullspace_numerators(rows: Sequence[Mapping[int, int]],
             if p in other:
                 pivot_rows[q] = _primitive(_clear(other, row, p), False)
         pivot_rows[p] = row
+    return pivot_rows
+
+
+def _nullspace_numerators(rows: Sequence[Mapping[int, int]],
+                          cols: int) -> list[tuple[int, dict[int, int]]]:
+    """The canonical null space basis of integer rows {column: nonzero int}:
+    per free column f, ascending, (den, {column: numerator}) with the basis
+    vector num / den, den the lcm of its entries' reduced denominators and
+    only the nonzero entries listed (den itself at f).
+
+    The free columns are those without a pivot in echelon(rows).  The
+    reduced echelon form is unique, so the basis -x / pivot is the one a
+    dense rref gives.  With g = gcd(x, pivot) the entry -x / pivot is
+    -(x / g) / (pivot / g) in lowest terms, so its numerator over den is
+    -(x / g) * (den / (pivot / g)); the pivot itself need not divide den.
+    """
+    pivot_rows = echelon(rows)
     # per free column, the (pivot column, -x / g, pivot / g) of its entries
     entries: dict[int, list[tuple[int, int, int]]] = {
         f: [] for f in range(cols) if f not in pivot_rows}
@@ -250,55 +253,40 @@ def invert(m) -> list[list[Fraction]]:
     return inv
 
 
-def bareiss_triangularize(m: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row elimination of an integer matrix (Bareiss).
-
-    Returns (rows, pivot columns) with the pivot rows first and zeros below
-    each pivot.  Every division is exact, so entries stay bounded by minors
-    of the input; on the small hot systems here this beats Fraction
-    elimination, which pays a gcd on every arithmetic step.
-    """
-    a = [list(row) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(cols):
-        p = next((i for i in range(r, rows) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        piv = a[r][c]
-        lead = a[r]
-        for i in range(r + 1, rows):
-            f = a[i][c]
-            row = a[i]
-            # entries left of c are zero in rows >= r, keep them as is
-            a[i] = row[:c] + [(piv * row[j] - f * lead[j]) // prev
-                              for j in range(c, cols)]
-        prev = piv
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
-
-
 def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[int, list[int]] | None:
     """Unique exact solution of an integer linear system as integers (d, y),
     the solution being x = y / d with d > 0, or None.
 
-    d is the leading minor of the elimination up to sign, so y / d need not
-    be in lowest terms.  None covers inconsistent and underdetermined
-    systems alike; every call site wants a full-column-rank solve and
-    treats the rest as "skip".
+    The augmented matrix [a | b] is triangularized by dense fraction-free
+    row elimination (Bareiss), one pivot per column of a, the first nonzero
+    entry at or below the diagonal: every division by the previous pivot is
+    exact, so entries stay bounded by minors of the input; on the small hot
+    systems of the min-norm layer this beats the sparse echelon.  d is the
+    leading minor of the elimination up to sign, so y / d need not be in
+    lowest terms.  None covers inconsistent and underdetermined systems
+    alike; every call site wants a full-column-rank solve and treats the
+    rest as "skip".
     """
     cols = len(a[0]) if a else 0
-    aug = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    tri, pivots = bareiss_triangularize(aug)
-    if len(pivots) < cols or (pivots and pivots[-1] == cols):
-        return None
+    tri = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    rows = len(tri)
+    prev = 1
+    for c in range(cols):
+        p = next((i for i in range(c, rows) if tri[i][c]), None)
+        if p is None:
+            return None   # column c has no pivot: the rank is below cols
+        tri[c], tri[p] = tri[p], tri[c]
+        lead = tri[c]
+        piv = lead[c]
+        for i in range(c + 1, rows):
+            f = tri[i][c]
+            row = tri[i]
+            # entries left of c are zero in rows >= c, keep them as is
+            tri[i] = row[:c] + [(piv * row[j] - f * lead[j]) // prev
+                                for j in range(c, cols + 1)]
+        prev = piv
+    if any(row[cols] for row in tri[cols:]):
+        return None   # b is not in the column span: inconsistent
     # By Cramer's rule d * x is integral for the last pivot d, the leading
     # minor, so y = d * x back-substitutes in integers with exact divisions.
     d = tri[cols - 1][cols - 1] if cols else 1

@@ -72,10 +72,9 @@ class PointSet:
     dim: int
     den: int
     coords: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] | None = None
 
     @staticmethod
-    def make(points: Sequence[Sequence], labels: Sequence[str] | None = None) -> "PointSet":
+    def make(points: Sequence[Sequence]) -> "PointSet":
         pts = [[frac(x) for x in p] for p in points]
         if not pts:
             raise ValueError("point set must be nonempty")
@@ -86,10 +85,7 @@ class PointSet:
         coords = tuple(tuple(flat[i * dim:(i + 1) * dim]) for i in range(len(pts)))
         if len(set(coords)) != len(coords):
             raise ValueError("points must be distinct")
-        lab = tuple(labels) if labels is not None else None
-        if lab is not None and len(lab) != len(coords):
-            raise ValueError("labels length mismatch")
-        return PointSet(dim, den, coords, lab)
+        return PointSet(dim, den, coords)
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -278,8 +274,9 @@ def _dependent_subsets(cols: Sequence[Sequence[int]], k: int) -> Iterator[tuple[
     against it, so a child prefix + (t,) is dependent mod p exactly when
     column t has reduced to zero.  A child the screen clears is independent
     mod p, hence over Q, and is extended in blocks of lex-consecutive
-    prefixes by _extend.  A child it cannot clear is checked exactly
-    (linalg.bareiss_triangularize): if it is dependent, so is every
+    prefixes by _extend.  A child it cannot clear is checked exactly, by
+    linalg.echelon on its columns: it is dependent iff they yield fewer
+    pivots than there are columns.  If it is dependent, so is every
     completion, and those are yielded lazily, in order, without screening;
     if it is dependent mod p only, each completion is checked exactly. The
     pass yields the subsets an exact elimination would, in the same order.
@@ -289,8 +286,8 @@ def _dependent_subsets(cols: Sequence[Sequence[int]], k: int) -> Iterator[tuple[
         return
 
     def dependent(subset: tuple[int, ...]) -> bool:
-        _, pivots = linalg.bareiss_triangularize([cols[t] for t in subset])
-        return len(pivots) < len(subset)
+        vectors = [{r: v for r, v in enumerate(cols[t]) if v} for t in subset]
+        return len(linalg.echelon(vectors)) < len(subset)
 
     def walk(prefixes, red):
         # prefixes: a block of independent j-prefixes in lex order (rows);
@@ -332,12 +329,12 @@ def _square_support(cols: Sequence[Sequence[int]],
     used as pivots.  The child prefix + (t,) pivots on the first nonzero
     entry c_r of column t, and one step, (c_r u - u_r c) / prev with prev
     the previous pivot, reduces each later u; every division is exact, as in
-    linalg.bareiss_triangularize.  A column reduced to zero makes prefix +
-    (t,) dependent and every subset through it singular, and a b reduced to
-    zero lies in the prefix's span, so every completion's unique solution
-    is zero past it: either way the subtree is skipped.  At a leaf one row
-    is left, holding the system's determinant and, by Cramer's rule, the
-    determinant times the last weight (_leaf).
+    the Bareiss elimination of linalg.solve_integer.  A column reduced to
+    zero makes prefix + (t,) dependent and every subset through it singular,
+    and a b reduced to zero lies in the prefix's span, so every completion's
+    unique solution is zero past it: either way the subtree is skipped.  At
+    a leaf one row is left, holding the system's determinant and, by
+    Cramer's rule, the determinant times the last weight (_leaf).
     """
     size, n = len(b), len(cols)
     levels: list[tuple[int, int, list[int]]] = []   # (column, pivot, pivot row)

@@ -424,7 +424,8 @@ def rank_one_extension(lam: BracketTensor, c: Scalar | None = None,
     ad A|n = D / sqrt(tr D).  The Einstein constant of the extension is c,
     recovered from c = tr(Ric^2) / tr(Ric).  For lam = 0 the constant is not
     determined by lam and defaults to -dim (hyperbolic-space normalization);
-    pass c to override.  Raises ValueError when D fails to be a derivation.
+    pass c to override.  Raises ValueError when D fails to be a derivation
+    and when tr Ric of a float lam underflows to 0.
     """
     n = lam.dim
     if lam.is_zero():
@@ -435,7 +436,11 @@ def rank_one_extension(lam: BracketTensor, c: Scalar | None = None,
         d_mat = [[-cc if i == j else 0 for j in range(n)] for i in range(n)]
     else:
         ric = _ric_exact(lam) if lam.is_exact_mode else ric_array(lam.to_array()).tolist()
-        cc = linalg.trace_product(ric, ric) / linalg.trace(ric)
+        # tr Ric = -|lam|^2 / 4 is nonzero unless a float |lam|^2 underflows
+        tr_ric = linalg.trace(ric)
+        if tr_ric == 0:
+            raise ValueError("tr Ric underflows to 0 in floating point")
+        cc = linalg.trace_product(ric, ric) / tr_ric
         d_mat = [[x - cc if i == j else x for j, x in enumerate(row)]
                  for i, row in enumerate(ric)]
         resid = rep(d_mat, lam)

@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from oracles import identity, matmul
-from solvstrat import linalg
+from oracles import fraction_nullspace, identity, matmul
 from solvstrat.bracket import BracketTensor, act, direct_sum
 from solvstrat.catalog import abelian, filiform4, heisenberg3
 from solvstrat.minnorm import PointSet
@@ -153,7 +152,7 @@ def diagonal_derivation_basis(mu: BracketTensor) -> list[list[Fraction]]:
     diag(d) is a derivation iff <d, alpha> = 0 for every supported weight.
     """
     rows = [dict(enumerate(_integer_weight(i, j, k, mu.dim))) for (i, j, k) in mu.support()]
-    return linalg.nullspace(rows, mu.dim)
+    return fraction_nullspace(rows, mu.dim)
 
 
 def random_solvable(rng: np.random.Generator, max_dim: int = 7,

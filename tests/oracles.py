@@ -130,6 +130,18 @@ def dense_nullspace(m):
     return basis
 
 
+def numerator_basis(basis, cols: int) -> list[list[Fraction]]:
+    """The null space numerators (den, {column: numerator}) of
+    linalg._nullspace_numerators written out densely in Fractions."""
+    out = []
+    for den, nums in basis:
+        v = [ZERO] * cols
+        for c, x in nums.items():
+            v[c] = Fraction(x, den)
+        out.append(v)
+    return out
+
+
 def fraction_nullspace(rows, cols: int) -> list[list[Fraction]]:
     """Canonical null space basis by sparse Gauss-Jordan in Fractions.
 

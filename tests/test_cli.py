@@ -475,6 +475,65 @@ def test_minnorm_rejects_labels_that_are_not_a_list_of_strings(tmp_path, capsys,
     assert "labels: expected a list of strings" in err
 
 
+def test_minnorm_rejects_labels_of_the_wrong_length(tmp_path, capsys):
+    # labels are a file-format concern: checked on reading, then dropped
+    obj = {"dim": 2, "points": [[1, 0]], "labels": ["a", "b"]}
+    code, out, err = run(capsys, "minnorm", put(tmp_path, "ps.json", obj))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "labels: expected 1 labels, one per point, got 2" in err
+    plain = run(capsys, "minnorm", put(tmp_path, "plain.json", {"dim": 2, "points": [[1, 0]]}),
+                "--format", "json")
+    obj["labels"] = ["a"]
+    assert run(capsys, "minnorm", put(tmp_path, "ps.json", obj), "--format", "json") == plain
+    assert plain[0] == 0
+
+
+# literals Python's json reads as non-finite floats
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e309"]
+BRACKET_COMMANDS = {"validate": ("validate",), "stratum": ("stratum",),
+                    "einstein": ("einstein",), "audit": ("einstein", "--audit"),
+                    "extend": ("extend",)}
+
+
+def _raw_bracket(tmp_path, c, gram="null"):
+    p = tmp_path / "raw.json"
+    p.write_text('{"dim_a": 0, "dim_n": 3, "brackets": '
+                 f'[{{"i": 1, "j": 2, "k": 3, "c": {c}}}], "gram": {gram}}}')
+    return str(p)
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+@pytest.mark.parametrize("command", BRACKET_COMMANDS.values(), ids=BRACKET_COMMANDS)
+def test_non_finite_coefficients_are_input_errors(tmp_path, capsys, command, literal):
+    code, out, err = run(capsys, command[0], _raw_bracket(tmp_path, literal), *command[1:])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "brackets[0].c: expected a finite number" in err
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_non_finite_gram_entries_name_the_field(tmp_path, capsys, literal):
+    gram = f'[[1, 0, 0], [0, {literal}, 0], [0, 0, 1]]'
+    code, out, err = run(capsys, "einstein", _raw_bracket(tmp_path, 1, gram))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "gram[1]: expected a finite number" in err
+
+
+def test_an_underflowing_float_norm_is_reported(tmp_path, capsys):
+    # |mu|^2 = 2e-600 underflows to 0.0, so neither the flow's normalisation
+    # nor c = tr(Ric^2) / tr(Ric) can be formed: an error line, no traceback
+    f = put(tmp_path, "tiny.json", {"dim_a": 0, "dim_n": 3,
+                                    "brackets": [{"i": 1, "j": 2, "k": 3, "c": 1e-300}]})
+    code, out, err = run(capsys, "extend", f)
+    assert (code, err) == (2, "")
+    assert out == "extension failed: tr Ric underflows to 0 in floating point\n"
+    for argv in (("stratum", f), ("extend", f, "--flow-first")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "error: the bracket's norm underflows to 0 in floating point\n"
+
+
 def test_minnorm_computes_the_gram_matrix_once(tmp_path, capsys, monkeypatch):
     # min_norm_point and canonical_form both read the one cached Gram matrix
     # of the point set (verify reads the coordinates only)

@@ -1,4 +1,5 @@
-"""Exact linear algebra: the sparse null space and the inverse against the dense rref route."""
+"""Exact linear algebra: the sparse echelon, its null space and the inverse
+against the dense rref route."""
 
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 from generators import filiform, free_two_step, rand_frac
 from oracles import (dense_nullspace, fraction_is_psd, fraction_nullspace, identity, matmul,
-                     rref, rref_inverse, solve)
+                     numerator_basis, rref, rref_inverse, solve)
 from solvstrat import linalg
 from solvstrat.bracket import BracketTensor, act, derivations
 from solvstrat.catalog import filiform4, heisenberg3
@@ -97,12 +98,29 @@ def _integer_battery():
 @pytest.mark.parametrize("m", [pytest.param(m, id=name)
                                for name, m in [*_battery(), *_integer_battery()]])
 def test_nullspace_matches_dense_rref_on_a_battery(m):
-    got = linalg.nullspace(_sparse(m), len(m[0]))
+    cols = len(m[0])
+    got = numerator_basis(linalg._nullspace_numerators(_integer_rows(m), cols), cols)
     assert got == dense_nullspace([[F(x) for x in row] for row in m])
-    assert got == fraction_nullspace(_sparse(m), len(m[0]))
+    assert got == fraction_nullspace(_sparse(m), cols)
     assert all(type(x) is F for v in got for x in v)
     for v in got:
         assert all(linalg.dot(row, v) == 0 for row in m)
+
+
+@pytest.mark.parametrize("m", [pytest.param(m, id=name)
+                               for name, m in [*_battery(), *_integer_battery()]])
+def test_echelon_spans_the_rows_of_the_dense_rref(m):
+    # the pivot rows are the rref's rows scaled to primitive integers with a
+    # positive pivot, on the same pivot columns
+    cols = len(m[0])
+    got = linalg.echelon(_integer_rows(m))
+    r, pivots = rref([[F(x) for x in row] for row in m])
+    assert sorted(got) == pivots
+    for p, row in zip(pivots, r):
+        prim = got[p]
+        assert all(type(x) is int and x for x in prim.values())
+        assert prim[p] > 0 and math.gcd(*prim.values()) == 1
+        assert [F(prim.get(c, 0), prim[p]) for c in range(cols)] == row
 
 
 def _pivot_battery():
@@ -149,9 +167,12 @@ def test_nullspace_numerators_of_a_pivot_that_does_not_divide_den():
 
 
 def test_nullspace_of_no_rows_and_zero_values():
-    assert linalg.nullspace([], 3) == identity(3)
-    assert linalg.nullspace([{0: F(0), 2: F(2)}, {}], 3) == [[F(1), F(0), F(0)],
-                                                             [F(0), F(1), F(0)]]
+    # no rows leave every column free; an empty row and a row that cancels
+    # add no pivot
+    assert linalg.echelon([]) == linalg.echelon([{}]) == {}
+    assert numerator_basis(linalg._nullspace_numerators([], 3), 3) == identity(3)
+    assert linalg.echelon([{2: 2}, {}, {2: -3}]) == {2: {2: 1}}
+    assert linalg._nullspace_numerators([{2: 2}, {}, {2: -3}], 3) == [(1, {0: 1}), (1, {1: 1})]
 
 
 @pytest.mark.parametrize("mu", [heisenberg3(), filiform4(), filiform(8), filiform(10),
@@ -162,15 +183,18 @@ def test_nullspace_matches_dense_rref_on_derivation_systems(mu, monkeypatch):
 
     def spy(rows, cols):
         systems.append((rows, cols))
-        return nullspace(rows, cols)
+        return kernel(rows, cols)
 
-    nullspace = linalg.nullspace
-    monkeypatch.setattr(linalg, "nullspace", spy)
-    derivations(mu)
+    kernel = linalg._nullspace_numerators
+    monkeypatch.setattr(linalg, "_nullspace_numerators", spy)
+    basis = derivations(mu)
     assert len(systems) == 1
     rows, cols = systems[0]
     assert cols == mu.dim ** 2
-    assert nullspace(rows, cols) == dense_nullspace(_dense(rows, cols))
+    want = dense_nullspace(_dense(rows, cols))
+    assert numerator_basis(kernel(rows, cols), cols) == want
+    # derivations writes the same basis out as n x n matrices
+    assert [[x for row in d for x in row] for d in basis] == want
 
 
 def test_rational_derivation_system_reaches_nullspace_in_integers(monkeypatch):
@@ -180,10 +204,10 @@ def test_rational_derivation_system_reaches_nullspace_in_integers(monkeypatch):
 
     def spy(rows, cols):
         systems.append(rows)
-        return nullspace(rows, cols)
+        return kernel(rows, cols)
 
-    nullspace = linalg.nullspace
-    monkeypatch.setattr(linalg, "nullspace", spy)
+    kernel = linalg._nullspace_numerators
+    monkeypatch.setattr(linalg, "_nullspace_numerators", spy)
     g = [[F(1), F(1, 3), F(0), F(0)], [F(0), F(2, 5), F(0), F(1)],
          [F(1, 7), F(0), F(1), F(0)], [F(0), F(0), F(-1, 2), F(1)]]
     mu = act(g, filiform4())

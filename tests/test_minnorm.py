@@ -51,8 +51,6 @@ def test_point_set_validation():
         PointSet.make([(1, 0), (1,)])
     with pytest.raises(ValueError):
         PointSet.make([(1, 0), (1, 0)])
-    with pytest.raises(ValueError):
-        PointSet.make([(1, 0)], labels=["a", "b"])
 
 
 def test_singleton_hull():
@@ -453,7 +451,7 @@ def test_dependent_subsets_are_lazy(monkeypatch):
     rng = np.random.default_rng(12)
     cols = [[0, 0, 0]] + rng.integers(-5, 6, (39, 3)).tolist()
     blocks = _spy(monkeypatch, minnorm, "_extend")
-    exact = _spy(monkeypatch, linalg, "bareiss_triangularize")
+    exact = _spy(monkeypatch, linalg, "echelon")
     assert next(minnorm._dependent_subsets(cols, 3)) == (0, 1, 2)
     assert len(blocks) <= 1 and len(exact) == 1
     # the full listing does extend prefixes, so the counter is live

@@ -553,3 +553,20 @@ def test_denominators_are_cleared_only_by_linalg_numerators():
     # one helper writes out the common-denominator idiom: no other module
     # takes the lcm of denominators itself
     assert _modules_calling("lcm", "denominator") == ["linalg.py"]
+
+
+def test_one_sparse_eliminator_serves_every_exact_span():
+    # linalg.echelon is the only sparse elimination loop: its row operations
+    # stay private to linalg, and the retired copies are not defined again
+    steps = {"_clear", "_primitive"}
+    readers = sorted({module for module, tree in _trees() if module != "linalg.py"
+                      for node in ast.walk(tree)
+                      if (isinstance(node, ast.Attribute) and node.attr in steps)
+                      or (isinstance(node, ast.ImportFrom)
+                          and any(alias.name in steps for alias in node.names))})
+    assert readers == []
+    retired = {"_integer_basis", "nullspace", "bareiss_triangularize"}
+    defined = [(module, node.name) for module, tree in _trees() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name in retired]
+    assert defined == []

@@ -10,7 +10,7 @@ import pytest
 from generators import filiform, free_two_step, rand_frac, random_nilpotent, random_tensor
 from oracles import (dense_adbeta_gram, fraction_certify_candidate,
                      fraction_derivation_certificates, fraction_derivations)
-from solvstrat import linalg, minnorm, strata
+from solvstrat import minnorm, strata
 from solvstrat.bracket import (BracketTensor, _exact_derivations, act, derivations,
                                inner, permutation_act, rep)
 from solvstrat.catalog import filiform4, heisenberg3, so3
@@ -469,7 +469,8 @@ def test_certificates_match_the_fraction_route(mu, beta):
 def test_exact_label_path_stays_in_integers(monkeypatch):
     # beta_of hands the integer weights to the min-norm layer as a PointSet
     # of integer coordinates, whose Fraction view it never reads, and an
-    # exact certificate takes the null space numerators as they are
+    # exact certificate takes the null space numerators as they are, never
+    # the Fraction basis that derivations writes out
     rng = np.random.default_rng(73)
     brackets = [H3, N4, filiform(8), free_two_step(3)] + [
         random_nilpotent(rng, int(rng.integers(3, 8)), transform=bool(t % 2)) for t in range(6)]
@@ -480,7 +481,7 @@ def test_exact_label_path_stays_in_integers(monkeypatch):
 
     monkeypatch.setattr(minnorm.PointSet, "make", staticmethod(refuse))
     monkeypatch.setattr(minnorm.PointSet, "points", property(refuse))
-    monkeypatch.setattr(linalg, "nullspace", refuse)
+    monkeypatch.setattr(strata, "derivations", refuse)
     got = [(beta_of(mu), certify_candidate(*_chamber_pair(mu))) for mu in brackets]
     assert repr(got) == repr(want)
 
