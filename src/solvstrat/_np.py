@@ -1,0 +1,43 @@
+"""The one place that imports numpy.
+
+Exact work (labels, certificates, the Ricci numerator, the standardness
+audit) runs on ints and Fractions, so a process that does only exact work
+need not pay for importing numpy.  Every module takes its numpy as
+
+    from ._np import np
+
+which is the real module when numpy is already imported, and otherwise a
+module that importlib.util.LazyLoader loads on first attribute access.
+Once loaded it is a plain module, so later attribute lookups cost what they
+cost on an eagerly imported numpy.  CPython releases before 3.12.3 do not
+lock that first load: two threads that first touch np at the same moment
+may both run numpy's import.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+import types
+
+
+def _lazy_numpy() -> types.ModuleType:
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("solvstrat needs numpy", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
+
+
+def is_ndarray(x) -> bool:
+    """isinstance(x, numpy.ndarray), decided without loading numpy: until np
+    has loaded (its type is then a plain module), no ndarray can exist."""
+    return type(np) is types.ModuleType and isinstance(x, np.ndarray)

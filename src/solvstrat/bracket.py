@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from . import linalg
+from ._np import is_ndarray, np
 from .linalg import Scalar, frac, is_exact
 
 Key = tuple[int, int, int]
@@ -165,7 +164,7 @@ def norm_sq(mu: BracketTensor) -> Scalar:
 
 
 def _is_exact_matrix(g) -> bool:
-    if isinstance(g, np.ndarray):
+    if is_ndarray(g):
         return False
     return all(is_exact(x) for row in g for x in row)
 

@@ -35,8 +35,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._np import np
 from .bracket import (BracketTensor, _central_series, _moment_numerator, _slot_tables,
                       act_array, inner, jacobi_check, rep_array)
 from .linalg import Scalar, fraction_rows

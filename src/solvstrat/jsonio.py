@@ -8,7 +8,7 @@ Bracket files (1-based indices, a-block first, [x_i, x_j] = sum_k c e_k):
      "gram": [[...], ...]}          # optional inner product matrix
 
 Scalars are ints, finite floats, or "p/q" strings; ints and strings stay
-exact.
+exact.  A float bracket whose |mu|^2 overflows the float range is refused.
 Point set files (exact entries only: ints or "p/q" strings; "labels", if
 present, is a list of strings, one per point, checked and then dropped: no
 output reads it):
@@ -21,9 +21,10 @@ Serialization is deterministic: sorted keys, two-space indent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
-from .bracket import BracketTensor
+from .bracket import BracketTensor, norm_sq
 from .linalg import format_scalar, is_exact, parse_scalar
 from .minnorm import MinNormResult, PointSet
 
@@ -104,6 +105,9 @@ def parse_bracket_dict(obj, where: str = "input") -> BracketFile:
         bracket = BracketTensor.make(d, coeffs)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from exc
+    if not bracket.is_exact_mode and math.isinf(norm_sq(bracket)):
+        raise FormatError(f"{where}.brackets: |mu|^2 = 2 sum c^2 overflows the float "
+                          "range; scale the coefficients down")
     return BracketFile(dim_a, dim_n, bracket, gram)
 
 

@@ -56,9 +56,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from . import linalg
+from ._np import np
 from .linalg import ZERO, dot, frac, numerators
 
 Vec = tuple[Fraction, ...]

@@ -39,9 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from . import linalg
+from ._np import is_ndarray, np
 from .bracket import (BracketTensor, _ad_lists, _moment_numerator, _ric_exact,
                       _slot_tables, act, inner, is_solvable, jacobi_check,
                       permutation_act, rep)
@@ -407,10 +406,11 @@ class TraceIdentity(NamedTuple):
 
 def trace_identity_check(s: MetricSolvableAlgebra, e) -> TraceIdentity:
     """tr(R E) versus (1/4) <pi(E) mu, mu>: equal for any tensor, no Jacobi
-    needed.  E is an arbitrary square matrix on the full algebra."""
+    needed.  E is an arbitrary square matrix on the full algebra: an ndarray
+    is read through tolist(), a sequence of rows as given."""
     r = r_operator(s)
     d = s.dim
-    rows = np.asarray(e).tolist()
+    rows = e.tolist() if is_ndarray(e) else [list(row) for row in e]
     tr_re = sum(r[p][q] * rows[q][p] for p in range(d) for q in range(d))
     pairing = inner(rep(rows, s.bracket), s.bracket) / 4
     return TraceIdentity(tr_re, pairing, abs(float(tr_re - pairing)))

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from . import linalg
+from ._np import np
 from .bracket import BracketTensor, Key, _exact_derivations, derivations
 from .linalg import Scalar, frac, is_exact
 from .minnorm import PointSet, min_norm_point

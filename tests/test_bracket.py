@@ -106,6 +106,21 @@ def test_act_identity_and_group_law():
     assert act(g, act(h, mu)).coeffs == act(matmul(g, h), mu).coeffs
 
 
+def test_an_ndarray_takes_the_float_route():
+    # an ndarray is float input whatever its dtype: act and rep give what
+    # they give for its entries as floats, while a list of ints is exact
+    g = np.array([[1, 2, 0, 0], [0, 1, 0, 3], [0, 0, 1, 0], [1, 0, 0, 1]])
+    for arr in (g, g / 3):
+        rows = arr.astype(float).tolist()
+        for f in (act, rep):
+            out = f(arr, N4)
+            assert out.scalar_mode == "float"
+            assert out.coeffs == f(rows, N4).coeffs
+    assert act(g, N4).coeffs[(3, 4, 2)] == -2.5714285714285716
+    assert rep(g / 3, N4).coeffs[(2, 3, 4)] == -0.6666666666666666
+    assert act(g.tolist(), N4).coeffs[(3, 4, 2)] == Fraction(-18, 7)
+
+
 def test_act_definition_on_vectors():
     # (g.mu)(x, y) = g mu(g^-1 x, g^-1 y)
     rng = np.random.default_rng(3)

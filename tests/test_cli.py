@@ -520,6 +520,20 @@ def test_non_finite_gram_entries_name_the_field(tmp_path, capsys, literal):
     assert err.startswith("error: ") and "gram[1]: expected a finite number" in err
 
 
+@pytest.mark.parametrize("literal", ["1e160", "1e200"])
+@pytest.mark.parametrize("command", BRACKET_COMMANDS.values(), ids=BRACKET_COMMANDS)
+def test_an_overflowing_float_norm_is_an_input_error(tmp_path, capsys, command, literal):
+    # c is finite but |mu|^2 = 2 c^2 is not: every quantity scaled by it
+    # would print as NaN or Infinity, so the file is refused as it is read
+    f = _raw_bracket(tmp_path, literal)
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, command[0], f, *command[1:], "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == (f"error: {f}.brackets: |mu|^2 = 2 sum c^2 overflows the float "
+                       "range; scale the coefficients down\n")
+        assert "NaN" not in out + err and "Infinity" not in out + err
+
+
 def test_an_underflowing_float_norm_is_reported(tmp_path, capsys):
     # |mu|^2 = 2e-600 underflows to 0.0, so neither the flow's normalisation
     # nor c = tr(Ric^2) / tr(Ric) can be formed: an error line, no traceback

@@ -4,8 +4,15 @@ Each case runs one subcommand with ``--format json`` on a file under
 ``goldens/inputs`` and compares stdout and the exit code with the output
 recorded in ``goldens/<case>.json``.  The cases cover exact and float
 inputs, so a refactor that reorders exact or float arithmetic shows here.
+Each case also runs in a fresh interpreter, which must print the same bytes
+and load numpy only for float work: numpy is imported lazily (solvstrat._np),
+and the test process itself has imported it already.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +20,7 @@ import pytest
 from solvstrat.cli import main
 
 GOLDENS = Path(__file__).parent / "goldens"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 CASES = [
     ("stratum-h3", ["stratum", "h3.json"], 0),
@@ -37,3 +45,62 @@ def test_json_output_matches_golden(capsys, name, argv, code):
     assert main(args + ["--format", "json"]) == code
     out = capsys.readouterr().out
     assert out.encode() == (GOLDENS / f"{name}.json").read_bytes()
+
+
+# the cases whose work is float: the flow behind stratum, float brackets,
+# the Cholesky factor of a gram matrix and the modular screen of the
+# canonical-support search
+LOADS_NUMPY = {"stratum-h3", "stratum-fil4", "stratum-free3", "stratum-fil4-gl-float",
+               "einstein-audit-ch2-gram", "validate-fil4-gl-float", "minnorm-12-points",
+               "minnorm-13-points"}
+
+# numpy counts as loaded once its __init__ has run: until then the lazy
+# placeholder that solvstrat._np puts in sys.modules is not a plain module
+FRESH = """
+import contextlib, io, json, sys, types
+code = None
+{body}
+loaded = type(sys.modules.get("numpy")) is types.ModuleType
+print(json.dumps({{"code": code, "numpy": loaded}}))
+"""
+RUN_CLI = """
+from solvstrat.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(sys.argv[1:])
+sys.stdout.write(out.getvalue())
+"""
+
+
+def fresh(body, *argv):
+    """Run body in a new interpreter with the package's source on its path.
+    Returns what it printed before the last line, and the last line: its
+    exit code and whether numpy loaded."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FRESH.format(body=body), *argv],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    out, last = proc.stdout[:-1].rpartition(b"\n")[::2]
+    return out + b"\n" if out else b"", json.loads(last)
+
+
+EXACT_WORK = {
+    "import": "import solvstrat.cli",
+    "trace-identity": "from solvstrat import catalog, solvable\n"
+                      "rows = [[1, 2, 0, 0], [0, 1, 0, 3], [0, 0, 1, 0], [1, 0, 0, 1]]\n"
+                      "solvable.trace_identity_check(catalog.ch2(), rows)",
+}
+
+
+@pytest.mark.parametrize("body", EXACT_WORK.values(), ids=EXACT_WORK)
+def test_exact_work_does_not_load_numpy(body):
+    assert fresh(body) == (b"", {"code": None, "numpy": False})
+
+
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_fresh_process_matches_golden_and_loads_numpy_for_float_work(name, argv, code):
+    args = [str(GOLDENS / "inputs" / a) if a.endswith(".json") else a for a in argv]
+    out, last = fresh(RUN_CLI, *args, "--format", "json")
+    assert out == (GOLDENS / f"{name}.json").read_bytes()
+    assert last == {"code": code, "numpy": name in LOADS_NUMPY}

@@ -570,3 +570,24 @@ def test_one_sparse_eliminator_serves_every_exact_span():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and node.name in retired]
     assert defined == []
+
+
+def test_numpy_is_loaded_in_one_module():
+    # _np decides when numpy loads: lazily, on first float use, so exact
+    # commands never pay for it.  An import anywhere else would load it
+    # for exact work too; every other module takes its np from _np
+    importers = sorted({module for module, tree in _trees() for node in ast.walk(tree)
+                        if (isinstance(node, ast.Import)
+                            and any(a.name.partition(".")[0] == "numpy" for a in node.names))
+                        or (isinstance(node, ast.ImportFrom)
+                            and (node.module or "").partition(".")[0] == "numpy")
+                        or (isinstance(node, ast.Constant) and node.value == "numpy")})
+    assert importers == ["_np.py"]
+    users = sorted(module for module, tree in _trees()
+                   if any(isinstance(node, ast.Name) and node.id == "np"
+                          for node in ast.walk(tree)))
+    takers = sorted(module for module, tree in _trees() for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "_np"
+                    and node.level == 1 and any(a.name == "np" for a in node.names))
+    assert users == ["_np.py"] + takers
+    assert takers == ["bracket.py", "flow.py", "minnorm.py", "solvable.py", "strata.py"]

@@ -167,6 +167,14 @@ def test_trace_identity_needs_no_jacobi():
     assert ti.residual == 0.0
 
 
+def test_trace_identity_reads_an_ndarray_through_tolist():
+    # an integer array becomes exact rows, a float array float rows
+    g = np.array([[1, 2, 0, 0], [0, 1, 0, 3], [0, 0, 1, 0], [1, 0, 0, 1]])
+    exact, floats = trace_identity_check(ch2(), g), trace_identity_check(ch2(), g / 3)
+    assert exact == (F(-5, 4), F(-5, 4), 0.0) and type(exact.tr_re) is F
+    assert floats == (-0.41666666666666663,) * 2 + (0.0,) and type(floats.tr_re) is float
+
+
 def test_rank_one_extension_of_heisenberg_is_complex_hyperbolic():
     ext = rank_one_extension(heisenberg3())
     assert ext.bracket.is_exact_mode
