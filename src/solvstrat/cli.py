@@ -6,7 +6,8 @@
     solvstrat extend    FILE        rank-one Einstein extension of a nilsoliton
     solvstrat minnorm   FILE        minimum-norm point of a rational point set
 
-Exit codes: 0 all checks passed, 2 ran but some check failed, 3 bad input.
+Exit codes: 0 all checks passed, 2 ran but some check failed, 3 bad input,
+a meaningless flag value, or a JSON report that would hold NaN or infinity.
 JSON output (--format json) is deterministic byte for byte for a given
 input and flags; wall-clock timings therefore appear only in text output.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 import warnings
@@ -281,9 +283,20 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_flags(args) -> None:
+    """Refuse numeric flags that have no meaning, naming the flag."""
+    if not 0 <= getattr(args, "tol", 0) < math.inf:
+        raise ValueError(f"--tol must be finite and at least 0, got {args.tol}")
+    if not 0 < getattr(args, "step", 1) < math.inf:
+        raise ValueError(f"--step must be finite and positive, got {args.step}")
+    if getattr(args, "denom_bound", 1) < 1:
+        raise ValueError(f"--denom-bound must be at least 1, got {args.denom_bound}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

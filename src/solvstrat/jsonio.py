@@ -15,7 +15,7 @@ output reads it):
 
     {"dim": 3, "points": [["-1", "-1", "1"], ["-1", "0", "0"]]}
 
-Serialization is deterministic: sorted keys, two-space indent.
+Serialization is deterministic: sorted keys, two-space indent, no NaN or inf.
 """
 
 from __future__ import annotations
@@ -178,4 +178,9 @@ def min_norm_to_dict(res: MinNormResult) -> dict:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """Deterministic JSON; NaN and infinities, which JSON lacks, raise ValueError."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError("a reported value left the float range (NaN or infinity); "
+                         "scale the input down") from exc

@@ -332,9 +332,10 @@ def is_psd(m: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def sqrt_fraction(f: Fraction) -> Fraction | None:
-    """Exact square root if f is a perfect square of a rational, else None."""
-    if f < 0:
+def sqrt_fraction(f: Scalar) -> Fraction | None:
+    """Exact square root if f is a perfect square of a rational, else None;
+    a float has no exact root, so it gives None."""
+    if not is_exact(f) or f < 0:
         return None
     sn = math.isqrt(f.numerator)
     sd = math.isqrt(f.denominator)

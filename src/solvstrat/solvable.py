@@ -20,15 +20,15 @@ all summed over the nonzero coefficients only, and so are the three terms
 of the standardness audit (see AuditReport).  An algebra computes these
 once, as its cached `curvature`, which every curvature function reads.
 Everything is exact on rational input and float otherwise; verdicts
-compare by linalg.is_zero / nonneg.  Exact algebras take an integer route:
-N = L C is the bracket's cached integer view, and one pass over pairs of its
-nonzero entries gives the numerators L h, L^2 B, 4 L^2 R, L^2 ad H and
-4 L^2 Ricci (_curvature_numerators), each turned into Fractions once.  The
-Einstein check reads those numerators, so every float it reports is one
-correctly rounded int / int division, and so does the standardness audit
-when the label is exact too (_integer_audit_sums).  The universal trace identity
-tr(R E) = 1/4 <pi(E) mu, mu> (true for any tensor mu, Jacobi or not) gives
-every report two independent routes.
+compare by linalg.is_zero / nonneg.  One pass over pairs of nonzero entries
+of N = L C gives the numerators L h, L^2 B, 4 L^2 R, L^2 ad H and 4 L^2 Ricci
+in both modes (_curvature_numerators): N is the cached integer view of an
+exact bracket, each numerator turned into Fractions once, and the float
+coefficients with L = 1 otherwise.  An exact Einstein check reads the
+numerators, so every float it reports is one correctly rounded int / int, and
+so does the audit when the label is exact too (_integer_audit_sums).  The
+universal trace identity tr(R E) = 1/4 <pi(E) mu, mu> (true for any tensor
+mu, Jacobi or not) gives every report two independent routes.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .bracket import (BracketTensor, _ad_lists, _moment_numerator, _ric_exact,
                       _slot_tables, act, inner, is_solvable, jacobi_check,
                       permutation_act, rep)
 from .flow import ric_array
-from .linalg import Scalar, frac, is_exact
+from .linalg import Scalar
 from .strata import DiagonalWeight, beta_of, in_W
 
 EINSTEIN_TOL = 1e-8
@@ -92,20 +92,21 @@ class MetricSolvableAlgebra:
     @functools.cached_property
     def curvature(self) -> "Curvature":
         """H, B, R, S(ad H) and Ricci = R - B/2 - S(ad H), computed once."""
+        num = self._numerators
         if self.bracket.is_exact_mode:
-            num = self._numerators
             sq = num.den * num.den
             return Curvature(linalg.fraction_rows([num.mean], num.den)[0],
                              linalg.fraction_rows(num.killing, sq),
                              linalg.fraction_rows(num.r, 4 * sq),
                              linalg.fraction_rows(num.s_ad_h, 2 * sq),
                              linalg.fraction_rows(num.ricci, 4 * sq))
-        h = _float_mean(self)
-        b = _float_killing(self)
-        r = ric_array(self.bracket.to_array()).tolist()
-        sh = _float_s_ad_h(self, h)
-        ric = [[x - 0.5 * y - z for x, y, z in zip(rr, rb, rs)] for rr, rb, rs in zip(r, b, sh)]
-        return Curvature(h, b, r, sh, ric)
+        # L = 1 and r = 4 R exactly.  Ricci is formed in floats from R, B and
+        # S(ad H): ricci / 4 would round differently where B is subnormal
+        r = [[x / 4 for x in row] for row in num.r]
+        sh = [[x / 2 for x in row] for row in num.s_ad_h]
+        ric = [[x - 0.5 * y - z for x, y, z in zip(rr, rb, rs)]
+               for rr, rb, rs in zip(r, num.killing, sh)]
+        return Curvature(num.mean, num.killing, r, sh, ric)
 
     @functools.cached_property
     def _numerators(self) -> "_Numerators":
@@ -128,56 +129,78 @@ class Curvature:
 
 
 class _Numerators(NamedTuple):
-    """Integer numerators of the curvature of an exact algebra.
+    """Numerators of the curvature, integers for an exact algebra.
 
-    With L the lcm of the denominators of the structure constants:
-    H = mean / L, B = killing / L^2, R = r / (4 L^2),
-    S(ad H) = s_ad_h / (2 L^2) and Ricci = ricci / (4 L^2).
+    With L the lcm of the denominators of the structure constants (1 for a
+    float algebra): H = mean / L, B = killing / L^2, R = r / (4 L^2),
+    S(ad H) = s_ad_h / (2 L^2) and Ricci = ricci / (4 L^2).  A float algebra
+    forms its Ricci from R, B and S(ad H) instead (see `curvature`).
     """
 
     den: int
-    mean: list[int]
-    killing: list[list[int]]
-    r: list[list[int]]
-    s_ad_h: list[list[int]]
-    ricci: list[list[int]]
+    mean: list
+    killing: list
+    r: list
+    s_ad_h: list
+    ricci: list
 
 
 def _curvature_numerators(s: MetricSolvableAlgebra) -> _Numerators:
-    """The integer curvature kernel of an exact algebra.
+    """The curvature kernel of both arithmetic modes.
 
-    N = L C is the cached integer view of the bracket, laid out by
-    _slot_tables; then
-    L h_r = sum_j N_rj^j, L^2 B_pq = sum_{r, k} N_pk^r N_qr^k,
-    (L^2 ad H)_kj = sum_r (L h_r) N_rj^k and 4 L^2 R come out of pairs of
-    its nonzero entries; 2 L^2 S(ad H) = L^2 (ad H + ad H^T) and the Ricci
-    numerator is 4 L^2 R - 2 L^2 B - 2 L^2 (ad H + ad H^T).
+    An exact algebra passes N = L C, the cached integer view of its bracket,
+    and 4 L^2 R in integers; a float one its coefficients with L = 1 and
+    4 R from ric_array.  Over the _slot_tables of N,
+    L h_r = sum_j N_rj^j, L^2 B_pq = sum_r sum_k N_pk^r N_qr^k and
+    (L^2 ad H)_kj = sum_r (L h_r) N_rj^k; 2 L^2 S(ad H) = L^2 (ad H + ad H^T)
+    and the Ricci numerator is 4 L^2 R - 2 L^2 B - 2 L^2 (ad H + ad H^T).
     """
     d, m = s.dim, s.dim_a
-    den, coeffs = s.bracket._integer
-    by_slot, by_pair = _slot_tables(coeffs)
-    mean = [0] * m
-    for (y, z), entries in by_slot.items():
-        if y == z:
-            for x, n in entries:
-                if x <= m:
-                    mean[x - 1] += n
-    killing = [[0] * d for _ in range(d)]
-    adh = [[0] * d for _ in range(d)]
-    for (y, z), left in by_slot.items():
-        # left lists (p, N_py^z); by_slot[(z, y)] lists (q, N_qz^y)
-        for q, w in by_slot.get((z, y), ()):
-            for p, x in left:
-                killing[p - 1][q - 1] += x * w
-        row = adh[z - 1]
-        for x, n in left:
-            if x <= m and mean[x - 1]:
-                row[y - 1] += mean[x - 1] * n
+    if s.bracket.is_exact_mode:
+        den, coeffs = s.bracket._integer
+        by_slot, by_pair = _slot_tables(coeffs)
+        zero, r4 = 0, _moment_numerator(d, by_slot, by_pair)
+    else:
+        den, coeffs, zero = 1, s.bracket.coeffs, 0.0
+        by_slot = _slot_tables(coeffs)[0]
+        r4 = (4.0 * ric_array(s.bracket.to_array())).tolist()
+    # A float algebra must repeat the sums of the dense matrix formulas bit
+    # for bit, so each sum runs in their order: h over j ascending; B over r
+    # ascending, each term an inner sum over k ascending (tr(ad b_p ad b_q)
+    # as a matrix product); ad H over r ascending.  Integers give the same
+    # sum in any order.
+    mean = [zero] * m
+    for j in range(1, d + 1):
+        for x, n in by_slot.get((j, j), ()):
+            if x <= m:
+                mean[x - 1] += n
+    killing = [[zero] * d for _ in range(d)]
+    # r -> the k whose slots (k, r), listing the (p, N_pk^r), and (r, k),
+    # listing the (q, N_qr^k), both hold entries
+    ks: dict[int, list[int]] = {}
+    for k, r in by_slot:
+        if (r, k) in by_slot:
+            ks.setdefault(r, []).append(k)
+    for r in sorted(ks):
+        inner: dict[tuple[int, int], Scalar] = {}
+        for k in sorted(ks[r]):
+            right = by_slot[(r, k)]
+            for p, x in by_slot[(k, r)]:
+                for q, w in right:
+                    inner[p, q] = inner.get((p, q), zero) + x * w
+        for (p, q), v in inner.items():
+            killing[p - 1][q - 1] += v
+    adh = [[zero] * d for _ in range(d)]
+    rows = _ad_lists(coeffs, d)
+    for x, h in enumerate(mean, start=1):
+        if h:
+            # row x lists the (j, k, N_xj^k)
+            for j, k, n in rows[x]:
+                adh[k - 1][j - 1] += h * n
     sym = [[x + y for x, y in zip(row, col)] for row, col in zip(adh, zip(*adh))]
-    r = _moment_numerator(d, by_slot, by_pair)
     ricci = [[x - 2 * (y + z) for x, y, z in zip(rr, rb, rs)]
-             for rr, rb, rs in zip(r, killing, sym)]
-    return _Numerators(den, mean, killing, r, sym, ricci)
+             for rr, rb, rs in zip(r4, killing, sym)]
+    return _Numerators(den, mean, killing, r4, sym, ricci)
 
 
 def orthonormalize_basis(dim_a: int, dim_n: int, bracket: BracketTensor, gram) -> BracketTensor:
@@ -194,10 +217,8 @@ def orthonormalize_basis(dim_a: int, dim_n: int, bracket: BracketTensor, gram) -
     if not np.allclose(g, g.T, atol=1e-12):
         raise ValueError("gram matrix must be symmetric")
     perm = list(range(dim_a + 1, d + 1)) + list(range(1, dim_a + 1))  # image list, n first
-    sigma = [0] * d
-    for pos, img in enumerate(perm):
-        sigma[img - 1] = pos + 1
     # sigma sends old index i to its position in the n-first ordering
+    sigma = [i + dim_n if i <= dim_a else i - dim_a for i in range(1, d + 1)]
     mu_p = permutation_act(sigma, bracket)
     order = [i - 1 for i in perm]
     g_p = g[np.ix_(order, order)]
@@ -205,11 +226,8 @@ def orthonormalize_basis(dim_a: int, dim_n: int, bracket: BracketTensor, gram) -
         ell = np.linalg.cholesky(g_p)
     except np.linalg.LinAlgError as exc:
         raise ValueError("gram matrix is not positive definite") from exc
-    mu_f = act(ell.T, mu_p)
-    sigma_inv = [0] * d
-    for i, s in enumerate(sigma):
-        sigma_inv[s - 1] = i + 1
-    return permutation_act(sigma_inv, mu_f)
+    # perm, read as a map of indices, is the inverse of sigma
+    return permutation_act(perm, act(ell.T, mu_p))
 
 
 def mean_curvature(s: MetricSolvableAlgebra) -> list[Scalar]:
@@ -229,53 +247,6 @@ def r_operator(s: MetricSolvableAlgebra):
 
 def s_ad_h(s: MetricSolvableAlgebra):
     return s.curvature.s_ad_h
-
-
-def _float_mean(s: MetricSolvableAlgebra) -> list[float]:
-    """H of a float algebra: tr ad A_r = sum_j C_rj^j."""
-    coeff = s.bracket.coeff
-    return [sum((coeff(r, j, j) for j in range(1, s.dim + 1)), 0.0)
-            for r in range(1, s.dim_a + 1)]
-
-
-def _float_killing(s: MetricSolvableAlgebra) -> list[list[float]]:
-    """The Killing form of a float algebra.
-
-    The inner sums run over k ascending and the outer one over r ascending,
-    the order of tr(ad b_p ad b_q) as a matrix product, so the entries equal
-    that dense route bit for bit.
-    """
-    d = s.dim
-    by_slot = _slot_tables(s.bracket.coeffs)[0]
-    b = [[0.0] * d for _ in range(d)]
-    for r in range(1, d + 1):
-        inner: dict[tuple[int, int], float] = {}
-        for k in range(1, d + 1):
-            left, right = by_slot.get((k, r)), by_slot.get((r, k))
-            if not (left and right):
-                continue
-            for p, x in left:
-                for q, y in right:
-                    inner[(p, q)] = inner.get((p, q), 0.0) + x * y
-        for (p, q), v in inner.items():
-            b[p - 1][q - 1] = b[p - 1][q - 1] + v
-    return b
-
-
-def _float_s_ad_h(s: MetricSolvableAlgebra, h) -> list[list[float]]:
-    """S(ad H) of a float algebra for the mean curvature coordinates h.
-
-    (ad H)_kj accumulates h_r C_rj^k over r ascending; row r of _ad_lists
-    lists the (j, k, C_rj^k) of the coefficients that involve r.
-    """
-    d = s.dim
-    rows = _ad_lists(s.bracket.coeffs, d)
-    adh = [[0.0] * d for _ in range(d)]
-    for r, hr in enumerate(h, start=1):
-        if hr:
-            for j, k, c in rows[r]:
-                adh[k - 1][j - 1] = adh[k - 1][j - 1] + hr * c
-    return [[(adh[i][j] + adh[j][i]) * 0.5 for j in range(d)] for i in range(d)]
 
 
 def ricci_operator(s: MetricSolvableAlgebra):
@@ -416,6 +387,13 @@ def trace_identity_check(s: MetricSolvableAlgebra, e) -> TraceIdentity:
     return TraceIdentity(tr_re, pairing, abs(float(tr_re - pairing)))
 
 
+def _require_finite(name: str, x: Scalar) -> None:
+    """Raise ValueError if a float x overflowed; exact values always pass."""
+    if not abs(x) < math.inf:
+        raise ValueError(f"{name} = {float(x):g} overflows the float range; "
+                         "scale the coefficients down")
+
+
 def rank_one_extension(lam: BracketTensor, c: Scalar | None = None,
                        tol: float = 1e-8) -> MetricSolvableAlgebra:
     """Extend a nilsoliton bracket by one derivation to an Einstein candidate.
@@ -424,12 +402,12 @@ def rank_one_extension(lam: BracketTensor, c: Scalar | None = None,
     ad A|n = D / sqrt(tr D).  The Einstein constant of the extension is c,
     recovered from c = tr(Ric^2) / tr(Ric).  For lam = 0 the constant is not
     determined by lam and defaults to -dim (hyperbolic-space normalization);
-    pass c to override.  Raises ValueError when D fails to be a derivation
-    and when tr Ric of a float lam underflows to 0.
+    pass c to override.  Raises ValueError when D fails to be a derivation,
+    when tr Ric of a float lam underflows to 0 and when c or tr D overflows.
     """
     n = lam.dim
     if lam.is_zero():
-        cc = frac(c) if c is not None and is_exact(c) else (Fraction(-n) if c is None else float(c))
+        cc = Fraction(-n) if c is None else c
         if not cc < 0:
             raise ValueError("the Einstein constant of an extension must be negative")
         tr_d = -cc * n
@@ -441,6 +419,7 @@ def rank_one_extension(lam: BracketTensor, c: Scalar | None = None,
         if tr_ric == 0:
             raise ValueError("tr Ric underflows to 0 in floating point")
         cc = linalg.trace_product(ric, ric) / tr_ric
+        _require_finite("c = tr(Ric^2) / tr(Ric)", cc)
         d_mat = [[x - cc if i == j else x for j, x in enumerate(row)]
                  for i, row in enumerate(ric)]
         resid = rep(d_mat, lam)
@@ -453,7 +432,8 @@ def rank_one_extension(lam: BracketTensor, c: Scalar | None = None,
         tr_d = linalg.trace(d_mat)
         if not float(tr_d) > 0:
             raise ValueError(f"tr(Ric - cI) = {float(tr_d):g} is not positive")
-    root = linalg.sqrt_fraction(frac(tr_d)) if is_exact(tr_d) else None
+    _require_finite("tr D", tr_d)
+    root = linalg.sqrt_fraction(tr_d)
     scale = root if root is not None else math.sqrt(float(tr_d))
     ada = [[x / scale for x in row] for row in d_mat]
 

@@ -2,9 +2,12 @@
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ import solvstrat
 from generators import random_point_set
 from oracles import brute_force_min_norm
 from solvstrat import jsonio
+from solvstrat.catalog import ch2
 from solvstrat.cli import main
 
 H3 = {"dim_a": 0, "dim_n": 3,
@@ -546,6 +550,70 @@ def test_an_underflowing_float_norm_is_reported(tmp_path, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert err == "error: the bracket's norm underflows to 0 in floating point\n"
+
+
+def test_an_overflowing_extension_constant_is_reported(tmp_path, capsys):
+    # |mu|^2 = 2e300 is finite, but tr(Ric^2) is not: c = tr(Ric^2) / tr(Ric)
+    # is refused before any float kernel meets an infinity (warnings would
+    # raise here)
+    f = _raw_bracket(tmp_path, "1e150")
+    message = ("c = tr(Ric^2) / tr(Ric) = -inf overflows the float range; "
+               "scale the coefficients down")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "extend", f)
+        assert (code, out, err) == (2, f"extension failed: {message}\n", "")
+        code, out, err = run(capsys, "extend", f, "--format", "json")
+        assert (code, json.loads(out), err) == (2, {"ok": False, "error": message}, "")
+        code, out, err = run(capsys, "extend", _raw_bracket(tmp_path, "1"), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["extension"] == jsonio.bracket_to_dict(1, 3, ch2().bracket)
+
+
+def test_json_output_refuses_values_outside_the_float_range(tmp_path, capsys):
+    # ch2 scaled by 1e150 parses, but tr S(ad H)^2 overflows: the JSON
+    # report would hold Infinity, so the run is an input error
+    big = dict(CH2, brackets=[dict(b, c=float(Fraction(b["c"])) * 1e150)
+                              for b in CH2["brackets"]])
+    code, out, err = run(capsys, "einstein", put(tmp_path, "big.json", big), "--audit",
+                         "--format", "json")
+    assert (code, out) == (3, "")
+    assert err == ("error: a reported value left the float range (NaN or infinity); "
+                   "scale the input down\n")
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="left the float range"):
+            jsonio.dumps({"value": [x]})
+    assert jsonio.dumps({"value": 1e308}) == '{\n  "value": 1e+308\n}'
+
+
+FLAG_CASES = {
+    "validate-tol-nan": (("validate", "--tol", "nan"), "--tol must be finite and at least 0"),
+    "stratum-tol-negative": (("stratum", "--tol=-1e-9"),
+                             "--tol must be finite and at least 0"),
+    "einstein-tol-inf": (("einstein", "--tol", "inf"), "--tol must be finite and at least 0"),
+    "extend-tol-nan": (("extend", "--tol", "nan"), "--tol must be finite and at least 0"),
+    "stratum-step-zero": (("stratum", "--step", "0"), "--step must be finite and positive"),
+    "stratum-step-nan": (("stratum", "--step", "nan"), "--step must be finite and positive"),
+    "stratum-step-inf": (("stratum", "--step", "inf"), "--step must be finite and positive"),
+    "stratum-denom-bound-zero": (("stratum", "--denom-bound", "0"),
+                                 "--denom-bound must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("argv,message", FLAG_CASES.values(), ids=FLAG_CASES)
+def test_meaningless_numeric_flags_are_input_errors(tmp_path, capsys, argv, message):
+    f = put(tmp_path, "n4.json", N4)
+    code, out, err = run(capsys, argv[0], f, *argv[1:])
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {message}, got ") and err.count("\n") == 1
+
+
+def test_numeric_flags_at_their_bounds_are_accepted(tmp_path, capsys):
+    f = put(tmp_path, "n4.json", N4)
+    for argv in (("validate", "--tol", "0"), ("einstein", "--tol", "0"),
+                 ("stratum", "--denom-bound", "1", "--max-iter", "0")):
+        code, _, err = run(capsys, argv[0], f, *argv[1:])
+        assert code in (0, 2) and err == ""
 
 
 def test_minnorm_computes_the_gram_matrix_once(tmp_path, capsys, monkeypatch):

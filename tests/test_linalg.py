@@ -364,3 +364,12 @@ def test_parse_scalar_agrees_with_the_fraction_literal(text):
     else:
         got = linalg.parse_scalar(text)
         assert type(got) is Fraction and got == want
+
+
+def test_sqrt_fraction_is_exact_or_none():
+    assert linalg.sqrt_fraction(F(9, 4)) == F(3, 2)
+    assert linalg.sqrt_fraction(16) == 4 and linalg.sqrt_fraction(F(0)) == 0
+    assert linalg.sqrt_fraction(F(2)) is None and linalg.sqrt_fraction(F(9, 2)) is None
+    assert linalg.sqrt_fraction(F(-4)) is None
+    # a float has no exact root, even where its value is a perfect square
+    assert linalg.sqrt_fraction(4.0) is None and linalg.sqrt_fraction(np.float64(0.25)) is None

@@ -427,13 +427,16 @@ MODE_BRANCHES = {
         "ricci_moment": 1,              # integer Ricci numerator or ric_array
     },
     "solvable": {
-        "MetricSolvableAlgebra.curvature": 1,   # integer kernel or float routes
+        # the kernel's numerators in Fractions, or floats with L = 1
+        "MetricSolvableAlgebra.curvature": 1,
+        # the kernel's input: integer view and Ricci numerator, or the float
+        # coefficients and ric_array
+        "_curvature_numerators": 1,
         "_einstein_values": 1,          # integer numerators or float curvature
         "standardness_audit": 1,        # integer sums or the curvature matrices
-        # the constant c coerced to the mode; the Ricci form's route; the
-        # derivation test, exact or on a float 2-norm that has no exact
-        # counterpart; the exact square root of tr D
-        "rank_one_extension": 4,
+        # the Ricci form's route; the derivation test, exact or on a float
+        # 2-norm that has no exact counterpart
+        "rank_one_extension": 2,
     },
     "strata": {
         "DiagonalWeight.make": 1,       # entries coerced to Fraction or float
@@ -570,6 +573,16 @@ def test_one_sparse_eliminator_serves_every_exact_span():
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                and node.name in retired]
     assert defined == []
+
+
+def test_one_curvature_kernel_serves_both_modes():
+    # _curvature_numerators computes the curvature of exact and float
+    # algebras alike: solvable keeps no private float route beside it
+    tree = ast.parse((PACKAGE / "solvable.py").read_text())
+    floats = [node.name for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and node.name.startswith("_float_")]
+    assert floats == []
 
 
 def test_numpy_is_loaded_in_one_module():

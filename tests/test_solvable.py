@@ -209,6 +209,9 @@ def test_rank_one_extension_rejections():
     stretched = act(np.diag([1.0, 1.0, 1.0, 2.0]), filiform4().to_float())
     with pytest.raises(ValueError, match="not a nilsoliton"):
         rank_one_extension(stretched)
+    # tr D = -3c leaves the float range: sqrt(tr D) = inf would zero ad A
+    with pytest.raises(ValueError, match="tr D = inf overflows the float range"):
+        rank_one_extension(abelian(3), c=-1e308)
 
 
 def test_audit_on_complex_hyperbolic_is_exactly_zero():
@@ -304,13 +307,30 @@ def test_killing_form_and_mean_curvature_match_dense_routes():
                 assert repr(got) == repr(want) and repr(mean_curvature(t)) == repr(h_want)
 
 
+def test_float_r_and_ricci_are_the_dense_moment_and_the_float_difference():
+    # R of a float algebra is ric_array's, and Ricci is R - B/2 - S(ad H)
+    # formed in floats, bit for bit; at 2^-540 the Killing form is subnormal
+    # and at 2^500 the squares near the top of the float range
+    rng = np.random.default_rng(52)
+    floats = [s for s in _algebra_battery(rng) if not s.bracket.is_exact_mode]
+    assert len(floats) >= 30
+    for s in floats:
+        for scale in (1.0, 2.0 ** -540, 2.0 ** 500):
+            mu = BracketTensor(s.dim, {key: c * scale for key, c in s.bracket.coeffs.items()},
+                               "float")
+            t = MetricSolvableAlgebra(s.dim_a, s.dim_n, mu)
+            r = r_operator(t)
+            assert repr(r) == repr(flow.ric_array(mu.to_array()).tolist())
+            want = [[x - 0.5 * y - z for x, y, z in zip(rr, rb, rs)]
+                    for rr, rb, rs in zip(r, killing_form(t), s_ad_h(t))]
+            assert repr(ricci_operator(t)) == repr(want)
+
+
 def test_curvature_report_and_audit_compute_each_quantity_once(monkeypatch):
-    # exact algebras compute everything in one integer kernel, float ones
-    # compute each quantity once, in the float routes behind `curvature`
+    # one kernel computes everything in both modes; a float algebra takes R
+    # from ric_array, an exact one from its integer view
     calls = {}
-    names = ("_curvature_numerators", "_float_killing", "ric_array", "_float_mean",
-             "_float_s_ad_h")
-    for name in names:
+    for name in ("_curvature_numerators", "ric_array"):
         real = getattr(solvable, name)
 
         def spy(*args, real=real, name=name):
@@ -318,10 +338,9 @@ def test_curvature_report_and_audit_compute_each_quantity_once(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(solvable, name, spy)
-    float_once = {"_float_killing": 1, "ric_array": 1, "_float_mean": 1, "_float_s_ad_h": 1}
     for make, once in ((ch2, {"_curvature_numerators": 1}),
                        (lambda: MetricSolvableAlgebra.create(1, 3, ch2().bracket.to_float()),
-                        float_once)):
+                        {"_curvature_numerators": 1, "ric_array": 1})):
         curvature_report(make())
         assert calls == once
         calls.clear()
