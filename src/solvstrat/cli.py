@@ -7,7 +7,7 @@
     solvstrat minnorm   FILE        minimum-norm point of a rational point set
 
 Exit codes: 0 all checks passed, 2 ran but some check failed, 3 bad input,
-a meaningless flag value, or a JSON report that would hold NaN or infinity.
+a meaningless flag value, or a report that would hold NaN or infinity.
 JSON output (--format json) is deterministic byte for byte for a given
 input and flags; wall-clock timings therefore appear only in text output.
 """
@@ -36,8 +36,11 @@ PASS, CHECKS_FAILED, INPUT_ERROR = 0, 2, 3
 
 
 def _emit(report: dict, lines: list[str], fmt: str, started: float) -> None:
+    # jsonio.dumps refuses NaN and infinities, so text output is held to the
+    # report's JSON form too and never prints them
+    text = jsonio.dumps(report)
     if fmt == "json":
-        print(jsonio.dumps(report))
+        print(text)
     else:
         for line in lines:
             print(line)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -403,7 +404,8 @@ def rank_one_extension(lam: BracketTensor, c: Scalar | None = None,
     recovered from c = tr(Ric^2) / tr(Ric).  For lam = 0 the constant is not
     determined by lam and defaults to -dim (hyperbolic-space normalization);
     pass c to override.  Raises ValueError when D fails to be a derivation,
-    when tr Ric of a float lam underflows to 0 and when c or tr D overflows.
+    when tr Ric of a float lam underflows to 0, when c or tr D overflows and
+    when tr D has no rational root and its float is 0 or subnormal.
     """
     n = lam.dim
     if lam.is_zero():
@@ -430,10 +432,14 @@ def rank_one_extension(lam: BracketTensor, c: Scalar | None = None,
             raise ValueError("not a nilsoliton: Ric - cI fails to be a derivation "
                              f"(residual {rnorm:g})")
         tr_d = linalg.trace(d_mat)
-        if not float(tr_d) > 0:
+        if not tr_d > 0:
             raise ValueError(f"tr(Ric - cI) = {float(tr_d):g} is not positive")
     _require_finite("tr D", tr_d)
     root = linalg.sqrt_fraction(tr_d)
+    if root is None and not float(tr_d) >= sys.float_info.min:
+        # a subnormal float keeps too few digits for its root, and 0 has none
+        raise ValueError("tr D has no rational square root and underflows the normal "
+                         "float range; scale the coefficients up")
     scale = root if root is not None else math.sqrt(float(tr_d))
     ada = [[x / scale for x in row] for row in d_mat]
 

@@ -247,16 +247,29 @@ def _adbeta_gram(basis, b: Sequence[Scalar]) -> list[list[float]]:
 def _integer_gram(nums, bint: Sequence[int]) -> list[list[int]]:
     """G'_ac = sum_rc (B_r - B_c) N^a_rc N^c_rc for the integer entries N^a
     of den_a D_a, keyed by column r n + c, and an integer label B = L beta;
-    the Gram entry <[beta, D_a], D_c> is G'_ac / (L den_a den_c)."""
+    the Gram entry <[beta, D_a], D_c> is G'_ac / (L den_a den_c).
+
+    The basis is indexed by column once, and each a adds its weighted
+    entries only into the c >= a that share the column; every other entry
+    of G' is exactly 0.
+    """
     n = len(bint)
-    diff = [bint[col // n] - bint[col % n] for col in range(n * n)]
-    weighted = [{col: diff[col] * x for col, x in e.items() if diff[col]} for e in nums]
+    column: dict[int, list[tuple[int, int]]] = {}
+    for c, e in enumerate(nums):
+        for col, x in e.items():
+            column.setdefault(col, []).append((c, x))
     k = len(nums)
     gram = [[0] * k for _ in range(k)]
-    for a, wa in enumerate(weighted):
-        for c in range(a, k):
-            ec = nums[c]
-            gram[c][a] = gram[a][c] = sum(x * ec[col] for col, x in wa.items() if col in ec)
+    for a, e in enumerate(nums):
+        row = gram[a]
+        for col, x in e.items():
+            w = (bint[col // n] - bint[col % n]) * x
+            if w:
+                for c, y in column[col]:
+                    if c >= a:
+                        row[c] += w * y
+        for c in range(a + 1, k):
+            gram[c][a] = row[c]
     return gram
 
 
@@ -270,9 +283,12 @@ def _exact_certificates(mu: BracketTensor, beta: DiagonalWeight,
     tr(beta D_a) = sum_r B_r N^a_rr / (L den_a), D_a lies in the parabolic
     subalgebra iff N^a vanishes where B_r < B_c, and the Gram matrix is
     D G' D / L for the integer G' of _integer_gram and D = diag(1 / den_a):
-    positive semidefinite iff G' is.  The reported floats are those of the
-    rationals: int / int is correctly rounded in Python, as
-    float(Fraction(num, den)) is.
+    positive semidefinite iff G' is.  G'_ac vanishes unless N^a and N^c
+    share a column.  On Z_beta, Der(mu) is graded by B_r - B_c and each
+    basis element lies in one graded piece, so G' falls into blocks no
+    larger than those pieces, and linalg.is_psd decides it block by block.
+    The reported floats are those of the rationals: int / int is correctly
+    rounded in Python, as float(Fraction(num, den)) is.
     """
     basis = _exact_derivations(mu)
     if not basis:

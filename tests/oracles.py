@@ -251,6 +251,22 @@ def fraction_adbeta_gram(basis, b) -> list[list[Fraction]]:
              for ec in entries] for ea in entries]
 
 
+def all_pairs_integer_gram(nums, bint) -> list[list[int]]:
+    """The integer Gram matrix of strata._integer_gram, summed for every
+    pair a <= c: G'_ac = sum_rc (B_r - B_c) N^a_rc N^c_rc over the weighted
+    entries of N^a that N^c holds."""
+    n = len(bint)
+    diff = [bint[col // n] - bint[col % n] for col in range(n * n)]
+    weighted = [{col: diff[col] * x for col, x in e.items() if diff[col]} for e in nums]
+    k = len(nums)
+    gram = [[0] * k for _ in range(k)]
+    for a, wa in enumerate(weighted):
+        for c in range(a, k):
+            ec = nums[c]
+            gram[c][a] = gram[a][c] = sum(x * ec[col] for col, x in wa.items() if col in ec)
+    return gram
+
+
 def fraction_derivation_certificates(mu: BracketTensor, beta,
                                      tol: float = DEFAULT_TOL) -> DerivationCertificates:
     """The derivation certificate of an exact mu against a sorted beta, on the

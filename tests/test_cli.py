@@ -19,6 +19,7 @@ from oracles import brute_force_min_norm
 from solvstrat import jsonio
 from solvstrat.catalog import ch2
 from solvstrat.cli import main
+from solvstrat.linalg import format_scalar
 
 H3 = {"dim_a": 0, "dim_n": 3,
       "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1"}]}
@@ -584,6 +585,56 @@ def test_json_output_refuses_values_outside_the_float_range(tmp_path, capsys):
         with pytest.raises(ValueError, match="left the float range"):
             jsonio.dumps({"value": [x]})
     assert jsonio.dumps({"value": 1e308}) == '{\n  "value": 1e+308\n}'
+
+
+def test_text_output_refuses_values_outside_the_float_range(tmp_path, capsys):
+    # the text twin of the JSON case: the report would hold inf, so text
+    # output is refused with the same message rather than printing "inf"
+    big = dict(CH2, brackets=[dict(b, c=float(Fraction(b["c"])) * 1e150)
+                              for b in CH2["brackets"]])
+    code, out, err = run(capsys, "einstein", put(tmp_path, "big.json", big), "--audit")
+    assert (code, out) == (3, "")
+    assert err == ("error: a reported value left the float range (NaN or infinity); "
+                   "scale the input down\n")
+    code, out, err = run(capsys, "einstein", put(tmp_path, "ch2.json", CH2), "--audit")
+    assert (code, err) == (0, "") and "c via mean curvature: residual 0" in out
+
+
+def test_an_exact_extension_below_the_float_range_stays_exact(tmp_path, capsys):
+    # h3 times 1/10^200 has tr D = 4/10^400, whose float is 0 but whose
+    # root 2/10^200 is exact: the extension is ch2 times 1/10^200
+    t = Fraction(1, 10 ** 200)
+    f = put(tmp_path, "h3.json", {"dim_a": 0, "dim_n": 3, "brackets": [
+        {"i": 1, "j": 2, "k": 3, "c": f"1/{10 ** 200}"}]})
+    code, out, err = run(capsys, "extend", f, "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    want = jsonio.bracket_to_dict(1, 3, ch2().bracket)
+    want["brackets"] = [dict(b, c=format_scalar(Fraction(b["c"]) * t))
+                        for b in want["brackets"]]
+    assert report["extension"] == want
+    assert report["curvature"]["einstein"]["ok"]
+
+
+@pytest.mark.parametrize("brackets,constant", [
+    # fil4 times 1/10^200: tr D = 5/10^400 is not a square, its float is 0
+    ([{"i": 1, "j": 2, "k": 3, "c": f"1/{10 ** 200}"},
+      {"i": 1, "j": 3, "k": 4, "c": f"1/{10 ** 200}"}], None),
+    # abelian with c = -1/10^310: tr D = 3/10^310 is not a square, its float
+    # is subnormal
+    ([], f"-1/{10 ** 310}"),
+], ids=["fil4-zero", "abelian-subnormal"])
+def test_an_irrational_root_below_the_float_range_is_reported(tmp_path, capsys, brackets,
+                                                               constant):
+    n = 4 if brackets else 3
+    f = put(tmp_path, "tiny.json", {"dim_a": 0, "dim_n": n, "brackets": brackets})
+    extra = (f"--constant={constant}",) if constant else ()
+    message = ("tr D has no rational square root and underflows the normal float range; "
+               "scale the coefficients up")
+    code, out, err = run(capsys, "extend", f, *extra)
+    assert (code, out, err) == (2, f"extension failed: {message}\n", "")
+    code, out, err = run(capsys, "extend", f, *extra, "--format", "json")
+    assert (code, json.loads(out), err) == (2, {"ok": False, "error": message}, "")
 
 
 FLAG_CASES = {

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from generators import filiform, free_two_step, rand_frac, random_nilpotent, random_tensor
-from oracles import (dense_adbeta_gram, fraction_certify_candidate,
-                     fraction_derivation_certificates, fraction_derivations)
-from solvstrat import minnorm, strata
+from oracles import (all_pairs_integer_gram, dense_adbeta_gram, fraction_certify_candidate,
+                     fraction_derivation_certificates, fraction_derivations,
+                     fraction_is_psd)
+from solvstrat import linalg, minnorm, strata
 from solvstrat.bracket import (BracketTensor, _exact_derivations, act, derivations,
                                inner, permutation_act, rep)
 from solvstrat.catalog import filiform4, heisenberg3, so3
@@ -297,6 +298,15 @@ def test_adbeta_gram_matches_the_dense_form(mu):
     big = math.lcm(*(x.denominator for x in chamber.entries))
     bint = [int(x * big) for x in chamber.entries]
     got = strata._integer_gram(nums, bint)
+    # the column index skips only pairs whose entry is exactly 0
+    assert got == all_pairs_integer_gram(nums, bint)
+    if in_Z(moved, chamber).ok:
+        # Der(mu) is graded by B_r - B_c, each basis element lies in one
+        # graded piece, and G' couples only elements of one piece
+        grades = [{bint[col // n] - bint[col % n] for col in e} for e in nums]
+        assert all(len(g) == 1 for g in grades)
+        assert all(grades[a] == grades[c] for a, row in enumerate(got)
+                   for c, x in enumerate(row) if x)
     scaled = [[F(g, big * da * dc) for g, dc in zip(row, dens)] for row, da in zip(got, dens)]
     assert scaled == dense_adbeta_gram(basis, chamber.entries)
     assert derivation_certificates(moved, chamber) == fraction_derivation_certificates(
@@ -348,6 +358,11 @@ def test_large_certificates_goldens(mu, beta, dim_der):
     b = beta_of(mu)
     assert b.entries == tuple(F(x) for x in beta)
     assert derivation_certificates(mu, b).dim_der == dim_der
+    _, nums = zip(*_exact_derivations(mu))
+    bint = b._integer[1]
+    gram = strata._integer_gram(nums, bint)
+    assert gram == all_pairs_integer_gram(nums, bint)
+    assert linalg.is_psd(gram) and fraction_is_psd(gram)
     assert certify_candidate(mu, b).all_passed
 
 
