@@ -224,14 +224,13 @@ def cmd_minnorm(args) -> int:
     ps = jsonio.read_point_set(args.file)
     res = canonical_form(ps, min_norm_point(ps))
     res.verify(ps)
-    report = {"input": {"dim": ps.dim, "count": len(ps)},
-              "result": jsonio.min_norm_to_dict(res)}
+    result = jsonio.min_norm_to_dict(res)
+    report = {"input": {"dim": ps.dim, "count": len(ps)}, "result": result}
     lines = [f"{len(ps)} points in dimension {ps.dim}",
-             "point: (" + ", ".join(format_scalar(x) for x in res.point) + ")",
-             f"norm_sq: {format_scalar(res.norm_sq())}",
+             "point: (" + ", ".join(result["point"]) + ")",
+             f"norm_sq: {result['norm_sq']}",
              f"support: {list(res.support)}",
-             "weights: [" + ", ".join(format_scalar(res.weights[i])
-                                      for i in res.support) + "]"]
+             "weights: [" + ", ".join(result["weights"][i] for i in res.support) + "]"]
     _emit(report, lines, args.format, started)
     return PASS
 

@@ -8,10 +8,13 @@ Bracket files (1-based indices, a-block first, [x_i, x_j] = sum_k c e_k):
      "gram": [[...], ...]}          # optional inner product matrix
 
 Scalars are ints, finite floats, or "p/q" strings; ints and strings stay
-exact.  A float bracket whose |mu|^2 overflows the float range is refused.
-Point set files (exact entries only: ints or "p/q" strings; "labels", if
-present, is a list of strings, one per point, checked and then dropped: no
-output reads it):
+exact.  A string is read as Python's Fraction reads it (so "1.5" and "1e3"
+are exact too), except that a decimal exponent beyond 4300 in magnitude is
+refused before it is expanded.  A float bracket whose |mu|^2 overflows the
+float range is refused.  Point set files (exact entries only: ints or "p/q"
+strings, read straight to integer coordinates; "labels", if present, is a
+list of strings, one per point, checked and then dropped: no output reads
+it):
 
     {"dim": 3, "points": [["-1", "-1", "1"], ["-1", "0", "0"]]}
 
@@ -23,9 +26,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .bracket import BracketTensor, norm_sq
-from .linalg import format_scalar, is_exact, parse_scalar
+from .linalg import format_scalar, numerators, parse_literal, parse_scalar
 from .minnorm import MinNormResult, PointSet
 
 
@@ -130,6 +134,9 @@ def bracket_to_dict(dim_a: int, dim_n: int, bracket: BracketTensor) -> dict:
 
 
 def read_point_set(path) -> PointSet:
+    """The point set of a point file, read straight to integers: each entry
+    is parsed to (num, den) by parse_literal and PointSet.from_pairs clears
+    the denominators, with no Fraction built."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
@@ -147,10 +154,10 @@ def read_point_set(path) -> PointSet:
         if not isinstance(p, list) or len(p) != dim:
             raise FormatError(f"{where}.points[{pos}]: expected a list of length {dim}")
         try:
-            row = [parse_scalar(x) for x in p]
+            row = [parse_literal(x) for x in p]
         except ValueError as exc:
             raise FormatError(f"{where}.points[{pos}]: {exc}") from exc
-        inexact = next((x for x in row if not is_exact(x)), None)
+        inexact = next((x for x in row if isinstance(x, float)), None)
         if inexact is not None:
             raise FormatError(f"{where}.points[{pos}]: entries must be integers or "
                               f"'p/q' strings, got {inexact!r}")
@@ -163,17 +170,19 @@ def read_point_set(path) -> PointSet:
         raise FormatError(f"{where}.labels: expected {len(pts)} labels, one per point, "
                           f"got {len(labels)}")
     try:
-        return PointSet.make(pts)
+        return PointSet.from_pairs(dim, pts)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from exc
 
 
 def min_norm_to_dict(res: MinNormResult) -> dict:
+    # |x|^2 from the point's integer numerator X = q x: |X|^2 / q^2
+    q, xs = numerators(res.point)
     return {
         "point": [format_scalar(x) for x in res.point],
         "weights": [format_scalar(w) for w in res.weights],
         "support": list(res.support),
-        "norm_sq": format_scalar(res.norm_sq()),
+        "norm_sq": format_scalar(Fraction(sum(x * x for x in xs), q * q)),
     }
 
 

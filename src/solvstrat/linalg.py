@@ -15,7 +15,10 @@ dense Bareiss elimination for the small square systems of the min-norm
 layer, where it is faster, and returns integers; is_psd decides an integer
 symmetric matrix per connected block of its nonzero pattern, by
 fraction-free Schur complements on the blocks larger than 1 x 1.  is_zero,
-nonneg and positive state the comparison rule of each mode.
+nonneg and positive state the comparison rule of each mode.  parse_literal
+is the one reader of JSON scalars: it gives an exact value as (num, den) in
+lowest terms, which clear_denominators writes over a common denominator
+with no Fraction built, and parse_scalar wraps it.
 """
 
 from __future__ import annotations
@@ -60,18 +63,22 @@ def positive(x, tol: float) -> bool:
     return x > 0 if is_exact(x) else x > tol
 
 
-def parse_scalar(v) -> Scalar:
-    """JSON value -> scalar: ints and 'p/q' strings stay exact, finite floats
-    stay float.  Python's json reads NaN, Infinity and overflowing literals
-    such as 1e309 as non-finite floats; those raise ValueError."""
-    if isinstance(v, bool):
-        raise ValueError(f"expected a number, got {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise ValueError(f"expected a finite number, got {v!r}")
-        return v
+# Python refuses to convert a string of more than this many digits to an int
+# (its default int_max_str_digits).  A literal's decimal exponent is held to
+# the same bound: Fraction("1e10000000") would build 10^10000000 first.
+_MAX_EXPONENT = 4300
+
+
+def parse_literal(v) -> tuple[int, int] | float:
+    """JSON value -> (num, den) in lowest terms with den > 0 for an int or a
+    rational string, or the float itself for a finite float.
+
+    Python's json reads NaN, Infinity and overflowing literals such as 1e309
+    as non-finite floats; those raise ValueError, as do bools and values
+    that are neither numbers nor strings.  A string is read as Fraction
+    reads it, except that a decimal exponent beyond _MAX_EXPONENT raises
+    ValueError before any power of ten is built.
+    """
     if isinstance(v, str):
         try:
             # ASCII [-]digits[/digits] with a nonzero denominator skips
@@ -80,13 +87,47 @@ def parse_scalar(v) -> Scalar:
             digits = num[1:] if num[:1] == "-" else num
             if digits.isdigit() and digits.isascii():
                 if not slash:
-                    return Fraction(int(num))
-                if den.isdigit() and den.isascii() and int(den):
-                    return Fraction(int(num), int(den))
-            return Fraction(v)
+                    return int(num), 1
+                if den.isdigit() and den.isascii():
+                    d = int(den)
+                    if d:
+                        n = int(num)
+                        g = math.gcd(n, d)
+                        return (n, d) if g == 1 else (n // g, d // g)
+            if not _exponent_beyond_limit(v):
+                f = Fraction(v)
+                return f.numerator, f.denominator
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed rational literal {v!r}") from exc
+        raise ValueError(f"malformed rational literal {v!r}: its exponent exceeds "
+                         f"{_MAX_EXPONENT} in magnitude")
+    if isinstance(v, bool):
+        raise ValueError(f"expected a number, got {v!r}")
+    if isinstance(v, int):
+        return v, 1
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"expected a finite number, got {v!r}")
+        return v
     raise ValueError(f"expected a number or 'p/q' string, got {v!r}")
+
+
+def _exponent_beyond_limit(v: str) -> bool:
+    """Whether the text after the first e or E of v reads as an int of
+    magnitude above _MAX_EXPONENT; text that does not read as an int is left
+    to Fraction."""
+    _, e, exponent = v.lower().partition("e")
+    try:
+        return bool(e) and abs(int(exponent)) > _MAX_EXPONENT
+    except ValueError:
+        return False
+
+
+def parse_scalar(v) -> Scalar:
+    """JSON value -> scalar by parse_literal: ints and rational strings
+    become Fractions, finite floats stay float."""
+    x = parse_literal(v)
+    return x if isinstance(x, float) else Fraction(*x)
 
 
 def format_scalar(x: Scalar):
@@ -137,6 +178,14 @@ def numerators(values: Sequence[Rational]) -> tuple[int, list[int]]:
     smallest positive integer that clears them (1 for no values)."""
     den = math.lcm(*(x.denominator for x in values))
     return den, [x.numerator * (den // x.denominator) for x in values]
+
+
+def clear_denominators(pairs: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
+    """numerators of the values num / den given as pairs (num, den) in
+    lowest terms with den > 0, such as parse_literal returns, with no
+    Fraction built."""
+    den = math.lcm(*(d for _, d in pairs))
+    return den, [n * (den // d) for n, d in pairs]
 
 
 def _integer_row(sparse: Mapping[int, Rational]) -> dict[int, int]:

@@ -26,15 +26,18 @@ One solver and one canonicalisation, both on integers:
 Integer representation.  A PointSet is its integer coordinates: with den
 the lcm of all coordinate denominators, point i is p_i = P_i / den for the
 integer vector P_i = coords[i], and G_ij = <P_i, P_j> = den^2 <p_i, p_j> is
-the integer Gram matrix, computed once per point set.  A convex combination
-x = sum_c w_c p_c is held as integer numerators y_c = d w_c over one
-positive denominator d, so that
+the integer Gram matrix.  Its columns are computed on demand and cached
+(PointSet.column): Wolfe reads only the columns of the points that enter
+its corral, and canonical_form only those of the support.  A convex
+combination x = sum_c w_c p_c is held as integer numerators y_c = d w_c
+over one positive denominator d, so that
 
     den^2 d <x, p_i> = (G y)_i,    den^2 d^2 |x|^2 = y . G y,
 
 and every comparison the solvers make (Wolfe's pricing and drop step, the
-active set) is one between integers.  The exact solves return integers too
-(linalg.solve_integer gives (d, y)), and canonical_form writes its systems
+active set) is one between integers.  The exact solves return integers too:
+linalg.solve_integer gives (d, y), and Wolfe's affine step turns it into
+weights y / sum(y) (_affine_minimizer).  canonical_form writes its systems
 over the point's own integer numerator.  Fractions are built once, for the
 returned MinNormResult: the point x_r = sum_c y_c P_cr / (den d) and the
 weights y_c / d.  MinNormResult.verify re-derives its five conditions from
@@ -80,8 +83,19 @@ class PointSet:
         dim = len(pts[0])
         if any(len(p) != dim for p in pts):
             raise ValueError("points have mixed dimensions")
-        den, flat = numerators([x for p in pts for x in p])
-        coords = tuple(tuple(flat[i * dim:(i + 1) * dim]) for i in range(len(pts)))
+        return PointSet.from_pairs(dim, [[(x.numerator, x.denominator) for x in p]
+                                         for p in pts])
+
+    @staticmethod
+    def from_pairs(dim: int, rows: Sequence[Sequence[tuple[int, int]]]) -> "PointSet":
+        """The points with coordinates rows[i][r] = num / den, given as
+        (num, den) in lowest terms with den > 0, each row of length dim.
+
+        linalg.clear_denominators writes them over their common
+        denominator; the points must be distinct.
+        """
+        den, flat = linalg.clear_denominators([x for row in rows for x in row])
+        coords = tuple(tuple(flat[i * dim:(i + 1) * dim]) for i in range(len(rows)))
         if len(set(coords)) != len(coords):
             raise ValueError("points must be distinct")
         return PointSet(dim, den, coords)
@@ -95,9 +109,16 @@ class PointSet:
         return tuple(map(tuple, linalg.fraction_rows(self.coords, self.den)))
 
     @functools.cached_property
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        """The integer Gram matrix <coords[i], coords[j]>, computed once."""
-        return tuple(tuple(_dot(p, q) for q in self.coords) for p in self.coords)
+    def _columns(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    def column(self, i: int) -> tuple[int, ...]:
+        """Column i of the integer Gram matrix, <coords[i], coords[j]> for
+        every j, computed on first use and cached."""
+        col = self._columns.get(i)
+        if col is None:
+            col = self._columns[i] = _gram_column(self.coords, i)
+        return col
 
 
 @dataclass(frozen=True)
@@ -142,32 +163,40 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(operator.mul, u, v))
 
 
-def _gram_products(gram: Sequence[Sequence[int]], idx: Sequence[int],
+def _gram_column(coords: Sequence[Sequence[int]], i: int) -> tuple[int, ...]:
+    p = coords[i]
+    return tuple(_dot(p, q) for q in coords)
+
+
+def _gram_products(ps: PointSet, idx: Sequence[int],
                    ys: Sequence[int]) -> tuple[list[int], int]:
     """(G y, y . G y) for the integer combination y supported on idx.
 
     With x = sum_t ys[t] p_idx[t] / d and G the Gram matrix of the integer
     coordinates, (G y)_i = den^2 d <x, p_i> and y . G y = den^2 d^2 |x|^2.
+    G is symmetric, so G y reads only the columns of idx.
     """
-    gy = [_dot(ys, col) for col in zip(*(gram[i] for i in idx))]
+    gy = [_dot(ys, col) for col in zip(*map(ps.column, idx))]
     return gy, _dot(ys, [gy[i] for i in idx])
 
 
-def _affine_minimizer(gram: Sequence[Sequence[int]],
-                      subset: Sequence[int]) -> tuple[int, list[int]] | None:
-    """Barycentric weights y / d of the min-norm point of the affine hull of
-    subset, as (d, y) with d > 0.
+def _affine_minimizer(ps: PointSet, subset: Sequence[int]) -> tuple[int, list[int]] | None:
+    """Barycentric weights y / e of the min-norm point of the affine hull of
+    subset, as (e, y) with e > 0, or None if subset is affinely dependent.
 
-    Solves the KKT system [G 1; 1^T 0] [w; t] = [0; 1] with G the Gram
-    matrix (scaling G by den^2 only rescales the multiplier t, not w).  The
-    bordered matrix is singular exactly when the subset is affinely
-    dependent, so None doubles as the independence test.
+    Wolfe's form of the KKT system: with G the Gram matrix of subset,
+    solves (G + 1 1^T) u = 1 and takes w = u / sum(u).  Then G w is a
+    multiple of 1 and sum(w) = 1, the optimality conditions of the affine
+    hull (scaling G by den^2 changes neither).  G + 1 1^T is the Gram
+    matrix of the vectors (P_s, 1), so it is positive definite exactly when
+    subset is affinely independent, and then 1^T u = u^T (G + 1 1^T) u > 0;
+    a singular matrix gives None.  With u = y / d from
+    linalg.solve_integer, w = y / sum(y).
     """
-    k = len(subset)
-    a = [[gram[i][j] for j in subset] + [1] for i in subset]
-    a.append([1] * k + [0])
-    sol = linalg.solve_integer(a, [0] * k + [1])
-    return None if sol is None else (sol[0], sol[1][:k])
+    cols = [ps.column(i) for i in subset]
+    sol = linalg.solve_integer([[col[j] + 1 for j in subset] for col in cols],
+                               [1] * len(subset))
+    return None if sol is None else (sum(sol[1]), sol[1])
 
 
 def _reduced(d: int, ys: list[int]) -> tuple[int, list[int]]:
@@ -183,26 +212,30 @@ def min_norm_point(ps: PointSet) -> MinNormResult:
     they strictly violate the optimality condition at the current relative
     interior minimizer, and such points never lie in the corral's affine
     hull.  The corral's weights are held only as numerators y over one
-    positive denominator d.  Pricing picks the first i with the smallest
-    (G y)_i, entering when d (G y)_i < y . G y, i.e. the first minimizer of
-    <x, p_i> below |x|^2.  The rare drop step compares the ratios
-    w_c / (w_c - v_c) by cross-multiplication.  All arithmetic is exact, so
-    termination is exact, with no tolerance anywhere, and Fractions are
+    positive denominator d.  The start is the first point of least norm.
+    Pricing picks the first i with the smallest (G y)_i, entering when
+    d (G y)_i < y . G y, i.e. the first minimizer of <x, p_i> below |x|^2;
+    it reads the Gram columns of the corral only.  Each affine step is one
+    k x k positive definite solve (_affine_minimizer).  The rare drop step
+    compares the ratios w_c / (w_c - v_c) by cross-multiplication, and
+    _reduced brings the weights to lowest terms, so the scale of the affine
+    step's (e, y) changes no choice and no result.  All arithmetic is exact,
+    so termination is exact, with no tolerance anywhere, and Fractions are
     built only for the result.
     """
-    gram, coords = ps.gram, ps.coords
-    start = min(range(len(gram)), key=lambda i: (gram[i][i], coords[i]))
+    coords = ps.coords
+    start = min(range(len(coords)), key=lambda i: (_dot(coords[i], coords[i]), coords[i]))
     corral, d, ys = [start], 1, [1]
 
     while True:
-        gy, ygy = _gram_products(gram, corral, ys)
+        gy, ygy = _gram_products(ps, corral, ys)
         low = min(gy)
         if d * low >= ygy:
             break
         corral.append(gy.index(low))
         ys.append(0)
         while True:
-            sol = _affine_minimizer(gram, corral)
+            sol = _affine_minimizer(ps, corral)
             if sol is None:
                 raise RuntimeError("Wolfe corral became affinely dependent")
             e, vs = sol
@@ -442,7 +475,7 @@ def canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult:
     # with W = l * weights integral, <x, p_i> = |x|^2 iff l (G W)_i = W . G W
     used = [i for i, wi in enumerate(res.weights) if wi]
     lw, ws = numerators([res.weights[i] for i in used])
-    gw, wgw = _gram_products(ps.gram, used, ws)
+    gw, wgw = _gram_products(ps, used, ws)
     active = [i for i, v in enumerate(gw) if lw * v == wgw]
     m = len(res.support)
     if len(active) == m:

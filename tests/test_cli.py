@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -667,29 +668,118 @@ def test_numeric_flags_at_their_bounds_are_accepted(tmp_path, capsys):
         assert code in (0, 2) and err == ""
 
 
-def test_minnorm_computes_the_gram_matrix_once(tmp_path, capsys, monkeypatch):
-    # min_norm_point and canonical_form both read the one cached Gram matrix
-    # of the point set (verify reads the coordinates only)
-    import functools
+_ACCEPTED = [3, -2, 0, "7/3", "-5/10", "-0", "06/4", " 1/2", "1.5", "1e3", "٣", 2**80]
+_REFUSED = [(0.5, "entries must be integers or 'p/q' strings, got 0.5"),
+            (True, "expected a number, got True"),
+            ("1/0", "malformed rational literal '1/0'"),
+            ("3/-4", "malformed rational literal '3/-4'"),
+            ("²", "malformed rational literal '²'"),
+            ("7" * 5000, f"malformed rational literal '{'7' * 5000}'"),
+            (None, "expected a number or 'p/q' string, got None")]
 
+
+def test_read_point_set_equals_point_set_make_of_parsed_values(tmp_path, monkeypatch):
+    # the point file goes straight to integer coordinates, and gives the
+    # PointSet that PointSet.make builds from the parse_scalar values
+    from solvstrat import linalg, minnorm
+
+    for t, value in enumerate(_ACCEPTED):
+        other = _ACCEPTED[(t + 5) % len(_ACCEPTED)]
+        points = [[value, "1/6"], [other, 1], ["-1/4", value]]
+        got = jsonio.read_point_set(put(tmp_path, "ps.json", {"dim": 2, "points": points}))
+        want = minnorm.PointSet.make([[linalg.parse_scalar(x) for x in p] for p in points])
+        assert got == want, points
+    # ints and "p/q" strings build no Fraction on the way
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    for module in (linalg, minnorm, jsonio):
+        monkeypatch.setattr(module, "Fraction", refuse, raising=False)
+    points = [[3, "-7/12"], ["06/4", "-0"], [2**80, "5/1"]]
+    got = jsonio.read_point_set(put(tmp_path, "ps.json", {"dim": 2, "points": points}))
+    assert (got.den, got.coords) == (12, ((36, -7), (18, 0), (12 * 2**80, 60)))
+
+
+@pytest.mark.parametrize("value,message", _REFUSED)
+def test_read_point_set_refuses_entries_with_the_same_message(tmp_path, value, message):
+    path = put(tmp_path, "ps.json", {"dim": 2, "points": [[1, 0], ["1/2", value]]})
+    with pytest.raises(jsonio.FormatError) as info:
+        jsonio.read_point_set(path)
+    assert str(info.value) == f"{path}.points[1]: {message}"
+
+
+def test_read_point_set_refuses_points_that_are_equal_as_rationals(tmp_path):
+    path = put(tmp_path, "ps.json", {"dim": 2, "points": [["1/2", 3], ["2/4", "6/2"]]})
+    with pytest.raises(jsonio.FormatError) as info:
+        jsonio.read_point_set(path)
+    assert str(info.value) == f"{path}: points must be distinct"
+
+
+def _exponent_files(literal):
+    # the literal as a bracket coefficient, a gram entry and a point coordinate
+    gram = [["1", "0", "0"], ["0", literal, "0"], ["0", "0", "1"]]
+    return [("validate", "brackets[0].c",
+             {**H3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": literal}]}),
+            ("validate", "gram[1]", {**H3, "gram": gram}),
+            ("minnorm", "points[1]", {"dim": 2, "points": [["1", "0"], [literal, "1"]]})]
+
+
+@pytest.mark.parametrize("literal", ["1e10000000", "0e99999999", "1E-3000000", "7.5e+4301"])
+def test_an_exponent_beyond_the_digit_limit_is_refused_at_once(tmp_path, capsys, literal):
+    # Fraction would build 10^|exponent| before anything could refuse it
+    # (29 s for 1e10000000); the bound is Python's 4300 digits of an int
+    for command, field, obj in _exponent_files(literal):
+        path = put(tmp_path, "x.json", obj)
+        started = time.perf_counter()
+        code, out, err = run(capsys, command, path)
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (3, "")
+        assert err == (f"error: {path}.{field}: malformed rational literal {literal!r}: "
+                       "its exponent exceeds 4300 in magnitude\n")
+
+
+@pytest.mark.parametrize("literal,value", [("1e3", 1000), ("1e-3", Fraction(1, 1000)),
+                                           ("25E-2", Fraction(1, 4))])
+def test_an_exponent_within_the_digit_limit_is_read_exactly(tmp_path, capsys, literal, value):
+    bracket = {**H3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": literal}]}
+    code, out, _ = run(capsys, "validate", put(tmp_path, "b.json", bracket), "--format", "json")
+    assert code == 0 and json.loads(out)["norm_sq"] == format_scalar(2 * value ** 2)
+    gram = {**H3, "gram": [["1", "0", "0"], ["0", literal, "0"], ["0", "0", "1"]]}
+    assert run(capsys, "validate", put(tmp_path, "g.json", gram))[0] == 0
+    points = {"dim": 1, "points": [[literal]]}
+    code, out, _ = run(capsys, "minnorm", put(tmp_path, "p.json", points), "--format", "json")
+    assert code == 0 and json.loads(out)["result"]["point"] == [format_scalar(value)]
+
+
+def test_minnorm_computes_the_gram_matrix_once(tmp_path, capsys, monkeypatch):
+    # min_norm_point and canonical_form read the cached Gram columns of the
+    # point set, and only those of points that enter Wolfe's corral (the
+    # start among them; canonical_form reads those of the corral's support,
+    # and verify reads the coordinates only)
     from solvstrat import minnorm
 
-    calls = []
-    real = minnorm.PointSet.__dict__["gram"].func
+    computed, entered = [], set()
+    column, affine = minnorm._gram_column, minnorm._affine_minimizer
 
-    def spy(ps):
-        calls.append(1)
-        return real(ps)
+    def spy_column(coords, i):
+        computed.append(i)
+        return column(coords, i)
 
-    gram = functools.cached_property(spy)
-    gram.__set_name__(minnorm.PointSet, "gram")
-    monkeypatch.setattr(minnorm.PointSet, "gram", gram)
+    def spy_affine(ps, subset):
+        entered.update(subset)
+        return affine(ps, subset)
+
+    monkeypatch.setattr(minnorm, "_gram_column", spy_column)
+    monkeypatch.setattr(minnorm, "_affine_minimizer", spy_affine)
     # the optimum is the origin, on the segment of the first two points, and
-    # every point is active there, so canonical_form searches
+    # every point is active there, so canonical_form searches; (3, 3) never
+    # enters the corral
     ps = {"dim": 2, "points": [["1", "0"], ["-1", "0"], ["0", "1/2"], ["3", "3"]]}
-    code, _, _ = run(capsys, "minnorm", put(tmp_path, "ps.json", ps), "--format", "json")
+    code, out, _ = run(capsys, "minnorm", put(tmp_path, "ps.json", ps), "--format", "json")
     assert code == 0
-    assert calls == [1]
+    assert json.loads(out)["result"]["point"] == ["0", "0"]
+    assert len(computed) == len(set(computed))
+    assert set(computed) == entered and 3 not in entered
 
 
 def test_console_entry_point_smoke(tmp_path):

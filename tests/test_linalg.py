@@ -462,6 +462,47 @@ def test_parse_scalar_agrees_with_the_fraction_literal(text):
         assert type(got) is Fraction and got == want
 
 
+@pytest.mark.parametrize("value", [0, -7, 2**100, "-0", "06/4", "-6/4", "12/-4", " 1/2", "1.5",
+                                   "1e3", "1e-3", "-2.5E+2", "٣", "1_000", 2.5])
+def test_parse_literal_gives_lowest_terms_or_the_float(value):
+    # parse_scalar's one fast path: the pair (num, den) of the Fraction
+    # parse_scalar builds from it, in lowest terms with den > 0
+    try:
+        want = linalg.parse_scalar(value)
+    except ValueError:
+        with pytest.raises(ValueError, match="malformed rational literal"):
+            linalg.parse_literal(value)
+        return
+    got = linalg.parse_literal(value)
+    if isinstance(want, float):
+        assert type(got) is float and got == want
+    else:
+        assert type(got) is tuple and got == (want.numerator, want.denominator)
+        assert math.gcd(*got) == 1 and got[1] > 0
+
+
+def test_parse_literal_bounds_the_exponent_before_expanding_it():
+    # the bound is Python's 4300 digits of an int string; beyond it the
+    # literal is refused before 10^|exponent| is built
+    assert linalg.parse_scalar("1e4300") == 10**4300
+    assert linalg.parse_scalar("-3e-4300") == Fraction(-3, 10**4300)
+    assert linalg.parse_scalar("1e" + "0" * 4000 + "7") == 10**7
+    for text in ("1e4301", "0e99999999", "1E-4301", "1.5e+10000000", "-0.e12345"):
+        with pytest.raises(ValueError, match="its exponent exceeds 4300 in magnitude"):
+            linalg.parse_literal(text)
+    # an exponent of more than 4300 digits is refused by int itself
+    with pytest.raises(ValueError, match="malformed rational literal") as info:
+        linalg.parse_literal("1e" + "9" * 5000)
+    assert "Exceeds the limit" in str(info.value.__cause__)
+
+
+def test_clear_denominators_equals_numerators():
+    values = [Fraction(1, 6), Fraction(-3, 4), Fraction(2), Fraction(0)]
+    assert linalg.clear_denominators([(x.numerator, x.denominator) for x in values]) == \
+        linalg.numerators(values) == (12, [2, -9, 24, 0])
+    assert linalg.clear_denominators([]) == (1, [])
+
+
 def test_sqrt_fraction_is_exact_or_none():
     assert linalg.sqrt_fraction(F(9, 4)) == F(3, 2)
     assert linalg.sqrt_fraction(16) == 4 and linalg.sqrt_fraction(F(0)) == 0

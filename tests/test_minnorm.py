@@ -154,20 +154,6 @@ def test_verify_reads_a_point_whose_denominator_does_not_divide_the_scale():
         vertex.verify(ps)
 
 
-def _spy_solves(monkeypatch) -> list[tuple]:
-    """Spy on linalg.solve_integer; records each call's system and result."""
-    calls: list[tuple] = []
-    real = linalg.solve_integer
-
-    def spy(a, b):
-        res = real(a, b)
-        calls.append(([list(row) for row in a], list(b), res))
-        return res
-
-    monkeypatch.setattr(linalg, "solve_integer", spy)
-    return calls
-
-
 def _shifted_point_set(rng, dim: int, count: int) -> PointSet:
     # the origin outside the hull: the first coordinate is moved above 0
     pts = random_point_set(rng, dim, count).points
@@ -214,23 +200,81 @@ def test_random_point_set_refuses_more_points_than_exist():
         random_point_set(rng, 1, 20)
 
 
+def _spy_affine_steps(monkeypatch) -> list[tuple]:
+    """Spy on the affine step of both Wolfe loops, the package's k x k
+    solve and the oracle's bordered KKT solve; records each call's corral
+    and its barycentric weights as Fractions (None if dependent)."""
+    steps: list[tuple] = []
+    package, oracle = minnorm._affine_minimizer, oracles._affine_minimizer
+
+    def spy_package(ps, subset):
+        res = package(ps, subset)
+        steps.append((list(subset), None if res is None else [F(y, res[0]) for y in res[1]]))
+        return res
+
+    def spy_oracle(sc, pts, subset):
+        res = oracle(sc, pts, subset)
+        steps.append((list(subset), None if res is None else list(res[0])))
+        return res
+
+    monkeypatch.setattr(minnorm, "_affine_minimizer", spy_package)
+    monkeypatch.setattr(oracles, "_affine_minimizer", spy_oracle)
+    return steps
+
+
 def test_integer_wolfe_equals_the_fraction_loop(monkeypatch):
-    # same point, weights and support, and the same KKT systems in the same
-    # order: integer pricing changes the arithmetic, never a choice
-    calls = _spy_solves(monkeypatch)
+    # same point, weights and support, and the same corrals in the same
+    # order with the same affine weights: integer pricing and the k x k
+    # affine step change the arithmetic, never a choice
+    steps = _spy_affine_steps(monkeypatch)
     drops = 0
     for ps in _battery_sets():
-        calls.clear()
+        steps.clear()
         ref = fraction_min_norm_point(ps)
-        ref_calls = list(calls)
-        calls.clear()
+        ref_steps = list(steps)
+        steps.clear()
         res = min_norm_point(ps)
         assert res == ref, ps
-        assert calls == ref_calls
+        assert steps == ref_steps
         res.verify(ps)
-        # a solve with a nonpositive weight (the multiplier is last) drops a point
-        drops += any(sol is not None and min(sol[1][:-1]) <= 0 for _, _, sol in calls)
+        # an affine step with a nonpositive weight drops a point
+        drops += any(w is not None and min(w) <= 0 for _, w in steps)
     assert drops > 0
+
+
+def test_affine_step_equals_the_bordered_kkt_solve():
+    # (G + 1 1^T) u = 1 gives the weights of the bordered system
+    # [G 1; 1^T 0] [w; t] = [0; 1], and None exactly where that system is
+    # singular: on the affinely dependent corrals
+    rng = np.random.default_rng(36)
+    cases = []
+    for t in range(240):
+        dim = int(rng.integers(1, 6))
+        if t % 3 == 0:
+            ps = _small_integer_centred_set(rng, dim)
+        elif t % 3 == 1:
+            ps = random_point_set(rng, dim, int(rng.integers(2, 9)))
+        else:
+            # the midpoint of two points joins them: {a, b, (a + b) / 2} and
+            # its supersets are dependent even in general position
+            a, b, *rest = random_point_set(rng, dim, int(rng.integers(2, 7))).points
+            ps = PointSet.make([a, b, [(x + y) / 2 for x, y in zip(a, b)], *rest])
+            cases.append((ps, [0, 1, 2]))
+        for _ in range(4):
+            # up to dim + 2 points: the largest are always dependent
+            size = int(rng.integers(1, min(len(ps), dim + 2) + 1))
+            cases.append((ps, sorted(rng.choice(len(ps), size, replace=False).tolist())))
+    dependent = 0
+    for ps, subset in cases:
+        want = oracles._affine_minimizer(oracles._scaled(ps), ps.points, subset)
+        got = minnorm._affine_minimizer(ps, subset)
+        if want is None:
+            assert got is None, (ps, subset)
+            dependent += 1
+        else:
+            e, ys = got
+            assert e > 0 and [F(y, e) for y in ys] == want[0], (ps, subset)
+    assert 100 < dependent < len(cases) - 300
 
 
 def test_min_norm_point_makes_no_fraction_dot(monkeypatch):
