@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -115,13 +116,22 @@ def parse_bracket_dict(obj, where: str = "input") -> BracketFile:
     return BracketFile(dim_a, dim_n, bracket, gram)
 
 
-def read_bracket_file(path) -> BracketFile:
+def _load(path):
+    """The JSON value of the file at path; FormatError names the file when
+    it is not JSON, or when a number literal has more digits than Python
+    converts to an int (json hands each integer literal to int)."""
     with open(path) as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_bracket_dict(obj, where=str(path))
+        except ValueError as exc:
+            raise FormatError(f"{path}: a number literal has more than "
+                              f"{sys.get_int_max_str_digits()} digits") from exc
+
+
+def read_bracket_file(path) -> BracketFile:
+    return parse_bracket_dict(_load(path), where=str(path))
 
 
 def bracket_to_dict(dim_a: int, dim_n: int, bracket: BracketTensor) -> dict:
@@ -137,11 +147,7 @@ def read_point_set(path) -> PointSet:
     """The point set of a point file, read straight to integers: each entry
     is parsed to (num, den) by parse_literal and PointSet.from_pairs clears
     the denominators, with no Fraction built."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    obj = _load(path)
     where = str(path)
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected a JSON object")

@@ -12,13 +12,11 @@ rows by 100 columns at n = 10).  _nullspace_numerators reads the canonical
 null space basis off it, and invert clears rational rows of their
 denominators (numerators) and calls that.  solve_integer keeps its own
 dense Bareiss elimination for the small square systems of the min-norm
-layer, where it is faster, and returns integers; is_psd decides an integer
-symmetric matrix per connected block of its nonzero pattern, by
-fraction-free Schur complements on the blocks larger than 1 x 1.  is_zero,
-nonneg and positive state the comparison rule of each mode.  parse_literal
-is the one reader of JSON scalars: it gives an exact value as (num, den) in
-lowest terms, which clear_denominators writes over a common denominator
-with no Fraction built, and parse_scalar wraps it.
+layer, where it is faster, and returns integers.  is_zero, nonneg and
+positive state the comparison rule of each mode.  parse_literal is the one
+reader of JSON scalars: it gives an exact value as (num, den) in lowest
+terms, which clear_denominators writes over a common denominator with no
+Fraction built, and parse_scalar wraps it.
 """
 
 from __future__ import annotations
@@ -345,70 +343,6 @@ def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[int, li
         row = tri[i]
         y[i] = (d * row[cols] - sum(row[j] * y[j] for j in range(i + 1, cols))) // row[i]
     return (d, y) if d > 0 else (-d, [-v for v in y])
-
-
-def is_psd(m: Sequence[Sequence[int]]) -> bool:
-    """Exact positive-semidefiniteness of a symmetric integer matrix, block
-    by block.
-
-    The indices split into the connected components of the off-diagonal
-    nonzero pattern; reordered by them, m is block diagonal, and a block
-    diagonal matrix is PSD iff every block is.  A 1 x 1 block is its
-    diagonal entry, PSD iff that is >= 0; a larger block goes to
-    _schur_is_psd.  A dense matrix is one block.  A caller with a rational
-    matrix passes D m D for a positive diagonal D that clears its
-    denominators; the congruence keeps semidefiniteness.
-    """
-    seen = [False] * len(m)
-    for s in range(len(m)):
-        if seen[s]:
-            continue
-        seen[s] = True
-        block = [s]
-        for i in block:   # grows while it is read: a breadth-first search
-            for j, x in enumerate(m[i]):
-                if x and not seen[j]:
-                    seen[j] = True
-                    block.append(j)
-        if len(block) == 1:
-            if m[s][s] < 0:
-                return False
-        elif not _schur_is_psd([[m[i][j] for j in block] for i in block]):
-            return False
-    return True
-
-
-def _schur_is_psd(m: Sequence[Sequence[int]]) -> bool:
-    """is_psd of one block by fraction-free Schur complements.
-
-    The largest remaining diagonal entry is the pivot: each step replaces
-    the remaining block by (piv * a_ij - a_ip * a_pj) / prev, where prev is
-    the previous pivot, as in Bareiss elimination, so every division is
-    exact.  That block is piv / prev > 0 times the rational Schur
-    complement, so signs, the pivot order and the verdict are those of
-    rational elimination.
-    """
-    a = [list(row) for row in m]
-    idx = list(range(len(a)))
-    prev = 1
-    while idx:
-        p = max(idx, key=lambda i: a[i][i])
-        piv = a[p][p]
-        if piv < 0:
-            return False
-        if piv == 0:
-            # all remaining diagonal entries are <= 0, hence all are 0;
-            # PSD now requires the remaining block to vanish entirely
-            return all(a[i][j] == 0 for i in idx for j in idx)
-        idx.remove(p)
-        lead = a[p]
-        for i in idx:
-            row = a[i]
-            f = row[p]
-            for j in idx:
-                row[j] = (piv * row[j] - f * lead[j]) // prev
-        prev = piv
-    return True
 
 
 def sqrt_fraction(f: Scalar) -> Fraction | None:

@@ -209,14 +209,20 @@ def parabolic_membership(d, beta: DiagonalWeight, tol: float = 0.0) -> bool:
 
 @dataclass(frozen=True)
 class DerivationCertificates:
-    """Checks of <[beta, D], D> >= 0 and tr(beta D) = 0 over Der(mu)."""
+    """Checks of <[beta, D], D> >= 0 and tr(beta D) = 0 over Der(mu).
+
+    quadratic_min is the minimum of <[beta, D], D> over unit D in Der(mu),
+    and trace_max_abs the largest |tr(beta D)| over the basis; both are
+    exact on the exact route.  There adbeta_nonneg and quadratic_min are
+    None (not decided) when the basis is not graded by beta.
+    """
 
     dim_der: int
-    adbeta_nonneg: bool
+    adbeta_nonneg: bool | None
     betaort_zero: bool
     parabolic_all: bool
-    quadratic_min: float
-    trace_max_abs: float
+    quadratic_min: Scalar | None
+    trace_max_abs: Scalar
 
 
 def _adbeta_gram(basis, b: Sequence[Scalar]) -> list[list[float]]:
@@ -244,72 +250,44 @@ def _adbeta_gram(basis, b: Sequence[Scalar]) -> list[list[float]]:
     return gram
 
 
-def _integer_gram(nums, bint: Sequence[int]) -> list[list[int]]:
-    """G'_ac = sum_rc (B_r - B_c) N^a_rc N^c_rc for the integer entries N^a
-    of den_a D_a, keyed by column r n + c, and an integer label B = L beta;
-    the Gram entry <[beta, D_a], D_c> is G'_ac / (L den_a den_c).
-
-    The basis is indexed by column once, and each a adds its weighted
-    entries only into the c >= a that share the column; every other entry
-    of G' is exactly 0.
-    """
-    n = len(bint)
-    column: dict[int, list[tuple[int, int]]] = {}
-    for c, e in enumerate(nums):
-        for col, x in e.items():
-            column.setdefault(col, []).append((c, x))
-    k = len(nums)
-    gram = [[0] * k for _ in range(k)]
-    for a, e in enumerate(nums):
-        row = gram[a]
-        for col, x in e.items():
-            w = (bint[col // n] - bint[col % n]) * x
-            if w:
-                for c, y in column[col]:
-                    if c >= a:
-                        row[c] += w * y
-        for c in range(a + 1, k):
-            gram[c][a] = row[c]
-    return gram
-
-
 def _exact_certificates(mu: BracketTensor, beta: DiagonalWeight,
                         tol: float) -> DerivationCertificates:
     """The certificate of a rational mu against a rational sorted beta,
     from one integer pass per basis element.
 
     The basis is that of _exact_derivations, (den_a, {r n + c: N^a_rc}) for
-    the element D_a = N^a / den_a, and beta is B / L by its integer view.  Then
-    tr(beta D_a) = sum_r B_r N^a_rr / (L den_a), D_a lies in the parabolic
-    subalgebra iff N^a vanishes where B_r < B_c, and the Gram matrix is
-    D G' D / L for the integer G' of _integer_gram and D = diag(1 / den_a):
-    positive semidefinite iff G' is.  G'_ac vanishes unless N^a and N^c
-    share a column.  On Z_beta, Der(mu) is graded by B_r - B_c and each
-    basis element lies in one graded piece, so G' falls into blocks no
-    larger than those pieces, and linalg.is_psd decides it block by block.
-    The reported floats are those of the rationals: int / int is correctly
-    rounded in Python, as float(Fraction(num, den)) is.
+    the element D_a = N^a / den_a, and beta is B / L by its integer view.
+    Then tr(beta D_a) = sum_r B_r N^a_rr / (L den_a), and D_a has the
+    weights B_r - B_c of its nonzero entries: it lies in the parabolic
+    subalgebra iff none is negative.  The form is <[beta, D], D> =
+    sum_rc (B_r - B_c) D_rc^2 / L, so an element of one weight w has
+    <[beta, D_a], D_a> = w |D_a|^2 / L, and elements of different weights
+    share no entry.  When every element has one weight (on Z_beta, where
+    alpha = beta + |beta|^2 I is a derivation and grades Der(mu), it does)
+    the form is therefore nonnegative iff no weight is negative, that is iff
+    the basis is parabolic, and its minimum over unit D is the least weight
+    over L.  Otherwise both are left undecided; off Z_beta the certificate
+    fails on in_Z anyway.
     """
     basis = _exact_derivations(mu)
     if not basis:
-        return DerivationCertificates(0, True, True, True, 0.0, 0.0)
+        return DerivationCertificates(0, True, True, True, Fraction(0), Fraction(0))
     if not beta.is_sorted():
         raise ValueError("parabolic membership requires sorted beta")
     big, bint, _ = beta._integer
     n = len(bint)
-    upper = {r * n + c for r in range(n) for c in range(n) if bint[r] < bint[c]}
-    dens, nums = zip(*basis)
     traces = [sum(bint[r] * e[r * (n + 1)] for r in range(n) if r * (n + 1) in e)
-              for e in nums]
-    gram = _integer_gram(nums, bint)
-    qgram = [[g / (big * da * dc) for g, dc in zip(row, dens)] for row, da in zip(gram, dens)]
+              for _, e in basis]
+    grades = [{bint[col // n] - bint[col % n] for col in e} for _, e in basis]
+    least = min(min(g) for g in grades)
+    graded = all(len(g) == 1 for g in grades)
     return DerivationCertificates(
         len(basis),
-        linalg.is_psd(gram),
+        least >= 0 if graded else None,
         all(t == 0 for t in traces),
-        all(upper.isdisjoint(e) for e in nums),
-        float(np.linalg.eigvalsh(np.asarray(qgram, dtype=float)).min()),
-        max(abs(t) / (big * den) for t, den in zip(traces, dens)))
+        least >= 0,
+        Fraction(least, big) if graded else None,
+        max(Fraction(abs(t), big * den) for t, (den, _) in zip(traces, basis)))
 
 
 def _float_certificates(mu: BracketTensor, beta: DiagonalWeight,
@@ -343,16 +321,15 @@ def derivation_certificates(
 ) -> DerivationCertificates:
     """Evaluate the derivation-side stratum conditions for a sorted beta.
 
-    The quadratic condition is decided exactly (positive semidefiniteness of
-    the Gram form on the derivation basis) when mu and beta are rational,
-    and by the smallest eigenvalue of that Gram matrix otherwise.  Either
-    way the reported residual is that smallest eigenvalue, computed in
-    floats, on the derivation basis: orthonormal in float mode, so it is the
-    minimum of <[beta, D], D> over unit D; the canonical rational basis in
-    exact mode, so only its sign is basis-free there.  The rational case
-    runs in integers, on the null space numerators of _exact_derivations
-    and the label's integer view (_exact_certificates), the float and mixed
-    cases on the basis of derivations as given (_float_certificates).
+    The quadratic residual is the minimum of <[beta, D], D> over unit D in
+    Der(mu).  When mu and beta are rational it is exact: the grading of the
+    derivation basis by beta decides the quadratic condition, which is then
+    the parabolic one, and leaves it undecided (None) on a basis that is not
+    graded (_exact_certificates, in integers, on the null space numerators
+    of _exact_derivations and the label's integer view).
+    Otherwise it is the smallest eigenvalue of the Gram form on the
+    orthonormal basis of derivations, judged against tol
+    (_float_certificates).
     """
     return _label_route(mu, beta)[1](mu, beta, tol)
 
@@ -386,16 +363,17 @@ def _delta_value(mu: BracketTensor, gaps: dict[Key, Scalar]) -> Scalar:
 class StratumCertificate:
     """Bundle of the stratum conditions for a candidate label beta.
 
-    checks maps condition names to booleans; residuals carries the matching
-    numeric slack.  q_value is 1/|beta|^2, the GIT weight of the stratum.
+    checks maps condition names to booleans, or None for a condition not
+    decided; residuals carries the matching numeric slack, None where it is
+    not decided.  q_value is 1/|beta|^2, the GIT weight of the stratum.
     """
 
     beta: DiagonalWeight
     q_value: Scalar
     eigenvalue_type: tuple[int, ...] | None
     type_scale: Fraction | None
-    checks: dict[str, bool]
-    residuals: dict[str, Scalar]
+    checks: dict[str, bool | None]
+    residuals: dict[str, Scalar | None]
 
     @property
     def all_passed(self) -> bool:
@@ -408,7 +386,8 @@ class StratumCertificate:
             "eigenvalue_type": list(self.eigenvalue_type) if self.eigenvalue_type else None,
             "type_scale": linalg.format_scalar(self.type_scale) if self.type_scale else None,
             "checks": dict(sorted(self.checks.items())),
-            "residuals": {k: linalg.format_scalar(v) for k, v in sorted(self.residuals.items())},
+            "residuals": {k: None if v is None else linalg.format_scalar(v)
+                          for k, v in sorted(self.residuals.items())},
             "all_passed": self.all_passed,
         }
 

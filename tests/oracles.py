@@ -251,42 +251,41 @@ def fraction_adbeta_gram(basis, b) -> list[list[Fraction]]:
              for ec in entries] for ea in entries]
 
 
-def all_pairs_integer_gram(nums, bint) -> list[list[int]]:
-    """The integer Gram matrix of strata._integer_gram, summed for every
-    pair a <= c: G'_ac = sum_rc (B_r - B_c) N^a_rc N^c_rc over the weighted
-    entries of N^a that N^c holds."""
-    n = len(bint)
-    diff = [bint[col // n] - bint[col % n] for col in range(n * n)]
-    weighted = [{col: diff[col] * x for col, x in e.items() if diff[col]} for e in nums]
-    k = len(nums)
-    gram = [[0] * k for _ in range(k)]
-    for a, wa in enumerate(weighted):
-        for c in range(a, k):
-            ec = nums[c]
-            gram[c][a] = gram[a][c] = sum(x * ec[col] for col, x in wa.items() if col in ec)
-    return gram
-
-
 def fraction_derivation_certificates(mu: BracketTensor, beta,
                                      tol: float = DEFAULT_TOL) -> DerivationCertificates:
     """The derivation certificate of an exact mu against a sorted beta, on the
     fraction_derivations basis: traces and parabolic entries by Fraction
-    sums, and fraction_is_psd of fraction_adbeta_gram when beta is exact;
-    the smallest eigenvalue of the dense Gram form against tol when it is
-    float."""
+    sums.  For an exact beta, when every basis element has one weight
+    b_i - b_j over its nonzero entries, fraction_is_psd of
+    fraction_adbeta_gram and the least Rayleigh quotient
+    <[beta, D], D> / |D|^2 over the basis; neither is decided otherwise.
+    For a float beta, the smallest eigenvalue of the dense Gram form against
+    tol."""
     basis = fraction_derivations(mu)
-    if not basis:
-        return DerivationCertificates(0, True, True, True, 0.0, 0.0)
     b = beta.entries
     exact = beta.is_exact_mode
+    if not basis:
+        zero = Fraction(0) if exact else 0.0
+        return DerivationCertificates(0, True, True, True, zero, zero)
+    n = len(b)
     traces = [sum(x * d[i][i] for i, x in enumerate(b)) for d in basis]
     parabolic = all(parabolic_membership(d, beta, tol) for d in basis)
-    gram = fraction_adbeta_gram(basis, b) if exact else dense_adbeta_gram(basis, b)
-    qmin = float(np.linalg.eigvalsh(np.asarray(gram, dtype=float)).min())
-    return DerivationCertificates(
-        len(basis), fraction_is_psd(gram) if exact else qmin >= -tol,
-        all(t == 0 if exact else abs(float(t)) <= tol for t in traces), parabolic, qmin,
-        max(abs(float(t)) for t in traces))
+    if not exact:
+        gram = np.asarray(dense_adbeta_gram(basis, b), dtype=float)
+        qmin = float(np.linalg.eigvalsh(gram).min())
+        return DerivationCertificates(len(basis), qmin >= -tol,
+                                      all(abs(float(t)) <= tol for t in traces), parabolic,
+                                      qmin, max(abs(float(t)) for t in traces))
+    graded = all(len({b[i] - b[j] for i in range(n) for j in range(n) if d[i][j]}) == 1
+                 for d in basis)
+    adbeta = qmin = None
+    if graded:
+        gram = fraction_adbeta_gram(basis, b)
+        adbeta = fraction_is_psd(gram)
+        qmin = min(gram[a][a] / sum(x * x for row in d for x in row)
+                   for a, d in enumerate(basis))
+    return DerivationCertificates(len(basis), adbeta, all(t == 0 for t in traces), parabolic,
+                                  qmin, max(abs(t) for t in traces))
 
 
 def float_derivation_certificates(mu: BracketTensor, beta,

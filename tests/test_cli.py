@@ -134,6 +134,10 @@ def test_validate_rejects_unparsable_file(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(p))
     assert code == 3
     assert "not valid JSON" in err
+    p.write_bytes(b"\xff")   # not UTF-8 text: named as such, not as a long number
+    code, _, err = run(capsys, "validate", str(p))
+    assert code == 3
+    assert err.startswith(f"error: {p}: not valid JSON")
 
 
 def test_stratum_certifies_filiform(tmp_path, capsys):
@@ -736,6 +740,24 @@ def test_an_exponent_beyond_the_digit_limit_is_refused_at_once(tmp_path, capsys,
         assert (code, out) == (3, "")
         assert err == (f"error: {path}.{field}: malformed rational literal {literal!r}: "
                        "its exponent exceeds 4300 in magnitude\n")
+
+
+@pytest.mark.parametrize("command,text,read", [
+    ("validate", '{"dim_a": 0, "dim_n": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": %s}]}',
+     jsonio.read_bracket_file),
+    ("minnorm", '{"dim": 2, "points": [[1, 0], [0, %s]]}', jsonio.read_point_set),
+], ids=["bracket-file", "point-file"])
+def test_a_json_number_beyond_the_digit_limit_names_the_file(tmp_path, capsys, command, text,
+                                                             read):
+    # json hands an integer literal to int, which refuses more than 4300
+    # digits; the refusal names the file, not only Python's limit
+    path = tmp_path / "long.json"
+    path.write_text(text % ("7" * 4301))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: {path}: a number literal has more than 4300 digits\n"
+    path.write_text(text % ("7" * 4300))
+    read(str(path))
 
 
 @pytest.mark.parametrize("literal,value", [("1e3", 1000), ("1e-3", Fraction(1, 1000)),

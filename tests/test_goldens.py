@@ -98,6 +98,25 @@ def test_exact_work_does_not_load_numpy(body):
     assert fresh(body) == (b"", {"code": None, "numpy": False})
 
 
+EXACT_CERTIFICATES = """
+from solvstrat import jsonio, strata
+code = []
+for path in sys.argv[1:]:
+    mu = jsonio.read_bracket_file(path).bracket
+    chamber, _ = strata.sort_to_weyl_chamber(strata.beta_of(mu))
+    cert = strata.certify_candidate(mu, chamber)
+    code.append([cert.all_passed, cert.residuals["adbeta_quadratic_min"] == 0])
+"""
+
+
+def test_exact_label_and_certificate_do_not_load_numpy():
+    # the exact certificate decides its quadratic condition by the grading,
+    # with no eigenvalue; the labels of fil4 and free3 are sorted already
+    paths = [str(GOLDENS / "inputs" / name) for name in ("fil4.json", "free3.json")]
+    assert fresh(EXACT_CERTIFICATES, *paths) == (b"", {"code": [[True, True]] * 2,
+                                                       "numpy": False})
+
+
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
 def test_fresh_process_matches_golden_and_loads_numpy_for_float_work(name, argv, code):
     args = [str(GOLDENS / "inputs" / a) if a.endswith(".json") else a for a in argv]

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from generators import filiform, free_two_step, rand_frac
-from oracles import (dense_nullspace, fraction_is_psd, fraction_nullspace, identity, matmul,
-                     numerator_basis, rref, rref_inverse, solve)
+from oracles import (dense_nullspace, fraction_nullspace, identity, matmul, numerator_basis,
+                     rref, rref_inverse, solve)
 from solvstrat import linalg
 from solvstrat.bracket import BracketTensor, act, derivations
 from solvstrat.catalog import filiform4, heisenberg3
@@ -260,133 +260,6 @@ def test_solve_integer_matches_rref_solve_on_a_battery():
     # a square system of full rank is always consistent
     assert seen == {(False, False, False), (False, True, True), (True, False, False),
                     (True, True, False), (True, True, True)}
-
-
-def _psd_battery():
-    rng = np.random.default_rng(53)
-    yield "empty", []
-    yield "zero", [[0, 0], [0, 0]]
-    yield "zero_diagonal_off_block", [[1, 0, 0], [0, 0, 2], [0, 2, 0]]
-    yield "negative_diagonal", [[2, 1], [1, -1]]
-    for t in range(60):
-        n = int(rng.integers(1, 7))
-        kind = t % 3
-        if kind == 0:  # B^T B: semidefinite, singular when B has fewer than n rows
-            b = rng.integers(-3, 4, size=(int(rng.integers(0, n + 1)), n))
-            m = b.T @ b
-        elif kind == 1:  # B^T B minus a small diagonal: often indefinite
-            b = rng.integers(-3, 4, size=(n, n))
-            m = b.T @ b - np.diag(rng.integers(0, 3, size=n))
-        else:  # symmetric, unstructured
-            a = rng.integers(-4, 5, size=(n, n))
-            m = a + a.T
-        m = [[int(x) * 2 ** 70 if t % 7 == 0 else int(x) for x in row] for row in m]
-        yield f"random{t}", m
-
-
-def test_integer_is_psd_matches_the_fraction_schur_complements():
-    seen = set()
-    for name, m in _psd_battery():
-        got = linalg.is_psd(m)
-        assert got == fraction_is_psd(m), name
-        seen.add(got)
-    assert seen == {True, False}
-
-
-def _block_diagonal(blocks, rng, zeros=0):
-    """The blocks on the diagonal, with zeros extra zero rows and columns,
-    under one random symmetric permutation of the indices."""
-    sizes = [len(b) for b in blocks] + [1] * zeros
-    blocks = list(blocks) + [[[0]]] * zeros
-    n = sum(sizes)
-    dense = [[0] * n for _ in range(n)]
-    start = 0
-    for b, size in zip(blocks, sizes):
-        for i in range(size):
-            for j in range(size):
-                dense[start + i][start + j] = int(b[i][j])
-        start += size
-    perm = [int(x) for x in rng.permutation(n)]
-    return [[dense[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
-
-
-def _block_psd_battery():
-    rng = np.random.default_rng(59)
-
-    def psd_block():
-        # B^T B: semidefinite, singular (or zero) when B has fewer rows than columns
-        size = int(rng.integers(1, 5))
-        b = rng.integers(-3, 4, size=(int(rng.integers(0, size + 1)), size))
-        return (b.T @ b).tolist()
-
-    for t in range(100):
-        blocks = [psd_block() for _ in range(int(rng.integers(1, 6)))]
-        kind = t % 5
-        if kind == 1:
-            # an indefinite block with a nonnegative diagonal, hidden among
-            # the others: its leading 2 x 2 minor is negative
-            size = int(rng.integers(2, 5))
-            b = rng.integers(-3, 4, size=(size, size))
-            m = (b.T @ b).tolist()
-            m[0][1] = m[1][0] = m[0][0] + m[1][1] + 1
-            blocks.insert(int(rng.integers(0, len(blocks) + 1)), m)
-        elif kind == 2:
-            # a lone negative diagonal entry, a 1 x 1 block of its own
-            blocks.insert(int(rng.integers(0, len(blocks) + 1)), [[-int(rng.integers(1, 4))]])
-        elif kind == 3:
-            # a zero diagonal under a nonzero off-diagonal pair
-            blocks.insert(int(rng.integers(0, len(blocks) + 1)), [[0, 1], [1, 0]])
-        elif kind == 4:
-            # a path: tridiagonal ones, one block only through its chain, and
-            # indefinite (eigenvalues 1 + 2 cos(k pi / (size + 1))); at size 3
-            # every smaller principal submatrix is PSD
-            size = int(rng.integers(3, 6))
-            path = [[int(abs(i - j) <= 1) for j in range(size)] for i in range(size)]
-            blocks.insert(int(rng.integers(0, len(blocks) + 1)), path)
-        m = _block_diagonal(blocks, rng, zeros=int(rng.integers(0, 3)))
-        if t % 5 == 0:
-            m = [[x * 2 ** 70 for x in row] for row in m]
-        yield f"blocks{t}", m, kind == 0
-    yield "zero_rows_only", _block_diagonal([], rng, zeros=4), True
-
-
-def test_is_psd_on_permuted_block_diagonal_matrices():
-    # a block diagonal matrix is PSD iff every block is: one indefinite
-    # block or one negative diagonal entry decides the verdict wherever the
-    # permutation hides it
-    for name, m, psd in _block_psd_battery():
-        assert fraction_is_psd(m) == psd, name
-        assert linalg.is_psd(m) == psd, name
-
-
-def test_is_psd_of_a_permuted_diagonal_matrix_eliminates_nothing(monkeypatch):
-    # every block of a diagonal matrix is 1 x 1 and is decided by the sign
-    # of its entry, with no Schur complement
-    def refuse(m):
-        raise AssertionError("is_psd eliminated a block")
-
-    monkeypatch.setattr(linalg, "_schur_is_psd", refuse)
-    rng = np.random.default_rng(61)
-    diagonal = [[[int(x)]] for x in rng.integers(0, 5, size=200)]
-    m = _block_diagonal(diagonal, rng)
-    assert linalg.is_psd(m)
-    k = next(i for i in range(200) if m[i][i])
-    m[k][k] = -m[k][k]
-    assert not linalg.is_psd(m)
-
-
-def test_is_psd_eliminates_a_dense_matrix_as_one_block(monkeypatch):
-    calls = []
-
-    def spy(m):
-        calls.append(m)
-        return schur(m)
-
-    schur = linalg._schur_is_psd
-    monkeypatch.setattr(linalg, "_schur_is_psd", spy)
-    dense = [[4, 1, 2], [1, 3, 1], [2, 1, 5]]
-    assert linalg.is_psd(dense)
-    assert calls == [dense]
 
 
 def _rref_callers() -> set[str]:

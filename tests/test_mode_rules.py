@@ -322,33 +322,33 @@ EXPECTED: dict[str, str] = {
     'certify in_Z float-mu-exact-beta': '111111111111111111',
     'certify m_equals_one float-mu-exact-beta': '111111111111111111',
     'certify trace_minus_one float-mu-exact-beta': '111111111111111111',
-    'certify adbeta_nonneg exact-label': '111111111111',
-    'certify beta_positive_shift exact-label': '111111111111',
-    'certify betaort_zero exact-label': '111111111111',
-    'certify delta_nonneg exact-label': '111111111111',
-    'certify derivations_in_parabolic exact-label': '111111111111',
-    'certify in_W exact-label': '111111111111',
-    'certify in_Z exact-label': '111111111111',
-    'certify m_equals_one exact-label': '111111111111',
-    'certify trace_minus_one exact-label': '111111111111',
-    'certify adbeta_nonneg exact-plus-tiny': '111111111111',
-    'certify beta_positive_shift exact-plus-tiny': '111111111111',
-    'certify betaort_zero exact-plus-tiny': '000000000000',
-    'certify delta_nonneg exact-plus-tiny': '000000000000',
-    'certify derivations_in_parabolic exact-plus-tiny': '111111111111',
-    'certify in_W exact-plus-tiny': '000000000000',
-    'certify in_Z exact-plus-tiny': '000000000000',
-    'certify m_equals_one exact-plus-tiny': '000000000000',
-    'certify trace_minus_one exact-plus-tiny': '000000000000',
-    'certify adbeta_nonneg exact-minus-tiny': '111111111111',
-    'certify beta_positive_shift exact-minus-tiny': '111111111111',
-    'certify betaort_zero exact-minus-tiny': '000000000000',
-    'certify delta_nonneg exact-minus-tiny': '000000000000',
-    'certify derivations_in_parabolic exact-minus-tiny': '111111111111',
-    'certify in_W exact-minus-tiny': '000000000000',
-    'certify in_Z exact-minus-tiny': '000000000000',
-    'certify m_equals_one exact-minus-tiny': '000000000000',
-    'certify trace_minus_one exact-minus-tiny': '000000000000',
+    'certify adbeta_nonneg exact-label': '111',
+    'certify beta_positive_shift exact-label': '111',
+    'certify betaort_zero exact-label': '111',
+    'certify delta_nonneg exact-label': '111',
+    'certify derivations_in_parabolic exact-label': '111',
+    'certify in_W exact-label': '111',
+    'certify in_Z exact-label': '111',
+    'certify m_equals_one exact-label': '111',
+    'certify trace_minus_one exact-label': '111',
+    'certify adbeta_nonneg exact-plus-tiny': '111',
+    'certify beta_positive_shift exact-plus-tiny': '111',
+    'certify betaort_zero exact-plus-tiny': '000',
+    'certify delta_nonneg exact-plus-tiny': '000',
+    'certify derivations_in_parabolic exact-plus-tiny': '111',
+    'certify in_W exact-plus-tiny': '000',
+    'certify in_Z exact-plus-tiny': '000',
+    'certify m_equals_one exact-plus-tiny': '000',
+    'certify trace_minus_one exact-plus-tiny': '000',
+    'certify adbeta_nonneg exact-minus-tiny': '111',
+    'certify beta_positive_shift exact-minus-tiny': '111',
+    'certify betaort_zero exact-minus-tiny': '000',
+    'certify delta_nonneg exact-minus-tiny': '000',
+    'certify derivations_in_parabolic exact-minus-tiny': '111',
+    'certify in_W exact-minus-tiny': '000',
+    'certify in_Z exact-minus-tiny': '000',
+    'certify m_equals_one exact-minus-tiny': '000',
+    'certify trace_minus_one exact-minus-tiny': '000',
     'jacobi_check float-lie': '101101',
     'jacobi_check float-off': '101000',
     'jacobi_check float64': '101000',

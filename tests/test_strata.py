@@ -1,6 +1,6 @@
 """Weight systems, stratum labels, memberships, certificates."""
 
-import math
+import json
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from generators import filiform, free_two_step, rand_frac, random_nilpotent, random_tensor
-from oracles import (all_pairs_integer_gram, dense_adbeta_gram, fraction_certify_candidate,
+from oracles import (dense_adbeta_gram, fraction_adbeta_gram, fraction_certify_candidate,
                      fraction_derivation_certificates, fraction_derivations,
                      fraction_is_psd)
-from solvstrat import linalg, minnorm, strata
+from solvstrat import minnorm, strata
 from solvstrat.bracket import (BracketTensor, _exact_derivations, act, derivations,
                                inner, permutation_act, rep)
 from solvstrat.catalog import filiform4, heisenberg3, so3
+from solvstrat.jsonio import dumps
 from solvstrat.strata import (DiagonalWeight, beta_of, certify_candidate,
                               delta_check, derivation_certificates,
                               eigenvalue_type, in_W, in_Y, in_Z, m_degree,
@@ -287,30 +288,33 @@ def _gram_cases():
 
 @pytest.mark.parametrize("mu", _gram_cases())
 def test_adbeta_gram_matches_the_dense_form(mu):
-    # the integer Gram matrix, scaled back by L den_a den_c, is the dense
-    # rational form, and the certificate is the Fraction route's
+    # the exact certificate reads the null space numerators, which are the
+    # Fraction basis of derivations; where every element D_a has one weight
+    # w_a = b_r - b_c, the dense Gram form is w_a <D_a, D_c>, which vanishes
+    # across weights, and the certificate reads its verdict and residual
+    # off the weights
     moved, chamber = _chamber_pair(mu)
     basis = derivations(moved)
-    dens, nums = zip(*_exact_derivations(moved))
     n = moved.dim
     assert [[[F(e.get(r * n + c, 0), den) for c in range(n)] for r in range(n)]
-            for den, e in zip(dens, nums)] == basis
-    big = math.lcm(*(x.denominator for x in chamber.entries))
-    bint = [int(x * big) for x in chamber.entries]
-    got = strata._integer_gram(nums, bint)
-    # the column index skips only pairs whose entry is exactly 0
-    assert got == all_pairs_integer_gram(nums, bint)
-    if in_Z(moved, chamber).ok:
-        # Der(mu) is graded by B_r - B_c, each basis element lies in one
-        # graded piece, and G' couples only elements of one piece
-        grades = [{bint[col // n] - bint[col % n] for col in e} for e in nums]
-        assert all(len(g) == 1 for g in grades)
-        assert all(grades[a] == grades[c] for a, row in enumerate(got)
-                   for c, x in enumerate(row) if x)
-    scaled = [[F(g, big * da * dc) for g, dc in zip(row, dens)] for row, da in zip(got, dens)]
-    assert scaled == dense_adbeta_gram(basis, chamber.entries)
-    assert derivation_certificates(moved, chamber) == fraction_derivation_certificates(
-        moved, chamber)
+            for den, e in _exact_derivations(moved)] == basis
+    b = chamber.entries
+    grades = [{b[r] - b[c] for r in range(n) for c in range(n) if d[r][c]} for d in basis]
+    cert = derivation_certificates(moved, chamber)
+    if all(len(g) == 1 for g in grades):
+        w = [min(g) for g in grades]
+        gram = dense_adbeta_gram(basis, b)
+        entries = [{(r, c): x for r, row in enumerate(d) for c, x in enumerate(row) if x}
+                   for d in basis]
+        for a, ea in enumerate(entries):
+            for c, ec in enumerate(entries):
+                inner_ac = sum(x * ec[key] for key, x in ea.items() if key in ec)
+                assert gram[a][c] == w[a] * inner_ac == w[c] * inner_ac
+        assert cert.adbeta_nonneg == fraction_is_psd(gram) == (min(w) >= 0)
+        assert cert.quadratic_min == min(w)
+    else:
+        assert cert.adbeta_nonneg is None and cert.quadratic_min is None
+    assert cert == fraction_derivation_certificates(moved, chamber)
 
 
 def test_adbeta_gram_matches_the_dense_form_in_float_mode(monkeypatch):
@@ -358,12 +362,11 @@ def test_large_certificates_goldens(mu, beta, dim_der):
     b = beta_of(mu)
     assert b.entries == tuple(F(x) for x in beta)
     assert derivation_certificates(mu, b).dim_der == dim_der
-    _, nums = zip(*_exact_derivations(mu))
-    bint = b._integer[1]
-    gram = strata._integer_gram(nums, bint)
-    assert gram == all_pairs_integer_gram(nums, bint)
-    assert linalg.is_psd(gram) and fraction_is_psd(gram)
-    assert certify_candidate(mu, b).all_passed
+    assert fraction_is_psd(fraction_adbeta_gram(derivations(mu), b.entries))
+    cert = certify_candidate(mu, b)
+    assert cert.all_passed
+    # diagonal derivations have weight 0, and no weight is negative
+    assert cert.residuals["adbeta_quadratic_min"] == 0
 
 
 def test_delta_check_worked_value():
@@ -428,6 +431,19 @@ def test_certificate_json_round_trip_shape():
     assert d["all_passed"] is True
 
 
+def test_an_undecided_quadratic_condition_writes_null():
+    # off Z_beta a basis element of Der(fil4) can mix weights: the grading
+    # decides nothing there, the certificate fails, and its JSON says null
+    beta = DiagonalWeight.make([-2, -2, -2, -1])
+    assert not in_Z(N4, beta).ok
+    cert = certify_candidate(N4, beta)
+    assert cert.checks["adbeta_nonneg"] is None and not cert.all_passed
+    d = json.loads(dumps(cert.to_json_dict()))
+    assert d["checks"]["adbeta_nonneg"] is None
+    assert d["residuals"]["adbeta_quadratic_min"] is None
+    assert d["residuals"]["betaort_trace_max"] == "4"
+
+
 def _certificate_battery():
     """(name, mu, sorted beta): labels of exact-label-style brackets, GL-moved
     random nilpotent brackets of dims 3-10, and random sorted rational betas
@@ -453,7 +469,18 @@ def _certificate_battery():
                                      for name, mu, beta in _certificate_battery()])
 def test_exact_certificates_match_the_fraction_route(mu, beta):
     assert derivations(mu) == fraction_derivations(mu)
-    assert derivation_certificates(mu, beta) == fraction_derivation_certificates(mu, beta)
+    cert = derivation_certificates(mu, beta)
+    assert cert == fraction_derivation_certificates(mu, beta)
+    if in_Z(mu, beta).ok:
+        # alpha = beta + |beta|^2 I is a derivation and grades Der(mu) by
+        # B_r - B_c: each basis element lies in one graded piece, so the
+        # quadratic condition is decided
+        n = mu.dim
+        _, bint, _ = beta._integer
+        grades = [{bint[col // n] - bint[col % n] for col in e}
+                  for _, e in _exact_derivations(mu)]
+        assert all(len(g) == 1 for g in grades)
+        assert cert.adbeta_nonneg is not None
     if mu.dim <= 7:  # the oracle's dense Gram form takes seconds beyond
         # exact mu against a float label keeps the float route
         fbeta = DiagonalWeight.make([float(x) for x in beta.entries])
@@ -509,7 +536,7 @@ def test_certificate_battery_reaches_every_verdict():
             verdicts.add(("adbeta", cert.adbeta_nonneg))
             verdicts.add(("betaort", cert.betaort_zero))
             verdicts.add(("parabolic", cert.parabolic_all))
-    assert len(verdicts) == 6
+    assert len(verdicts) == 7   # adbeta_nonneg is also None (not decided)
 
 
 def test_unsorted_exact_beta_raises_exactly_when_derivations_exist():
