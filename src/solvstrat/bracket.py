@@ -9,7 +9,8 @@ driven by its nonzeros (and by the nonzeros of the matrix acting on it);
 "float" work runs on dense (n, n, n) ndarray kernels (act_array, rep_array).
 Exact integer work reads one cached view, `_integer`: N = L mu with L the
 lcm of the coefficient denominators.  Spans (the central and derived series,
-the derivation algebra) are those of N, reduced by linalg.echelon; the
+the derivation algebra) are those of N, reduced by linalg.echelon, or, in
+floats, those of the dense array under one SVD rank rule (_svd_rank); the
 Jacobi residual and the Ricci form, quadratic in mu, are those of N over
 L^2.  Verdicts compare by the rules of linalg.is_zero / nonneg / positive.
 
@@ -395,16 +396,6 @@ def _ad_lists(coeffs: Mapping[Key, Scalar], dim: int) -> list[list[tuple[int, in
     return out
 
 
-def _bracket_unit(row, x) -> list[float]:
-    """[e_i, x] for a float vector x, from row = _ad_lists(mu)[i]."""
-    out = [0.0] * len(x)
-    for j, k, c in row:
-        y = x[j - 1]
-        if y:
-            out[k - 1] = out[k - 1] + c * y
-    return out
-
-
 def _bracket_unit_int(row, x: dict[int, int]) -> dict[int, int]:
     """[e_i, x] for a sparse integer vector x ({0-based index: value})."""
     out: dict[int, int] = {}
@@ -425,14 +416,20 @@ def _eval_int(coeffs: Mapping[Key, int], x: dict[int, int], y: dict[int, int]) -
     return {k: v for k, v in out.items() if v}
 
 
-def _reduce_basis(vectors, tol: float):
-    """Float vectors spanning the same space, from an SVD."""
-    if not vectors:
-        return []
-    m = np.asarray(vectors, dtype=float)
-    _, s, vh = np.linalg.svd(m)
-    cutoff = tol * max(1.0, s[0] if len(s) else 1.0)
-    return [vh[i] for i in range(len(s)) if s[i] > cutoff]
+def _svd_rank(m: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
+    """(vh, rank) of the float matrix m from one SVD, rank counting the
+    singular values above tol * max(1, s_0).  vh[:rank] spans the rows of m
+    and the square vh[rank:] its null space: full factors only for fewer
+    rows than columns, so the rows x rows factor U is never formed."""
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    return vh, int(np.count_nonzero(s > tol * max(1.0, s[0] if len(s) else 1.0)))
+
+
+def _reduce_basis(vectors, tol: float) -> np.ndarray:
+    """Orthonormal rows spanning the float vectors (an array or a list of
+    rows), from _svd_rank."""
+    vh, rank = _svd_rank(np.atleast_2d(np.asarray(vectors, dtype=float)), tol)
+    return vh[:rank]
 
 
 def lower_central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> list[int]:
@@ -450,24 +447,25 @@ def lower_central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> list[in
 def _central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> list[int]:
     """lower_central_series for a bracket already known to satisfy Jacobi.
 
-    Each term is spanned by [e_i, b] for the basis b of the previous one,
-    built from the coefficients that involve e_i.  Exact mode brackets with
-    the integer multiple L mu and takes the pivot rows of linalg.echelon as
-    the basis; float mode reduces by an SVD.
+    Each term is spanned by the [e_i, b], i outer, for the basis b of the
+    previous one.  Exact mode brackets with the integer multiple L mu and
+    takes the pivot rows of linalg.echelon as the basis; float mode forms
+    them by one einsum on the dense array and reduces by an SVD.
     """
     n = mu.dim
     if mu.is_exact_mode:
         rows = _ad_lists(mu._integer[1], n)
         basis = [{c: 1} for c in range(n)]
-        bracket_unit = _bracket_unit_int
-        reduce = lambda vectors: list(linalg.echelon(vectors).values())
+        step = lambda basis: list(linalg.echelon(
+            [_bracket_unit_int(rows[i], b) for i in range(1, n + 1) for b in basis]).values())
     else:
-        rows = _ad_lists(mu.coeffs, n)
-        basis = [[float(i == j) for j in range(n)] for i in range(n)]
-        bracket_unit, reduce = _bracket_unit, lambda vectors: _reduce_basis(vectors, tol)
+        arr = mu.to_array()
+        basis = np.eye(n)
+        step = lambda basis: _reduce_basis(
+            np.einsum("ijk,bj->ibk", arr, basis).reshape(-1, n), tol)
     dims = [n]
     while True:
-        basis = reduce([bracket_unit(rows[i], b) for i in range(1, n + 1) for b in basis])
+        basis = step(basis)
         d = len(basis)
         dims.append(d)
         if d == 0 or d == dims[-2]:
@@ -482,19 +480,22 @@ def is_solvable(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
     """Whether the derived series [g, g], [[g, g], [g, g]], ... reaches 0.
 
     [g, g] is spanned by the vectors mu(e_i, e_j), read off the
-    coefficients; later terms bracket pairs of basis vectors.  Exact mode
-    works on the integer multiple L mu and takes the pivot rows of
-    linalg.echelon as the basis, float mode reduces by an SVD.
+    coefficients; later terms bracket the pairs x < y of basis vectors.
+    Exact mode works on the integer multiple L mu and takes the pivot rows
+    of linalg.echelon as the basis, float mode reduces by an SVD.
     """
     n = mu.dim
     if mu.is_exact_mode:
         coeffs = mu._integer[1]
         gens = [{k - 1: c for k, c in e} for e in _slot_tables(coeffs)[1].values()]
-        evaluate = functools.partial(_eval_int, coeffs)
+        brackets = lambda basis: [_eval_int(coeffs, x, y) for i, x in enumerate(basis)
+                                  for y in basis[i + 1:]]
         reduce = lambda vectors: list(linalg.echelon(vectors).values())
     else:
-        gens = [mu.pair(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        evaluate, reduce = mu.eval, lambda vectors: _reduce_basis(vectors, tol)
+        arr = mu.to_array()
+        gens = arr[np.triu_indices(n, 1)]
+        brackets = lambda b: np.einsum("ai,bj,ijk->abk", b, b, arr)[np.triu_indices(len(b), 1)]
+        reduce = lambda vectors: _reduce_basis(vectors, tol)
     prev = n
     while True:
         basis = reduce(gens)
@@ -504,7 +505,7 @@ def is_solvable(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
         if cur == prev:
             return False
         prev = cur
-        gens = [evaluate(x, y) for i, x in enumerate(basis) for y in basis[i + 1:]]
+        gens = brackets(basis)
 
 
 def derivations(mu: BracketTensor, tol: float = DEFAULT_TOL):
@@ -512,10 +513,11 @@ def derivations(mu: BracketTensor, tol: float = DEFAULT_TOL):
 
     Exact mode: the canonical rational basis of _exact_derivations, its
     integer numerators written out in Fractions.  Float mode: orthonormal
-    basis from an SVD of the system rep(E_rc, mu) = 0, laid out by three
-    scatters: at the slot (i, j, k), column (r, c) of rep(E_rc, mu) holds
-    [k = r] mu_ij^c - [i = c] mu_rj^k - [j = c] mu_ir^k.  Returns a list of
-    n x n matrices (rows of Fractions, or numpy arrays).
+    null space (_svd_rank) of the system rep(E_rc, mu) = 0, laid out in one
+    array: at the slot (i, j, k), column (r, c) holds [k = r] mu_ij^c -
+    [i = c] mu_rj^k - [j = c] mu_ir^k, the first term assigned and the
+    others subtracted.  Returns a list of n x n matrices (rows of Fractions,
+    or numpy arrays).
     """
     n = mu.dim
     if mu.is_exact_mode:
@@ -525,16 +527,12 @@ def derivations(mu: BracketTensor, tol: float = DEFAULT_TOL):
     arr = mu.to_array()
     si, sj, sk = np.array(_slots(n), dtype=int).reshape(-1, 3).T - 1
     row = np.arange(len(si))
-    t1, t2, t3 = (np.zeros((len(si), n, n)) for _ in range(3))
-    t1[row, sk, :] = arr[si, sj, :]
-    t2[row, :, si] = arr[:, sj, sk].T
-    t3[row, :, sj] = arr[si, :, sk]
-    m = (t1 - t2 - t3).reshape(len(si), n * n)
-    _, s, vh = np.linalg.svd(m)
-    cutoff = tol * max(1.0, s[0] if len(s) else 1.0)
-    null_dim = int(np.sum(s <= cutoff)) + (n * n - len(s) if len(s) < n * n else 0)
-    basis = vh[len(vh) - null_dim:] if null_dim else vh[:0]
-    return [v.reshape(n, n) for v in basis]
+    m = np.zeros((len(si), n, n))
+    m[row, sk, :] = arr[si, sj, :]
+    m[row, :, si] -= arr[:, sj, sk].T
+    m[row, :, sj] -= arr[si, :, sk]
+    vh, rank = _svd_rank(m.reshape(len(si), n * n), tol)
+    return list(vh[rank:].reshape(-1, n, n))
 
 
 def _slots(n: int) -> list[Key]:

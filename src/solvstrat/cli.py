@@ -7,7 +7,8 @@
     solvstrat minnorm   FILE        minimum-norm point of a rational point set
 
 Exit codes: 0 all checks passed, 2 ran but some check failed, 3 bad input,
-a meaningless flag value, or a report that would hold NaN or infinity.
+a meaningless flag value, a report that would hold NaN or infinity, or a
+float image of an exact value that overflows.
 JSON output (--format json) is deterministic byte for byte for a given
 input and flags; wall-clock timings therefore appear only in text output.
 """
@@ -302,6 +303,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return INPUT_ERROR
+    except OverflowError as exc:
+        # the float image of an exact value, such as a residual or a
+        # coefficient handed to the float flow, leaves the float range
+        print(f"error: a value overflows the float range ({exc}); "
+              "scale the coefficients down", file=sys.stderr)
         return INPUT_ERROR
 
 

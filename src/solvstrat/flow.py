@@ -128,7 +128,7 @@ def flow_to_critical(
     decides whether that point is a genuine critical limit.
 
     Raises ValueError for the zero bracket, for a nonzero bracket whose
-    float norm underflows to 0, and for a negative max_iter.
+    float norm underflows to 0 or overflows, and for a negative max_iter.
     """
     if mu0.is_zero():
         raise ValueError("cannot flow the zero bracket")
@@ -138,6 +138,9 @@ def flow_to_critical(
     norm = _norm(arr)
     if norm == 0.0:
         raise ValueError("the bracket's norm underflows to 0 in floating point")
+    if not math.isfinite(norm):
+        raise ValueError("the bracket's norm overflows the float range; "
+                         "scale the coefficients down")
     arr /= norm
     trace: list[tuple[int, float, float]] | None = [] if record_trace else None
 

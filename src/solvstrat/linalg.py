@@ -22,6 +22,7 @@ Fraction built, and parse_scalar wraps it.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping, Sequence, Union
@@ -129,9 +130,15 @@ def parse_scalar(v) -> Scalar:
 
 
 def format_scalar(x: Scalar):
-    """Scalar -> JSON value, inverse of parse_scalar."""
+    """Scalar -> JSON value, inverse of parse_scalar.  An exact x whose
+    numerator or denominator has more digits than Python converts to a
+    string raises ValueError saying so."""
     if is_exact(x):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        try:
+            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        except ValueError as exc:
+            raise ValueError(f"an exact result has more than {sys.get_int_max_str_digits()} "
+                             "digits, too many to print") from exc
     return float(x)
 
 

@@ -276,14 +276,16 @@ def einstein_check(s: MetricSolvableAlgebra, tol: float = EINSTEIN_TOL) -> Einst
 
 
 def _einstein_values(s: MetricSolvableAlgebra) -> tuple[Scalar, Scalar, float, float | None]:
-    """(c, residual, scale, c_formula_residual) of einstein_check.
+    """(c, residual, scale, c_formula_residual) of einstein_check, where
+    scale is the float verdict's max(1, |Ricci|_inf).
 
     An exact algebra works on its integer numerators: with q = 4 L^2,
     Ricci = ricci / q and S(ad H) = 2 P / q, so c = tr(ricci) / (q d), each
     deviation is (d ricci_ij - tr(ricci) delta_ij) / (q d), and c - c_alt
-    is (tr(ricci) tr P + 2 d tr P^2) / (q d tr P).  The residual stays an
-    exact Fraction, 0 exactly when ricci is a multiple of I; every float is
-    one int / int division, correctly rounded as float(Fraction) is, so it
+    is (tr(ricci) tr P + 2 d tr P^2) / (q d tr P), reported when tr P != 0.
+    The residual stays an exact Fraction, 0 exactly when ricci is a multiple
+    of I, and its verdict reads no tolerance, so the scale is 1; every float
+    is one int / int division, correctly rounded as float(Fraction) is, so it
     is the float of the rational.
     """
     d = s.dim
@@ -306,13 +308,12 @@ def _einstein_values(s: MetricSolvableAlgebra) -> tuple[Scalar, Scalar, float, f
     tr = sum(ric[i][i] for i in range(d))
     dev = max(abs(d * x - (tr if i == j else 0)) for i, row in enumerate(ric)
               for j, x in enumerate(row))
-    scale = max(1.0, max(abs(x) for row in ric for x in row) / q)
     tr_p = sum(p[i][i] for i in range(d))
     cf = None
-    if abs(2 * tr_p / q) > 1e-12:
+    if tr_p:
         sq_p = sum(x * x for row in p for x in row)
         cf = abs(tr * tr_p + 2 * d * sq_p) / (q * d * abs(tr_p))
-    return Fraction(tr, q * d), Fraction(dev, q * d), scale, cf
+    return Fraction(tr, q * d), Fraction(dev, q * d), 1.0, cf
 
 
 class StandardCheck(NamedTuple):
@@ -425,12 +426,13 @@ def rank_one_extension(lam: BracketTensor, c: Scalar | None = None,
         d_mat = [[x - cc if i == j else x for j, x in enumerate(row)]
                  for i, row in enumerate(ric)]
         resid = rep(d_mat, lam)
-        rnorm = math.sqrt(abs(float(inner(resid, resid))))
-        scale_ref = max(1.0, math.sqrt(abs(float(inner(lam, lam)))))
-        failed = (not resid.is_zero()) if lam.is_exact_mode else rnorm > tol * scale_ref
+        norm = lambda mu: math.sqrt(abs(float(inner(mu, mu))))
+        # an exact lam is judged exactly, and its float norms are never formed
+        failed = (not resid.is_zero() if lam.is_exact_mode
+                  else norm(resid) > tol * max(1.0, norm(lam)))
         if failed:
             raise ValueError("not a nilsoliton: Ric - cI fails to be a derivation "
-                             f"(residual {rnorm:g})")
+                             f"(residual {norm(resid):g})")
         tr_d = linalg.trace(d_mat)
         if not tr_d > 0:
             raise ValueError(f"tr(Ric - cI) = {float(tr_d):g} is not positive")

@@ -404,8 +404,7 @@ def certify_candidate(
     the label conditions run on integers (_integer_label_values); otherwise
     on the gaps <beta, a> - |beta|^2 in the arithmetic of the inputs.
     """
-    label_values, derivation_certificate = _label_route(mu, beta)
-    q_value, residuals, etype = label_values(mu, beta)
+    q_value, residuals, etype = _label_route(mu, beta)[0](mu, beta)
     checks = {
         "trace_minus_one": linalg.is_zero(residuals["trace_minus_one"], tol),
         "in_W": linalg.nonneg(residuals["in_W"], tol),
@@ -415,7 +414,7 @@ def certify_candidate(
         "beta_positive_shift": residuals["beta_positive_shift"] > 0,
     }
 
-    der = derivation_certificate(mu, beta, tol)
+    der = derivation_certificates(mu, beta, tol)
     checks["derivations_in_parabolic"] = der.parabolic_all
     checks["adbeta_nonneg"] = der.adbeta_nonneg
     checks["betaort_zero"] = der.betaort_zero

@@ -811,7 +811,7 @@ def fraction_einstein_check(s, tol: float = EINSTEIN_TOL) -> EinsteinCheck:
     resid = max(abs(ric[i][j] - (c if i == j else 0)) for i in range(d) for j in range(d))
     tr_sh = linalg.trace(sh)
     cf = None
-    if abs(float(tr_sh)) > 1e-12:
+    if tr_sh != 0:
         cf = abs(float(c + linalg.trace_product(sh, sh) / tr_sh))
     return EinsteinCheck(resid == 0, c, float(resid), cf, tol)
 

@@ -1,6 +1,10 @@
 """Bracket arithmetic, group actions, Jacobi and series computations."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,15 +322,46 @@ def test_derivation_dimensions_and_membership():
 
 def test_float_derivations_match_the_slotwise_system():
     # the system matrix is a copy of the rep_array images, so the SVD and
-    # the basis are the same floats
+    # the basis are the same floats.  Dimensions 1 and 2 give systems with
+    # fewer rows than columns (full SVD factors), dimension 3 and up the
+    # others (reduced factors), plain and moved by a float GL_n element
     rng = np.random.default_rng(13)
     cases = [H3, N4] + [random_nilpotent(rng, int(rng.integers(3, 8))) for _ in range(6)]
     cases += [random_tensor(rng, 4, exact=False) for _ in range(3)]
+    cases += [BracketTensor.make(1), abelian(2), BracketTensor.make(2, {(1, 2, 2): 1})]
+    cases += [random_tensor(rng, 2, exact=False) for _ in range(3)]
+    for n in range(2, 9):
+        mu = random_nilpotent(rng, n) if n > 2 else random_tensor(rng, n, exact=False)
+        cases.append(act(np.eye(n) + 0.3 * rng.standard_normal((n, n)), mu.to_float()))
+    seen = set()
     for mu in cases:
         got = derivations(mu.to_float())
         want = slotwise_float_derivations(mu.to_float())
         assert len(got) == len(want)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        seen.add(mu.dim)
+    assert seen == set(range(1, 9))
+
+
+def test_float_derivations_never_form_the_rows_by_rows_svd_factor():
+    # Der(h3 + R^21) is 510-dimensional, and its system has 6624 rows and
+    # 576 columns: the full factor U alone would take 351 MB (a run that
+    # formed it peaked at 861 MB).  A fresh interpreter keeps other tests'
+    # memory out of the peak
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import resource\n"
+            "from solvstrat.bracket import derivations, direct_sum\n"
+            "from solvstrat.catalog import abelian, heisenberg3\n"
+            "basis = derivations(direct_sum(heisenberg3(), abelian(21)).to_float())\n"
+            "print(len(basis), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    count, peak_kib = map(int, proc.stdout.split())
+    assert count == 21 ** 2 + 3 * 21 + 6
+    assert peak_kib < 400 * 1024
 
 
 def test_derivation_count_invariant_under_gl():

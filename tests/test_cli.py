@@ -642,6 +642,56 @@ def test_an_irrational_root_below_the_float_range_is_reported(tmp_path, capsys, 
     assert (code, json.loads(out), err) == (2, {"ok": False, "error": message}, "")
 
 
+# exact h3 with c = 10^e: the exit code of each command, and for exit 3 the
+# float image that overflows.  The flow takes the float image of mu, whose
+# norm overflows from 10^155 and whose coefficient does from 10^309; the
+# Einstein residual of h3 grows as c^2.  An extension stays exact.
+LARGE_EXACT = {
+    "1e150": {"validate": 0, "stratum": 0, "einstein": 2, "extend": 0},
+    "1e200": {"validate": 0, "stratum": "the bracket's norm overflows the float range",
+              "einstein": "a value overflows the float range", "extend": 0},
+    "1e400": {"validate": 0, "stratum": "a value overflows the float range",
+              "einstein": "a value overflows the float range", "extend": 0},
+}
+
+
+@pytest.mark.parametrize("literal", LARGE_EXACT)
+def test_large_exact_coefficients_never_end_in_a_traceback(tmp_path, capsys, literal):
+    f = put(tmp_path, "h3.json", {**H3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": literal}]})
+    for command, want in LARGE_EXACT[literal].items():
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, command, f, "--format", fmt)
+            if isinstance(want, int):
+                assert (code, err) == (want, ""), (command, err)
+            else:
+                assert (code, out) == (3, "")
+                assert err.startswith(f"error: {want}") and err.count("\n") == 1
+                assert err.endswith("; scale the coefficients down\n")
+    # the extension is ch2 times c, exactly
+    code, out, _ = run(capsys, "extend", f, "--format", "json")
+    report = json.loads(out)
+    want = jsonio.bracket_to_dict(1, 3, ch2().bracket)
+    want["brackets"] = [dict(b, c=format_scalar(Fraction(b["c"]) * Fraction(literal)))
+                        for b in want["brackets"]]
+    assert report["extension"] == want and report["curvature"]["einstein"]["ok"]
+
+
+@pytest.mark.parametrize("command,obj", [
+    ("validate", {**H3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1e2200"}]}),
+    ("minnorm", {"dim": 1, "points": [["1e2200"]]}),
+], ids=["validate-norm", "minnorm-point"])
+def test_an_exact_result_beyond_the_digit_limit_is_named(tmp_path, capsys, command, obj):
+    # the input has 2201 digits, but |mu|^2 = 2 10^4400 and the optimum
+    # norm 10^4400 have more than Python prints
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, command, put(tmp_path, "x.json", obj), "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err == "error: an exact result has more than 4300 digits, too many to print\n"
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        format_scalar(Fraction(1, 10 ** 4300))
+    assert format_scalar(Fraction(1, 10 ** 4299)) == "1/1" + "0" * 4299
+
+
 FLAG_CASES = {
     "validate-tol-nan": (("validate", "--tol", "nan"), "--tol must be finite and at least 0"),
     "stratum-tol-negative": (("stratum", "--tol=-1e-9"),

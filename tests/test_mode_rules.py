@@ -575,6 +575,20 @@ def test_one_sparse_eliminator_serves_every_exact_span():
     assert defined == []
 
 
+def test_one_svd_rank_rule_serves_every_float_span():
+    # bracket._svd_rank holds the package's one SVD and its cutoff: the
+    # float series and the float derivations all reduce through it, and the
+    # list-based float bracket of the series is not defined again
+    calls = [module for module, tree in _trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "svd"
+             and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"]
+    assert calls == ["bracket.py"]
+    defined = [(module, node.name) for module, tree in _trees() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name == "_bracket_unit"]
+    assert defined == []
+
+
 def test_one_curvature_kernel_serves_both_modes():
     # _curvature_numerators computes the curvature of exact and float
     # algebras alike: solvable keeps no private float route beside it

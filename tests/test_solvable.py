@@ -105,6 +105,17 @@ def test_complex_hyperbolic_curvature_goldens():
     assert ec.c_formula_residual == 0.0
 
 
+def test_a_tiny_exact_mean_curvature_still_reports_the_c_formula():
+    # ch2 times 10^-7 has tr S(ad H) = 4 10^-14: exactly nonzero, so the
+    # algebra is not unimodular and the c formula is reported, however small
+    t = F(1, 10 ** 7)
+    s = MetricSolvableAlgebra.create(1, 3, ch2().bracket.scaled(t))
+    assert linalg.trace(s_ad_h(s)) == 4 * t * t
+    ec = einstein_check(s)
+    assert ec.ok and ec.c == F(-3, 2) * t * t
+    assert ec.c_formula_residual == 0.0
+
+
 def test_r_operator_matches_moment_ricci_when_a_is_trivial():
     s = MetricSolvableAlgebra.create(0, 3, heisenberg3())
     assert r_operator(s) == ricci_moment(heisenberg3()).ric
