@@ -17,10 +17,8 @@ from .flow import (FlowResult, MomentValue, StratumDetection, flow_to_critical,
 from .minnorm import MinNormResult, PointSet, canonical_form, min_norm_point
 from .solvable import (AuditReport, CurvatureReport, EinsteinCheck,
                        MetricSolvableAlgebra, StandardCheck, curvature_report,
-                       einstein_check, is_standard, killing_form,
-                       mean_curvature, r_operator, rank_one_extension,
-                       ricci_operator, standardness_audit,
-                       trace_identity_check)
+                       einstein_check, is_standard, rank_one_extension,
+                       standardness_audit, trace_identity_check)
 from .strata import (DiagonalWeight, StratumCertificate, beta_of,
                      certify_candidate, delta_check, derivation_certificates,
                      eigenvalue_type, in_W, in_Y, in_Z, m_degree,

@@ -550,8 +550,9 @@ def _exact_derivations(mu: BracketTensor) -> list[tuple[int, dict[int, int]]]:
 
 
 def _derivation_system(mu: BracketTensor) -> list[dict[int, int]]:
-    """The rows of rep(a, mu) = 0 for an exact bracket, one per slot of
-    _slots, over the n^2 entries of a.
+    """The rows of rep(a, mu) = 0 for an exact bracket over the n^2 entries
+    of a, one per slot (i, j, k), i < j, in the order of _slots; the zero
+    rows of the slots no coefficient touches are left out.
 
     The system is built in integers, in one pass over the coefficients:
     Der(c mu) = Der(mu), so mu is scaled by the lcm of its coefficient
@@ -559,13 +560,12 @@ def _derivation_system(mu: BracketTensor) -> list[dict[int, int]]:
     dropped, so the rows go to linalg._nullspace_numerators as they are.
     """
     n = mu.dim
-    slot_index = {s: r for r, s in enumerate(_slots(n))}
-    rows: list[dict[int, int]] = [{} for _ in slot_index]
+    rows: dict[Key, dict[int, int]] = {}
 
     def add(i, j, k, col, v):
         # v at the skew slot (i, j, k) in column col; i == j adds nothing
         if i != j:
-            row = rows[slot_index[(i, j, k) if i < j else (j, i, k)]]
+            row = rows.setdefault((i, j, k) if i < j else (j, i, k), {})
             total = row.get(col, 0) + (v if i < j else -v)
             if total:
                 row[col] = total
@@ -580,7 +580,7 @@ def _derivation_system(mu: BracketTensor) -> list[dict[int, int]]:
             add(p, q, t, (t - 1) * n + k - 1, v)
             add(t, q, k, (p - 1) * n + t - 1, -v)
             add(t, p, k, (q - 1) * n + t - 1, v)
-    return rows
+    return [rows[s] for s in sorted(rows)]
 
 
 def direct_sum(*parts: BracketTensor) -> BracketTensor:

@@ -192,6 +192,9 @@ def cmd_extend(args) -> int:
         raise FormatError(f"{args.file}: extension expects a nilpotent bracket "
                           f"with dim_a = 0, found dim_a = {bf.dim_a}")
     lam = bf.bracket
+    if args.constant is not None and not lam.is_zero():
+        raise ValueError("--constant applies only to the zero bracket: a nonzero "
+                         "bracket fixes its Einstein constant as tr(Ric^2) / tr(Ric)")
     if args.flow_first and not lam.is_zero():
         lam = flow_to_critical(lam).aligned
     c = parse_scalar(args.constant) if args.constant is not None else None
@@ -275,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--flow-first", action="store_true",
                     help="flow to a critical point before extending")
     sp.add_argument("--constant", default=None,
-                    help="Einstein constant for the abelian case (e.g. -3 or -3/2)")
+                    help="Einstein constant for the zero bracket only (e.g. -3 or -3/2)")
     sp.add_argument("--out", default=None, help="write the extension here")
     sp.set_defaults(func=cmd_extend)
 

@@ -18,7 +18,7 @@ with S(m) = (m + m^T)/2.  In coefficients, with C_pk^r the r-th component of
 
 all summed over the nonzero coefficients only, and so are the three terms
 of the standardness audit (see AuditReport).  An algebra computes these
-once, as its cached `curvature`, which every curvature function reads.
+once, as its cached `curvature`, the one route to each of them.
 Everything is exact on rational input and float otherwise; verdicts
 compare by linalg.is_zero / nonneg.  One pass over pairs of nonzero entries
 of N = L C gives the numerators L h, L^2 B, 4 L^2 R, L^2 ad H and 4 L^2 Ricci
@@ -29,6 +29,8 @@ numerators, so every float it reports is one correctly rounded int / int, and
 so does the audit when the label is exact too (_integer_audit_sums).  The
 universal trace identity tr(R E) = 1/4 <pi(E) mu, mu> (true for any tensor
 mu, Jacobi or not) gives every report two independent routes.
+The rank-one extension takes Ric = 0 and a given c < 0 for lam = 0, else Ric_lam
+and c = tr(Ric^2) / tr(Ric), refusing a given c; from D = Ric - cI on, one path.
 """
 
 from __future__ import annotations
@@ -231,29 +233,6 @@ def orthonormalize_basis(dim_a: int, dim_n: int, bracket: BracketTensor, gram) -
     return permutation_act(perm, act(ell.T, mu_p))
 
 
-def mean_curvature(s: MetricSolvableAlgebra) -> list[Scalar]:
-    """Coordinates of H = sum_r tr(ad A_r) A_r in the a-basis."""
-    return s.curvature.mean
-
-
-def killing_form(s: MetricSolvableAlgebra):
-    """B_pq = sum_r (sum_k C_pk^r C_qr^k), over pairs of nonzero coefficients."""
-    return s.curvature.killing
-
-
-def r_operator(s: MetricSolvableAlgebra):
-    """The moment-map part of the Ricci operator (entrywise formula)."""
-    return s.curvature.r
-
-
-def s_ad_h(s: MetricSolvableAlgebra):
-    return s.curvature.s_ad_h
-
-
-def ricci_operator(s: MetricSolvableAlgebra):
-    return s.curvature.ricci
-
-
 class EinsteinCheck(NamedTuple):
     ok: bool
     c: Scalar
@@ -332,10 +311,7 @@ def is_standard(s: MetricSolvableAlgebra, tol: float = EINSTEIN_TOL) -> Standard
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    mean_curvature: list
-    killing: list
-    r_op: list
-    ricci: list
+    curvature: Curvature
     einstein: EinsteinCheck
     standard: StandardCheck
     killing_n_max: float
@@ -345,10 +321,10 @@ class CurvatureReport:
             return [[linalg.format_scalar(x) for x in row] for row in m]
 
         return {
-            "mean_curvature": [linalg.format_scalar(x) for x in self.mean_curvature],
-            "killing": mat(self.killing),
-            "r_operator": mat(self.r_op),
-            "ricci": mat(self.ricci),
+            "mean_curvature": [linalg.format_scalar(x) for x in self.curvature.mean],
+            "killing": mat(self.curvature.killing),
+            "r_operator": mat(self.curvature.r),
+            "ricci": mat(self.curvature.ricci),
             "einstein": {
                 "ok": self.einstein.ok,
                 "c": linalg.format_scalar(self.einstein.c),
@@ -367,8 +343,7 @@ def curvature_report(s: MetricSolvableAlgebra, tol: float = EINSTEIN_TOL) -> Cur
     b, m = cur.killing, s.dim_a
     kn = max((abs(float(b[i][j])) for i in range(m, s.dim) for j in range(m, s.dim)),
              default=0.0)
-    return CurvatureReport(cur.mean, b, cur.r, cur.ricci, einstein_check(s, tol),
-                           is_standard(s, tol), kn)
+    return CurvatureReport(cur, einstein_check(s, tol), is_standard(s, tol), kn)
 
 
 class TraceIdentity(NamedTuple):
@@ -381,7 +356,7 @@ def trace_identity_check(s: MetricSolvableAlgebra, e) -> TraceIdentity:
     """tr(R E) versus (1/4) <pi(E) mu, mu>: equal for any tensor, no Jacobi
     needed.  E is an arbitrary square matrix on the full algebra: an ndarray
     is read through tolist(), a sequence of rows as given."""
-    r = r_operator(s)
+    r = s.curvature.r
     d = s.dim
     rows = e.tolist() if is_ndarray(e) else [list(row) for row in e]
     tr_re = sum(r[p][q] * rows[q][p] for p in range(d) for q in range(d))
@@ -396,26 +371,39 @@ def _require_finite(name: str, x: Scalar) -> None:
                          "scale the coefficients down")
 
 
+def _sqrt_text(x: Fraction) -> str:
+    """f"{math.sqrt(x):g}" for an exact x > 0, with no float that can
+    overflow: beyond the float range, the root of x / 100^k, k about
+    log10(x) / 2, is printed with k added to its exponent."""
+    k = (x.numerator.bit_length() - x.denominator.bit_length()) * 150515 // 10 ** 6
+    if abs(k) < 150:
+        return f"{math.sqrt(x):g}"
+    mant, exp = f"{math.sqrt(x / Fraction(100) ** k):.5e}".split("e")
+    return f"{mant.rstrip('0').rstrip('.')}e{int(exp) + k:+03d}"
+
+
 def rank_one_extension(lam: BracketTensor, c: Scalar | None = None,
                        tol: float = 1e-8) -> MetricSolvableAlgebra:
     """Extend a nilsoliton bracket by one derivation to an Einstein candidate.
 
     Requires Ric_lam = c I + D with D a derivation of lam; then a = R A with
-    ad A|n = D / sqrt(tr D).  The Einstein constant of the extension is c,
-    recovered from c = tr(Ric^2) / tr(Ric).  For lam = 0 the constant is not
-    determined by lam and defaults to -dim (hyperbolic-space normalization);
-    pass c to override.  Raises ValueError when D fails to be a derivation,
-    when tr Ric of a float lam underflows to 0, when c or tr D overflows and
-    when tr D has no rational root and its float is 0 or subnormal.
+    ad A|n = D / sqrt(tr D), and c is the Einstein constant of the extension.
+    A nonzero lam fixes c = tr(Ric^2) / tr(Ric) and refuses a passed c; for
+    lam = 0, Ric = 0 and c defaults to -dim (hyperbolic space).  Both then
+    take one path from D = Ric - cI.  Raises ValueError when c is passed for
+    a nonzero lam or is not negative, when D fails to be a derivation, when
+    tr Ric of a float lam underflows to 0, when c or tr D overflows and when
+    tr D has no rational root and its float is 0 or subnormal.
     """
     n = lam.dim
     if lam.is_zero():
+        ric = [[0] * n for _ in range(n)]
         cc = Fraction(-n) if c is None else c
         if not cc < 0:
             raise ValueError("the Einstein constant of an extension must be negative")
-        tr_d = -cc * n
-        d_mat = [[-cc if i == j else 0 for j in range(n)] for i in range(n)]
     else:
+        if c is not None:
+            raise ValueError("c is fixed by a nonzero lam as tr(Ric^2) / tr(Ric)")
         ric = _ric_exact(lam) if lam.is_exact_mode else ric_array(lam.to_array()).tolist()
         # tr Ric = -|lam|^2 / 4 is nonzero unless a float |lam|^2 underflows
         tr_ric = linalg.trace(ric)
@@ -423,19 +411,20 @@ def rank_one_extension(lam: BracketTensor, c: Scalar | None = None,
             raise ValueError("tr Ric underflows to 0 in floating point")
         cc = linalg.trace_product(ric, ric) / tr_ric
         _require_finite("c = tr(Ric^2) / tr(Ric)", cc)
-        d_mat = [[x - cc if i == j else x for j, x in enumerate(row)]
-                 for i, row in enumerate(ric)]
-        resid = rep(d_mat, lam)
-        norm = lambda mu: math.sqrt(abs(float(inner(mu, mu))))
-        # an exact lam is judged exactly, and its float norms are never formed
-        failed = (not resid.is_zero() if lam.is_exact_mode
-                  else norm(resid) > tol * max(1.0, norm(lam)))
-        if failed:
-            raise ValueError("not a nilsoliton: Ric - cI fails to be a derivation "
-                             f"(residual {norm(resid):g})")
-        tr_d = linalg.trace(d_mat)
-        if not tr_d > 0:
-            raise ValueError(f"tr(Ric - cI) = {float(tr_d):g} is not positive")
+    d_mat = [[x - cc if i == j else x for j, x in enumerate(row)] for i, row in enumerate(ric)]
+    resid = rep(d_mat, lam)
+    if lam.is_exact_mode:
+        # judged exactly; the text of its size forms no float that can overflow
+        failed = None if resid.is_zero() else _sqrt_text(inner(resid, resid))
+    else:
+        size, top = (math.sqrt(abs(float(inner(mu, mu)))) for mu in (resid, lam))
+        failed = f"{size:g}" if size > tol * max(1.0, top) else None
+    if failed is not None:
+        raise ValueError("not a nilsoliton: Ric - cI fails to be a derivation "
+                         f"(residual {failed})")
+    tr_d = linalg.trace(d_mat)
+    if not tr_d > 0:
+        raise ValueError(f"tr(Ric - cI) = {float(tr_d):g} is not positive")
     _require_finite("tr D", tr_d)
     root = linalg.sqrt_fraction(tr_d)
     if root is None and not float(tr_d) >= sys.float_info.min:
@@ -443,16 +432,10 @@ def rank_one_extension(lam: BracketTensor, c: Scalar | None = None,
         raise ValueError("tr D has no rational square root and underflows the normal "
                          "float range; scale the coefficients up")
     scale = root if root is not None else math.sqrt(float(tr_d))
-    ada = [[x / scale for x in row] for row in d_mat]
-
-    coeffs: dict[tuple[int, int, int], Scalar] = {}
-    for (i, j, k), v in lam.coeffs.items():
-        coeffs[(1 + i, 1 + j, 1 + k)] = v
-    for j in range(1, n + 1):
-        for k in range(1, n + 1):
-            v = ada[k - 1][j - 1]
-            if v:
-                coeffs[(1, 1 + j, 1 + k)] = v
+    coeffs = {(1 + i, 1 + j, 1 + k): v for (i, j, k), v in lam.coeffs.items()}
+    # [A, e_j] = ad A e_j with ad A = D / sqrt(tr D); make drops the zeros
+    coeffs.update(((1, 1 + j, 1 + k), d_mat[k - 1][j - 1] / scale)
+                  for j in range(1, n + 1) for k in range(1, n + 1))
     return MetricSolvableAlgebra.create(1, n, BracketTensor.make(n + 1, coeffs), tol=max(tol, 1e-7))
 
 

@@ -558,6 +558,42 @@ def test_an_underflowing_float_norm_is_reported(tmp_path, capsys):
         assert err == "error: the bracket's norm underflows to 0 in floating point\n"
 
 
+@pytest.mark.parametrize("flow_first", [(), ("--flow-first",)], ids=["plain", "flow-first"])
+def test_extend_takes_a_constant_for_the_zero_bracket_only(tmp_path, capsys, flow_first):
+    # a nonzero bracket fixes c = tr(Ric^2) / tr(Ric), so --constant would
+    # have no effect there: it is refused, naming the flag
+    code, out, err = run(capsys, "extend", put(tmp_path, "h3.json", H3), "--constant=-7",
+                         *flow_first)
+    assert (code, out) == (3, "")
+    assert err == ("error: --constant applies only to the zero bracket: a nonzero bracket "
+                   "fixes its Einstein constant as tr(Ric^2) / tr(Ric)\n")
+    ab = put(tmp_path, "ab.json", {"dim_a": 0, "dim_n": 3, "brackets": []})
+    code, out, err = run(capsys, "extend", ab, "--constant=-1/3", *flow_first,
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["extension"]["brackets"] == [{"i": 1, "j": k, "k": k, "c": "1/3"}
+                                            for k in (2, 3, 4)]
+    assert rep["curvature"]["einstein"]["c"] == "-1/3"
+
+
+# [e1,e3] = e7, [e1,e4] = e6, [e2,e3] = e5, [e4,e6] = -e7 satisfies Jacobi,
+# but Ric - cI is no derivation.  The verdict is exact, and the residual's
+# text forms no float that overflows, so the copy scaled by 1e200 fails the
+# same way
+@pytest.mark.parametrize("scale,residual", [("1", "1.22474"), ("1e200", "1.22474e+600")])
+def test_an_exact_non_nilsoliton_fails_to_extend_at_any_scale(tmp_path, capsys, scale,
+                                                              residual):
+    f = put(tmp_path, "lam.json", {"dim_a": 0, "dim_n": 7, "brackets": [
+        {"i": i, "j": j, "k": k, "c": sign + scale}
+        for i, j, k, sign in ((1, 3, 7, ""), (1, 4, 6, ""), (2, 3, 5, ""), (4, 6, 7, "-"))]})
+    message = f"not a nilsoliton: Ric - cI fails to be a derivation (residual {residual})"
+    code, out, err = run(capsys, "extend", f)
+    assert (code, out, err) == (2, f"extension failed: {message}\n", "")
+    code, out, err = run(capsys, "extend", f, "--format", "json")
+    assert (code, json.loads(out), err) == (2, {"ok": False, "error": message}, "")
+
+
 def test_an_overflowing_extension_constant_is_reported(tmp_path, capsys):
     # |mu|^2 = 2e300 is finite, but tr(Ric^2) is not: c = tr(Ric^2) / tr(Ric)
     # is refused before any float kernel meets an infinity (warnings would

@@ -32,6 +32,7 @@ CASES = [
     ("einstein-audit-ch2-gram", ["einstein", "ch2_gram.json", "--audit"], 2),
     ("extend-h3", ["extend", "h3.json"], 0),
     ("extend-abelian3", ["extend", "abelian3.json"], 0),
+    ("extend-fil4", ["extend", "fil4.json"], 0),
     ("validate-fil4", ["validate", "fil4.json"], 0),
     ("validate-fil4-gl-float", ["validate", "fil4_gl.json"], 0),
     ("minnorm-12-points", ["minnorm", "points12.json"], 0),
@@ -48,11 +49,12 @@ def test_json_output_matches_golden(capsys, name, argv, code):
 
 
 # the cases whose work is float: the flow behind stratum, float brackets,
-# the Cholesky factor of a gram matrix and the modular screen of the
-# canonical-support search
+# the extension of fil4 (tr D = 5 has no rational root), the Cholesky
+# factor of a gram matrix and the modular screen of the canonical-support
+# search
 LOADS_NUMPY = {"stratum-h3", "stratum-fil4", "stratum-free3", "stratum-fil4-gl-float",
-               "einstein-audit-ch2-gram", "validate-fil4-gl-float", "minnorm-12-points",
-               "minnorm-13-points"}
+               "einstein-audit-ch2-gram", "extend-fil4", "validate-fil4-gl-float",
+               "minnorm-12-points", "minnorm-13-points"}
 
 # numpy counts as loaded once its __init__ has run: until then the lazy
 # placeholder that solvstrat._np puts in sys.modules is not a plain module

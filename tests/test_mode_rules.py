@@ -8,6 +8,7 @@ numpy.float64 inputs.  The expected verdicts are literals, so flipping a
 """
 
 import ast
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -17,10 +18,10 @@ import numpy as np
 import solvstrat
 from solvstrat.bracket import BracketTensor, jacobi_check
 from solvstrat.cli import main
-from solvstrat.catalog import filiform4, heisenberg3, nonstandard_heisenberg
+from solvstrat.catalog import ch2, filiform4, heisenberg3, nonstandard_heisenberg
 from solvstrat.linalg import is_exact
-from solvstrat.solvable import (MetricSolvableAlgebra, einstein_check, is_standard,
-                                standardness_audit)
+from solvstrat.solvable import (MetricSolvableAlgebra, curvature_report, einstein_check,
+                                is_standard, standardness_audit)
 from solvstrat.strata import (DiagonalWeight, certify_candidate, in_W, in_Y,
                               in_Z, parabolic_membership, positivity_check,
                               project_Z)
@@ -597,6 +598,23 @@ def test_one_curvature_kernel_serves_both_modes():
               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
               and node.name.startswith("_float_")]
     assert floats == []
+
+
+def test_each_curvature_matrix_has_one_route():
+    # MetricSolvableAlgebra.curvature holds H, B, R, S(ad H) and Ricci: no
+    # function hands one of them out again, and the report keeps the
+    # algebra's Curvature rather than copies of its matrices
+    accessors = {"mean_curvature", "killing_form", "r_operator", "s_ad_h", "ricci_operator"}
+    defined = [(module, node.name) for module, tree in _trees() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name in accessors]
+    assert defined == [] and accessors.isdisjoint(dir(solvstrat))
+    s = ch2()
+    rep = curvature_report(s)
+    assert rep.curvature is s.curvature
+    copies = [f.name for f in dataclasses.fields(rep)
+              if f.name != "curvature" and isinstance(getattr(rep, f.name), list)]
+    assert copies == []
 
 
 def test_numpy_is_loaded_in_one_module():

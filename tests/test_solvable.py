@@ -1,5 +1,6 @@
 """Metric solvable algebras: curvature, Einstein checks, extensions, audit."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -17,11 +18,9 @@ from solvstrat.catalog import (abelian, ch2, filiform4, heisenberg3,
                                nonstandard_heisenberg, rh_space, so3)
 from solvstrat.flow import ricci_moment
 from solvstrat.solvable import (MetricSolvableAlgebra, curvature_report,
-                                einstein_check, is_standard, killing_form,
-                                mean_curvature, orthonormalize_basis,
-                                r_operator, rank_one_extension, ricci_operator,
-                                s_ad_h, standardness_audit,
-                                trace_identity_check)
+                                einstein_check, is_standard,
+                                orthonormalize_basis, rank_one_extension,
+                                standardness_audit, trace_identity_check)
 from solvstrat.strata import DiagonalWeight
 
 F = Fraction
@@ -86,20 +85,20 @@ def test_orthonormalize_rejects_bad_gram():
 
 def test_hyperbolic_space_curvature_goldens():
     s = rh_space(2)
-    assert mean_curvature(s) == [F(2)]
-    assert killing_form(s) == _diag(2, 0, 0)
-    assert r_operator(s) == _diag(-1, 0, 0)
-    assert ricci_operator(s) == _diag(-2, -2, -2)
+    assert s.curvature.mean == [F(2)]
+    assert s.curvature.killing == _diag(2, 0, 0)
+    assert s.curvature.r == _diag(-1, 0, 0)
+    assert s.curvature.ricci == _diag(-2, -2, -2)
     ec = einstein_check(s)
     assert ec.ok and ec.c == F(-2) and ec.residual == 0.0
 
 
 def test_complex_hyperbolic_curvature_goldens():
     s = ch2()
-    assert mean_curvature(s) == [F(2)]
-    assert killing_form(s)[0][0] == F(3, 2)
-    assert s_ad_h(s) == _diag(0, 1, 1, 2)
-    assert ricci_operator(s) == _diag(F(-3, 2), F(-3, 2), F(-3, 2), F(-3, 2))
+    assert s.curvature.mean == [F(2)]
+    assert s.curvature.killing[0][0] == F(3, 2)
+    assert s.curvature.s_ad_h == _diag(0, 1, 1, 2)
+    assert s.curvature.ricci == _diag(F(-3, 2), F(-3, 2), F(-3, 2), F(-3, 2))
     ec = einstein_check(s)
     assert ec.ok and ec.c == F(-3, 2)
     assert ec.c_formula_residual == 0.0
@@ -110,7 +109,7 @@ def test_a_tiny_exact_mean_curvature_still_reports_the_c_formula():
     # algebra is not unimodular and the c formula is reported, however small
     t = F(1, 10 ** 7)
     s = MetricSolvableAlgebra.create(1, 3, ch2().bracket.scaled(t))
-    assert linalg.trace(s_ad_h(s)) == 4 * t * t
+    assert linalg.trace(s.curvature.s_ad_h) == 4 * t * t
     ec = einstein_check(s)
     assert ec.ok and ec.c == F(-3, 2) * t * t
     assert ec.c_formula_residual == 0.0
@@ -118,8 +117,8 @@ def test_a_tiny_exact_mean_curvature_still_reports_the_c_formula():
 
 def test_r_operator_matches_moment_ricci_when_a_is_trivial():
     s = MetricSolvableAlgebra.create(0, 3, heisenberg3())
-    assert r_operator(s) == ricci_moment(heisenberg3()).ric
-    assert mean_curvature(s) == []
+    assert s.curvature.r == ricci_moment(heisenberg3()).ric
+    assert s.curvature.mean == []
     assert einstein_check(s).c_formula_residual is None  # unimodular
 
 
@@ -225,6 +224,25 @@ def test_rank_one_extension_rejections():
         rank_one_extension(abelian(3), c=-1e308)
 
 
+def test_rank_one_extension_takes_c_for_the_zero_bracket_only():
+    # a nonzero lam fixes c = tr(Ric^2) / tr(Ric), in both modes
+    for lam in (heisenberg3(), heisenberg3().to_float()):
+        with pytest.raises(ValueError, match="c is fixed by a nonzero lam"):
+            rank_one_extension(lam, c=F(-3, 2))
+
+
+def test_sqrt_text_is_the_g_text_of_the_root_at_every_size():
+    # where x is a float, the text is f"{math.sqrt(x):g}"; beyond, it keeps
+    # that form with the exponent carried in integers
+    for k in range(-150, 151, 3):
+        x = F(3, 2) * F(100) ** k
+        assert solvable._sqrt_text(x) == f"{math.sqrt(x):g}"
+    for k in (-800, -500, 500, 800):
+        assert solvable._sqrt_text(F(3, 2) * F(100) ** k) == f"1.22474e{k:+03d}"
+    # a root that rounds up to 10 moves to the next exponent
+    assert solvable._sqrt_text(F(9999996, 10 ** 6) ** 2 * F(100) ** 600) == "1e+601"
+
+
 def test_audit_on_complex_hyperbolic_is_exactly_zero():
     aud = standardness_audit(ch2())
     assert not aud.mu_zero_branch
@@ -310,12 +328,12 @@ def test_killing_form_and_mean_curvature_match_dense_routes():
         for nu in (BracketTensor(mu.dim, dict(sorted(mu.coeffs.items())), mu.scalar_mode),
                    shuffled(rng, mu)):
             t = MetricSolvableAlgebra(s.dim_a, s.dim_n, nu)
-            got, want = killing_form(t), dense_killing_form(t)
+            got, want = t.curvature.killing, dense_killing_form(t)
             h_want = [linalg.trace(dense_ad(t, r)) for r in range(1, t.dim_a + 1)]
             if nu.is_exact_mode:
-                assert got == want and mean_curvature(t) == h_want
+                assert got == want and t.curvature.mean == h_want
             else:
-                assert repr(got) == repr(want) and repr(mean_curvature(t)) == repr(h_want)
+                assert repr(got) == repr(want) and repr(t.curvature.mean) == repr(h_want)
 
 
 def test_float_r_and_ricci_are_the_dense_moment_and_the_float_difference():
@@ -330,11 +348,11 @@ def test_float_r_and_ricci_are_the_dense_moment_and_the_float_difference():
             mu = BracketTensor(s.dim, {key: c * scale for key, c in s.bracket.coeffs.items()},
                                "float")
             t = MetricSolvableAlgebra(s.dim_a, s.dim_n, mu)
-            r = r_operator(t)
+            r = t.curvature.r
             assert repr(r) == repr(flow.ric_array(mu.to_array()).tolist())
             want = [[x - 0.5 * y - z for x, y, z in zip(rr, rb, rs)]
-                    for rr, rb, rs in zip(r, killing_form(t), s_ad_h(t))]
-            assert repr(ricci_operator(t)) == repr(want)
+                    for rr, rb, rs in zip(r, t.curvature.killing, t.curvature.s_ad_h)]
+            assert repr(t.curvature.ricci) == repr(want)
 
 
 def test_curvature_report_and_audit_compute_each_quantity_once(monkeypatch):
@@ -405,8 +423,8 @@ def test_audit_terms_and_s_ad_h_match_dense_routes():
         lie = jacobi_check(s.bracket)[0]
         for t in (s, _moved_in_n(rng, s)):
             exact = t.bracket.is_exact_mode
-            h = mean_curvature(t)
-            sh_got, sh_want = s_ad_h(t), dense_s_ad_h(t, h)
+            h = t.curvature.mean
+            sh_got, sh_want = t.curvature.s_ad_h, dense_s_ad_h(t, h)
             assert sh_got == sh_want if exact else repr(sh_got) == repr(sh_want)
             betas = [DiagonalWeight.make([rand_frac(rng) for _ in range(t.dim_n)])]
             betas += [None] if lie else []
@@ -468,8 +486,8 @@ def test_integer_curvature_kernel_matches_the_fraction_route():
         assert cur == want
         matrices = (cur.killing, cur.r, cur.s_ad_h, cur.ricci)
         assert all(type(x) is F for x in cur.mean + [x for m in matrices for row in m for x in row])
-        assert (mean_curvature(s), killing_form(s), r_operator(s), s_ad_h(s),
-                ricci_operator(s)) == (want.mean, want.killing, want.r, want.s_ad_h, want.ricci)
+        assert (cur.mean, cur.killing, cur.r, cur.s_ad_h,
+                cur.ricci) == (want.mean, want.killing, want.r, want.s_ad_h, want.ricci)
         assert bracket._ric_exact(s.bracket) == fraction_ric(s.bracket) == want.r
         for tol in (1e-2, solvable.EINSTEIN_TOL):
             ec, ref = einstein_check(s, tol), fraction_einstein_check(s, tol)
