@@ -16,7 +16,8 @@ One solver and one canonicalisation, both on integers:
                     are solved only when their vectors p_s - x are linearly
                     dependent (necessary for x in aff(p_S)); those are
                     listed by a numpy screen modulo one fixed prime, over
-                    blocks of shared prefixes, and a subset the screen
+                    blocks of shared prefixes, each carrying only the
+                    columns after its last index, and a subset the screen
                     cannot clear is checked by exact elimination before it
                     is used.  If no (m-1)-subset is dependent, no smaller
                     one is, and the sizes below m are skipped.  The square
@@ -264,37 +265,53 @@ def min_norm_point(ps: PointSet) -> MinNormResult:
 # The dependence screen works on residues modulo one fixed prime below 2^31,
 # so the product of two residues stays below 2^62, inside int64.
 _PRIME = 2**31 - 1
-# Residues one block of prefixes holds: a prefix carries every column reduced
-# against it, at most count * dim residues, and a block takes as many
-# prefixes as fit.  Kept small: the screen holds one block per prefix length,
-# so its memory is bounded by k blocks, whatever the number of subsets.
+# Residues one block of prefixes holds: a block carries the columns after its
+# least last index, reduced against each of its prefixes, and takes as many
+# lex-consecutive prefixes as fit (always at least one).  Kept small: the
+# screen holds one block per prefix length, so its memory is bounded by k
+# blocks, whatever the number of subsets.
 _BLOCK = 1 << 12
 
 
-def _extend(prefixes: np.ndarray, red: np.ndarray, bs: np.ndarray,
-            ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The prefixes prefixes[b] + (t,) for the pairs (b, t) in (bs, ts).
+def _extend(prefixes: np.ndarray, red: np.ndarray, off: int, bs: np.ndarray,
+            ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The prefixes prefixes[b] + (t,) for the pairs (b, t) in (bs, ts), the
+    columns they carry, and the index of the first of those columns.
 
-    red[b] holds every column reduced against prefixes[b] modulo _PRIME.  One
+    red[b, i] holds column off + i reduced against prefixes[b] modulo _PRIME.
+    A completion of a child adds only columns after its t, so the children
+    carry the columns after the least t in ts, and no earlier one.  One
     fraction-free step clears the new column t out of them: with r a nonzero
     coordinate of t, each column c becomes t_r c - c_r t and loses its
     coordinate r, which is now zero.  t_r is a unit mod p, so the step keeps
-    exactly the dependences of the prefix.  Every product is reduced mod p
-    before the difference, so nothing overflows.
+    exactly the dependences of the prefix.  Both products are below 2^62, so
+    their difference fits in int64 and is reduced mod p once.
     """
-    count, width = red.shape[1], red.shape[2] - 1
+    width = red.shape[2] - 1
+    first = int(ts.min()) + 1
     child = np.arange(len(bs))
-    pivots = red[bs, ts]
+    pivots = red[bs, ts - off]
     rows = (pivots != 0).argmax(axis=1)
     piv = pivots[child, rows]
-    lead = red[bs, :, rows]
+    lead = red[bs, first - off:, rows]
     # the coordinates other than r, per child
     keep = np.arange(width) + (np.arange(width) >= rows[:, None])
-    cols = red[bs[:, None, None], np.arange(count)[:, None], keep[:, None, :]]
+    cols = red[bs[:, None, None], np.arange(first - off, red.shape[1])[:, None],
+               keep[:, None, :]]
     pivots = pivots[child[:, None], keep]
-    reduced = (piv[:, None, None] * cols % _PRIME
-               - lead[:, :, None] * pivots[:, None, :] % _PRIME) % _PRIME
-    return np.column_stack((prefixes[bs], ts)), reduced
+    reduced = (piv[:, None, None] * cols - lead[:, :, None] * pivots[:, None, :]) % _PRIME
+    return np.column_stack((prefixes[bs], ts)), reduced, first
+
+
+def _block_size(ts: np.ndarray, n: int, width: int) -> int:
+    """How many of the lex-consecutive children with new columns ts[0],
+    ts[1], ... (of n columns) one block takes.  Each child carries the
+    columns after the block's least t, width residues apiece, and the block
+    takes as many children as fit in _BLOCK residues, and at least one."""
+    # every child carries at least the columns after ts[0]: no more fit
+    least = np.minimum.accumulate(ts[:max(1, _BLOCK // ((n - 1 - int(ts[0])) * width))])
+    fill = np.arange(1, len(least) + 1) * (n - 1 - least) * width
+    return max(1, int(np.searchsorted(fill, _BLOCK, side="right")))
 
 
 def _dependent_subsets(cols: Sequence[Sequence[int]], k: int) -> Iterator[tuple[int, ...]]:
@@ -302,11 +319,13 @@ def _dependent_subsets(cols: Sequence[Sequence[int]], k: int) -> Iterator[tuple[
     for k at most the length of a column.
 
     A depth-first pass over prefixes screens dependence modulo _PRIME.  Each
-    prefix in the pass is independent mod p and holds every column reduced
-    against it, so a child prefix + (t,) is dependent mod p exactly when
-    column t has reduced to zero.  A child the screen clears is independent
-    mod p, hence over Q, and is extended in blocks of lex-consecutive
-    prefixes by _extend.  A child it cannot clear is checked exactly, by
+    prefix in the pass is independent mod p and holds every column after its
+    last index reduced against it (its block carries the columns after the
+    block's least last index), so a child prefix + (t,) is dependent mod p
+    exactly when column t has reduced to zero.  A child the screen clears is
+    independent mod p, hence over Q, and is extended in blocks of
+    lex-consecutive prefixes by _extend, as many per block as fit in _BLOCK
+    residues.  A child it cannot clear is checked exactly, by
     linalg.echelon on its columns: it is dependent iff they yield fewer
     pivots than there are columns.  If it is dependent, so is every
     completion, and those are yielded lazily, in order, without screening;
@@ -321,22 +340,24 @@ def _dependent_subsets(cols: Sequence[Sequence[int]], k: int) -> Iterator[tuple[
         vectors = [{r: v for r, v in enumerate(cols[t]) if v} for t in subset]
         return len(linalg.echelon(vectors)) < len(subset)
 
-    def walk(prefixes, red):
+    def walk(prefixes, red, off):
         # prefixes: a block of independent j-prefixes in lex order (rows);
-        # red[b]: every column reduced against prefixes[b], mod p
+        # red[b, i]: column off + i reduced against prefixes[b], mod p, for
+        # every column a completion of the block can take
         need = k - prefixes.shape[1] - 1
         last = prefixes[:, -1] if prefixes.shape[1] else np.full(len(prefixes), -1)
         # the children (b, t) in lex order; those zero mod p split the rest
         bs, ts = np.nonzero(np.arange(n - need) > last[:, None])
-        zero = np.flatnonzero(~red[bs, ts].any(axis=1)).tolist()
+        zero = np.flatnonzero(~red[bs, ts - off].any(axis=1)).tolist()
+        # a child keeps one coordinate fewer than its parent
+        width = red.shape[2] - 1
         start = 0
         for stop in zero + [len(bs)]:
-            if need:
-                # a child keeps one coordinate fewer than its parent
-                step = max(1, _BLOCK // (n * (red.shape[2] - 1)))
-                for lo in range(start, stop, step):
-                    sel = slice(lo, min(stop, lo + step))
-                    yield from walk(*_extend(prefixes, red, bs[sel], ts[sel]))
+            lo = start
+            while need and lo < stop:
+                hi = lo + _block_size(ts[lo:stop], n, width)
+                yield from walk(*_extend(prefixes, red, off, bs[lo:hi], ts[lo:hi]))
+                lo = hi
             if stop < len(bs):
                 subset = (*prefixes[bs[stop]].tolist(), int(ts[stop]))
                 exact = dependent(subset)
@@ -346,7 +367,7 @@ def _dependent_subsets(cols: Sequence[Sequence[int]], k: int) -> Iterator[tuple[
             start = stop + 1
 
     residues = np.array([[v % _PRIME for v in c] for c in cols], dtype=np.int64)
-    yield from walk(np.zeros((1, 0), dtype=np.int64), residues[None])
+    yield from walk(np.zeros((1, 0), dtype=np.int64), residues[None], 0)
 
 
 def _square_support(cols: Sequence[Sequence[int]],

@@ -460,9 +460,14 @@ def _int_columns(rng, dim: int, count: int, kind: str) -> list[list[int]]:
     return cols
 
 
+def _dependent_by_rref(cols: list[list[int]], k: int) -> list[tuple[int, ...]]:
+    """Every k-subset whose columns have a nonzero null vector, by a dense
+    rref of each subset, in lex order."""
+    return [s for s in itertools.combinations(range(len(cols)), k)
+            if dense_nullspace([[F(cols[t][r]) for t in s] for r in range(len(cols[0]))])]
+
+
 def test_dependent_subsets_match_brute_force_rank():
-    # every k-subset whose columns have a nonzero null vector, by a dense
-    # rref of each subset, in the same lex order
     rng = np.random.default_rng(11)
     for trial in range(60):
         kind = ("generic", "zero", "repeat", "low-rank", "huge")[trial % 5]
@@ -471,9 +476,8 @@ def test_dependent_subsets_match_brute_force_rank():
         count = int(rng.integers(1, dim + 1)) if trial % 8 < 4 else int(rng.integers(dim + 1, 9))
         cols = _int_columns(rng, dim, count, kind)
         for k in range(min(count, dim) + 1):
-            want = [s for s in itertools.combinations(range(count), k)
-                    if dense_nullspace([[F(cols[t][r]) for t in s] for r in range(dim)])]
-            assert list(minnorm._dependent_subsets(cols, k)) == want, (cols, k)
+            got = list(minnorm._dependent_subsets(cols, k))
+            assert got == _dependent_by_rref(cols, k), (cols, k)
 
 
 def _spy(monkeypatch, owner, name) -> list[int]:
@@ -506,20 +510,77 @@ def test_dependent_subsets_are_lazy(monkeypatch):
 def test_dependence_screen_false_positives_are_not_yielded():
     # u and v are independent over Q, but every 2x2 minor of [u v] is a
     # nonzero multiple of the screen's prime, so they are dependent mod p
+    u, v = _false_positive_pair()
+    for cols in _false_positive_columns():
+        for k in (1, 2, 3):
+            got = list(minnorm._dependent_subsets(cols, k))
+            assert got == _dependent_by_rref(cols, k), (cols, k)
+    assert (0, 1) not in set(minnorm._dependent_subsets([u, v, [2, 2, 2]], 2))
+
+
+def _false_positive_pair() -> tuple[list[int], list[int]]:
     p = minnorm._PRIME
     u, v = [1, 1, 1], [1, 1 + p, 1 + 2 * p]
     assert all(m and m % p == 0 for m in (u[0] * v[1] - u[1] * v[0],
                                           u[0] * v[2] - u[2] * v[0],
                                           u[1] * v[2] - u[2] * v[1]))
+    return u, v
+
+
+def _false_positive_columns() -> list[list[list[int]]]:
+    # the pair at a leaf and inside a prefix, and a column (p, 0, 0)
+    u, v = _false_positive_pair()
     rng = np.random.default_rng(15)
-    for cols in ([u, v, [2, 2, 2], [1, 0, 0]],
-                 [[p, 0, 0], u, v] + rng.integers(-3, 4, (4, 3)).tolist(),
-                 rng.integers(-3, 4, (3, 3)).tolist() + [u, [0, 1, -1], v]):
-        for k in (1, 2, 3):
-            want = [s for s in itertools.combinations(range(len(cols)), k)
-                    if dense_nullspace([[F(cols[t][r]) for t in s] for r in range(3)])]
-            assert list(minnorm._dependent_subsets(cols, k)) == want, (cols, k)
-    assert (0, 1) not in set(minnorm._dependent_subsets([u, v, [2, 2, 2]], 2))
+    return [[u, v, [2, 2, 2], [1, 0, 0]],
+            [[minnorm._PRIME, 0, 0], u, v] + rng.integers(-3, 4, (4, 3)).tolist(),
+            rng.integers(-3, 4, (3, 3)).tolist() + [u, [0, 1, -1], v]]
+
+
+def _spy_blocks(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Spy on minnorm._extend; records each block's prefixes and residues."""
+    blocks: list[tuple[np.ndarray, np.ndarray]] = []
+    real = minnorm._extend
+
+    def spy(*args):
+        out = real(*args)
+        blocks.append(out[:2])
+        return out
+
+    monkeypatch.setattr(minnorm, "_extend", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("block", [1, 7, 16, 64])
+def test_dependent_subsets_match_brute_force_rank_across_block_boundaries(monkeypatch, block):
+    # a small budget ends blocks inside a run of children; from 16 residues
+    # on, one block also takes the children of several parents
+    monkeypatch.setattr(minnorm, "_BLOCK", block)
+    blocks = _spy_blocks(monkeypatch)
+    rng = np.random.default_rng(16)
+    batteries = [_int_columns(rng, int(rng.integers(2, 6)), int(rng.integers(6, 11)), kind)
+                 for kind in ("generic", "zero", "repeat", "low-rank", "huge") * 2]
+    for cols in batteries + _false_positive_columns():
+        for k in range(1, min(len(cols), len(cols[0])) + 1):
+            got = list(minnorm._dependent_subsets(cols, k))
+            assert got == _dependent_by_rref(cols, k), (cols, k)
+    children = [len(prefixes) for prefixes, _ in blocks]
+    parents = [len({tuple(row) for row in prefixes[:, :-1].tolist()}) for prefixes, _ in blocks]
+    assert (max(children) > 1) == (block > 1)
+    assert (max(parents) > 1) == (block >= 16)
+    assert all(red.size <= block or len(prefixes) == 1 for prefixes, red in blocks)
+
+
+def test_dependence_screen_work_and_block_bound(monkeypatch):
+    # 16 points about the origin in dim 7: the screen proves that no
+    # 7-subset is dependent.  A block carries only the columns after its
+    # least new index: 107721 residues in 39 blocks (197904 in 79 if every
+    # block carried every column)
+    ps = centred_point_set(np.random.default_rng(1), 7, 16)
+    res = min_norm_point(ps)
+    blocks = _spy_blocks(monkeypatch)
+    assert len(canonical_form(ps, res).support) == 8
+    assert all(red.size <= minnorm._BLOCK or len(prefixes) == 1 for prefixes, red in blocks)
+    assert sum(red.size for _, red in blocks) <= 110_000
 
 
 def _degenerate_point_set(rng) -> PointSet:
