@@ -416,6 +416,12 @@ def _eval_int(coeffs: Mapping[Key, int], x: dict[int, int], y: dict[int, int]) -
     return {k: v for k, v in out.items() if v}
 
 
+def _derived_generators(coeffs: Mapping[Key, int]) -> list[dict[int, int]]:
+    """The vectors mu(e_i, e_j), i < j, that span [g, g], read off the
+    integer coefficients as sparse vectors ({0-based index: value})."""
+    return [{k - 1: c for k, c in e} for e in _slot_tables(coeffs)[1].values()]
+
+
 def _svd_rank(m: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
     """(vh, rank) of the float matrix m from one SVD, rank counting the
     singular values above tol * max(1, s_0).  vh[:rank] spans the rows of m
@@ -448,28 +454,32 @@ def _central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> list[int]:
     """lower_central_series for a bracket already known to satisfy Jacobi.
 
     Each term is spanned by the [e_i, b], i outer, for the basis b of the
-    previous one.  Exact mode brackets with the integer multiple L mu and
-    takes the pivot rows of linalg.echelon as the basis; float mode forms
-    them by one einsum on the dense array and reduces by an SVD.
+    previous one.  Exact mode works on the integer multiple L mu: [g, g] is
+    spanned by the _derived_generators, later terms bracket only with the
+    e_i whose ad is nonzero, and the pivot rows of linalg.echelon are the
+    basis.  Float mode forms every [e_i, b], from b = e_1, ..., e_n on, by
+    one einsum on the dense array and reduces by an SVD.
     """
     n = mu.dim
     if mu.is_exact_mode:
-        rows = _ad_lists(mu._integer[1], n)
-        basis = [{c: 1} for c in range(n)]
-        step = lambda basis: list(linalg.echelon(
-            [_bracket_unit_int(rows[i], b) for i in range(1, n + 1) for b in basis]).values())
+        coeffs = mu._integer[1]
+        rows = [row for row in _ad_lists(coeffs, n) if row]
+        vectors = _derived_generators(coeffs)
+        brackets = lambda basis: [_bracket_unit_int(row, b) for row in rows for b in basis]
+        reduce = lambda vectors: list(linalg.echelon(vectors).values())
     else:
         arr = mu.to_array()
-        basis = np.eye(n)
-        step = lambda basis: _reduce_basis(
-            np.einsum("ijk,bj->ibk", arr, basis).reshape(-1, n), tol)
+        brackets = lambda basis: np.einsum("ijk,bj->ibk", arr, basis).reshape(-1, n)
+        vectors = brackets(np.eye(n))
+        reduce = lambda vectors: _reduce_basis(vectors, tol)
     dims = [n]
     while True:
-        basis = step(basis)
+        basis = reduce(vectors)
         d = len(basis)
         dims.append(d)
         if d == 0 or d == dims[-2]:
             return dims
+        vectors = brackets(basis)
 
 
 def is_nilpotent(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
@@ -487,7 +497,7 @@ def is_solvable(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
     n = mu.dim
     if mu.is_exact_mode:
         coeffs = mu._integer[1]
-        gens = [{k - 1: c for k, c in e} for e in _slot_tables(coeffs)[1].values()]
+        gens = _derived_generators(coeffs)
         brackets = lambda basis: [_eval_int(coeffs, x, y) for i, x in enumerate(basis)
                                   for y in basis[i + 1:]]
         reduce = lambda vectors: list(linalg.echelon(vectors).values())

@@ -11,6 +11,8 @@ a meaningless flag value, a report that would hold NaN or infinity, or a
 float image of an exact value that overflows.
 JSON output (--format json) is deterministic byte for byte for a given
 input and flags; wall-clock timings therefore appear only in text output.
+Every command hands its report to main, which alone times the run, checks
+the report for NaN and infinity, and prints it.
 """
 
 from __future__ import annotations
@@ -29,23 +31,11 @@ from .flow import (DENOM_BOUND, FLOW_MAX_ITER, FLOW_STEP, FLOW_TOL,
 from .jsonio import FormatError
 from .linalg import format_scalar, parse_scalar
 from .minnorm import canonical_form, min_norm_point
-from .solvable import (EINSTEIN_TOL, MetricSolvableAlgebra, curvature_report,
-                       rank_one_extension, standardness_audit)
+from .solvable import (EINSTEIN_TOL, EinsteinCheck, MetricSolvableAlgebra,
+                       curvature_report, rank_one_extension, standardness_audit)
 from .strata import DiagonalWeight, beta_of, sort_to_weyl_chamber
 
 PASS, CHECKS_FAILED, INPUT_ERROR = 0, 2, 3
-
-
-def _emit(report: dict, lines: list[str], fmt: str, started: float) -> None:
-    # jsonio.dumps refuses NaN and infinities, so text output is held to the
-    # report's JSON form too and never prints them
-    text = jsonio.dumps(report)
-    if fmt == "json":
-        print(text)
-    else:
-        for line in lines:
-            print(line)
-        print(f"elapsed: {time.perf_counter() - started:.3f}s")
 
 
 def _flag(ok: bool) -> str:
@@ -57,8 +47,11 @@ def _label_text(beta: DiagonalWeight) -> str:
                            for x in beta.entries) + ")"
 
 
-def cmd_validate(args) -> int:
-    started = time.perf_counter()
+def _einstein_text(e: EinsteinCheck) -> str:
+    return f"einstein: {_flag(e.ok)} (c = {format_scalar(e.c)}, residual {e.residual:g})"
+
+
+def cmd_validate(args) -> tuple[int, dict, list[str]]:
     bf = jsonio.read_bracket_file(args.file)
     mu = bf.bracket
     jac_ok, res = jacobi_check(mu, args.tol)
@@ -77,12 +70,10 @@ def cmd_validate(args) -> int:
         report["nilpotent"] = nilpotent
         lines.append(f"lower central series: {series} "
                      f"({'nilpotent' if nilpotent else 'not nilpotent'})")
-    _emit(report, lines, args.format, started)
-    return PASS if jac_ok else CHECKS_FAILED
+    return (PASS if jac_ok else CHECKS_FAILED), report, lines
 
 
-def cmd_stratum(args) -> int:
-    started = time.perf_counter()
+def cmd_stratum(args) -> tuple[int, dict, list[str]]:
     bf = jsonio.read_bracket_file(args.file)
     if bf.dim_a != 0:
         raise FormatError(f"{args.file}: stratum analysis expects dim_a = 0, "
@@ -123,10 +114,8 @@ def cmd_stratum(args) -> int:
         resid = cert.residuals.get(name)
         extra = f" (residual {float(resid):g})" if resid is not None else ""
         lines.append(f"  {name}: {_flag(ok)}{extra}")
-    ok = fr.converged and cert.all_passed
     lines.append(f"certificate: {_flag(cert.all_passed)}")
-    _emit(report, lines, args.format, started)
-    return PASS if ok else CHECKS_FAILED
+    return (PASS if fr.converged and cert.all_passed else CHECKS_FAILED), report, lines
 
 
 def _algebra_from_file(path) -> MetricSolvableAlgebra:
@@ -137,8 +126,7 @@ def _algebra_from_file(path) -> MetricSolvableAlgebra:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def cmd_einstein(args) -> int:
-    started = time.perf_counter()
+def cmd_einstein(args) -> tuple[int, dict, list[str]]:
     alg = _algebra_from_file(args.file)
     rep = curvature_report(alg, args.tol)
     report = {"input": {"dim_a": alg.dim_a, "dim_n": alg.dim_n},
@@ -146,9 +134,7 @@ def cmd_einstein(args) -> int:
                          "beta_from_flow": args.beta_from_flow},
               "curvature": rep.to_json_dict()}
     e = rep.einstein
-    lines = [f"dim_a={alg.dim_a} dim_n={alg.dim_n}",
-             f"einstein: {_flag(e.ok)} (c = {format_scalar(e.c)}, "
-             f"residual {e.residual:g})"]
+    lines = [f"dim_a={alg.dim_a} dim_n={alg.dim_n}", _einstein_text(e)]
     if e.c_formula_residual is not None:
         lines.append(f"c via mean curvature: residual {e.c_formula_residual:g}")
     lines.append(f"standard: {_flag(rep.standard.ok)} "
@@ -166,10 +152,8 @@ def cmd_einstein(args) -> int:
             if flow_beta.entries != chamber.entries:
                 error = (f"the flow's label {_label_text(flow_beta)} is not the sorted "
                          f"label {_label_text(chamber)} of the input")
-                report["audit"] = {"error": error}
-                lines.append(f"audit: {error}")
-                _emit(report, lines, args.format, started)
-                return CHECKS_FAILED
+                return (CHECKS_FAILED, {**report, "audit": {"error": error}},
+                        lines + [f"audit: {error}"])
         audit = standardness_audit(alg, beta, args.tol)
         report["audit"] = audit.to_json_dict()
         lines.append(f"audit lhs: {float(audit.lhs):.6g}  terms: "
@@ -181,12 +165,10 @@ def cmd_einstein(args) -> int:
         lines.append(f"forces standard: {audit.forces_standard}  "
                      f"standard: {audit.standard.ok}")
         ok = ok and audit.nonneg_ok and audit.identity_residual <= 1e-6
-    _emit(report, lines, args.format, started)
-    return PASS if ok else CHECKS_FAILED
+    return (PASS if ok else CHECKS_FAILED), report, lines
 
 
-def cmd_extend(args) -> int:
-    started = time.perf_counter()
+def cmd_extend(args) -> tuple[int, dict, list[str]]:
     bf = jsonio.read_bracket_file(args.file)
     if bf.dim_a != 0:
         raise FormatError(f"{args.file}: extension expects a nilpotent bracket "
@@ -201,30 +183,21 @@ def cmd_extend(args) -> int:
     try:
         ext = rank_one_extension(lam, c=c, tol=args.tol)
     except ValueError as exc:
-        if args.format == "json":
-            print(jsonio.dumps({"ok": False, "error": str(exc)}))
-        else:
-            print(f"extension failed: {exc}")
-        return CHECKS_FAILED
+        return CHECKS_FAILED, {"ok": False, "error": str(exc)}, [f"extension failed: {exc}"]
     rep = curvature_report(ext, tol=args.tol)
     out_dict = jsonio.bracket_to_dict(1, lam.dim, ext.bracket)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(jsonio.dumps(out_dict) + "\n")
     report = {"extension": out_dict, "curvature": rep.to_json_dict()}
-    e = rep.einstein
-    lines = [f"extended to dim_a=1 dim_n={lam.dim}",
-             f"einstein: {_flag(e.ok)} (c = {format_scalar(e.c)}, "
-             f"residual {e.residual:g})",
+    lines = [f"extended to dim_a=1 dim_n={lam.dim}", _einstein_text(rep.einstein),
              f"standard: {_flag(rep.standard.ok)}"]
     if args.out:
         lines.append(f"wrote {args.out}")
-    _emit(report, lines, args.format, started)
-    return PASS if e.ok else CHECKS_FAILED
+    return (PASS if rep.einstein.ok else CHECKS_FAILED), report, lines
 
 
-def cmd_minnorm(args) -> int:
-    started = time.perf_counter()
+def cmd_minnorm(args) -> tuple[int, dict, list[str]]:
     ps = jsonio.read_point_set(args.file)
     res = canonical_form(ps, min_norm_point(ps))
     res.verify(ps)
@@ -235,8 +208,7 @@ def cmd_minnorm(args) -> int:
              f"norm_sq: {result['norm_sq']}",
              f"support: {list(res.support)}",
              "weights: [" + ", ".join(result["weights"][i] for i in res.support) + "]"]
-    _emit(report, lines, args.format, started)
-    return PASS
+    return PASS, report, lines
 
 
 @functools.cache
@@ -300,10 +272,23 @@ def _check_flags(args) -> None:
 
 
 def main(argv=None) -> int:
+    """Time the run, check the flags and run the command; then serialize its
+    report once through jsonio.dumps, which refuses NaN and infinity (exit 3
+    before anything prints), and print the JSON or the text lines and the
+    elapsed time.  A report whose top level holds "error" (a failed
+    extension) prints no elapsed line."""
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
         _check_flags(args)
-        return args.func(args)
+        code, report, lines = args.func(args)
+        text = jsonio.dumps(report)
+        if args.format == "text":
+            if "error" not in report:
+                lines.append(f"elapsed: {time.perf_counter() - started:.3f}s")
+            text = "\n".join(lines)
+        print(text)
+        return code
     except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

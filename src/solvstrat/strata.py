@@ -153,12 +153,8 @@ def project_Z(mu: BracketTensor, beta: DiagonalWeight, tol: float = 0.0) -> Brac
     This is the limit of e^{-t(beta + |beta|^2 I)} . mu as t -> oo when mu
     lies in W_beta.
     """
-    b = beta.entries
-    nsq = beta.norm_sq()
-    kept = {}
-    for (i, j, k), c in mu.coeffs.items():
-        if linalg.is_zero(b[k - 1] - b[i - 1] - b[j - 1] - nsq, tol):
-            kept[(i, j, k)] = c
+    gaps = _gaps(mu, beta.entries, beta.norm_sq())
+    kept = {key: c for key, c in mu.coeffs.items() if linalg.is_zero(gaps[key], tol)}
     return BracketTensor(mu.dim, kept, mu.scalar_mode)
 
 
@@ -348,10 +344,11 @@ def delta_check(mu: BracketTensor, beta: DiagonalWeight, tol: float = DEFAULT_TO
     Requires mu in W_beta, where every term is nonnegative; the total is zero
     exactly when mu lies in Z_beta.
     """
-    w = in_W(mu, beta, tol)
-    if not w.ok:
-        raise ValueError(f"mu is not in W_beta (minimal slack {float(w.residual):g})")
-    return _delta_value(mu, _gaps(mu, beta.entries, beta.norm_sq()))
+    gaps = _gaps(mu, beta.entries, beta.norm_sq())
+    slack = min(gaps.values())
+    if not linalg.nonneg(slack, tol):
+        raise ValueError(f"mu is not in W_beta (minimal slack {float(slack):g})")
+    return _delta_value(mu, gaps)
 
 
 def _delta_value(mu: BracketTensor, gaps: dict[Key, Scalar]) -> Scalar:

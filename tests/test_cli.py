@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -100,6 +101,24 @@ def test_validate_json_format(tmp_path, capsys):
     assert rep["lower_central_series"] == [3, 1, 0]
     assert rep["nilpotent"] is True
     assert rep["norm_sq"] == "2"
+
+
+def test_validate_is_linear_in_dim_n_on_a_sparse_exact_bracket(tmp_path, capsys):
+    # h3 + R^4997: the exact series starts from the one generator mu(e_1, e_2)
+    # of [g, g] and brackets only with e_1 and e_2, so it never forms the
+    # n^2 brackets [e_i, e_c] of unit vectors
+    f = put(tmp_path, "wide.json", {**H3, "dim_n": 5000})
+    started = time.perf_counter()
+    code, out, err = run(capsys, "validate", f, "--format", "json")
+    assert time.perf_counter() - started < 1.0
+    assert (code, json.loads(out)["lower_central_series"], err) == (0, [5000, 1, 0], "")
+    tracemalloc.start()
+    try:
+        assert run(capsys, "validate", f, "--format", "json")[0] == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_validate_flags_jacobi_failure(tmp_path, capsys):

@@ -1,9 +1,12 @@
-"""Byte-for-byte JSON goldens of the command line front end.
+"""Byte-for-byte goldens of the command line front end.
 
 Each case runs one subcommand with ``--format json`` on a file under
 ``goldens/inputs`` and compares stdout and the exit code with the output
-recorded in ``goldens/<case>.json``.  The cases cover exact and float
-inputs, so a refactor that reorders exact or float arithmetic shows here.
+recorded in ``goldens/<case>.json``; the same run in text format is
+compared with ``goldens/<case>.txt``, its wall-clock ``elapsed:`` value
+masked.  The cases cover exact and float inputs, so a refactor that
+reorders exact or float arithmetic shows here, and one failing extension,
+whose report has no ``elapsed:`` line.
 Each case also runs in a fresh interpreter, which must print the same bytes
 and load numpy only for float work: numpy is imported lazily (solvstrat._np),
 and the test process itself has imported it already.
@@ -11,6 +14,7 @@ and the test process itself has imported it already.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +41,7 @@ CASES = [
     ("validate-fil4-gl-float", ["validate", "fil4_gl.json"], 0),
     ("minnorm-12-points", ["minnorm", "points12.json"], 0),
     ("minnorm-13-points", ["minnorm", "points13.json"], 0),
+    ("extend-non-nilsoliton", ["extend", "non_nilsoliton7.json"], 2),
 ]
 
 
@@ -46,6 +51,18 @@ def test_json_output_matches_golden(capsys, name, argv, code):
     assert main(args + ["--format", "json"]) == code
     out = capsys.readouterr().out
     assert out.encode() == (GOLDENS / f"{name}.json").read_bytes()
+
+
+def mask_elapsed(text: str) -> str:
+    return re.sub(r"^elapsed: \d+\.\d{3}s$", "elapsed: <t>s", text, flags=re.MULTILINE)
+
+
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_text_output_matches_golden(capsys, name, argv, code):
+    args = [str(GOLDENS / "inputs" / a) if a.endswith(".json") else a for a in argv]
+    assert main(args) == code
+    out = capsys.readouterr().out
+    assert mask_elapsed(out).encode() == (GOLDENS / f"{name}.txt").read_bytes()
 
 
 # the cases whose work is float: the flow behind stratum, float brackets,

@@ -617,6 +617,32 @@ def test_each_curvature_matrix_has_one_route():
     assert copies == []
 
 
+def test_only_main_times_checks_and_prints_a_report():
+    # each cmd_* returns (exit code, report, text lines): cli.main alone reads
+    # the clock, serializes the report through jsonio.dumps and prints, so
+    # no command keeps a printer of its own
+    callers: dict[str, set[str]] = {}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in ("print", "perf_counter"):
+                callers.setdefault(name, set()).add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    visit(tree, "<module>")
+    assert callers == {"print": {"main"}, "perf_counter": {"main"}}
+    defined = [node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert "_emit" not in defined
+    assert {name for name in defined if name.startswith("cmd_")} == {
+        "cmd_validate", "cmd_stratum", "cmd_einstein", "cmd_extend", "cmd_minnorm"}
+
+
 def test_numpy_is_loaded_in_one_module():
     # _np decides when numpy loads: lazily, on first float use, so exact
     # commands never pay for it.  An import anywhere else would load it
