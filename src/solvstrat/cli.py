@@ -11,8 +11,9 @@ a meaningless flag value, a report that would hold NaN or infinity, or a
 float image of an exact value that overflows.
 JSON output (--format json) is deterministic byte for byte for a given
 input and flags; wall-clock timings therefore appear only in text output.
-Every command hands its report to main, which alone times the run, checks
-the report for NaN and infinity, and prints it.
+Every command hands its report and the files it asks for to main, which
+alone times the run, checks the report for NaN and infinity, writes the
+files and prints it: a report that fails the check leaves no file.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ from .strata import DiagonalWeight, beta_of, sort_to_weyl_chamber
 
 PASS, CHECKS_FAILED, INPUT_ERROR = 0, 2, 3
 
+# what a command hands to main: exit code, report, text lines, and the files
+# to write as {path: text}
+Outcome = tuple[int, dict, list[str], dict[str, str]]
+
 
 def _flag(ok: bool) -> str:
     return "ok" if ok else "FAILED"
@@ -51,7 +56,7 @@ def _einstein_text(e: EinsteinCheck) -> str:
     return f"einstein: {_flag(e.ok)} (c = {format_scalar(e.c)}, residual {e.residual:g})"
 
 
-def cmd_validate(args) -> tuple[int, dict, list[str]]:
+def cmd_validate(args) -> Outcome:
     bf = jsonio.read_bracket_file(args.file)
     mu = bf.bracket
     jac_ok, res = jacobi_check(mu, args.tol)
@@ -70,10 +75,10 @@ def cmd_validate(args) -> tuple[int, dict, list[str]]:
         report["nilpotent"] = nilpotent
         lines.append(f"lower central series: {series} "
                      f"({'nilpotent' if nilpotent else 'not nilpotent'})")
-    return (PASS if jac_ok else CHECKS_FAILED), report, lines
+    return (PASS if jac_ok else CHECKS_FAILED), report, lines, {}
 
 
-def cmd_stratum(args) -> tuple[int, dict, list[str]]:
+def cmd_stratum(args) -> Outcome:
     bf = jsonio.read_bracket_file(args.file)
     if bf.dim_a != 0:
         raise FormatError(f"{args.file}: stratum analysis expects dim_a = 0, "
@@ -86,11 +91,10 @@ def cmd_stratum(args) -> tuple[int, dict, list[str]]:
             bf.bracket, step=args.step, tol=args.tol, max_iter=args.max_iter,
             denom_bound=args.denom_bound, record_trace=args.trace is not None)
     cert, fr = det.certificate, det.flow
+    files = {}
     if args.trace is not None and fr.trace is not None:
-        with open(args.trace, "w") as fh:
-            fh.write("iter,m_norm_sq,tangency\n")
-            for it, msq, res in fr.trace:
-                fh.write(f"{it},{msq:.17g},{res:.17g}\n")
+        files[args.trace] = "iter,m_norm_sq,tangency\n" + "".join(
+            f"{it},{msq:.17g},{res:.17g}\n" for it, msq, res in fr.trace)
     report = {
         "params": {"step": args.step, "tol": args.tol, "max_iter": args.max_iter,
                    "denom_bound": args.denom_bound},
@@ -115,7 +119,7 @@ def cmd_stratum(args) -> tuple[int, dict, list[str]]:
         extra = f" (residual {float(resid):g})" if resid is not None else ""
         lines.append(f"  {name}: {_flag(ok)}{extra}")
     lines.append(f"certificate: {_flag(cert.all_passed)}")
-    return (PASS if fr.converged and cert.all_passed else CHECKS_FAILED), report, lines
+    return (PASS if fr.converged and cert.all_passed else CHECKS_FAILED), report, lines, files
 
 
 def _algebra_from_file(path) -> MetricSolvableAlgebra:
@@ -126,7 +130,7 @@ def _algebra_from_file(path) -> MetricSolvableAlgebra:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def cmd_einstein(args) -> tuple[int, dict, list[str]]:
+def cmd_einstein(args) -> Outcome:
     alg = _algebra_from_file(args.file)
     rep = curvature_report(alg, args.tol)
     report = {"input": {"dim_a": alg.dim_a, "dim_n": alg.dim_n},
@@ -153,7 +157,7 @@ def cmd_einstein(args) -> tuple[int, dict, list[str]]:
                 error = (f"the flow's label {_label_text(flow_beta)} is not the sorted "
                          f"label {_label_text(chamber)} of the input")
                 return (CHECKS_FAILED, {**report, "audit": {"error": error}},
-                        lines + [f"audit: {error}"])
+                        lines + [f"audit: {error}"], {})
         audit = standardness_audit(alg, beta, args.tol)
         report["audit"] = audit.to_json_dict()
         lines.append(f"audit lhs: {float(audit.lhs):.6g}  terms: "
@@ -165,10 +169,10 @@ def cmd_einstein(args) -> tuple[int, dict, list[str]]:
         lines.append(f"forces standard: {audit.forces_standard}  "
                      f"standard: {audit.standard.ok}")
         ok = ok and audit.nonneg_ok and audit.identity_residual <= 1e-6
-    return (PASS if ok else CHECKS_FAILED), report, lines
+    return (PASS if ok else CHECKS_FAILED), report, lines, {}
 
 
-def cmd_extend(args) -> tuple[int, dict, list[str]]:
+def cmd_extend(args) -> Outcome:
     bf = jsonio.read_bracket_file(args.file)
     if bf.dim_a != 0:
         raise FormatError(f"{args.file}: extension expects a nilpotent bracket "
@@ -183,21 +187,20 @@ def cmd_extend(args) -> tuple[int, dict, list[str]]:
     try:
         ext = rank_one_extension(lam, c=c, tol=args.tol)
     except ValueError as exc:
-        return CHECKS_FAILED, {"ok": False, "error": str(exc)}, [f"extension failed: {exc}"]
+        return (CHECKS_FAILED, {"ok": False, "error": str(exc)},
+                [f"extension failed: {exc}"], {})
     rep = curvature_report(ext, tol=args.tol)
     out_dict = jsonio.bracket_to_dict(1, lam.dim, ext.bracket)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(jsonio.dumps(out_dict) + "\n")
+    files = {args.out: jsonio.dumps(out_dict) + "\n"} if args.out else {}
     report = {"extension": out_dict, "curvature": rep.to_json_dict()}
     lines = [f"extended to dim_a=1 dim_n={lam.dim}", _einstein_text(rep.einstein),
              f"standard: {_flag(rep.standard.ok)}"]
     if args.out:
         lines.append(f"wrote {args.out}")
-    return (PASS if rep.einstein.ok else CHECKS_FAILED), report, lines
+    return (PASS if rep.einstein.ok else CHECKS_FAILED), report, lines, files
 
 
-def cmd_minnorm(args) -> tuple[int, dict, list[str]]:
+def cmd_minnorm(args) -> Outcome:
     ps = jsonio.read_point_set(args.file)
     res = canonical_form(ps, min_norm_point(ps))
     res.verify(ps)
@@ -208,7 +211,7 @@ def cmd_minnorm(args) -> tuple[int, dict, list[str]]:
              f"norm_sq: {result['norm_sq']}",
              f"support: {list(res.support)}",
              "weights: [" + ", ".join(result["weights"][i] for i in res.support) + "]"]
-    return PASS, report, lines
+    return PASS, report, lines, {}
 
 
 @functools.cache
@@ -274,15 +277,19 @@ def _check_flags(args) -> None:
 def main(argv=None) -> int:
     """Time the run, check the flags and run the command; then serialize its
     report once through jsonio.dumps, which refuses NaN and infinity (exit 3
-    before anything prints), and print the JSON or the text lines and the
-    elapsed time.  A report whose top level holds "error" (a failed
-    extension) prints no elapsed line."""
+    before any file is written or anything prints), write the command's
+    files, and print the JSON or the text lines and the elapsed time.  A
+    report whose top level holds "error" (a failed extension) prints no
+    elapsed line."""
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         _check_flags(args)
-        code, report, lines = args.func(args)
+        code, report, lines, files = args.func(args)
         text = jsonio.dumps(report)
+        for path, content in files.items():
+            with open(path, "w") as fh:
+                fh.write(content)
         if args.format == "text":
             if "error" not in report:
                 lines.append(f"elapsed: {time.perf_counter() - started:.3f}s")

@@ -28,7 +28,7 @@ coefficients with L = 1 otherwise.  An exact Einstein check reads the
 numerators, so every float it reports is one correctly rounded int / int, and
 so does the audit when the label is exact too (_integer_audit_sums).  The
 universal trace identity tr(R E) = 1/4 <pi(E) mu, mu> (true for any tensor
-mu, Jacobi or not) gives every report two independent routes.
+mu, Jacobi or not) is the tests' independent route to R.
 The rank-one extension takes Ric = 0 and a given c < 0 for lam = 0, else Ric_lam
 and c = tr(Ric^2) / tr(Ric), refusing a given c; from D = Ric - cI on, one path.
 """
@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from ._np import is_ndarray, np
+from ._np import np
 from .bracket import (BracketTensor, _ad_lists, _moment_numerator, _ric_exact,
                       _slot_tables, act, inner, is_solvable, jacobi_check,
                       permutation_act, rep)
@@ -344,24 +344,6 @@ def curvature_report(s: MetricSolvableAlgebra, tol: float = EINSTEIN_TOL) -> Cur
     kn = max((abs(float(b[i][j])) for i in range(m, s.dim) for j in range(m, s.dim)),
              default=0.0)
     return CurvatureReport(cur, einstein_check(s, tol), is_standard(s, tol), kn)
-
-
-class TraceIdentity(NamedTuple):
-    tr_re: Scalar
-    pairing: Scalar
-    residual: float
-
-
-def trace_identity_check(s: MetricSolvableAlgebra, e) -> TraceIdentity:
-    """tr(R E) versus (1/4) <pi(E) mu, mu>: equal for any tensor, no Jacobi
-    needed.  E is an arbitrary square matrix on the full algebra: an ndarray
-    is read through tolist(), a sequence of rows as given."""
-    r = s.curvature.r
-    d = s.dim
-    rows = e.tolist() if is_ndarray(e) else [list(row) for row in e]
-    tr_re = sum(r[p][q] * rows[q][p] for p in range(d) for q in range(d))
-    pairing = inner(rep(rows, s.bracket), s.bracket) / 4
-    return TraceIdentity(tr_re, pairing, abs(float(tr_re - pairing)))
 
 
 def _require_finite(name: str, x: Scalar) -> None:

@@ -135,18 +135,6 @@ def in_W(mu: BracketTensor, beta: DiagonalWeight, tol: float = 0.0) -> Membershi
     return Membership(linalg.nonneg(g, tol), g)
 
 
-def in_Z(mu: BracketTensor, beta: DiagonalWeight, tol: float = 0.0) -> Membership:
-    """Largest absolute slack; ok iff every supported weight sits at equality."""
-    g = max(abs(x) for x in _gaps(mu, beta.entries, beta.norm_sq()).values())
-    return Membership(linalg.is_zero(g, tol), g)
-
-
-def in_Y(mu: BracketTensor, beta: DiagonalWeight, tol: float = 0.0) -> Membership:
-    """In W with at least one weight at equality; residual is the minimal slack."""
-    g = min(_gaps(mu, beta.entries, beta.norm_sq()).values())
-    return Membership(linalg.is_zero(g, tol), g)
-
-
 def project_Z(mu: BracketTensor, beta: DiagonalWeight, tol: float = 0.0) -> BracketTensor:
     """Keep only the coefficients whose weight sits at equality for beta.
 
@@ -180,27 +168,6 @@ def _integer_type(den: int, nums: Sequence[int]) -> EigenvalueType:
         raise ValueError("beta + |beta|^2 I has non-positive entries; no eigenvalue type")
     g = math.gcd(*nums)
     return EigenvalueType(tuple(v // g for v in nums), Fraction(g, den))
-
-
-def positivity_check(beta: DiagonalWeight, tol: float = 0.0) -> bool:
-    return linalg.positive(min(beta.shifted()), tol)
-
-
-def parabolic_membership(d, beta: DiagonalWeight, tol: float = 0.0) -> bool:
-    """Whether d lies in the parabolic subalgebra attached to sorted beta.
-
-    Entry (i, j) must vanish whenever beta_i < beta_j.  beta must be
-    nondecreasing so that the chamber convention applies.
-    """
-    if not beta.is_sorted():
-        raise ValueError("parabolic membership requires sorted beta")
-    b = beta.entries
-    n = beta.dim
-    for i in range(n):
-        for j in range(n):
-            if b[i] < b[j] and linalg.positive(abs(d[i][j]), tol):
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -338,21 +305,10 @@ def _label_route(mu: BracketTensor, beta: DiagonalWeight):
     return _label_values, _float_certificates
 
 
-def delta_check(mu: BracketTensor, beta: DiagonalWeight, tol: float = DEFAULT_TOL) -> Scalar:
-    """<pi(beta + |beta|^2 I) mu, mu> = 2 sum_{i<j,k} (mu_ij^k)^2 (<beta,a> - |beta|^2).
-
-    Requires mu in W_beta, where every term is nonnegative; the total is zero
-    exactly when mu lies in Z_beta.
-    """
-    gaps = _gaps(mu, beta.entries, beta.norm_sq())
-    slack = min(gaps.values())
-    if not linalg.nonneg(slack, tol):
-        raise ValueError(f"mu is not in W_beta (minimal slack {float(slack):g})")
-    return _delta_value(mu, gaps)
-
-
 def _delta_value(mu: BracketTensor, gaps: dict[Key, Scalar]) -> Scalar:
-    """2 sum (mu_ij^k)^2 gap over the coefficients in their dict order."""
+    """<pi(beta + |beta|^2 I) mu, mu> = 2 sum (mu_ij^k)^2 gap over the
+    coefficients in their dict order: on W_beta every term is nonnegative,
+    and the total is zero exactly when mu lies in Z_beta."""
     return 2 * sum(c * c * gaps[key] for key, c in mu.coeffs.items())
 
 

@@ -1,11 +1,11 @@
-"""Seeded random constructors shared across the test modules.
+"""Named algebras and seeded random constructors shared across the test modules.
 
-Every generator takes a numpy Generator and returns exact (Fraction) data, so
-tests can assert rational equalities.  Random Lie brackets come from families
-where the Jacobi identity holds by construction (two-step brackets, threads,
-direct sums of known algebras), optionally pushed around by exact invertible
-matrices; solvable algebras are built from exact derivations of those
-brackets.
+Every random generator takes a numpy Generator and returns exact (Fraction)
+data, so tests can assert rational equalities.  Random Lie brackets come from
+families where the Jacobi identity holds by construction (two-step brackets,
+threads, direct sums of known algebras), optionally pushed around by exact
+invertible matrices; solvable algebras are built from exact derivations of
+those brackets.
 """
 
 from __future__ import annotations
@@ -15,11 +15,70 @@ from fractions import Fraction
 import numpy as np
 
 from oracles import fraction_nullspace, identity, matmul
-from solvstrat.bracket import BracketTensor, act, direct_sum
-from solvstrat.catalog import abelian, filiform4, heisenberg3
+from solvstrat.bracket import BracketTensor, act
 from solvstrat.minnorm import PointSet
 from solvstrat.solvable import MetricSolvableAlgebra
 from solvstrat.strata import _integer_weight
+
+
+def heisenberg3() -> BracketTensor:
+    """mu(e1, e2) = e3; stratum label (-1, -1, 1), eigenvalue type (1, 1, 2)."""
+    return BracketTensor.make(3, {(1, 2, 3): 1})
+
+
+def filiform4() -> BracketTensor:
+    """mu(e1, e2) = e3, mu(e1, e3) = e4; label (-1, -1/2, 0, 1/2), type (1, 2, 3, 4)."""
+    return BracketTensor.make(4, {(1, 2, 3): 1, (1, 3, 4): 1})
+
+
+def so3() -> BracketTensor:
+    """Compact simple bracket; not nilpotent, beta = -I/3 with zero shift."""
+    return BracketTensor.make(3, {(1, 2, 3): 1, (2, 3, 1): 1, (1, 3, 2): -1})
+
+
+def abelian(n: int) -> BracketTensor:
+    return BracketTensor.make(n, {})
+
+
+def rh_space(n: int) -> MetricSolvableAlgebra:
+    """Hyperbolic space RH^{n+1} as a = R A acting on abelian R^n by ad A = I.
+
+    Einstein with constant -n."""
+    coeffs = {(1, 1 + j, 1 + j): Fraction(1) for j in range(1, n + 1)}
+    return MetricSolvableAlgebra.create(1, n, BracketTensor.make(n + 1, coeffs))
+
+
+def ch2() -> MetricSolvableAlgebra:
+    """Complex hyperbolic plane: heisenberg3 extended by ad A = diag(1/2, 1/2, 1).
+
+    Einstein with constant -3/2."""
+    coeffs = {
+        (2, 3, 4): Fraction(1),
+        (1, 2, 2): Fraction(1, 2),
+        (1, 3, 3): Fraction(1, 2),
+        (1, 4, 4): Fraction(1),
+    }
+    return MetricSolvableAlgebra.create(1, 3, BracketTensor.make(4, coeffs))
+
+
+def nonstandard_heisenberg() -> MetricSolvableAlgebra:
+    """heisenberg3 relabeled with a = span(A1, A2), n = span(e1), [A1, A2] = e1.
+
+    A valid solvable metric algebra whose complement a is not abelian: not
+    standard, and (consistently) not Einstein."""
+    return MetricSolvableAlgebra.create(2, 1, BracketTensor.make(3, {(1, 2, 3): 1}))
+
+
+def direct_sum(*parts: BracketTensor) -> BracketTensor:
+    """Block direct sum of brackets (basis concatenated in order)."""
+    dim = sum(p.dim for p in parts)
+    coeffs = {}
+    off = 0
+    for p in parts:
+        for (i, j, k), c in p.coeffs.items():
+            coeffs[(i + off, j + off, k + off)] = c
+        off += p.dim
+    return BracketTensor.make(dim, coeffs)
 
 
 def rand_frac(rng: np.random.Generator, num: int = 6, den: int = 4) -> Fraction:

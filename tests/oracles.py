@@ -6,7 +6,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -14,12 +14,13 @@ from solvstrat import linalg
 from solvstrat.bracket import (DEFAULT_TOL, BracketTensor, _reduce_basis, inner,
                                rep, rep_array)
 from solvstrat.flow import CHOP, FlowResult, MomentValue, ric_array
-from solvstrat.linalg import ZERO, dot
+from solvstrat.linalg import ZERO, Scalar, dot
 from solvstrat.minnorm import MinNormResult, PointSet, Vec
 from solvstrat.solvable import (EINSTEIN_TOL, AuditReport, Curvature, EinsteinCheck,
-                                is_standard)
-from solvstrat.strata import (DerivationCertificates, StratumCertificate, beta_of, in_W,
-                              parabolic_membership)
+                                MetricSolvableAlgebra, is_standard)
+from solvstrat._np import is_ndarray
+from solvstrat.strata import (DerivationCertificates, DiagonalWeight, StratumCertificate,
+                              beta_of, in_W)
 
 ONE = Fraction(1)
 
@@ -249,6 +250,23 @@ def fraction_adbeta_gram(basis, b) -> list[list[Fraction]]:
                for d in basis]
     return [[sum((b[i] - b[j]) * x * ec[i, j] for (i, j), x in ea.items() if (i, j) in ec)
              for ec in entries] for ea in entries]
+
+
+def parabolic_membership(d, beta: DiagonalWeight, tol: float = 0.0) -> bool:
+    """Whether d lies in the parabolic subalgebra attached to sorted beta.
+
+    Entry (i, j) must vanish whenever beta_i < beta_j.  beta must be
+    nondecreasing so that the chamber convention applies.
+    """
+    if not beta.is_sorted():
+        raise ValueError("parabolic membership requires sorted beta")
+    b = beta.entries
+    n = beta.dim
+    for i in range(n):
+        for j in range(n):
+            if b[i] < b[j] and linalg.positive(abs(d[i][j]), tol):
+                return False
+    return True
 
 
 def fraction_derivation_certificates(mu: BracketTensor, beta,
@@ -772,6 +790,24 @@ def fraction_ricci_moment(mu: BracketTensor) -> MomentValue:
     nsq = inner(mu, mu)
     ric = fraction_ric(mu)
     return MomentValue(ric, [[4 * x / nsq for x in row] for row in ric], nsq)
+
+
+class TraceIdentity(NamedTuple):
+    tr_re: Scalar
+    pairing: Scalar
+    residual: float
+
+
+def trace_identity_check(s: MetricSolvableAlgebra, e) -> TraceIdentity:
+    """tr(R E) versus (1/4) <pi(E) mu, mu>: equal for any tensor, no Jacobi
+    needed.  E is an arbitrary square matrix on the full algebra: an ndarray
+    is read through tolist(), a sequence of rows as given."""
+    r = s.curvature.r
+    d = s.dim
+    rows = e.tolist() if is_ndarray(e) else [list(row) for row in e]
+    tr_re = sum(r[p][q] * rows[q][p] for p in range(d) for q in range(d))
+    pairing = inner(rep(rows, s.bracket), s.bracket) / 4
+    return TraceIdentity(tr_re, pairing, abs(float(tr_re - pairing)))
 
 
 def fraction_curvature(s) -> Curvature:

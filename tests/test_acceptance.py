@@ -10,16 +10,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from generators import (rand_frac, random_nilpotent, random_point_set,
-                        random_solvable)
-from oracles import brute_force_min_norm, ricci_moment_via_duality
+from generators import (abelian, filiform4, heisenberg3, rand_frac, random_nilpotent,
+                        random_point_set, random_solvable, rh_space, so3)
+from oracles import brute_force_min_norm, ricci_moment_via_duality, trace_identity_check
 from solvstrat.bracket import BracketTensor, act_array, permutation_act
-from solvstrat.catalog import abelian, filiform4, heisenberg3, rh_space, so3
 from solvstrat.flow import ricci_moment, stratum_detect
 from solvstrat.minnorm import canonical_form, min_norm_point
 from solvstrat.solvable import (einstein_check, is_standard,
-                                rank_one_extension, standardness_audit,
-                                trace_identity_check)
+                                rank_one_extension, standardness_audit)
 from solvstrat.strata import DiagonalWeight, beta_of, certify_candidate, m_degree
 
 F = Fraction

@@ -3,23 +3,23 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from generators import (rand_frac, random_exact_gl, random_nilpotent,
-                        random_solvable, random_tensor, shuffled)
+from generators import (abelian, direct_sum, filiform4, heisenberg3, rand_frac,
+                        random_exact_gl, random_nilpotent, random_solvable, random_tensor,
+                        shuffled, so3)
 from oracles import (einsum_act_array, eval_is_solvable, eval_jacobi_residual,
                      eval_lower_central_series, identity, mat_scale, mat_sub, matmul, matvec,
                      slotwise_float_derivations)
 from solvstrat import linalg
-from solvstrat.bracket import (BracketTensor, act, act_array, derivations,
-                               direct_sum, inner, is_nilpotent, is_solvable,
-                               jacobi_residual, lower_central_series, norm_sq,
-                               permutation_act, rep, rep_array)
-from solvstrat.catalog import abelian, filiform4, heisenberg3, so3
+from solvstrat.bracket import (BracketTensor, act, act_array, derivations, inner,
+                               is_solvable, jacobi_residual, lower_central_series,
+                               norm_sq, permutation_act, rep, rep_array)
 
 H3 = heisenberg3()
 N4 = filiform4()
@@ -296,7 +296,7 @@ def test_lower_central_series_goldens():
     assert lower_central_series(N4) == [4, 2, 1, 0]
     assert lower_central_series(so3()) == [3, 3]
     assert lower_central_series(abelian(5)) == [5, 0]
-    assert is_nilpotent(H3) and not is_nilpotent(so3())
+    assert lower_central_series(H3)[-1] == 0 != lower_central_series(so3())[-1]
 
 
 def test_series_invariant_under_exact_gl():
@@ -352,9 +352,8 @@ def test_float_derivations_never_form_the_rows_by_rows_svd_factor():
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import resource\n"
-            "from solvstrat.bracket import derivations, direct_sum\n"
-            "from solvstrat.catalog import abelian, heisenberg3\n"
-            "basis = derivations(direct_sum(heisenberg3(), abelian(21)).to_float())\n"
+            "from solvstrat.bracket import BracketTensor, derivations\n"
+            "basis = derivations(BracketTensor.make(24, {(1, 2, 3): 1.0}))\n"
             "print(len(basis), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
@@ -466,6 +465,22 @@ def test_integer_series_match_eval_oracles_on_rational_brackets():
                                              for key, c in mu.coeffs.items()})
             assert is_solvable(nu) == eval_is_solvable(nu)
     assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_float_is_solvable_contracts_pairwise():
+    # a diagonal extension of h3 + R^117, ad A = diag(0.5 + 0.1 j) but for
+    # d_3 = d_1 + d_2: [g, g] = n and [n, n] = span(e3).  Each derived step
+    # brackets the d^2 pairs of a d-dimensional basis; contracted one factor
+    # at a time that costs O(d^2 n^2 + d n^3), not the O(d^2 n^3) of a
+    # single three-operand einsum
+    n = 120
+    d = [0.5 + 0.1 * j for j in range(n)]
+    d[2] = d[0] + d[1]
+    coeffs = {(2, 3, 4): 1.0, **{(1, 2 + j, 2 + j): x for j, x in enumerate(d)}}
+    started = time.perf_counter()
+    assert is_solvable(BracketTensor.make(n + 1, coeffs))
+    elapsed = time.perf_counter() - started
+    assert elapsed < 2.0, f"float is_solvable took {elapsed:.2f}s"
 
 
 def test_act_array_matches_the_einsum_route():

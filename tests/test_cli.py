@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 import solvstrat
-from generators import random_point_set
+from generators import ch2, random_point_set
 from oracles import brute_force_min_norm
 from solvstrat import jsonio
-from solvstrat.catalog import ch2
 from solvstrat.cli import main
 from solvstrat.linalg import format_scalar
 
@@ -234,6 +233,18 @@ def test_stratum_trace_csv(tmp_path, capsys):
     assert len(lines) == rep["flow"]["iterations"] + 2  # header + iterates
 
 
+def test_a_trace_is_written_only_for_a_report_that_serializes(tmp_path, capsys, monkeypatch):
+    def refuse(report):
+        raise ValueError("the report holds NaN")
+
+    monkeypatch.setattr(jsonio, "dumps", refuse)
+    trace = tmp_path / "trace.csv"
+    code, out, err = run(capsys, "stratum", put(tmp_path, "n4.json", N4),
+                         "--trace", str(trace))
+    assert (code, out, err) == (3, "", "error: the report holds NaN\n")
+    assert not trace.exists()
+
+
 def test_einstein_on_complex_hyperbolic(tmp_path, capsys):
     f = put(tmp_path, "ch2.json", CH2)
     code, out, _ = run(capsys, "einstein", f, "--format", "json")
@@ -359,6 +370,7 @@ def test_extend_heisenberg_roundtrip(tmp_path, capsys):
         {"i": 1, "j": 4, "k": 4, "c": "1"},
         {"i": 2, "j": 3, "k": 4, "c": "1"}]
     assert rep["curvature"]["einstein"]["c"] == "-3/2"
+    assert out_file.read_text() == jsonio.dumps(rep["extension"]) + "\n"
     code2, out2, _ = run(capsys, "einstein", str(out_file), "--format", "json")
     assert code2 == 0
     assert json.loads(out2)["curvature"]["einstein"]["ok"] is True
@@ -729,6 +741,18 @@ def test_large_exact_coefficients_never_end_in_a_traceback(tmp_path, capsys, lit
     want["brackets"] = [dict(b, c=format_scalar(Fraction(b["c"]) * Fraction(literal)))
                         for b in want["brackets"]]
     assert report["extension"] == want and report["curvature"]["einstein"]["ok"]
+
+
+def test_an_extension_beyond_the_digit_limit_writes_no_out_file(tmp_path, capsys):
+    # the extension of h3 scaled by 10^2200 is exact, but its curvature has
+    # more than 4300 digits: the report fails to serialize, and --out is
+    # written only after it has
+    f = put(tmp_path, "h3.json", {**H3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1e2200"}]})
+    ext = tmp_path / "ext.json"
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "extend", f, "--out", str(ext), "--format", fmt)
+        assert (code, out) == (3, "") and "more than 4300 digits" in err
+        assert not ext.exists()
 
 
 @pytest.mark.parametrize("command,obj", [

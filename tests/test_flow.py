@@ -7,11 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from generators import free_two_step, random_nilpotent
+from generators import direct_sum, filiform4, free_two_step, heisenberg3, random_nilpotent, so3
 from oracles import eigh_per_exponential_flow, fraction_ricci_moment, ricci_moment_via_duality
 from solvstrat import flow
-from solvstrat.bracket import BracketTensor, act_array, direct_sum, permutation_act
-from solvstrat.catalog import filiform4, heisenberg3, so3
+from solvstrat.bracket import BracketTensor, act_array, permutation_act
 from solvstrat.flow import (expm_sym, flow_to_critical, ric_array, ricci_moment,
                             stratum_detect)
 from solvstrat.strata import DiagonalWeight

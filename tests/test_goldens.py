@@ -106,9 +106,11 @@ def fresh(body, *argv):
 
 EXACT_WORK = {
     "import": "import solvstrat.cli",
-    "trace-identity": "from solvstrat import catalog, solvable\n"
-                      "rows = [[1, 2, 0, 0], [0, 1, 0, 3], [0, 0, 1, 0], [1, 0, 0, 1]]\n"
-                      "solvable.trace_identity_check(catalog.ch2(), rows)",
+    "curvature": "from fractions import Fraction as F\n"
+                 "from solvstrat import bracket, solvable\n"
+                 "mu = bracket.BracketTensor.make(4, {(2, 3, 4): F(1), (1, 2, 2): F(1, 2),\n"
+                 "                                    (1, 3, 3): F(1, 2), (1, 4, 4): F(1)})\n"
+                 "solvable.curvature_report(solvable.MetricSolvableAlgebra.create(1, 3, mu))",
 }
 
 

@@ -7,12 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from generators import filiform, free_two_step, rand_frac
+from generators import filiform, filiform4, free_two_step, heisenberg3, rand_frac
 from oracles import (dense_nullspace, fraction_nullspace, identity, matmul, numerator_basis,
                      rref, rref_inverse, solve)
 from solvstrat import linalg
 from solvstrat.bracket import BracketTensor, act, derivations
-from solvstrat.catalog import filiform4, heisenberg3
 
 F = Fraction
 

@@ -9,22 +9,23 @@ numpy.float64 inputs.  The expected verdicts are literals, so flipping a
 
 import ast
 import dataclasses
+import inspect
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 import solvstrat
-from solvstrat.bracket import BracketTensor, jacobi_check
+from generators import ch2, filiform4, heisenberg3, nonstandard_heisenberg
+from oracles import parabolic_membership
+from solvstrat.bracket import BracketTensor, act, derivations, jacobi_check
 from solvstrat.cli import main
-from solvstrat.catalog import ch2, filiform4, heisenberg3, nonstandard_heisenberg
 from solvstrat.linalg import is_exact
 from solvstrat.solvable import (MetricSolvableAlgebra, curvature_report, einstein_check,
                                 is_standard, standardness_audit)
-from solvstrat.strata import (DiagonalWeight, certify_candidate, in_W, in_Y,
-                              in_Z, parabolic_membership, positivity_check,
-                              project_Z)
+from solvstrat.strata import DiagonalWeight, certify_candidate, in_W, project_Z
 
 F = Fraction
 TINY = F(1, 10**30)
@@ -90,6 +91,35 @@ def _unit_entry(i, j, v, n=3):
     d[i][j] = v
     return d
 
+
+# Der(GRADED) is spanned by D = diag(-1, 0, 1), which lies in the parabolic of
+# beta = (-1, 0, 1).  Moved by g = I + v E_ij it becomes D + v (d_j - d_i) E_ij,
+# so the certificate's parabolic check meets an (i, j) entry of size ~v.
+GRADED = BracketTensor.make(3, {(1, 2, 1): 1, (1, 3, 2): 1})
+
+
+def _moved(i, j, v, beta, float64=False):
+    g = [[v * 0 + (r == c) for c in range(3)] for r in range(3)]
+    g[i][j] = v
+    mu = act(g, GRADED if is_exact(v) else GRADED.to_float())
+    if float64:
+        mu = BracketTensor(3, {k: np.float64(c) for k, c in mu.coeffs.items()}, "float")
+    return mu, beta, (i, j)
+
+
+MOVED_CASES = {
+    "float-upper": _moved(0, 1, 1e-9, _weight(-1.0, 0.0, 1.0)),
+    "float-upper-negative": _moved(0, 2, -1e-9, _weight(-1.0, 0.0, 1.0)),
+    "float-lower": _moved(1, 0, 1e-9, _weight(-1.0, 0.0, 1.0)),
+    "float64": _moved(1, 2, 2e-9, _np(-1.0, 0.0, 1.0), float64=True),
+    "float-exact-beta": _moved(0, 1, 1e-9, DiagonalWeight.make([-1, 0, 1])),
+    "exact-zero": _moved(0, 1, F(0), DiagonalWeight.make([-1, 0, 1])),
+    "exact-plus-tiny": _moved(0, 1, TINY, DiagonalWeight.make([-1, 0, 1])),
+    "exact-minus-tiny": _moved(1, 2, -TINY, DiagonalWeight.make([-1, 0, 1])),
+}
+
+# a bracket of each dimension to certify the labels of POSITIVITY_CASES against
+SHIFT_PARTNERS = {2: BracketTensor.make(2, {(1, 2, 2): 1}), 3: H3}
 
 PARABOLIC_CASES = {
     "float-upper": (_unit_entry(0, 1, 1e-9), _weight(-1.0, 0.0, 1.0)),
@@ -176,12 +206,20 @@ def verdicts() -> dict[str, str]:
     for name, (mu, beta) in GAP_CASES.items():
         tols = _tols(in_W(mu, beta).residual)
         out[f"in_W {name}"] = _bits(in_W(mu, beta, t).ok for t in tols)
-        out[f"in_Z {name}"] = _bits(in_Z(mu, beta, t).ok for t in tols)
-        out[f"in_Y {name}"] = _bits(in_Y(mu, beta, t).ok for t in tols)
         out[f"project_Z {name}"] = _bits(not project_Z(mu, beta, t).is_zero() for t in tols)
+        checks = [certify_candidate(mu, beta, t).checks for t in tols]
+        out[f"certify in_Z gap-{name}"] = _bits(c["in_Z"] for c in checks)
+        out[f"certify m_equals_one gap-{name}"] = _bits(c["m_equals_one"] for c in checks)
     for name, beta in POSITIVITY_CASES.items():
         tols = _tols(min(beta.shifted()))
-        out[f"positivity_check {name}"] = _bits(positivity_check(beta, t) for t in tols)
+        mu = SHIFT_PARTNERS[beta.dim]
+        mu = mu if beta.is_exact_mode else mu.to_float()
+        out[f"certify beta_positive_shift shift-{name}"] = _bits(
+            certify_candidate(mu, beta, t).checks["beta_positive_shift"] for t in tols)
+    for name, (mu, beta, (i, j)) in MOVED_CASES.items():
+        tols = _tols(derivations(mu)[0][i][j])
+        out[f"certify derivations_in_parabolic moved-{name}"] = _bits(
+            certify_candidate(mu, beta, t).checks["derivations_in_parabolic"] for t in tols)
     for name, (d, beta) in PARABOLIC_CASES.items():
         tols = _tols(*(x for row in d for x in row if x))
         out[f"parabolic_membership {name}"] = _bits(parabolic_membership(d, beta, t)
@@ -215,44 +253,44 @@ def verdicts() -> dict[str, str]:
 
 EXPECTED: dict[str, str] = {
     'in_W float-negative': '000101',
-    'in_Z float-negative': '000101',
-    'in_Y float-negative': '000101',
+    'certify in_Z gap-float-negative': '000101',
+    'certify m_equals_one gap-float-negative': '000111',
     'project_Z float-negative': '000101',
     'in_W float-positive': '111101',
-    'in_Z float-positive': '101000',
-    'in_Y float-positive': '101000',
+    'certify in_Z gap-float-positive': '101000',
+    'certify m_equals_one gap-float-positive': '111000',
     'project_Z float-positive': '101000',
     'in_W float-zero': '101101',
-    'in_Z float-zero': '101101',
-    'in_Y float-zero': '101101',
+    'certify in_Z gap-float-zero': '101101',
+    'certify m_equals_one gap-float-zero': '101101',
     'project_Z float-zero': '101101',
     'in_W float64': '000101',
-    'in_Z float64': '000101',
-    'in_Y float64': '000101',
+    'certify in_Z gap-float64': '000101',
+    'certify m_equals_one gap-float64': '000111',
     'project_Z float64': '000101',
     'in_W exact-mu-float-beta': '000101',
-    'in_Z exact-mu-float-beta': '000101',
-    'in_Y exact-mu-float-beta': '000101',
+    'certify in_Z gap-exact-mu-float-beta': '000101',
+    'certify m_equals_one gap-exact-mu-float-beta': '000111',
     'project_Z exact-mu-float-beta': '000101',
     'in_W exact-zero': '111',
-    'in_Z exact-zero': '111',
-    'in_Y exact-zero': '111',
+    'certify in_Z gap-exact-zero': '111',
+    'certify m_equals_one gap-exact-zero': '111',
     'project_Z exact-zero': '111',
     'in_W exact-minus-tiny': '000',
-    'in_Z exact-minus-tiny': '000',
-    'in_Y exact-minus-tiny': '000',
+    'certify in_Z gap-exact-minus-tiny': '000',
+    'certify m_equals_one gap-exact-minus-tiny': '000',
     'project_Z exact-minus-tiny': '000',
     'in_W exact-plus-tiny': '111',
-    'in_Z exact-plus-tiny': '000',
-    'in_Y exact-plus-tiny': '000',
+    'certify in_Z gap-exact-plus-tiny': '000',
+    'certify m_equals_one gap-exact-plus-tiny': '000',
     'project_Z exact-plus-tiny': '000',
-    'positivity_check float-two': '010111',
-    'positivity_check float-zero': '010010',
-    'positivity_check float-small': '010111',
-    'positivity_check float64': '010111',
-    'positivity_check exact-zero': '000',
-    'positivity_check exact-plus-tiny': '111',
-    'positivity_check exact-minus-tiny': '000',
+    'certify beta_positive_shift shift-float-two': '111111',
+    'certify beta_positive_shift shift-float-zero': '000000',
+    'certify beta_positive_shift shift-float-small': '111111',
+    'certify beta_positive_shift shift-float64': '111111',
+    'certify beta_positive_shift shift-exact-zero': '000',
+    'certify beta_positive_shift shift-exact-plus-tiny': '111',
+    'certify beta_positive_shift shift-exact-minus-tiny': '000',
     'parabolic_membership float-upper': '101000',
     'parabolic_membership float-upper-negative': '000101',
     'parabolic_membership float-lower': '111000',
@@ -261,6 +299,14 @@ EXPECTED: dict[str, str] = {
     'parabolic_membership exact-zero': '111',
     'parabolic_membership exact-plus-tiny': '000',
     'parabolic_membership exact-minus-tiny': '000',
+    'certify derivations_in_parabolic moved-float-upper': '111101',
+    'certify derivations_in_parabolic moved-float-upper-negative': '101111',
+    'certify derivations_in_parabolic moved-float-lower': '111111',
+    'certify derivations_in_parabolic moved-float64': '111101',
+    'certify derivations_in_parabolic moved-float-exact-beta': '111101',
+    'certify derivations_in_parabolic moved-exact-zero': '111',
+    'certify derivations_in_parabolic moved-exact-plus-tiny': '000',
+    'certify derivations_in_parabolic moved-exact-minus-tiny': '000',
     'certify adbeta_nonneg float-off-label': '111111111111111111111111111111111111111111111111',
     'certify beta_positive_shift float-off-label':
         '111111111111111111111111111111111111111111111111',
@@ -617,10 +663,36 @@ def test_each_curvature_matrix_has_one_route():
     assert copies == []
 
 
+def _library_api() -> set[str]:
+    """The names the README lists under Library API."""
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^- `(\w+)\(", section, re.M))
+
+
+def test_every_export_has_a_caller_in_the_package_or_is_library_api():
+    # an export is used when another top-level definition of the package
+    # reads it as a name or an attribute; a string such as the check name
+    # "in_Z" of certify_candidate is no use.  What nothing uses is listed
+    # in the README as library API, or it leaves the package
+    used: set[str] = set()
+    for module, tree in _trees():
+        if module == "__init__.py":
+            continue
+        for top in tree.body:
+            used |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))
+                     } - {getattr(top, "name", None)}
+    exports = {name for name in solvstrat.__all__
+               if not inspect.ismodule(getattr(solvstrat, name))}
+    assert sorted(exports - used) == sorted(_library_api())
+
+
 def test_only_main_times_checks_and_prints_a_report():
-    # each cmd_* returns (exit code, report, text lines): cli.main alone reads
-    # the clock, serializes the report through jsonio.dumps and prints, so
-    # no command keeps a printer of its own
+    # each cmd_* returns (exit code, report, text lines, files): cli.main
+    # alone reads the clock, serializes the report through jsonio.dumps,
+    # writes the files and prints, so no command keeps a printer of its own
+    # and no file is written for a report that fails to serialize
     callers: dict[str, set[str]] = {}
 
     def visit(node, scope):
@@ -628,14 +700,14 @@ def test_only_main_times_checks_and_prints_a_report():
             scope = node.name
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-            if name in ("print", "perf_counter"):
+            if name in ("print", "perf_counter", "open"):
                 callers.setdefault(name, set()).add(scope)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     visit(tree, "<module>")
-    assert callers == {"print": {"main"}, "perf_counter": {"main"}}
+    assert callers == {"print": {"main"}, "perf_counter": {"main"}, "open": {"main"}}
     defined = [node.name for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
     assert "_emit" not in defined

@@ -6,21 +6,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from generators import (rand_frac, random_exact_gl, random_solvable,
-                        random_tensor, shuffled)
+from generators import (abelian, ch2, filiform4, heisenberg3, nonstandard_heisenberg,
+                        rand_frac, random_exact_gl, random_solvable, random_tensor,
+                        rh_space, shuffled, so3)
 from oracles import (dense_ad, dense_ad_on_n, dense_audit_terms,
                      dense_killing_form, dense_s_ad_h, fraction_curvature,
                      fraction_einstein_check, fraction_ric,
-                     fraction_standardness_audit)
+                     fraction_standardness_audit, trace_identity_check)
 from solvstrat import bracket, flow, linalg, solvable
 from solvstrat.bracket import BracketTensor, act, jacobi_check, jacobi_residual
-from solvstrat.catalog import (abelian, ch2, filiform4, heisenberg3,
-                               nonstandard_heisenberg, rh_space, so3)
 from solvstrat.flow import ricci_moment
 from solvstrat.solvable import (MetricSolvableAlgebra, curvature_report,
                                 einstein_check, is_standard,
                                 orthonormalize_basis, rank_one_extension,
-                                standardness_audit, trace_identity_check)
+                                standardness_audit)
 from solvstrat.strata import DiagonalWeight
 
 F = Fraction

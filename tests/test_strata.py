@@ -7,20 +7,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from generators import filiform, free_two_step, rand_frac, random_nilpotent, random_tensor
+from generators import (filiform, filiform4, free_two_step, heisenberg3, rand_frac,
+                        random_nilpotent, random_tensor, so3)
 from oracles import (dense_adbeta_gram, fraction_adbeta_gram, fraction_certify_candidate,
                      fraction_derivation_certificates, fraction_derivations,
-                     fraction_is_psd)
+                     fraction_is_psd, parabolic_membership)
 from solvstrat import minnorm, strata
 from solvstrat.bracket import (BracketTensor, _exact_derivations, act, derivations,
                                inner, permutation_act, rep)
-from solvstrat.catalog import filiform4, heisenberg3, so3
 from solvstrat.jsonio import dumps
 from solvstrat.strata import (DiagonalWeight, beta_of, certify_candidate,
-                              delta_check, derivation_certificates,
-                              eigenvalue_type, in_W, in_Y, in_Z, m_degree,
-                              parabolic_membership, positivity_check,
-                              project_Z, sort_to_weyl_chamber, weights)
+                              derivation_certificates, eigenvalue_type, in_W,
+                              m_degree, project_Z, sort_to_weyl_chamber, weights)
 
 F = Fraction
 H3 = heisenberg3()
@@ -140,27 +138,33 @@ def test_sort_to_weyl_chamber():
     assert already.entries == B4.entries and perm3 == (0, 1, 2, 3)
 
 
+def _z_and_y(mu, beta):
+    """The certificate's verdicts on Z_beta and on Y_beta (in W_beta with a
+    weight at equality, where the degree m is 1)."""
+    checks = certify_candidate(mu, beta).checks
+    return checks["in_Z"], checks["m_equals_one"]
+
+
 def test_membership_nesting_and_goldens():
-    assert in_Z(H3, B3).ok and in_Y(H3, B3).ok and in_W(H3, B3).ok
-    assert in_Z(N4, B4).ok
+    assert _z_and_y(H3, B3) == (True, True) and in_W(H3, B3).ok
+    assert _z_and_y(N4, B4)[0]
     assert not in_W(H3, DiagonalWeight.make([0, 0, -1])).ok
     v124 = BracketTensor.make(4, {(1, 2, 4): 1})
-    assert in_W(v124, B4).ok and not in_Y(v124, B4).ok and not in_Z(v124, B4).ok
+    assert in_W(v124, B4).ok and _z_and_y(v124, B4) == (False, False)
     assert in_W(v124, B4).residual == F(1, 2)
     mixed = BracketTensor.make(4, {(1, 2, 3): 1, (1, 3, 4): 1, (1, 2, 4): 1})
-    assert in_W(mixed, B4).ok and in_Y(mixed, B4).ok and not in_Z(mixed, B4).ok
+    assert in_W(mixed, B4).ok and _z_and_y(mixed, B4) == (False, True)
 
 
 def test_membership_nesting_random():
     rng = np.random.default_rng(3)
     for _ in range(25):
-        mu = random_nilpotent(rng, int(rng.integers(3, 7)))
-        beta = beta_of(mu)
-        z, y, w = in_Z(mu, beta), in_Y(mu, beta), in_W(mu, beta)
-        if z.ok:
-            assert y.ok
-        if y.ok:
-            assert w.ok
+        mu, beta = _chamber_pair(random_nilpotent(rng, int(rng.integers(3, 7))))
+        (z, y), w = _z_and_y(mu, beta), in_W(mu, beta).ok
+        if z:
+            assert y
+        if y:
+            assert w
 
 
 def test_project_z_filters_support():
@@ -196,8 +200,9 @@ def test_eigenvalue_type_goldens():
 
 
 def test_positivity_check():
-    assert positivity_check(B3) and positivity_check(B4)
-    assert not positivity_check(beta_of(so3()))
+    assert certify_candidate(H3, B3).checks["beta_positive_shift"]
+    assert certify_candidate(N4, B4).checks["beta_positive_shift"]
+    assert not certify_candidate(so3(), beta_of(so3())).checks["beta_positive_shift"]
     assert min(B3.shifted()) == 2
     assert min(B4.shifted()) == F(1, 2)
 
@@ -210,6 +215,9 @@ def test_parabolic_membership():
     assert parabolic_membership(lower, sorted_b3)
     with pytest.raises(ValueError):
         parabolic_membership(lower, DiagonalWeight.make([1, -1, 0]))
+    # the certificate holds its labels to the same chamber convention
+    with pytest.raises(ValueError, match="requires sorted beta"):
+        certify_candidate(H3, DiagonalWeight.make([1, -1, -1]))
 
 
 def test_derivation_certificates_goldens():
@@ -369,22 +377,26 @@ def test_large_certificates_goldens(mu, beta, dim_der):
     assert cert.residuals["adbeta_quadratic_min"] == 0
 
 
+def _delta(mu, beta):
+    return certify_candidate(mu, beta).residuals["delta_nonneg"]
+
+
 def test_delta_check_worked_value():
     combo = BracketTensor.make(4, {(1, 2, 3): 1, (1, 3, 4): 1, (1, 2, 4): 1})
-    assert delta_check(combo, B4) == 1  # only the (1,2,4) term contributes: 2 * 1 * 1/2
-    assert delta_check(N4, B4) == 0
-    with pytest.raises(ValueError):
-        delta_check(BracketTensor.make(4, {(2, 3, 4): 1}), B4)
+    assert _delta(combo, B4) == 1  # only the (1,2,4) term contributes: 2 * 1 * 1/2
+    assert _delta(N4, B4) == 0
+    # off W_beta a gap is negative, and the certificate claims neither
+    checks = certify_candidate(BracketTensor.make(4, {(2, 3, 4): 1}), B4).checks
+    assert not checks["in_W"] and not checks["delta_nonneg"]
 
 
 def test_delta_matches_rep_route():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        mu = random_nilpotent(rng, int(rng.integers(3, 6)))
-        beta = beta_of(mu)
+        mu, beta = _chamber_pair(random_nilpotent(rng, int(rng.integers(3, 6))))
         shift = [[beta.shifted()[i] if i == j else F(0) for j in range(mu.dim)]
                  for i in range(mu.dim)]
-        assert delta_check(mu, beta) == inner(rep(shift, mu), mu)
+        assert _delta(mu, beta) == inner(rep(shift, mu), mu)
 
 
 def test_certificate_goldens():
@@ -435,8 +447,8 @@ def test_an_undecided_quadratic_condition_writes_null():
     # off Z_beta a basis element of Der(fil4) can mix weights: the grading
     # decides nothing there, the certificate fails, and its JSON says null
     beta = DiagonalWeight.make([-2, -2, -2, -1])
-    assert not in_Z(N4, beta).ok
     cert = certify_candidate(N4, beta)
+    assert not cert.checks["in_Z"]
     assert cert.checks["adbeta_nonneg"] is None and not cert.all_passed
     d = json.loads(dumps(cert.to_json_dict()))
     assert d["checks"]["adbeta_nonneg"] is None
@@ -471,7 +483,7 @@ def test_exact_certificates_match_the_fraction_route(mu, beta):
     assert derivations(mu) == fraction_derivations(mu)
     cert = derivation_certificates(mu, beta)
     assert cert == fraction_derivation_certificates(mu, beta)
-    if in_Z(mu, beta).ok:
+    if certify_candidate(mu, beta).checks["in_Z"]:
         # alpha = beta + |beta|^2 I is a derivation and grades Der(mu) by
         # B_r - B_c: each basis element lies in one graded piece, so the
         # quadratic condition is decided
