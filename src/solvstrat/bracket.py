@@ -134,15 +134,15 @@ class BracketTensor:
 
     @staticmethod
     def from_array(arr: np.ndarray, chop: float = 0.0) -> "BracketTensor":
+        """The skew part 0.5 (arr_ijk - arr_jik), i < j, as a float bracket,
+        keeping the coefficients above chop in magnitude, keys in (i, j, k)
+        order."""
         n = arr.shape[0]
-        coeffs: dict[Key, Scalar] = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    c = 0.5 * (arr[i, j, k] - arr[j, i, k])
-                    if abs(c) > chop:
-                        coeffs[(i + 1, j + 1, k + 1)] = float(c)
-        return BracketTensor(n, coeffs, "float")
+        iu, ju = np.triu_indices(n, 1)
+        half = 0.5 * (arr[iu, ju] - arr[ju, iu])
+        pair, k = np.nonzero(abs(half) > chop)
+        keys = zip((iu[pair] + 1).tolist(), (ju[pair] + 1).tolist(), (k + 1).tolist())
+        return BracketTensor(n, dict(zip(keys, half[pair, k].tolist())), "float")
 
     def to_float(self) -> "BracketTensor":
         return BracketTensor(self.dim, {k: float(c) for k, c in self.coeffs.items()},
@@ -265,10 +265,14 @@ def _exact_bracket(dim: int, coeffs: dict[Key, Scalar]) -> BracketTensor:
 
 
 def rep_array(alpha: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    t1 = np.einsum("kr,ijr->ijk", alpha, arr)
-    t2 = np.einsum("pi,pjk->ijk", alpha, arr)
-    t3 = np.einsum("qj,iqk->ijk", alpha, arr)
-    return t1 - t2 - t3
+    """rep(alpha, arr)_ijk = alpha_kr arr_ijr - alpha_pi arr_pjk - alpha_qj arr_iqk,
+    summed over r, p and q: the floats of the three unoptimized einsums, taken
+    in that order (see _np)."""
+    c_einsum = np._core.multiarray.c_einsum
+    t1 = c_einsum("kr,ijr->ijk", alpha, arr)
+    t1 -= c_einsum("pi,pjk->ijk", alpha, arr)
+    t1 -= c_einsum("qj,iqk->ijk", alpha, arr)
+    return t1
 
 
 def permutation_act(sigma: Sequence[int], mu: BracketTensor) -> BracketTensor:

@@ -59,9 +59,15 @@ class MomentValue:
 
 
 def ric_array(arr: np.ndarray) -> np.ndarray:
-    t1 = np.einsum("aij,bij->ab", arr, arr)
-    t2 = np.einsum("ija,ijb->ab", arr, arr)
-    return -0.5 * t1 + 0.25 * t2
+    """Ric of a float64 (n, n, n) array, -1/2 arr_aij arr_bij + 1/4 arr_ija arr_ijb
+    summed over i and j: the floats of the two unoptimized einsums (see _np)."""
+    c_einsum = np._core.multiarray.c_einsum
+    t1 = c_einsum("aij,bij->ab", arr, arr)
+    t2 = c_einsum("ija,ijb->ab", arr, arr)
+    t1 *= -0.5
+    t2 *= 0.25
+    t1 += t2
+    return t1
 
 
 def ricci_moment(mu: BracketTensor) -> MomentValue:
@@ -100,7 +106,18 @@ class FlowResult:
 
 
 def _norm(arr: np.ndarray) -> float:
-    return math.sqrt(float((arr * arr).sum()))
+    return math.sqrt(float(np.add.reduce(arr * arr, axis=None)))
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(m) for a finite float64 m, bitwise: the LAPACK gufunc
+    that eigh runs, without its wrapper (see _np).  LAPACK reports failure
+    by NaN output, which raises LinAlgError as eigh does (after numpy's
+    invalid-value warning, which eigh's wrapper turns off)."""
+    w, q = np.linalg._umath_linalg.eigh_lo(m, signature="d->dd")
+    if w[0] != w[0]:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w, q
 
 
 def flow_to_critical(
@@ -145,8 +162,9 @@ def flow_to_critical(
     trace: list[tuple[int, float, float]] | None = [] if record_trace else None
 
     def moment_of(a: np.ndarray) -> tuple[np.ndarray, float]:
-        m = 4.0 * ric_array(a)  # |a| = 1 so no normalization needed
-        return m, float((m * m).sum())
+        m = ric_array(a)
+        m *= 4.0  # |a| = 1 so no normalization needed
+        return m, float(np.add.reduce(m * m, axis=None))
 
     m, msq = moment_of(arr)
     converged = False
@@ -155,7 +173,7 @@ def flow_to_critical(
     it = 0
     for it in range(max_iter + 1):
         grad = rep_array(m, arr)
-        tang = grad - float((grad * arr).sum()) * arr
+        tang = grad - float(np.add.reduce(grad * arr, axis=None)) * arr
         res = _norm(tang)
         if trace is not None:
             trace.append((it, msq, res))
@@ -173,7 +191,7 @@ def flow_to_critical(
             break
         h = step
         accepted = False
-        w, q = np.linalg.eigh(m)
+        w, q = _eigh(m)
         while h >= 1e-15:
             new = act_array(expm_sym(w, q, -h), expm_sym(w, q, h), arr)
             new /= _norm(new)
@@ -188,7 +206,7 @@ def flow_to_critical(
             break
 
     res, arr, m = best
-    spec, q = np.linalg.eigh(m)
+    spec, q = _eigh(m)
     aligned_arr = act_array(q.T, q, arr)
     top = float(np.abs(aligned_arr).max())
     aligned = BracketTensor.from_array(aligned_arr, chop=CHOP * max(top, 1e-300))

@@ -11,9 +11,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from solvstrat import linalg
-from solvstrat.bracket import (DEFAULT_TOL, BracketTensor, _reduce_basis, inner,
-                               rep, rep_array)
-from solvstrat.flow import CHOP, FlowResult, MomentValue, ric_array
+from solvstrat.bracket import DEFAULT_TOL, BracketTensor, _reduce_basis, inner, rep
+from solvstrat.flow import CHOP, FlowResult, MomentValue
 from solvstrat.linalg import ZERO, Scalar, dot
 from solvstrat.minnorm import MinNormResult, PointSet, Vec
 from solvstrat.solvable import (EINSTEIN_TOL, AuditReport, Curvature, EinsteinCheck,
@@ -41,7 +40,7 @@ def ricci_moment_via_duality(mu: BracketTensor):
         for b in range(n):
             e = np.zeros((n, n))
             e[a, b] = 1.0
-            out[a, b] = 0.25 * float(np.sum(rep_array(e, arr) * arr))
+            out[a, b] = 0.25 * float(np.sum(einsum_rep_array(e, arr) * arr))
     return out
 
 
@@ -195,7 +194,7 @@ def slotwise_float_derivations(mu: BracketTensor, tol: float = DEFAULT_TOL) -> l
         for c in range(n):
             e = np.zeros((n, n))
             e[r, c] = 1.0
-            image = rep_array(e, arr)
+            image = einsum_rep_array(e, arr)
             for row, (i, j, k) in enumerate(slots):
                 m[row, r * n + c] = image[i - 1, j - 1, k - 1]
     _, s, vh = np.linalg.svd(m)
@@ -470,6 +469,34 @@ def einsum_act_array(g: np.ndarray, ginv: np.ndarray, arr: np.ndarray) -> np.nda
     return np.einsum("pi,qj,pqr,kr->ijk", ginv, ginv, arr, g, optimize=True)
 
 
+def einsum_rep_array(alpha: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """rep(alpha, arr) as three unoptimized einsums."""
+    t1 = np.einsum("kr,ijr->ijk", alpha, arr)
+    t2 = np.einsum("pi,pjk->ijk", alpha, arr)
+    t3 = np.einsum("qj,iqk->ijk", alpha, arr)
+    return t1 - t2 - t3
+
+
+def einsum_ric_array(arr: np.ndarray) -> np.ndarray:
+    """The Ricci form of arr as two unoptimized einsums."""
+    t1 = np.einsum("aij,bij->ab", arr, arr)
+    t2 = np.einsum("ija,ijb->ab", arr, arr)
+    return -0.5 * t1 + 0.25 * t2
+
+
+def loop_from_array(arr: np.ndarray, chop: float = 0.0) -> BracketTensor:
+    """BracketTensor.from_array by a loop over the keys (i, j, k), i < j."""
+    n = arr.shape[0]
+    coeffs = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                c = 0.5 * (arr[i, j, k] - arr[j, i, k])
+                if abs(c) > chop:
+                    coeffs[(i + 1, j + 1, k + 1)] = float(c)
+    return BracketTensor(n, coeffs, "float")
+
+
 def _eigh_expm_sym(s: np.ndarray, t: float) -> np.ndarray:
     w, q = np.linalg.eigh(s)
     return (q * np.exp(t * w)) @ q.T
@@ -477,12 +504,13 @@ def _eigh_expm_sym(s: np.ndarray, t: float) -> np.ndarray:
 
 def eigh_per_exponential_flow(mu0: BracketTensor, step: float, tol: float, max_iter: int,
                               record_trace: bool) -> FlowResult:
-    """The descent flow with einsum act and its own eigh inside each exponential."""
+    """The descent flow with einsum kernels, np.linalg.eigh inside each
+    exponential and the loop from_array: no float kernel of the package."""
     def norm(a):
         return float(np.sqrt(np.sum(a * a)))
 
     def moment_of(a):
-        m = 4.0 * ric_array(a)
+        m = 4.0 * einsum_ric_array(a)
         return m, float(np.sum(m * m))
 
     arr = mu0.to_array()
@@ -494,7 +522,7 @@ def eigh_per_exponential_flow(mu0: BracketTensor, step: float, tol: float, max_i
     best = None
     it = 0
     for it in range(max_iter + 1):
-        grad = rep_array(m, arr)
+        grad = einsum_rep_array(m, arr)
         tang = grad - float(np.sum(grad * arr)) * arr
         res = norm(tang)
         if trace is not None:
@@ -529,7 +557,7 @@ def eigh_per_exponential_flow(mu0: BracketTensor, step: float, tol: float, max_i
     spec, q = np.linalg.eigh(m)
     aligned_arr = einsum_act_array(q.T, q, arr)
     top = float(np.abs(aligned_arr).max())
-    aligned = BracketTensor.from_array(aligned_arr, chop=CHOP * max(top, 1e-300))
+    aligned = loop_from_array(aligned_arr, chop=CHOP * max(top, 1e-300))
     nsq_b = float(np.sum(spec * spec))
     gaps = [float(spec[k - 1] - spec[i - 1] - spec[j - 1]) - nsq_b
             for (i, j, k) in aligned.coeffs]

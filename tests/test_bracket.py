@@ -14,8 +14,8 @@ from generators import (abelian, direct_sum, filiform4, heisenberg3, rand_frac,
                         random_exact_gl, random_nilpotent, random_solvable, random_tensor,
                         shuffled, so3)
 from oracles import (einsum_act_array, eval_is_solvable, eval_jacobi_residual,
-                     eval_lower_central_series, identity, mat_scale, mat_sub, matmul, matvec,
-                     slotwise_float_derivations)
+                     eval_lower_central_series, identity, loop_from_array, mat_scale, mat_sub,
+                     matmul, matvec, slotwise_float_derivations)
 from solvstrat import linalg
 from solvstrat.bracket import (BracketTensor, act, act_array, derivations, inner,
                                is_solvable, jacobi_residual, lower_central_series,
@@ -99,6 +99,29 @@ def test_array_round_trip():
     back = BracketTensor.from_array(arr)
     assert back.scalar_mode == "float"
     assert {k: float(c) for k, c in N4.coeffs.items()} == back.coeffs
+
+
+def test_from_array_is_the_loop_over_keys():
+    # repr tells -0.0 from 0.0 and shows the key order; arrays of either
+    # sign of zero and of subnormals, skew and not, at three chop levels
+    rng = np.random.default_rng(97)
+    cases = 0
+    for t in range(1000):
+        n = int(rng.integers(0, 9))
+        arr = rng.normal(size=(n, n, n))
+        zeros = rng.random((n, n, n)) < 0.4
+        if t % 4 == 1:
+            arr = np.where(zeros, 0.0, arr)
+        elif t % 4 == 2:
+            arr = np.where(zeros, np.copysign(0.0, arr), arr)
+        elif t % 4 == 3:
+            arr = 5e-324 * rng.integers(-3, 4, size=(n, n, n))
+        if t % 5 == 0:
+            arr = arr - arr.transpose(1, 0, 2)
+        for chop in (0.0, 1e-310, 0.5):
+            assert repr(BracketTensor.from_array(arr, chop)) == repr(loop_from_array(arr, chop))
+            cases += 1
+    assert cases == 3000
 
 
 def test_act_identity_and_group_law():

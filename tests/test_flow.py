@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from generators import direct_sum, filiform4, free_two_step, heisenberg3, random_nilpotent, so3
-from oracles import eigh_per_exponential_flow, fraction_ricci_moment, ricci_moment_via_duality
+from oracles import (eigh_per_exponential_flow, einsum_rep_array, einsum_ric_array,
+                     fraction_ricci_moment, ricci_moment_via_duality)
 from solvstrat import flow
-from solvstrat.bracket import BracketTensor, act_array, permutation_act
+from solvstrat.bracket import BracketTensor, act_array, permutation_act, rep_array
 from solvstrat.flow import (expm_sym, flow_to_critical, ric_array, ricci_moment,
                             stratum_detect)
 from solvstrat.strata import DiagonalWeight
@@ -172,9 +173,43 @@ def test_flow_matches_the_eigh_per_exponential_route(mu, step):
         assert repr(getattr(got, field)) == repr(getattr(want, field))
 
 
+def _kernel_battery():
+    """(alpha, arr): n = 1..8, each dense, 40% zeros, and 40% zeros of either sign."""
+    rng = np.random.default_rng(71)
+    for n in range(1, 9):
+        for _ in range(3):
+            forms = []
+            for shape in ((n, n), (n, n, n)):
+                x = rng.normal(size=shape)
+                zeros = rng.random(shape) < 0.4
+                forms.append((x, np.where(zeros, 0.0, x), np.where(zeros, np.copysign(0.0, x), x)))
+            for alpha in forms[0]:
+                for arr in forms[1]:
+                    yield alpha, arr
+
+
+def test_float_kernels_are_bitwise_their_numpy_routes():
+    # rep_array and ric_array call the c_einsum that einsum(optimize=False)
+    # runs, and _eigh the gufunc that np.linalg.eigh runs; tobytes() tells
+    # -0.0 from 0.0
+    cases = 0
+    for alpha, arr in _kernel_battery():
+        assert rep_array(alpha, arr).tobytes() == einsum_rep_array(alpha, arr).tobytes()
+        ric = ric_array(arr)
+        assert ric.tobytes() == einsum_ric_array(arr).tobytes()
+        for s in (ric, alpha + alpha.T):
+            assert [x.tobytes() for x in flow._eigh(s)] == [
+                x.tobytes() for x in np.linalg.eigh(s)]
+        cases += 1
+    assert cases == 8 * 3 * 9
+    # LAPACK's failure output is NaN, which also sets numpy's invalid flag
+    with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+        flow._eigh(np.full((3, 3), np.nan))
+
+
 def test_flow_decomposes_the_moment_once_per_iteration(monkeypatch):
     # expm_sym runs twice per attempted step (perfbench derives the attempt
-    # count from those calls); eigh runs once per iteration that steps and
+    # count from those calls); _eigh runs once per iteration that steps and
     # once for the final alignment
     counts = {"expm_sym": 0, "act_array": 0, "eigh": 0}
 
@@ -186,7 +221,7 @@ def test_flow_decomposes_the_moment_once_per_iteration(monkeypatch):
 
     monkeypatch.setattr(flow, "expm_sym", counting("expm_sym", flow.expm_sym))
     monkeypatch.setattr(flow, "act_array", counting("act_array", flow.act_array))
-    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(flow, "_eigh", counting("eigh", flow._eigh))
     halvings = 0
     for _, mu in _gl_moved_brackets():
         for step in (0.1, 2.0):
