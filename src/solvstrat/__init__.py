@@ -12,17 +12,15 @@ standardness audit.
 from .bracket import (BracketTensor, act, derivations, inner, is_solvable,
                       jacobi_residual, lower_central_series, norm_sq,
                       permutation_act, rep)
-from .flow import (FlowResult, MomentValue, StratumDetection, flow_to_critical,
-                   ricci_moment, stratum_detect)
+from .flow import FlowResult, MomentValue, flow_to_critical, ricci_moment
 from .minnorm import MinNormResult, PointSet, canonical_form, min_norm_point
 from .solvable import (AuditReport, CurvatureReport, EinsteinCheck,
                        MetricSolvableAlgebra, StandardCheck, curvature_report,
                        einstein_check, is_standard, rank_one_extension,
                        standardness_audit)
-from .strata import (DiagonalWeight, StratumCertificate, beta_of,
-                     certify_candidate, derivation_certificates,
-                     eigenvalue_type, in_W, m_degree, project_Z,
-                     sort_to_weyl_chamber, weights)
+from .strata import (DiagonalWeight, StratumCertificate, StratumLabel, beta_of,
+                     certify_candidate, derivation_certificates, in_W, m_degree,
+                     project_Z, sort_to_weyl_chamber, stratum_label, weights)
 
 __version__ = "0.1.0"
 

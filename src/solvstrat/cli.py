@@ -1,7 +1,7 @@
 """Command line front end.
 
     solvstrat validate  FILE        structural / Jacobi / nilpotency report
-    solvstrat stratum   FILE        flow to a critical point and certify beta
+    solvstrat stratum   FILE        certify beta: exact weight hull, else the flow
     solvstrat einstein  FILE        curvature, Einstein check, optional audit
     solvstrat extend    FILE        rank-one Einstein extension of a nilsoliton
     solvstrat minnorm   FILE        minimum-norm point of a rational point set
@@ -27,14 +27,13 @@ import warnings
 
 from . import jsonio
 from .bracket import _central_series, jacobi_check, norm_sq
-from .flow import (DENOM_BOUND, FLOW_MAX_ITER, FLOW_STEP, FLOW_TOL,
-                   flow_to_critical, stratum_detect)
+from .flow import FLOW_MAX_ITER, FLOW_STEP, FLOW_TOL, flow_to_critical
 from .jsonio import FormatError
 from .linalg import format_scalar, parse_scalar
 from .minnorm import canonical_form, min_norm_point
 from .solvable import (EINSTEIN_TOL, EinsteinCheck, MetricSolvableAlgebra,
                        curvature_report, rank_one_extension, standardness_audit)
-from .strata import DiagonalWeight, beta_of, sort_to_weyl_chamber
+from .strata import DENOM_BOUND, DiagonalWeight, stratum_label
 
 PASS, CHECKS_FAILED, INPUT_ERROR = 0, 2, 3
 
@@ -87,27 +86,31 @@ def cmd_stratum(args) -> Outcome:
         raise FormatError(f"{args.file}: the zero bracket has no stratum")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        det = stratum_detect(
+        label = stratum_label(
             bf.bracket, step=args.step, tol=args.tol, max_iter=args.max_iter,
             denom_bound=args.denom_bound, record_trace=args.trace is not None)
-    cert, fr = det.certificate, det.flow
+    cert, fr = label.certificate, label.flow
     files = {}
-    if args.trace is not None and fr.trace is not None:
+    if args.trace is not None:
         files[args.trace] = "iter,m_norm_sq,tangency\n" + "".join(
-            f"{it},{msq:.17g},{res:.17g}\n" for it, msq, res in fr.trace)
+            f"{it},{msq:.17g},{res:.17g}\n" for it, msq, res in (fr.trace if fr else ()))
     report = {
         "params": {"step": args.step, "tol": args.tol, "max_iter": args.max_iter,
                    "denom_bound": args.denom_bound},
         "warnings": [str(w.message) for w in caught],
-        "flow": {"iterations": fr.iterations, "converged": fr.converged,
-                 "message": fr.message,
-                 "residuals": {k: float(v) for k, v in sorted(fr.residuals.items())},
-                 "spectrum": [float(x) for x in fr.spectrum]},
-        "rationalized": det.rationalized,
+        "route": label.route,
+        "flow": None if fr is None else {
+            "iterations": fr.iterations, "converged": fr.converged, "message": fr.message,
+            "residuals": {k: float(v) for k, v in sorted(fr.residuals.items())},
+            "spectrum": [float(x) for x in fr.spectrum]},
+        "rationalized": label.rationalized,
         "certificate": cert.to_json_dict(),
     }
-    lines = [f"flow: {fr.iterations} iterations, "
-             f"{'converged' if fr.converged else 'NOT converged'} ({fr.message})"]
+    if fr is None:
+        lines = ["route: weight hull of the input basis (no flow ran)"]
+    else:
+        lines = [f"flow: {fr.iterations} iterations, "
+                 f"{'converged' if fr.converged else 'NOT converged'} ({fr.message})"]
     lines += [f"warning: {w.message}" for w in caught]
     lines.append(f"beta: {_label_text(cert.beta)}")
     if cert.eigenvalue_type:
@@ -119,7 +122,8 @@ def cmd_stratum(args) -> Outcome:
         extra = f" (residual {float(resid):g})" if resid is not None else ""
         lines.append(f"  {name}: {_flag(ok)}{extra}")
     lines.append(f"certificate: {_flag(cert.all_passed)}")
-    return (PASS if fr.converged and cert.all_passed else CHECKS_FAILED), report, lines, files
+    converged = fr is None or fr.converged
+    return (PASS if converged and cert.all_passed else CHECKS_FAILED), report, lines, files
 
 
 def _algebra_from_file(path) -> MetricSolvableAlgebra:
@@ -134,8 +138,7 @@ def cmd_einstein(args) -> Outcome:
     alg = _algebra_from_file(args.file)
     rep = curvature_report(alg, args.tol)
     report = {"input": {"dim_a": alg.dim_a, "dim_n": alg.dim_n},
-              "params": {"tol": args.tol, "audit": args.audit,
-                         "beta_from_flow": args.beta_from_flow},
+              "params": {"tol": args.tol, "audit": args.audit},
               "curvature": rep.to_json_dict()}
     e = rep.einstein
     lines = [f"dim_a={alg.dim_a} dim_n={alg.dim_n}", _einstein_text(e)]
@@ -145,20 +148,7 @@ def cmd_einstein(args) -> Outcome:
                  f"(max [a,a] coefficient {rep.standard.max_violation:g})")
     ok = e.ok
     if args.audit:
-        beta = None
-        mu = alg.mu_n()
-        if args.beta_from_flow and not mu.is_zero():
-            # the flow certifies a chamber-sorted label of a moved bracket; it
-            # serves only as a check of the label of the input basis
-            flow_beta = stratum_detect(mu).certificate.beta
-            beta = beta_of(mu)
-            chamber = sort_to_weyl_chamber(beta)[0]
-            if flow_beta.entries != chamber.entries:
-                error = (f"the flow's label {_label_text(flow_beta)} is not the sorted "
-                         f"label {_label_text(chamber)} of the input")
-                return (CHECKS_FAILED, {**report, "audit": {"error": error}},
-                        lines + [f"audit: {error}"], {})
-        audit = standardness_audit(alg, beta, args.tol)
+        audit = standardness_audit(alg, tol=args.tol)
         report["audit"] = audit.to_json_dict()
         lines.append(f"audit lhs: {float(audit.lhs):.6g}  terms: "
                      f"{float(audit.term1):.6g} {float(audit.term2):.6g} "
@@ -229,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.set_defaults(func=cmd_validate)
 
-    sp = sub.add_parser("stratum", help="flow to a critical point and certify")
+    sp = sub.add_parser("stratum", help="certify the stratum label")
     common(sp)
     sp.add_argument("--step", type=float, default=FLOW_STEP)
     sp.add_argument("--tol", type=float, default=FLOW_TOL)
@@ -243,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=EINSTEIN_TOL)
     sp.add_argument("--audit", action="store_true",
                     help="run the standardness audit decomposition")
-    sp.add_argument("--beta-from-flow", action="store_true",
-                    help="check the label of the weight hull against flow detection")
     sp.set_defaults(func=cmd_einstein)
 
     sp = sub.add_parser("extend", help="rank-one Einstein extension")
@@ -270,6 +258,8 @@ def _check_flags(args) -> None:
         raise ValueError(f"--tol must be finite and at least 0, got {args.tol}")
     if not 0 < getattr(args, "step", 1) < math.inf:
         raise ValueError(f"--step must be finite and positive, got {args.step}")
+    if getattr(args, "max_iter", 0) < 0:
+        raise ValueError(f"--max-iter must be at least 0, got {args.max_iter}")
     if getattr(args, "denom_bound", 1) < 1:
         raise ValueError(f"--denom-bound must be at least 1, got {args.denom_bound}")
 

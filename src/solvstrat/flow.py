@@ -16,7 +16,7 @@ float one from ric_array.
 With M_mu = 4 Ric_mu / |mu|^2 (trace exactly -1), the flow descends |M_mu|^2
 on the unit sphere.  Critical points are exactly the brackets with
 pi(M_mu) mu parallel to mu; the sorted spectrum of M_mu at a limit is the
-candidate stratum label beta, to be certified independently.
+candidate stratum label beta, which strata.stratum_label rounds and certifies.
 
 The stepper moves along the group, mu <- normalize(exp(-h M).mu), which
 agrees with the explicit Euler step mu - h pi(M) mu to first order but keeps
@@ -31,22 +31,16 @@ iteration gives exp(-h M) and exp(h M) for every halved h.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._np import np
-from .bracket import (BracketTensor, _central_series, _moment_numerator, _slot_tables,
-                      act_array, inner, jacobi_check, rep_array)
+from .bracket import BracketTensor, _moment_numerator, _slot_tables, act_array, inner, rep_array
 from .linalg import Scalar, fraction_rows
-from .strata import DiagonalWeight, StratumCertificate, certify_candidate
 
 FLOW_STEP = 0.1
 FLOW_TOL = 1e-10
 FLOW_MAX_ITER = 200_000
-DENOM_BOUND = 64
 CHOP = 1e-6            # relative size below which aligned-limit coefficients drop
-RATIONAL_TOL = 1e-6    # largest rounding a rationalized spectrum may carry
 
 
 @dataclass(frozen=True)
@@ -220,44 +214,3 @@ def flow_to_critical(
     }
     return FlowResult(aligned, tuple(float(x) for x in spec), residuals, it,
                       converged, message, trace)
-
-
-@dataclass(frozen=True)
-class StratumDetection:
-    certificate: StratumCertificate
-    flow: FlowResult
-    rationalized: bool
-
-
-def stratum_detect(
-    mu: BracketTensor,
-    step: float = FLOW_STEP,
-    tol: float = FLOW_TOL,
-    max_iter: int = FLOW_MAX_ITER,
-    denom_bound: int = DENOM_BOUND,
-    record_trace: bool = False,
-) -> StratumDetection:
-    """Flow to a critical point, rationalize the spectrum, certify the label.
-
-    The spectrum of M at the limit is rounded to fractions with denominator
-    at most denom_bound; if the rounding stays within RATIONAL_TOL and sums
-    to -1 the exact candidate is certified, otherwise the float spectrum is
-    used and only tolerance-graded checks are possible.
-    """
-    if not jacobi_check(mu)[0]:
-        warnings.warn("bracket does not satisfy the Jacobi identity; "
-                      "stratum detection is formal only", stacklevel=2)
-    elif _central_series(mu)[-1] != 0:
-        warnings.warn("bracket is not nilpotent; the positivity check is "
-                      "expected to fail", stacklevel=2)
-    fr = flow_to_critical(mu, step=step, tol=tol, max_iter=max_iter,
-                          record_trace=record_trace)
-    cand = [Fraction(x).limit_denominator(denom_bound) for x in fr.spectrum]
-    exact_ok = (sum(cand) == -1
-                and max(abs(float(c) - x) for c, x in zip(cand, fr.spectrum)) <= RATIONAL_TOL)
-    if exact_ok:
-        beta = DiagonalWeight(tuple(cand))
-    else:
-        beta = DiagonalWeight(tuple(float(x) for x in fr.spectrum))
-    cert = certify_candidate(fr.aligned, beta)
-    return StratumDetection(cert, fr, exact_ok)

@@ -14,23 +14,31 @@ certificate records:
     Z_beta : equality for every supported weight
     m(mu, beta/|beta|^2) = 1, tr beta = -1
     <[beta, D], D> >= 0 and tr(beta D) = 0 for every derivation D of mu
+
+stratum_label is the one route from a bracket to a certified label: the
+weight hull of an exact input basis, or the rounded limit of the flow.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import linalg
 from ._np import np
-from .bracket import BracketTensor, Key, _exact_derivations, derivations
+from .bracket import (BracketTensor, Key, _central_series, _exact_derivations, derivations,
+                      jacobi_check, permutation_act)
+from .flow import FLOW_MAX_ITER, FLOW_STEP, FLOW_TOL, FlowResult, flow_to_critical
 from .linalg import Scalar, frac, is_exact
 from .minnorm import PointSet, min_norm_point
 
 DEFAULT_TOL = 1e-8
+DENOM_BOUND = 64
+RATIONAL_TOL = 1e-6    # largest rounding a rationalized spectrum may carry
 
 
 @dataclass(frozen=True)
@@ -146,28 +154,12 @@ def project_Z(mu: BracketTensor, beta: DiagonalWeight, tol: float = 0.0) -> Brac
     return BracketTensor(mu.dim, kept, mu.scalar_mode)
 
 
-class EigenvalueType(NamedTuple):
-    values: tuple[int, ...]
-    scale: Fraction
-
-
-def eigenvalue_type(beta: DiagonalWeight) -> EigenvalueType:
-    """Coprime positive integers proportional to sorted(beta + |beta|^2 I).
-
-    Defined only for exact beta with strictly positive shifted entries.
-    """
-    if not beta.is_exact_mode:
-        raise TypeError("eigenvalue type requires exact rational entries")
-    return _integer_type(*linalg.numerators(beta.shifted()))
-
-
-def _integer_type(den: int, nums: Sequence[int]) -> EigenvalueType:
-    """The eigenvalue type of the shifted entries nums / den."""
+def _integer_type(den: int, nums: Sequence[int]) -> tuple[tuple[int, ...], Fraction]:
+    """The eigenvalue type of positive shifted entries nums / den: the
+    coprime integers proportional to them, sorted, and their scale."""
     nums = sorted(nums)
-    if nums[0] <= 0:
-        raise ValueError("beta + |beta|^2 I has non-positive entries; no eigenvalue type")
     g = math.gcd(*nums)
-    return EigenvalueType(tuple(v // g for v in nums), Fraction(g, den))
+    return tuple(v // g for v in nums), Fraction(g, den)
 
 
 @dataclass(frozen=True)
@@ -429,3 +421,60 @@ def _integer_label_values(mu: BracketTensor, beta: DiagonalWeight):
     }
     etype = _integer_type(square, shifted) if min(shifted) > 0 else (None, None)
     return Fraction(square, nsq), residuals, etype
+
+
+def _rationalized(spectrum: Sequence[float], denom_bound: int) -> tuple[DiagonalWeight, bool]:
+    """(label, rounded) of the flow's limit spectrum: the entries rounded to
+    fractions with denominator at most denom_bound when that moves none by
+    more than RATIONAL_TOL and they sum to -1, else the floats themselves."""
+    cand = [Fraction(x).limit_denominator(denom_bound) for x in spectrum]
+    if (sum(cand) == -1
+            and max(abs(float(c) - x) for c, x in zip(cand, spectrum)) <= RATIONAL_TOL):
+        return DiagonalWeight(tuple(cand)), True
+    return DiagonalWeight(tuple(float(x) for x in spectrum)), False
+
+
+@dataclass(frozen=True)
+class StratumLabel:
+    """A certificate and its route: "weight_hull" (no flow ran; flow and
+    rationalized are None) or "flow" (rationalized: the spectrum was rounded)."""
+
+    route: str
+    certificate: StratumCertificate
+    flow: FlowResult | None
+    rationalized: bool | None
+
+
+def stratum_label(
+    mu: BracketTensor,
+    step: float = FLOW_STEP,
+    tol: float = FLOW_TOL,
+    max_iter: int = FLOW_MAX_ITER,
+    denom_bound: int = DENOM_BOUND,
+    record_trace: bool = False,
+) -> StratumLabel:
+    """Certify the stratum label of mu; warn if mu is not a nilpotent Lie bracket.
+
+    An exact mu is first certified against beta_of(mu), sorted into the Weyl
+    chamber, with its basis permuted to match; if that passes, no flow runs.
+    Otherwise mu flows to a critical point (step, tol, max_iter and
+    record_trace go to flow_to_critical), and the aligned limit is certified
+    against its spectrum, rounded by _rationalized.
+    """
+    if not jacobi_check(mu)[0]:
+        warnings.warn("bracket does not satisfy the Jacobi identity; "
+                      "stratum detection is formal only", stacklevel=2)
+    elif _central_series(mu)[-1] != 0:
+        warnings.warn("bracket is not nilpotent; the positivity check is "
+                      "expected to fail", stacklevel=2)
+    if mu.is_exact_mode:
+        chamber, order = sort_to_weyl_chamber(beta_of(mu))
+        # the inverse of order, 1-based: basis vector order[pos] moves to slot pos
+        sigma = [pos + 1 for pos in sorted(range(mu.dim), key=order.__getitem__)]
+        cert = certify_candidate(permutation_act(sigma, mu), chamber)
+        if cert.all_passed:
+            return StratumLabel("weight_hull", cert, None, None)
+    fr = flow_to_critical(mu, step=step, tol=tol, max_iter=max_iter,
+                          record_trace=record_trace)
+    beta, rationalized = _rationalized(fr.spectrum, denom_bound)
+    return StratumLabel("flow", certify_candidate(fr.aligned, beta), fr, rationalized)

@@ -14,11 +14,12 @@ from generators import (abelian, filiform4, heisenberg3, rand_frac, random_nilpo
                         random_point_set, random_solvable, rh_space, so3)
 from oracles import brute_force_min_norm, ricci_moment_via_duality, trace_identity_check
 from solvstrat.bracket import BracketTensor, act_array, permutation_act
-from solvstrat.flow import ricci_moment, stratum_detect
+from solvstrat.flow import ricci_moment
 from solvstrat.minnorm import canonical_form, min_norm_point
 from solvstrat.solvable import (einstein_check, is_standard,
                                 rank_one_extension, standardness_audit)
-from solvstrat.strata import DiagonalWeight, beta_of, certify_candidate, m_degree
+from solvstrat.strata import (DiagonalWeight, beta_of, certify_candidate, m_degree,
+                              stratum_label)
 
 F = Fraction
 
@@ -137,7 +138,7 @@ def test_extension_audits_force_standardness():
     # identities, and a standard complement
     seeds = []
     for lam in (heisenberg3(), filiform4()):
-        det = stratum_detect(lam)
+        det = stratum_label(lam.to_float())
         assert det.flow.converged and det.rationalized
         assert det.certificate.all_passed
         seeds.append(lam)
@@ -167,7 +168,7 @@ def test_flow_recovers_labels_under_orthogonal_perturbation():
         for _ in range(50):
             q, _ = np.linalg.qr(rng.standard_normal((d, d)))
             moved = BracketTensor.from_array(act_array(q, q.T, arr))
-            det = stratum_detect(moved, max_iter=200000, step=0.1)
+            det = stratum_label(moved, max_iter=200000, step=0.1)
             assert det.flow.converged, det.flow.message
             assert det.rationalized
             assert det.certificate.beta.entries == expected

@@ -27,6 +27,7 @@ H3 = {"dim_a": 0, "dim_n": 3,
 N4 = {"dim_a": 0, "dim_n": 4,
       "brackets": [{"i": 1, "j": 2, "k": 3, "c": "1"},
                    {"i": 1, "j": 3, "k": 4, "c": "1"}]}
+N4_FLOAT = {**N4, "brackets": [{**b, "c": 1.0} for b in N4["brackets"]]}
 CH2 = {"dim_a": 1, "dim_n": 3,
        "brackets": [{"i": 2, "j": 3, "k": 4, "c": "1"},
                     {"i": 1, "j": 2, "k": 2, "c": "1/2"},
@@ -163,12 +164,18 @@ def test_stratum_certifies_filiform(tmp_path, capsys):
     code, out, _ = run(capsys, "stratum", f, "--format", "json")
     assert code == 0
     rep = json.loads(out)
-    assert rep["rationalized"] is True
+    assert (rep["route"], rep["flow"], rep["rationalized"]) == ("weight_hull", None, None)
     assert rep["certificate"]["beta"] == ["-1", "-1/2", "0", "1/2"]
     assert rep["certificate"]["eigenvalue_type"] == [1, 2, 3, 4]
     assert rep["certificate"]["q_value"] == "2/3"
-    assert rep["flow"]["converged"] is True
     assert rep["warnings"] == []
+    # the flow route on the same bracket in floats certifies the same label
+    code, out, _ = run(capsys, "stratum", put(tmp_path, "n4f.json", N4_FLOAT), "--format", "json")
+    assert code == 0
+    rep_float = json.loads(out)
+    assert (rep_float["route"], rep_float["rationalized"]) == ("flow", True)
+    assert rep_float["flow"]["converged"] is True
+    assert rep_float["certificate"]["beta"] == rep["certificate"]["beta"]
 
 
 def test_stratum_json_is_deterministic(tmp_path, capsys):
@@ -211,26 +218,32 @@ def test_stratum_rejects_zero_bracket(tmp_path, capsys):
 
 
 def test_stratum_rejects_a_negative_max_iter(tmp_path, capsys):
-    # the flow runs no iteration for max_iter < 0: an input error, not a traceback
+    # no iteration count is negative: an input error naming the flag, also
+    # on an exact input whose label needs no flow
     f = put(tmp_path, "n4.json", N4)
     code, out, err = run(capsys, "stratum", f, "--max-iter", "-1")
     assert (code, out) == (3, "")
-    assert err.startswith("error: ") and "max_iter" in err
-    # max_iter 0 still examines the starting point
-    code, out, _ = run(capsys, "stratum", f, "--max-iter", "0", "--format", "json")
+    assert err.startswith("error: ") and "--max-iter" in err
+    # max_iter 0 still examines the starting point of the flow
+    code, out, _ = run(capsys, "stratum", put(tmp_path, "n4f.json", N4_FLOAT),
+                       "--max-iter", "0", "--format", "json")
     assert code == 0 and json.loads(out)["flow"]["iterations"] == 0
 
 
 def test_stratum_trace_csv(tmp_path, capsys):
-    f = put(tmp_path, "n4.json", N4)
     trace = tmp_path / "trace.csv"
-    code, out, _ = run(capsys, "stratum", f, "--trace", str(trace),
-                       "--format", "json")
+    code, out, _ = run(capsys, "stratum", put(tmp_path, "n4f.json", N4_FLOAT),
+                       "--trace", str(trace), "--format", "json")
     assert code == 0
     lines = trace.read_text().splitlines()
     assert lines[0] == "iter,m_norm_sq,tangency"
     rep = json.loads(out)
     assert len(lines) == rep["flow"]["iterations"] + 2  # header + iterates
+    # no flow runs on the weight-hull route: the file holds the header only
+    code, out, _ = run(capsys, "stratum", put(tmp_path, "n4.json", N4),
+                       "--trace", str(trace), "--format", "json")
+    assert code == 0 and json.loads(out)["route"] == "weight_hull"
+    assert trace.read_text() == "iter,m_norm_sq,tangency\n"
 
 
 def test_a_trace_is_written_only_for_a_report_that_serializes(tmp_path, capsys, monkeypatch):
@@ -264,16 +277,12 @@ def test_einstein_audit_block(tmp_path, capsys):
     assert aud["beta"] == ["-1", "-1", "1"]
     assert aud["terms"] == ["0", "0", "0"]
     assert aud["forces_standard"] is True
-    code2, out2, _ = run(capsys, "einstein", f, "--audit", "--beta-from-flow",
-                         "--format", "json")
-    assert code2 == 0
-    assert json.loads(out2)["audit"]["beta"] == ["-1", "-1", "1"]
 
 
-def test_einstein_audit_beta_from_flow_keeps_the_input_basis(tmp_path, capsys, monkeypatch):
-    # h3 as [e2, e3] = e1: its label (1, -1, -1) is not chamber-sorted, and
-    # the flow reports the sorted (-1, -1, 1); the audit must use the label
-    # of the input basis, on which the extension is Einstein and standard
+def test_einstein_audit_keeps_the_input_basis(tmp_path, capsys):
+    # h3 as [e2, e3] = e1: its label (1, -1, -1) is not chamber-sorted; the
+    # audit uses the label of the input basis, on which the extension is
+    # Einstein and standard
     f = put(tmp_path, "h3.json", {"dim_a": 0, "dim_n": 3,
                                   "brackets": [{"i": 2, "j": 3, "k": 1, "c": 1}]})
     ext = str(tmp_path / "ext.json")
@@ -282,20 +291,10 @@ def test_einstein_audit_beta_from_flow_keeps_the_input_basis(tmp_path, capsys, m
     assert code == 0
     plain = json.loads(out)["audit"]
     assert plain["beta"] == ["1", "-1", "-1"] and plain["lhs"] == "0"
-    code, out, _ = run(capsys, "einstein", ext, "--audit", "--beta-from-flow",
-                       "--format", "json")
-    assert code == 0
-    assert json.loads(out)["audit"] == plain
-    # a flow label that is not the sorted label of the input is refused
-    from solvstrat import cli
-    from solvstrat.strata import DiagonalWeight
-
-    wrong = DiagonalWeight.make([-1, 0, 0])
-    monkeypatch.setattr(cli, "stratum_detect", lambda mu: type(
-        "Detection", (), {"certificate": type("Cert", (), {"beta": wrong})})())
-    code, out, _ = run(capsys, "einstein", ext, "--audit", "--beta-from-flow")
-    assert code == 2
-    assert "(-1, 0, 0)" in out and "(-1, -1, 1)" in out
+    # the flag that compared it with the flow's label is gone
+    with pytest.raises(SystemExit):
+        main(["einstein", ext, "--audit", "--beta-from-flow"])
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_einstein_audit_on_a_flat_algebra_with_no_nilpotent_part(tmp_path, capsys):
@@ -412,7 +411,7 @@ def test_extend_flow_first_repairs_scaling(tmp_path, capsys):
 
 def test_extend_flow_first_builds_no_certificate(tmp_path, capsys, monkeypatch):
     # --flow-first uses only the aligned flow limit, so no label is certified
-    from solvstrat import flow, strata
+    from solvstrat import strata
 
     calls = []
 
@@ -421,7 +420,6 @@ def test_extend_flow_first_builds_no_certificate(tmp_path, capsys, monkeypatch):
         return real(*args, **kwargs)
 
     real = strata.certify_candidate
-    monkeypatch.setattr(flow, "certify_candidate", spy)
     monkeypatch.setattr(strata, "certify_candidate", spy)
     code, out, _ = run(capsys, "extend", put(tmp_path, "n4.json", N4),
                        "--flow-first", "--format", "json")
@@ -710,14 +708,14 @@ def test_an_irrational_root_below_the_float_range_is_reported(tmp_path, capsys, 
 
 
 # exact h3 with c = 10^e: the exit code of each command, and for exit 3 the
-# float image that overflows.  The flow takes the float image of mu, whose
-# norm overflows from 10^155 and whose coefficient does from 10^309; the
-# Einstein residual of h3 grows as c^2.  An extension stays exact.
+# float image that overflows.  The Einstein residual of h3 grows as c^2.
+# The stratum certificate of the weight-hull route and an extension stay
+# exact.
 LARGE_EXACT = {
     "1e150": {"validate": 0, "stratum": 0, "einstein": 2, "extend": 0},
-    "1e200": {"validate": 0, "stratum": "the bracket's norm overflows the float range",
+    "1e200": {"validate": 0, "stratum": 0,
               "einstein": "a value overflows the float range", "extend": 0},
-    "1e400": {"validate": 0, "stratum": "a value overflows the float range",
+    "1e400": {"validate": 0, "stratum": 0,
               "einstein": "a value overflows the float range", "extend": 0},
 }
 
@@ -782,6 +780,8 @@ FLAG_CASES = {
     "stratum-step-inf": (("stratum", "--step", "inf"), "--step must be finite and positive"),
     "stratum-denom-bound-zero": (("stratum", "--denom-bound", "0"),
                                  "--denom-bound must be at least 1"),
+    "stratum-max-iter-negative": (("stratum", "--max-iter", "-1"),
+                                  "--max-iter must be at least 0"),
 }
 
 

@@ -1,4 +1,4 @@
-"""Moment map values, the descent flow, and stratum detection."""
+"""Moment map values, the descent flow, and stratum detection by its two routes."""
 
 import inspect
 import warnings
@@ -12,9 +12,8 @@ from oracles import (eigh_per_exponential_flow, einsum_rep_array, einsum_ric_arr
                      fraction_ricci_moment, ricci_moment_via_duality)
 from solvstrat import flow
 from solvstrat.bracket import BracketTensor, act_array, permutation_act, rep_array
-from solvstrat.flow import (expm_sym, flow_to_critical, ric_array, ricci_moment,
-                            stratum_detect)
-from solvstrat.strata import DiagonalWeight
+from solvstrat.flow import expm_sym, flow_to_critical, ric_array, ricci_moment
+from solvstrat.strata import DiagonalWeight, stratum_label
 
 F = Fraction
 H3 = heisenberg3()
@@ -247,8 +246,8 @@ def test_flow_keeps_best_iterate_on_noisy_start():
     rng = np.random.default_rng(7)
     g = np.eye(4) + 0.1 * rng.standard_normal((4, 4))
     mu = BracketTensor.from_array(act_array(g, np.linalg.inv(g), N4.to_array()))
-    det = stratum_detect(mu)
-    assert det.rationalized
+    det = stratum_label(mu)
+    assert det.route == "flow" and det.rationalized
     assert det.certificate.beta.entries == B4.entries
     assert det.certificate.all_passed
     fr = det.flow
@@ -256,12 +255,14 @@ def test_flow_keeps_best_iterate_on_noisy_start():
 
 
 def test_stratum_detect_goldens():
-    det3 = stratum_detect(H3)
-    assert det3.rationalized and det3.certificate.all_passed
+    # the flow on the floats of the named algebras; their exact brackets take
+    # the weight-hull route (test_exact_input_takes_the_weight_hull_route)
+    det3 = stratum_label(H3.to_float())
+    assert det3.route == "flow" and det3.rationalized and det3.certificate.all_passed
     assert det3.certificate.beta.entries == (F(-1), F(-1), F(1))
     assert det3.certificate.eigenvalue_type == (1, 1, 2)
-    det4 = stratum_detect(N4)
-    assert det4.rationalized and det4.certificate.all_passed
+    det4 = stratum_label(N4.to_float())
+    assert det4.route == "flow" and det4.rationalized and det4.certificate.all_passed
     assert det4.certificate.beta.entries == B4.entries
     assert det4.certificate.eigenvalue_type == (1, 2, 3, 4)
     assert det4.flow.residuals["z_membership"] <= 1e-10
@@ -275,8 +276,8 @@ def test_stratum_detect_draws_no_random_numbers(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", refuse)
     g = np.diag([1.0, 2.0, 1.0, 1.0])
     mu = BracketTensor.from_array(act_array(g, np.linalg.inv(g), N4.to_array()))
-    for bracket in (N4, mu):
-        det = stratum_detect(bracket)
+    for bracket in (N4, N4.to_float(), mu):
+        det = stratum_label(bracket)
         assert det.certificate.all_passed and det.certificate.beta.entries == B4.entries
 
 
@@ -293,13 +294,13 @@ def test_stratum_detect_evaluates_jacobi_once(monkeypatch):
     monkeypatch.setattr(bracket, "jacobi_residual", spy)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        stratum_detect(so3(), max_iter=5)
+        stratum_label(so3(), max_iter=5)
     assert any("not nilpotent" in str(w.message) for w in caught)
     assert len(calls) == 1
 
 
 def test_stratum_detect_keyword_arguments():
-    params = inspect.signature(stratum_detect).parameters
+    params = inspect.signature(stratum_label).parameters
     assert list(params) == ["mu", "step", "tol", "max_iter", "denom_bound", "record_trace"]
 
 
@@ -308,32 +309,38 @@ def test_stratum_detect_direct_sum_under_rotation():
     hh = direct_sum(H3, H3)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     mu = BracketTensor.from_array(act_array(q, q.T, hh.to_array()))
-    det = stratum_detect(mu)
-    assert det.rationalized and det.certificate.all_passed
+    det = stratum_label(mu)
+    assert det.route == "flow" and det.rationalized and det.certificate.all_passed
     assert det.certificate.beta.entries == (F(-1, 2),) * 4 + (F(1, 2),) * 2
 
 
 def test_stratum_detect_warns_on_so3():
+    # exact so3's weight-hull label -I/3 fails the positivity check, so the
+    # flow runs, and its label fails the check too
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        det = stratum_detect(so3())
+        det = stratum_label(so3())
+    assert det.route == "flow"
     assert any("not nilpotent" in str(w.message) for w in caught)
     assert not det.certificate.checks["beta_positive_shift"]
     assert det.certificate.beta.entries == (F(-1, 3),) * 3
 
 
 def test_stratum_detect_warns_on_non_jacobi():
-    bad = BracketTensor.make(3, {(1, 2, 3): 1, (1, 3, 1): 1})
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        stratum_detect(bad)
-    assert any("Jacobi" in str(w.message) for w in caught)
+    # on either route: [e1, e2] = e3, [e3, e4] = e5 fails Jacobi at (e1, e2, e4)
+    # and its weight-hull label certifies
+    for bad, route in ((BracketTensor.make(3, {(1, 2, 3): 1, (1, 3, 1): 1}), "flow"),
+                       (BracketTensor.make(5, {(1, 2, 3): 1, (3, 4, 5): 1}), "weight_hull")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert stratum_label(bad).route == route
+        assert any("Jacobi" in str(w.message) for w in caught)
 
 
 def test_certified_limit_shift_is_a_derivation():
     # lambda in Z_beta means beta + |beta|^2 I is a derivation of the limit
     from solvstrat.bracket import rep
-    det = stratum_detect(N4)
+    det = stratum_label(N4.to_float())
     lam = det.flow.aligned
     shift = det.certificate.beta.shifted()
     d = [[float(shift[i]) if i == j else 0.0 for j in range(4)] for i in range(4)]

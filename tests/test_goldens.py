@@ -42,6 +42,7 @@ CASES = [
     ("minnorm-12-points", ["minnorm", "points12.json"], 0),
     ("minnorm-13-points", ["minnorm", "points13.json"], 0),
     ("extend-non-nilsoliton", ["extend", "non_nilsoliton7.json"], 2),
+    ("stratum-non-nilsoliton", ["stratum", "non_nilsoliton7.json"], 0),
 ]
 
 
@@ -65,12 +66,11 @@ def test_text_output_matches_golden(capsys, name, argv, code):
     assert mask_elapsed(out).encode() == (GOLDENS / f"{name}.txt").read_bytes()
 
 
-# the cases whose work is float: the flow behind stratum, float brackets,
-# the extension of fil4 (tr D = 5 has no rational root), the Cholesky
-# factor of a gram matrix and the modular screen of the canonical-support
-# search
-LOADS_NUMPY = {"stratum-h3", "stratum-fil4", "stratum-free3", "stratum-fil4-gl-float",
-               "einstein-audit-ch2-gram", "extend-fil4", "validate-fil4-gl-float",
+# the cases whose work is float: float brackets (among them the flow route
+# of stratum), the extension of fil4 (tr D = 5 has no rational root), the
+# Cholesky factor of a gram matrix and the modular screen of the
+# canonical-support search.  Exact stratum takes the weight-hull route
+LOADS_NUMPY = {"stratum-fil4-gl-float", "einstein-audit-ch2-gram", "extend-fil4", "validate-fil4-gl-float",
                "minnorm-12-points", "minnorm-13-points"}
 
 # numpy counts as loaded once its __init__ has run: until then the lazy

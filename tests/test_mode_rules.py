@@ -487,11 +487,11 @@ MODE_BRANCHES = {
     },
     "strata": {
         "DiagonalWeight.make": 1,       # entries coerced to Fraction or float
-        "eigenvalue_type": 1,           # defined for exact labels only
         # integer label values and certificate, or the inputs' arithmetic;
         # derivation_certificates and certify_candidate both take it
         "_label_route": 1,
         "_label_values": 1,             # eigenvalue type of an exact label
+        "stratum_label": 1,             # the weight-hull route of an exact bracket
     },
 }
 
@@ -672,20 +672,46 @@ def _library_api() -> set[str]:
 
 def test_every_export_has_a_caller_in_the_package_or_is_library_api():
     # an export is used when another top-level definition of the package
-    # reads it as a name or an attribute; a string such as the check name
-    # "in_Z" of certify_candidate is no use.  What nothing uses is listed
-    # in the README as library API, or it leaves the package
+    # reads it: as a name in Load context, or as an attribute of a package
+    # module (strata.x).  A field annotation (a Store), an attribute of some
+    # other object (cert.eigenvalue_type) or a string such as the check name
+    # "in_Z" of certify_candidate is no use.  What nothing uses is listed in
+    # the README as library API, or it leaves the package
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
     used: set[str] = set()
     for module, tree in _trees():
         if module == "__init__.py":
             continue
         for top in tree.body:
             used |= {node.id if isinstance(node, ast.Name) else node.attr
-                     for node in ast.walk(top) if isinstance(node, (ast.Name, ast.Attribute))
-                     } - {getattr(top, "name", None)}
+                     for node in ast.walk(top)
+                     if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+                     or (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                         and node.value.id in modules)} - {getattr(top, "name", None)}
     exports = {name for name in solvstrat.__all__
                if not inspect.ismodule(getattr(solvstrat, name))}
     assert sorted(exports - used) == sorted(_library_api())
+
+
+def _imported_names(module):
+    """(source module, name) of each from-import in module."""
+    return {(node.module, alias.name)
+            for node in ast.walk(ast.parse((PACKAGE / module).read_text()))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_strata_alone_turns_a_bracket_into_a_certified_label():
+    # strata.stratum_label decides the route, rounds the flow's limit and
+    # certifies: the flow module only flows, and the command line takes no label
+    # of its own
+    assert not any("strata" in pair for pair in _imported_names("flow.py"))
+    callers = sorted({module for module, tree in _trees() for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and "certify_candidate" in (getattr(node.func, "id", None),
+                                                  getattr(node.func, "attr", None))})
+    assert callers == ["strata.py"]
+    assert {name for _, name in _imported_names("cli.py")}.isdisjoint(
+        {"beta_of", "sort_to_weyl_chamber"})
 
 
 def test_only_main_times_checks_and_prints_a_report():

@@ -11,14 +11,15 @@ from generators import (filiform, filiform4, free_two_step, heisenberg3, rand_fr
                         random_nilpotent, random_tensor, so3)
 from oracles import (dense_adbeta_gram, fraction_adbeta_gram, fraction_certify_candidate,
                      fraction_derivation_certificates, fraction_derivations,
-                     fraction_is_psd, parabolic_membership)
+                     fraction_is_psd, matmul, parabolic_membership)
 from solvstrat import minnorm, strata
 from solvstrat.bracket import (BracketTensor, _exact_derivations, act, derivations,
                                inner, permutation_act, rep)
 from solvstrat.jsonio import dumps
+from solvstrat.linalg import invert
 from solvstrat.strata import (DiagonalWeight, beta_of, certify_candidate,
-                              derivation_certificates, eigenvalue_type, in_W,
-                              m_degree, project_Z, sort_to_weyl_chamber, weights)
+                              derivation_certificates, in_W, m_degree, project_Z,
+                              sort_to_weyl_chamber, stratum_label, weights)
 
 F = Fraction
 H3 = heisenberg3()
@@ -189,14 +190,14 @@ def test_project_z_is_the_scaling_flow_limit():
 
 
 def test_eigenvalue_type_goldens():
-    t3 = eigenvalue_type(B3)
-    assert t3.values == (1, 1, 2) and t3.scale == 2
-    t4 = eigenvalue_type(B4)
-    assert t4.values == (1, 2, 3, 4) and t4.scale == F(1, 2)
-    with pytest.raises(ValueError):
-        eigenvalue_type(beta_of(so3()))  # zero shift
-    with pytest.raises(TypeError):
-        eigenvalue_type(DiagonalWeight.make([-0.5, -0.5]))
+    t3 = certify_candidate(H3, B3)
+    assert t3.eigenvalue_type == (1, 1, 2) and t3.type_scale == 2
+    t4 = certify_candidate(N4, B4)
+    assert t4.eigenvalue_type == (1, 2, 3, 4) and t4.type_scale == F(1, 2)
+    # a zero shift, and a float label, have no type
+    for mu, beta in ((so3(), beta_of(so3())), (H3, DiagonalWeight.make([-1.0, -1.0, 1.0]))):
+        cert = certify_candidate(mu, beta)
+        assert cert.eigenvalue_type is None and cert.type_scale is None
 
 
 def test_positivity_check():
@@ -568,3 +569,53 @@ def test_unsorted_exact_beta_raises_exactly_when_derivations_exist():
             assert derivation_certificates(mu, beta) == strata.DerivationCertificates(
                 0, True, True, True, 0.0, 0.0)
     assert seen == {True, False}
+
+
+def _cayley(n: int, entries) -> list[list[Fraction]]:
+    """The rational rotation (I - K)(I + K)^-1 for the skew K with K_ij = x
+    for each (i, j, x) in entries."""
+    k = [[F(0)] * n for _ in range(n)]
+    for i, j, x in entries:
+        k[i - 1][j - 1], k[j - 1][i - 1] = F(x), -F(x)
+    minus = [[int(r == c) - k[r][c] for c in range(n)] for r in range(n)]
+    plus = [[int(r == c) + k[r][c] for c in range(n)] for r in range(n)]
+    return matmul(minus, invert(plus))
+
+
+# a nilpotent bracket with no nilsoliton that passes every condition of the
+# certificate: the flow's limit lies only in the closure of its orbit
+NON_NILSOLITON7 = BracketTensor.make(7, {(1, 3, 7): 1, (1, 4, 6): 1, (2, 3, 5): 1,
+                                         (4, 6, 7): -1})
+
+
+@pytest.mark.parametrize("mu,want", [
+    (H3, B3.entries),
+    (BracketTensor.make(3, {(2, 3, 1): 1}), B3.entries),   # h3 as [e2, e3] = e1
+    (N4, B4.entries),
+    (free_two_step(3), (F(-2, 3),) * 3 + (F(1, 3),) * 3),
+    (NON_NILSOLITON7, (F(-2, 3), F(-1, 3), F(-1, 3), F(-1, 3), F(0), F(1, 3), F(1, 3))),
+], ids=["h3", "h3-reversed", "fil4", "free3", "non-nilsoliton7"])
+def test_exact_input_takes_the_weight_hull_route(monkeypatch, mu, want):
+    # the chamber-sorted weight-hull label certifies in the permuted input
+    # basis, and no flow runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the flow ran on a weight-hull pass")
+
+    monkeypatch.setattr(strata, "flow_to_critical", refuse)
+    label = stratum_label(mu)
+    assert (label.route, label.flow, label.rationalized) == ("weight_hull", None, None)
+    assert label.certificate.all_passed and label.certificate.beta.entries == want
+
+
+@pytest.mark.parametrize("mu,want", [(H3, B3), (N4, B4)], ids=["h3", "fil4"])
+def test_an_exact_rotation_falls_back_to_the_flow(mu, want):
+    # a rational rotation keeps the stratum but not a basis of weight
+    # vectors: the sorted weight-hull label fails, and the flow, which starts
+    # at a critical point, certifies the label
+    rotation = _cayley(mu.dim, [(1, 2, F(1, 2)), (2, 3, F(1, 3)), (3, 4, F(1, 5))][:mu.dim - 1])
+    moved = act(rotation, mu)
+    assert moved.is_exact_mode
+    assert not certify_candidate(moved, sort_to_weyl_chamber(beta_of(moved))[0]).all_passed
+    label = stratum_label(moved)
+    assert label.route == "flow" and label.rationalized and label.flow.iterations == 0
+    assert label.certificate.all_passed and label.certificate.beta.entries == want.entries
