@@ -24,16 +24,18 @@ import math
 import sys
 import time
 import warnings
+from fractions import Fraction
 
 from . import jsonio
 from .bracket import _central_series, jacobi_check, norm_sq
 from .flow import FLOW_MAX_ITER, FLOW_STEP, FLOW_TOL, flow_to_critical
 from .jsonio import FormatError
-from .linalg import format_scalar, parse_scalar
-from .minnorm import canonical_form, min_norm_point
-from .solvable import (EINSTEIN_TOL, EinsteinCheck, MetricSolvableAlgebra,
-                       curvature_report, rank_one_extension, standardness_audit)
-from .strata import DENOM_BOUND, DiagonalWeight, stratum_label
+from .linalg import format_scalar, is_zero, numerators, parse_scalar
+from .minnorm import MinNormResult, canonical_form, min_norm_point
+from .solvable import (EINSTEIN_TOL, AuditReport, CurvatureReport, EinsteinCheck,
+                       MetricSolvableAlgebra, curvature_report, rank_one_extension,
+                       standardness_audit)
+from .strata import DENOM_BOUND, DiagonalWeight, StratumCertificate, stratum_label
 
 PASS, CHECKS_FAILED, INPUT_ERROR = 0, 2, 3
 
@@ -52,7 +54,54 @@ def _label_text(beta: DiagonalWeight) -> str:
 
 
 def _einstein_text(e: EinsteinCheck) -> str:
-    return f"einstein: {_flag(e.ok)} (c = {format_scalar(e.c)}, residual {e.residual:g})"
+    return f"einstein: {_flag(e.ok)} (c = {format_scalar(e.c)}, residual {float(e.residual):g})"
+
+
+# The report writers: exact values by format_scalar, and each residual as
+# float(x), the one float image of a value the library keeps in its arithmetic.
+
+def _certificate_json(cert: StratumCertificate) -> dict:
+    fs = format_scalar
+    return {"beta": [fs(x) for x in cert.beta.entries], "q_value": fs(cert.q_value),
+            "eigenvalue_type": list(cert.eigenvalue_type) if cert.eigenvalue_type else None,
+            "type_scale": fs(cert.type_scale) if cert.type_scale else None,
+            "checks": cert.checks, "all_passed": cert.all_passed,
+            "residuals": {k: None if v is None else fs(v) for k, v in cert.residuals.items()}}
+
+
+def _curvature_json(rep: CurvatureReport) -> dict:
+    cur, e, cf = rep.curvature, rep.einstein, rep.einstein.c_formula_residual
+
+    def mat(m):
+        return [[format_scalar(x) for x in row] for row in m]
+
+    return {"mean_curvature": [format_scalar(x) for x in cur.mean], "killing": mat(cur.killing),
+            "r_operator": mat(cur.r), "ricci": mat(cur.ricci),
+            "einstein": {"ok": e.ok, "c": format_scalar(e.c), "residual": float(e.residual),
+                         "c_formula_residual": None if cf is None else float(cf), "tol": e.tol},
+            "standard": {"ok": rep.standard.ok,
+                         "max_violation": float(rep.standard.max_violation)},
+            "killing_n_max": float(rep.killing_n_max)}
+
+
+def _audit_json(a: AuditReport) -> dict:
+    fs = format_scalar
+    return {"mu_zero_branch": a.mu_zero_branch,
+            "beta": [fs(x) for x in a.beta.entries] if a.beta else None,
+            "shift_factor": fs(a.shift_factor), "c": fs(a.c), "lhs": fs(a.lhs),
+            "terms": [fs(a.term1), fs(a.term2), fs(a.term3)],
+            "identity_residual": float(a.identity_residual),
+            "tr_e_sq_residual": float(a.tr_e_sq_residual),
+            "tr_adh_residual": float(a.tr_adh_residual),
+            "in_w_ok": a.in_w_ok, "nonneg_ok": a.nonneg_ok, "einstein_ok": a.einstein.ok,
+            "standard_ok": a.standard.ok, "forces_standard": a.forces_standard}
+
+
+def _min_norm_json(res: MinNormResult) -> dict:
+    q, xs = numerators(res.point)  # |x|^2 = |X|^2 / q^2 for the integer X = q x
+    return {"point": [format_scalar(x) for x in res.point],
+            "weights": [format_scalar(w) for w in res.weights], "support": list(res.support),
+            "norm_sq": format_scalar(Fraction(sum(x * x for x in xs), q * q))}
 
 
 def cmd_validate(args) -> Outcome:
@@ -101,10 +150,9 @@ def cmd_stratum(args) -> Outcome:
         "route": label.route,
         "flow": None if fr is None else {
             "iterations": fr.iterations, "converged": fr.converged, "message": fr.message,
-            "residuals": {k: float(v) for k, v in sorted(fr.residuals.items())},
-            "spectrum": [float(x) for x in fr.spectrum]},
+            "residuals": fr.residuals, "spectrum": fr.spectrum},
         "rationalized": label.rationalized,
-        "certificate": cert.to_json_dict(),
+        "certificate": _certificate_json(cert),
     }
     if fr is None:
         lines = ["route: weight hull of the input basis (no flow ran)"]
@@ -139,26 +187,26 @@ def cmd_einstein(args) -> Outcome:
     rep = curvature_report(alg, args.tol)
     report = {"input": {"dim_a": alg.dim_a, "dim_n": alg.dim_n},
               "params": {"tol": args.tol, "audit": args.audit},
-              "curvature": rep.to_json_dict()}
+              "curvature": _curvature_json(rep)}
     e = rep.einstein
     lines = [f"dim_a={alg.dim_a} dim_n={alg.dim_n}", _einstein_text(e)]
     if e.c_formula_residual is not None:
-        lines.append(f"c via mean curvature: residual {e.c_formula_residual:g}")
+        lines.append(f"c via mean curvature: residual {float(e.c_formula_residual):g}")
     lines.append(f"standard: {_flag(rep.standard.ok)} "
-                 f"(max [a,a] coefficient {rep.standard.max_violation:g})")
+                 f"(max [a,a] coefficient {float(rep.standard.max_violation):g})")
     ok = e.ok
     if args.audit:
         audit = standardness_audit(alg, tol=args.tol)
-        report["audit"] = audit.to_json_dict()
+        report["audit"] = _audit_json(audit)
         lines.append(f"audit lhs: {float(audit.lhs):.6g}  terms: "
                      f"{float(audit.term1):.6g} {float(audit.term2):.6g} "
                      f"{float(audit.term3):.6g}")
-        lines.append(f"audit identity residual: {audit.identity_residual:g}")
-        lines.append(f"audit trace identities: {audit.tr_e_sq_residual:g} "
-                     f"{audit.tr_adh_residual:g}")
+        lines.append(f"audit identity residual: {float(audit.identity_residual):g}")
+        lines.append(f"audit trace identities: {float(audit.tr_e_sq_residual):g} "
+                     f"{float(audit.tr_adh_residual):g}")
         lines.append(f"forces standard: {audit.forces_standard}  "
                      f"standard: {audit.standard.ok}")
-        ok = ok and audit.nonneg_ok and audit.identity_residual <= 1e-6
+        ok = ok and audit.nonneg_ok and is_zero(audit.identity_residual, 1e-6)
     return (PASS if ok else CHECKS_FAILED), report, lines, {}
 
 
@@ -182,7 +230,7 @@ def cmd_extend(args) -> Outcome:
     rep = curvature_report(ext, tol=args.tol)
     out_dict = jsonio.bracket_to_dict(1, lam.dim, ext.bracket)
     files = {args.out: jsonio.dumps(out_dict) + "\n"} if args.out else {}
-    report = {"extension": out_dict, "curvature": rep.to_json_dict()}
+    report = {"extension": out_dict, "curvature": _curvature_json(rep)}
     lines = [f"extended to dim_a=1 dim_n={lam.dim}", _einstein_text(rep.einstein),
              f"standard: {_flag(rep.standard.ok)}"]
     if args.out:
@@ -194,7 +242,7 @@ def cmd_minnorm(args) -> Outcome:
     ps = jsonio.read_point_set(args.file)
     res = canonical_form(ps, min_norm_point(ps))
     res.verify(ps)
-    result = jsonio.min_norm_to_dict(res)
+    result = _min_norm_json(res)
     report = {"input": {"dim": ps.dim, "count": len(ps)}, "result": result}
     lines = [f"{len(ps)} points in dimension {ps.dim}",
              "point: (" + ", ".join(result["point"]) + ")",

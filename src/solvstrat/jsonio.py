@@ -1,4 +1,6 @@
-"""File formats: bracket descriptions and point sets, both JSON.
+"""File formats: bracket descriptions and point sets, both JSON.  This
+module reads both, writes the bracket format (bracket_to_dict, the file
+that extend --out writes) and serializes; cli renders every report.
 
 Bracket files (1-based indices, a-block first, [x_i, x_j] = sum_k c e_k):
 
@@ -27,11 +29,10 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bracket import BracketTensor, norm_sq
-from .linalg import format_scalar, numerators, parse_literal, parse_scalar
-from .minnorm import MinNormResult, PointSet
+from .linalg import format_scalar, parse_literal, parse_scalar
+from .minnorm import PointSet
 
 
 class FormatError(ValueError):
@@ -179,17 +180,6 @@ def read_point_set(path) -> PointSet:
         return PointSet.from_pairs(dim, pts)
     except ValueError as exc:
         raise FormatError(f"{where}: {exc}") from exc
-
-
-def min_norm_to_dict(res: MinNormResult) -> dict:
-    # |x|^2 from the point's integer numerator X = q x: |X|^2 / q^2
-    q, xs = numerators(res.point)
-    return {
-        "point": [format_scalar(x) for x in res.point],
-        "weights": [format_scalar(w) for w in res.weights],
-        "support": list(res.support),
-        "norm_sq": format_scalar(Fraction(sum(x * x for x in xs), q * q)),
-    }
 
 
 def dumps(obj) -> str:

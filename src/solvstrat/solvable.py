@@ -19,14 +19,16 @@ with S(m) = (m + m^T)/2.  In coefficients, with C_pk^r the r-th component of
 all summed over the nonzero coefficients only, and so are the three terms
 of the standardness audit (see AuditReport).  An algebra computes these
 once, as its cached `curvature`, the one route to each of them.
-Everything is exact on rational input and float otherwise; verdicts
-compare by linalg.is_zero / nonneg.  One pass over pairs of nonzero entries
-of N = L C gives the numerators L h, L^2 B, 4 L^2 R, L^2 ad H and 4 L^2 Ricci
-in both modes (_curvature_numerators): N is the cached integer view of an
-exact bracket, each numerator turned into Fractions once, and the float
-coefficients with L = 1 otherwise.  An exact Einstein check reads the
-numerators, so every float it reports is one correctly rounded int / int, and
-so does the audit when the label is exact too (_integer_audit_sums).  The
+Everything is exact on rational input and float otherwise, residuals
+included: no result here is a float image of an exact value, and none is
+formatted (cli writes the reports).  Verdicts compare by linalg.is_zero /
+nonneg.  One pass over pairs of nonzero entries of N = L C gives the
+numerators L h, L^2 B, 4 L^2 R, L^2 ad H and 4 L^2 Ricci in both modes
+(_curvature_numerators): N is the cached integer view of an exact bracket,
+each numerator turned into Fractions once, and the float coefficients with
+L = 1 otherwise.  An exact Einstein check reads the numerators, and so does
+the audit when the label is exact too (_integer_audit_sums), each residual
+one Fraction of two integers.  The
 universal trace identity tr(R E) = 1/4 <pi(E) mu, mu> (true for any tensor
 mu, Jacobi or not) is the tests' independent route to R.
 The rank-one extension takes Ric = 0 and a given c < 0 for lam = 0, else Ric_lam
@@ -116,7 +118,7 @@ class MetricSolvableAlgebra:
         return _curvature_numerators(self)
 
     @functools.cached_property
-    def _einstein(self) -> tuple[Scalar, Scalar, float, float | None]:
+    def _einstein(self) -> tuple[Scalar, Scalar, float, Scalar | None]:
         return _einstein_values(self)
 
 
@@ -236,8 +238,8 @@ def orthonormalize_basis(dim_a: int, dim_n: int, bracket: BracketTensor, gram) -
 class EinsteinCheck(NamedTuple):
     ok: bool
     c: Scalar
-    residual: float
-    c_formula_residual: float | None
+    residual: Scalar
+    c_formula_residual: Scalar | None
     tol: float
 
 
@@ -251,10 +253,10 @@ def einstein_check(s: MetricSolvableAlgebra, tol: float = EINSTEIN_TOL) -> Einst
     Everything but the verdict is computed once per algebra.
     """
     c, resid, scale, cf = s._einstein
-    return EinsteinCheck(linalg.is_zero(resid, tol * scale), c, float(resid), cf, tol)
+    return EinsteinCheck(linalg.is_zero(resid, tol * scale), c, resid, cf, tol)
 
 
-def _einstein_values(s: MetricSolvableAlgebra) -> tuple[Scalar, Scalar, float, float | None]:
+def _einstein_values(s: MetricSolvableAlgebra) -> tuple[Scalar, Scalar, float, Scalar | None]:
     """(c, residual, scale, c_formula_residual) of einstein_check, where
     scale is the float verdict's max(1, |Ricci|_inf).
 
@@ -262,10 +264,9 @@ def _einstein_values(s: MetricSolvableAlgebra) -> tuple[Scalar, Scalar, float, f
     Ricci = ricci / q and S(ad H) = 2 P / q, so c = tr(ricci) / (q d), each
     deviation is (d ricci_ij - tr(ricci) delta_ij) / (q d), and c - c_alt
     is (tr(ricci) tr P + 2 d tr P^2) / (q d tr P), reported when tr P != 0.
-    The residual stays an exact Fraction, 0 exactly when ricci is a multiple
-    of I, and its verdict reads no tolerance, so the scale is 1; every float
-    is one int / int division, correctly rounded as float(Fraction) is, so it
-    is the float of the rational.
+    The residual and the c formula's deviation stay exact Fractions; the
+    residual is 0 exactly when ricci is a multiple of I, and its verdict
+    reads no tolerance, so the scale is 1.
     """
     d = s.dim
     if not s.bracket.is_exact_mode:
@@ -280,7 +281,7 @@ def _einstein_values(s: MetricSolvableAlgebra) -> tuple[Scalar, Scalar, float, f
         if abs(float(tr_sh)) > 1e-12:
             c_alt = -linalg.trace_product(sh, sh) / tr_sh
             cf = abs(float(c - c_alt))
-        return c, float(resid), scale, cf
+        return c, resid, scale, cf
     num = s._numerators
     q = 4 * num.den * num.den
     ric, p = num.ricci, num.s_ad_h
@@ -291,13 +292,13 @@ def _einstein_values(s: MetricSolvableAlgebra) -> tuple[Scalar, Scalar, float, f
     cf = None
     if tr_p:
         sq_p = sum(x * x for row in p for x in row)
-        cf = abs(tr * tr_p + 2 * d * sq_p) / (q * d * abs(tr_p))
+        cf = Fraction(abs(tr * tr_p + 2 * d * sq_p), q * d * abs(tr_p))
     return Fraction(tr, q * d), Fraction(dev, q * d), 1.0, cf
 
 
 class StandardCheck(NamedTuple):
     ok: bool
-    max_violation: float
+    max_violation: Scalar
 
 
 def is_standard(s: MetricSolvableAlgebra, tol: float = EINSTEIN_TOL) -> StandardCheck:
@@ -306,7 +307,7 @@ def is_standard(s: MetricSolvableAlgebra, tol: float = EINSTEIN_TOL) -> Standard
     for (_i, j, _k), c in s.bracket.coeffs.items():
         if j <= s.dim_a:
             worst = max(worst, abs(c))
-    return StandardCheck(linalg.is_zero(worst, tol), float(worst))
+    return StandardCheck(linalg.is_zero(worst, tol), worst)
 
 
 @dataclass(frozen=True)
@@ -314,35 +315,14 @@ class CurvatureReport:
     curvature: Curvature
     einstein: EinsteinCheck
     standard: StandardCheck
-    killing_n_max: float
-
-    def to_json_dict(self) -> dict:
-        def mat(m):
-            return [[linalg.format_scalar(x) for x in row] for row in m]
-
-        return {
-            "mean_curvature": [linalg.format_scalar(x) for x in self.curvature.mean],
-            "killing": mat(self.curvature.killing),
-            "r_operator": mat(self.curvature.r),
-            "ricci": mat(self.curvature.ricci),
-            "einstein": {
-                "ok": self.einstein.ok,
-                "c": linalg.format_scalar(self.einstein.c),
-                "residual": self.einstein.residual,
-                "c_formula_residual": self.einstein.c_formula_residual,
-                "tol": self.einstein.tol,
-            },
-            "standard": {"ok": self.standard.ok,
-                         "max_violation": self.standard.max_violation},
-            "killing_n_max": self.killing_n_max,
-        }
+    killing_n_max: Scalar
 
 
 def curvature_report(s: MetricSolvableAlgebra, tol: float = EINSTEIN_TOL) -> CurvatureReport:
     cur = s.curvature
     b, m = cur.killing, s.dim_a
-    kn = max((abs(float(b[i][j])) for i in range(m, s.dim) for j in range(m, s.dim)),
-             default=0.0)
+    kn = max((abs(b[i][j]) for i in range(m, s.dim) for j in range(m, s.dim)),
+             default=s.bracket.zero)
     return CurvatureReport(cur, einstein_check(s, tol), is_standard(s, tol), kn)
 
 
@@ -450,33 +430,14 @@ class AuditReport:
     term1: Scalar
     term2: Scalar
     term3: Scalar
-    identity_residual: float
-    tr_e_sq_residual: float
-    tr_adh_residual: float
+    identity_residual: Scalar
+    tr_e_sq_residual: Scalar
+    tr_adh_residual: Scalar
     in_w_ok: bool
     nonneg_ok: bool
     einstein: EinsteinCheck
     standard: StandardCheck
     forces_standard: bool
-
-    def to_json_dict(self) -> dict:
-        fs = linalg.format_scalar
-        return {
-            "mu_zero_branch": self.mu_zero_branch,
-            "beta": [fs(x) for x in self.beta.entries] if self.beta else None,
-            "shift_factor": fs(self.shift_factor),
-            "c": fs(self.c),
-            "lhs": fs(self.lhs),
-            "terms": [fs(self.term1), fs(self.term2), fs(self.term3)],
-            "identity_residual": self.identity_residual,
-            "tr_e_sq_residual": self.tr_e_sq_residual,
-            "tr_adh_residual": self.tr_adh_residual,
-            "in_w_ok": self.in_w_ok,
-            "nonneg_ok": self.nonneg_ok,
-            "einstein_ok": self.einstein.ok,
-            "standard_ok": self.standard.ok,
-            "forces_standard": self.forces_standard,
-        }
 
 
 class _AuditSums(NamedTuple):
@@ -487,9 +448,9 @@ class _AuditSums(NamedTuple):
     term1: Scalar
     term2: Scalar
     term3: Scalar
-    identity_residual: float
-    tr_e_sq_residual: float
-    tr_adh_residual: float
+    identity_residual: Scalar
+    tr_e_sq_residual: Scalar
+    tr_adh_residual: Scalar
     in_w_ok: bool
     shift_positive: bool
 
@@ -527,7 +488,8 @@ def standardness_audit(s: MetricSolvableAlgebra, beta: DiagonalWeight | None = N
 def _audit_sums(s: MetricSolvableAlgebra, mu: BracketTensor, beta: DiagonalWeight | None,
                 c: Scalar, tol: float) -> _AuditSums:
     """The audit's sums on the curvature matrices, in the arithmetic of the
-    algebra and the label; beta is None on the zero branch."""
+    algebra and the label (tr_e_sq_residual reads the label alone, so an
+    exact label keeps it exact); beta is None on the zero branch."""
     m, n = s.dim_a, s.dim_n
     zero = s.bracket.zero
     if beta is None:
@@ -557,13 +519,13 @@ def _audit_sums(s: MetricSolvableAlgebra, mu: BracketTensor, beta: DiagonalWeigh
             term3 = term3 + (e[k - 1] - e[j - 1]) * sq
     term1, term2, term3 = term1 / 2, term2 / 2, term3 / 2
 
-    identity_residual = abs(float(lhs - (term1 + term2 + term3)))
+    identity_residual = abs(lhs - (term1 + term2 + term3))
     tr_e = sum(shift)
     tr_e_sq = sum(x * x for x in shift)
-    tr_e_sq_residual = abs(float(tr_e_sq - kappa * tr_e))
+    tr_e_sq_residual = abs(tr_e_sq - kappa * tr_e)
     tr_sh = linalg.trace(sh)
     tr_sh_e = sum(sh[m + i][m + i] * shift[i] for i in range(n))
-    tr_adh_residual = abs(float(tr_sh_e - kappa * tr_sh))
+    tr_adh_residual = abs(tr_sh_e - kappa * tr_sh)
     shift_positive = all(linalg.positive(x, 0.0) for x in shift)
     return _AuditSums(kappa, lhs, term1, term2, term3, identity_residual, tr_e_sq_residual,
                       tr_adh_residual, w_ok, shift_positive)
@@ -583,7 +545,7 @@ def _integer_audit_sums(s: MetricSolvableAlgebra, beta: DiagonalWeight | None) -
 
     and e_k - e_i - e_j is L^2 times the gap <beta, a> - |beta|^2, so mu
     lies in W_beta iff every such weight of t1 is >= 0.  Each residual is
-    one correctly rounded int / int, the float of the rational.
+    one Fraction of two integers.
     """
     m, n, d = s.dim_a, s.dim_n, s.dim
     if beta is None:
@@ -615,7 +577,7 @@ def _integer_audit_sums(s: MetricSolvableAlgebra, beta: DiagonalWeight | None) -
     return _AuditSums(
         Fraction(kappa, q), Fraction(lhs, 4 * sq * d * q),
         Fraction(t1, 2 * sq * q), Fraction(t2, 2 * sq * q), Fraction(t3, 2 * sq * q),
-        abs(lhs - 2 * d * (t1 + t2 + t3)) / (4 * sq * d * q),
-        abs(sum(x * x for x in e) - kappa * sum(e)) / (q * q),
-        abs(tr_sh_e - kappa * tr_sh) / (2 * sq * q),
+        Fraction(abs(lhs - 2 * d * (t1 + t2 + t3)), 4 * sq * d * q),
+        Fraction(abs(sum(x * x for x in e) - kappa * sum(e)), q * q),
+        Fraction(abs(tr_sh_e - kappa * tr_sh), 2 * sq * q),
         w_ok, all(linalg.positive(x, 0.0) for x in e))

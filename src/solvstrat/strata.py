@@ -269,6 +269,13 @@ def _float_certificates(mu: BracketTensor, beta: DiagonalWeight,
                                   parabolic, qmin, max(traces))
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tol below 0, where the float derivation basis is empty and
+    every check over it would pass vacuously, or one that is not finite."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and at least 0, got {tol}")
+
+
 def derivation_certificates(
     mu: BracketTensor,
     beta: DiagonalWeight,
@@ -284,8 +291,9 @@ def derivation_certificates(
     of _exact_derivations and the label's integer view).
     Otherwise it is the smallest eigenvalue of the Gram form on the
     orthonormal basis of derivations, judged against tol
-    (_float_certificates).
+    (_float_certificates).  A negative or non-finite tol raises ValueError.
     """
+    _check_tol(tol)
     return _label_route(mu, beta)[1](mu, beta, tol)
 
 
@@ -324,18 +332,6 @@ class StratumCertificate:
     def all_passed(self) -> bool:
         return all(self.checks.values())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "beta": [linalg.format_scalar(x) for x in self.beta.entries],
-            "q_value": linalg.format_scalar(self.q_value),
-            "eigenvalue_type": list(self.eigenvalue_type) if self.eigenvalue_type else None,
-            "type_scale": linalg.format_scalar(self.type_scale) if self.type_scale else None,
-            "checks": dict(sorted(self.checks.items())),
-            "residuals": {k: None if v is None else linalg.format_scalar(v)
-                          for k, v in sorted(self.residuals.items())},
-            "all_passed": self.all_passed,
-        }
-
 
 def certify_candidate(
     mu: BracketTensor,
@@ -347,8 +343,10 @@ def certify_candidate(
     beta must be the sorted chamber representative.  Exact inputs give exact
     verdicts; float inputs are judged against tol.  For rational mu and beta
     the label conditions run on integers (_integer_label_values); otherwise
-    on the gaps <beta, a> - |beta|^2 in the arithmetic of the inputs.
+    on the gaps <beta, a> - |beta|^2 in the arithmetic of the inputs.  A
+    negative or non-finite tol raises ValueError.
     """
+    _check_tol(tol)
     q_value, residuals, etype = _label_route(mu, beta)[0](mu, beta)
     checks = {
         "trace_minus_one": linalg.is_zero(residuals["trace_minus_one"], tol),
@@ -356,7 +354,7 @@ def certify_candidate(
         "in_Z": linalg.is_zero(residuals["in_Z"], tol),
         "m_equals_one": linalg.is_zero(residuals["m_equals_one"], tol),
         "delta_nonneg": linalg.nonneg(residuals["delta_nonneg"], tol),
-        "beta_positive_shift": residuals["beta_positive_shift"] > 0,
+        "beta_positive_shift": linalg.positive(residuals["beta_positive_shift"], tol),
     }
 
     der = derivation_certificates(mu, beta, tol)

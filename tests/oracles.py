@@ -348,7 +348,7 @@ def fraction_certify_candidate(mu: BracketTensor, beta,
               "in_Z": linalg.is_zero(residuals["in_Z"], tol),
               "m_equals_one": linalg.is_zero(residuals["m_equals_one"], tol),
               "delta_nonneg": linalg.nonneg(residuals["delta_nonneg"], tol),
-              "beta_positive_shift": min(shifted) > 0}
+              "beta_positive_shift": linalg.positive(min(shifted), tol)}
     certify = (fraction_derivation_certificates if mu.is_exact_mode
                else float_derivation_certificates)
     der = certify(mu, beta, tol)
@@ -876,8 +876,8 @@ def fraction_einstein_check(s, tol: float = EINSTEIN_TOL) -> EinsteinCheck:
     tr_sh = linalg.trace(sh)
     cf = None
     if tr_sh != 0:
-        cf = abs(float(c + linalg.trace_product(sh, sh) / tr_sh))
-    return EinsteinCheck(resid == 0, c, float(resid), cf, tol)
+        cf = abs(c + linalg.trace_product(sh, sh) / tr_sh)
+    return EinsteinCheck(resid == 0, c, resid, cf, tol)
 
 
 def fraction_standardness_audit(s, beta=None, tol: float = EINSTEIN_TOL) -> AuditReport:
@@ -910,7 +910,7 @@ def fraction_standardness_audit(s, beta=None, tol: float = EINSTEIN_TOL) -> Audi
     std = is_standard(s, tol)
     forces = ec.ok and all(x > 0 for x in shift) and t2 == 0
     return AuditReport(zero_branch, beta, kappa, ec.c, lhs, t1, t2, t3,
-                       abs(float(lhs - (t1 + t2 + t3))),
-                       abs(float(sum(x * x for x in shift) - kappa * sum(shift))),
-                       abs(float(tr_sh_e - kappa * linalg.trace(sh))),
+                       abs(lhs - (t1 + t2 + t3)),
+                       abs(sum(x * x for x in shift) - kappa * sum(shift)),
+                       abs(tr_sh_e - kappa * linalg.trace(sh)),
                        w_ok, t1 >= 0 and t2 >= 0 and t3 >= 0, ec, std, forces)

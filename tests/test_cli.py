@@ -18,7 +18,7 @@ import pytest
 import solvstrat
 from generators import ch2, random_point_set
 from oracles import brute_force_min_norm
-from solvstrat import jsonio
+from solvstrat import cli, jsonio
 from solvstrat.cli import main
 from solvstrat.linalg import format_scalar
 
@@ -463,7 +463,7 @@ def test_minnorm_json_matches_the_enumeration_oracle(tmp_path, capsys):
         code, out, _ = run(capsys, "minnorm", put(tmp_path, f"ps{n}.json", obj),
                            "--format", "json")
         assert code == 0
-        expected = jsonio.min_norm_to_dict(brute_force_min_norm(ps))
+        expected = cli._min_norm_json(brute_force_min_norm(ps))
         assert json.loads(out)["result"] == expected
 
 

@@ -1,9 +1,10 @@
 """Where the arithmetic mode is decided, and the boundaries of its comparisons.
 
 Every tolerance-graded verdict of the package is checked at its boundary:
-tolerances exactly at the compared residual (either sign) and one ulp to
-either side of it, exact zero against residuals of size 1/10^30, and
-numpy.float64 inputs.  The expected verdicts are literals, so flipping a
+tolerances exactly at the compared residual (either sign, except that the
+certificate, which refuses a negative tol, sees only the nonnegative ones)
+and one ulp to either side of it, exact zero against residuals of size
+1/10^30, and numpy.float64 inputs.  The expected verdicts are literals, so flipping a
 `<=` into `<` (or `>=` into `>`) in a comparison rule changes one of them.
 """
 
@@ -207,7 +208,7 @@ def verdicts() -> dict[str, str]:
         tols = _tols(in_W(mu, beta).residual)
         out[f"in_W {name}"] = _bits(in_W(mu, beta, t).ok for t in tols)
         out[f"project_Z {name}"] = _bits(not project_Z(mu, beta, t).is_zero() for t in tols)
-        checks = [certify_candidate(mu, beta, t).checks for t in tols]
+        checks = [certify_candidate(mu, beta, t).checks for t in tols if t >= 0]
         out[f"certify in_Z gap-{name}"] = _bits(c["in_Z"] for c in checks)
         out[f"certify m_equals_one gap-{name}"] = _bits(c["m_equals_one"] for c in checks)
     for name, beta in POSITIVITY_CASES.items():
@@ -215,18 +216,20 @@ def verdicts() -> dict[str, str]:
         mu = SHIFT_PARTNERS[beta.dim]
         mu = mu if beta.is_exact_mode else mu.to_float()
         out[f"certify beta_positive_shift shift-{name}"] = _bits(
-            certify_candidate(mu, beta, t).checks["beta_positive_shift"] for t in tols)
+            certify_candidate(mu, beta, t).checks["beta_positive_shift"]
+            for t in tols if t >= 0)
     for name, (mu, beta, (i, j)) in MOVED_CASES.items():
         tols = _tols(derivations(mu)[0][i][j])
         out[f"certify derivations_in_parabolic moved-{name}"] = _bits(
-            certify_candidate(mu, beta, t).checks["derivations_in_parabolic"] for t in tols)
+            certify_candidate(mu, beta, t).checks["derivations_in_parabolic"]
+            for t in tols if t >= 0)
     for name, (d, beta) in PARABOLIC_CASES.items():
         tols = _tols(*(x for row in d for x in row if x))
         out[f"parabolic_membership {name}"] = _bits(parabolic_membership(d, beta, t)
                                                     for t in tols)
     for name, (mu, beta) in CERTIFY_CASES.items():
         tols = _tols(*certify_candidate(mu, beta).residuals.values())
-        for t in tols:
+        for t in [t for t in tols if t >= 0]:
             checks = certify_candidate(mu, beta, t).checks
             for key in sorted(checks):
                 out[f"certify {key} {name}"] = out.get(f"certify {key} {name}", "") + (
@@ -253,24 +256,24 @@ def verdicts() -> dict[str, str]:
 
 EXPECTED: dict[str, str] = {
     'in_W float-negative': '000101',
-    'certify in_Z gap-float-negative': '000101',
-    'certify m_equals_one gap-float-negative': '000111',
+    'certify in_Z gap-float-negative': '101',
+    'certify m_equals_one gap-float-negative': '111',
     'project_Z float-negative': '000101',
     'in_W float-positive': '111101',
-    'certify in_Z gap-float-positive': '101000',
-    'certify m_equals_one gap-float-positive': '111000',
+    'certify in_Z gap-float-positive': '101',
+    'certify m_equals_one gap-float-positive': '111',
     'project_Z float-positive': '101000',
     'in_W float-zero': '101101',
-    'certify in_Z gap-float-zero': '101101',
-    'certify m_equals_one gap-float-zero': '101101',
+    'certify in_Z gap-float-zero': '1111',
+    'certify m_equals_one gap-float-zero': '1111',
     'project_Z float-zero': '101101',
     'in_W float64': '000101',
-    'certify in_Z gap-float64': '000101',
-    'certify m_equals_one gap-float64': '000111',
+    'certify in_Z gap-float64': '101',
+    'certify m_equals_one gap-float64': '111',
     'project_Z float64': '000101',
     'in_W exact-mu-float-beta': '000101',
-    'certify in_Z gap-exact-mu-float-beta': '000101',
-    'certify m_equals_one gap-exact-mu-float-beta': '000111',
+    'certify in_Z gap-exact-mu-float-beta': '101',
+    'certify m_equals_one gap-exact-mu-float-beta': '111',
     'project_Z exact-mu-float-beta': '000101',
     'in_W exact-zero': '111',
     'certify in_Z gap-exact-zero': '111',
@@ -284,10 +287,10 @@ EXPECTED: dict[str, str] = {
     'certify in_Z gap-exact-plus-tiny': '000',
     'certify m_equals_one gap-exact-plus-tiny': '000',
     'project_Z exact-plus-tiny': '000',
-    'certify beta_positive_shift shift-float-two': '111111',
-    'certify beta_positive_shift shift-float-zero': '000000',
-    'certify beta_positive_shift shift-float-small': '111111',
-    'certify beta_positive_shift shift-float64': '111111',
+    'certify beta_positive_shift shift-float-two': '010',
+    'certify beta_positive_shift shift-float-zero': '0000',
+    'certify beta_positive_shift shift-float-small': '010',
+    'certify beta_positive_shift shift-float64': '010',
     'certify beta_positive_shift shift-exact-zero': '000',
     'certify beta_positive_shift shift-exact-plus-tiny': '111',
     'certify beta_positive_shift shift-exact-minus-tiny': '000',
@@ -299,76 +302,68 @@ EXPECTED: dict[str, str] = {
     'parabolic_membership exact-zero': '111',
     'parabolic_membership exact-plus-tiny': '000',
     'parabolic_membership exact-minus-tiny': '000',
-    'certify derivations_in_parabolic moved-float-upper': '111101',
-    'certify derivations_in_parabolic moved-float-upper-negative': '101111',
-    'certify derivations_in_parabolic moved-float-lower': '111111',
-    'certify derivations_in_parabolic moved-float64': '111101',
-    'certify derivations_in_parabolic moved-float-exact-beta': '111101',
+    'certify derivations_in_parabolic moved-float-upper': '101',
+    'certify derivations_in_parabolic moved-float-upper-negative': '101',
+    'certify derivations_in_parabolic moved-float-lower': '111',
+    'certify derivations_in_parabolic moved-float64': '101',
+    'certify derivations_in_parabolic moved-float-exact-beta': '101',
     'certify derivations_in_parabolic moved-exact-zero': '111',
     'certify derivations_in_parabolic moved-exact-plus-tiny': '000',
     'certify derivations_in_parabolic moved-exact-minus-tiny': '000',
-    'certify adbeta_nonneg float-off-label': '111111111111111111111111111111111111111111111111',
-    'certify beta_positive_shift float-off-label':
-        '111111111111111111111111111111111111111111111111',
-    'certify betaort_zero float-off-label': '111111111111111111111000111111111111010010101111',
-    'certify delta_nonneg float-off-label': '000000000000000000000000000101111000000000000000',
-    'certify derivations_in_parabolic float-off-label':
-        '111111111111111111111111111111111111111111111111',
-    'certify in_W float-off-label': '101000000101101000000000000111111000000000000000',
-    'certify in_Z float-off-label': '101000000101101000000000000111111000000000000000',
-    'certify m_equals_one float-off-label': '111000000111111000000101000111111000000000111000',
-    'certify trace_minus_one float-off-label': '101000000101101000000000000111111000000000000000',
-    'certify adbeta_nonneg float-label': '111111111111111111111111111111111111111111111111',
-    'certify beta_positive_shift float-label': '111111111111111111111111111111111111111111111111',
-    'certify betaort_zero float-label': '010010010010010010010010010010111111010010101111',
-    'certify delta_nonneg float-label': '101101101101101101101101101101111000101101111000',
-    'certify derivations_in_parabolic float-label':
-        '111111111111111111111111111111111111111111111111',
-    'certify in_W float-label': '101101101101101101101101101101111000101101111000',
-    'certify in_Z float-label': '101101101101101101101101101101111000101101111000',
-    'certify m_equals_one float-label': '101101101101101101101101101101111000101101111000',
-    'certify trace_minus_one float-label': '101101101101101101101101101101111000101101111000',
-    'certify adbeta_nonneg float-fil4': '111111111111111111111111111111111111111101111111',
-    'certify beta_positive_shift float-fil4': '111111111111111111111111111111111111111111111111',
-    'certify betaort_zero float-fil4': '111111111111111111111000111111111111111000101111',
-    'certify delta_nonneg float-fil4': '000000000000000000000000000101111000000000000000',
-    'certify derivations_in_parabolic float-fil4':
-        '111111111111111111111111111111111111111111111111',
-    'certify in_W float-fil4': '000000000101101000000000000111111000000000000000',
-    'certify in_Z float-fil4': '000000000101101000000000000111111000000000000000',
-    'certify m_equals_one float-fil4': '111000000111111000000101000111111000000000111000',
-    'certify trace_minus_one float-fil4': '101000000111111000000000000111111000000000000000',
-    'certify adbeta_nonneg float64': '111111111111111111111111111111111111111111111111',
-    'certify beta_positive_shift float64': '111111111111111111111111111111111111111111111111',
-    'certify betaort_zero float64': '111111111111111111000111111111111111010010101111',
-    'certify delta_nonneg float64': '111111111111111111111111111101111000111111111111',
-    'certify derivations_in_parabolic float64': '111111111111111111111111111111111111111111111111',
-    'certify in_W float64': '000111111101111101111111111000111000111111111111',
-    'certify in_Z float64': '000111101000101000000000111000111000000000000000',
-    'certify m_equals_one float64': '000111111000111000101000111000111000000000111000',
-    'certify trace_minus_one float64': '000101000000000000000000111000111000000000000000',
-    'certify adbeta_nonneg exact-mu-float-beta':
-        '111000000111111000000111101101111000101101111000',
-    'certify beta_positive_shift exact-mu-float-beta':
-        '111111111111111111111111111111111111111111111111',
-    'certify betaort_zero exact-mu-float-beta': '111000000111111000000000000000111000000000101000',
-    'certify delta_nonneg exact-mu-float-beta': '111000000111111000000111101101111000101101111000',
-    'certify derivations_in_parabolic exact-mu-float-beta':
-        '111111111111111111111111111111111111111111111111',
-    'certify in_W exact-mu-float-beta': '101000000101101000000000000000111000000000000000',
-    'certify in_Z exact-mu-float-beta': '101000000101101000000000000000111000000000000000',
-    'certify m_equals_one exact-mu-float-beta': '111000000111111000000101000000111000000000111000',
-    'certify trace_minus_one exact-mu-float-beta':
-        '101000000101101000000000000000111000000000000000',
-    'certify adbeta_nonneg float-mu-exact-beta': '111111111101111111',
-    'certify beta_positive_shift float-mu-exact-beta': '111111111111111111',
-    'certify betaort_zero float-mu-exact-beta': '111111111000101111',
-    'certify delta_nonneg float-mu-exact-beta': '101101000111111000',
-    'certify derivations_in_parabolic float-mu-exact-beta': '111111111000111111',
-    'certify in_W float-mu-exact-beta': '111111111111111111',
-    'certify in_Z float-mu-exact-beta': '111111111111111111',
-    'certify m_equals_one float-mu-exact-beta': '111111111111111111',
-    'certify trace_minus_one float-mu-exact-beta': '111111111111111111',
+    'certify adbeta_nonneg float-off-label': '1111111111111111111111111',
+    'certify beta_positive_shift float-off-label': '1111111111111110101111111',
+    'certify betaort_zero float-off-label': '1111111110001111110000101',
+    'certify delta_nonneg float-off-label': '0000000000001011110000000',
+    'certify derivations_in_parabolic float-off-label': '1111111111111111111111111',
+    'certify in_W float-off-label': '1011011010001111110000000',
+    'certify in_Z float-off-label': '1011011010001111110000000',
+    'certify m_equals_one float-off-label': '1111111111011111110000111',
+    'certify trace_minus_one float-off-label': '1011011010001111110000000',
+    'certify adbeta_nonneg float-label': '111111111111111111111111111111',
+    'certify beta_positive_shift float-label': '111111111111111111110101111111',
+    'certify betaort_zero float-label': '000000000000000000001110000101',
+    'certify delta_nonneg float-label': '111111111111111111111111111111',
+    'certify derivations_in_parabolic float-label': '111111111111111111111111111111',
+    'certify in_W float-label': '111111111111111111111111111111',
+    'certify in_Z float-label': '111111111111111111111111111111',
+    'certify m_equals_one float-label': '111111111111111111111111111111',
+    'certify trace_minus_one float-label': '111111111111111111111111111111',
+    'certify adbeta_nonneg float-fil4': '111111111111111111101111',
+    'certify beta_positive_shift float-fil4': '111111111111111010111111',
+    'certify betaort_zero float-fil4': '111111111000111111000101',
+    'certify delta_nonneg float-fil4': '000000000000101111000000',
+    'certify derivations_in_parabolic float-fil4': '111111111111111111111111',
+    'certify in_W float-fil4': '000101101000111111000000',
+    'certify in_Z float-fil4': '000101101000111111000000',
+    'certify m_equals_one float-fil4': '111111111101111111000111',
+    'certify trace_minus_one float-fil4': '101111111000111111000000',
+    'certify adbeta_nonneg float64': '1111111111111111111111111',
+    'certify beta_positive_shift float64': '1111111111111110101111111',
+    'certify betaort_zero float64': '1111111110001111110000101',
+    'certify delta_nonneg float64': '1111111111111111111111111',
+    'certify derivations_in_parabolic float64': '1111111111111111111111111',
+    'certify in_W float64': '1111111111111111111111111',
+    'certify in_Z float64': '1111011010001111110000000',
+    'certify m_equals_one float64': '1111111111011111110000111',
+    'certify trace_minus_one float64': '1010000000001111110000000',
+    'certify adbeta_nonneg exact-mu-float-beta': '11111111111111111111111111',
+    'certify beta_positive_shift exact-mu-float-beta': '11111111111111110101111111',
+    'certify betaort_zero exact-mu-float-beta': '11111111100000001110000101',
+    'certify delta_nonneg exact-mu-float-beta': '11111111111111111111111111',
+    'certify derivations_in_parabolic exact-mu-float-beta': '11111111111111111111111111',
+    'certify in_W exact-mu-float-beta': '10110110100000001110000000',
+    'certify in_Z exact-mu-float-beta': '10110110100000001110000000',
+    'certify m_equals_one exact-mu-float-beta': '11111111110100001110000111',
+    'certify trace_minus_one exact-mu-float-beta': '10110110100000001110000000',
+    'certify adbeta_nonneg float-mu-exact-beta': '1111101111',
+    'certify beta_positive_shift float-mu-exact-beta': '1111111111',
+    'certify betaort_zero float-mu-exact-beta': '1111000101',
+    'certify delta_nonneg float-mu-exact-beta': '1111111111',
+    'certify derivations_in_parabolic float-mu-exact-beta': '1111000111',
+    'certify in_W float-mu-exact-beta': '1111111111',
+    'certify in_Z float-mu-exact-beta': '1111111111',
+    'certify m_equals_one float-mu-exact-beta': '1111111111',
+    'certify trace_minus_one float-mu-exact-beta': '1111111111',
     'certify adbeta_nonneg exact-label': '111',
     'certify beta_positive_shift exact-label': '111',
     'certify betaort_zero exact-label': '111',
@@ -739,6 +734,26 @@ def test_only_main_times_checks_and_prints_a_report():
     assert "_emit" not in defined
     assert {name for name in defined if name.startswith("cmd_")} == {
         "cmd_validate", "cmd_stratum", "cmd_einstein", "cmd_extend", "cmd_minnorm"}
+
+
+def test_cli_alone_renders_reports():
+    # the report format lives in cli: no record of the package renders
+    # itself, and format_scalar is called only by cli's writers and text
+    # lines and by the bracket file format that extend --out writes
+    renders = [f"{module}:{node.name}" for module, tree in _trees()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+               and any(isinstance(f, ast.FunctionDef) and f.name == "to_json_dict"
+                       for f in node.body)]
+    assert renders == []
+    callers = set()
+    for module, tree in _trees():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "format_scalar" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.add(module if module == "cli.py"
+                                else f"{module}:{getattr(top, 'name', '<module>')}")
+    assert callers == {"cli.py", "jsonio.py:bracket_to_dict"}
 
 
 def test_numpy_is_loaded_in_one_module():

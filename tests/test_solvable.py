@@ -13,7 +13,7 @@ from oracles import (dense_ad, dense_ad_on_n, dense_audit_terms,
                      dense_killing_form, dense_s_ad_h, fraction_curvature,
                      fraction_einstein_check, fraction_ric,
                      fraction_standardness_audit, trace_identity_check)
-from solvstrat import bracket, flow, linalg, solvable
+from solvstrat import bracket, cli, flow, linalg, solvable
 from solvstrat.bracket import BracketTensor, act, jacobi_check, jacobi_residual
 from solvstrat.flow import ricci_moment
 from solvstrat.solvable import (MetricSolvableAlgebra, curvature_report,
@@ -137,18 +137,62 @@ def test_is_standard():
     assert is_standard(ch2()).ok
     st = is_standard(nonstandard_heisenberg())
     assert not st.ok and st.max_violation == 1.0
-    # an exact [a, a] coefficient below the float range is still a violation
+    # an exact [a, a] coefficient below the float range is still a violation,
+    # and the record keeps it exactly
     tiny = MetricSolvableAlgebra(2, 1, BracketTensor.make(3, {(1, 2, 3): F(1, 10**400)}))
-    assert is_standard(tiny) == (False, 0.0)
+    assert is_standard(tiny) == (False, F(1, 10**400))
 
 
 def test_curvature_report_shape():
     rep = curvature_report(ch2())
     assert rep.einstein.ok and rep.standard.ok
     assert rep.killing_n_max == 0.0
-    d = rep.to_json_dict()
+    d = cli._curvature_json(rep)
     assert d["einstein"]["c"] == "-3/2"
     assert d["ricci"][0][0] == "-3/2"
+
+
+def _report_residuals(s, beta=None) -> dict:
+    """The residuals that the curvature report and the audit keep."""
+    rep, aud = curvature_report(s), standardness_audit(s, beta)
+    return {"residual": rep.einstein.residual,
+            "c_formula_residual": rep.einstein.c_formula_residual,
+            "max_violation": rep.standard.max_violation,
+            "killing_n_max": rep.killing_n_max,
+            "identity_residual": aud.identity_residual,
+            "tr_e_sq_residual": aud.tr_e_sq_residual,
+            "tr_adh_residual": aud.tr_adh_residual}
+
+
+def test_exact_residuals_stay_exact_beyond_the_float_range():
+    # h3 scaled by 10^200 is not Einstein, with residual 2/3 10^400: every
+    # residual the records keep is a Fraction, so the library forms no float
+    # image that could overflow; its extension reports the c formula too
+    h3 = BracketTensor.make(3, {(1, 2, 3): F(10) ** 200})
+    s, ext = MetricSolvableAlgebra.create(0, 3, h3), rank_one_extension(h3)
+    got = _report_residuals(s)
+    assert got.pop("c_formula_residual") is None
+    assert got["residual"] == F(2, 3) * F(10) ** 400
+    with pytest.raises(OverflowError):
+        float(got["residual"])
+    assert all(type(x) is F for x in got.values())
+    got = _report_residuals(ext)
+    assert all(type(x) is F for x in got.values()) and len(got) == 7
+
+
+def test_float_residuals_stay_float():
+    # on float input the same residuals are floats; the audit's tr_e_sq
+    # residual reads the label alone, which beta_of gives exactly
+    h3 = BracketTensor.make(3, {(1, 2, 3): 1.5})
+    for s in (MetricSolvableAlgebra.create(0, 3, h3), rank_one_extension(h3)):
+        got = _report_residuals(s)
+        assert type(got.pop("tr_e_sq_residual")) is F
+        assert all(type(x) is float for x in got.values() if x is not None)
+        beta = standardness_audit(s).beta
+        fbeta = DiagonalWeight.make([float(x) for x in beta.entries])
+        got = _report_residuals(s, fbeta)
+        assert all(type(x) is float for x in got.values() if x is not None)
+    assert got["c_formula_residual"] is not None
 
 
 def test_trace_identity_exact_on_random_algebras():
@@ -253,7 +297,7 @@ def test_audit_on_complex_hyperbolic_is_exactly_zero():
     assert aud.tr_e_sq_residual == 0.0 and aud.tr_adh_residual == 0.0
     assert aud.in_w_ok and aud.nonneg_ok
     assert aud.einstein.ok and aud.standard.ok and aud.forces_standard
-    d = aud.to_json_dict()
+    d = cli._audit_json(aud)
     assert d["beta"] == ["-1", "-1", "1"] and d["terms"] == ["0", "0", "0"]
 
 

@@ -1,6 +1,7 @@
 """Weight systems, stratum labels, memberships, certificates."""
 
 import json
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ from generators import (filiform, filiform4, free_two_step, heisenberg3, rand_fr
 from oracles import (dense_adbeta_gram, fraction_adbeta_gram, fraction_certify_candidate,
                      fraction_derivation_certificates, fraction_derivations,
                      fraction_is_psd, matmul, parabolic_membership)
-from solvstrat import minnorm, strata
+from solvstrat import cli, minnorm, strata
 from solvstrat.bracket import (BracketTensor, _exact_derivations, act, derivations,
                                inner, permutation_act, rep)
 from solvstrat.jsonio import dumps
@@ -435,8 +436,19 @@ def test_certificate_exact_on_float_support():
     assert cert.residuals["in_Z"] == 0
 
 
+@pytest.mark.parametrize("tol", [-1e-9, -math.inf, math.inf, math.nan])
+def test_certificates_refuse_a_negative_or_non_finite_tol(tol):
+    # below 0 the float derivation basis would be empty and its checks pass
+    # vacuously, so both entry points refuse such a tol, in either mode
+    for mu, beta in ((H3, B3), (H3.to_float(), DiagonalWeight.make([-1.0, -1.0, 1.0]))):
+        for check in (certify_candidate, derivation_certificates):
+            with pytest.raises(ValueError, match="tol must be finite and at least 0"):
+                check(mu, beta, tol)
+    assert certify_candidate(H3, B3, 0.0).all_passed
+
+
 def test_certificate_json_round_trip_shape():
-    d = certify_candidate(N4, B4).to_json_dict()
+    d = cli._certificate_json(certify_candidate(N4, B4))
     assert d["beta"] == ["-1", "-1/2", "0", "1/2"]
     assert d["q_value"] == "2/3"
     assert d["eigenvalue_type"] == [1, 2, 3, 4]
@@ -451,7 +463,7 @@ def test_an_undecided_quadratic_condition_writes_null():
     cert = certify_candidate(N4, beta)
     assert not cert.checks["in_Z"]
     assert cert.checks["adbeta_nonneg"] is None and not cert.all_passed
-    d = json.loads(dumps(cert.to_json_dict()))
+    d = json.loads(dumps(cli._certificate_json(cert)))
     assert d["checks"]["adbeta_nonneg"] is None
     assert d["residuals"]["adbeta_quadratic_min"] is None
     assert d["residuals"]["betaort_trace_max"] == "4"
