@@ -13,7 +13,7 @@ from .bracket import (BracketTensor, act, derivations, inner, is_solvable,
                       jacobi_residual, lower_central_series, norm_sq,
                       permutation_act, rep)
 from .flow import FlowResult, MomentValue, flow_to_critical, ricci_moment
-from .minnorm import MinNormResult, PointSet, canonical_form, min_norm_point
+from .minnorm import MinNormResult, PointSet, min_norm_point
 from .solvable import (AuditReport, CurvatureReport, EinsteinCheck,
                        MetricSolvableAlgebra, StandardCheck, curvature_report,
                        einstein_check, is_standard, rank_one_extension,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 import warnings
@@ -31,7 +32,7 @@ from .bracket import _central_series, jacobi_check, norm_sq
 from .flow import FLOW_MAX_ITER, FLOW_STEP, FLOW_TOL, flow_to_critical
 from .jsonio import FormatError
 from .linalg import format_scalar, is_zero, numerators, parse_scalar
-from .minnorm import MinNormResult, canonical_form, min_norm_point
+from .minnorm import MinNormResult, min_norm_point
 from .solvable import (EINSTEIN_TOL, AuditReport, CurvatureReport, EinsteinCheck,
                        MetricSolvableAlgebra, curvature_report, rank_one_extension,
                        standardness_audit)
@@ -240,7 +241,7 @@ def cmd_extend(args) -> Outcome:
 
 def cmd_minnorm(args) -> Outcome:
     ps = jsonio.read_point_set(args.file)
-    res = canonical_form(ps, min_norm_point(ps))
+    res = min_norm_point(ps)
     res.verify(ps)
     result = _min_norm_json(res)
     report = {"input": {"dim": ps.dim, "count": len(ps)}, "result": result}
@@ -318,7 +319,8 @@ def main(argv=None) -> int:
     before any file is written or anything prints), write the command's
     files, and print the JSON or the text lines and the elapsed time.  A
     report whose top level holds "error" (a failed extension) prints no
-    elapsed line."""
+    elapsed line.  A stdout closed by its reader is no input error: the
+    run returns its own code and prints nothing more."""
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
@@ -332,7 +334,14 @@ def main(argv=None) -> int:
             if "error" not in report:
                 lines.append(f"elapsed: {time.perf_counter() - started:.3f}s")
             text = "\n".join(lines)
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout: the run's outcome stands, and stdout
+            # goes to devnull so that the interpreter's exit flush stays quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return code
     except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

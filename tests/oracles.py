@@ -757,35 +757,10 @@ def brute_force_min_norm(ps: PointSet, max_points: int = 12) -> MinNormResult:
     return MinNormResult(point, tuple(weights), subset)
 
 
-def exhaustive_canonical_form(ps: PointSet, res: MinNormResult) -> MinNormResult:
-    """Reference canonical support: the level-by-level subset search.
-
-    Tries every subset of the points active at res.point, by cardinality up
-    to min(a, dim + 1) and then in lex order, with one integer solve each,
-    and returns the first strictly positive exact representation.  Without
-    any pruning it makes up to sum_{k <= min(a, dim + 1)} C(a, k) solves.
-    """
-    x = res.point
-    sc = _scaled(ps)
-    nsq = dot(x, x)
-    active = [i for i, p in enumerate(ps.points) if dot(x, p) == nsq]
-    rhs = [xr * sc.den for xr in x]
-    row_scale = [r.denominator for r in rhs]
-    srows = [[row_scale[r] * c for c in col]
-             for r, col in enumerate(zip(*sc.coords))]
-    b = [int(rhs[r] * row_scale[r]) for r in range(ps.dim)] + [1]
-    for size in range(1, min(len(active), ps.dim + 1) + 1):
-        for subset in itertools.combinations(active, size):
-            a = [[srows[r][i] for i in subset] for r in range(ps.dim)]
-            a.append([1] * size)
-            sol = linalg.solve_integer(a, b)
-            w = None if sol is None else [Fraction(v, sol[0]) for v in sol[1]]
-            if w is not None and all(wi > 0 for wi in w):
-                weights = [Fraction(0)] * len(ps.points)
-                for i, wi in zip(subset, w):
-                    weights[i] = wi
-                return MinNormResult(x, tuple(weights), subset)
-    raise RuntimeError("no exact convex representation of the optimum found")
+def affinely_independent(points: Sequence[Sequence]) -> bool:
+    """Whether the points are affinely independent: the rows (p, 1) have
+    full rank, by an exact dense rref."""
+    return len(rref([[Fraction(x) for x in p] + [ONE] for p in points])[1]) == len(points)
 
 
 def fraction_ric(mu: BracketTensor):

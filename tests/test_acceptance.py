@@ -5,6 +5,9 @@ plain pytest -v run reads as a pass/fail line per gate.  Exact claims are
 asserted as rational equalities; float claims carry explicit tolerances.
 """
 
+import contextlib
+import io
+import json
 import time
 from fractions import Fraction
 
@@ -12,10 +15,12 @@ import numpy as np
 
 from generators import (abelian, filiform4, heisenberg3, rand_frac, random_nilpotent,
                         random_point_set, random_solvable, rh_space, so3)
-from oracles import brute_force_min_norm, ricci_moment_via_duality, trace_identity_check
+from oracles import (affinely_independent, brute_force_min_norm, ricci_moment_via_duality,
+                     trace_identity_check)
+from solvstrat import cli
 from solvstrat.bracket import BracketTensor, act_array, permutation_act
 from solvstrat.flow import ricci_moment
-from solvstrat.minnorm import canonical_form, min_norm_point
+from solvstrat.minnorm import min_norm_point
 from solvstrat.solvable import (einstein_check, is_standard,
                                 rank_one_extension, standardness_audit)
 from solvstrat.strata import (DiagonalWeight, beta_of, certify_candidate, m_degree,
@@ -26,18 +31,70 @@ F = Fraction
 
 def test_min_norm_solver_agrees_with_enumeration_oracle():
     # 500 random rational point sets, dim <= 6, <= 10 points: the active-set
-    # solver, put in canonical form, and the face-enumeration oracle must
-    # return identical exact results (point, weights, and canonical support)
+    # solver and the face-enumeration oracle must return the same exact
+    # point; the solver's weights certify it, on an affinely independent
+    # support
     started = time.perf_counter()
     rng = np.random.default_rng(0)
     for _ in range(500):
         dim = int(rng.integers(1, 7))
         count = int(rng.integers(1, 11))
         ps = random_point_set(rng, dim, count)
-        res = canonical_form(ps, min_norm_point(ps))
-        assert res == brute_force_min_norm(ps)
+        res = min_norm_point(ps)
+        assert res.point == brute_force_min_norm(ps).point
+        res.verify(ps)
+        assert affinely_independent([ps.points[i] for i in res.support])
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"oracle battery took {elapsed:.1f}s"
+
+
+def _symmetric_point_set(rng, dim: int, count: int) -> list[tuple[Fraction, ...]]:
+    # count distinct points closed under p -> -p: the origin is their centroid
+    pts: set[tuple[Fraction, ...]] = set()
+    while len(pts) < count:
+        p = tuple(rand_frac(rng, 4, 3) for _ in range(dim))
+        if any(p) and p not in pts:
+            pts.update((p, tuple(-x for x in p)))
+    return sorted(pts)
+
+
+def test_minnorm_cli_on_64_points_in_dimension_11(tmp_path):
+    # 20 sets of 64 points in dim 11 through the command: 10 random, every
+    # other one moved off the origin by 5 along e_1, and 10 closed under
+    # p -> -p, where the optimum is the origin and every point is active.
+    # Each JSON result is re-verified exactly
+    rng = np.random.default_rng(64)
+    sets = [[(p[0] + 5 * (n % 2),) + p[1:] for p in random_point_set(rng, 11, 64).points]
+            for n in range(10)]
+    sets += [_symmetric_point_set(rng, 11, 64) for _ in range(10)]
+    paths = []
+    for n, pts in enumerate(sets):
+        paths.append(tmp_path / f"ps{n}.json")
+        paths[-1].write_text(json.dumps({"dim": 11, "points": [[str(x) for x in p]
+                                                               for p in pts]}))
+    started = time.perf_counter()
+    outputs = []
+    for path in paths:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["minnorm", str(path), "--format", "json"]) == 0
+        outputs.append(json.loads(out.getvalue())["result"])
+    elapsed = time.perf_counter() - started
+    for n, (pts, result) in enumerate(zip(sets, outputs)):
+        x = [Fraction(v) for v in result["point"]]
+        w = [Fraction(v) for v in result["weights"]]
+        nsq = sum(v * v for v in x)
+        assert len(w) == 64 and sum(w) == 1 and min(w) >= 0
+        assert [sum(wi * p[r] for wi, p in zip(w, pts)) for r in range(11)] == x
+        assert all(sum(a * b for a, b in zip(x, p)) >= nsq for p in pts)
+        assert Fraction(result["norm_sq"]) == nsq
+        assert result["support"] == [i for i, wi in enumerate(w) if wi]
+        assert affinely_independent([pts[i] for i in result["support"]])
+        if n >= 10:
+            assert nsq == 0
+        elif n % 2:
+            assert nsq > 0
+    assert elapsed < 2.0, f"64-point minnorm gate took {elapsed:.2f}s"
 
 
 def test_label_laws_on_random_nilpotent_brackets():

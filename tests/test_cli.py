@@ -17,7 +17,7 @@ import pytest
 
 import solvstrat
 from generators import ch2, random_point_set
-from oracles import brute_force_min_norm
+from oracles import affinely_independent, brute_force_min_norm
 from solvstrat import cli, jsonio
 from solvstrat.cli import main
 from solvstrat.linalg import format_scalar
@@ -454,8 +454,9 @@ def test_minnorm_above_twelve_points(tmp_path, capsys):
 
 
 def test_minnorm_json_matches_the_enumeration_oracle(tmp_path, capsys):
-    # the command runs no oracle itself; its canonical result must equal
-    # the face-enumeration oracle's on small random point sets
+    # the command runs no oracle itself; its point and norm must equal the
+    # face-enumeration oracle's on small random point sets, on an affinely
+    # independent support
     rng = np.random.default_rng(11)
     for n in range(40):
         ps = random_point_set(rng, int(rng.integers(1, 6)), int(rng.integers(1, 13)))
@@ -464,7 +465,9 @@ def test_minnorm_json_matches_the_enumeration_oracle(tmp_path, capsys):
                            "--format", "json")
         assert code == 0
         expected = cli._min_norm_json(brute_force_min_norm(ps))
-        assert json.loads(out)["result"] == expected
+        result = json.loads(out)["result"]
+        assert (result["point"], result["norm_sq"]) == (expected["point"], expected["norm_sq"])
+        assert affinely_independent([ps.points[i] for i in result["support"]])
 
 
 def test_package_has_no_assert_statements():
@@ -903,10 +906,9 @@ def test_an_exponent_within_the_digit_limit_is_read_exactly(tmp_path, capsys, li
 
 
 def test_minnorm_computes_the_gram_matrix_once(tmp_path, capsys, monkeypatch):
-    # min_norm_point and canonical_form read the cached Gram columns of the
-    # point set, and only those of points that enter Wolfe's corral (the
-    # start among them; canonical_form reads those of the corral's support,
-    # and verify reads the coordinates only)
+    # min_norm_point reads the cached Gram columns of the point set, and only
+    # those of points that enter Wolfe's corral (the start among them;
+    # verify reads the coordinates only)
     from solvstrat import minnorm
 
     computed, entered = [], set()
@@ -923,14 +925,34 @@ def test_minnorm_computes_the_gram_matrix_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(minnorm, "_gram_column", spy_column)
     monkeypatch.setattr(minnorm, "_affine_minimizer", spy_affine)
     # the optimum is the origin, on the segment of the first two points, and
-    # every point is active there, so canonical_form searches; (3, 3) never
-    # enters the corral
+    # every point is active there; (3, 3) never enters the corral
     ps = {"dim": 2, "points": [["1", "0"], ["-1", "0"], ["0", "1/2"], ["3", "3"]]}
     code, out, _ = run(capsys, "minnorm", put(tmp_path, "ps.json", ps), "--format", "json")
     assert code == 0
     assert json.loads(out)["result"]["point"] == ["0", "0"]
     assert len(computed) == len(set(computed))
     assert set(computed) == entered and 3 not in entered
+
+
+@pytest.mark.parametrize("argv,code", [(["validate", "h3.json"], 0),
+                                       (["einstein", "nonstandard_h3.json", "--audit"], 2),
+                                       (["minnorm", "points13.json", "--format", "json"], 0)])
+def test_a_closed_stdout_keeps_the_exit_code_and_prints_no_error(argv, code):
+    # the reader is gone before the child writes: the run is no input error,
+    # and nothing reaches stderr, not even from the interpreter's exit flush
+    inputs = Path(__file__).parent / "goldens" / "inputs"
+    args = [str(inputs / a) if a.endswith(".json") else a for a in argv]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "solvstrat.cli", *args], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (code, b"")
 
 
 def test_console_entry_point_smoke(tmp_path):

@@ -67,11 +67,9 @@ def test_text_output_matches_golden(capsys, name, argv, code):
 
 
 # the cases whose work is float: float brackets (among them the flow route
-# of stratum), the extension of fil4 (tr D = 5 has no rational root), the
-# Cholesky factor of a gram matrix and the modular screen of the
-# canonical-support search.  Exact stratum takes the weight-hull route
-LOADS_NUMPY = {"stratum-fil4-gl-float", "einstein-audit-ch2-gram", "extend-fil4", "validate-fil4-gl-float",
-               "minnorm-12-points", "minnorm-13-points"}
+# of stratum), the extension of fil4 (tr D = 5 has no rational root) and the
+# Cholesky factor of a gram matrix.  Exact stratum takes the weight-hull route
+LOADS_NUMPY = {"stratum-fil4-gl-float", "einstein-audit-ch2-gram", "extend-fil4", "validate-fil4-gl-float"}
 
 # numpy counts as loaded once its __init__ has run: until then the lazy
 # placeholder that solvstrat._np puts in sys.modules is not a plain module

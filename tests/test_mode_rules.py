@@ -774,4 +774,4 @@ def test_numpy_is_loaded_in_one_module():
                     if isinstance(node, ast.ImportFrom) and node.module == "_np"
                     and node.level == 1 and any(a.name == "np" for a in node.names))
     assert users == ["_np.py"] + takers
-    assert takers == ["bracket.py", "flow.py", "minnorm.py", "solvable.py", "strata.py"]
+    assert takers == ["bracket.py", "flow.py", "solvable.py", "strata.py"]

@@ -3,7 +3,6 @@
 import json
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,24 +63,6 @@ def test_beta_goldens():
     assert beta_of(H3).entries == (F(-1), F(-1), F(1))
     assert beta_of(N4).entries == (F(-1), F(-1, 2), F(0), F(1, 2))
     assert beta_of(so3()).entries == (F(-1, 3), F(-1, 3), F(-1, 3))
-
-
-def test_beta_of_runs_no_canonical_search(monkeypatch):
-    # the label is the min-norm point alone; the subset search that picks a
-    # canonical support never runs on the label path
-    def refuse(*args):
-        raise AssertionError("beta_of ran the canonical support search")
-
-    monkeypatch.setattr(minnorm, "canonical_form", refuse)
-    monkeypatch.setattr(minnorm, "itertools", SimpleNamespace(combinations=refuse))
-    rng = np.random.default_rng(7)
-    brackets = [H3, N4, free_two_step(3)]
-    brackets += [random_nilpotent(rng, 7, transform=True) for _ in range(12)]
-    for mu in brackets:
-        beta = beta_of(mu)
-        assert beta.trace() == -1
-        assert m_degree(mu, [x / beta.norm_sq() for x in beta.entries]) == 1
-    assert beta_of(H3) == B3 and beta_of(N4) == B4
 
 
 def test_beta_trace_and_degree_laws():
