@@ -417,13 +417,7 @@ def _huge_centred_set(rng, dim: int, count: int) -> PointSet:
     return PointSet.make([[x - c for x, c in zip(p, centroid)] for p in sorted(pts)])
 
 
-def _degenerate_sets():
-    rng = np.random.default_rng(13)
-    for _ in range(300):
-        yield _degenerate_point_set(rng)
-    rng = np.random.default_rng(14)
-    for _ in range(3):
-        yield centred_point_set(rng, 6, 13)
+def _square_walk_sets():
     rng = np.random.default_rng(35)
     for dim in range(2, 9):
         for _ in range(3 if dim < 8 else 1):
@@ -436,14 +430,40 @@ def _degenerate_sets():
         yield _huge_centred_set(rng, dim, dim + 3)
 
 
-def test_corral_is_affinely_independent_on_degenerate_sets():
-    # small-integer coordinates put many points on common flats and faces,
-    # and sets about the origin make every point active: the optimum has
-    # many representations, and Wolfe's corral is one with positive weights
-    # on affinely independent points
+def _check_against_the_exhaustive_search(ps: PointSet) -> MinNormResult:
+    """The printed form is Wolfe's corral: it certifies itself, its support
+    is affinely independent, and its point is the one the enumeration of
+    every affinely independent subset finds."""
+    res = min_norm_point(ps)
+    _check_corral(ps, res)
+    assert res.point == brute_force_min_norm(ps, max_points=13).point, ps
+    return res
+
+
+def test_canonical_form_matches_the_exhaustive_search():
+    # small-integer coordinates put many points on common flats and faces:
+    # the optimum has many representations, and Wolfe's corral is one with
+    # positive weights on affinely independent points
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        _check_against_the_exhaustive_search(_degenerate_point_set(rng))
+
+
+def test_canonical_form_matches_the_exhaustive_search_about_the_origin():
+    # every point is active about the origin, and the corral has dim + 1
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        ps = centred_point_set(rng, 6, 13)
+        res = _check_against_the_exhaustive_search(ps)
+        assert res.point == (F(0),) * 6
+        assert len(res.support) == 7
+
+
+def test_square_walk_matches_the_exhaustive_search():
+    # sets about the origin whose (dim + 1)-subsets are often affinely
+    # dependent: the corral Wolfe ends with is a full simplex on most of them
     full = 0
-    for ps in _degenerate_sets():
-        res = min_norm_point(ps)
-        _check_corral(ps, res)
+    for ps in _square_walk_sets():
+        res = _check_against_the_exhaustive_search(ps)
         full += len(res.support) == ps.dim + 1
     assert full >= 50
