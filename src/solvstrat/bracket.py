@@ -450,7 +450,7 @@ def lower_central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> list[in
     """
     ok, res = jacobi_check(mu, tol)
     if not ok:
-        raise ValueError(f"Jacobi identity fails (residual {float(res):g})")
+        raise ValueError(f"Jacobi identity fails (residual {linalg.g_text(res)})")
     return _central_series(mu, tol)
 
 

@@ -7,8 +7,9 @@
     solvstrat minnorm   FILE        minimum-norm point of a rational point set
 
 Exit codes: 0 all checks passed, 2 ran but some check failed, 3 bad input,
-a meaningless flag value, a report that would hold NaN or infinity, or a
-float image of an exact value that overflows.
+a usage error (an unknown command or option, a missing file or a flag value
+argparse refuses, or a negative --max-iter), a report that would hold NaN or
+infinity, or a float image of an exact value that overflows.
 JSON output (--format json) is deterministic byte for byte for a given
 input and flags; wall-clock timings therefore appear only in text output.
 Every command hands its report and the files it asks for to main, which
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 import time
@@ -31,7 +31,7 @@ from . import jsonio
 from .bracket import _central_series, jacobi_check, norm_sq
 from .flow import FLOW_MAX_ITER, FLOW_STEP, FLOW_TOL, flow_to_critical
 from .jsonio import FormatError
-from .linalg import format_scalar, is_zero, numerators, parse_scalar
+from .linalg import format_scalar, g_text, is_zero, numerators, parse_scalar
 from .minnorm import MinNormResult, min_norm_point
 from .solvable import (EINSTEIN_TOL, AuditReport, CurvatureReport, EinsteinCheck,
                        MetricSolvableAlgebra, curvature_report, rank_one_extension,
@@ -108,7 +108,7 @@ def _min_norm_json(res: MinNormResult) -> dict:
 def cmd_validate(args) -> Outcome:
     bf = jsonio.read_bracket_file(args.file)
     mu = bf.bracket
-    jac_ok, res = jacobi_check(mu, args.tol)
+    jac_ok, res = jacobi_check(mu)
     report = {
         "input": {"dim_a": bf.dim_a, "dim_n": bf.dim_n, "nnz": mu.nnz,
                   "scalar_mode": mu.scalar_mode},
@@ -116,9 +116,9 @@ def cmd_validate(args) -> Outcome:
         "norm_sq": format_scalar(norm_sq(mu)),
     }
     lines = [f"dim_a={bf.dim_a} dim_n={bf.dim_n} nnz={mu.nnz} mode={mu.scalar_mode}",
-             f"jacobi: {_flag(jac_ok)} (residual {float(res):g})"]
+             f"jacobi: {_flag(jac_ok)} (residual {g_text(res)})"]
     if jac_ok:
-        series = _central_series(mu, tol=args.tol)
+        series = _central_series(mu)
         nilpotent = series[-1] == 0
         report["lower_central_series"] = series
         report["nilpotent"] = nilpotent
@@ -136,17 +136,15 @@ def cmd_stratum(args) -> Outcome:
         raise FormatError(f"{args.file}: the zero bracket has no stratum")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        label = stratum_label(
-            bf.bracket, step=args.step, tol=args.tol, max_iter=args.max_iter,
-            denom_bound=args.denom_bound, record_trace=args.trace is not None)
+        label = stratum_label(bf.bracket, args.max_iter, args.trace is not None)
     cert, fr = label.certificate, label.flow
     files = {}
     if args.trace is not None:
         files[args.trace] = "iter,m_norm_sq,tangency\n" + "".join(
             f"{it},{msq:.17g},{res:.17g}\n" for it, msq, res in (fr.trace if fr else ()))
     report = {
-        "params": {"step": args.step, "tol": args.tol, "max_iter": args.max_iter,
-                   "denom_bound": args.denom_bound},
+        "params": {"step": FLOW_STEP, "tol": FLOW_TOL, "max_iter": args.max_iter,
+                   "denom_bound": DENOM_BOUND},
         "warnings": [str(w.message) for w in caught],
         "route": label.route,
         "flow": None if fr is None else {
@@ -185,9 +183,9 @@ def _algebra_from_file(path) -> MetricSolvableAlgebra:
 
 def cmd_einstein(args) -> Outcome:
     alg = _algebra_from_file(args.file)
-    rep = curvature_report(alg, args.tol)
+    rep = curvature_report(alg)
     report = {"input": {"dim_a": alg.dim_a, "dim_n": alg.dim_n},
-              "params": {"tol": args.tol, "audit": args.audit},
+              "params": {"tol": EINSTEIN_TOL, "audit": args.audit},
               "curvature": _curvature_json(rep)}
     e = rep.einstein
     lines = [f"dim_a={alg.dim_a} dim_n={alg.dim_n}", _einstein_text(e)]
@@ -197,7 +195,7 @@ def cmd_einstein(args) -> Outcome:
                  f"(max [a,a] coefficient {float(rep.standard.max_violation):g})")
     ok = e.ok
     if args.audit:
-        audit = standardness_audit(alg, tol=args.tol)
+        audit = standardness_audit(alg)
         report["audit"] = _audit_json(audit)
         lines.append(f"audit lhs: {float(audit.lhs):.6g}  terms: "
                      f"{float(audit.term1):.6g} {float(audit.term2):.6g} "
@@ -224,11 +222,11 @@ def cmd_extend(args) -> Outcome:
         lam = flow_to_critical(lam).aligned
     c = parse_scalar(args.constant) if args.constant is not None else None
     try:
-        ext = rank_one_extension(lam, c=c, tol=args.tol)
+        ext = rank_one_extension(lam, c=c)
     except ValueError as exc:
         return (CHECKS_FAILED, {"ok": False, "error": str(exc)},
                 [f"extension failed: {exc}"], {})
-    rep = curvature_report(ext, tol=args.tol)
+    rep = curvature_report(ext)
     out_dict = jsonio.bracket_to_dict(1, lam.dim, ext.bracket)
     files = {args.out: jsonio.dumps(out_dict) + "\n"} if args.out else {}
     report = {"extension": out_dict, "curvature": _curvature_json(rep)}
@@ -253,10 +251,19 @@ def cmd_minnorm(args) -> Outcome:
     return PASS, report, lines, {}
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with a usage error read as bad input: exit 3, since
+    2 says that a check failed.  Its subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="solvstrat", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="solvstrat", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -265,28 +272,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="structural and Jacobi checks")
     common(sp)
-    sp.add_argument("--tol", type=float, default=1e-9)
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("stratum", help="certify the stratum label")
     common(sp)
-    sp.add_argument("--step", type=float, default=FLOW_STEP)
-    sp.add_argument("--tol", type=float, default=FLOW_TOL)
     sp.add_argument("--max-iter", type=int, default=FLOW_MAX_ITER)
-    sp.add_argument("--denom-bound", type=int, default=DENOM_BOUND)
     sp.add_argument("--trace", default=None, help="write per-iteration CSV here")
     sp.set_defaults(func=cmd_stratum)
 
     sp = sub.add_parser("einstein", help="curvature and Einstein verdict")
     common(sp)
-    sp.add_argument("--tol", type=float, default=EINSTEIN_TOL)
     sp.add_argument("--audit", action="store_true",
                     help="run the standardness audit decomposition")
     sp.set_defaults(func=cmd_einstein)
 
     sp = sub.add_parser("extend", help="rank-one Einstein extension")
     common(sp)
-    sp.add_argument("--tol", type=float, default=EINSTEIN_TOL)
     sp.add_argument("--flow-first", action="store_true",
                     help="flow to a critical point before extending")
     sp.add_argument("--constant", default=None,
@@ -302,15 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args) -> None:
-    """Refuse numeric flags that have no meaning, naming the flag."""
-    if not 0 <= getattr(args, "tol", 0) < math.inf:
-        raise ValueError(f"--tol must be finite and at least 0, got {args.tol}")
-    if not 0 < getattr(args, "step", 1) < math.inf:
-        raise ValueError(f"--step must be finite and positive, got {args.step}")
+    """Refuse a --max-iter that has no meaning, naming the flag."""
     if getattr(args, "max_iter", 0) < 0:
         raise ValueError(f"--max-iter must be at least 0, got {args.max_iter}")
-    if getattr(args, "denom_bound", 1) < 1:
-        raise ValueError(f"--denom-bound must be at least 1, got {args.denom_bound}")
 
 
 def main(argv=None) -> int:

@@ -117,14 +117,13 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def flow_to_critical(
     mu0: BracketTensor,
     step: float = FLOW_STEP,
-    tol: float = FLOW_TOL,
     max_iter: int = FLOW_MAX_ITER,
     record_trace: bool = False,
 ) -> FlowResult:
     """Descend |M_mu|^2 on the unit sphere until pi(M) mu is tangent to mu.
 
     Steps that would increase |M|^2 are halved until they do not; the
-    tangency residual |pi(M) mu - <pi(M) mu, mu> mu| below tol declares
+    tangency residual |pi(M) mu - <pi(M) mu, mu> mu| below FLOW_TOL declares
     convergence.  The returned aligned limit is rotated so that M is diagonal
     with nondecreasing spectrum.
 
@@ -173,11 +172,11 @@ def flow_to_critical(
             trace.append((it, msq, res))
         if best is None or res < best[0]:
             best = (res, arr, m)
-        if res <= tol:
+        if res <= FLOW_TOL:
             converged = True
             message = "tangency residual below tol"
             break
-        if best[0] < 1e-6 and res > 1e3 * max(best[0], tol):
+        if best[0] < 1e-6 and res > 1e3 * max(best[0], FLOW_TOL):
             message = ("tangency rebounded after nearing a critical point; "
                        "keeping the best iterate")
             break

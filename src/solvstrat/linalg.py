@@ -142,6 +142,24 @@ def format_scalar(x: Scalar):
     return float(x)
 
 
+def g_text(x: Scalar, root: bool = False) -> str:
+    """f"{x:g}", or f"{math.sqrt(x):g}" when root, for x of either mode with
+    no float that can overflow or underflow: an exact x beyond the normal
+    float range is printed as the text of x / 100^k, k about log10(x) / 2,
+    with 2k (k when root) added to its exponent."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if f == x or f != f or sys.float_info.min <= abs(f) < math.inf:
+        return f"{math.sqrt(f) if root else f:g}"
+    q = Fraction(x)
+    k = (abs(q.numerator).bit_length() - q.denominator.bit_length()) * 150515 // 10 ** 6
+    y = float(q / Fraction(100) ** k)
+    mant, exp = f"{math.sqrt(y) if root else y:.5e}".split("e")
+    return f"{mant.rstrip('0').rstrip('.')}e{int(exp) + (k if root else 2 * k):+03d}"
+
+
 def transpose(m: Sequence[Sequence]) -> list[list]:
     return [list(col) for col in zip(*m)]
 

@@ -78,7 +78,7 @@ class MetricSolvableAlgebra:
                                  "hits the a-block, so [s,s] is not inside n")
         ok, res = jacobi_check(bracket, tol)
         if not ok:
-            raise ValueError(f"Jacobi identity fails (residual {float(res):g})")
+            raise ValueError(f"Jacobi identity fails (residual {linalg.g_text(res)})")
         if not is_solvable(bracket, tol):
             raise ValueError("bracket is not solvable")
         return MetricSolvableAlgebra(dim_a, dim_n, bracket)
@@ -318,12 +318,12 @@ class CurvatureReport:
     killing_n_max: Scalar
 
 
-def curvature_report(s: MetricSolvableAlgebra, tol: float = EINSTEIN_TOL) -> CurvatureReport:
+def curvature_report(s: MetricSolvableAlgebra) -> CurvatureReport:
     cur = s.curvature
     b, m = cur.killing, s.dim_a
     kn = max((abs(b[i][j]) for i in range(m, s.dim) for j in range(m, s.dim)),
              default=s.bracket.zero)
-    return CurvatureReport(cur, einstein_check(s, tol), is_standard(s, tol), kn)
+    return CurvatureReport(cur, einstein_check(s), is_standard(s), kn)
 
 
 def _require_finite(name: str, x: Scalar) -> None:
@@ -333,19 +333,7 @@ def _require_finite(name: str, x: Scalar) -> None:
                          "scale the coefficients down")
 
 
-def _sqrt_text(x: Fraction) -> str:
-    """f"{math.sqrt(x):g}" for an exact x > 0, with no float that can
-    overflow: beyond the float range, the root of x / 100^k, k about
-    log10(x) / 2, is printed with k added to its exponent."""
-    k = (x.numerator.bit_length() - x.denominator.bit_length()) * 150515 // 10 ** 6
-    if abs(k) < 150:
-        return f"{math.sqrt(x):g}"
-    mant, exp = f"{math.sqrt(x / Fraction(100) ** k):.5e}".split("e")
-    return f"{mant.rstrip('0').rstrip('.')}e{int(exp) + k:+03d}"
-
-
-def rank_one_extension(lam: BracketTensor, c: Scalar | None = None,
-                       tol: float = 1e-8) -> MetricSolvableAlgebra:
+def rank_one_extension(lam: BracketTensor, c: Scalar | None = None) -> MetricSolvableAlgebra:
     """Extend a nilsoliton bracket by one derivation to an Einstein candidate.
 
     Requires Ric_lam = c I + D with D a derivation of lam; then a = R A with
@@ -377,10 +365,10 @@ def rank_one_extension(lam: BracketTensor, c: Scalar | None = None,
     resid = rep(d_mat, lam)
     if lam.is_exact_mode:
         # judged exactly; the text of its size forms no float that can overflow
-        failed = None if resid.is_zero() else _sqrt_text(inner(resid, resid))
+        failed = None if resid.is_zero() else linalg.g_text(inner(resid, resid), root=True)
     else:
         size, top = (math.sqrt(abs(float(inner(mu, mu)))) for mu in (resid, lam))
-        failed = f"{size:g}" if size > tol * max(1.0, top) else None
+        failed = f"{size:g}" if size > EINSTEIN_TOL * max(1.0, top) else None
     if failed is not None:
         raise ValueError("not a nilsoliton: Ric - cI fails to be a derivation "
                          f"(residual {failed})")
@@ -398,7 +386,7 @@ def rank_one_extension(lam: BracketTensor, c: Scalar | None = None,
     # [A, e_j] = ad A e_j with ad A = D / sqrt(tr D); make drops the zeros
     coeffs.update(((1, 1 + j, 1 + k), d_mat[k - 1][j - 1] / scale)
                   for j in range(1, n + 1) for k in range(1, n + 1))
-    return MetricSolvableAlgebra.create(1, n, BracketTensor.make(n + 1, coeffs), tol=max(tol, 1e-7))
+    return MetricSolvableAlgebra.create(1, n, BracketTensor.make(n + 1, coeffs), tol=1e-7)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from . import linalg
 from ._np import np
 from .bracket import (BracketTensor, Key, _central_series, _exact_derivations, derivations,
                       jacobi_check, permutation_act)
-from .flow import FLOW_MAX_ITER, FLOW_STEP, FLOW_TOL, FlowResult, flow_to_critical
+from .flow import FLOW_MAX_ITER, FlowResult, flow_to_critical
 from .linalg import Scalar, frac, is_exact
 from .minnorm import PointSet, min_norm_point
 
@@ -421,11 +421,11 @@ def _integer_label_values(mu: BracketTensor, beta: DiagonalWeight):
     return Fraction(square, nsq), residuals, etype
 
 
-def _rationalized(spectrum: Sequence[float], denom_bound: int) -> tuple[DiagonalWeight, bool]:
+def _rationalized(spectrum: Sequence[float]) -> tuple[DiagonalWeight, bool]:
     """(label, rounded) of the flow's limit spectrum: the entries rounded to
-    fractions with denominator at most denom_bound when that moves none by
+    fractions with denominator at most DENOM_BOUND when that moves none by
     more than RATIONAL_TOL and they sum to -1, else the floats themselves."""
-    cand = [Fraction(x).limit_denominator(denom_bound) for x in spectrum]
+    cand = [Fraction(x).limit_denominator(DENOM_BOUND) for x in spectrum]
     if (sum(cand) == -1
             and max(abs(float(c) - x) for c, x in zip(cand, spectrum)) <= RATIONAL_TOL):
         return DiagonalWeight(tuple(cand)), True
@@ -445,19 +445,16 @@ class StratumLabel:
 
 def stratum_label(
     mu: BracketTensor,
-    step: float = FLOW_STEP,
-    tol: float = FLOW_TOL,
     max_iter: int = FLOW_MAX_ITER,
-    denom_bound: int = DENOM_BOUND,
     record_trace: bool = False,
 ) -> StratumLabel:
     """Certify the stratum label of mu; warn if mu is not a nilpotent Lie bracket.
 
     An exact mu is first certified against beta_of(mu), sorted into the Weyl
     chamber, with its basis permuted to match; if that passes, no flow runs.
-    Otherwise mu flows to a critical point (step, tol, max_iter and
-    record_trace go to flow_to_critical), and the aligned limit is certified
-    against its spectrum, rounded by _rationalized.
+    Otherwise mu flows to a critical point (max_iter and record_trace go to
+    flow_to_critical), and the aligned limit is certified against its
+    spectrum, rounded by _rationalized.
     """
     if not jacobi_check(mu)[0]:
         warnings.warn("bracket does not satisfy the Jacobi identity; "
@@ -472,7 +469,6 @@ def stratum_label(
         cert = certify_candidate(permutation_act(sigma, mu), chamber)
         if cert.all_passed:
             return StratumLabel("weight_hull", cert, None, None)
-    fr = flow_to_critical(mu, step=step, tol=tol, max_iter=max_iter,
-                          record_trace=record_trace)
-    beta, rationalized = _rationalized(fr.spectrum, denom_bound)
+    fr = flow_to_critical(mu, max_iter=max_iter, record_trace=record_trace)
+    beta, rationalized = _rationalized(fr.spectrum)
     return StratumLabel("flow", certify_candidate(fr.aligned, beta), fr, rationalized)

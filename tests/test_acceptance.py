@@ -225,7 +225,7 @@ def test_flow_recovers_labels_under_orthogonal_perturbation():
         for _ in range(50):
             q, _ = np.linalg.qr(rng.standard_normal((d, d)))
             moved = BracketTensor.from_array(act_array(q, q.T, arr))
-            det = stratum_label(moved, max_iter=200000, step=0.1)
+            det = stratum_label(moved, max_iter=200000)
             assert det.flow.converged, det.flow.message
             assert det.rationalized
             assert det.certificate.beta.entries == expected

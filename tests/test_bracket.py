@@ -307,6 +307,17 @@ def test_jacobi_residual_detects_failure():
         lower_central_series(bad)
 
 
+@pytest.mark.parametrize("c,residual", [(Fraction(1), "2"), (Fraction(1, 10 ** 200), "2e-400"),
+                                        (Fraction(10 ** 200), "2e+400"), (1e-3, "2e-06")])
+def test_lower_central_series_names_the_jacobi_residual_at_any_scale(c, residual):
+    # [e1,e2] = c e2, [e1,e3] = c e3, [e2,e3] = c e1 has the Jacobi residual
+    # 2 c^2; an exact one outside the float range is named without a float
+    bad = BracketTensor.make(3, {(1, 2, 2): c, (1, 3, 3): c, (2, 3, 1): c})
+    with pytest.raises(ValueError) as info:
+        lower_central_series(bad)
+    assert str(info.value) == f"Jacobi identity fails (residual {residual})"
+
+
 def test_sign_flipped_so3_variant_still_satisfies_jacobi():
     # all-plus coefficients on the so(3) support: a valid non-nilpotent bracket
     variant = BracketTensor.make(3, {(1, 2, 3): 1, (1, 3, 2): 1, (2, 3, 1): 1})

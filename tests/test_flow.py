@@ -13,6 +13,7 @@ from oracles import (eigh_per_exponential_flow, einsum_rep_array, einsum_ric_arr
 from solvstrat import flow
 from solvstrat.bracket import BracketTensor, act_array, permutation_act, rep_array
 from solvstrat.flow import expm_sym, flow_to_critical, ric_array, ricci_moment
+from solvstrat.solvable import curvature_report, rank_one_extension
 from solvstrat.strata import DiagonalWeight, stratum_label
 
 F = Fraction
@@ -300,8 +301,15 @@ def test_stratum_detect_evaluates_jacobi_once(monkeypatch):
 
 
 def test_stratum_detect_keyword_arguments():
-    params = inspect.signature(stratum_label).parameters
-    assert list(params) == ["mu", "step", "tol", "max_iter", "denom_bound", "record_trace"]
+    # the flow's tolerance, the rounding bound and the Einstein tolerance are
+    # the module constants; flow_to_critical keeps step as the tests' seam
+    signatures = {f.__name__: list(inspect.signature(f).parameters)
+                  for f in (stratum_label, flow_to_critical, curvature_report,
+                            rank_one_extension)}
+    assert signatures == {"stratum_label": ["mu", "max_iter", "record_trace"],
+                          "flow_to_critical": ["mu0", "step", "max_iter", "record_trace"],
+                          "curvature_report": ["s"],
+                          "rank_one_extension": ["lam", "c"]}
 
 
 def test_stratum_detect_direct_sum_under_rotation():

@@ -382,3 +382,19 @@ def test_sqrt_fraction_is_exact_or_none():
     assert linalg.sqrt_fraction(F(-4)) is None
     # a float has no exact root, even where its value is a perfect square
     assert linalg.sqrt_fraction(4.0) is None and linalg.sqrt_fraction(np.float64(0.25)) is None
+
+
+def test_g_text_is_the_g_format_of_either_mode_at_every_size():
+    # a float, and an exact value inside the normal float range, print as
+    # f"{x:g}" of their float; an exact value beyond keeps that form with
+    # the exponent carried in integers
+    for x in (0.0, -0.0, 2e-10, -1.5e300, 5e-324, math.inf, -math.inf, math.nan):
+        assert linalg.g_text(x) == f"{x:g}"
+    for k in range(-307, 308, 7):
+        x = F(-3, 2) * F(10) ** k
+        assert linalg.g_text(x) == f"{float(x):g}"
+    assert linalg.g_text(F(0)) == "0" and linalg.g_text(F(2, 2 ** 1070)) == f"{2 ** -1069:g}"
+    assert (linalg.g_text(F(2, 10 ** 400)), linalg.g_text(F(2 * 10 ** 400))) == ("2e-400", "2e+400")
+    assert linalg.g_text(-F(3, 2) * F(10) ** 5001) == "-1.5e+5001"
+    # a mantissa that rounds up to 10 moves to the next exponent
+    assert linalg.g_text(F(9999996, 10 ** 6) * F(10) ** 600) == "1e+601"

@@ -8,6 +8,7 @@ and one ulp to either side of it, exact zero against residuals of size
 `<=` into `<` (or `>=` into `>`) in a comparison rule changes one of them.
 """
 
+import argparse
 import ast
 import dataclasses
 import inspect
@@ -22,7 +23,7 @@ import solvstrat
 from generators import ch2, filiform4, heisenberg3, nonstandard_heisenberg
 from oracles import parabolic_membership
 from solvstrat.bracket import BracketTensor, act, derivations, jacobi_check
-from solvstrat.cli import main
+from solvstrat.cli import build_parser, main
 from solvstrat.linalg import is_exact
 from solvstrat.solvable import (MetricSolvableAlgebra, curvature_report, einstein_check,
                                 is_standard, standardness_audit)
@@ -526,6 +527,28 @@ def test_mode_branches_are_the_listed_representation_dispatches():
         path = PACKAGE / f"{module}.py"
         assert _mode_branches(ast.parse(path.read_text())) == allowed, module
     assert sum(sum(a.values()) for a in MODE_BRANCHES.values()) <= 20
+
+
+# The options of each command.  An option needs two callers or workloads that
+# need different values; a setting with one value in use is a constant of the
+# package (bracket.DEFAULT_TOL, flow.FLOW_STEP and FLOW_TOL, strata.DENOM_BOUND,
+# solvable.EINSTEIN_TOL), which the stratum and curvature reports echo.
+OPTIONS = {
+    "validate": {"--format"},
+    "stratum": {"--format", "--max-iter", "--trace"},
+    "einstein": {"--format", "--audit"},
+    "extend": {"--format", "--flow-first", "--constant", "--out"},
+    "minnorm": {"--format"},
+}
+
+
+def test_each_command_takes_the_options_of_the_ledger():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {name: {o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")}
+             for name, sub in commands.choices.items()}
+    assert found == OPTIONS
+    assert sum(map(len, found.values())) == 11
 
 
 def _trees():
