@@ -187,23 +187,25 @@ def test_stratum_json_is_deterministic(tmp_path, capsys):
 
 # every removed flag is an unrecognized argument on its command: a usage
 # error, which exits 3 like any bad input
-@pytest.mark.parametrize("command,flag", [
-    pytest.param("stratum", "--seed", id="--seed"),
-    pytest.param("stratum", "--stepper", id="--stepper"),
-    pytest.param("validate", "--tol", id="validate-tol"),
-    pytest.param("stratum", "--step", id="stratum-step"),
-    pytest.param("stratum", "--tol", id="stratum-tol"),
-    pytest.param("stratum", "--denom-bound", id="stratum-denom-bound"),
-    pytest.param("einstein", "--tol", id="einstein-tol"),
-    pytest.param("extend", "--tol", id="extend-tol"),
+@pytest.mark.parametrize("command,flag,value", [
+    pytest.param("stratum", "--seed", "1", id="--seed"),
+    pytest.param("stratum", "--stepper", "1", id="--stepper"),
+    pytest.param("validate", "--tol", "nan", id="validate-tol"),
+    pytest.param("stratum", "--step", "0", id="stratum-step-zero"),
+    pytest.param("stratum", "--step", "nan", id="stratum-step-nan"),
+    pytest.param("stratum", "--step", "inf", id="stratum-step-inf"),
+    pytest.param("stratum", "--tol", "1e-9", id="stratum-tol"),
+    pytest.param("stratum", "--denom-bound", "0", id="stratum-denom-bound"),
+    pytest.param("einstein", "--tol", "inf", id="einstein-tol"),
+    pytest.param("extend", "--tol", "nan", id="extend-tol"),
 ])
-def test_stratum_rejects_removed_options(tmp_path, capsys, command, flag):
+def test_stratum_rejects_removed_options(tmp_path, capsys, command, flag, value):
     f = put(tmp_path, "h3.json", H3)
     with pytest.raises(SystemExit) as exc:
-        main([command, f, flag, "1"])
+        main([command, f, flag, value])
     assert exc.value.code == 3
     out, err = capsys.readouterr()
-    assert out == "" and err.endswith(f"error: unrecognized arguments: {flag} 1\n")
+    assert out == "" and err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
 
 
 # argparse's usage errors exit 3 with its usage and message on stderr;
