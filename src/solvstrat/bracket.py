@@ -66,7 +66,14 @@ class BracketTensor:
             if i > j:
                 i, j, c = j, i, -c
             norm[(i, j, k)] = norm.get((i, j, k), 0) + c
-        norm = {key: c for key, c in norm.items() if c != 0}
+        return BracketTensor._normalized(dim, norm)
+
+    @staticmethod
+    def _normalized(dim: int, coeffs: Mapping[Key, Scalar]) -> "BracketTensor":
+        """The bracket of coefficients already keyed i < j within 1..dim,
+        each key once, each value a Fraction or a float: drop the zeros and
+        set the mode.  make and the file reader both end here."""
+        norm = {key: c for key, c in coeffs.items() if c != 0}
         mode = "exact" if all(is_exact(c) for c in norm.values()) else "float"
         if mode == "float":
             norm = {key: float(c) for key, c in norm.items()}

@@ -253,7 +253,11 @@ def cmd_minnorm(args) -> Outcome:
 
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, with a usage error read as bad input: exit 3, since
-    2 says that a check failed.  Its subparsers inherit the class."""
+    2 says that a check failed.  Its subparsers inherit the class, and
+    build_parser sets `commands` on the top-level parser: each command's
+    name and subparser."""
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -299,7 +303,25 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=cmd_minnorm)
 
+    p.commands = sub.choices
     return p
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with the same output and exit code
+    on every usage error and on --help.  An argv led by a command is parsed
+    by that command's subparser alone, as the top-level parser would hand it
+    on; what the subparser leaves over goes to the top-level parser's error,
+    which names it as parse_args does.  Anything else is the top-level
+    parser's."""
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _check_flags(args) -> None:
@@ -316,7 +338,7 @@ def main(argv=None) -> int:
     report whose top level holds "error" (a failed extension) prints no
     elapsed line.  A stdout closed by its reader is no input error: the
     run returns its own code and prints nothing more."""
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     started = time.perf_counter()
     try:
         _check_flags(args)

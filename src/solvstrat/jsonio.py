@@ -20,7 +20,11 @@ it):
 
     {"dim": 3, "points": [["-1", "-1", "1"], ["-1", "0", "0"]]}
 
-Serialization is deterministic: sorted keys, two-space indent, no NaN or inf.
+Serialization is deterministic: dumps writes exactly what
+json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) writes, refusing
+NaN and infinity, without the pure-Python encoder that json.dumps runs
+whenever it indents.  Every report and every extend --out file goes through
+it.
 """
 
 from __future__ import annotations
@@ -29,9 +33,10 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
-from .bracket import BracketTensor, norm_sq
-from .linalg import format_scalar, parse_literal, parse_scalar
+from .bracket import BracketTensor, Key, norm_sq
+from .linalg import Scalar, format_scalar, parse_literal, parse_scalar
 from .minnorm import PointSet
 
 
@@ -61,6 +66,28 @@ def _as_dim(v, where: str) -> int:
     return v
 
 
+def _indices(entry, d: int, tag: str) -> Key:
+    """(i, j, k) of a bracket entry: ints in 1..d with i != j.  An entry
+    that is not plainly so has its fields checked in order, and the first
+    defect is named."""
+    if type(entry) is dict:
+        i, j, k = entry.get("i"), entry.get("j"), entry.get("k")
+        if (type(i) is int and type(j) is int and type(k) is int
+                and 0 < i <= d and 0 < j <= d and 0 < k <= d and i != j):
+            return i, j, k
+    if not isinstance(entry, dict):
+        raise FormatError(f"{tag}: expected an object")
+    idx = []
+    for key in ("i", "j", "k"):
+        v = _need(entry, key, tag)
+        if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= d:
+            raise FormatError(f"{tag}.{key}: index {v!r} outside 1..{d}")
+        idx.append(v)
+    if idx[0] == idx[1]:
+        raise FormatError(f"{tag}: i == j is forced to zero by antisymmetry")
+    return tuple(idx)
+
+
 def parse_bracket_dict(obj, where: str = "input") -> BracketFile:
     if not isinstance(obj, dict):
         raise FormatError(f"{where}: expected a JSON object")
@@ -72,24 +99,14 @@ def parse_bracket_dict(obj, where: str = "input") -> BracketFile:
     entries = _need(obj, "brackets", where)
     if not isinstance(entries, list):
         raise FormatError(f"{where}.brackets: expected a list")
-    coeffs: dict[tuple[int, int, int], object] = {}
+    coeffs: dict[Key, Scalar] = {}
     for pos, entry in enumerate(entries):
         tag = f"{where}.brackets[{pos}]"
-        if not isinstance(entry, dict):
-            raise FormatError(f"{tag}: expected an object")
-        idx = {}
-        for key in ("i", "j", "k"):
-            v = _need(entry, key, tag)
-            if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= d:
-                raise FormatError(f"{tag}.{key}: index {v!r} outside 1..{d}")
-            idx[key] = v
-        if idx["i"] == idx["j"]:
-            raise FormatError(f"{tag}: i == j is forced to zero by antisymmetry")
+        i, j, k = _indices(entry, d, tag)
         try:
             c = parse_scalar(_need(entry, "c", tag))
         except ValueError as exc:
             raise FormatError(f"{tag}.c: {exc}") from exc
-        i, j, k = idx["i"], idx["j"], idx["k"]
         if i > j:
             i, j, c = j, i, -c
         if (i, j, k) in coeffs:
@@ -107,10 +124,7 @@ def parse_bracket_dict(obj, where: str = "input") -> BracketFile:
             except ValueError as exc:
                 raise FormatError(f"{where}.gram[{pos}]: {exc}") from exc
         gram = rows
-    try:
-        bracket = BracketTensor.make(d, coeffs)
-    except ValueError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+    bracket = BracketTensor._normalized(d, coeffs)
     if not bracket.is_exact_mode and math.isinf(norm_sq(bracket)):
         raise FormatError(f"{where}.brackets: |mu|^2 = 2 sum c^2 overflows the float "
                           "range; scale the coefficients down")
@@ -183,9 +197,53 @@ def read_point_set(path) -> PointSet:
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON; NaN and infinities, which JSON lacks, raise ValueError."""
-    try:
-        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
-        raise ValueError("a reported value left the float range (NaN or infinity); "
-                         "scale the input down") from exc
+    """Deterministic JSON, byte for byte json.dumps(obj, sort_keys=True,
+    indent=2, allow_nan=False); NaN and infinities, which JSON lacks, raise
+    ValueError.  json.dumps runs its pure-Python encoder whenever it indents,
+    so every report and every extend --out file is written here instead:
+    strings by json's C quoting routine, numbers by int.__repr__ and
+    float.__repr__ as json writes them, and a list of strings, such as a
+    matrix row, in one join."""
+    return _write(obj, "\n")
+
+
+def _write(obj, newline: str) -> str:
+    """obj as dumps writes it, its nested lines starting with newline plus
+    two spaces.  Plain dicts and lists, and the strings inside them, take
+    the first branches; every other value is tested in json's order.  Dict
+    keys must be strings, as in every report: json's quoting routine raises
+    TypeError on any other key."""
+    kind = type(obj)
+    if kind is not dict and kind is not list:
+        if isinstance(obj, str):
+            return _quote(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if isinstance(obj, float):
+            if not math.isfinite(obj):
+                raise ValueError("a reported value left the float range (NaN or infinity); "
+                                 "scale the input down")
+            return float.__repr__(obj)
+        if isinstance(obj, dict):
+            kind = dict
+        elif not isinstance(obj, (list, tuple)):
+            raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    inner = newline + "  "
+    sep = "," + inner
+    if kind is dict:
+        if not obj:
+            return "{}"
+        return "{" + inner + sep.join([
+            _quote(key) + ": " + (_quote(value) if type(value) is str else _write(value, inner))
+            for key, value in sorted(obj.items())]) + newline + "}"
+    if not obj:
+        return "[]"
+    if all(type(x) is str for x in obj):
+        return "[" + inner + sep.join(map(_quote, obj)) + newline + "]"
+    return "[" + inner + sep.join([_write(x, inner) for x in obj]) + newline + "]"

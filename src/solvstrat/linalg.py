@@ -135,6 +135,8 @@ def format_scalar(x: Scalar):
     string raises ValueError saying so."""
     if is_exact(x):
         try:
+            if type(x) is Fraction:
+                return str(x)  # the same "n" or "n/d", in one call
             return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
         except ValueError as exc:
             raise ValueError(f"an exact result has more than {sys.get_int_max_str_digits()} "

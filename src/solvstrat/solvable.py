@@ -54,6 +54,14 @@ from .linalg import Scalar
 from .strata import DiagonalWeight, beta_of, in_W
 
 EINSTEIN_TOL = 1e-8
+# the Jacobi tolerance of a rank-one extension and of the bracket it extends
+_EXTENSION_TOL = 1e-7
+
+
+def _require_jacobi(mu: BracketTensor, tol: float) -> None:
+    ok, res = jacobi_check(mu, tol)
+    if not ok:
+        raise ValueError(f"Jacobi identity fails (residual {linalg.g_text(res)})")
 
 
 @dataclass(frozen=True)
@@ -76,9 +84,7 @@ class MetricSolvableAlgebra:
             if k <= dim_a:
                 raise ValueError(f"bracket value escapes n: coefficient ({i},{j},{k}) "
                                  "hits the a-block, so [s,s] is not inside n")
-        ok, res = jacobi_check(bracket, tol)
-        if not ok:
-            raise ValueError(f"Jacobi identity fails (residual {linalg.g_text(res)})")
+        _require_jacobi(bracket, tol)
         if not is_solvable(bracket, tol):
             raise ValueError("bracket is not solvable")
         return MetricSolvableAlgebra(dim_a, dim_n, bracket)
@@ -340,11 +346,14 @@ def rank_one_extension(lam: BracketTensor, c: Scalar | None = None) -> MetricSol
     ad A|n = D / sqrt(tr D), and c is the Einstein constant of the extension.
     A nonzero lam fixes c = tr(Ric^2) / tr(Ric) and refuses a passed c; for
     lam = 0, Ric = 0 and c defaults to -dim (hyperbolic space).  Both then
-    take one path from D = Ric - cI.  Raises ValueError when c is passed for
-    a nonzero lam or is not negative, when D fails to be a derivation, when
-    tr Ric of a float lam underflows to 0, when c or tr D overflows and when
-    tr D has no rational root and its float is 0 or subnormal.
+    take one path from D = Ric - cI.  Raises ValueError when lam fails the
+    Jacobi identity (checked first, so that no later test names another
+    defect), when c is passed for a nonzero lam or is not negative, when D
+    fails to be a derivation, when tr Ric of a float lam underflows to 0,
+    when c or tr D overflows and when tr D has no rational root and its
+    float is 0 or subnormal.
     """
+    _require_jacobi(lam, _EXTENSION_TOL)
     n = lam.dim
     if lam.is_zero():
         ric = [[0] * n for _ in range(n)]
@@ -386,7 +395,8 @@ def rank_one_extension(lam: BracketTensor, c: Scalar | None = None) -> MetricSol
     # [A, e_j] = ad A e_j with ad A = D / sqrt(tr D); make drops the zeros
     coeffs.update(((1, 1 + j, 1 + k), d_mat[k - 1][j - 1] / scale)
                   for j in range(1, n + 1) for k in range(1, n + 1))
-    return MetricSolvableAlgebra.create(1, n, BracketTensor.make(n + 1, coeffs), tol=1e-7)
+    return MetricSolvableAlgebra.create(1, n, BracketTensor.make(n + 1, coeffs),
+                                        tol=_EXTENSION_TOL)
 
 
 @dataclass(frozen=True)

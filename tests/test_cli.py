@@ -187,7 +187,7 @@ def test_stratum_json_is_deterministic(tmp_path, capsys):
 
 # every removed flag is an unrecognized argument on its command: a usage
 # error, which exits 3 like any bad input
-@pytest.mark.parametrize("command,flag,value", [
+REMOVED_OPTIONS = [
     pytest.param("stratum", "--seed", "1", id="--seed"),
     pytest.param("stratum", "--stepper", "1", id="--stepper"),
     pytest.param("validate", "--tol", "nan", id="validate-tol"),
@@ -198,7 +198,10 @@ def test_stratum_json_is_deterministic(tmp_path, capsys):
     pytest.param("stratum", "--denom-bound", "0", id="stratum-denom-bound"),
     pytest.param("einstein", "--tol", "inf", id="einstein-tol"),
     pytest.param("extend", "--tol", "nan", id="extend-tol"),
-])
+]
+
+
+@pytest.mark.parametrize("command,flag,value", REMOVED_OPTIONS)
 def test_stratum_rejects_removed_options(tmp_path, capsys, command, flag, value):
     f = put(tmp_path, "h3.json", H3)
     with pytest.raises(SystemExit) as exc:
@@ -210,13 +213,20 @@ def test_stratum_rejects_removed_options(tmp_path, capsys, command, flag, value)
 
 # argparse's usage errors exit 3 with its usage and message on stderr;
 # --help still exits 0
-@pytest.mark.parametrize("argv,message", [
-    (("stratum", "{file}", "--max-iter", "abc"), "argument --max-iter: invalid int value: 'abc'"),
-    (("stratum", "{file}", "--format", "xml"), "argument --format: invalid choice: 'xml'"),
-    (("solve", "{file}"), "argument command: invalid choice: 'solve'"),
-    (("stratum",), "the following arguments are required: file"),
-    ((), "the following arguments are required: command"),
-], ids=["bad-int", "bad-choice", "unknown-command", "missing-file", "missing-command"])
+USAGE_ERRORS = [
+    pytest.param(("stratum", "{file}", "--max-iter", "abc"),
+                 "argument --max-iter: invalid int value: 'abc'", id="bad-int"),
+    pytest.param(("stratum", "{file}", "--format", "xml"),
+                 "argument --format: invalid choice: 'xml'", id="bad-choice"),
+    pytest.param(("solve", "{file}"), "argument command: invalid choice: 'solve'",
+                 id="unknown-command"),
+    pytest.param(("stratum",), "the following arguments are required: file",
+                 id="missing-file"),
+    pytest.param((), "the following arguments are required: command", id="missing-command"),
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS)
 def test_usage_errors_are_input_errors(tmp_path, capsys, argv, message):
     f = put(tmp_path, "h3.json", H3)
     with pytest.raises(SystemExit) as exc:
@@ -233,6 +243,32 @@ def test_help_exits_zero(capsys):
         assert exc.value.code == 0
         out, err = capsys.readouterr()
         assert out.startswith("usage: solvstrat") and err == ""
+
+
+# main hands an argv led by a command to that command's subparser alone; on
+# every usage error and on --help it prints and exits as the full parser does
+PARITY_ARGV = [pytest.param(p.values[0], id=f"usage-{p.id}") for p in USAGE_ERRORS] + [
+    pytest.param((command, "{file}", flag, value), id=f"removed-{p.id}")
+    for p in REMOVED_OPTIONS for command, flag, value in [p.values]] + [
+    pytest.param(("stratum", "--help"), id="stratum-help"),
+    pytest.param(("--help",), id="help"),
+    pytest.param(("stratum", "--seed", "1", "{file}"), id="unknown-flag-before-the-file"),
+    pytest.param(("einstein", "{file}", "--audit", "--audit=1"), id="flag-given-a-value"),
+    pytest.param(("extend", "{file}", "{file}", "--out"), id="extra-file-and-missing-value"),
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV)
+def test_main_parses_as_the_full_parser(tmp_path, capsys, argv):
+    f = put(tmp_path, "h3.json", H3)
+    argv = [a.format(file=f) for a in argv]
+    seen = []
+    for parse in (main, cli.build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        seen.append((exc.value.code, *capsys.readouterr()))
+    assert seen[0] == seen[1]
+    assert seen[0][0] in (0, 3)
 
 
 def test_stratum_warns_on_non_nilpotent(tmp_path, capsys):
@@ -667,6 +703,22 @@ def test_an_exact_non_nilsoliton_fails_to_extend_at_any_scale(tmp_path, capsys, 
     assert (code, out, err) == (2, f"extension failed: {message}\n", "")
     code, out, err = run(capsys, "extend", f, "--format", "json")
     assert (code, json.loads(out), err) == (2, {"ok": False, "error": message}, "")
+
+
+# [e1,e2] = e2, [e1,e3] = e3, [e2,e3] = e1 fails the Jacobi identity: the
+# extension names that defect first, in the words of einstein on the same file
+@pytest.mark.parametrize("c", ["1", 1.0], ids=["exact", "float"])
+def test_extend_names_a_failed_jacobi_identity(tmp_path, capsys, c):
+    f = put(tmp_path, "lam.json", {"dim_a": 0, "dim_n": 3, "brackets": [
+        {"i": 1, "j": 2, "k": 2, "c": c}, {"i": 1, "j": 3, "k": 3, "c": c},
+        {"i": 2, "j": 3, "k": 1, "c": c}]})
+    message = "Jacobi identity fails (residual 2)"
+    code, out, err = run(capsys, "extend", f)
+    assert (code, out, err) == (2, f"extension failed: {message}\n", "")
+    code, out, err = run(capsys, "extend", f, "--format", "json")
+    assert (code, json.loads(out), err) == (2, {"ok": False, "error": message}, "")
+    code, out, err = run(capsys, "einstein", f)
+    assert (code, out, err) == (3, "", f"error: {f}: {message}\n")
 
 
 def test_an_overflowing_extension_constant_is_reported(tmp_path, capsys):

@@ -457,7 +457,8 @@ PACKAGE = Path(solvstrat.__file__).parent
 # 1 / nsq, linalg.format_scalar), so neither needs a branch here.
 MODE_BRANCHES = {
     "bracket": {
-        "BracketTensor.make": 1,        # the mode of the input coefficients
+        # the mode of the input coefficients, for make and the file reader
+        "BracketTensor._normalized": 1,
         "BracketTensor.zero": 1,        # the zero of the mode
         "act": 1,                       # sparse exact action or act_array
         "rep": 1,                       # sparse exact action or rep_array
@@ -777,6 +778,22 @@ def test_cli_alone_renders_reports():
                     callers.add(module if module == "cli.py"
                                 else f"{module}:{getattr(top, 'name', '<module>')}")
     assert callers == {"cli.py", "jsonio.py:bracket_to_dict"}
+
+
+def test_every_json_text_is_written_by_jsonio_dumps():
+    # jsonio.dumps alone owns the bytes of a report and of an extend --out
+    # file: no module of the package calls json.dumps or json.dump, whose
+    # output dumps reproduces
+    calls = sorted(f"{module}:{node.lineno}" for module, tree in _trees()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in ("dumps", "dump")
+                   and isinstance(node.func.value, ast.Name) and node.func.value.id == "json")
+    assert calls == []
+    imported = sorted(module for module, tree in _trees() for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.module == "json"
+                      and any(a.name in ("dumps", "dump") for a in node.names))
+    assert imported == []
 
 
 def test_numpy_is_loaded_in_one_module():
