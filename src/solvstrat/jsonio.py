@@ -20,11 +20,11 @@ it):
 
     {"dim": 3, "points": [["-1", "-1", "1"], ["-1", "0", "0"]]}
 
-Serialization is deterministic: dumps writes exactly what
-json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) writes, refusing
-NaN and infinity, without the pure-Python encoder that json.dumps runs
-whenever it indents.  Every report and every extend --out file goes through
-it.
+Serialization is deterministic: for string-keyed dicts, as in every
+report, dumps writes exactly what json.dumps(obj, sort_keys=True, indent=2,
+allow_nan=False) writes, refusing NaN and infinity, without the pure-Python
+encoder that json.dumps runs whenever it indents; a non-string key raises
+TypeError.  Every report and every extend --out file goes through it.
 """
 
 from __future__ import annotations
@@ -67,14 +67,8 @@ def _as_dim(v, where: str) -> int:
 
 
 def _indices(entry, d: int, tag: str) -> Key:
-    """(i, j, k) of a bracket entry: ints in 1..d with i != j.  An entry
-    that is not plainly so has its fields checked in order, and the first
-    defect is named."""
-    if type(entry) is dict:
-        i, j, k = entry.get("i"), entry.get("j"), entry.get("k")
-        if (type(i) is int and type(j) is int and type(k) is int
-                and 0 < i <= d and 0 < j <= d and 0 < k <= d and i != j):
-            return i, j, k
+    """(i, j, k) of a bracket entry: ints in 1..d with i != j, the first
+    defect named."""
     if not isinstance(entry, dict):
         raise FormatError(f"{tag}: expected an object")
     idx = []
@@ -197,22 +191,21 @@ def read_point_set(path) -> PointSet:
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON, byte for byte json.dumps(obj, sort_keys=True,
-    indent=2, allow_nan=False); NaN and infinities, which JSON lacks, raise
-    ValueError.  json.dumps runs its pure-Python encoder whenever it indents,
-    so every report and every extend --out file is written here instead:
-    strings by json's C quoting routine, numbers by int.__repr__ and
-    float.__repr__ as json writes them, and a list of strings, such as a
-    matrix row, in one join."""
+    """Deterministic JSON: for a value whose dict keys are all strings, as
+    in every report, byte for byte json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False).  NaN and infinities, which JSON lacks, raise
+    ValueError; a dict key that is not a string raises TypeError, where
+    json.dumps would write it as a string.  json.dumps runs its pure-Python
+    encoder whenever it indents, so every report and every extend --out file
+    is written here instead: strings by json's C quoting routine, numbers by
+    int.__repr__ and float.__repr__ as json writes them."""
     return _write(obj, "\n")
 
 
 def _write(obj, newline: str) -> str:
     """obj as dumps writes it, its nested lines starting with newline plus
-    two spaces.  Plain dicts and lists, and the strings inside them, take
-    the first branches; every other value is tested in json's order.  Dict
-    keys must be strings, as in every report: json's quoting routine raises
-    TypeError on any other key."""
+    two spaces.  Plain dicts and lists skip the scalar tests; every other
+    value is tested in json's order."""
     kind = type(obj)
     if kind is not dict and kind is not list:
         if isinstance(obj, str):
@@ -240,10 +233,8 @@ def _write(obj, newline: str) -> str:
         if not obj:
             return "{}"
         return "{" + inner + sep.join([
-            _quote(key) + ": " + (_quote(value) if type(value) is str else _write(value, inner))
+            _quote(key) + ": " + _write(value, inner)
             for key, value in sorted(obj.items())]) + newline + "}"
     if not obj:
         return "[]"
-    if all(type(x) is str for x in obj):
-        return "[" + inner + sep.join(map(_quote, obj)) + newline + "]"
     return "[" + inner + sep.join([_write(x, inner) for x in obj]) + newline + "]"

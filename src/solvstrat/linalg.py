@@ -135,9 +135,7 @@ def format_scalar(x: Scalar):
     string raises ValueError saying so."""
     if is_exact(x):
         try:
-            if type(x) is Fraction:
-                return str(x)  # the same "n" or "n/d", in one call
-            return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+            return str(x)  # "n" or "n/d"
         except ValueError as exc:
             raise ValueError(f"an exact result has more than {sys.get_int_max_str_digits()} "
                              "digits, too many to print") from exc

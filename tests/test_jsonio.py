@@ -98,6 +98,15 @@ def test_dumps_refuses_what_json_cannot_write(bad):
     assert str(ours.value) == str(reference.value)
 
 
+def test_dumps_refuses_a_key_that_is_not_a_string():
+    # json.dumps writes {1: 2} with the key quoted; every report is keyed by
+    # strings, and dumps refuses any other key rather than guess its text
+    assert json.dumps({1: 2}, sort_keys=True, indent=2) == '{\n  "1": 2\n}'
+    for obj in ({1: 2}, {"a": [{None: 0}]}, {1.5: "x"}):
+        with pytest.raises(TypeError):
+            jsonio.dumps(obj)
+
+
 def _entry(rng, d):
     i, j = rng.sample(range(1, d + 1), 2)
     c = rng.choice([0, rng.randrange(-3, 4), f"{rng.randrange(-5, 6)}/{rng.randrange(1, 4)}",
