@@ -46,9 +46,3 @@ def _lazy_numpy() -> types.ModuleType:
 
 
 np = _lazy_numpy()
-
-
-def is_ndarray(x) -> bool:
-    """isinstance(x, numpy.ndarray), decided without loading numpy: until np
-    has loaded (its type is then a plain module), no ndarray can exist."""
-    return type(np) is types.ModuleType and isinstance(x, np.ndarray)

@@ -7,6 +7,7 @@ dropped).  Two arithmetic modes coexist, each with one representation:
 "exact" work runs on the sparse dict of Fraction coefficients, with loops
 driven by its nonzeros (and by the nonzeros of the matrix acting on it);
 "float" work runs on dense (n, n, n) ndarray kernels (act_array, rep_array).
+The mode belongs to the bracket: act and rep work in the mode of mu.
 Exact integer work reads one cached view, `_integer`: N = L mu with L the
 lcm of the coefficient denominators.  Spans (the central and derived series,
 the derivation algebra) are those of N, reduced by linalg.echelon, or, in
@@ -34,7 +35,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from ._np import is_ndarray, np
+from ._np import np
 from .linalg import Scalar, frac, is_exact
 
 Key = tuple[int, int, int]
@@ -96,13 +97,6 @@ class BracketTensor:
         den, nums = linalg.numerators(self.coeffs.values())
         return den, dict(zip(self.coeffs, nums))
 
-    def coeff(self, i: int, j: int, k: int) -> Scalar:
-        if i < j:
-            return self.coeffs.get((i, j, k), 0)
-        if i > j:
-            return -self.coeffs.get((j, i, k), 0)
-        return 0
-
     def support(self) -> list[Key]:
         return sorted(self.coeffs)
 
@@ -112,24 +106,6 @@ class BracketTensor:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def eval(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> list[Scalar]:
-        """mu(x, y) for coordinate vectors x, y."""
-        out = [self.zero] * self.dim
-        for (i, j, k), c in self.coeffs.items():
-            w = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
-            if w:
-                out[k - 1] = out[k - 1] + c * w
-        return out
-
-    def pair(self, i: int, j: int) -> list[Scalar]:
-        """mu(e_i, e_j) as a coordinate vector."""
-        out = [self.zero] * self.dim
-        for k in range(1, self.dim + 1):
-            c = self.coeff(i, j, k)
-            if c:
-                out[k - 1] = c
-        return out
 
     def to_array(self) -> np.ndarray:
         """Dense (n, n, n) float array, arr[i-1, j-1, k-1] = mu_ij^k."""
@@ -171,19 +147,15 @@ def norm_sq(mu: BracketTensor) -> Scalar:
     return inner(mu, mu)
 
 
-def _is_exact_matrix(g) -> bool:
-    if is_ndarray(g):
-        return False
-    return all(is_exact(x) for row in g for x in row)
-
-
 def act(g, mu: BracketTensor) -> "BracketTensor":
     """Base-change action (g.mu)(x, y) = g mu(g^-1 x, g^-1 y).
 
-    Exact when both g and mu are exact; float otherwise.  g must be
-    invertible (exact: raises on singular, float: relies on numpy solve).
+    The mode of mu is the mode of the result: an exact mu takes an exact g
+    (linalg.frac raises TypeError on a float entry), a float mu any real g.
+    g must be invertible (exact: raises on singular, float: relies on numpy
+    solve).
     """
-    if mu.is_exact_mode and _is_exact_matrix(g):
+    if mu.is_exact_mode:
         gg = [[frac(x) for x in row] for row in g]
         h_rows = _row_entries(linalg.invert(gg))
         g_cols = _row_entries(linalg.transpose(gg))
@@ -218,14 +190,13 @@ def act_array(g: np.ndarray, ginv: np.ndarray, arr: np.ndarray) -> np.ndarray:
 
 
 def rep(alpha, mu: BracketTensor) -> "BracketTensor":
-    """Derived action rep(a, mu) = a mu(.,.) - mu(a ., .) - mu(., a .)."""
-    exact = mu.is_exact_mode and _is_exact_matrix(alpha)
-    if not exact:
-        a = np.asarray(alpha, dtype=float)
-        return BracketTensor.from_array(rep_array(a, mu.to_array()))
-    entries = [(r, c, frac(x)) for r, row in enumerate(alpha, start=1)
-               for c, x in enumerate(row, start=1) if x != 0]
-    return _exact_bracket(mu.dim, _rep_coeffs(entries, mu.coeffs))
+    """Derived action rep(a, mu) = a mu(.,.) - mu(a ., .) - mu(., a .), in
+    the mode of mu, as act takes it."""
+    if mu.is_exact_mode:
+        entries = [(r, c, frac(x)) for r, row in enumerate(alpha, start=1)
+                   for c, x in enumerate(row, start=1) if x != 0]
+        return _exact_bracket(mu.dim, _rep_coeffs(entries, mu.coeffs))
+    return BracketTensor.from_array(rep_array(np.asarray(alpha, dtype=float), mu.to_array()))
 
 
 def _rep_coeffs(entries, mu_coeffs: Mapping[Key, Scalar]) -> dict[Key, Scalar]:
@@ -462,72 +433,61 @@ def lower_central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> list[in
 
 
 def _central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> list[int]:
-    """lower_central_series for a bracket already known to satisfy Jacobi.
-
-    Each term is spanned by the [e_i, b], i outer, for the basis b of the
-    previous one.  Exact mode works on the integer multiple L mu: [g, g] is
-    spanned by the _derived_generators, later terms bracket only with the
-    e_i whose ad is nonzero, and the pivot rows of linalg.echelon are the
-    basis.  Float mode forms every [e_i, b], from b = e_1, ..., e_n on, by
-    one einsum on the dense array and reduces by an SVD.
-    """
-    n = mu.dim
-    if mu.is_exact_mode:
-        coeffs = mu._integer[1]
-        rows = [row for row in _ad_lists(coeffs, n) if row]
-        vectors = _derived_generators(coeffs)
-        brackets = lambda basis: [_bracket_unit_int(row, b) for row in rows for b in basis]
-        reduce = lambda vectors: list(linalg.echelon(vectors).values())
-    else:
-        arr = mu.to_array()
-        brackets = lambda basis: np.einsum("ijk,bj->ibk", arr, basis).reshape(-1, n)
-        vectors = brackets(np.eye(n))
-        reduce = lambda vectors: _reduce_basis(vectors, tol)
-    dims = [n]
-    while True:
-        basis = reduce(vectors)
-        d = len(basis)
-        dims.append(d)
-        if d == 0 or d == dims[-2]:
-            return dims
-        vectors = brackets(basis)
+    """lower_central_series for a bracket already known to satisfy Jacobi."""
+    return _series(mu, tol, central=True)
 
 
 def is_solvable(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
-    """Whether the derived series [g, g], [[g, g], [g, g]], ... reaches 0.
+    """Whether the derived series [g, g], [[g, g], [g, g]], ... reaches 0."""
+    return _series(mu, tol, central=False)[-1] == 0
 
-    [g, g] is spanned by the vectors mu(e_i, e_j), read off the
-    coefficients; later terms bracket the pairs x < y of basis vectors.
-    Exact mode works on the integer multiple L mu and takes the pivot rows
-    of linalg.echelon as the basis, float mode reduces by an SVD and
-    brackets a basis of d vectors by two matrix products, one factor at a
-    time: O(d^2 n^2 + d n^3) rather than the O(d^2 n^3) of one
-    three-operand sum.
+
+def _series(mu: BracketTensor, tol: float, central: bool) -> list[int]:
+    """Dimensions [dim g, dim g_1, dim g_2, ...] of the lower central series
+    (g_{k+1} = [g, g_k]) or of the derived series (g_{k+1} = [g_k, g_k]),
+    stopping at 0 or at the first repeated dimension.
+
+    g_1 = [g, g] is spanned by the vectors mu(e_i, e_j), i < j.  A central
+    term brackets each e_i, i outer, with the basis of the previous one; a
+    derived term brackets the pairs x < y of that basis.  Exact mode works
+    on the integer multiple L mu: g_1 is spanned by the _derived_generators,
+    a central term brackets only with the e_i whose ad is nonzero, and the
+    pivot rows of linalg.echelon are the basis.  Float mode reduces by an
+    SVD: the central series forms every [e_i, b], from b = e_1, ..., e_n on,
+    by one einsum on the dense array; the derived series starts from the
+    rows mu(e_i, e_j) of the array and brackets a basis of d vectors by two
+    matrix products, one factor at a time: O(d^2 n^2 + d n^3) rather than
+    the O(d^2 n^3) of one three-operand sum.
     """
     n = mu.dim
     if mu.is_exact_mode:
         coeffs = mu._integer[1]
-        gens = _derived_generators(coeffs)
-        brackets = lambda basis: [_eval_int(coeffs, x, y) for i, x in enumerate(basis)
-                                  for y in basis[i + 1:]]
+        vectors = _derived_generators(coeffs)
         reduce = lambda vectors: list(linalg.echelon(vectors).values())
+        if central:
+            rows = [row for row in _ad_lists(coeffs, n) if row]
+            brackets = lambda basis: [_bracket_unit_int(row, b) for row in rows for b in basis]
+        else:
+            brackets = lambda basis: [_eval_int(coeffs, x, y) for i, x in enumerate(basis)
+                                      for y in basis[i + 1:]]
     else:
         arr = mu.to_array()
-        gens = arr[np.triu_indices(n, 1)]
-        # (b @ arr)[i, y, k] = mu(e_i, b_y)^k; b @ that brackets each b_x with it
-        brackets = lambda b: (b @ (b @ arr).reshape(n, -1)).reshape(len(b), len(b), n)[
-            np.triu_indices(len(b), 1)]
         reduce = lambda vectors: _reduce_basis(vectors, tol)
-    prev = n
+        if central:
+            brackets = lambda basis: np.einsum("ijk,bj->ibk", arr, basis).reshape(-1, n)
+            vectors = brackets(np.eye(n))
+        else:
+            vectors = arr[np.triu_indices(n, 1)]
+            # (b @ arr)[i, y, k] = mu(e_i, b_y)^k; b @ that brackets each b_x with it
+            brackets = lambda b: (b @ (b @ arr).reshape(n, -1)).reshape(len(b), len(b), n)[
+                np.triu_indices(len(b), 1)]
+    dims = [n]
     while True:
-        basis = reduce(gens)
-        cur = len(basis)
-        if cur == 0:
-            return True
-        if cur == prev:
-            return False
-        prev = cur
-        gens = brackets(basis)
+        basis = reduce(vectors)
+        dims.append(len(basis))
+        if dims[-1] == 0 or dims[-1] == dims[-2]:
+            return dims
+        vectors = brackets(basis)
 
 
 def derivations(mu: BracketTensor, tol: float = DEFAULT_TOL):

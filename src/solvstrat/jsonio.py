@@ -97,8 +97,9 @@ def parse_bracket_dict(obj, where: str = "input") -> BracketFile:
     for pos, entry in enumerate(entries):
         tag = f"{where}.brackets[{pos}]"
         i, j, k = _indices(entry, d, tag)
+        v = _need(entry, "c", tag)
         try:
-            c = parse_scalar(_need(entry, "c", tag))
+            c = parse_scalar(v)
         except ValueError as exc:
             raise FormatError(f"{tag}.c: {exc}") from exc
         if i > j:

@@ -238,7 +238,7 @@ def orthonormalize_basis(dim_a: int, dim_n: int, bracket: BracketTensor, gram) -
     except np.linalg.LinAlgError as exc:
         raise ValueError("gram matrix is not positive definite") from exc
     # perm, read as a map of indices, is the inverse of sigma
-    return permutation_act(perm, act(ell.T, mu_p))
+    return permutation_act(perm, act(ell.T, mu_p.to_float()))
 
 
 class EinsteinCheck(NamedTuple):
@@ -371,7 +371,8 @@ def rank_one_extension(lam: BracketTensor, c: Scalar | None = None) -> MetricSol
         cc = linalg.trace_product(ric, ric) / tr_ric
         _require_finite("c = tr(Ric^2) / tr(Ric)", cc)
     d_mat = [[x - cc if i == j else x for j, x in enumerate(row)] for i, row in enumerate(ric)]
-    resid = rep(d_mat, lam)
+    # every matrix is a derivation of 0, so a float c passes on an exact 0
+    resid = lam if lam.is_zero() else rep(d_mat, lam)
     if lam.is_exact_mode:
         # judged exactly; the text of its size forms no float that can overflow
         failed = None if resid.is_zero() else linalg.g_text(inner(resid, resid), root=True)

@@ -17,11 +17,39 @@ from solvstrat.linalg import ZERO, Scalar, dot
 from solvstrat.minnorm import MinNormResult, PointSet, Vec
 from solvstrat.solvable import (EINSTEIN_TOL, AuditReport, Curvature, EinsteinCheck,
                                 MetricSolvableAlgebra, is_standard)
-from solvstrat._np import is_ndarray
 from solvstrat.strata import (DerivationCertificates, DiagonalWeight, StratumCertificate,
                               beta_of, in_W)
 
 ONE = Fraction(1)
+
+
+def coeff(mu: BracketTensor, i: int, j: int, k: int) -> Scalar:
+    """mu_ij^k for any ordered pair (i, j), read off the stored i < j."""
+    if i < j:
+        return mu.coeffs.get((i, j, k), 0)
+    if i > j:
+        return -mu.coeffs.get((j, i, k), 0)
+    return 0
+
+
+def eval_bracket(mu: BracketTensor, x: Sequence[Scalar], y: Sequence[Scalar]) -> list[Scalar]:
+    """mu(x, y) for coordinate vectors x, y, summed over the stored coefficients."""
+    out = [mu.zero] * mu.dim
+    for (i, j, k), c in mu.coeffs.items():
+        w = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
+        if w:
+            out[k - 1] = out[k - 1] + c * w
+    return out
+
+
+def pair(mu: BracketTensor, i: int, j: int) -> list[Scalar]:
+    """mu(e_i, e_j) as a coordinate vector."""
+    out = [mu.zero] * mu.dim
+    for k in range(1, mu.dim + 1):
+        c = coeff(mu, i, j, k)
+        if c:
+            out[k - 1] = c
+    return out
 
 
 def ricci_moment_via_duality(mu: BracketTensor):
@@ -385,7 +413,7 @@ def dense_ad(s, idx: int):
     out = [[zero] * d for _ in range(d)]
     for j in range(1, d + 1):
         for k in range(1, d + 1):
-            c = s.bracket.coeff(idx, j, k)
+            c = coeff(s.bracket, idx, j, k)
             if c:
                 out[k - 1][j - 1] = c
     return out
@@ -398,7 +426,7 @@ def dense_ad_on_n(s, r: int):
     out = [[zero] * n for _ in range(n)]
     for j in range(1, n + 1):
         for k in range(1, n + 1):
-            c = s.bracket.coeff(r, m + j, m + k)
+            c = coeff(s.bracket, r, m + j, m + k)
             if c:
                 out[k - 1][j - 1] = c
     return out
@@ -446,7 +474,7 @@ def dense_audit_terms(s, shift):
     term2 = Fraction(0) if exact else 0.0
     for r in range(1, m + 1):
         for t in range(1, m + 1):
-            v = s.bracket.pair(r, t)[m:]
+            v = pair(s.bracket, r, t)[m:]
             term2 = term2 + quarter * sum(shift[i] * v[i] * v[i] for i in range(n))
 
     term3 = Fraction(0) if exact else 0.0
@@ -585,14 +613,14 @@ def _span_basis(vectors, exact: bool, tol: float):
 
 
 def eval_jacobi_residual(mu: BracketTensor):
-    """Max |Jacobiator| component, evaluating basis vectors through mu.eval."""
+    """Max |Jacobiator| component, evaluating basis vectors through eval_bracket."""
     n = mu.dim
     unit = _unit(n, mu.is_exact_mode)
     worst = Fraction(0) if mu.is_exact_mode else 0.0
     for i, j, k in itertools.combinations(range(n), 3):
-        a = mu.eval(mu.eval(unit[i], unit[j]), unit[k])
-        b = mu.eval(mu.eval(unit[j], unit[k]), unit[i])
-        c = mu.eval(mu.eval(unit[k], unit[i]), unit[j])
+        a = eval_bracket(mu, eval_bracket(mu, unit[i], unit[j]), unit[k])
+        b = eval_bracket(mu, eval_bracket(mu, unit[j], unit[k]), unit[i])
+        c = eval_bracket(mu, eval_bracket(mu, unit[k], unit[i]), unit[j])
         for x, y, z in zip(a, b, c):
             s = x + y + z
             if s < 0:
@@ -603,14 +631,14 @@ def eval_jacobi_residual(mu: BracketTensor):
 
 
 def eval_lower_central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> list[int]:
-    """Lower central series dimensions, spanning [g, b] by mu.eval on unit vectors."""
+    """Lower central series dimensions, spanning [g, b] by eval_bracket on unit vectors."""
     exact = mu.is_exact_mode
     n = mu.dim
     dims = [n]
     basis = _unit(n, exact)
     while True:
         unit = _unit(n, exact)
-        gens = [mu.eval(e, b) for e in unit for b in basis]
+        gens = [eval_bracket(mu, e, b) for e in unit for b in basis]
         basis = _span_basis(gens, exact, tol)
         d = len(basis)
         dims.append(d)
@@ -619,12 +647,12 @@ def eval_lower_central_series(mu: BracketTensor, tol: float = DEFAULT_TOL) -> li
 
 
 def eval_is_solvable(mu: BracketTensor, tol: float = DEFAULT_TOL) -> bool:
-    """Derived series through mu.eval on every pair of basis vectors."""
+    """Derived series through eval_bracket on every pair of basis vectors."""
     exact = mu.is_exact_mode
     basis = _unit(mu.dim, exact)
     prev = mu.dim
     while True:
-        gens = [mu.eval(x, y) for i, x in enumerate(basis) for y in basis[i + 1:]]
+        gens = [eval_bracket(mu, x, y) for i, x in enumerate(basis) for y in basis[i + 1:]]
         basis = _span_basis(gens, exact, tol)
         cur = len(basis)
         if cur == 0:
@@ -804,12 +832,15 @@ class TraceIdentity(NamedTuple):
 def trace_identity_check(s: MetricSolvableAlgebra, e) -> TraceIdentity:
     """tr(R E) versus (1/4) <pi(E) mu, mu>: equal for any tensor, no Jacobi
     needed.  E is an arbitrary square matrix on the full algebra: an ndarray
-    is read through tolist(), a sequence of rows as given."""
+    is read through tolist(), a sequence of rows as given.  The pairing is
+    taken in floats when E has a float entry, on the bracket's to_float."""
     r = s.curvature.r
     d = s.dim
-    rows = e.tolist() if is_ndarray(e) else [list(row) for row in e]
+    rows = e.tolist() if isinstance(e, np.ndarray) else [list(row) for row in e]
     tr_re = sum(r[p][q] * rows[q][p] for p in range(d) for q in range(d))
-    pairing = inner(rep(rows, s.bracket), s.bracket) / 4
+    exact = all(linalg.is_exact(x) for row in rows for x in row)
+    mu = s.bracket if exact else s.bracket.to_float()
+    pairing = inner(rep(rows, mu), mu) / 4
     return TraceIdentity(tr_re, pairing, abs(float(tr_re - pairing)))
 
 
@@ -817,8 +848,8 @@ def fraction_curvature(s) -> Curvature:
     """H, B, R, S(ad H) and Ricci = R - B/2 - S(ad H) of an exact algebra by
     Fraction sums over the nonzero coefficients."""
     d, m = s.dim, s.dim_a
-    coeff = s.bracket.coeff
-    h = [sum((coeff(r, j, j) for j in range(1, d + 1)), Fraction(0)) for r in range(1, m + 1)]
+    h = [sum((coeff(s.bracket, r, j, j) for j in range(1, d + 1)), Fraction(0))
+         for r in range(1, m + 1)]
     by_slot = {}
     for (i, j, k), c in s.bracket.coeffs.items():
         by_slot.setdefault((j, k), []).append((i, c))

@@ -13,9 +13,9 @@ import pytest
 from generators import (abelian, direct_sum, filiform4, heisenberg3, rand_frac,
                         random_exact_gl, random_nilpotent, random_solvable, random_tensor,
                         shuffled, so3)
-from oracles import (einsum_act_array, eval_is_solvable, eval_jacobi_residual,
-                     eval_lower_central_series, identity, loop_from_array, mat_scale, mat_sub,
-                     matmul, matvec, slotwise_float_derivations)
+from oracles import (coeff, einsum_act_array, eval_bracket, eval_is_solvable,
+                     eval_jacobi_residual, eval_lower_central_series, identity, loop_from_array,
+                     mat_scale, mat_sub, matmul, matvec, pair, slotwise_float_derivations)
 from solvstrat import linalg
 from solvstrat.bracket import (BracketTensor, act, act_array, derivations, inner,
                                is_solvable, jacobi_residual, lower_central_series,
@@ -30,8 +30,8 @@ NON_JACOBI = BracketTensor.make(4, {(1, 2, 3): 1, (1, 3, 1): 2, (2, 4, 4): Fract
 def test_make_normalizes_key_order_and_sign():
     mu = BracketTensor.make(3, {(2, 1, 3): 1})
     assert mu.coeffs == {(1, 2, 3): Fraction(-1)}
-    assert mu.coeff(2, 1, 3) == 1
-    assert mu.coeff(1, 2, 3) == -1
+    assert coeff(mu, 2, 1, 3) == 1
+    assert coeff(mu, 1, 2, 3) == -1
 
 
 def test_make_drops_zeros_and_accumulates():
@@ -63,11 +63,11 @@ def test_eval_is_bilinear_and_skew():
     y = [rand_frac(rng) for _ in range(4)]
     z = [rand_frac(rng) for _ in range(4)]
     a = rand_frac(rng)
-    left = mu.eval([xi + a * zi for xi, zi in zip(x, z)], y)
-    want = [u + a * v for u, v in zip(mu.eval(x, y), mu.eval(z, y))]
+    left = eval_bracket(mu, [xi + a * zi for xi, zi in zip(x, z)], y)
+    want = [u + a * v for u, v in zip(eval_bracket(mu, x, y), eval_bracket(mu, z, y))]
     assert left == want
-    assert mu.eval(x, y) == [-v for v in mu.eval(y, x)]
-    assert mu.eval(x, x) == [Fraction(0)] * 4
+    assert eval_bracket(mu, x, y) == [-v for v in eval_bracket(mu, y, x)]
+    assert eval_bracket(mu, x, x) == [Fraction(0)] * 4
 
 
 def test_pair_matches_eval_on_basis_vectors():
@@ -75,7 +75,7 @@ def test_pair_matches_eval_on_basis_vectors():
     for i in range(1, 5):
         for j in range(1, 5):
             if i != j:
-                assert N4.pair(i, j) == N4.eval(unit[i - 1], unit[j - 1])
+                assert pair(N4, i, j) == eval_bracket(N4, unit[i - 1], unit[j - 1])
 
 
 def test_inner_counts_all_ordered_pairs():
@@ -133,19 +133,21 @@ def test_act_identity_and_group_law():
     assert act(g, act(h, mu)).coeffs == act(matmul(g, h), mu).coeffs
 
 
-def test_an_ndarray_takes_the_float_route():
-    # an ndarray is float input whatever its dtype: act and rep give what
-    # they give for its entries as floats, while a list of ints is exact
+def test_the_bracket_sets_the_mode_of_act_and_rep():
+    # an exact bracket takes exact matrices, an int ndarray as its list of
+    # rows; a float entry is refused, and a float bracket takes any real
+    # matrix with the floats it took before
     g = np.array([[1, 2, 0, 0], [0, 1, 0, 3], [0, 0, 1, 0], [1, 0, 0, 1]])
-    for arr in (g, g / 3):
-        rows = arr.astype(float).tolist()
-        for f in (act, rep):
-            out = f(arr, N4)
-            assert out.scalar_mode == "float"
-            assert out.coeffs == f(rows, N4).coeffs
-    assert act(g, N4).coeffs[(3, 4, 2)] == -2.5714285714285716
-    assert rep(g / 3, N4).coeffs[(2, 3, 4)] == -0.6666666666666666
+    for f in (act, rep):
+        out = f(g, N4)
+        assert out.is_exact_mode and out.coeffs == f(g.tolist(), N4).coeffs
+        assert {type(c) for c in out.coeffs.values()} == {Fraction}
+        for bad in (g / 3, (g / 3).tolist(), g.astype(float)):
+            with pytest.raises(TypeError, match="as an exact rational"):
+                f(bad, N4)
     assert act(g.tolist(), N4).coeffs[(3, 4, 2)] == Fraction(-18, 7)
+    assert act(g, N4.to_float()).coeffs[(3, 4, 2)] == -2.5714285714285716
+    assert rep(g / 3, N4.to_float()).coeffs[(2, 3, 4)] == -0.6666666666666666
 
 
 def test_act_definition_on_vectors():
@@ -157,8 +159,8 @@ def test_act_definition_on_vectors():
         gm = act(g, mu)
         x = [rand_frac(rng) for _ in range(4)]
         y = [rand_frac(rng) for _ in range(4)]
-        want = matvec(g, mu.eval(matvec(ginv, x), matvec(ginv, y)))
-        assert gm.eval(x, y) == want
+        want = matvec(g, eval_bracket(mu, matvec(ginv, x), matvec(ginv, y)))
+        assert eval_bracket(gm, x, y) == want
 
 
 def test_act_array_agrees_with_exact_act():
@@ -207,10 +209,10 @@ def test_rep_definition_on_vectors(kind, seed):
         assert image.is_exact_mode
         x = [rand_frac(rng) for _ in range(n)]
         y = [rand_frac(rng) for _ in range(n)]
-        want = [u - v - w for u, v, w in zip(matvec(a, mu.eval(x, y)),
-                                             mu.eval(matvec(a, x), y),
-                                             mu.eval(x, matvec(a, y)))]
-        assert image.eval(x, y) == want
+        want = [u - v - w for u, v, w in zip(matvec(a, eval_bracket(mu, x, y)),
+                                             eval_bracket(mu, matvec(a, x), y),
+                                             eval_bracket(mu, x, matvec(a, y)))]
+        assert eval_bracket(image, x, y) == want
         af = np.array([[float(v) for v in row] for row in a])
         assert np.max(np.abs(image.to_array() - rep_array(af, mu.to_array()))) < 1e-12
 
@@ -429,7 +431,7 @@ def _lie_battery(rng):
         for _ in range(3):
             mu = random_nilpotent(rng, dim)
             g = np.eye(dim) + 0.3 * rng.normal(size=(dim, dim))
-            out += [mu, mu.to_float(), act(g, mu)]
+            out += [mu, mu.to_float(), act(g, mu.to_float())]
     return out
 
 

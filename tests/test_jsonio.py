@@ -136,3 +136,15 @@ def test_parsed_bracket_is_make_of_the_parsed_coefficients(seed):
         assert list(bf.bracket.coeffs.items()) == list(made.coeffs.items())
         assert [type(c) for c in bf.bracket.coeffs.values()] == [
             type(c) for c in made.coeffs.values()]
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"i": 1, "j": 2, "k": 3}, "noc.json.brackets[0]: missing required key 'c'"),
+    ({"i": 1, "j": 2, "k": 3, "c": "1/0"},
+     "noc.json.brackets[0].c: malformed rational literal '1/0'"),
+])
+def test_a_coefficient_defect_is_named_once(entry, message):
+    # a missing "c" names the entry, a malformed one names the field
+    with pytest.raises(jsonio.FormatError) as exc:
+        jsonio.parse_bracket_dict({"dim_a": 0, "dim_n": 3, "brackets": [entry]}, "noc.json")
+    assert str(exc.value) == message

@@ -463,8 +463,7 @@ MODE_BRANCHES = {
         "act": 1,                       # sparse exact action or act_array
         "rep": 1,                       # sparse exact action or rep_array
         "jacobi_residual": 1,           # integer view or float coefficients
-        "_central_series": 1,           # integer elimination or SVD
-        "is_solvable": 1,               # integer elimination or SVD
+        "_series": 1,                   # integer elimination or SVD
         "derivations": 1,               # integer null space or SVD
     },
     "flow": {
@@ -496,7 +495,7 @@ MODE_BRANCHES = {
 def _reads_mode(test) -> bool:
     for node in ast.walk(test):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in ("is_exact", "_is_exact_matrix"):
+                and node.func.id == "is_exact":
             return True
         if isinstance(node, ast.Attribute) and node.attr == "is_exact_mode":
             return True
@@ -528,6 +527,35 @@ def test_mode_branches_are_the_listed_representation_dispatches():
         path = PACKAGE / f"{module}.py"
         assert _mode_branches(ast.parse(path.read_text())) == allowed, module
     assert sum(sum(a.values()) for a in MODE_BRANCHES.values()) <= 20
+
+
+def test_the_mode_is_read_off_scalars_in_three_places():
+    # is_exact looks at a scalar in linalg's comparison rules and where a
+    # bracket or a label takes its mode from its entries; everything else
+    # reads the mode of its bracket or label.  No module tells arrays apart:
+    # act and rep take the mode of mu, whatever container g comes in
+    callers = set()
+    arrays = []
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "is_exact":
+                callers.add("linalg" if module == "linalg.py" else ".".join(scope[:2]))
+            if name == "isinstance" and any(isinstance(sub, ast.Attribute)
+                                            and sub.attr == "ndarray"
+                                            for arg in node.args[1:] for sub in ast.walk(arg)):
+                arrays.append(f"{module}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for module, tree in _trees():
+        visit(tree, module, ())
+    assert callers == {"linalg", "BracketTensor._normalized", "DiagonalWeight.make",
+                       "DiagonalWeight.is_exact_mode"}
+    assert arrays == []
 
 
 # The options of each command.  An option needs two callers or workloads that
@@ -683,10 +711,43 @@ def test_each_curvature_matrix_has_one_route():
 
 
 def _library_api() -> set[str]:
-    """The names the README lists under Library API."""
+    """The names the README lists under Library API, methods as C.m."""
     readme = (PACKAGE.parents[1] / "README.md").read_text()
     section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
-    return set(re.findall(r"^- `(\w+)\(", section, re.M))
+    return set(re.findall(r"^- `([\w.]+)\(", section, re.M))
+
+
+def _unused_methods(classes) -> set[str]:
+    """C.m for each public method (a def or a staticmethod, not a property)
+    of the classes that nothing in the package reads.  C.m is read as an
+    attribute of the name C, or as an attribute m of any other value in a
+    module that defines or imports C; reads inside C.m itself do not count."""
+    trees = list(_trees())      # one parse, so the node ids in inside stay distinct
+    methods, inside = set(), {}
+    for _, tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name in classes:
+                for f in node.body:
+                    if (isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+                            and all(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                    for d in f.decorator_list)):
+                        methods.add(f"{node.name}.{f.name}")
+                        inside |= {id(sub): f"{node.name}.{f.name}" for sub in ast.walk(f)}
+    used = set()
+    for module, tree in trees:
+        if module == "__init__.py":
+            continue
+        named = classes & ({node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+                           | {a.asname or a.name for node in ast.walk(tree)
+                              if isinstance(node, ast.ImportFrom) for a in node.names})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.value, ast.Name) and node.value.id in classes:
+                    reads = {f"{node.value.id}.{node.attr}"}
+                else:
+                    reads = {f"{c}.{node.attr}" for c in named}
+                used |= reads - {inside.get(id(node))}
+    return methods - used
 
 
 def test_every_export_has_a_caller_in_the_package_or_is_library_api():
@@ -695,7 +756,8 @@ def test_every_export_has_a_caller_in_the_package_or_is_library_api():
     # module (strata.x).  A field annotation (a Store), an attribute of some
     # other object (cert.eigenvalue_type) or a string such as the check name
     # "in_Z" of certify_candidate is no use.  What nothing uses is listed in
-    # the README as library API, or it leaves the package
+    # the README as library API, or it leaves the package.  So is each public
+    # method of an exported class (_unused_methods)
     modules = {path.stem for path in PACKAGE.glob("*.py")}
     used: set[str] = set()
     for module, tree in _trees():
@@ -709,7 +771,8 @@ def test_every_export_has_a_caller_in_the_package_or_is_library_api():
                          and node.value.id in modules)} - {getattr(top, "name", None)}
     exports = {name for name in solvstrat.__all__
                if not inspect.ismodule(getattr(solvstrat, name))}
-    assert sorted(exports - used) == sorted(_library_api())
+    classes = {name for name in exports if inspect.isclass(getattr(solvstrat, name))}
+    assert sorted((exports - used) | _unused_methods(classes)) == sorted(_library_api())
 
 
 def _imported_names(module):

@@ -9,7 +9,7 @@ import pytest
 from generators import (abelian, ch2, filiform4, heisenberg3, nonstandard_heisenberg,
                         rand_frac, random_exact_gl, random_solvable, random_tensor,
                         rh_space, shuffled, so3)
-from oracles import (dense_ad, dense_ad_on_n, dense_audit_terms,
+from oracles import (coeff, dense_ad, dense_ad_on_n, dense_audit_terms,
                      dense_killing_form, dense_s_ad_h, fraction_curvature,
                      fraction_einstein_check, fraction_ric,
                      fraction_standardness_audit, trace_identity_check)
@@ -61,7 +61,7 @@ def test_orthonormalize_identity_gram_is_noop():
     s = ch2()
     out = orthonormalize_basis(1, 3, s.bracket, np.eye(4))
     for key, val in s.bracket.coeffs.items():
-        assert abs(out.coeff(*key) - float(val)) < 1e-12
+        assert abs(coeff(out, *key) - float(val)) < 1e-12
 
 
 def test_orthonormalize_scaled_gram_rescales_curvature():
@@ -254,6 +254,14 @@ def test_rank_one_extension_of_abelian_is_hyperbolic():
     ext2 = rank_one_extension(abelian(2), c=F(-1, 2))
     assert ext2.bracket.coeffs == {(1, 2, 2): F(1, 2), (1, 3, 3): F(1, 2)}
     assert einstein_check(ext2).c == F(-1, 2)
+
+
+def test_rank_one_extension_takes_a_float_c_on_the_exact_zero_bracket():
+    # no derivation test runs on 0, so a float c needs no float bracket
+    ext = rank_one_extension(abelian(3), c=-2.5)
+    assert ext.bracket.scalar_mode == "float"
+    assert ext.bracket.coeffs == {(1, k, k): 2.5 / math.sqrt(7.5) for k in (2, 3, 4)}
+    assert einstein_check(ext) == (True, -2.5, 0.0, 0.0, 1e-8)
 
 
 def test_rank_one_extension_rejections():
